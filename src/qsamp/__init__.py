@@ -94,6 +94,5 @@ from .bd_infinite import (
     theorem_bound,
     truncate_neumann,
 )
-from .cli import reproduce
 
 __version__ = "0.1.0"

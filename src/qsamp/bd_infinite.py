@@ -293,12 +293,13 @@ MONOTONE_SLACK = 1e-12
 def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> TruncationSeries:
     """lambda_{N,n} for n <= n_max over an increasing truncation schedule.
 
-    Eigenvalues come from bisection and are refined through the Dirichlet-
-    form Rayleigh quotient of an inverse-iterated vector, which keeps full
-    relative accuracy; each column must be non-increasing in N (checked with
-    slack 1e-12).  A column's limit is declared once the relative change
-    between consecutive truncations drops below tol.  Failure to resolve the
-    ground column raises NotConverged.
+    The ground column, phi and lambda0' come from the Green-operator routine
+    tridiag.ground_pair; higher eigenvalues come from bisection refined
+    through the Dirichlet-form Rayleigh quotient of an inverse-iterated
+    vector.  Both keep full relative accuracy; each column must be
+    non-increasing in N (checked with slack 1e-12).  A column's limit is
+    declared once the relative change between consecutive truncations drops
+    below tol.  Failure to resolve the ground column raises NotConverged.
     """
     schedule = [int(n) for n in schedule]
     if len(schedule) < 2 or any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -311,15 +312,11 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
     for n in schedule:
         b, d = rates.realize(n)
         lam_row = np.full(n_max + 1, np.inf)
-        hi = min(n_max, n - 1)
-        for idx in range(hi + 1):
-            lam, _ = tridiag.ground_state(b, d, eig_index=idx)
-            lam_row[idx] = lam
-        lam0p, _ = tridiag.ground_state(b[1:], d[1:], eig_index=0)
-        _, phi = tridiag.ground_state(b, d, eig_index=0)
-        phi = phi / phi[0]
+        lam_row[0], phi, _ = tridiag.ground_pair(b, d)
+        for idx in range(1, min(n_max, n - 1) + 1):
+            lam_row[idx], _ = tridiag.ground_state(b, d, eig_index=idx)
         rows.append(lam_row)
-        rows_prime.append(lam0p)
+        rows_prime.append(tridiag.ground_pair(b[1:], d[1:])[0])
         phi_list.append(phi)
     table = np.array(rows)
     prime = np.array(rows_prime)
@@ -459,11 +456,10 @@ def gap_identity_check(rates: RateFamily, n: int) -> float:
     if n < 2:
         raise InvalidParameter("need n >= 2")
     b, d = rates.realize(n)
-    lam0, phi = tridiag.ground_state(b, d, eig_index=0)
-    lam0p, phip = tridiag.ground_state(b[1:], d[1:], eig_index=0)
+    lam0, phi, _ = tridiag.ground_pair(b, d)
+    lam0p, phip, _ = tridiag.ground_pair(b[1:], d[1:])
     pis = tridiag.scaled_pi(b, d)
-    phip_ext = np.concatenate([[0.0], phip / phip[0]])
-    phi = phi / phi[0]
+    phip_ext = np.concatenate([[0.0], phip])
     rhs = pis[0] * b[0] * phip_ext[1] * phi[0] / float(np.sum(pis * phip_ext * phi))
     gap = lam0p - lam0
     if gap <= 0:

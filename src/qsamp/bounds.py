@@ -306,7 +306,10 @@ def exact_bd_amplitude(gen: AbsorbingGenerator, dps: int | None = None) -> float
     removes state 1.  The product is evaluated as the determinant ratio
     det(T~ - lambda0)/det(T~) in multi-precision arithmetic, with lambda0
     from Sturm bisection, so the result stays accurate even when the
-    amplitude spans hundreds of orders of magnitude.
+    amplitude spans hundreds of orders of magnitude.  The default precision
+    keeps 30 digits beyond those lost to cancellation in the pivot
+    recursion.  Nothing here uses the double-precision eigenpair, so the
+    result is an independent check of it.
     """
     if not gen.is_birth_death:
         raise NotBirthDeath("exact amplitude needs birth-death absorbed from state 1")
@@ -315,7 +318,7 @@ def exact_bd_amplitude(gen: AbsorbingGenerator, dps: int | None = None) -> float
     if n == 1:
         return 1.0
     if dps is None:
-        dps = max(60, 50 + n // 10)
+        dps = max(60, 50 + n // 10, 30 + tridiag.pivot_digits_lost(b, d))
     lam = tridiag.mp_lambda(b, d, 0, dps=dps)
     ratio = tridiag.mp_detratio_minor(b, d, lam, dps=dps)
     return float(1 / ratio)

@@ -195,11 +195,15 @@ def build_general(
     ----------
     n_states : number of surviving states.
     transitions : iterable of (from_state, to_state, rate), 1-based labels.
-        Duplicate entries are summed; zero rates are dropped.
+        Duplicate entries are summed; zero rates are dropped.  NaN or
+        infinite rates raise InvalidParameter here, which every other
+        constructor passes through.
     absorption_rates : mapping state -> rate, or iterable of (state, rate).
     """
     merged: dict = {}
     for i, j, r in transitions:
+        if not np.isfinite(r):
+            raise InvalidParameter(f"rate {r} on ({i},{j}) is not finite")
         if r < 0:
             raise NegativeRate(f"rate {r} on ({i},{j})")
         if r > 0:
@@ -210,6 +214,8 @@ def build_general(
         pairs = absorption_rates
     absorb: dict = {}
     for i, r in pairs:
+        if not np.isfinite(r):
+            raise InvalidParameter(f"absorption rate {r} at state {i} is not finite")
         if r < 0:
             raise NegativeRate(f"absorption rate {r} at state {i}")
         if r > 0:

@@ -8,8 +8,9 @@ matching left eigenvector), single-state minor eigenvalues, and the amplitude
 max(phi)/min(phi).
 
 Solver routing follows the structure of the input: birth-death chains go to
-the dedicated tridiagonal path, other reversible generators are symmetrized
-and handed to a dense symmetric solver, and the general case uses inverse
+the Green-operator routine tridiag.ground_pair and are accepted on its
+certified lambda0 bracket, other reversible generators are symmetrized and
+handed to a dense symmetric solver, and the general case uses inverse
 iteration on an LU factorization of -K (the inverse of an irreducible
 M-matrix is entrywise positive, so plain power steps on it converge to the
 Perron direction from the all-ones start).
@@ -270,35 +271,36 @@ def dirichlet_eigenpair(gen_or_k, normalization: str = "first") -> DirichletEige
     if normalization not in NORMALIZATIONS:
         raise InvalidParameter(f"normalization must be one of {NORMALIZATIONS}")
     if isinstance(gen_or_k, AbsorbingGenerator) and gen_or_k.is_birth_death:
-        b, d = gen_or_k.birth_death_rates()
-        max_rate = gen_or_k.max_rate
-        if len(d) == 1:
-            lam0, phi, res = float(d[0]), np.ones(1), 0.0
-        else:
-            lam0, phi, res = tridiag.bd_eigenpair_auto(b, d)
+        bd = gen_or_k.birth_death_rates()
     else:
         k = _as_k_matrix(gen_or_k)
-        n = k.shape[0]
+        bd = _bd_structure(k) if k.shape[0] > 1 else None
+    if bd is not None:
+        # accepted on the certified bracket: a correct pair far below the
+        # rates can still exceed the absolute residual floor
+        lam0, phi, (lo, hi) = tridiag.ground_pair(*bd)
+        res = tridiag.residual_inf(*bd, lam0, phi)
+        if hi - lo > RESIDUAL_RTOL * lam0:
+            raise NoConvergence(
+                f"lambda0 bracket [{lo:.6e}, {hi:.6e}] wider than {RESIDUAL_RTOL:g} relative"
+            )
+    else:
         max_rate = float(np.abs(np.diag(k)).max())
-        if n == 1:
+        if k.shape[0] == 1:
             lam0, phi, res = float(-k[0, 0]), np.ones(1), 0.0
         else:
-            bd = _bd_structure(k)
-            if bd is not None:
-                lam0, phi, res = tridiag.bd_eigenpair_auto(*bd)
+            eta, _ = reversible_measure(k)
+            if eta is not None:
+                lam0, phi, res = _reversible_eigenpair(k, eta)
             else:
-                eta, _ = reversible_measure(k)
-                if eta is not None:
-                    lam0, phi, res = _reversible_eigenpair(k, eta)
-                else:
-                    lam0, phi, res = _inverse_iteration(k)
-    if np.any(phi <= 0):
-        raise NoConvergence("eigenvector failed positivity; residual too large")
-    pair = DirichletEigenpair(lambda0=lam0, phi=phi, normalization="first", residual=res)
-    if res > pair.residual_bound(max_rate):
-        raise NoConvergence(
-            f"residual {res:.3e} exceeds bound {pair.residual_bound(max_rate):.3e}"
-        )
+                lam0, phi, res = _inverse_iteration(k)
+        if np.any(phi <= 0):
+            raise NoConvergence("eigenvector failed positivity; residual too large")
+        pair = DirichletEigenpair(lambda0=lam0, phi=phi, normalization="first", residual=res)
+        if res > pair.residual_bound(max_rate):
+            raise NoConvergence(
+                f"residual {res:.3e} exceeds bound {pair.residual_bound(max_rate):.3e}"
+            )
     phi = phi / phi[0]
     if normalization == "max":
         phi = phi / phi.max()

@@ -11,31 +11,29 @@ b_x + d_x (b_n absent at the reflecting top) and off-diagonal
 the symmetrized entries are local, so no product weight is ever formed in
 a way that can overflow.
 
-Two accuracy regimes are served:
+The lowest eigenpair comes from ground_pair: power steps on the Green
+operator G = (-K)^-1 carried out on log f.  G has the closed form
 
-* a fast double-precision path (bisection eigenvalues, banded inverse
-  iteration, Rayleigh quotients through the all-positive Dirichlet form),
-  accurate whenever the eigenvector spread is moderate;
-* an mpmath path (Sturm-count bisection plus the three-term ratio
-  recursion) for chains whose eigenvector spans many orders of magnitude,
-  where any fixed-precision global solve loses the small components.
-  The working precision is validated by recomputing with extra digits.
+    G f(x) = sum_{z<=x} (pi_z d_z)^-1 sum_{y>=z} pi_y f(y),
+
+whose terms are all positive, so each component keeps relative accuracy
+however far lambda0 sits below the rates, and each step gives the
+Collatz-Wielandt bracket min f/Gf <= lambda0 <= max f/Gf as a certificate.
+Higher eigenvalues come from bisection refined through the Dirichlet-form
+Rayleigh quotient of a banded inverse-iterated vector.
+
+The mpmath functions (Sturm-count bisection and the LDL' pivot determinant
+ratio) serve bounds.exact_bd_amplitude only, the independent oracle for the
+amplitude identity.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import mpmath as mp
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, solve_banded
 
 from .errors import NoConvergence
-
-#: eigenvector spread beyond which the double path is considered unreliable
-MP_AMPLITUDE_THRESHOLD = 1e6
-#: largest chain the mp fallback is attempted on (cost grows linearly)
-MP_MAX_STATES = 2048
 
 
 def sym_tridiag(b: np.ndarray, d: np.ndarray):
@@ -94,6 +92,21 @@ def _banded(b, d, shift):
 def ground_state(b, d, eig_index=0, iters=3):
     """Double-precision eigenpair (lam, v) of -K for the given eigenvalue index.
 
+    lam is the Dirichlet-form Rayleigh quotient of the inverse-iterated
+    vector.  The lowest pair has its own routine, ground_pair, which starts
+    from this vector.
+    """
+    if len(d) == 1:
+        return float(d[0]), np.ones(1)
+    v = _inverse_iteration(b, d, eig_index, iters)
+    # the Dirichlet-form quotient is valid for signed vectors too (summation
+    # by parts against the reflecting top), and every summand is nonnegative
+    return rayleigh_quotient(b, d, v), v
+
+
+def _inverse_iteration(b, d, eig_index, iters=3):
+    """Eigenvector estimate of -K for the given index, max |v| = 1.
+
     Inverse iteration on the unsymmetrized banded matrix, started from the
     ones vector with a shift just below the bisection eigenvalue.  Shifts
     that make the solve singular fall back to small negative shifts, which
@@ -101,8 +114,6 @@ def ground_state(b, d, eig_index=0, iters=3):
     the matrix norm (the regime where the singular shift occurs).
     """
     n = len(d)
-    if n == 1:
-        return float(d[0]), np.ones(1)
     lam_hat = float(eigenvalues(b, d, eig_index, eig_index)[0])
     scale = float((d + np.append(b, 0.0)).max())
     shifts = [lam_hat * (1 - 1e-8), lam_hat - 1e-14 * scale]
@@ -137,10 +148,55 @@ def ground_state(b, d, eig_index=0, iters=3):
         v = v / np.abs(v).max()
         if v[np.abs(v).argmax()] < 0:
             v = -v
-    # the Dirichlet-form quotient is valid for signed vectors too (summation
-    # by parts against the reflecting top), and every summand is nonnegative
-    lam = rayleigh_quotient(b, d, v)
-    return lam, v
+    return v
+
+
+def ground_pair(b, d):
+    """Lowest eigenpair (lambda0, phi, (lo, hi)) of -K with phi(1) = 1.
+
+    Power steps on the Green operator G = (-K)^-1, applied to log f by two
+    cumulative log-sum-exp passes over log pi.  Each step gives the
+    Collatz-Wielandt bracket lo = min f/Gf <= lambda0 <= max f/Gf, and the
+    steps stop once it has closed to a few ulps or no longer narrows, which
+    happens at rounding level.  lambda0 is the bracket's geometric midpoint
+    and phi the last iterate Gf; the bracket's relative width bounds the
+    componentwise backward error of phi.  The start is the inverse-iterated
+    vector of ground_state, which usually leaves one or two steps to take
+    (cold starts need tens).  Raises NoConvergence when the bracket is still
+    narrowing after the step cap, or when phi or lambda0 leaves the double
+    range.
+    """
+    b = np.asarray(b, dtype=float)
+    d = np.asarray(d, dtype=float)
+    n = len(d)
+    if n == 1:
+        return float(d[0]), np.ones(1), (float(d[0]), float(d[0]))
+    lp = log_pi(b, d)
+    log_w = -lp - np.log(d)
+    v = _inverse_iteration(b, d, 0)
+    f = np.log(v) if np.all(v > 0) and np.all(np.isfinite(v)) else np.zeros(n)
+    width = np.inf
+    for _ in range(1000):
+        tail = np.logaddexp.accumulate((lp + f)[::-1])[::-1]
+        g = np.logaddexp.accumulate(tail + log_w)
+        ratio = f - g
+        lo, hi = float(ratio.min()), float(ratio.max())
+        f = g - g[0]
+        if hi - lo <= 4 * np.finfo(float).eps or hi - lo >= width:
+            break
+        width = hi - lo
+    else:
+        raise NoConvergence(
+            f"Green power steps still narrowing after 1000 steps: relative "
+            f"bracket width {hi - lo:.2e}, log max phi {f.max():.1f}"
+        )
+    mid = (lo + hi) / 2
+    if f.max() >= np.log(np.finfo(float).max) or mid <= np.log(np.finfo(float).tiny):
+        raise NoConvergence(
+            f"ground eigenpair outside the double range: log lambda0 = {mid:.1f}, "
+            f"log max phi = {f.max():.1f}"
+        )
+    return float(np.exp(mid)), np.exp(f), (float(np.exp(lo)), float(np.exp(hi)))
 
 
 def apply_neg_k(b, d, v):
@@ -157,7 +213,7 @@ def residual_inf(b, d, lam, v) -> float:
     return float(np.abs(apply_neg_k(b, d, v) - lam * v).max())
 
 
-# -- mpmath path ------------------------------------------------------------
+# -- mpmath oracle ----------------------------------------------------------
 
 
 def _mp_rates(b, d):
@@ -182,6 +238,21 @@ def _ldl_pivots(bm, dm, lam):
     return pivots
 
 
+def pivot_digits_lost(b, d) -> int:
+    """Decimal digits that cancellation costs the pivots of _ldl_pivots.
+
+    At lam = 0 the pivots are q_x = b_x + s_x (q_n = s_n) with the
+    subtraction-free s_x = 1 / (pi_x sum_{z<=x} (pi_z d_z)^-1), and s_x is
+    the part that carries lambda0.  The recursion forms each pivot as a
+    difference of terms of size b_x + d_x, so s_x keeps about dps minus
+    log10((b_x + d_x) / s_x) digits, and so does a Sturm count near lambda0.
+    """
+    lp = log_pi(b, d)
+    log_s = -lp - np.logaddexp.accumulate(-lp - np.log(d))
+    lost = np.log(d + np.append(b, 0.0)) - log_s
+    return max(0, int(np.ceil(lost.max() / np.log(10))))
+
+
 def _sturm_below(bm, dm, lam):
     try:
         return sum(1 for q in _ldl_pivots(bm, dm, lam) if q < 0)
@@ -190,49 +261,22 @@ def _sturm_below(bm, dm, lam):
         return sum(1 for q in _ldl_pivots(bm, dm, lam + bump) if q < 0)
 
 
-_LAMBDA_CACHE: dict = {}      # (rates, index, dps) -> lam, for bitwise repeatability
-_BRACKET_CACHE: dict = {}     # (rates, index) -> (dps, lo, hi), for warm starts
-_CACHE_MAX = 256
-
-
-def _bisect_key(b, d, eig_index):
-    return (np.asarray(b, float).tobytes(), np.asarray(d, float).tobytes(), eig_index)
-
-
-def _cache_put(cache, key, value):
-    if len(cache) >= _CACHE_MAX:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
-
-
 def mp_lambda(b, d, eig_index=0, dps=60):
     """Eigenvalue of -K by Sturm-count bisection at dps decimal digits.
 
-    Bisection runs until the bracket is relatively resolved (width below
-    10^(3-dps) of the eigenvalue) or hits an absolute floor 10^(-dps-8) of
-    the matrix scale, so eigenvalues many orders below the norm still come
-    out with full relative precision.  Results are cached per (rates, index,
-    dps) so repeated calls return identical values, and the tightest bracket
-    found so far is reused as a warm start when more digits are requested
-    (endpoints are exact binary numbers, re-verified before use).
+    Bisection runs from [0, 2 max_x (b_x + d_x)] until the bracket is
+    relatively resolved (width below 10^(3-dps) of the eigenvalue) or hits
+    an absolute floor 10^(-dps-8) of the matrix scale, so eigenvalues many
+    orders below the norm still come out with full relative precision,
+    provided dps covers pivot_digits_lost.  It shares no computation with
+    ground_pair, which is what lets bounds.exact_bd_amplitude check it.
     """
-    key = _bisect_key(b, d, eig_index)
-    hit = _LAMBDA_CACHE.get(key + (dps,))
-    if hit is not None:
-        return hit
     with mp.workdps(dps):
         bm, dm = _mp_rates(b, d)
         n = len(dm)
         lo = mp.mpf(0)
-        top = max((bm[i] if i < n - 1 else mp.mpf(0)) + dm[i] for i in range(n)) * 2
-        hi = top
-        cached = _BRACKET_CACHE.get(key)
-        if cached is not None:
-            clo, chi = cached[1], cached[2]
-            if (_sturm_below(bm, dm, chi) >= eig_index + 1
-                    and (clo == 0 or _sturm_below(bm, dm, clo) <= eig_index)):
-                lo, hi = mp.mpf(clo), mp.mpf(chi)
-        floor_width = top * mp.mpf(10) ** (-dps - 8)
+        hi = max((bm[i] if i < n - 1 else mp.mpf(0)) + dm[i] for i in range(n)) * 2
+        floor_width = hi * mp.mpf(10) ** (-dps - 8)
         rel_stop = mp.mpf(10) ** (-dps + 3)
         for _ in range(12 * dps + 80):
             mid = (lo + hi) / 2
@@ -243,32 +287,7 @@ def mp_lambda(b, d, eig_index=0, dps=60):
             width = hi - lo
             if width <= floor_width or (lo > 0 and width <= lo * rel_stop):
                 break
-        lam = (lo + hi) / 2
-    _cache_put(_LAMBDA_CACHE, key + (dps,), lam)
-    if cached is None or cached[0] < dps:
-        _cache_put(_BRACKET_CACHE, key, (dps, lo, hi))
-    return lam
-
-
-def mp_ground_vector(b, d, lam_mp, dps=60):
-    """Perron vector by the three-term ratio recursion, phi(1) = 1, in mp.
-
-    Returns the list of mp values phi(1..n).  The recursion runs at the
-    caller's precision; instability (for nearly flat vectors) costs digits,
-    which the caller absorbs by validating against a higher-precision run.
-    """
-    with mp.workdps(dps):
-        bm, dm = _mp_rates(b, d)
-        n = len(dm)
-        phi = [mp.mpf(1)]
-        if n == 1:
-            return phi
-        r = (bm[0] + dm[0] - lam_mp) / bm[0]
-        phi.append(r)
-        for x in range(1, n - 1):
-            r = (bm[x] + dm[x] - lam_mp - dm[x] / r) / bm[x]
-            phi.append(phi[-1] * r)
-        return phi
+        return (lo + hi) / 2
 
 
 def mp_detratio_minor(b, d, lam_mp, dps=60):
@@ -285,68 +304,3 @@ def mp_detratio_minor(b, d, lam_mp, dps=60):
         for qa, qb in zip(num, den):
             out *= qa / qb
         return out
-
-
-def mp_eigenpair(b, d, base_dps=50):
-    """(lam0, phi) with precision validated by a second run at higher dps.
-
-    Raises NoConvergence if the two runs disagree beyond 1e-12 relative,
-    which would indicate the instability budget was underestimated.
-    """
-    n = len(d)
-    spread_guess = max(60, base_dps + int(n / 10))
-    for dps in (spread_guess, spread_guess + 30):
-        lam = mp_lambda(b, d, 0, dps=dps)
-        phi = mp_ground_vector(b, d, lam, dps=dps)
-        amp = max(phi) / min(phi)
-        if dps == spread_guess:
-            first = (lam, phi, amp)
-        else:
-            lam0_a, phi_a, amp_a = first
-            ok_lam = abs(lam - lam0_a) <= 1e-10 * lam
-            ok_amp = abs(amp - amp_a) <= 1e-10 * amp
-            if not (ok_lam and ok_amp):
-                raise NoConvergence(
-                    "mp eigenpair did not stabilize: "
-                    f"lam drift {float(abs(lam - lam0_a) / lam):.2e}, "
-                    f"amp drift {float(abs(amp - amp_a) / amp):.2e}"
-                )
-    lam_f = float(lam)
-    phi_f = np.array([float(p) for p in phi])
-    if not np.all(np.isfinite(phi_f)):
-        raise NoConvergence("eigenvector spread exceeds double range")
-    return lam_f, phi_f, lam
-
-
-def bd_eigenpair_auto(b, d):
-    """Ground eigenpair with automatic escalation to the mp path.
-
-    Returns (lam0, phi, residual).  The double path is kept only when two
-    conditions hold: the eigenvector spread stays below
-    MP_AMPLITUDE_THRESHOLD (beyond it the small components of any fixed-
-    precision global solve are noise), and the residual is small against the
-    spectral gap (the eigenvector error of an inverse-iteration solve is of
-    order residual/gap, which clustered low eigenvalues can blow up).
-    """
-    lam, v = ground_state(b, d)
-    v = v / v[0]
-    res = residual_inf(b, d, lam, v)
-    positive = bool(np.all(v > 0))
-    spread = float(v.max() / v.min()) if positive else np.inf
-    if len(d) > 1:
-        ev = eigenvalues(b, d, 0, 1)
-        gap = float(ev[-1] - min(lam, float(ev[0])))
-    else:
-        gap = np.inf
-    shaky = not positive or spread > MP_AMPLITUDE_THRESHOLD or res > 1e-10 * gap
-    if shaky and len(d) <= MP_MAX_STATES:
-        lam, v, _ = mp_eigenpair(b, d)
-        res = residual_inf(b, d, lam, v)
-    elif shaky:
-        warnings.warn(
-            "double-precision eigenvector may lose componentwise accuracy "
-            f"(residual/gap = {res / gap:.2e}, spread = {spread:.2e}); chain too "
-            "large for the multi-precision fallback",
-            UserWarning,
-        )
-    return lam, v, res

@@ -7,6 +7,7 @@ import pytest
 from qsamp import (
     GapViolation,
     InvalidParameter,
+    NoConvergence,
     NotConverged,
     accelerated_poisson_family,
     amplitude,
@@ -143,6 +144,18 @@ class TestEigenConvergence:
         # b = d = 1 drifts nowhere; the ground eigenvalue decays like 1/N^2
         with pytest.raises(NotConverged):
             eigen_convergence(rho_family(1.0), 2, [64, 128, 256], 1e-12)
+
+    def test_ground_column_past_half_the_exponent_range(self):
+        # phi spans 1e165 and 1e225; lambda0 tends to (1 - sqrt(rho))^2
+        series = eigen_convergence(rho_family(0.5), 0, [1100, 1500], 1e-4)
+        assert np.all(np.isfinite(series.lambda_table[:, 0]))
+        assert series.lambda0_limit == pytest.approx((1 - math.sqrt(0.5)) ** 2, rel=1e-4)
+
+    def test_spread_beyond_double_range_raises(self):
+        # at N = 2048 phi spans more than 1e308: the pair itself fails, not
+        # the convergence test on a wrong eigenvalue
+        with pytest.raises(NoConvergence):
+            eigen_convergence(rho_family(0.5), 0, [512, 1024, 2048], 0.1)
 
     def test_bad_schedule(self):
         with pytest.raises(InvalidParameter):

@@ -199,6 +199,14 @@ class TestExactBirthDeath:
         assert value == pytest.approx(amplitude(dirichlet_eigenpair(gen)), rel=1e-8)
         assert value == pytest.approx(2.0, abs=1e-6)
 
+    def test_cancellation_beyond_default_digits(self):
+        # strong upward drift: lambda0 ~ 1e-118 and the pivot recursion loses
+        # about 120 digits; with lambda0 negligible, phi(x) = sum_k<x 1e-4^k
+        gen = build_birth_death(np.full(29, 100.0), np.full(30, 0.01))
+        value = exact_bd_amplitude(gen)
+        assert value == pytest.approx(1.0 / (1.0 - 1e-4), rel=1e-12)
+        assert value == pytest.approx(amplitude(dirichlet_eigenpair(gen)), rel=1e-8)
+
     def test_not_birth_death(self):
         ring = build_graph_walk([(1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)], [2])
         with pytest.raises(NotBirthDeath):

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qsamp
 from qsamp import UnknownCase, save_generator
 from qsamp.cli import main, reproduce
 
@@ -166,3 +170,13 @@ def test_out_file(tmp_path, capsys, golden_file):
     capsys.readouterr()
     assert code == 0
     assert json.loads(target.read_text())["lambda0"] > 0
+
+
+def test_module_entry_point_starts_without_warnings():
+    # importing the package must not import qsamp.cli ahead of runpy
+    src = os.path.dirname(os.path.dirname(qsamp.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "qsamp.cli", "--help"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -42,6 +42,18 @@ def test_no_absorption_rejected():
         build_general(2, [(1, 2, 1.0), (2, 1, 1.0)], {})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rate_rejected(bad):
+    with pytest.raises(InvalidParameter):
+        build_general(2, [(1, 2, bad), (2, 1, 1.0)], {1: 1.0})
+    with pytest.raises(InvalidParameter):
+        build_general(2, [(1, 2, 1.0), (2, 1, 1.0)], {1: bad, 2: 1.0})
+    with pytest.raises(InvalidParameter):
+        build_birth_death([bad], [1.0, 1.0])
+    with pytest.raises(InvalidParameter):
+        build_birth_death([1.0], [bad, 1.0])
+
+
 def test_negative_rate_rejected():
     with pytest.raises(NegativeRate):
         build_general(2, [(1, 2, -1.0), (2, 1, 1.0)], {1: 1.0})

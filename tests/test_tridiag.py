@@ -1,0 +1,99 @@
+"""The birth-death ground pair: accuracy far below the rates, large chains,
+wide eigenvector spreads, and agreement with the multi-precision oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
+
+from qsamp import (
+    amplitude,
+    build_birth_death,
+    dirichlet_eigenpair,
+    exact_bd_amplitude,
+    rho_family,
+)
+from qsamp import tridiag
+
+
+def log_uniform_chain(rng, n, low, high):
+    b = np.exp(rng.uniform(np.log(low), np.log(high), n - 1))
+    d = np.exp(rng.uniform(np.log(low), np.log(high), n))
+    return b, d
+
+
+def componentwise_backward_error(b, d, lam, phi):
+    """max_x |((-K) phi - lam phi)(x)| / ((|-K| phi)(x) + lam phi(x))."""
+    out = (d + np.append(b, 0.0)) * phi
+    out[:-1] -= b * phi[1:]
+    out[1:] -= d[1:] * phi[:-1]
+    scale = (d + np.append(b, 0.0) + lam) * phi
+    scale[:-1] += b * phi[1:]
+    scale[1:] += d[1:] * phi[:-1]
+    return float(np.max(np.abs(out - lam * phi) / scale))
+
+
+def test_lambda0_far_below_the_rates_keeps_relative_accuracy():
+    # chain 8344 of the criterion-05 recipe on seed 123: lambda0 sits 37
+    # orders below the rates and the eigenvector is nearly flat
+    rng = np.random.default_rng(123)
+    for _ in range(8345):
+        n = int(rng.integers(2, 201))
+        b, d = log_uniform_chain(rng, n, 0.1, 10.0)
+    assert n == 117
+    lam = dirichlet_eigenpair(build_birth_death(b, d)).lambda0
+    ref = float(tridiag.mp_lambda(b, d, 0, dps=60))
+    assert ref == pytest.approx(1.2298637614560e-37, rel=1e-12)
+    assert abs(lam - ref) <= 1e-10 * ref
+
+
+def test_large_random_chains_have_small_backward_error():
+    rng = np.random.default_rng(7)
+    for n in (2500, 5000):
+        b, d = log_uniform_chain(rng, n, 0.1, 10.0)
+        pair = dirichlet_eigenpair(build_birth_death(b, d))
+        assert np.all(pair.phi > 0)
+        assert componentwise_backward_error(b, d, pair.lambda0, pair.phi) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1100, 1500])
+def test_ground_pair_beyond_half_the_exponent_range(n):
+    # phi spans more than 1e154, so pi phi^2 underflows in double precision;
+    # lambda0 is of the order of the rates, where LAPACK is relatively accurate
+    b, d = rho_family(0.5).realize(n)
+    lam, phi, _ = tridiag.ground_pair(b, d)
+    main, off = tridiag.sym_tridiag(b, d)
+    ref = eigvalsh_tridiagonal(main, off, select="i", select_range=(0, 0))[0]
+    assert np.isfinite(lam)
+    assert abs(lam - ref) <= 1e-12 * ref
+    assert phi.max() > 1e154
+
+
+def test_singleton():
+    lam, phi, bracket = tridiag.ground_pair(np.zeros(0), np.array([2.5]))
+    assert (lam, bracket) == (2.5, (2.5, 2.5))
+    assert phi.tolist() == [1.0]
+
+
+@st.composite
+def birth_death_rates(draw):
+    n = draw(st.integers(1, 60))
+    log_rate = st.floats(np.log(1e-2), np.log(1e2))
+    b = np.exp(draw(st.lists(log_rate, min_size=n - 1, max_size=n - 1)))
+    d = np.exp(draw(st.lists(log_rate, min_size=n, max_size=n)))
+    return b, d
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(birth_death_rates())
+def test_ground_pair_agrees_with_the_exact_identity(rates):
+    b, d = rates
+    _, _, (lo, hi) = tridiag.ground_pair(b, d)
+    dps = max(60, 30 + tridiag.pivot_digits_lost(b, d))
+    lam = float(tridiag.mp_lambda(b, d, 0, dps=dps))
+    # the bracket's own sums round at about 1e-13 relative
+    assert lo * (1 - 1e-12) <= lam <= hi * (1 + 1e-12)
+    gen = build_birth_death(b, d)
+    via_phi = amplitude(dirichlet_eigenpair(gen))
+    via_product = exact_bd_amplitude(gen)
+    assert abs(via_phi - via_product) <= 1e-8 * via_product
