@@ -21,8 +21,10 @@ whenever the statistics are unstable or sit in the boundary zone.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -92,9 +94,71 @@ def rho_family(rho: float) -> RateFamily:
     )
 
 
+#: what a rate expression may use besides numbers, n, + - * / ** and unary minus
+_RATE_FUNCTIONS = {
+    "log": np.log, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs,
+    "minimum": np.minimum, "maximum": np.maximum,
+}
+_RATE_CONSTANTS = {"e": np.e, "pi": np.pi}
+_RATE_OPERATORS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+}
+
+
+def _rate_expression(expr) -> Callable:
+    """Compile a rate expression in n into a function of n, without eval.
+
+    The syntax tree is checked against a whitelist before anything runs:
+    numbers, n, e, pi, + - * / **, unary minus and calls to the functions in
+    _RATE_FUNCTIONS.  Anything else (attributes, subscripts, other names,
+    keyword arguments, ...) raises InvalidParameter.
+    """
+    if not isinstance(expr, str):
+        raise InvalidParameter(f"rate expression must be a string, got {expr!r}")
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise InvalidParameter(f"rate expression {expr!r}: {exc.msg}") from None
+
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            value = float(node.value)
+            return lambda n: value
+        if isinstance(node, ast.Name) and node.id == "n":
+            return lambda n: n
+        if isinstance(node, ast.Name) and node.id in _RATE_CONSTANTS:
+            value = _RATE_CONSTANTS[node.id]
+            return lambda n: value
+        if isinstance(node, ast.BinOp) and type(node.op) in _RATE_OPERATORS:
+            op, left, right = _RATE_OPERATORS[type(node.op)], build(node.left), build(node.right)
+            return lambda n: op(left(n), right(n))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            operand = build(node.operand)
+            return lambda n: -operand(n)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _RATE_FUNCTIONS and not node.keywords):
+            fn, args = _RATE_FUNCTIONS[node.func.id], [build(a) for a in node.args]
+            return lambda n: fn(*(a(n) for a in args))
+        raise InvalidParameter(
+            f"rate expression {expr!r}: {ast.unparse(node)!r} is not allowed"
+        )
+
+    body = build(tree.body)
+
+    def rate(n):
+        try:
+            return body(np.asarray(n, dtype=float))
+        except ArithmeticError as exc:
+            raise InvalidParameter(f"rate expression {expr!r}: {exc}") from None
+
+    return rate
+
+
 def parse_rate_family(spec: str) -> RateFamily:
     """Named family ('poisson', 'poisson-accelerated', 'rho:R') or an
-    expression file: JSON with keys 'b' and 'd' holding expressions in n."""
+    expression file: JSON with keys 'b' and 'd' holding expressions in n
+    (see _rate_expression for what they may contain)."""
     if spec == "poisson":
         return poisson_family()
     if spec == "poisson-accelerated":
@@ -103,17 +167,9 @@ def parse_rate_family(spec: str) -> RateFamily:
         return rho_family(float(spec.split(":", 1)[1]))
     with open(spec) as fh:
         obj = json.load(fh)
-    ns = {
-        "log": np.log, "exp": np.exp, "sqrt": np.sqrt, "abs": np.abs,
-        "minimum": np.minimum, "maximum": np.maximum,
-        "e": np.e, "pi": np.pi,
-    }
-    b_expr, d_expr = obj["b"], obj["d"]
-
-    def make(expr):
-        return lambda n: eval(expr, {"__builtins__": {}}, {**ns, "n": np.asarray(n, dtype=float)})
-
-    return RateFamily(make(b_expr), make(d_expr), name=spec)
+    if not isinstance(obj, dict) or not {"b", "d"} <= obj.keys():
+        raise InvalidParameter(f"{spec}: need a JSON object with keys 'b' and 'd'")
+    return RateFamily(_rate_expression(obj["b"]), _rate_expression(obj["d"]), name=spec)
 
 
 # -- pi measure and entrance diagnostics -------------------------------------
@@ -322,8 +378,10 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
     prime = np.array(rows_prime)
 
     def non_increasing(col):
-        finite = np.isfinite(col)
-        c = col[finite]
+        # +inf marks indices a truncation does not have; NaN is a failed solve
+        if np.isnan(col).any():
+            return False
+        c = col[np.isfinite(col)]
         return bool(np.all(np.diff(c) <= MONOTONE_SLACK * np.maximum(c[:-1], 1.0)))
 
     lambda_monotone = all(non_increasing(table[:, j]) for j in range(n_max + 1))

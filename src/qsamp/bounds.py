@@ -13,19 +13,27 @@ Four routes are provided:
   product over the state-1 minor spectrum equals the amplitude.
 
 Path selection maximizes P per (y, x) pair with a Bellman-Ford relaxation on
-edge costs -log(factor).  Cycle products never exceed one (each factor is at
-most the corresponding eigenvector ratio), so genuine negative cycles cannot
-occur; if rounding manufactures one, the search falls back to Dijkstra on
-clipped costs and re-scores the simple path exactly.
+edge costs -log(factor).  Costs within 1e-14 (1 + max |cost|) of each other
+tie, and ties prefer fewer edges, then the smaller predecessor state.  Cycle
+products never exceed one (each factor is at most the corresponding
+eigenvector ratio), so genuine negative cycles cannot occur; if rounding
+manufactures one, the search falls back to Dijkstra on clipped costs.
+Certificates are then propagated down the shortest-path tree of each exit
+state: a state takes its predecessor's path, P and Q and extends them by one
+edge, so P and Q are the same left-to-right products that path_weight and
+rough_weight form, and each exit state costs one pass over the edges on top
+of the search.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
 from . import tridiag
 from .errors import (
@@ -40,6 +48,8 @@ from .spectral import SpectrumReport, dirichlet_eigenpair
 
 SINGULAR_RTOL = 1e-14
 CYCLE_EPS = 1e-9
+#: sources per csgraph call in graph_parameters, which caps its hop table
+DIAMETER_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -115,44 +125,50 @@ def _edge_list(gen: AbsorbingGenerator):
 def _bellman_ford(n, rows, cols, costs, src):
     """Shortest walks from src with deterministic tie-breaking.
 
-    Ties on cost prefer fewer edges, then the lexicographically smaller
-    predecessor state.  Returns (dist, parent, negative_cycle_flag).
+    rows, cols and costs are plain lists in edge-list order.  Ties on cost
+    prefer fewer edges, then the lexicographically smaller predecessor
+    state.  Returns (parent, negative_cycle_flag).
     """
-    dist = np.full(n, np.inf)
-    nedge = np.full(n, 0)
-    parent = np.full(n, -1, dtype=int)
+    inf = math.inf
+    dist = [inf] * n
+    nedge = [0] * n
+    parent = [-1] * n
     dist[src] = 0.0
-    scale = 1.0 + np.abs(costs).max() if len(costs) else 1.0
+    scale = 1.0 + max(map(abs, costs)) if costs else 1.0
     eps = 1e-14 * scale
+    edges = list(zip(rows, cols, costs))
     for _ in range(max(n - 1, 1)):
         changed = False
-        for u, v, c in zip(rows, cols, costs):
-            if not np.isfinite(dist[u]):
+        for u, v, c in edges:
+            du = dist[u]
+            if du == inf:
                 continue
-            cand = dist[u] + c
-            if cand < dist[v] - eps:
+            cand = du + c
+            dv = dist[v]
+            if cand < dv - eps:
                 dist[v], nedge[v], parent[v] = cand, nedge[u] + 1, u
                 changed = True
-            elif cand <= dist[v] + eps:
+            elif cand <= dv + eps:
                 ne = nedge[u] + 1
                 if ne < nedge[v] or (ne == nedge[v] and parent[v] != -1 and u < parent[v]):
                     dist[v], nedge[v], parent[v] = cand, ne, u
                     changed = True
         if not changed:
             break
-    for u, v, c in zip(rows, cols, costs):
-        if np.isfinite(dist[u]) and dist[u] + c < dist[v] - CYCLE_EPS * scale:
-            return dist, parent, True
-    return dist, parent, False
+    for u, v, c in edges:
+        if dist[u] != inf and dist[u] + c < dist[v] - CYCLE_EPS * scale:
+            return parent, True
+    return parent, False
 
 
-def _dijkstra_clipped(n, adj, src):
+def _dijkstra_clipped(adj, src):
     """Dijkstra on max(cost, 0); used only as the cycle-guard fallback."""
-    dist = np.full(n, np.inf)
-    parent = np.full(n, -1, dtype=int)
+    n = len(adj)
+    dist = [math.inf] * n
+    parent = [-1] * n
     dist[src] = 0.0
     heap = [(0.0, src)]
-    seen = np.zeros(n, dtype=bool)
+    seen = [False] * n
     while heap:
         du, u = heapq.heappop(heap)
         if seen[u]:
@@ -163,32 +179,47 @@ def _dijkstra_clipped(n, adj, src):
             if cand < dist[v]:
                 dist[v], parent[v] = cand, u
                 heapq.heappush(heap, (cand, v))
-    return dist, parent
-
-
-def _reconstruct(parent, src, dst):
-    path = [dst]
-    while path[-1] != src:
-        p = parent[path[-1]]
-        if p == -1:
-            return None
-        path.append(int(p))
-    return tuple(x + 1 for x in reversed(path))
-
-
-def _geodesic_tree(n, adj_unit, src):
-    """BFS tree with lexicographic predecessor choice."""
-    parent = np.full(n, -1, dtype=int)
-    depth = np.full(n, -1, dtype=int)
-    depth[src] = 0
-    queue = [src]
-    while queue:
-        u = queue.pop(0)
-        for v in adj_unit[u]:
-            if depth[v] == -1:
-                depth[v], parent[v] = depth[u] + 1, u
-                queue.append(int(v))
     return parent
+
+
+def _geodesic_tree(adj, src):
+    """BFS tree with lexicographic predecessor choice."""
+    parent = [-1] * len(adj)
+    seen = [False] * len(adj)
+    seen[src] = True
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v, _ in adj[u]:
+            if not seen[v]:
+                seen[v], parent[v] = True, u
+                queue.append(v)
+    return parent
+
+
+def _tree_certificates(gen, parent, src, denom, exit_rates):
+    """(path, P, Q) per state, propagated down the predecessor tree of src.
+
+    A child extends its parent's path by one edge and multiplies in that
+    edge's factor, so P and Q are the same left-to-right products that
+    path_weight and rough_weight form.  States the tree does not reach from
+    src get None.
+    """
+    children = [[] for _ in parent]
+    for v, u in enumerate(parent):
+        if u != -1 and v != src:
+            children[u].append(v)
+    certs = [None] * len(parent)
+    certs[src] = ((src + 1,), 1.0, 1.0)
+    stack = [src]
+    while stack:
+        u = stack.pop()
+        path, p, q = certs[u]
+        for v in children[u]:
+            r = gen._rates[(u + 1, v + 1)]
+            certs[v] = (path + (v + 1,), p * (r / denom[u]), q * (exit_rates[u] / r))
+            stack.append(v)
+    return certs
 
 
 def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
@@ -208,29 +239,25 @@ def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
     denom = _edge_factors(gen, lambda0)
     rows, cols, vals = _edge_list(gen)
     costs = -(np.log(vals) - np.log(denom[rows]))
+    rows, cols, costs = rows.tolist(), cols.tolist(), costs.tolist()
     adj = [[] for _ in range(n)]
-    adj_unit = [[] for _ in range(n)]
     for u, v, c in zip(rows, cols, costs):
-        adj[u].append((int(v), float(c)))
-        adj_unit[u].append(int(v))
+        adj[u].append((v, c))
+    denom, exit_rates = denom.tolist(), (-gen.diagonal).tolist()
     pairs = {}
     for y in gen.absorbing_set:
         src = y - 1
         if paths == "geodesic":
-            parent = _geodesic_tree(n, adj_unit, src)
+            parent = _geodesic_tree(adj, src)
         else:
-            dist, parent, neg_cycle = _bellman_ford(n, rows, cols, costs, src)
+            parent, neg_cycle = _bellman_ford(n, rows, cols, costs, src)
             if neg_cycle:
-                dist, parent = _dijkstra_clipped(n, adj, src)
-        for x in range(1, n + 1):
-            pth = (y,) if x == y else _reconstruct(parent, src, x - 1)
-            if pth is None:
+                parent = _dijkstra_clipped(adj, src)
+        certs = _tree_certificates(gen, parent, src, denom, exit_rates)
+        for x, cert in enumerate(certs, 1):
+            if cert is None:
                 raise InvalidParameter(f"no path from {y} to {x}; generator not irreducible?")
-            pairs[(y, x)] = PathCertificate(
-                path=pth,
-                weight=path_weight(gen, lambda0, pth),
-                rough_weight=rough_weight(gen, pth),
-            )
+            pairs[(y, x)] = PathCertificate(*cert)
     worst = min(c.weight for c in pairs.values())
     rough = max(c.rough_weight for c in pairs.values())
     return PathBoundReport(pairs=pairs, bound=1.0 / worst, rough_bound=rough, method=paths)
@@ -251,27 +278,17 @@ def graph_parameters(gen: AbsorbingGenerator):
     """(d, D, r, R) read off a generator: max out-degree of the full graph
     (absorption edges included), oriented diameter of the internal graph, and
     min/max positive rates (absorption included)."""
-    rows, cols, vals = gen._coo
+    rows, _, vals = gen._coo
     n = gen.n_states
     degree = np.zeros(n, dtype=int)
     np.add.at(degree, rows, 1)
     degree += (gen.absorption_rates > 0).astype(int)
     rates = np.concatenate([vals, gen.absorption_rates[gen.absorption_rates > 0]])
-    adj_unit = [[] for _ in range(n)]
-    for u, v in zip(rows, cols):
-        adj_unit[u].append(int(v))
     diameter = 0
-    for src in range(n):
-        depth = np.full(n, -1, dtype=int)
-        depth[src] = 0
-        queue = [src]
-        while queue:
-            u = queue.pop(0)
-            for v in adj_unit[u]:
-                if depth[v] == -1:
-                    depth[v] = depth[u] + 1
-                    queue.append(v)
-        diameter = max(diameter, int(depth.max()))
+    for start in range(0, n, DIAMETER_BLOCK):
+        sources = np.arange(start, min(n, start + DIAMETER_BLOCK))
+        hops = shortest_path(gen._support_csr, unweighted=True, indices=sources)
+        diameter = max(diameter, int(hops.max()))
     return int(degree.max()), diameter, float(rates.min()), float(rates.max())
 
 

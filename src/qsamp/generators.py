@@ -131,13 +131,17 @@ class AbsorbingGenerator:
         v = np.concatenate([vals, self.diagonal])
         return csr_matrix((v, (r, c)), shape=(n, n))
 
+    @cached_property
+    def _rates(self) -> dict:
+        """{(i, j): rate} over the internal edges, 1-based."""
+        rows, cols, vals = self._coo
+        return dict(zip(zip((rows + 1).tolist(), (cols + 1).tolist()), vals.tolist()))
+
     def rate(self, i: int, j: int) -> float:
         """Off-diagonal rate from i to j (1-based); j=0 queries absorption."""
         if j == 0:
             return float(self.absorption_rates[i - 1])
-        rows, cols, vals = self._coo
-        mask = (rows == i - 1) & (cols == j - 1)
-        return float(vals[mask].sum())
+        return self._rates.get((i, j), 0.0)
 
     # -- birth-death structure ---------------------------------------------
 
@@ -156,12 +160,13 @@ class AbsorbingGenerator:
         """
         if not self.is_birth_death:
             raise InvalidParameter("generator is not birth-death absorbed from state 1")
-        n = self.n_states
-        k = self.k_matrix()
-        b = np.array([k[x, x + 1] for x in range(n - 1)])
-        d = np.empty(n)
+        rows, cols, vals = self._coo
+        up = cols > rows
+        b = np.zeros(self.n_states - 1)
+        b[rows[up]] = vals[up]
+        d = np.zeros(self.n_states)
         d[0] = self.absorption_rates[0]
-        d[1:] = [k[x, x - 1] for x in range(1, n)]
+        d[rows[~up]] = vals[~up]
         return b, d
 
     # -- serialization -------------------------------------------------------

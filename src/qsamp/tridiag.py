@@ -66,18 +66,23 @@ def eigenvalues(b, d, n_lo=0, n_hi=None):
     return eigvalsh_tridiagonal(main, off, select="i", select_range=(n_lo, n_hi))
 
 
-def rayleigh_quotient(b, d, v, pis=None) -> float:
+def rayleigh_quotient(b, d, v) -> float:
     """Rayleigh quotient of -K at v through the Dirichlet form.
 
     All terms are nonnegative, so the quotient keeps full relative accuracy
-    even when it is many orders of magnitude below the matrix norm.
+    even when it is many orders of magnitude below the matrix norm.  Both
+    sums are shifted by max(log pi + 2 log|v|) in log space, so neither
+    underflows when pi and v grow in opposite directions (spreads past 1e154).
     """
-    if pis is None:
-        pis = scaled_pi(b, d)
-    energy = pis[0] * d[0] * v[0] ** 2
-    if len(d) > 1:
-        energy += np.sum(pis[:-1] * b * np.diff(v) ** 2)
-    return float(energy / np.sum(pis * v * v))
+    lp = log_pi(b, d)
+    with np.errstate(divide="ignore"):
+        log_mass = lp + 2 * np.log(np.abs(v))
+        shift = log_mass.max()
+        energy = d[0] * np.exp(log_mass[0] - shift)
+        if len(d) > 1:
+            log_jump = lp[:-1] + 2 * np.log(np.abs(np.diff(v)))
+            energy += np.sum(b * np.exp(log_jump - shift))
+    return float(energy / np.sum(np.exp(log_mass - shift)))
 
 
 def _banded(b, d, shift):

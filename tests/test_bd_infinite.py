@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from qsamp import (
     theorem_bound,
     truncate_neumann,
 )
+from qsamp import tridiag
 from qsamp.bd_infinite import RateFamily, parse_rate_family
 
 
@@ -150,6 +152,19 @@ class TestEigenConvergence:
         series = eigen_convergence(rho_family(0.5), 0, [1100, 1500], 1e-4)
         assert np.all(np.isfinite(series.lambda_table[:, 0]))
         assert series.lambda0_limit == pytest.approx((1 - math.sqrt(0.5)) ** 2, rel=1e-4)
+
+    def test_higher_columns_past_half_the_exponent_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = eigen_convergence(rho_family(0.5), 3, [1100, 1500], 1e-4)
+        assert np.all(np.isfinite(series.lambda_table))
+        assert series.lambda_monotone
+
+    def test_failed_solve_is_not_monotone(self, monkeypatch):
+        monkeypatch.setattr(tridiag, "ground_state", lambda b, d, eig_index: (math.nan, None))
+        series = eigen_convergence(poisson_family(), 2, [16, 32], 1e-2)
+        assert np.isnan(series.lambda_table[:, 1:]).all()
+        assert not series.lambda_monotone
 
     def test_spread_beyond_double_range_raises(self):
         # at N = 2048 phi spans more than 1e308: the pair itself fails, not
@@ -342,6 +357,32 @@ def test_parse_rate_family(tmp_path):
     ab, ad = accelerated_poisson_family().realize(10)
     np.testing.assert_allclose(cb, ab)
     np.testing.assert_allclose(cd, ad)
+
+
+@pytest.mark.parametrize("expr", [
+    "n.__class__",
+    "().__class__.__subclasses__()",
+    "__import__('os').getcwd()",
+    "log(n, base=2)",
+    "n[0]",
+    "n if n else 1",
+])
+def test_rate_expression_outside_the_whitelist_rejected(tmp_path, expr):
+    spec = tmp_path / "rates.json"
+    spec.write_text(json.dumps({"b": "1 + 0 * n", "d": expr}))
+    with pytest.raises(InvalidParameter):
+        parse_rate_family(str(spec))
+
+
+def test_rate_file_faults_raise_invalid_parameter(tmp_path):
+    spec = tmp_path / "rates.json"
+    spec.write_text(json.dumps({"b": "1 + 0 * n"}))
+    with pytest.raises(InvalidParameter):
+        parse_rate_family(str(spec))
+    spec.write_text(json.dumps({"b": "9 ** 9 ** 9 + 0 * n", "d": "n"}))
+    family = parse_rate_family(str(spec))
+    with pytest.raises(InvalidParameter):
+        family.realize(3)
 
 
 def test_rate_family_positivity_enforced():

@@ -1,7 +1,9 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsamp import (
     DegenerateGap,
@@ -25,6 +27,42 @@ from qsamp import (
     spectral_bound,
 )
 from conftest import random_reversible_generator
+
+
+def random_cycle_with_chords(rng, n_max=40):
+    """Non-reversible chain: a directed n-cycle plus about n/2 random chords,
+    rates log-uniform in [0.5, 2], absorption at one to three states."""
+    n = int(rng.integers(2, n_max + 1))
+    rates = {(i, i % n + 1): float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
+             for i in range(1, n + 1)}
+    for _ in range(n // 2):
+        a, b = (int(v) for v in rng.integers(1, n + 1, 2))
+        if a != b:
+            rates[(a, b)] = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
+    states = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
+    absorption = {int(s): float(np.exp(rng.uniform(np.log(0.1), 0.0))) for s in states}
+    return build_general(n, [(a, b, r) for (a, b), r in rates.items()], absorption)
+
+
+def brute_force_graph_parameters(gen):
+    """(d, D, r, R) with one list-based BFS per source."""
+    succ = {x: [j for i, j, _ in gen.transitions if i == x] for x in range(1, gen.n_states + 1)}
+    absorbing = dict(gen.absorption)
+    diameter = 0
+    for src in succ:
+        depth = {src: 0}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for v in succ[u]:
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    queue.append(v)
+        assert len(depth) == gen.n_states
+        diameter = max(diameter, max(depth.values()))
+    degree = max(len(succ[x]) + (x in absorbing) for x in succ)
+    rates = [r for _, _, r in gen.transitions] + list(absorbing.values())
+    return degree, diameter, min(rates), max(rates)
 
 GOLDEN_LAM0 = (3 - math.sqrt(5)) / 2
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
@@ -114,6 +152,22 @@ class TestPathBound:
         assert path_bound(golden).bound == pytest.approx(GOLDEN_RATIO, abs=1e-10)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_certificates_rescore_exactly_and_bound_the_amplitude(seed, reversible):
+    rng = np.random.default_rng(seed)
+    gen = random_reversible_generator(rng, 40) if reversible else random_cycle_with_chords(rng)
+    pair = dirichlet_eigenpair(gen)
+    for mode in ("best", "geodesic"):
+        rep = path_bound(gen, pair.lambda0, paths=mode)
+        assert len(rep.pairs) == gen.n_states * len(gen.absorbing_set)
+        for (y, x), cert in rep.pairs.items():
+            assert cert.path[0] == y and cert.path[-1] == x
+            assert cert.weight == path_weight(gen, pair.lambda0, cert.path)
+            assert cert.rough_weight == rough_weight(gen, cert.path)
+        assert amplitude(pair) <= rep.bound * (1 + 1e-9)
+
+
 class TestGraphBound:
     def test_drifted_chain_formula(self):
         for rho, n in ((0.5, 7), (2.0, 5)):
@@ -133,6 +187,12 @@ class TestGraphBound:
             graph_bound(2, -1, 1.0, 1.0)
         with pytest.raises(InvalidParameter):
             graph_bound(2, 1, 2.0, 1.0)
+
+    def test_parameters_match_brute_force_bfs(self):
+        rng = np.random.default_rng(26)
+        for _ in range(25):
+            gen = random_cycle_with_chords(rng)
+            assert graph_parameters(gen) == brute_force_graph_parameters(gen)
 
     def test_parameters_dominate_amplitude(self):
         rng = np.random.default_rng(24)

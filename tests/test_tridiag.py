@@ -1,6 +1,8 @@
 """The birth-death ground pair: accuracy far below the rates, large chains,
 wide eigenvector spreads, and agreement with the multi-precision oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +69,18 @@ def test_ground_pair_beyond_half_the_exponent_range(n):
     assert np.isfinite(lam)
     assert abs(lam - ref) <= 1e-12 * ref
     assert phi.max() > 1e154
+
+
+def test_higher_eigenvalue_beyond_half_the_exponent_range():
+    # the index-3 eigenvector spans past 1e154 at n = 1100, so pi v^2
+    # underflows everywhere unless the quotient's sums are shifted
+    b, d = rho_family(0.5).realize(1100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, v = tridiag.ground_state(b, d, eig_index=3)
+    ref = tridiag.eigenvalues(b, d, 3, 3)[0]
+    assert np.abs(v).min() < 1e-154
+    assert abs(lam - ref) <= 1e-8 * ref
 
 
 def test_singleton():
