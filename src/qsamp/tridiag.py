@@ -22,18 +22,24 @@ Collatz-Wielandt bracket min f/Gf <= lambda0 <= max f/Gf as a certificate.
 Higher eigenvalues come from bisection refined through the Dirichlet-form
 Rayleigh quotient of a banded inverse-iterated vector.
 
-The mpmath functions (Sturm-count bisection and the LDL' pivot determinant
-ratio) serve bounds.exact_bd_amplitude only, the independent oracle for the
-amplitude identity.
+The multi-precision eigenvalue and the LDL' pivot determinant ratio serve
+bounds.exact_bd_amplitude only, the independent oracle for the amplitude
+identity.  mp_lambda starts from bisection in double precision on the
+differential (stationary qd) Sturm count sturm_count, whose only
+subtraction is the shift, refines with a few mpmath Newton steps on
+det(T - lam), and certifies the result by two mpmath Sturm counts just
+below and just above it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import mpmath as mp
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, solve_banded
 
-from .errors import NoConvergence
+from .errors import InvalidParameter, NoConvergence
 
 
 def sym_tridiag(b: np.ndarray, d: np.ndarray):
@@ -220,6 +226,11 @@ def residual_inf(b, d, lam, v) -> float:
 
 # -- mpmath oracle ----------------------------------------------------------
 
+_TINY = float(np.finfo(float).tiny)
+#: Newton steps from a relatively accurate start take a handful; from 0 (an
+#: eigenvalue below the double range) they climb monotonically to it
+_NEWTON_STEPS = 100
+
 
 def _mp_rates(b, d):
     return [mp.mpf(float(x)) for x in b], [mp.mpf(float(x)) for x in d]
@@ -266,33 +277,130 @@ def _sturm_below(bm, dm, lam):
         return sum(1 for q in _ldl_pivots(bm, dm, lam + bump) if q < 0)
 
 
-def mp_lambda(b, d, eig_index=0, dps=60):
-    """Eigenvalue of -K by Sturm-count bisection at dps decimal digits.
+def sturm_count(b, d, sigma: float) -> int:
+    """Number of eigenvalues of -K below sigma, in double precision.
 
-    Bisection runs from [0, 2 max_x (b_x + d_x)] until the bracket is
-    relatively resolved (width below 10^(3-dps) of the eigenvalue) or hits
-    an absolute floor 10^(-dps-8) of the matrix scale, so eigenvalues many
-    orders below the norm still come out with full relative precision,
-    provided dps covers pivot_digits_lost.  It shares no computation with
-    ground_pair, which is what lets bounds.exact_bd_amplitude check it.
+    Differential (stationary qd) form of the LDL' recursion, on the rates:
+    t_1 = d_1 - sigma, t_{x+1} = d_{x+1} t_x / (b_x + t_x) - sigma, and the
+    count is the number of negative pivots b_x + t_x (b_n = 0).  The only
+    subtraction is the shift, so the count is exact for rates perturbed by
+    a few ulps each, and eigenvalues bracketed by it keep relative accuracy
+    however far below the rates they sit (Parlett & Dhillon 2000).
     """
+    # Python floats: a zero pivot raises instead of turning into inf and nan
+    b = np.asarray(b, dtype=float).tolist()
+    d = np.asarray(d, dtype=float).tolist()
+    sigma = float(sigma)
+    count = 0
+    t = d[0] - sigma
+    try:
+        for bx, dx in zip(b, d[1:]):
+            q = bx + t
+            if q < 0:
+                count += 1
+            t = dx * t / q - sigma
+    except ZeroDivisionError:
+        # sigma is an eigenvalue of a leading block: count just above it
+        return sturm_count(b, d, math.nextafter(sigma, math.inf))
+    return count + (t < 0)
+
+
+def _double_start(b, d, eig_index):
+    """Lower end lo of a bracket of adjacent doubles around the eigenvalue.
+
+    Bisection on sturm_count keeps count(lo) <= eig_index < count(hi), with
+    hi starting at 2 max_x (b_x + d_x), the row-sum norm of -K.  Midpoints
+    are geometric while hi/lo > 4, so an eigenvalue hundreds of orders
+    below the rates costs a dozen passes, then arithmetic down to adjacent
+    floats.  lo is 0 when the eigenvalue is below the smallest normal double.
+    """
+    hi = 2 * float(np.max(d + np.append(b, 0.0)))
+    lo = _TINY
+    if sturm_count(b, d, lo) > eig_index:
+        return 0.0
+    while True:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 4 * lo else lo + (hi - lo) / 2
+        if not lo < mid < hi:
+            return lo
+        if sturm_count(b, d, mid) > eig_index:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _newton_step(main, off2, lam):
+    """Newton step -p/p' for p(lam) = det(T - lam) = prod_x q_x, in mp.
+
+    main holds b_x + d_x and off2 holds b_{x-1} d_x, with 0 for x = 1.
+    The LDL' pivots q_x and their derivatives
+    q'_x = -1 + b_{x-1} d_x q'_{x-1} / q_{x-1}^2 come from one pass, and
+    p'/p = sum_x q'_x / q_x.  Returns None at an exact zero pivot, which
+    makes lam an eigenvalue at working precision.
+    """
+    q, dq, log_deriv = mp.mpf(1), mp.mpf(0), mp.mpf(0)
+    for c, o in zip(main, off2):
+        r = o / q
+        dq = r * dq / q - 1
+        q = c - lam - r
+        if not q:
+            return None
+        log_deriv += dq / q
+    return -1 / log_deriv
+
+
+def mp_lambda(b, d, eig_index=0, dps=60):
+    """Certified eigenvalue of -K with the given index, at dps decimal digits.
+
+    Three steps, none shared with ground_pair, which is what lets
+    bounds.exact_bd_amplitude check it:
+      1. bisection on the double-precision differential count sturm_count
+         down to adjacent floats, which gives the eigenvalue to relative
+         accuracy in about 60 passes;
+      2. mp Newton steps on det(T - lam) from the lower end of that
+         bracket, until a step falls below the attainable relative accuracy
+         w = 10^(pivot_digits_lost + 5 - dps), stops shrinking, or lands on
+         an exact zero pivot;
+      3. a certificate: the mp Sturm counts below lam (1 - w) and
+         lam (1 + w) must put the eigenvalue between them.
+    Returns the mpf eigenvalue, relatively accurate to w.  Raises
+    InvalidParameter for an index outside 0..n-1 or a dps that cannot
+    resolve the chain (w >= 1), and NoConvergence when the certificate
+    fails.
+    """
+    b = np.asarray(b, dtype=float)
+    d = np.asarray(d, dtype=float)
+    n = len(d)
+    if not 0 <= eig_index < n:
+        raise InvalidParameter(f"eigenvalue index {eig_index} outside 0..{n - 1}")
+    lost = pivot_digits_lost(b, d)
+    if lost + 5 >= dps:
+        raise InvalidParameter(
+            f"dps = {dps} cannot resolve this chain: its pivot recursion loses {lost} digits"
+        )
+    start = _double_start(b, d, eig_index)
     with mp.workdps(dps):
         bm, dm = _mp_rates(b, d)
-        n = len(dm)
-        lo = mp.mpf(0)
-        hi = max((bm[i] if i < n - 1 else mp.mpf(0)) + dm[i] for i in range(n)) * 2
-        floor_width = hi * mp.mpf(10) ** (-dps - 8)
-        rel_stop = mp.mpf(10) ** (-dps + 3)
-        for _ in range(12 * dps + 80):
-            mid = (lo + hi) / 2
-            if _sturm_below(bm, dm, mid) >= eig_index + 1:
-                hi = mid
-            else:
-                lo = mid
-            width = hi - lo
-            if width <= floor_width or (lo > 0 and width <= lo * rel_stop):
+        main = [bx + dx for bx, dx in zip(bm + [mp.mpf(0)], dm)]
+        off2 = [mp.mpf(0)] + [bx * dx for bx, dx in zip(bm, dm[1:])]
+        w = mp.mpf(10) ** (lost + 5 - dps)
+        lam = mp.mpf(start)
+        last = mp.inf
+        for _ in range(_NEWTON_STEPS):
+            step = _newton_step(main, off2, lam)
+            if step is None or abs(step) >= last:
                 break
-        return (lo + hi) / 2
+            lam += step
+            last = abs(step)
+            if last <= w * lam:
+                break
+        below = _sturm_below(bm, dm, lam * (1 - w))
+        above = _sturm_below(bm, dm, lam * (1 + w))
+        if below > eig_index or above <= eig_index:
+            raise NoConvergence(
+                f"eigenvalue {eig_index} not certified at {mp.nstr(lam, 20)}: "
+                f"Sturm counts {below} and {above} at relative width {mp.nstr(w, 3)}"
+            )
+        return lam
 
 
 def mp_detratio_minor(b, d, lam_mp, dps=60):

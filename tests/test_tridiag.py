@@ -3,14 +3,18 @@ wide eigenvector spreads, and agreement with the multi-precision oracle."""
 
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from qsamp import (
+    InvalidParameter,
+    NoConvergence,
     amplitude,
     build_birth_death,
+    build_rho_chain,
     dirichlet_eigenpair,
     exact_bd_amplitude,
     rho_family,
@@ -111,3 +115,100 @@ def test_ground_pair_agrees_with_the_exact_identity(rates):
     via_phi = amplitude(dirichlet_eigenpair(gen))
     via_product = exact_bd_amplitude(gen)
     assert abs(via_phi - via_product) <= 1e-8 * via_product
+
+
+# -- the multi-precision oracle: double start, mp Newton, Sturm certificate --
+
+
+def criterion05_chain(index):
+    """Rates of the index-th chain drawn by acceptance criterion 05."""
+    rng = np.random.default_rng(20240817)
+    for _ in range(index + 1):
+        n = int(rng.integers(2, 201))
+        b, d = log_uniform_chain(rng, n, 0.1, 10.0)
+    return b, d
+
+
+def oracle_dps(b, d):
+    return max(60, 30 + tridiag.pivot_digits_lost(b, d))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(birth_death_rates())
+def test_differential_count_matches_lapack(rates):
+    # LAPACK's eigenvalues are accurate to eps * ||T|| only, so the shifts
+    # are midpoints between them (and one past each end) that clear that by
+    # a wide margin
+    b, d = rates
+    main, off = tridiag.sym_tridiag(b, d)
+    w = eigvalsh_tridiagonal(main, off) if len(d) > 1 else main
+    sigmas = np.concatenate([[w[0] / 2], (w[:-1] + w[1:]) / 2, [2 * w[-1]]])
+    for sigma in sigmas:
+        if np.abs(w - sigma).min() > 1e-8 * w[-1]:
+            assert tridiag.sturm_count(b, d, sigma) == np.count_nonzero(w < sigma)
+
+
+@pytest.mark.parametrize("n", [400, 1000])
+def test_mp_lambda_matches_the_closed_form(n):
+    b, d = build_rho_chain(n, 1.0).birth_death_rates()
+    lam = tridiag.mp_lambda(b, d, 0, dps=60)
+    with mp.workdps(60):
+        ref = 4 * mp.sin(mp.pi / (4 * n)) ** 2
+        assert abs(lam - ref) <= mp.mpf(10) ** -40 * ref
+
+
+def test_mp_lambda_inside_the_green_bracket_on_a_wide_spread():
+    b, d = rho_family(0.5).realize(512)
+    _, _, (lo, hi) = tridiag.ground_pair(b, d)
+    assert lo <= tridiag.mp_lambda(b, d, 0, dps=oracle_dps(b, d)) <= hi
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        criterion05_chain(16),
+        criterion05_chain(22),
+        (np.full(29, 100.0), np.full(30, 0.01)),
+    ],
+    ids=["criterion05-16", "criterion05-22", "cancellation"],
+)
+def test_newton_landing_on_lambda0_is_certified(rates):
+    # Newton steps can land exactly on lambda0, where the last pivot is 0
+    b, d = rates
+    _, _, (lo, hi) = tridiag.ground_pair(b, d)
+    lam = float(tridiag.mp_lambda(b, d, 0, dps=oracle_dps(b, d)))
+    assert lo * (1 - 1e-12) <= lam <= hi * (1 + 1e-12)
+
+
+def test_exact_eigenvalue_is_returned():
+    assert tridiag.mp_lambda(np.zeros(0), np.array([2.5])) == 2.5
+
+
+def test_lambda0_below_the_double_range():
+    # lambda0 ~ 1e-798: the double start is 0 and Newton climbs from there
+    b, d = np.full(199, 100.0), np.full(200, 0.01)
+    lam = tridiag.mp_lambda(b, d, 0, dps=oracle_dps(b, d))
+    assert mp.mpf("1e-799") < lam < mp.mpf("1e-797")
+
+
+@pytest.mark.parametrize("k", [1, 50, 99])
+def test_higher_indices_are_certified_too(k):
+    b, d = build_rho_chain(100, 1.0).birth_death_rates()
+    main, off = tridiag.sym_tridiag(b, d)
+    ref = eigvalsh_tridiagonal(main, off)[k]
+    assert float(tridiag.mp_lambda(b, d, k)) == pytest.approx(ref, rel=1e-11)
+
+
+def test_stalled_newton_is_not_certified(monkeypatch):
+    monkeypatch.setattr(tridiag, "_newton_step", lambda main, off2, lam: mp.mpf(0))
+    b, d = criterion05_chain(0)
+    with pytest.raises(NoConvergence):
+        tridiag.mp_lambda(b, d, 0, dps=oracle_dps(b, d))
+
+
+def test_mp_lambda_rejects_what_it_cannot_certify():
+    b, d = build_rho_chain(10, 1.0).birth_death_rates()
+    with pytest.raises(InvalidParameter):
+        tridiag.mp_lambda(b, d, eig_index=10)
+    with pytest.raises(InvalidParameter):
+        tridiag.mp_lambda(np.full(29, 100.0), np.full(30, 0.01), 0, dps=60)
