@@ -8,10 +8,20 @@ verify the stochastic representation of eigenvector ratios
 absorption law from the quasi-stationary start, and the two-sided transfer
 inequality between conditioned evolution and the Doob-transformed chain.
 
+Jumps are drawn from a sparse table built once per call from the rate
+triplets, never from the dense generator.  Each state lists the columns with
+a positive rate, in column order with absorption last, padded to the largest
+out-degree, beside the cumulative jump probabilities summed in that order.
+The next state is the column whose slot equals the number of thresholds
+below a uniform; the last threshold of every row is +inf, so the uniform
+always lands on a column with a positive rate, whatever its rounding.  The
+batch kernel carries only the trajectories still running (index, state,
+elapsed time) and compacts them whenever some finish, so a step costs
+O(active * out-degree).
+
 Sampling is reproducible and block-parallel: a base seed is split into one
 child stream per fixed-size block, and block results are merged in block
-order, so estimates are bit-identical for a given seed regardless of the
-worker count.
+order, so samples are bit-identical for a given seed whatever n_jobs is.
 """
 
 from __future__ import annotations
@@ -29,7 +39,6 @@ from .spectral import DirichletEigenpair, dirichlet_eigenpair, quasi_stationary_
 
 EVENT_BUDGET = 100_000_000
 BLOCK_SIZE = 16_384
-ABSORBED = -1
 
 
 @dataclass(frozen=True)
@@ -50,14 +59,46 @@ class EstimateWithCI:
     seed: int
 
 
-def _jump_tables(gen: AbsorbingGenerator):
-    """Exit rates and cumulative jump probabilities (absorption last)."""
-    k = gen.k_matrix()
-    rates = -np.diag(k).copy()
-    probs = np.where(np.eye(gen.n_states, dtype=bool), 0.0, k)
-    probs = np.concatenate([probs, gen.absorption_rates[:, None]], axis=1)
-    probs /= rates[:, None]
-    return rates, np.cumsum(probs, axis=1)
+def _jump_table(gen: AbsorbingGenerator):
+    """Sparse jump table (scale, cols, thresh), built from the rate triplets.
+
+    cols[s] lists the columns with a positive rate out of state s, in column
+    order with absorption last (encoded as n_states), padded to the maximum
+    out-degree w.  thresh[k, s] is the cumulative jump probability of the
+    first k + 1 of them, summed slot by slot in the same order, so it equals
+    the dense cumulative table's entry bit for bit; the last real slot and
+    the padding hold +inf, so a uniform always lands on a real column.
+    thresh is slot-major (w, n_states) so that each slot is one contiguous
+    gather.  scale is the mean holding time 1 / |L(s,s)|.
+    """
+    n = gen.n_states
+    rows, cols, vals = gen._coo
+    rates = -gen.diagonal
+    a = gen.absorption_rates
+    internal = np.bincount(rows, minlength=n)
+    # the triplets are sorted by (row, column), so each row's entries are contiguous
+    slot = np.arange(rows.size) - (np.cumsum(internal) - internal)[rows]
+    exits = np.flatnonzero(a > 0)
+    deg = internal + (a > 0)
+    w = int(deg.max())
+    table_cols = np.full((n, w), n, dtype=np.int64)
+    table_cols[rows, slot] = cols
+    probs = np.zeros((w, n))
+    probs[slot, rows] = vals / rates[rows]
+    probs[internal[exits], exits] = a[exits] / rates[exits]
+    thresh = np.cumsum(probs, axis=0)
+    thresh[np.arange(w)[:, None] >= deg - 1] = np.inf
+    return 1.0 / rates, table_cols, thresh
+
+
+def _next_state(cols, thresh, s, u):
+    """Columns reached from states s with uniforms u: the number of the
+    row's thresholds below u is the slot taken.  The last real threshold is
+    +inf, so only the first w - 1 slots need comparing."""
+    k = s * cols.shape[1]
+    for j in range(cols.shape[1] - 1):
+        k += u > thresh[j].take(s)
+    return cols.take(k)
 
 
 def sample_path(gen: AbsorbingGenerator, start: int, target: int | None,
@@ -72,61 +113,65 @@ def sample_path(gen: AbsorbingGenerator, start: int, target: int | None,
         raise InvalidParameter(f"target state {target} out of range")
     if target is not None and start == target:
         return TrajectoryOutcome(True, 0.0, False, 0)
-    rates, cum = _jump_tables(gen)
+    scale, cols, thresh = _jump_table(gen)
     n = gen.n_states
-    state = start - 1
+    state = np.array([start - 1])
     elapsed = 0.0
     events = 0
     while True:
         if events >= EVENT_BUDGET:
             raise EventBudgetExceeded(f"{events} jumps without resolution")
-        elapsed += rng.exponential(1.0 / rates[state])
+        elapsed += rng.standard_exponential() * scale[state[0]]
         events += 1
-        nxt = int(np.searchsorted(cum[state], rng.random(), side="right"))
-        if nxt >= n:
+        state = _next_state(cols, thresh, state, rng.random(1))
+        if state[0] == n:
             return TrajectoryOutcome(False, elapsed, True, events)
-        if target is not None and nxt == target - 1:
+        if target is not None and state[0] == target - 1:
             return TrajectoryOutcome(True, elapsed, False, events)
-        state = nxt
 
 
-def _simulate_block(rates, cum, starts, target0, rng):
+def _simulate_block(table, starts, target0, rng):
     """Vectorized batch of trajectories; returns (elapsed, hit) arrays.
 
-    target0 is a 0-based state index or None (run to absorption).
+    target0 is a 0-based state index or None (run to absorption).  Each step
+    draws one exponential and then one uniform per active trajectory.  Only
+    the active trajectories' index, state and elapsed time are carried, and
+    they are compacted whenever some finish.
     """
-    n = rates.shape[0]
+    scale, cols, thresh = table
+    n = cols.shape[0]
     m = len(starts)
-    state = starts.copy()
     elapsed = np.zeros(m)
     hit = np.zeros(m, dtype=bool)
-    active = np.arange(m)
+    idx = np.arange(m)
+    state = starts
     if target0 is not None:
-        immediate = state == target0
+        immediate = starts == target0
         hit[immediate] = True
-        active = active[~immediate]
+        idx, state = idx[~immediate], starts[~immediate]
+        # the target's column becomes a second terminal code, n + 1
+        cols = np.where(cols == target0, n + 1, cols)
+    t = np.zeros(idx.size)
     total_events = 0
-    while active.size:
-        s = state[active]
-        elapsed[active] += rng.exponential(1.0 / rates[s])
-        u = rng.random(active.size)
-        nxt = (u[:, None] > cum[s]).sum(axis=1)
-        total_events += active.size
+    while idx.size:
+        t += rng.standard_exponential(idx.size) * scale.take(state)
+        u = rng.random(idx.size)
+        total_events += idx.size
         if total_events > EVENT_BUDGET:
             raise EventBudgetExceeded(f"block exceeded {EVENT_BUDGET} jump events")
-        absorbed = nxt >= n
-        done = absorbed
-        if target0 is not None:
-            got = nxt == target0
-            hit[active[got]] = True
-            done = done | got
-        state[active] = np.where(absorbed, ABSORBED, nxt)
-        active = active[~done]
+        state = _next_state(cols, thresh, state, u)
+        done = state >= n
+        if done.any():
+            ended = idx[done]
+            elapsed[ended] = t[done]
+            hit[ended] = state[done] > n
+            keep = ~done
+            idx, state, t = idx[keep], state[keep], t[keep]
     return elapsed, hit
 
 
 def _run_blocks(gen, starts, target, n, seed, n_jobs):
-    rates, cum = _jump_tables(gen)
+    table = _jump_table(gen)
     blocks = []
     for lo in range(0, n, BLOCK_SIZE):
         blocks.append(np.arange(lo, min(lo + BLOCK_SIZE, n)))
@@ -135,7 +180,7 @@ def _run_blocks(gen, starts, target, n, seed, n_jobs):
 
     def one(i):
         rng = np.random.default_rng(streams[i])
-        return _simulate_block(rates, cum, starts[blocks[i]], target0, rng)
+        return _simulate_block(table, starts[blocks[i]], target0, rng)
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:

@@ -5,11 +5,14 @@ import pytest
 from scipy.linalg import expm
 
 from qsamp import (
+    EventBudgetExceeded,
     HeavyTailWarning,
     InvalidParameter,
+    QsampError,
     absorption_times,
     amplitude,
     build_general,
+    build_graph_walk,
     build_rho_chain,
     dirichlet_eigenpair,
     doob_stationary,
@@ -22,6 +25,7 @@ from qsamp import (
     sandwich_experiment,
     total_variation,
 )
+from qsamp import simulate
 from conftest import random_reversible_generator
 
 GOLDEN_LAM0 = (3 - math.sqrt(5)) / 2
@@ -56,6 +60,218 @@ class TestSamplePath:
             out = sample_path(rho1_chain10, 5, 8, rng)
             assert out.hit_target != out.absorbed
             assert out.elapsed > 0 and out.events >= 1
+
+
+def dense_jump_tables(gen):
+    """Reference: exit rates and the dense n x (n+1) cumulative table."""
+    k = gen.k_matrix()
+    rates = -np.diag(k).copy()
+    probs = np.where(np.eye(gen.n_states, dtype=bool), 0.0, k)
+    probs = np.concatenate([probs, gen.absorption_rates[:, None]], axis=1)
+    probs /= rates[:, None]
+    return rates, np.cumsum(probs, axis=1)
+
+
+def dense_simulate_block(rates, cum, starts, target0, rng):
+    """Reference kernel: full-length arrays and an O(n) threshold count per
+    jump, drawing the same exponentials and uniforms as the sparse kernel."""
+    n = rates.shape[0]
+    m = len(starts)
+    state = starts.copy()
+    elapsed = np.zeros(m)
+    hit = np.zeros(m, dtype=bool)
+    active = np.arange(m)
+    if target0 is not None:
+        immediate = state == target0
+        hit[immediate] = True
+        active = active[~immediate]
+    while active.size:
+        s = state[active]
+        elapsed[active] += rng.exponential(1.0 / rates[s])
+        u = rng.random(active.size)
+        nxt = (u[:, None] > cum[s]).sum(axis=1)
+        absorbed = nxt >= n
+        done = absorbed
+        if target0 is not None:
+            got = nxt == target0
+            hit[active[got]] = True
+            done = done | got
+        state[active] = np.where(absorbed, -1, nxt)
+        active = active[~done]
+    return elapsed, hit
+
+
+def dense_run_blocks(gen, start, target, n, seed):
+    """Reference for simulate._run_blocks: same blocks, streams and merge."""
+    rates, cum = dense_jump_tables(gen)
+    starts = simulate._starts_array(gen, start, n, seed)
+    los = range(0, n, simulate.BLOCK_SIZE)
+    streams = np.random.SeedSequence(seed).spawn(len(los))
+    target0 = None if target is None else target - 1
+    results = [dense_simulate_block(rates, cum, starts[lo:lo + simulate.BLOCK_SIZE], target0,
+                                    np.random.default_rng(stream))
+               for lo, stream in zip(los, streams)]
+    return (np.concatenate([r[0] for r in results]),
+            np.concatenate([r[1] for r in results]))
+
+
+def grid_walk(rows, cols):
+    """Unit-rate nearest-neighbour walk on a rows x cols grid, absorbed from state 1."""
+    edges = []
+    for s in range(1, rows * cols + 1):
+        if s % cols:
+            edges += [(s, s + 1), (s + 1, s)]
+        if s + cols <= rows * cols:
+            edges += [(s, s + cols), (s + cols, s)]
+    return build_graph_walk(edges, [1])
+
+
+def cycle_with_chords():
+    """Non-reversible directed 8-cycle with three chords, absorbed at 4 and 8."""
+    transitions = [(i, i % 8 + 1, 1.0 + 0.1 * i) for i in range(1, 9)]
+    transitions += [(1, 5, 0.7), (6, 2, 1.3), (3, 7, 0.4)]
+    return build_general(8, transitions, {4: 0.3, 8: 0.5})
+
+
+#: chain, and the start and target of its ratio run (some paths are absorbed first)
+KERNEL_CHAINS = {
+    "rho30": (lambda: build_rho_chain(30, 1.0), 2, 3),
+    "grid6x6": (lambda: grid_walk(6, 6), 2, 3),
+    "cycle-chords": (cycle_with_chords, 5, 3),
+}
+
+
+class TestJumpKernel:
+    @pytest.mark.parametrize("chain", sorted(KERNEL_CHAINS))
+    def test_samples_equal_dense_kernel(self, chain):
+        # two blocks: the second seeds its own stream and is merged after the first
+        make, x, y = KERNEL_CHAINS[chain]
+        gen = make()
+        n = simulate.BLOCK_SIZE + 700
+        times = absorption_times(gen, 1, n, seed=3)
+        ref_times, _ = dense_run_blocks(gen, 1, None, n, seed=3)
+        assert np.array_equal(times, ref_times)
+        lam0 = dirichlet_eigenpair(gen).lambda0
+        elapsed, hit = simulate._run_blocks(gen, simulate._starts_array(gen, x, n, 3), y, n, 3, 1)
+        ref_elapsed, ref_hit = dense_run_blocks(gen, x, y, n, seed=3)
+        assert np.array_equal(elapsed, ref_elapsed) and np.array_equal(hit, ref_hit)
+        assert 0 < hit.sum() < n
+        est = estimate_ratio(gen, lam0, x, y, n, seed=3)
+        assert est == simulate._log_weight_stats(lam0 * ref_elapsed[ref_hit], n, 3)
+
+    def test_table_is_built_without_dense_matrix(self, monkeypatch):
+        gen = grid_walk(4, 5)
+        n = gen.n_states
+        ref_rates, ref_cum = dense_jump_tables(gen)
+        k = gen.k_matrix()
+        positive = [[j for j in range(n) if j != s and k[s, j] > 0]
+                    + ([n] if gen.absorption_rates[s] > 0 else []) for s in range(n)]
+
+        def forbidden(self):
+            raise AssertionError("k_matrix called")
+
+        monkeypatch.setattr(type(gen), "k_matrix", forbidden)
+        scale, cols, thresh = simulate._jump_table(gen)
+        w = max(len(p) for p in positive)
+        assert cols.shape == (n, w) and thresh.shape == (w, n)
+        assert np.array_equal(scale, 1.0 / ref_rates)
+        for s, p in enumerate(positive):
+            assert cols[s, :len(p)].tolist() == p
+            assert np.array_equal(thresh[:len(p) - 1, s], ref_cum[s, p[:-1]])
+            assert np.all(thresh[len(p) - 1:, s] == np.inf)
+
+
+class StubRng:
+    """Stand-in generator: unit exponentials and the same uniform u every draw."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def standard_exponential(self, size=None):
+        return 1.0 if size is None else np.ones(size)
+
+    def exponential(self, scale):
+        return scale
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+def first_jumps(gen, x, ends_at):
+    """Every y (0 for absorption) where a path from x can end with its first jump.
+
+    ends_at(x, y) runs one path from x with target y (0: run to absorption)
+    under a one-jump budget and reports whether it ended on y.
+    """
+    return [y for y in range(gen.n_states + 1) if y != x and ends_at(x, y)]
+
+
+def absorbing_row_rounds_low():
+    """State 1 has no absorption, and its cumulative jump probabilities
+    0.3/1.6 + 0.7/1.6 + 0.6/1.6 round to 1 - 2**-52."""
+    return build_general(4, [(1, 2, 0.3), (1, 3, 0.7), (1, 4, 0.6),
+                             (2, 1, 1.0), (3, 1, 1.0), (4, 1, 1.0)], {2: 1.0})
+
+
+class TestTransitions:
+    CHAINS = {
+        "rho10": lambda: build_rho_chain(10, 1.0),
+        "rounds-low": absorbing_row_rounds_low,
+        "cycle-chords": cycle_with_chords,
+    }
+
+    @staticmethod
+    def block_ends_at(gen):
+        def ends_at(x, y):
+            try:
+                if y == 0:
+                    absorption_times(gen, x, 1, seed=0)
+                    return True
+                return estimate_ratio(gen, 0.0, x, y, 1, seed=0).mean == 1.0
+            except EventBudgetExceeded:
+                return False
+        return ends_at
+
+    @staticmethod
+    def path_ends_at(gen, rng):
+        def ends_at(x, y):
+            try:
+                out = sample_path(gen, x, y or None, rng)
+            except EventBudgetExceeded:
+                return False
+            return out.absorbed if y == 0 else out.hit_target
+        return ends_at
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0 ** -53])
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_every_jump_follows_a_positive_rate(self, chain, u, monkeypatch):
+        gen = self.CHAINS[chain]()
+        rng = StubRng(u)
+        monkeypatch.setattr(simulate, "EVENT_BUDGET", 1)
+        monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: rng)
+        for ends_at in (self.block_ends_at(gen), self.path_ends_at(gen, rng)):
+            for x in range(1, gen.n_states + 1):
+                jumps = first_jumps(gen, x, ends_at)
+                assert len(jumps) == 1, f"first jump from {x}: {jumps}"
+                y = jumps[0]
+                if y == 0:
+                    assert gen.absorption_rates[x - 1] > 0, f"absorbed from {x}"
+                else:
+                    assert gen.rate(x, y) > 0, f"jump {x} -> {y}"
+
+    def test_rounds_low_fixture(self):
+        _, cum = dense_jump_tables(absorbing_row_rounds_low())
+        assert cum[0, -1] < 1.0 - 2.0 ** -53
+
+    def test_event_budget_guard(self, monkeypatch):
+        gen = build_rho_chain(30, 1.0)
+        monkeypatch.setattr(simulate, "EVENT_BUDGET", 10)
+        with pytest.raises(EventBudgetExceeded) as err:
+            absorption_times(gen, 30, 100, seed=1)
+        assert isinstance(err.value, QsampError)
+        with pytest.raises(EventBudgetExceeded) as err:
+            sample_path(gen, 30, None, np.random.default_rng(1))
+        assert isinstance(err.value, QsampError)
 
 
 class TestEstimateRatio:
