@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import tridiag
-from .errors import GapViolation, InvalidParameter, NotConverged
+from .errors import GapViolation, InvalidParameter, NoConvergence, NotConverged
 from .generators import AbsorbingGenerator, build_birth_death
 
 INCONCLUSIVE = "inconclusive"
@@ -350,18 +350,21 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
     """lambda_{N,n} for n <= n_max over an increasing truncation schedule.
 
     The ground column, phi and lambda0' come from the Green-operator routine
-    tridiag.ground_pair; higher eigenvalues come from bisection refined
-    through the Dirichlet-form Rayleigh quotient of an inverse-iterated
-    vector.  Both keep full relative accuracy; each column must be
-    non-increasing in N (checked with slack 1e-12).  A column's limit is
-    declared once the relative change between consecutive truncations drops
-    below tol.  Failure to resolve the ground column raises NotConverged.
+    tridiag.ground_pair; the higher columns of a truncation come from one
+    bisection call, each value refined through the Dirichlet-form Rayleigh
+    quotient of an inverse-iterated vector (tridiag.higher_eigenvalues).
+    Both keep full relative accuracy; each column must be non-increasing in
+    N (checked with slack 1e-12).  A column's limit is declared once the
+    relative change between consecutive truncations drops below tol.
+    Failure to resolve the ground column raises NotConverged.
     """
     schedule = [int(n) for n in schedule]
     if len(schedule) < 2 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InvalidParameter("schedule must be increasing with >= 2 entries")
     if tol <= 0:
         raise InvalidParameter("tol must be positive")
+    if n_max < 0:
+        raise InvalidParameter("n_max must be nonnegative")
     rows = []
     rows_prime = []
     phi_list = []
@@ -369,8 +372,8 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
         b, d = rates.realize(n)
         lam_row = np.full(n_max + 1, np.inf)
         lam_row[0], phi, _ = tridiag.ground_pair(b, d)
-        for idx in range(1, min(n_max, n - 1) + 1):
-            lam_row[idx], _ = tridiag.ground_state(b, d, eig_index=idx)
+        k = min(n_max, n - 1)
+        lam_row[1 : k + 1] = tridiag.higher_eigenvalues(b, d, k)
         rows.append(lam_row)
         rows_prime.append(tridiag.ground_pair(b[1:], d[1:])[0])
         phi_list.append(phi)
@@ -451,17 +454,18 @@ def theorem_bound(limits, n_used: int | None = None, tail_bound: float = 0.0,
     tail_bound = 0 reduces exactly to the finite spectral bound.
     """
     if isinstance(limits, TruncationSeries):
-        lam = limits.limits[np.isfinite(limits.limits)]
-        lam0 = float(lam[0])
-        lambdas = lam[1:]
+        lam0 = float(limits.limits[0])
+        lambdas = limits.limits[1:][np.isfinite(limits.limits[1:])]
         lam0p = float(limits.lambda0_prime_limit)
     else:
         lam0 = float(limits["lambda0"])
         lam0p = float(limits["lambda0_prime"])
         lambdas = np.asarray(limits["lambdas"], dtype=float)
+    if math.isnan(lam0) or math.isnan(lam0p):
+        raise NotConverged(f"undeclared limit: lambda0 = {lam0}, lambda0' = {lam0p}")
     if n_used is not None:
-        if n_used > len(lambdas):
-            raise InvalidParameter(f"only {len(lambdas)} higher eigenvalues available")
+        if not 0 <= n_used <= len(lambdas):
+            raise InvalidParameter(f"n_used = {n_used} outside 0..{len(lambdas)}")
         lambdas = lambdas[:n_used]
     if tail_bound < 0:
         raise InvalidParameter("tail_bound must be nonnegative")
@@ -475,7 +479,8 @@ def theorem_bound(limits, n_used: int | None = None, tail_bound: float = 0.0,
     tail_factor = 1.0
     if tail_bound > 0:
         u_max = lam0 / float(lambdas[-1]) if len(lambdas) else lam0 / lam0p
-        c = -math.log1p(-u_max) / u_max
+        # -log(1-u)/u increases from its u -> 0 limit 1
+        c = -math.log1p(-u_max) / u_max if u_max > 0 else 1.0
         tail_factor = math.exp(-c * lam0 * tail_bound)
     bound = 1.0 / (float(np.prod(factors)) * tail_factor)
     return TheoremBoundReport(
@@ -490,18 +495,45 @@ def theorem_bound(limits, n_used: int | None = None, tail_bound: float = 0.0,
     )
 
 
-def tail_sum_estimate(rates: RateFamily, n: int, n_used: int) -> float:
-    """sum_{k > n_used} 1/lambda_{N,k} over the full truncation spectrum.
+#: the trace identity for the tail loses log10(trace / tail) digits to the
+#: subtraction; beyond four of them the O(n^2) spectrum sum is used instead.
+#: Entrance chains lose one or two, chains drifting to infinity all of them.
+TRACE_CANCELLATION_LIMIT = 1e4
 
-    Exact for the truncated operator; as an estimate of the limiting tail it
-    is uncertified (truncated eigenvalues only bound their limits from
-    above, and the truncation carries finitely many modes).
+
+def tail_sum_estimate(rates: RateFamily, n: int, n_used: int) -> float:
+    """sum_{k > n_used} 1/lambda_{N,k} for the truncation at n.
+
+    Computed in O(n) from the Green trace, which sums every 1/lambda_k:
+
+        tail = green_trace - 1/lambda0 - sum_{k=1..n_used} 1/lambda_k,
+
+    with lambda0 from tridiag.ground_pair and the rest from
+    tridiag.higher_eigenvalues, all relatively accurate.  When the
+    subtraction would cancel more than TRACE_CANCELLATION_LIMIT allows, or
+    the ground pair leaves the double range, the tail is summed over the
+    full LAPACK spectrum instead.  Exact for the truncated operator; as an
+    estimate of the limiting tail it is uncertified (truncated eigenvalues
+    only bound their limits from above, and the truncation carries finitely
+    many modes).
     """
+    if n_used < 0:
+        raise InvalidParameter("n_used must be nonnegative")
     b, d = rates.realize(n)
-    ev = tridiag.eigenvalues(b, d)
-    if n_used >= len(ev):
+    if n_used >= n - 1:
         return 0.0
-    return float(np.sum(1.0 / np.sort(ev)[n_used + 1 :]))
+    trace = tridiag.green_trace(b, d)
+    try:
+        lam0 = tridiag.ground_pair(b, d)[0]
+    except NoConvergence:
+        # phi or lambda0 outside the double range: no relatively accurate
+        # lambda0, so the NaN tail selects the spectrum sum
+        lam0 = math.nan
+    head = 1.0 / lam0 + float(np.sum(1.0 / tridiag.higher_eigenvalues(b, d, n_used)))
+    tail = trace - head
+    if np.isfinite(trace) and trace <= TRACE_CANCELLATION_LIMIT * tail:
+        return tail
+    return float(np.sum(1.0 / np.sort(tridiag.eigenvalues(b, d))[n_used + 1 :]))
 
 
 def gap_identity_check(rates: RateFamily, n: int) -> float:

@@ -19,8 +19,12 @@ operator G = (-K)^-1 carried out on log f.  G has the closed form
 whose terms are all positive, so each component keeps relative accuracy
 however far lambda0 sits below the rates, and each step gives the
 Collatz-Wielandt bracket min f/Gf <= lambda0 <= max f/Gf as a certificate.
-Higher eigenvalues come from bisection refined through the Dirichlet-form
-Rayleigh quotient of a banded inverse-iterated vector.
+higher_eigenvalues gives lambda_1..lambda_k from one bisection call, each
+refined through the Dirichlet-form Rayleigh quotient of a banded
+inverse-iterated vector.  The diagonal of the same closed form gives
+green_trace, the sum of every 1/lambda_k in O(n) and without subtraction:
+
+    trace G = sum_x pi_x sum_{z<=x} (pi_z d_z)^-1.
 
 The multi-precision eigenvalue and the LDL' pivot determinant ratio serve
 bounds.exact_bd_amplitude only, the independent oracle for the amplitude
@@ -100,32 +104,45 @@ def _banded(b, d, shift):
     return ab
 
 
-def ground_state(b, d, eig_index=0, iters=3):
-    """Double-precision eigenpair (lam, v) of -K for the given eigenvalue index.
+def green_trace(b, d) -> float:
+    """trace (-K)^-1 = sum_x pi_x sum_{z<=x} (pi_z d_z)^-1, the sum of 1/lambda_k.
 
-    lam is the Dirichlet-form Rayleigh quotient of the inverse-iterated
-    vector.  The lowest pair has its own routine, ground_pair, which starts
-    from this vector.
+    The diagonal of the Green operator's closed form; one cumulative and one
+    full log-sum-exp over log pi, with every term positive, so the trace keeps
+    relative accuracy.  inf when it leaves the double range.
     """
-    if len(d) == 1:
-        return float(d[0]), np.ones(1)
-    v = _inverse_iteration(b, d, eig_index, iters)
-    # the Dirichlet-form quotient is valid for signed vectors too (summation
-    # by parts against the reflecting top), and every summand is nonnegative
-    return rayleigh_quotient(b, d, v), v
+    lp = log_pi(b, d)
+    with np.errstate(over="ignore"):
+        return float(np.exp(np.logaddexp.reduce(lp + np.logaddexp.accumulate(-lp - np.log(d)))))
 
 
-def _inverse_iteration(b, d, eig_index, iters=3):
+def higher_eigenvalues(b, d, k):
+    """lambda_1..lambda_k of -K, ascending, with relative accuracy.
+
+    One bisection call gives all k estimates; each is refined to the
+    Dirichlet-form Rayleigh quotient of the vector inverse-iterated from it.
+    The quotient is valid for signed vectors too (summation by parts against
+    the reflecting top), and every summand is nonnegative.
+    """
+    if k == 0:
+        return np.zeros(0)
+    estimates = eigenvalues(b, d, 1, k)
+    return np.array([
+        rayleigh_quotient(b, d, _inverse_iteration(b, d, idx, lam_hat))
+        for idx, lam_hat in enumerate(estimates, start=1)
+    ])
+
+
+def _inverse_iteration(b, d, eig_index, lam_hat, iters=3):
     """Eigenvector estimate of -K for the given index, max |v| = 1.
 
     Inverse iteration on the unsymmetrized banded matrix, started from the
-    ones vector with a shift just below the bisection eigenvalue.  Shifts
-    that make the solve singular fall back to small negative shifts, which
-    still isolate the target direction whenever the eigenvalue is far below
-    the matrix norm (the regime where the singular shift occurs).
+    ones vector with a shift just below the bisection eigenvalue lam_hat.
+    Shifts that make the solve singular fall back to small negative shifts,
+    which still isolate the target direction whenever the eigenvalue is far
+    below the matrix norm (the regime where the singular shift occurs).
     """
     n = len(d)
-    lam_hat = float(eigenvalues(b, d, eig_index, eig_index)[0])
     scale = float((d + np.append(b, 0.0)).max())
     shifts = [lam_hat * (1 - 1e-8), lam_hat - 1e-14 * scale]
     if eig_index == 0:
@@ -171,11 +188,11 @@ def ground_pair(b, d):
     steps stop once it has closed to a few ulps or no longer narrows, which
     happens at rounding level.  lambda0 is the bracket's geometric midpoint
     and phi the last iterate Gf; the bracket's relative width bounds the
-    componentwise backward error of phi.  The start is the inverse-iterated
-    vector of ground_state, which usually leaves one or two steps to take
-    (cold starts need tens).  Raises NoConvergence when the bracket is still
-    narrowing after the step cap, or when phi or lambda0 leaves the double
-    range.
+    componentwise backward error of phi.  The start is the vector
+    inverse-iterated from the bisection eigenvalue, which usually leaves one
+    or two steps to take (cold starts need tens).  Raises NoConvergence when
+    the bracket is still narrowing after the step cap, or when phi or
+    lambda0 leaves the double range.
     """
     b = np.asarray(b, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -184,7 +201,7 @@ def ground_pair(b, d):
         return float(d[0]), np.ones(1), (float(d[0]), float(d[0]))
     lp = log_pi(b, d)
     log_w = -lp - np.log(d)
-    v = _inverse_iteration(b, d, 0)
+    v = _inverse_iteration(b, d, 0, eigenvalues(b, d, 0, 0)[0])
     f = np.log(v) if np.all(v > 0) and np.all(np.isfinite(v)) else np.zeros(n)
     width = np.inf
     for _ in range(1000):

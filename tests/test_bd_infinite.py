@@ -1,7 +1,9 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -161,7 +163,7 @@ class TestEigenConvergence:
         assert series.lambda_monotone
 
     def test_failed_solve_is_not_monotone(self, monkeypatch):
-        monkeypatch.setattr(tridiag, "ground_state", lambda b, d, eig_index: (math.nan, None))
+        monkeypatch.setattr(tridiag, "higher_eigenvalues", lambda b, d, k: np.full(k, math.nan))
         series = eigen_convergence(poisson_family(), 2, [16, 32], 1e-2)
         assert np.isnan(series.lambda_table[:, 1:]).all()
         assert not series.lambda_monotone
@@ -177,6 +179,10 @@ class TestEigenConvergence:
             eigen_convergence(poisson_family(), 2, [64], 1e-6)
         with pytest.raises(InvalidParameter):
             eigen_convergence(poisson_family(), 2, [64, 32], 1e-6)
+
+    def test_negative_n_max_rejected(self):
+        with pytest.raises(InvalidParameter):
+            eigen_convergence(poisson_family(), -1, [64, 128], 1e-6)
 
 
 class TestTheoremBound:
@@ -223,6 +229,78 @@ class TestTheoremBound:
         fam = accelerated_poisson_family()
         sums = [tail_sum_estimate(fam, 256, j) for j in (0, 3, 8)]
         assert sums[0] > sums[1] > sums[2] > 0
+
+    def test_tail_without_higher_limits_uses_the_small_u_limit(self):
+        # lambda0' = inf and no higher limits leave u_max = 0, where
+        # -log(1-u)/u tends to 1
+        out = theorem_bound({"lambda0": 1.0, "lambda0_prime": math.inf, "lambdas": []},
+                            tail_bound=0.5)
+        assert out.log_concavity_c == 1.0
+        assert out.bound == pytest.approx(math.exp(0.5), rel=1e-15)
+
+    @pytest.mark.parametrize("key", ["lambda0", "lambda0_prime"])
+    def test_undeclared_limit_raises(self, key):
+        limits = {"lambda0": 1.0, "lambda0_prime": 2.0, "lambdas": [3.0]}
+        limits[key] = math.nan
+        with pytest.raises(NotConverged):
+            theorem_bound(limits, tail_bound=0.1)
+
+    def test_negative_n_used_rejected(self):
+        with pytest.raises(InvalidParameter):
+            theorem_bound({"lambda0": 1.0, "lambda0_prime": 2.0, "lambdas": [3.0, 4.0]},
+                          n_used=-1)
+
+    def test_undeclared_lambda0_prime_in_a_series_raises(self):
+        series = eigen_convergence(accelerated_poisson_family(), 2, [64, 128], 1e-4)
+        with pytest.raises(NotConverged):
+            theorem_bound(replace(series, lambda0_prime_limit=math.nan), tail_bound=0.1)
+
+
+def log_accelerated_family(q):
+    """b_x = ln^q(e+x), d_x = x ln^q(e-1+x): Poisson(1) weights, entrance at infinity."""
+    return RateFamily(lambda x: np.log(np.e + np.asarray(x, dtype=float)) ** q,
+                      lambda x: np.asarray(x, dtype=float) * np.log(np.e - 1.0 + np.asarray(x, dtype=float)) ** q)
+
+
+def spectrum_tail(rates, n, n_used):
+    b, d = rates.realize(n)
+    return float(np.sum(1.0 / np.sort(tridiag.eigenvalues(b, d))[n_used + 1 :]))
+
+
+class TestTailSum:
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("n", [40, 120])
+    def test_matches_the_multi_precision_spectrum(self, q, n):
+        # the oracle sums certified eigenvalues one by one and never
+        # touches the trace identity
+        b, d = log_accelerated_family(q).realize(n)
+        dps = max(60, 30 + tridiag.pivot_digits_lost(b, d))
+        ref = float(mp.fsum(1 / tridiag.mp_lambda(b, d, k, dps=dps) for k in range(7, n)))
+        assert tail_sum_estimate(log_accelerated_family(q), n, 6) == pytest.approx(ref, rel=1e-12)
+
+    def test_drifting_chain_falls_back_to_the_spectrum(self):
+        # b = 2, d = 1 pushes mass to the top: the trace is about 1e47 and
+        # the tail about 162, far past the cancellation limit
+        b, d = rho_family(2.0).realize(200)
+        ref = spectrum_tail(rho_family(2.0), 200, 6)
+        assert tridiag.green_trace(b, d) > 1e40 * ref
+        assert ref == pytest.approx(162.08, rel=1e-4)
+        assert tail_sum_estimate(rho_family(2.0), 200, 6) == ref
+
+    def test_ground_pair_out_of_range_falls_back_to_the_spectrum(self):
+        # phi spans more than 1e308 at N = 2048, so ground_pair gives no lambda0
+        with pytest.raises(NoConvergence):
+            tridiag.ground_pair(*rho_family(0.5).realize(2048))
+        ref = spectrum_tail(rho_family(0.5), 2048, 6)
+        assert tail_sum_estimate(rho_family(0.5), 2048, 6) == ref
+
+    def test_all_modes_used_leaves_no_tail(self):
+        assert tail_sum_estimate(accelerated_poisson_family(), 8, 7) == 0.0
+        assert tail_sum_estimate(accelerated_poisson_family(), 1, 0) == 0.0
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(InvalidParameter):
+            tail_sum_estimate(accelerated_poisson_family(), 64, -3)
 
 
 class TestGapIdentity:

@@ -79,12 +79,36 @@ def test_higher_eigenvalue_beyond_half_the_exponent_range():
     # the index-3 eigenvector spans past 1e154 at n = 1100, so pi v^2
     # underflows everywhere unless the quotient's sums are shifted
     b, d = rho_family(0.5).realize(1100)
+    ref = tridiag.eigenvalues(b, d, 3, 3)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lam, v = tridiag.ground_state(b, d, eig_index=3)
-    ref = tridiag.eigenvalues(b, d, 3, 3)[0]
+        lam = tridiag.higher_eigenvalues(b, d, 3)[2]
+        v = tridiag._inverse_iteration(b, d, 3, ref)
     assert np.abs(v).min() < 1e-154
     assert abs(lam - ref) <= 1e-8 * ref
+
+
+def mp_green_trace(b, d):
+    """trace (-K)^-1 by an mpmath matrix inverse of the killed generator."""
+    n = len(d)
+    with mp.workdps(50):
+        m = mp.zeros(n, n)
+        for x in range(n):
+            m[x, x] = mp.mpf(d[x]) + (mp.mpf(b[x]) if x < n - 1 else 0)
+            if x < n - 1:
+                m[x, x + 1] = -b[x]
+                m[x + 1, x] = -d[x + 1]
+        inv = mp.inverse(m)
+        return float(mp.fsum(inv[x, x] for x in range(n)))
+
+
+def test_green_trace_matches_the_matrix_inverse():
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        n = int(rng.integers(1, 26))
+        b, d = log_uniform_chain(rng, n, 1e-2, 1e2)
+        ref = mp_green_trace(b, d)
+        assert tridiag.green_trace(b, d) == pytest.approx(ref, rel=1e-13)
 
 
 def test_singleton():
