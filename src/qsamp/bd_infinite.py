@@ -444,9 +444,11 @@ def theorem_bound(limits, n_used: int | None = None, tail_bound: float = 0.0,
 
     `limits` is either a TruncationSeries or a mapping with keys 'lambda0',
     'lambda0_prime' and 'lambdas' (the higher eigenvalue limits, ascending).
-    The first n_used higher eigenvalues contribute exact factors
-    (1 - lambda0/lambda_n); the remaining tail is controlled by a certified
-    (or estimated) bound T on sum_{n > n_used} 1/lambda_n through
+    The first n_used higher eigenvalues (all of them when n_used is None)
+    contribute exact factors (1 - lambda0/lambda_n); each must be declared,
+    and a NaN among them raises NotConverged.  The remaining tail is
+    controlled by a certified (or estimated) bound T on
+    sum_{n > n_used} 1/lambda_n through
 
         prod_tail (1 - lambda0/lambda_n) >= exp(-c lambda0 T),
 
@@ -455,7 +457,7 @@ def theorem_bound(limits, n_used: int | None = None, tail_bound: float = 0.0,
     """
     if isinstance(limits, TruncationSeries):
         lam0 = float(limits.limits[0])
-        lambdas = limits.limits[1:][np.isfinite(limits.limits[1:])]
+        lambdas = limits.limits[1:]
         lam0p = float(limits.lambda0_prime_limit)
     else:
         lam0 = float(limits["lambda0"])
@@ -467,6 +469,10 @@ def theorem_bound(limits, n_used: int | None = None, tail_bound: float = 0.0,
         if not 0 <= n_used <= len(lambdas):
             raise InvalidParameter(f"n_used = {n_used} outside 0..{len(lambdas)}")
         lambdas = lambdas[:n_used]
+    # an undeclared limit cannot be skipped: its factor would drop out
+    undeclared = np.flatnonzero(np.isnan(lambdas))
+    if undeclared.size:
+        raise NotConverged(f"undeclared limit lambda_{int(undeclared[0]) + 1}")
     if tail_bound < 0:
         raise InvalidParameter("tail_bound must be nonnegative")
     if not math.isinf(lam0p) and lam0p <= lam0:

@@ -7,13 +7,18 @@ full spectrum in the reversible case, the quasi-stationary distribution (the
 matching left eigenvector), single-state minor eigenvalues, and the amplitude
 max(phi)/min(phi).
 
-Solver routing follows the structure of the input: birth-death chains go to
-the Green-operator routine tridiag.ground_pair and are accepted on its
-certified lambda0 bracket, other reversible generators are symmetrized and
-handed to a dense symmetric solver, and the general case uses inverse
-iteration on an LU factorization of -K (the inverse of an irreducible
-M-matrix is entrywise positive, so plain power steps on it converge to the
-Perron direction from the all-ones start).
+Solver routing follows the structure of the input.  Birth-death chains
+(decided once by AbsorbingGenerator.is_birth_death) go to the
+Green-operator routine tridiag.ground_pair and are accepted on its
+certified lambda0 bracket.  Every other chain is tested for reversibility
+once, on its rate triplets (reversible_measure).  Reversible chains are
+symmetrized, S = diag(sqrt eta) (-K) diag(1/sqrt eta), and handed to the
+dense symmetric solver; a single-state minor of such a chain is reversible
+for eta restricted to it, so its spectrum comes from the submatrix of the
+same S.  Non-reversible chains use inverse iteration on an LU factorization
+of -K (the inverse of an irreducible M-matrix is entrywise positive, so
+plain power steps on it converge to the Perron direction from the all-ones
+start), and their spectra and minors the dense non-symmetric solver.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, eigvalsh_tridiagonal, lu_factor, lu_solve
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import tridiag
 from .errors import (
@@ -31,7 +38,7 @@ from .errors import (
     NonPositiveInput,
     NotDiagonalizableDetected,
 )
-from .generators import AbsorbingGenerator, minor as generator_minor
+from .generators import AbsorbingGenerator
 
 #: target for the iterative residual ||K phi + lambda0 phi||_inf
 RESIDUAL_TARGET = 1e-12
@@ -119,79 +126,117 @@ def _bd_structure(k: np.ndarray):
     return b, d
 
 
+def _rate_graph(gen_or_k) -> csr_matrix:
+    """Positive off-diagonal rates as a canonical CSR matrix (sorted, summed)."""
+    if isinstance(gen_or_k, AbsorbingGenerator):
+        n = gen_or_k.n_states
+        rows, cols, vals = gen_or_k._coo
+    else:
+        k = _as_k_matrix(gen_or_k)
+        n = k.shape[0]
+        positive = k > 0
+        np.fill_diagonal(positive, False)
+        rows, cols = np.nonzero(positive)
+        vals = k[rows, cols]
+    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
 def reversible_measure(gen_or_k):
     """Probability eta with eta(x) K(x,y) = eta(y) K(y,x), or a witness.
 
     Returns (eta, None) when the killed chain is reversible and
     (None, cycle) otherwise, where cycle is a closed state sequence
     (1-based, first == last) violating the Kolmogorov cycle criterion.
+
+    Works on the rate triplets: each edge finds its reverse by a sorted-key
+    lookup, log eta is summed down a breadth-first spanning forest, and one
+    vectorized test checks detailed balance on every edge.
     """
     if isinstance(gen_or_k, AbsorbingGenerator) and gen_or_k.is_birth_death:
         b, d = gen_or_k.birth_death_rates()
         return _bd_eta(b, d), None
-    k = _as_k_matrix(gen_or_k)
-    n = k.shape[0]
+    rates = _rate_graph(gen_or_k)
+    n = rates.shape[0]
     if n == 1:
         return np.ones(1), None
-    off = k - np.diag(np.diag(k))
+    rows = np.repeat(np.arange(n), np.diff(rates.indptr))
+    cols = rates.indices.astype(np.int64)
+    keys = rows * n + cols  # ascending: a canonical CSR matrix is row-major
+    rev_keys = cols * n + rows
+    rev = np.minimum(np.searchsorted(keys, rev_keys), len(keys) - 1)
+    two_way = keys[rev] == rev_keys
 
     # one-way edges break reversibility outright
-    bad = np.argwhere((off > 0) & (off.T == 0))
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        cycle = _directed_path(off, j, i)
-        if cycle is None:
+    if not two_way.all():
+        e = int(np.argmin(two_way))
+        i, j = int(rows[e]), int(cols[e])
+        path = _directed_path(rates, j, i)
+        if path is None:
             return None, [i + 1, j + 1]
-        return None, [i + 1, j + 1] + [v + 1 for v in cycle[1:]]
+        return None, [i + 1, j + 1] + [v + 1 for v in path[1:]]
 
-    # spanning forest over the (symmetric) support fixes log eta; minors of
-    # irreducible chains may be disconnected, hence one root per component
-    log_eta = np.full(n, np.nan)
-    parent = np.full(n, -1, dtype=int)
-    for root in range(n):
-        if not np.isnan(log_eta[root]):
-            continue
-        log_eta[root] = 0.0
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in np.nonzero(off[u] > 0)[0]:
-                if np.isnan(log_eta[v]):
-                    log_eta[v] = log_eta[u] + math.log(off[u, v]) - math.log(off[v, u])
-                    parent[v] = u
-                    queue.append(int(v))
+    # log r_uv - log r_vu on every edge (u, v)
+    log_rate = np.log(rates.data)
+    log_ratio = log_rate - log_rate[rev]
+    parent = _spanning_forest(rates)
+    step = np.zeros(n)
+    child = np.flatnonzero(parent >= 0)
+    step[child] = log_ratio[np.searchsorted(keys, parent[child] * n + child)]
+    log_eta = _sum_to_root(parent, step)
 
-    # every non-tree edge must close consistently
-    for u in range(n):
-        for v in np.nonzero(off[u] > 0)[0]:
-            if parent[v] == u or parent[u] == v:
-                continue
-            resid = log_eta[u] + math.log(off[u, v]) - log_eta[v] - math.log(off[v, u])
-            if abs(resid) > 1e-9:
-                return None, _tree_cycle(parent, int(u), int(v))
+    # every edge must close consistently
+    resid = log_eta[rows] + log_ratio - log_eta[cols]
+    bad = np.abs(resid) > 1e-9
+    if bad.any():
+        e = int(np.argmax(bad))
+        return None, _tree_cycle(parent, int(rows[e]), int(cols[e]))
     eta = np.exp(log_eta - log_eta.max())
     return eta / eta.sum(), None
 
 
-def _directed_path(off, src, dst):
+def _spanning_forest(rates: csr_matrix) -> np.ndarray:
+    """Parents in a breadth-first spanning forest of the support (-1 at roots).
+
+    Each component is rooted at its lowest state; minors of irreducible
+    chains may be disconnected.  An extra vertex adjacent to every root turns
+    the forest into one tree, searched by a single call.
+    """
+    n = rates.shape[0]
+    n_comp, labels = connected_components(rates, directed=False)
+    roots = np.unique(labels, return_index=True)[1]
+    graph = rates.tocoo()
+    rows = np.concatenate([graph.row, np.full(n_comp, n)])
+    cols = np.concatenate([graph.col, roots])
+    tree = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + 1, n + 1))
+    _, pred = breadth_first_order(tree, n, directed=True, return_predecessors=True)
+    parent = pred[:n].astype(np.int64)
+    parent[parent == n] = -1
+    return parent
+
+
+def _sum_to_root(parent: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Sum of step over each state's path up to its root, by pointer doubling.
+
+    After round r every state holds the sum over its next 2^r ancestors, so
+    the loop runs log2 of the forest height times.
+    """
+    n = len(parent)
+    root = parent < 0
+    anc = np.where(root, np.arange(n), parent)
+    acc = np.where(root, 0.0, step)
+    while np.any(anc[anc] != anc):
+        acc, anc = acc + acc[anc], anc[anc]
+    return acc
+
+
+def _directed_path(rates: csr_matrix, src, dst):
     """Directed positive-rate path src -> dst (0-based), or None."""
-    n = off.shape[0]
-    prev = np.full(n, -1, dtype=int)
-    prev[src] = src
-    queue = [src]
-    while queue:
-        u = queue.pop(0)
-        if u == dst:
-            break
-        for v in np.nonzero(off[u] > 0)[0]:
-            if prev[v] == -1:
-                prev[v] = u
-                queue.append(int(v))
-    if prev[dst] == -1 and dst != src:
+    _, pred = breadth_first_order(rates, src, directed=True, return_predecessors=True)
+    if dst != src and pred[dst] < 0:
         return None
     path = [dst]
     while path[-1] != src:
-        path.append(int(prev[path[-1]]))
+        path.append(int(pred[path[-1]]))
     return path[::-1]
 
 
@@ -210,7 +255,8 @@ def _tree_cycle(parent, u, v):
     anc_v = [v]
     while parent[anc_v[-1]] != -1:
         anc_v.append(int(parent[anc_v[-1]]))
-    common = next(x for x in anc_v if x in set(anc_u))
+    on_u = set(anc_u)
+    common = next(x for x in anc_v if x in on_u)
     up = anc_v[: anc_v.index(common) + 1]          # v .. common
     down = anc_u[: anc_u.index(common) + 1][::-1]  # common .. u
     cycle = [u, v] + up[1:] + down[1:]
@@ -260,6 +306,55 @@ def _inverse_iteration(k: np.ndarray):
     raise NoConvergence(f"inverse iteration exhausted budget; residual {res:.3e}")
 
 
+def _birth_death_rates(gen_or_k):
+    """(b, d) when the input is a birth-death chain killed only from state 1, else None.
+
+    A generator has already decided this in is_birth_death; only a dense
+    matrix needs the structure scan.
+    """
+    if isinstance(gen_or_k, AbsorbingGenerator):
+        return gen_or_k.birth_death_rates() if gen_or_k.is_birth_death else None
+    k = _as_k_matrix(gen_or_k)
+    return _bd_structure(k) if k.shape[0] > 1 else None
+
+
+def _bd_pair(b, d):
+    """(lambda0, phi, residual) of a birth-death chain from tridiag.ground_pair.
+
+    Accepted on the certified bracket: a correct pair far below the rates
+    can still exceed the absolute residual floor.
+    """
+    lam0, phi, (lo, hi) = tridiag.ground_pair(b, d)
+    res = tridiag.residual_inf(b, d, lam0, phi)
+    if hi - lo > RESIDUAL_RTOL * lam0:
+        raise NoConvergence(
+            f"lambda0 bracket [{lo:.6e}, {hi:.6e}] wider than {RESIDUAL_RTOL:g} relative"
+        )
+    return lam0, phi, res
+
+
+def _dense_pair(k: np.ndarray, eta):
+    """(lambda0, phi, residual) of a dense killed generator, checked.
+
+    eta is the reversible measure (symmetric solver) or None (inverse
+    iteration).  phi must be positive and the residual within
+    DirichletEigenpair.residual_bound.
+    """
+    if k.shape[0] == 1:
+        lam0, phi, res = float(-k[0, 0]), np.ones(1), 0.0
+    elif eta is not None:
+        lam0, phi, res = _reversible_eigenpair(k, eta)
+    else:
+        lam0, phi, res = _inverse_iteration(k)
+    if np.any(phi <= 0):
+        raise NoConvergence("eigenvector failed positivity; residual too large")
+    max_rate = float(np.abs(np.diag(k)).max())
+    bound = DirichletEigenpair(lam0, phi, "first", res).residual_bound(max_rate)
+    if res > bound:
+        raise NoConvergence(f"residual {res:.3e} exceeds bound {bound:.3e}")
+    return lam0, phi, res
+
+
 def dirichlet_eigenpair(gen_or_k, normalization: str = "first") -> DirichletEigenpair:
     """First Dirichlet eigenpair (lambda0, phi) of the killed generator.
 
@@ -270,37 +365,12 @@ def dirichlet_eigenpair(gen_or_k, normalization: str = "first") -> DirichletEige
     """
     if normalization not in NORMALIZATIONS:
         raise InvalidParameter(f"normalization must be one of {NORMALIZATIONS}")
-    if isinstance(gen_or_k, AbsorbingGenerator) and gen_or_k.is_birth_death:
-        bd = gen_or_k.birth_death_rates()
-    else:
-        k = _as_k_matrix(gen_or_k)
-        bd = _bd_structure(k) if k.shape[0] > 1 else None
+    bd = _birth_death_rates(gen_or_k)
     if bd is not None:
-        # accepted on the certified bracket: a correct pair far below the
-        # rates can still exceed the absolute residual floor
-        lam0, phi, (lo, hi) = tridiag.ground_pair(*bd)
-        res = tridiag.residual_inf(*bd, lam0, phi)
-        if hi - lo > RESIDUAL_RTOL * lam0:
-            raise NoConvergence(
-                f"lambda0 bracket [{lo:.6e}, {hi:.6e}] wider than {RESIDUAL_RTOL:g} relative"
-            )
+        lam0, phi, res = _bd_pair(*bd)
     else:
-        max_rate = float(np.abs(np.diag(k)).max())
-        if k.shape[0] == 1:
-            lam0, phi, res = float(-k[0, 0]), np.ones(1), 0.0
-        else:
-            eta, _ = reversible_measure(k)
-            if eta is not None:
-                lam0, phi, res = _reversible_eigenpair(k, eta)
-            else:
-                lam0, phi, res = _inverse_iteration(k)
-        if np.any(phi <= 0):
-            raise NoConvergence("eigenvector failed positivity; residual too large")
-        pair = DirichletEigenpair(lambda0=lam0, phi=phi, normalization="first", residual=res)
-        if res > pair.residual_bound(max_rate):
-            raise NoConvergence(
-                f"residual {res:.3e} exceeds bound {pair.residual_bound(max_rate):.3e}"
-            )
+        eta, _ = reversible_measure(gen_or_k)
+        lam0, phi, res = _dense_pair(_as_k_matrix(gen_or_k), eta)
     phi = phi / phi[0]
     if normalization == "max":
         phi = phi / phi.max()
@@ -329,21 +399,21 @@ def quasi_stationary_dist(gen_or_k) -> np.ndarray:
     Normalized to sum 1.  Reversible inputs use nu = eta * phi; otherwise
     the transpose is solved directly.
     """
-    if isinstance(gen_or_k, AbsorbingGenerator) and gen_or_k.is_birth_death:
-        b, d = gen_or_k.birth_death_rates()
-        eta = _bd_eta(b, d)
-        pair = dirichlet_eigenpair(gen_or_k)
-        nu = eta * pair.phi
-        return nu / nu.sum()
-    k = _as_k_matrix(gen_or_k)
-    if k.shape[0] == 1:
-        return np.ones(1)
-    eta, _ = reversible_measure(k)
-    if eta is not None:
-        pair = dirichlet_eigenpair(k)
-        nu = eta * pair.phi
+    bd = _birth_death_rates(gen_or_k)
+    if bd is not None:
+        eta = _bd_eta(*bd)
+        _, phi, _ = _bd_pair(*bd)
     else:
-        _, nu, _ = _inverse_iteration(k.T)
+        k = _as_k_matrix(gen_or_k)
+        if k.shape[0] == 1:
+            return np.ones(1)
+        eta, _ = reversible_measure(gen_or_k)
+        if eta is None:
+            _, nu, _ = _inverse_iteration(k.T)
+            return nu / nu.sum()
+        _, phi, _ = _dense_pair(k, eta)
+    # phi scaled as dirichlet_eigenpair reports it
+    nu = eta * (phi / phi[0])
     return nu / nu.sum()
 
 
@@ -357,29 +427,49 @@ def amplitude(phi) -> float:
     return float(phi.max() / phi.min())
 
 
+def _drop_state(a: np.ndarray, x: int) -> np.ndarray:
+    """a without row and column x (1-based)."""
+    keep = np.delete(np.arange(a.shape[0]), x - 1)
+    return a[np.ix_(keep, keep)]
+
+
+def _minor_lambda0(k: np.ndarray, x: int, s: np.ndarray | None = None) -> float:
+    """First eigenvalue of -K with state x removed; +inf if nothing is left.
+
+    With the symmetrization s of a reversible K, the minor is the submatrix
+    of s (a minor is reversible for eta restricted to it) and goes to the
+    symmetric solver; a reducible minor is block-diagonal, so its smallest
+    eigenvalue is the minimum over the blocks.  Without s, the dense
+    non-symmetric solver is used.
+    """
+    if k.shape[0] == 1:
+        return math.inf
+    if s is not None:
+        return float(eigh(_drop_state(s, x), subset_by_index=(0, 0), eigvals_only=True)[0])
+    return float(-np.max(np.linalg.eigvals(_drop_state(k, x)).real))
+
+
 def lambda0_minor(gen_or_k, x: int) -> float:
     """First Dirichlet eigenvalue after removing state x; +inf if nothing is left.
 
     The minor of an irreducible chain may be reducible; the first eigenvalue
-    is then the smallest over its diagonal blocks, which the dense solver
-    (or per-block tridiagonal solve) delivers directly.
+    is then the smallest over its diagonal blocks, which the symmetric or
+    dense solver (or per-block tridiagonal solve) delivers directly.
     """
     if isinstance(gen_or_k, AbsorbingGenerator) and gen_or_k.is_birth_death:
         b, d = gen_or_k.birth_death_rates()
         return _bd_minor_lambda0(b, d, x)
     k = _as_k_matrix(gen_or_k)
-    n = k.shape[0]
-    if not 1 <= x <= n:
+    if not 1 <= x <= k.shape[0]:
         raise InvalidParameter(f"state {x} out of range")
-    if n == 1:
-        return math.inf
-    idx = [i for i in range(n) if i != x - 1]
-    sub = k[np.ix_(idx, idx)]
-    return float(-np.max(np.linalg.eigvals(sub).real))
+    eta, _ = reversible_measure(gen_or_k)
+    return _minor_lambda0(k, x, None if eta is None else _sym_neg_k(k))
 
 
 def _bd_minor_lambda0(b, d, x: int) -> float:
     n = len(d)
+    if not 1 <= x <= n:
+        raise InvalidParameter(f"state {x} out of range")
     if n == 1:
         return math.inf
     main, off = tridiag.sym_tridiag(b, d)
@@ -400,8 +490,9 @@ def _tridiag_lambda0(main, off) -> float:
 def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> SpectrumReport:
     """All eigenvalues of -K plus lambda0' and optional single-state minor spectra.
 
-    Reversible generators are symmetrized, so every eigenvalue is real and
-    sorted ascending.  A non-reversible generator whose numerically computed
+    Reversible generators are symmetrized once, so every eigenvalue is real
+    and sorted ascending, and every minor is a submatrix of the same
+    symmetric matrix.  A non-reversible generator whose numerically computed
     spectrum is real is reported without eta; complex eigenvalues raise
     NotDiagonalizableDetected.
     """
@@ -409,24 +500,32 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
         raise InvalidParameter("full_spectrum needs an AbsorbingGenerator")
     eta, _ = reversible_measure(gen)
     n = gen.n_states
+    k = s = None
     if gen.is_birth_death:
         b, d = gen.birth_death_rates()
         eigenvalues = np.sort(tridiag.eigenvalues(b, d))
-    elif eta is not None:
-        eigenvalues = eigh(_sym_neg_k(gen.k_matrix()), eigvals_only=True)
+        lambda0_prime = min(_bd_minor_lambda0(b, d, x) for x in gen.absorbing_set)
     else:
-        vals = np.linalg.eigvals(-gen.k_matrix())
-        scale = gen.max_rate
-        if np.max(np.abs(vals.imag)) > 1e-9 * scale:
-            raise NotDiagonalizableDetected(
-                "complex eigenvalues on non-reversible input; "
-                "spectral results are restricted to lambda0/phi/nu"
-            )
-        eigenvalues = np.sort(vals.real)
-    lambda0_prime = min(lambda0_minor(gen, x) for x in gen.absorbing_set)
+        k = gen.k_matrix()
+        if eta is not None:
+            s = _sym_neg_k(k)
+            eigenvalues = eigh(s, eigvals_only=True)
+        else:
+            vals = np.linalg.eigvals(-k)
+            scale = gen.max_rate
+            if np.max(np.abs(vals.imag)) > 1e-9 * scale:
+                raise NotDiagonalizableDetected(
+                    "complex eigenvalues on non-reversible input; "
+                    "spectral results are restricted to lambda0/phi/nu"
+                )
+            eigenvalues = np.sort(vals.real)
+        lambda0_prime = min(_minor_lambda0(k, x, s) for x in gen.absorbing_set)
     minor_spectra = None
     if compute_minors:
-        minor_spectra = {x: _minor_eigenvalues(gen, x) for x in range(1, n + 1)}
+        if k is None:  # birth-death chains are reversible; S is needed only here
+            k = gen.k_matrix()
+            s = _sym_neg_k(k)
+        minor_spectra = {x: _minor_eigenvalues(k, x, s) for x in range(1, n + 1)}
     return SpectrumReport(
         eigenvalues=np.asarray(eigenvalues, dtype=float),
         reversible_measure=eta,
@@ -435,11 +534,17 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     )
 
 
-def _minor_eigenvalues(gen: AbsorbingGenerator, x: int) -> np.ndarray:
-    if gen.n_states == 1:
+def _minor_eigenvalues(k: np.ndarray, x: int, s: np.ndarray | None) -> np.ndarray:
+    """Ascending spectrum of -K with state x removed.
+
+    A reversible K passes its symmetrization s; otherwise the minor itself
+    is tested, since removing a state can leave a reversible chain.
+    """
+    if k.shape[0] == 1:
         return np.array([])
-    sub = generator_minor(gen, {x})
-    eta, _ = reversible_measure(sub) if sub.shape[0] > 1 else (np.ones(1), None)
-    if eta is not None:
-        return np.sort(eigh(_sym_neg_k(sub), eigvals_only=True))
-    return np.sort(np.linalg.eigvals(-sub).real)
+    if s is None:
+        sub = _drop_state(k, x)
+        if reversible_measure(sub)[0] is None:
+            return np.sort(np.linalg.eigvals(-sub).real)
+        return eigh(_sym_neg_k(sub), eigvals_only=True)
+    return eigh(_drop_state(s, x), eigvals_only=True)

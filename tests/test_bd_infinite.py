@@ -250,6 +250,23 @@ class TestTheoremBound:
             theorem_bound({"lambda0": 1.0, "lambda0_prime": 2.0, "lambdas": [3.0, 4.0]},
                           n_used=-1)
 
+    def test_undeclared_higher_limit_in_a_series_raises(self):
+        # dropping the factor of an undeclared lambda_1 would lower the bound
+        # from 1.824 to 1.559
+        series = eigen_convergence(
+            accelerated_poisson_family(), 4, [64, 128, 256, 512], 1e-8
+        )
+        assert theorem_bound(series).bound == pytest.approx(1.824, abs=1e-3)
+        limits = series.limits.copy()
+        limits[1] = math.nan
+        gapped = replace(series, limits=limits)
+        with pytest.raises(NotConverged, match="lambda_1"):
+            theorem_bound(gapped)
+        with pytest.raises(NotConverged, match="lambda_1"):
+            theorem_bound(gapped, n_used=2)
+        # n_used counts from limits[1], so stopping before the gap is fine
+        assert theorem_bound(gapped, n_used=0).bound == theorem_bound(series, n_used=0).bound
+
     def test_undeclared_lambda0_prime_in_a_series_raises(self):
         series = eigen_convergence(accelerated_poisson_family(), 2, [64, 128], 1e-4)
         with pytest.raises(NotConverged):

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsamp import (
+    InvalidParameter,
     NonPositiveInput,
     NotDiagonalizableDetected,
     amplitude,
     build_general,
+    build_graph_walk,
     build_rho_chain,
     dirichlet_eigenpair,
     full_spectrum,
@@ -16,12 +19,80 @@ from qsamp import (
     quasi_stationary_dist,
     reversible_measure,
 )
-from conftest import random_reversible_generator
+from conftest import random_cycle_with_chords, random_reversible_generator
 
 # roots of the 2x2 characteristic polynomial lam^2 - 3 lam + 1, by hand
 GOLDEN_LAM0 = (3 - math.sqrt(5)) / 2
 GOLDEN_LAM1 = (3 + math.sqrt(5)) / 2
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
+
+
+def dense_bfs_eta(k):
+    """Reversible measure by a breadth-first search over a dense matrix's support.
+
+    One root per component, neighbours in ascending order; assumes the
+    support is symmetric and the chain reversible.
+    """
+    n = k.shape[0]
+    off = k - np.diag(np.diag(k))
+    log_eta = np.full(n, np.nan)
+    for root in range(n):
+        if not np.isnan(log_eta[root]):
+            continue
+        log_eta[root] = 0.0
+        queue = [root]
+        while queue:
+            u = queue.pop(0)
+            for v in np.nonzero(off[u] > 0)[0]:
+                if np.isnan(log_eta[v]):
+                    log_eta[v] = log_eta[u] + math.log(off[u, v]) - math.log(off[v, u])
+                    queue.append(int(v))
+    eta = np.exp(log_eta - log_eta.max())
+    return eta / eta.sum()
+
+
+def lattice_edges(rows, cols, first=0):
+    """Undirected edges of a rows x cols grid, states row-major from `first`."""
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            s = first + i * cols + j
+            if j + 1 < cols:
+                edges.append((s, s + 1))
+            if i + 1 < rows:
+                edges.append((s, s + cols))
+    return edges
+
+
+def reversible_dumbbell(rng, max_side=4):
+    """Two random grids sharing one corner, the cut vertex, with random
+    conductances over random weights (so detailed balance holds) and
+    absorption at the cut vertex plus a few random states."""
+    r1, c1, r2, c2 = (int(v) for v in rng.integers(2, max_side + 1, 4))
+    n = r1 * c1 + r2 * c2 - 1
+    eta = np.exp(rng.uniform(-1.5, 1.5, n))
+    # the first grid's last state is the second grid's first
+    edges = lattice_edges(r1, c1) + lattice_edges(r2, c2, first=r1 * c1 - 1)
+    transitions = []
+    for a, b in edges:
+        c = float(np.exp(rng.uniform(-1.0, 1.0)))
+        transitions += [(a + 1, b + 1, c / eta[a]), (b + 1, a + 1, c / eta[b])]
+    cut = r1 * c1
+    extra = rng.choice(n, size=int(rng.integers(0, 3)), replace=False) + 1
+    absorption = {int(x): float(np.exp(rng.uniform(-1.0, 1.0))) for x in (cut, *extra)}
+    return build_general(n, transitions, absorption)
+
+
+def assert_kolmogorov_witness(gen, cycle):
+    """cycle is closed, follows positive-rate edges, and either uses a
+    one-way edge or has unequal rate products around it in both directions."""
+    assert cycle[0] == cycle[-1]
+    edges = list(zip(cycle, cycle[1:]))
+    assert all(gen.rate(u, v) > 0 for u, v in edges)
+    if all(gen.rate(v, u) > 0 for u, v in edges):
+        forward = sum(math.log(gen.rate(u, v)) for u, v in edges)
+        backward = sum(math.log(gen.rate(v, u)) for u, v in edges)
+        assert abs(forward - backward) > 1e-9
 
 
 def closed_form_spectrum(n):
@@ -142,6 +213,23 @@ class TestFullSpectrum:
                     assert lam[i] <= t + 1e-9
                     assert t <= lam[i + 1] + 1e-9
 
+    def test_reversible_input_never_reaches_the_nonsymmetric_solver(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        walk = [(a + 1, b + 1) for a, b in lattice_edges(5, 6)]
+        walk += [(b, a) for a, b in walk]
+        gens = [reversible_dumbbell(rng), build_graph_walk(walk, [1, 30])]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called on reversible input")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for gen in gens:
+            rep = full_spectrum(gen, compute_minors=True)
+            assert rep.reversible_measure is not None
+            assert len(rep.minor_spectra) == gen.n_states
+            for x in gen.absorbing_set:
+                lambda0_minor(gen, x)
+
     def test_complex_spectrum_detected(self):
         # strong one-directional drift on a 3-cycle has complex eigenvalues
         gen = build_general(
@@ -193,6 +281,31 @@ class TestReversibleMeasure:
         gen = build_general(3, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)], {1: 1.0})
         eta, witness = reversible_measure(gen)
         assert eta is None and witness is not None
+
+    def test_drifted_cycle_witness(self):
+        # ring with clockwise rate 2 and counterclockwise 1: the rate products
+        # around it are 2^7 one way and 1 the other
+        n = 7
+        transitions = [(i, i % n + 1, 2.0) for i in range(1, n + 1)]
+        transitions += [(i % n + 1, i, 1.0) for i in range(1, n + 1)]
+        gen = build_general(n, transitions, {1: 0.5, 4: 0.5})
+        eta, witness = reversible_measure(gen)
+        assert eta is None
+        assert_kolmogorov_witness(gen, witness)
+        eta, dense_witness = reversible_measure(gen.k_matrix())
+        assert eta is None and dense_witness == witness
+
+    def test_one_way_cycle_with_chords_witness(self):
+        rng = np.random.default_rng(14)
+        checked = 0
+        while checked < 20:
+            gen = random_cycle_with_chords(rng)
+            if gen.n_states < 3:  # a 2-cycle is reversible
+                continue
+            eta, witness = reversible_measure(gen)
+            assert eta is None
+            assert_kolmogorov_witness(gen, witness)
+            checked += 1
 
     def test_symmetric_two_state(self):
         # hand solve: eta(1) * 1 = eta(2) * 1
@@ -293,9 +406,38 @@ class TestLambda0Minor:
             values.append(dirichlet_eigenpair(sub).lambda0)
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    def test_birth_death_state_out_of_range(self):
+        gen = build_rho_chain(6, 1.0)
+        for x in (0, 7, -1):
+            with pytest.raises(InvalidParameter):
+                lambda0_minor(gen, x)
+
     def test_reducible_minor(self):
         # removing the middle of a 3-chain leaves two singleton blocks
         gen = build_rho_chain(3, 1.0)
         k = gen.k_matrix()
         expect = min(-k[0, 0], -k[2, 2])
         assert lambda0_minor(gen, 2) == pytest.approx(expect, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_reversible_routes_match_dense_references(seed, dumbbell):
+    rng = np.random.default_rng(seed)
+    gen = reversible_dumbbell(rng) if dumbbell else random_reversible_generator(rng)
+    k = gen.k_matrix()
+    eta, witness = reversible_measure(gen)
+    assert witness is None
+    np.testing.assert_allclose(eta, dense_bfs_eta(k), rtol=1e-12, atol=0)
+    minors = {}
+    for x in range(1, gen.n_states + 1):
+        sub = minor(gen, {x})
+        if sub.shape[0] > 1:
+            # minors may split into components, each with its own root
+            sub_eta, _ = reversible_measure(sub)
+            np.testing.assert_allclose(sub_eta, dense_bfs_eta(sub), rtol=1e-12, atol=0)
+            expect = -float(np.max(np.linalg.eigvals(sub).real))
+            assert lambda0_minor(gen, x) == pytest.approx(expect, rel=1e-10)
+        minors[x] = lambda0_minor(gen, x)
+    rep = full_spectrum(gen)
+    assert rep.lambda0_prime == min(minors[x] for x in gen.absorbing_set)
