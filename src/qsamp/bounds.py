@@ -321,15 +321,16 @@ def exact_bd_amplitude(gen: AbsorbingGenerator, dps: int | None = None) -> float
     Uses the hitting-time factorization: the amplitude equals
     prod_l (1 - lambda0/lam~_l)^-1 over the spectrum lam~ of the minor that
     removes state 1.  The product is evaluated as the determinant ratio
-    det(T~ - lambda0)/det(T~) in multi-precision arithmetic, so the result
-    stays accurate even when the amplitude spans hundreds of orders of
-    magnitude.  lambda0 comes from tridiag.mp_lambda: a double-precision
-    start by bisection on the differential Sturm count, a few
-    multi-precision Newton steps on det(T - lambda), and a certificate of
-    two multi-precision Sturm counts just below and above the result.  The
-    default precision keeps 30 digits beyond those lost to cancellation in
-    the pivot recursion.  Nothing here uses the double-precision eigenpair,
-    so the result is an independent check of it.
+    det(T~ - lambda0)/det(T~) in dps-digit decimal arithmetic (the standard
+    library's decimal module, with an exponent range no chain can leave), so
+    the result stays accurate even when the amplitude spans hundreds of
+    orders of magnitude.  lambda0 comes from tridiag.mp_lambda: a
+    double-precision start by bisection on the differential Sturm count, a
+    few decimal Newton steps on det(T - lambda), and a certificate of two
+    decimal Sturm counts just below and above the result.  The default
+    precision keeps 30 digits beyond those lost to cancellation in the pivot
+    recursion.  Nothing here uses the double-precision eigenpair, so the
+    result is an independent check of it.
     """
     if not gen.is_birth_death:
         raise NotBirthDeath("exact amplitude needs birth-death absorbed from state 1")
@@ -341,4 +342,4 @@ def exact_bd_amplitude(gen: AbsorbingGenerator, dps: int | None = None) -> float
         dps = max(60, 50 + n // 10, 30 + tridiag.pivot_digits_lost(b, d))
     lam = tridiag.mp_lambda(b, d, 0, dps=dps)
     ratio = tridiag.mp_detratio_minor(b, d, lam, dps=dps)
-    return float(1 / ratio)
+    return float(tridiag.oracle_context(dps).divide(1, ratio))

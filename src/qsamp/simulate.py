@@ -356,7 +356,9 @@ def sandwich_experiment(gen: AbsorbingGenerator, mu0, times,
     k = gen.k_matrix()
     nu = quasi_stationary_dist(gen)
     tilde = doob_transform(gen, eigenpair)
-    eta_tilde = doob_stationary(gen, eigenpair)
+    # doob_stationary's law, from the nu already in hand
+    eta_tilde = nu * phi
+    eta_tilde /= eta_tilde.sum()
     mu0_tilde = mu0 * phi
     mu0_tilde /= mu0_tilde.sum()
     lo_c = phi.min() / (2.0 * phi.max())

@@ -369,14 +369,16 @@ def dirichlet_eigenpair(gen_or_k, normalization: str = "first") -> DirichletEige
     if bd is not None:
         lam0, phi, res = _bd_pair(*bd)
     else:
+        k = _as_k_matrix(gen_or_k)
         eta, _ = reversible_measure(gen_or_k)
-        lam0, phi, res = _dense_pair(_as_k_matrix(gen_or_k), eta)
+        lam0, phi, res = _dense_pair(k, eta)
     phi = phi / phi[0]
     if normalization == "max":
         phi = phi / phi.max()
     elif normalization == "qsd":
-        nu = quasi_stationary_dist(gen_or_k)
-        phi = phi / float(nu @ phi)
+        if bd is not None:
+            k, eta = None, _bd_eta(*bd)
+        phi = phi / float(_qsd(k, eta, phi) @ phi)
     return DirichletEigenpair(lam0, phi, normalization, res)
 
 
@@ -401,17 +403,23 @@ def quasi_stationary_dist(gen_or_k) -> np.ndarray:
     """
     bd = _birth_death_rates(gen_or_k)
     if bd is not None:
-        eta = _bd_eta(*bd)
-        _, phi, _ = _bd_pair(*bd)
-    else:
-        k = _as_k_matrix(gen_or_k)
-        if k.shape[0] == 1:
-            return np.ones(1)
-        eta, _ = reversible_measure(gen_or_k)
-        if eta is None:
-            _, nu, _ = _inverse_iteration(k.T)
-            return nu / nu.sum()
-        _, phi, _ = _dense_pair(k, eta)
+        return _qsd(None, _bd_eta(*bd), _bd_pair(*bd)[1])
+    k = _as_k_matrix(gen_or_k)
+    if k.shape[0] == 1:
+        return np.ones(1)
+    eta, _ = reversible_measure(gen_or_k)
+    return _qsd(k, eta, None if eta is None else _dense_pair(k, eta)[1])
+
+
+def _qsd(k, eta, phi) -> np.ndarray:
+    """Quasi-stationary distribution from a ground pair already in hand.
+
+    With the reversible measure eta, nu = eta * phi normalized; without it
+    (non-reversible K) the transpose is solved directly and phi is unused.
+    """
+    if eta is None:
+        _, nu, _ = _inverse_iteration(k.T)
+        return nu / nu.sum()
     # phi scaled as dirichlet_eigenpair reports it
     nu = eta * (phi / phi[0])
     return nu / nu.sum()

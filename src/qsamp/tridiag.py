@@ -28,19 +28,22 @@ green_trace, the sum of every 1/lambda_k in O(n) and without subtraction:
 
 The multi-precision eigenvalue and the LDL' pivot determinant ratio serve
 bounds.exact_bd_amplitude only, the independent oracle for the amplitude
-identity.  mp_lambda starts from bisection in double precision on the
-differential (stationary qd) Sturm count sturm_count, whose only
-subtraction is the shift, refines with a few mpmath Newton steps on
-det(T - lam), and certifies the result by two mpmath Sturm counts just
-below and just above it.
+identity.  They run on the standard library's decimal module (libmpdec, C
+code) at dps significant digits, in a thread-local context with the widest
+exponent range decimal allows (oracle_context).  mp_lambda starts from bisection in double
+precision on the differential (stationary qd) Sturm count sturm_count,
+whose only subtraction is the shift, refines with a few decimal Newton
+steps on det(T - lam), and certifies the result by two decimal Sturm
+counts just below and just above it.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
-import mpmath as mp
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, solve_banded
 
 from .errors import InvalidParameter, NoConvergence
@@ -241,7 +244,7 @@ def residual_inf(b, d, lam, v) -> float:
     return float(np.abs(apply_neg_k(b, d, v) - lam * v).max())
 
 
-# -- mpmath oracle ----------------------------------------------------------
+# -- multi-precision oracle --------------------------------------------------
 
 _TINY = float(np.finfo(float).tiny)
 #: Newton steps from a relatively accurate start take a handful; from 0 (an
@@ -249,8 +252,18 @@ _TINY = float(np.finfo(float).tiny)
 _NEWTON_STEPS = 100
 
 
+def oracle_context(dps: int) -> decimal.Context:
+    """Decimal context of the oracle: dps digits, the widest exponent range.
+
+    The traps are decimal's defaults, so a zero pivot raises a subclass of
+    ZeroDivisionError (DivisionByZero, or DivisionUndefined for 0/0).
+    """
+    return decimal.Context(prec=dps, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
 def _mp_rates(b, d):
-    return [mp.mpf(float(x)) for x in b], [mp.mpf(float(x)) for x in d]
+    # Decimal(float) is exact; the context rounds from the first operation on
+    return [Decimal(float(x)) for x in b], [Decimal(float(x)) for x in d]
 
 
 def _ldl_pivots(bm, dm, lam):
@@ -261,11 +274,11 @@ def _ldl_pivots(bm, dm, lam):
     """
     n = len(dm)
     pivots = []
-    q = (bm[0] if n > 1 else mp.mpf(0)) + dm[0] - lam
+    q = (bm[0] if n > 1 else 0) + dm[0] - lam
     pivots.append(q)
     for x in range(1, n):
         off2 = bm[x - 1] * dm[x]
-        main = (bm[x] if x < n - 1 else mp.mpf(0)) + dm[x]
+        main = (bm[x] if x < n - 1 else 0) + dm[x]
         q = main - lam - off2 / q
         pivots.append(q)
     return pivots
@@ -290,7 +303,8 @@ def _sturm_below(bm, dm, lam):
     try:
         return sum(1 for q in _ldl_pivots(bm, dm, lam) if q < 0)
     except ZeroDivisionError:
-        bump = lam * mp.mpf(10) ** (-mp.mp.dps + 3) or mp.mpf(10) ** (-mp.mp.dps)
+        dps = decimal.getcontext().prec
+        bump = lam * Decimal(10) ** (3 - dps) or Decimal(10) ** -dps
         return sum(1 for q in _ldl_pivots(bm, dm, lam + bump) if q < 0)
 
 
@@ -346,7 +360,7 @@ def _double_start(b, d, eig_index):
 
 
 def _newton_step(main, off2, lam):
-    """Newton step -p/p' for p(lam) = det(T - lam) = prod_x q_x, in mp.
+    """Newton step -p/p' for p(lam) = det(T - lam) = prod_x q_x, in Decimal.
 
     main holds b_x + d_x and off2 holds b_{x-1} d_x, with 0 for x = 1.
     The LDL' pivots q_x and their derivatives
@@ -354,7 +368,7 @@ def _newton_step(main, off2, lam):
     p'/p = sum_x q'_x / q_x.  Returns None at an exact zero pivot, which
     makes lam an eigenvalue at working precision.
     """
-    q, dq, log_deriv = mp.mpf(1), mp.mpf(0), mp.mpf(0)
+    q, dq, log_deriv = Decimal(1), Decimal(0), Decimal(0)
     for c, o in zip(main, off2):
         r = o / q
         dq = r * dq / q - 1
@@ -373,16 +387,16 @@ def mp_lambda(b, d, eig_index=0, dps=60):
       1. bisection on the double-precision differential count sturm_count
          down to adjacent floats, which gives the eigenvalue to relative
          accuracy in about 60 passes;
-      2. mp Newton steps on det(T - lam) from the lower end of that
-         bracket, until a step falls below the attainable relative accuracy
-         w = 10^(pivot_digits_lost + 5 - dps), stops shrinking, or lands on
-         an exact zero pivot;
-      3. a certificate: the mp Sturm counts below lam (1 - w) and
+      2. Newton steps on det(T - lam) in dps-digit decimal arithmetic from
+         the lower end of that bracket, until a step falls below the
+         attainable relative accuracy w = 10^(pivot_digits_lost + 5 - dps),
+         stops shrinking, or lands on an exact zero pivot;
+      3. a certificate: the decimal Sturm counts below lam (1 - w) and
          lam (1 + w) must put the eigenvalue between them.
-    Returns the mpf eigenvalue, relatively accurate to w.  Raises
-    InvalidParameter for an index outside 0..n-1 or a dps that cannot
-    resolve the chain (w >= 1), and NoConvergence when the certificate
-    fails.
+    Returns the eigenvalue as a Decimal of dps digits, relatively accurate
+    to w.  Raises InvalidParameter for an index outside 0..n-1 or a dps
+    that cannot resolve the chain (w >= 1), and NoConvergence when the
+    certificate fails.
     """
     b = np.asarray(b, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -395,13 +409,13 @@ def mp_lambda(b, d, eig_index=0, dps=60):
             f"dps = {dps} cannot resolve this chain: its pivot recursion loses {lost} digits"
         )
     start = _double_start(b, d, eig_index)
-    with mp.workdps(dps):
+    with decimal.localcontext(oracle_context(dps)):
         bm, dm = _mp_rates(b, d)
-        main = [bx + dx for bx, dx in zip(bm + [mp.mpf(0)], dm)]
-        off2 = [mp.mpf(0)] + [bx * dx for bx, dx in zip(bm, dm[1:])]
-        w = mp.mpf(10) ** (lost + 5 - dps)
-        lam = mp.mpf(start)
-        last = mp.inf
+        main = [bx + dx for bx, dx in zip(bm + [Decimal(0)], dm)]
+        off2 = [Decimal(0)] + [bx * dx for bx, dx in zip(bm, dm[1:])]
+        w = Decimal(10) ** (lost + 5 - dps)
+        lam = Decimal(start)
+        last = Decimal("Infinity")
         for _ in range(_NEWTON_STEPS):
             step = _newton_step(main, off2, lam)
             if step is None or abs(step) >= last:
@@ -414,8 +428,8 @@ def mp_lambda(b, d, eig_index=0, dps=60):
         above = _sturm_below(bm, dm, lam * (1 + w))
         if below > eig_index or above <= eig_index:
             raise NoConvergence(
-                f"eigenvalue {eig_index} not certified at {mp.nstr(lam, 20)}: "
-                f"Sturm counts {below} and {above} at relative width {mp.nstr(w, 3)}"
+                f"eigenvalue {eig_index} not certified at {lam:.20g}: "
+                f"Sturm counts {below} and {above} at relative width {w:.3g}"
             )
         return lam
 
@@ -424,13 +438,15 @@ def mp_detratio_minor(b, d, lam_mp, dps=60):
     """prod_l (1 - lam/lam~_l) over the minor that removes state 1.
 
     Computed as det(T~ - lam) / det(T~) through LDL pivots of the minor's
-    symmetrized matrix; O(n) and needs no individual eigenvalues.
+    symmetrized matrix in dps-digit decimal arithmetic; O(n) and needs no
+    individual eigenvalues.  lam_mp is a Decimal (as mp_lambda returns) or
+    a float; returns a Decimal.
     """
-    with mp.workdps(dps):
+    with decimal.localcontext(oracle_context(dps)):
         bm, dm = _mp_rates(b[1:], d[1:])
-        num = _ldl_pivots(bm, dm, mp.mpf(lam_mp))
-        den = _ldl_pivots(bm, dm, mp.mpf(0))
-        out = mp.mpf(1)
+        num = _ldl_pivots(bm, dm, Decimal(lam_mp))
+        den = _ldl_pivots(bm, dm, Decimal(0))
+        out = Decimal(1)
         for qa, qb in zip(num, den):
             out *= qa / qb
         return out

@@ -180,3 +180,16 @@ def test_module_entry_point_starts_without_warnings():
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_exact_amplitude_runs_without_mpmath():
+    # the oracle's multi-precision arithmetic is the standard decimal module
+    src = os.path.dirname(os.path.dirname(qsamp.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, qsamp; "
+            "qsamp.exact_bd_amplitude(qsamp.build_rho_chain(20, 1.0)); "
+            "print('mpmath' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -419,6 +419,24 @@ class TestSandwich:
         with pytest.raises(InvalidParameter):
             sandwich_experiment(golden, np.array([0.5, 0.4]), [1.0])
 
+    def test_rows_match_the_doob_stationary_formula(self):
+        # eta~ is formed from the nu in hand; doob_stationary solves for nu again
+        gen = random_reversible_generator(np.random.default_rng(33))
+        mu0 = np.full(gen.n_states, 1.0 / gen.n_states)
+        pair = dirichlet_eigenpair(gen)
+        times = [0.0, 0.5, 3.0]
+        rows = sandwich_experiment(gen, mu0, times, pair)
+        nu, phi = quasi_stationary_dist(gen), pair.phi
+        mu0_tilde = mu0 * phi / (mu0 * phi).sum()
+        tilde, eta_tilde = doob_transform(gen, pair), doob_stationary(gen, pair)
+        for t, row in zip(times, rows):
+            raw = expm_action(gen.k_matrix(), mu0, t)
+            assert row.dist_conditioned == total_variation(raw / raw.sum(), nu)
+            d_doob = total_variation(expm_action(tilde, mu0_tilde, t), eta_tilde)
+            assert row.dist_doob == d_doob
+            assert (row.lower, row.upper) == (phi.min() / (2.0 * phi.max()) * d_doob,
+                                              2.0 * phi.max() / phi.min() * d_doob)
+
 
 def test_total_variation():
     assert total_variation([0.5, 0.5], [1.0, 0.0]) == pytest.approx(0.5)

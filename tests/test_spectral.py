@@ -19,6 +19,7 @@ from qsamp import (
     quasi_stationary_dist,
     reversible_measure,
 )
+from qsamp import spectral
 from conftest import random_cycle_with_chords, random_reversible_generator
 
 # roots of the 2x2 characteristic polynomial lam^2 - 3 lam + 1, by hand
@@ -347,6 +348,33 @@ class TestQuasiStationary:
         np.testing.assert_allclose(
             quasi_stationary_dist(gen), expect / expect.sum(), rtol=1e-9
         )
+
+    @pytest.mark.parametrize("route", ["birth-death", "reversible", "non-reversible"])
+    def test_qsd_normalization_solves_the_ground_problem_once(self, route, monkeypatch):
+        edges = [(i + 1, j + 1) for a, b in lattice_edges(4, 5) for i, j in ((a, b), (b, a))]
+        gen = {
+            "birth-death": lambda: build_rho_chain(40, 0.8),
+            "reversible": lambda: build_graph_walk(edges, [1, 20]),
+            "non-reversible": lambda: random_cycle_with_chords(np.random.default_rng(13)),
+        }[route]()
+        first = dirichlet_eigenpair(gen).phi
+        old_path = first / float(quasi_stationary_dist(gen) @ first)
+        calls = []
+
+        def counted(name):
+            real = getattr(spectral, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("_bd_pair", "_dense_pair", "reversible_measure"):
+            monkeypatch.setattr(spectral, name, counted(name))
+        phi = dirichlet_eigenpair(gen, "qsd").phi
+        assert calls.count("_bd_pair") + calls.count("_dense_pair") == 1
+        assert calls.count("reversible_measure") == (route != "birth-death")
+        np.testing.assert_allclose(phi, old_path, rtol=1e-15, atol=0)
 
 
 class TestAmplitude:

@@ -178,7 +178,7 @@ def test_mp_lambda_matches_the_closed_form(n):
     lam = tridiag.mp_lambda(b, d, 0, dps=60)
     with mp.workdps(60):
         ref = 4 * mp.sin(mp.pi / (4 * n)) ** 2
-        assert abs(lam - ref) <= mp.mpf(10) ** -40 * ref
+        assert abs(mp.mpf(str(lam)) - ref) <= mp.mpf(10) ** -40 * ref
 
 
 def test_mp_lambda_inside_the_green_bracket_on_a_wide_spread():
@@ -211,7 +211,7 @@ def test_exact_eigenvalue_is_returned():
 def test_lambda0_below_the_double_range():
     # lambda0 ~ 1e-798: the double start is 0 and Newton climbs from there
     b, d = np.full(199, 100.0), np.full(200, 0.01)
-    lam = tridiag.mp_lambda(b, d, 0, dps=oracle_dps(b, d))
+    lam = mp.mpf(str(tridiag.mp_lambda(b, d, 0, dps=oracle_dps(b, d))))
     assert mp.mpf("1e-799") < lam < mp.mpf("1e-797")
 
 
@@ -224,7 +224,7 @@ def test_higher_indices_are_certified_too(k):
 
 
 def test_stalled_newton_is_not_certified(monkeypatch):
-    monkeypatch.setattr(tridiag, "_newton_step", lambda main, off2, lam: mp.mpf(0))
+    monkeypatch.setattr(tridiag, "_newton_step", lambda main, off2, lam: 0 * lam)
     b, d = criterion05_chain(0)
     with pytest.raises(NoConvergence):
         tridiag.mp_lambda(b, d, 0, dps=oracle_dps(b, d))
@@ -236,3 +236,43 @@ def test_mp_lambda_rejects_what_it_cannot_certify():
         tridiag.mp_lambda(b, d, eig_index=10)
     with pytest.raises(InvalidParameter):
         tridiag.mp_lambda(np.full(29, 100.0), np.full(30, 0.01), 0, dps=60)
+
+
+def mpmath_detratio_minor(b, d, lam, dps):
+    """mpmath reference for tridiag.mp_detratio_minor: the same LDL' pivot
+    recursion of the state-1 minor at lam and at 0, in binary arithmetic."""
+    with mp.workdps(dps):
+        bm, dm = [mp.mpf(float(x)) for x in b[1:]], [mp.mpf(float(x)) for x in d[1:]]
+
+        def pivots(shift):
+            n = len(dm)
+            q = (bm[0] if n > 1 else mp.mpf(0)) + dm[0] - shift
+            out = [q]
+            for x in range(1, n):
+                main = (bm[x] if x < n - 1 else mp.mpf(0)) + dm[x]
+                q = main - shift - bm[x - 1] * dm[x] / q
+                out.append(q)
+            return out
+
+        ratio = mp.mpf(1)
+        for qa, qb in zip(pivots(mp.mpf(str(lam))), pivots(mp.mpf(0))):
+            ratio *= qa / qb
+        return ratio
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [criterion05_chain(i) for i in range(10)] + [(np.full(199, 100.0), np.full(200, 0.01))],
+    ids=[f"criterion05-{i}" for i in range(10)] + ["cancellation"],
+)
+def test_decimal_detratio_matches_mpmath(rates):
+    # decimal and binary rounding differ, so the two agree only to the
+    # recursion's conditioning (about 28 digits on chain 0 at oracle_dps);
+    # 20 more digits put that well below the 1e-40 asked for
+    b, d = rates
+    dps = oracle_dps(b, d) + 20
+    lam = tridiag.mp_lambda(b, d, 0, dps=dps)
+    ours = tridiag.mp_detratio_minor(b, d, lam, dps=dps)
+    ref = mpmath_detratio_minor(b, d, lam, dps)
+    with mp.workdps(dps):
+        assert abs(mp.mpf(str(ours)) - ref) <= mp.mpf(10) ** -40 * abs(ref)
