@@ -39,6 +39,7 @@ from . import tridiag
 from .errors import (
     DegenerateGap,
     InvalidParameter,
+    NoConvergence,
     NotBirthDeath,
     NotReversible,
     SingularFactor,
@@ -50,6 +51,9 @@ SINGULAR_RTOL = 1e-14
 CYCLE_EPS = 1e-9
 #: sources per csgraph call in graph_parameters, which caps its hop table
 DIAMETER_BLOCK = 256
+#: digits of exact_bd_amplitude's last pass: a float amplitude has at most
+#: 309 digits, and the determinant ratio needs 60 more than the amplitude
+_MAX_ORACLE_DPS = 309 + 60
 
 
 @dataclass(frozen=True)
@@ -321,25 +325,36 @@ def exact_bd_amplitude(gen: AbsorbingGenerator, dps: int | None = None) -> float
     Uses the hitting-time factorization: the amplitude equals
     prod_l (1 - lambda0/lam~_l)^-1 over the spectrum lam~ of the minor that
     removes state 1.  The product is evaluated as the determinant ratio
-    det(T~ - lambda0)/det(T~) in dps-digit decimal arithmetic (the standard
-    library's decimal module, with an exponent range no chain can leave), so
-    the result stays accurate even when the amplitude spans hundreds of
-    orders of magnitude.  lambda0 comes from tridiag.mp_lambda: a
-    double-precision start by bisection on the differential Sturm count, a
+    R = det(T~ - lambda0)/det(T~) in dps-digit decimal arithmetic (the
+    standard library's decimal module, with an exponent range no chain can
+    leave), so the result stays accurate even when the amplitude spans
+    hundreds of orders of magnitude.  lambda0 comes from tridiag.mp_lambda:
+    a double-precision start by bisection on the differential Sturm count, a
     few decimal Newton steps on det(T - lambda), and a certificate of two
-    decimal Sturm counts just below and above the result.  The default
-    precision keeps 30 digits beyond those lost to cancellation in the pivot
-    recursion.  Nothing here uses the double-precision eigenpair, so the
-    result is an independent check of it.
+    decimal Sturm counts just below and above the result.  The ratio's
+    condition number is the amplitude itself, so R is accepted only when
+    R > 0 and log10(1/R) + 30 <= dps.  The default precision starts at 60
+    digits and otherwise repeats at ceil(log10(1/R)) + 60 digits, or at 60
+    more when R <= 0; an explicit dps runs one pass.  NoConvergence is
+    raised when an explicit dps fails the check, or when the amplitude
+    needs more digits than a float holds.  Nothing here uses the
+    double-precision eigenpair, so the result is an independent check of it.
     """
     if not gen.is_birth_death:
         raise NotBirthDeath("exact amplitude needs birth-death absorbed from state 1")
     b, d = gen.birth_death_rates()
-    n = len(d)
-    if n == 1:
+    if len(d) == 1:
         return 1.0
-    if dps is None:
-        dps = max(60, 50 + n // 10, 30 + tridiag.pivot_digits_lost(b, d))
-    lam = tridiag.mp_lambda(b, d, 0, dps=dps)
-    ratio = tridiag.mp_detratio_minor(b, d, lam, dps=dps)
-    return float(tridiag.oracle_context(dps).divide(1, ratio))
+    digits = 60 if dps is None else dps
+    while True:
+        lam = tridiag.mp_lambda(b, d, 0, dps=digits)
+        ratio = tridiag.mp_detratio_minor(b, d, lam, dps=digits)
+        # -adjusted() is ceil(log10(1/R)) for R > 0
+        if ratio > 0 and 30 - ratio.adjusted() <= digits:
+            return float(tridiag.oracle_context(digits).divide(1, ratio))
+        more = 60 - ratio.adjusted() if ratio > 0 else digits + 60
+        if dps is not None or more > _MAX_ORACLE_DPS:
+            raise NoConvergence(
+                f"amplitude not resolved at {digits} digits: determinant ratio {ratio:.6g}"
+            )
+        digits = more

@@ -141,8 +141,7 @@ def cmd_simulate(args):
     gen = load_generator(args.input)
     pair = spectral.dirichlet_eigenpair(gen)
     est = simulate.estimate_ratio(
-        gen, pair.lambda0, args.from_state, args.to_state,
-        args.samples, args.seed, n_jobs=args.threads,
+        gen, pair.lambda0, args.from_state, args.to_state, args.samples, args.seed
     )
     expected = pair.phi[args.from_state - 1] / pair.phi[args.to_state - 1]
     return 0, {
@@ -380,6 +379,7 @@ def _add_global_flags(parser, top_level: bool) -> None:
     # subcommand use SUPPRESS so they only override when given explicitly
     kw = {} if top_level else {"default": argparse.SUPPRESS}
     parser.add_argument("--seed", type=int, **({"default": 0} if top_level else kw))
+    # kept for old command lines and echoed in the config; has no effect
     parser.add_argument("--threads", type=int, **({"default": 1} if top_level else kw))
     parser.add_argument("--format", choices=("json", "csv"),
                         **({"default": None} if top_level else kw))

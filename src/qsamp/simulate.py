@@ -19,15 +19,15 @@ batch kernel carries only the trajectories still running (index, state,
 elapsed time) and compacts them whenever some finish, so a step costs
 O(active * out-degree).
 
-Sampling is reproducible and block-parallel: a base seed is split into one
-child stream per fixed-size block, and block results are merged in block
-order, so samples are bit-identical for a given seed whatever n_jobs is.
+Sampling is reproducible: a base seed is split into one child stream per
+fixed-size block, and block results are merged in block order.  The n_jobs
+keyword of the estimators is accepted and has no effect: the kernel holds
+the GIL for most of a step, so threads cannot overlap its blocks.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,23 +170,15 @@ def _simulate_block(table, starts, target0, rng):
     return elapsed, hit
 
 
-def _run_blocks(gen, starts, target, n, seed, n_jobs):
+def _run_blocks(gen, starts, target, n, seed):
     table = _jump_table(gen)
-    blocks = []
-    for lo in range(0, n, BLOCK_SIZE):
-        blocks.append(np.arange(lo, min(lo + BLOCK_SIZE, n)))
-    streams = np.random.SeedSequence(seed).spawn(len(blocks))
+    los = range(0, n, BLOCK_SIZE)
+    streams = np.random.SeedSequence(seed).spawn(len(los))
     target0 = None if target is None else target - 1
-
-    def one(i):
-        rng = np.random.default_rng(streams[i])
-        return _simulate_block(table, starts[blocks[i]], target0, rng)
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(one, range(len(blocks))))
-    else:
-        results = [one(i) for i in range(len(blocks))]
+    results = [
+        _simulate_block(table, starts[lo:lo + BLOCK_SIZE], target0, np.random.default_rng(stream))
+        for lo, stream in zip(los, streams)
+    ]
     elapsed = np.concatenate([r[0] for r in results])
     hit = np.concatenate([r[1] for r in results])
     return elapsed, hit
@@ -219,11 +211,11 @@ def _log_weight_stats(logw, n, seed):
 def estimate_ratio(gen: AbsorbingGenerator, lambda0: float, x: int, y: int,
                    n: int, seed: int, n_jobs: int = 1) -> EstimateWithCI:
     """Monte Carlo estimate of E[exp(lambda0 tau_y) 1{hit y before absorption}]
-    starting from x; its expectation is phi(x)/phi(y)."""
+    starting from x; its expectation is phi(x)/phi(y).  n_jobs has no effect."""
     if x == y:
         return EstimateWithCI(1.0, 0.0, n, seed)
     starts = _starts_array(gen, x, n, seed)
-    elapsed, hit = _run_blocks(gen, starts, y, n, seed, n_jobs)
+    elapsed, hit = _run_blocks(gen, starts, y, n, seed)
     logw = lambda0 * elapsed[hit]
     return _log_weight_stats(logw, n, seed)
 
@@ -235,7 +227,7 @@ def estimate_psi(gen: AbsorbingGenerator, lam: float, start, n: int, seed: int,
     start may be a state label or a probability vector over states.  The
     moment is finite only for lam below lambda0; estimates near or past that
     threshold trigger warnings and are useful only as divergence
-    demonstrations.
+    demonstrations.  n_jobs has no effect.
     """
     if lam < 0:
         raise InvalidParameter("lam must be nonnegative")
@@ -253,15 +245,15 @@ def estimate_psi(gen: AbsorbingGenerator, lam: float, start, n: int, seed: int,
             HeavyTailWarning,
         )
     starts = _starts_array(gen, start, n, seed)
-    elapsed, _ = _run_blocks(gen, starts, None, n, seed, n_jobs)
+    elapsed, _ = _run_blocks(gen, starts, None, n, seed)
     return _log_weight_stats(lam * elapsed, n, seed)
 
 
 def absorption_times(gen: AbsorbingGenerator, start, n: int, seed: int,
                      n_jobs: int = 1) -> np.ndarray:
-    """Raw absorption-time samples (for law checks and demos)."""
+    """Raw absorption-time samples (for law checks and demos); n_jobs has no effect."""
     starts = _starts_array(gen, start, n, seed)
-    elapsed, _ = _run_blocks(gen, starts, None, n, seed, n_jobs)
+    elapsed, _ = _run_blocks(gen, starts, None, n, seed)
     return elapsed
 
 

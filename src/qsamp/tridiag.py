@@ -26,15 +26,19 @@ green_trace, the sum of every 1/lambda_k in O(n) and without subtraction:
 
     trace G = sum_x pi_x sum_{z<=x} (pi_z d_z)^-1.
 
-The multi-precision eigenvalue and the LDL' pivot determinant ratio serve
-bounds.exact_bd_amplitude only, the independent oracle for the amplitude
-identity.  They run on the standard library's decimal module (libmpdec, C
-code) at dps significant digits, in a thread-local context with the widest
-exponent range decimal allows (oracle_context).  mp_lambda starts from bisection in double
-precision on the differential (stationary qd) Sturm count sturm_count,
-whose only subtraction is the shift, refines with a few decimal Newton
-steps on det(T - lam), and certifies the result by two decimal Sturm
-counts just below and just above it.
+The oracle, bounds.exact_bd_amplitude's independent check of the amplitude
+identity, runs on one pivot recursion: the differential (stationary qd)
+form of the LDL' factorization of T - sigma, whose only subtraction is the
+shift, so its pivots are exact for rates perturbed by a few units in the
+last place (_pivots).  It is written once over plain Python numbers and
+serves the double-precision Sturm count sturm_count, the decimal Sturm
+certificate, the decimal Newton steps and the determinant ratio of the
+state-1 minor.  The decimal passes run on the standard library's decimal
+module (libmpdec, C code) at dps significant digits, in a thread-local
+context with the widest exponent range decimal allows (oracle_context).
+mp_lambda bisects on the double count down to adjacent floats, refines
+with a few decimal Newton steps on det(T - lam), and certifies the result
+by two decimal counts just below and just above it.
 """
 
 from __future__ import annotations
@@ -266,166 +270,142 @@ def _mp_rates(b, d):
     return [Decimal(float(x)) for x in b], [Decimal(float(x)) for x in d]
 
 
-def _ldl_pivots(bm, dm, lam):
-    """Pivots of the LDL' factorization of (symmetrized -K) - lam.
+def _pivots(b, d, sigma):
+    """Pivots q_x of the LDL' factorization of (symmetrized -K) - sigma.
 
-    The number of negative pivots equals the number of eigenvalues below
-    lam (Sturm count).  Exact zero pivots are perturbed by the caller.
+    Differential (stationary qd) form on the rates, over plain Python
+    numbers (lists of floats, or of Decimals in an oracle context):
+
+        t_1 = d_1 - sigma,  q_x = b_x + t_x,
+        t_{x+1} = d_{x+1} t_x / q_x - sigma,  q_n = t_n.
+
+    The only subtraction is the shift, so the pivots are exact for rates
+    perturbed by a few units in the last place each (Parlett & Dhillon
+    2000).  A zero pivot before the last raises a ZeroDivisionError
+    (decimal's DivisionByZero and DivisionUndefined are subclasses of it).
     """
-    n = len(dm)
     pivots = []
-    q = (bm[0] if n > 1 else 0) + dm[0] - lam
-    pivots.append(q)
-    for x in range(1, n):
-        off2 = bm[x - 1] * dm[x]
-        main = (bm[x] if x < n - 1 else 0) + dm[x]
-        q = main - lam - off2 / q
+    t = d[0] - sigma
+    for bx, dx in zip(b, d[1:]):
+        q = bx + t
         pivots.append(q)
+        t = dx * t / q - sigma
+    pivots.append(t)
     return pivots
 
 
-def pivot_digits_lost(b, d) -> int:
-    """Decimal digits that cancellation costs the pivots of _ldl_pivots.
-
-    At lam = 0 the pivots are q_x = b_x + s_x (q_n = s_n) with the
-    subtraction-free s_x = 1 / (pi_x sum_{z<=x} (pi_z d_z)^-1), and s_x is
-    the part that carries lambda0.  The recursion forms each pivot as a
-    difference of terms of size b_x + d_x, so s_x keeps about dps minus
-    log10((b_x + d_x) / s_x) digits, and so does a Sturm count near lambda0.
-    """
-    lp = log_pi(b, d)
-    log_s = -lp - np.logaddexp.accumulate(-lp - np.log(d))
-    lost = np.log(d + np.append(b, 0.0)) - log_s
-    return max(0, int(np.ceil(lost.max() / np.log(10))))
-
-
-def _sturm_below(bm, dm, lam):
+def _count(b, d, sigma):
+    """Number of negative pivots at sigma: the eigenvalues of -K below it."""
     try:
-        return sum(1 for q in _ldl_pivots(bm, dm, lam) if q < 0)
+        return len([q for q in _pivots(b, d, sigma) if q < 0])
     except ZeroDivisionError:
-        dps = decimal.getcontext().prec
-        bump = lam * Decimal(10) ** (3 - dps) or Decimal(10) ** -dps
-        return sum(1 for q in _ldl_pivots(bm, dm, lam + bump) if q < 0)
+        # sigma is an eigenvalue of a leading block: count just above it
+        up = sigma.next_plus() if isinstance(sigma, Decimal) else math.nextafter(sigma, math.inf)
+        return _count(b, d, up)
 
 
 def sturm_count(b, d, sigma: float) -> int:
     """Number of eigenvalues of -K below sigma, in double precision.
 
-    Differential (stationary qd) form of the LDL' recursion, on the rates:
-    t_1 = d_1 - sigma, t_{x+1} = d_{x+1} t_x / (b_x + t_x) - sigma, and the
-    count is the number of negative pivots b_x + t_x (b_n = 0).  The only
-    subtraction is the shift, so the count is exact for rates perturbed by
-    a few ulps each, and eigenvalues bracketed by it keep relative accuracy
-    however far below the rates they sit (Parlett & Dhillon 2000).
+    Counts the negative pivots of the differential recursion _pivots, so
+    the count is exact for rates perturbed by a few ulps each, and
+    eigenvalues bracketed by it keep relative accuracy however far below
+    the rates they sit.
     """
     # Python floats: a zero pivot raises instead of turning into inf and nan
     b = np.asarray(b, dtype=float).tolist()
     d = np.asarray(d, dtype=float).tolist()
-    sigma = float(sigma)
-    count = 0
-    t = d[0] - sigma
-    try:
-        for bx, dx in zip(b, d[1:]):
-            q = bx + t
-            if q < 0:
-                count += 1
-            t = dx * t / q - sigma
-    except ZeroDivisionError:
-        # sigma is an eigenvalue of a leading block: count just above it
-        return sturm_count(b, d, math.nextafter(sigma, math.inf))
-    return count + (t < 0)
+    return _count(b, d, float(sigma))
 
 
 def _double_start(b, d, eig_index):
     """Lower end lo of a bracket of adjacent doubles around the eigenvalue.
 
-    Bisection on sturm_count keeps count(lo) <= eig_index < count(hi), with
-    hi starting at 2 max_x (b_x + d_x), the row-sum norm of -K.  Midpoints
-    are geometric while hi/lo > 4, so an eigenvalue hundreds of orders
-    below the rates costs a dozen passes, then arithmetic down to adjacent
-    floats.  lo is 0 when the eigenvalue is below the smallest normal double.
+    b and d are lists of floats.  Bisection on the pivot count keeps
+    count(lo) <= eig_index < count(hi), with hi starting at
+    2 max_x (b_x + d_x), the row-sum norm of -K.  Midpoints are geometric
+    while hi/lo > 4, so an eigenvalue hundreds of orders below the rates
+    costs a dozen passes, then arithmetic down to adjacent floats.  lo is 0
+    when the eigenvalue is below the smallest normal double.
     """
-    hi = 2 * float(np.max(d + np.append(b, 0.0)))
+    hi = 2 * max(bx + dx for bx, dx in zip(b + [0.0], d))
     lo = _TINY
-    if sturm_count(b, d, lo) > eig_index:
+    if _count(b, d, lo) > eig_index:
         return 0.0
     while True:
         mid = math.sqrt(lo) * math.sqrt(hi) if hi > 4 * lo else lo + (hi - lo) / 2
         if not lo < mid < hi:
             return lo
-        if sturm_count(b, d, mid) > eig_index:
+        if _count(b, d, mid) > eig_index:
             hi = mid
         else:
             lo = mid
 
 
-def _newton_step(main, off2, lam):
-    """Newton step -p/p' for p(lam) = det(T - lam) = prod_x q_x, in Decimal.
+def _newton_step(b, d, lam):
+    """Newton step -p/p' for p(lam) = det(T - lam) = prod_x q_x.
 
-    main holds b_x + d_x and off2 holds b_{x-1} d_x, with 0 for x = 1.
-    The LDL' pivots q_x and their derivatives
-    q'_x = -1 + b_{x-1} d_x q'_{x-1} / q_{x-1}^2 come from one pass, and
-    p'/p = sum_x q'_x / q_x.  Returns None at an exact zero pivot, which
-    makes lam an eigenvalue at working precision.
+    Differentiating the pivot recursion in lam gives t'_1 = -1 and
+    t'_{x+1} = b_x d_{x+1} t'_x / q_x^2 - 1, and p'/p = sum_x t'_x / q_x.
+    Returns None at an exact zero pivot, which makes lam an eigenvalue at
+    working precision.
     """
-    q, dq, log_deriv = Decimal(1), Decimal(0), Decimal(0)
-    for c, o in zip(main, off2):
-        r = o / q
-        dq = r * dq / q - 1
-        q = c - lam - r
-        if not q:
-            return None
-        log_deriv += dq / q
+    try:
+        pivots = _pivots(b, d, lam)
+        dt, log_deriv = -1, 0
+        for q, bx, dx in zip(pivots, b, d[1:]):
+            log_deriv += dt / q
+            dt = bx * dx * dt / (q * q) - 1
+        log_deriv += dt / pivots[-1]
+    except ZeroDivisionError:
+        return None
     return -1 / log_deriv
 
 
 def mp_lambda(b, d, eig_index=0, dps=60):
     """Certified eigenvalue of -K with the given index, at dps decimal digits.
 
-    Three steps, none shared with ground_pair, which is what lets
-    bounds.exact_bd_amplitude check it:
-      1. bisection on the double-precision differential count sturm_count
-         down to adjacent floats, which gives the eigenvalue to relative
-         accuracy in about 60 passes;
+    Three steps on the pivot recursion _pivots, none shared with
+    ground_pair, which is what lets bounds.exact_bd_amplitude check it:
+      1. bisection on the double-precision count down to adjacent floats,
+         which gives the eigenvalue to relative accuracy in about 60 passes;
       2. Newton steps on det(T - lam) in dps-digit decimal arithmetic from
          the lower end of that bracket, until a step falls below the
-         attainable relative accuracy w = 10^(pivot_digits_lost + 5 - dps),
-         stops shrinking, or lands on an exact zero pivot;
-      3. a certificate: the decimal Sturm counts below lam (1 - w) and
-         lam (1 + w) must put the eigenvalue between them.
+         relative width w = n 10^(5 - dps), stops shrinking, or lands on an
+         exact zero pivot;
+      3. a certificate: the decimal counts at lam (1 - w) and lam (1 + w)
+         must put the eigenvalue between them.
+    The decimal pivots are exact for rates perturbed by a few units in the
+    last digit each, and such a perturbation moves every eigenvalue of a
+    birth-death chain relatively by at most about 2n times as much (-K is
+    similar to B B' with B bidiagonal in the square roots of the rates), so
+    w covers the rounding however far the eigenvalue sits below the rates.
     Returns the eigenvalue as a Decimal of dps digits, relatively accurate
-    to w.  Raises InvalidParameter for an index outside 0..n-1 or a dps
-    that cannot resolve the chain (w >= 1), and NoConvergence when the
-    certificate fails.
+    to w.  Raises InvalidParameter for an index outside 0..n-1 or a dps too
+    small to give w < 1, and NoConvergence when the certificate fails.
     """
-    b = np.asarray(b, dtype=float)
-    d = np.asarray(d, dtype=float)
+    b = np.asarray(b, dtype=float).tolist()
+    d = np.asarray(d, dtype=float).tolist()
     n = len(d)
     if not 0 <= eig_index < n:
         raise InvalidParameter(f"eigenvalue index {eig_index} outside 0..{n - 1}")
-    lost = pivot_digits_lost(b, d)
-    if lost + 5 >= dps:
-        raise InvalidParameter(
-            f"dps = {dps} cannot resolve this chain: its pivot recursion loses {lost} digits"
-        )
-    start = _double_start(b, d, eig_index)
     with decimal.localcontext(oracle_context(dps)):
+        w = n * Decimal(10) ** (5 - dps)
+        if w >= 1:
+            raise InvalidParameter(f"dps = {dps} cannot resolve a chain of {n} states")
+        lam = Decimal(_double_start(b, d, eig_index))
         bm, dm = _mp_rates(b, d)
-        main = [bx + dx for bx, dx in zip(bm + [Decimal(0)], dm)]
-        off2 = [Decimal(0)] + [bx * dx for bx, dx in zip(bm, dm[1:])]
-        w = Decimal(10) ** (lost + 5 - dps)
-        lam = Decimal(start)
         last = Decimal("Infinity")
         for _ in range(_NEWTON_STEPS):
-            step = _newton_step(main, off2, lam)
+            step = _newton_step(bm, dm, lam)
             if step is None or abs(step) >= last:
                 break
             lam += step
             last = abs(step)
             if last <= w * lam:
                 break
-        below = _sturm_below(bm, dm, lam * (1 - w))
-        above = _sturm_below(bm, dm, lam * (1 + w))
+        below = _count(bm, dm, lam * (1 - w))
+        above = _count(bm, dm, lam * (1 + w))
         if below > eig_index or above <= eig_index:
             raise NoConvergence(
                 f"eigenvalue {eig_index} not certified at {lam:.20g}: "
@@ -437,16 +417,14 @@ def mp_lambda(b, d, eig_index=0, dps=60):
 def mp_detratio_minor(b, d, lam_mp, dps=60):
     """prod_l (1 - lam/lam~_l) over the minor that removes state 1.
 
-    Computed as det(T~ - lam) / det(T~) through LDL pivots of the minor's
-    symmetrized matrix in dps-digit decimal arithmetic; O(n) and needs no
-    individual eigenvalues.  lam_mp is a Decimal (as mp_lambda returns) or
-    a float; returns a Decimal.
+    Computed as det(T~ - lam) / det(T~), the product of the ratios of the
+    minor's pivots at lam and at 0, in dps-digit decimal arithmetic; O(n)
+    and needs no individual eigenvalues.  lam_mp is a Decimal (as mp_lambda
+    returns) or a float; returns a Decimal.
     """
     with decimal.localcontext(oracle_context(dps)):
         bm, dm = _mp_rates(b[1:], d[1:])
-        num = _ldl_pivots(bm, dm, Decimal(lam_mp))
-        den = _ldl_pivots(bm, dm, Decimal(0))
         out = Decimal(1)
-        for qa, qb in zip(num, den):
+        for qa, qb in zip(_pivots(bm, dm, Decimal(lam_mp)), _pivots(bm, dm, Decimal(0))):
             out *= qa / qb
         return out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsamp import build_general, build_rho_chain
+from qsamp import build_general, build_rho_chain, tridiag
 
 
 @pytest.fixture
@@ -14,6 +14,22 @@ def golden():
 @pytest.fixture
 def rho1_chain10():
     return build_rho_chain(10, 1.0)
+
+
+def pivot_digits_lost(b, d) -> int:
+    """Decimal digits that cancellation costs the standard LDL' pivots
+    q_x = b_x + d_x - lam - b_{x-1} d_x / q_{x-1} of the killed generator.
+
+    At lam = 0 the pivots are q_x = b_x + s_x (q_n = s_n) with the
+    subtraction-free s_x = 1 / (pi_x sum_{z<=x} (pi_z d_z)^-1), and s_x is
+    the part that carries lambda0.  The recursion forms each pivot as a
+    difference of terms of size b_x + d_x, so s_x keeps about dps minus
+    log10((b_x + d_x) / s_x) digits, and so does a Sturm count near lambda0.
+    """
+    lp = tridiag.log_pi(b, d)
+    log_s = -lp - np.logaddexp.accumulate(-lp - np.log(d))
+    lost = np.log(d + np.append(b, 0.0)) - log_s
+    return max(0, int(np.ceil(lost.max() / np.log(10))))
 
 
 def random_reversible_generator(rng, n_max=12):

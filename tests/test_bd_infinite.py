@@ -35,6 +35,7 @@ from qsamp import (
 )
 from qsamp import tridiag
 from qsamp.bd_infinite import RateFamily, parse_rate_family
+from conftest import pivot_digits_lost
 
 
 class TestPiMeasure:
@@ -291,7 +292,7 @@ class TestTailSum:
         # the oracle sums certified eigenvalues one by one and never
         # touches the trace identity
         b, d = log_accelerated_family(q).realize(n)
-        dps = max(60, 30 + tridiag.pivot_digits_lost(b, d))
+        dps = max(60, 30 + pivot_digits_lost(b, d))
         ref = float(mp.fsum(1 / tridiag.mp_lambda(b, d, k, dps=dps) for k in range(7, n)))
         assert tail_sum_estimate(log_accelerated_family(q), n, 6) == pytest.approx(ref, rel=1e-12)
 

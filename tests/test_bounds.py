@@ -1,13 +1,15 @@
 import math
 from collections import deque
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qsamp import (
     DegenerateGap,
     InvalidParameter,
+    NoConvergence,
     NotBirthDeath,
     NotReversible,
     SingularFactor,
@@ -25,6 +27,7 @@ from qsamp import (
     path_weight,
     rough_weight,
     spectral_bound,
+    tridiag,
 )
 from conftest import random_cycle_with_chords, random_reversible_generator
 
@@ -229,6 +232,15 @@ class TestSpectralBound:
             spectral_bound(broken)
 
 
+@st.composite
+def wide_birth_death_rates(draw):
+    n = draw(st.integers(2, 300))
+    log_rate = st.floats(math.log(1e-3), math.log(1e3))
+    b = np.exp(draw(st.lists(log_rate, min_size=n - 1, max_size=n - 1)))
+    d = np.exp(draw(st.lists(log_rate, min_size=n, max_size=n)))
+    return b, d
+
+
 class TestExactBirthDeath:
     def test_golden_exact(self, golden):
         assert exact_bd_amplitude(golden) == pytest.approx(GOLDEN_RATIO, abs=1e-12)
@@ -256,6 +268,36 @@ class TestExactBirthDeath:
         ring = build_graph_walk([(1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)], [2])
         with pytest.raises(NotBirthDeath):
             exact_bd_amplitude(ring)
+
+    @pytest.mark.parametrize("index", [4, 6, 15])
+    def test_wide_rate_chains(self, index):
+        # amplitudes of 3.4e78, 1.7e46 and 3.6e43: the determinant ratio's
+        # condition number is the amplitude, so the digits follow from it
+        rng = np.random.default_rng(7)
+        for _ in range(index + 1):
+            n = int(rng.integers(2, 300))
+            b = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n - 1))
+            d = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
+        gen = build_birth_death(b, d)
+        value = exact_bd_amplitude(gen)
+        assert value > 0
+        assert value == pytest.approx(amplitude(dirichlet_eigenpair(gen)), rel=1e-8)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(wide_birth_death_rates())
+    @example((np.full(119, 1e-3), np.full(120, 1e3)))  # amplitude about 1e357
+    def test_default_digits_match_100_more(self, rates):
+        b, d = rates
+        gen = build_birth_death(b, d)
+        try:
+            value = exact_bd_amplitude(gen)
+        except NoConvergence:
+            # only an amplitude a float cannot hold may go unresolved
+            lam = tridiag.mp_lambda(b, d, 0, dps=2000)
+            assert tridiag.mp_detratio_minor(b, d, lam, dps=2000) < Decimal("1e-308")
+            return
+        # 100 digits beyond the 60 + log10(amplitude) that the answer asks for
+        assert exact_bd_amplitude(gen, dps=160 + math.ceil(math.log10(value))) == value
 
     def test_random_rates(self):
         rng = np.random.default_rng(25)

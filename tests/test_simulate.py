@@ -152,7 +152,7 @@ class TestJumpKernel:
         ref_times, _ = dense_run_blocks(gen, 1, None, n, seed=3)
         assert np.array_equal(times, ref_times)
         lam0 = dirichlet_eigenpair(gen).lambda0
-        elapsed, hit = simulate._run_blocks(gen, simulate._starts_array(gen, x, n, 3), y, n, 3, 1)
+        elapsed, hit = simulate._run_blocks(gen, simulate._starts_array(gen, x, n, 3), y, n, 3)
         ref_elapsed, ref_hit = dense_run_blocks(gen, x, y, n, seed=3)
         assert np.array_equal(elapsed, ref_elapsed) and np.array_equal(hit, ref_hit)
         assert 0 < hit.sum() < n

@@ -1,7 +1,9 @@
 """The birth-death ground pair: accuracy far below the rates, large chains,
 wide eigenvector spreads, and agreement with the multi-precision oracle."""
 
+import decimal
 import warnings
+from decimal import Decimal
 
 import mpmath as mp
 import numpy as np
@@ -20,6 +22,7 @@ from qsamp import (
     rho_family,
 )
 from qsamp import tridiag
+from conftest import pivot_digits_lost
 
 
 def log_uniform_chain(rng, n, low, high):
@@ -131,7 +134,7 @@ def birth_death_rates(draw):
 def test_ground_pair_agrees_with_the_exact_identity(rates):
     b, d = rates
     _, _, (lo, hi) = tridiag.ground_pair(b, d)
-    dps = max(60, 30 + tridiag.pivot_digits_lost(b, d))
+    dps = max(60, 30 + pivot_digits_lost(b, d))
     lam = float(tridiag.mp_lambda(b, d, 0, dps=dps))
     # the bracket's own sums round at about 1e-13 relative
     assert lo * (1 - 1e-12) <= lam <= hi * (1 + 1e-12)
@@ -154,7 +157,7 @@ def criterion05_chain(index):
 
 
 def oracle_dps(b, d):
-    return max(60, 30 + tridiag.pivot_digits_lost(b, d))
+    return max(60, 30 + pivot_digits_lost(b, d))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -162,14 +165,17 @@ def oracle_dps(b, d):
 def test_differential_count_matches_lapack(rates):
     # LAPACK's eigenvalues are accurate to eps * ||T|| only, so the shifts
     # are midpoints between them (and one past each end) that clear that by
-    # a wide margin
+    # a wide margin; the decimal count runs the same recursion at 60 digits
     b, d = rates
     main, off = tridiag.sym_tridiag(b, d)
     w = eigvalsh_tridiagonal(main, off) if len(d) > 1 else main
     sigmas = np.concatenate([[w[0] / 2], (w[:-1] + w[1:]) / 2, [2 * w[-1]]])
-    for sigma in sigmas:
-        if np.abs(w - sigma).min() > 1e-8 * w[-1]:
-            assert tridiag.sturm_count(b, d, sigma) == np.count_nonzero(w < sigma)
+    with decimal.localcontext(tridiag.oracle_context(60)):
+        bm, dm = tridiag._mp_rates(b, d)
+        for sigma in sigmas:
+            if np.abs(w - sigma).min() > 1e-8 * w[-1]:
+                in_decimal = tridiag._count(bm, dm, Decimal(float(sigma)))
+                assert tridiag.sturm_count(b, d, sigma) == in_decimal == np.count_nonzero(w < sigma)
 
 
 @pytest.mark.parametrize("n", [400, 1000])
@@ -230,12 +236,30 @@ def test_stalled_newton_is_not_certified(monkeypatch):
         tridiag.mp_lambda(b, d, 0, dps=oracle_dps(b, d))
 
 
+def cancellation_lambda0(n, b, d, dps):
+    """Lowest eigenvalue of the constant-rate chain, in closed form.
+
+    With s = sqrt(b d), v_x = sinh(x k) solves every row of the symmetrized
+    matrix at lam = b + d - 2 s cosh k but the last, which asks
+    s sinh((n + 1) k) = b sinh(n k)."""
+    with mp.workdps(dps):
+        b, d = mp.mpf(b), mp.mpf(d)
+        s = mp.sqrt(b * d)
+        k = mp.findroot(lambda k: s * mp.sinh((n + 1) * k) - b * mp.sinh(n * k), mp.log(b / s))
+        return b + d - 2 * s * mp.cosh(k)
+
+
 def test_mp_lambda_rejects_what_it_cannot_certify():
     b, d = build_rho_chain(10, 1.0).birth_death_rates()
     with pytest.raises(InvalidParameter):
         tridiag.mp_lambda(b, d, eig_index=10)
     with pytest.raises(InvalidParameter):
-        tridiag.mp_lambda(np.full(29, 100.0), np.full(30, 0.01), 0, dps=60)
+        tridiag.mp_lambda(b, d, 0, dps=6)
+    # the differential recursion resolves the 120-digit cancellation at 60 digits
+    lam = tridiag.mp_lambda(np.full(29, 100.0), np.full(30, 0.01), 0, dps=60)
+    ref = cancellation_lambda0(30, 100, 0.01, 300)
+    with mp.workdps(300):
+        assert abs(mp.mpf(str(lam)) - ref) <= mp.mpf(10) ** -40 * ref
 
 
 def mpmath_detratio_minor(b, d, lam, dps):
