@@ -120,16 +120,10 @@ def rough_weight(gen: AbsorbingGenerator, path) -> float:
     return out
 
 
-def _edge_list(gen: AbsorbingGenerator):
-    rows, cols, vals = gen._coo
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order], vals[order]
-
-
 def _bellman_ford(n, rows, cols, costs, src):
     """Shortest walks from src with deterministic tie-breaking.
 
-    rows, cols and costs are plain lists in edge-list order.  Ties on cost
+    rows, cols and costs are plain lists in (from, to) order.  Ties on cost
     prefer fewer edges, then the lexicographically smaller predecessor
     state.  Returns (parent, negative_cycle_flag).
     """
@@ -241,7 +235,7 @@ def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
         lambda0 = dirichlet_eigenpair(gen).lambda0
     n = gen.n_states
     denom = _edge_factors(gen, lambda0)
-    rows, cols, vals = _edge_list(gen)
+    rows, cols, vals = gen._coo
     costs = -(np.log(vals) - np.log(denom[rows]))
     rows, cols, costs = rows.tolist(), cols.tolist(), costs.tolist()
     adj = [[] for _ in range(n)]

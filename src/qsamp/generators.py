@@ -10,6 +10,8 @@ single rounding per row.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -37,7 +39,7 @@ class AbsorbingGenerator:
     ----------
     n_states : number of surviving states, labelled 1..n_states.
     transitions : tuple of (from_state, to_state, rate) with positive rates,
-        deduplicated and sorted; 1-based labels.
+        strictly increasing in (from_state, to_state); 1-based labels.
     absorption : tuple of (state, rate) with positive absorption rates.
     """
 
@@ -55,6 +57,9 @@ class AbsorbingGenerator:
                 raise InvalidParameter("diagonal entries are derived, not supplied")
             if r < 0:
                 raise NegativeRate(f"rate {r} on ({i},{j})")
+        rows, cols, _ = self._coo
+        if np.any(np.diff(rows * self.n_states + cols) <= 0):
+            raise InvalidParameter("transitions must be sorted by (from, to) without repeats")
         for i, r in self.absorption:
             if not 1 <= i <= self.n_states:
                 raise InvalidParameter(f"absorption state {i} out of range")
@@ -123,14 +128,6 @@ class AbsorbingGenerator:
         np.fill_diagonal(k, self.diagonal)
         return k
 
-    def k_sparse(self) -> csr_matrix:
-        rows, cols, vals = self._coo
-        n = self.n_states
-        r = np.concatenate([rows, np.arange(n)])
-        c = np.concatenate([cols, np.arange(n)])
-        v = np.concatenate([vals, self.diagonal])
-        return csr_matrix((v, (r, c)), shape=(n, n))
-
     @cached_property
     def _rates(self) -> dict:
         """{(i, j): rate} over the internal edges, 1-based."""
@@ -182,11 +179,27 @@ class AbsorbingGenerator:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "AbsorbingGenerator":
+        if not isinstance(obj, dict):
+            raise InvalidParameter("generator JSON must be an object")
+        if not isinstance(obj.get("n_states"), int):
+            raise InvalidParameter("generator JSON needs an integer 'n_states'")
         return build_general(
             obj["n_states"],
-            [(t["from"], t["to"], t["rate"]) for t in obj.get("transitions", [])],
-            {a["state"]: a["rate"] for a in obj.get("absorption", [])},
+            _json_entries(obj, "transitions", ("from", "to", "rate")),
+            dict(_json_entries(obj, "absorption", ("state", "rate"))),
         )
+
+
+def _json_entries(obj: dict, field: str, keys: tuple) -> list:
+    """The entries of obj[field] as tuples of their keys' values."""
+    entries = obj.get(field, [])
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and all(k in e for k in keys) for e in entries
+    ):
+        raise InvalidParameter(
+            f"'{field}' must be a list of objects with keys {', '.join(keys)}"
+        )
+    return [tuple(e[k] for k in keys) for e in entries]
 
 
 def build_general(
@@ -207,8 +220,8 @@ def build_general(
     """
     merged: dict = {}
     for i, j, r in transitions:
-        if not np.isfinite(r):
-            raise InvalidParameter(f"rate {r} on ({i},{j}) is not finite")
+        if not _is_finite_number(r):
+            raise InvalidParameter(f"rate {r!r} on ({i},{j}) is not a finite number")
         if r < 0:
             raise NegativeRate(f"rate {r} on ({i},{j})")
         if r > 0:
@@ -219,8 +232,8 @@ def build_general(
         pairs = absorption_rates
     absorb: dict = {}
     for i, r in pairs:
-        if not np.isfinite(r):
-            raise InvalidParameter(f"absorption rate {r} at state {i} is not finite")
+        if not _is_finite_number(r):
+            raise InvalidParameter(f"absorption rate {r!r} at state {i} is not a finite number")
         if r < 0:
             raise NegativeRate(f"absorption rate {r} at state {i}")
         if r > 0:
@@ -230,6 +243,10 @@ def build_general(
         transitions=tuple(sorted((i, j, r) for (i, j), r in merged.items())),
         absorption=tuple(sorted(absorb.items())),
     )
+
+
+def _is_finite_number(r) -> bool:
+    return isinstance(r, numbers.Real) and math.isfinite(r)
 
 
 def build_rho_chain(n: int, rho: float) -> AbsorbingGenerator:
@@ -330,7 +347,11 @@ def minor(gen: AbsorbingGenerator, removed) -> np.ndarray:
 
 def load_generator(path) -> AbsorbingGenerator:
     with open(path) as fh:
-        return AbsorbingGenerator.from_json_dict(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidParameter(f"generator file is not valid JSON: {exc}") from None
+    return AbsorbingGenerator.from_json_dict(obj)
 
 
 def save_generator(gen: AbsorbingGenerator, path) -> None:

@@ -76,7 +76,7 @@ def _jump_table(gen: AbsorbingGenerator):
     rates = -gen.diagonal
     a = gen.absorption_rates
     internal = np.bincount(rows, minlength=n)
-    # the triplets are sorted by (row, column), so each row's entries are contiguous
+    # the generator keeps its triplets sorted by (row, column): rows are contiguous
     slot = np.arange(rows.size) - (np.cumsum(internal) - internal)[rows]
     exits = np.flatnonzero(a > 0)
     deg = internal + (a > 0)

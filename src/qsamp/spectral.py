@@ -7,18 +7,22 @@ full spectrum in the reversible case, the quasi-stationary distribution (the
 matching left eigenvector), single-state minor eigenvalues, and the amplitude
 max(phi)/min(phi).
 
-Solver routing follows the structure of the input.  Birth-death chains
-(decided once by AbsorbingGenerator.is_birth_death) go to the
-Green-operator routine tridiag.ground_pair and are accepted on its
-certified lambda0 bracket.  Every other chain is tested for reversibility
-once, on its rate triplets (reversible_measure).  Reversible chains are
-symmetrized, S = diag(sqrt eta) (-K) diag(1/sqrt eta), and handed to the
-dense symmetric solver; a single-state minor of such a chain is reversible
-for eta restricted to it, so its spectrum comes from the submatrix of the
-same S.  Non-reversible chains use inverse iteration on an LU factorization
-of -K (the inverse of an irreducible M-matrix is entrywise positive, so
-plain power steps on it converge to the Perron direction from the all-ones
-start), and their spectra and minors the dense non-symmetric solver.
+Every entry point takes an AbsorbingGenerator (built from rate triplets by
+build_general); anything else raises InvalidParameter.  Solver routing
+follows the generator's structure.  Birth-death chains (decided once by
+AbsorbingGenerator.is_birth_death) go to the Green-operator routine
+tridiag.ground_pair and are accepted on its certified lambda0 bracket.
+Every other chain is tested for reversibility once, on its rate triplets
+(reversible_measure).  Reversible chains are symmetrized,
+S = diag(sqrt eta) (-K) diag(1/sqrt eta), and handed to the dense
+symmetric solver; a single-state minor of such a chain is reversible for
+eta restricted to it, so its spectrum comes from the submatrix of the same
+S.  Non-reversible chains use inverse iteration on an LU factorization of
+-K (the inverse of an irreducible M-matrix is entrywise positive, so plain
+power steps on it converge to the Perron direction from the all-ones
+start), and their spectra and minors the dense non-symmetric solver,
+except for a minor that the parent's triplets, restricted to it, show to
+be reversible.
 """
 
 from __future__ import annotations
@@ -83,65 +87,12 @@ class SpectrumReport:
         return float(self.eigenvalues[0])
 
 
-def _as_k_matrix(obj) -> np.ndarray:
-    if isinstance(obj, AbsorbingGenerator):
-        return obj.k_matrix()
-    k = np.asarray(obj, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise InvalidParameter("killed generator must be a square matrix")
-    return k
+def _check_generator(gen, name: str) -> None:
+    if not isinstance(gen, AbsorbingGenerator):
+        raise InvalidParameter(f"{name} needs an AbsorbingGenerator")
 
 
-def _is_tridiagonal(k: np.ndarray) -> bool:
-    n = k.shape[0]
-    if n <= 2:
-        return True
-    mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
-    return not np.any(k[mask])
-
-
-def _bd_structure(k: np.ndarray):
-    """(b, d) arrays if k is a birth-death matrix killed only from state 1.
-
-    Requires positive first off-diagonals and diagonals carrying no exit mass
-    beyond the neighbour rates except at state 1 (whose surplus is the
-    absorption rate d_1).  Returns None when the structure does not match,
-    e.g. killing at interior states.
-    """
-    n = k.shape[0]
-    if not _is_tridiagonal(k):
-        return None
-    b = np.diag(k, 1).copy()
-    sub = np.diag(k, -1)
-    if np.any(b <= 0) or np.any(sub <= 0):
-        return None
-    d = np.empty(n)
-    d[1:] = sub
-    d[0] = -k[0, 0] - b[0]
-    if d[0] <= 0:
-        return None
-    expected = d + np.append(b, 0.0)
-    if not np.allclose(-np.diag(k), expected, rtol=1e-12, atol=0.0):
-        return None
-    return b, d
-
-
-def _rate_graph(gen_or_k) -> csr_matrix:
-    """Positive off-diagonal rates as a canonical CSR matrix (sorted, summed)."""
-    if isinstance(gen_or_k, AbsorbingGenerator):
-        n = gen_or_k.n_states
-        rows, cols, vals = gen_or_k._coo
-    else:
-        k = _as_k_matrix(gen_or_k)
-        n = k.shape[0]
-        positive = k > 0
-        np.fill_diagonal(positive, False)
-        rows, cols = np.nonzero(positive)
-        vals = k[rows, cols]
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def reversible_measure(gen_or_k):
+def reversible_measure(gen: AbsorbingGenerator):
     """Probability eta with eta(x) K(x,y) = eta(y) K(y,x), or a witness.
 
     Returns (eta, None) when the killed chain is reversible and
@@ -152,13 +103,18 @@ def reversible_measure(gen_or_k):
     lookup, log eta is summed down a breadth-first spanning forest, and one
     vectorized test checks detailed balance on every edge.
     """
-    if isinstance(gen_or_k, AbsorbingGenerator) and gen_or_k.is_birth_death:
-        b, d = gen_or_k.birth_death_rates()
-        return _bd_eta(b, d), None
-    rates = _rate_graph(gen_or_k)
+    _check_generator(gen, "reversible_measure")
+    if gen.is_birth_death:
+        return _bd_eta(*gen.birth_death_rates()), None
+    rows, cols, vals = gen._coo
+    n = gen.n_states
+    return _csr_measure(csr_matrix((vals, (rows, cols)), shape=(n, n)))
+
+
+def _csr_measure(rates: csr_matrix):
+    """reversible_measure on positive off-diagonal rates in canonical CSR
+    form (sorted, summed); the support may be disconnected."""
     n = rates.shape[0]
-    if n == 1:
-        return np.ones(1), None
     rows = np.repeat(np.arange(n), np.diff(rates.indptr))
     cols = rates.indices.astype(np.int64)
     keys = rows * n + cols  # ascending: a canonical CSR matrix is row-major
@@ -306,18 +262,6 @@ def _inverse_iteration(k: np.ndarray):
     raise NoConvergence(f"inverse iteration exhausted budget; residual {res:.3e}")
 
 
-def _birth_death_rates(gen_or_k):
-    """(b, d) when the input is a birth-death chain killed only from state 1, else None.
-
-    A generator has already decided this in is_birth_death; only a dense
-    matrix needs the structure scan.
-    """
-    if isinstance(gen_or_k, AbsorbingGenerator):
-        return gen_or_k.birth_death_rates() if gen_or_k.is_birth_death else None
-    k = _as_k_matrix(gen_or_k)
-    return _bd_structure(k) if k.shape[0] > 1 else None
-
-
 def _bd_pair(b, d):
     """(lambda0, phi, residual) of a birth-death chain from tridiag.ground_pair.
 
@@ -340,9 +284,7 @@ def _dense_pair(k: np.ndarray, eta):
     iteration).  phi must be positive and the residual within
     DirichletEigenpair.residual_bound.
     """
-    if k.shape[0] == 1:
-        lam0, phi, res = float(-k[0, 0]), np.ones(1), 0.0
-    elif eta is not None:
+    if eta is not None:
         lam0, phi, res = _reversible_eigenpair(k, eta)
     else:
         lam0, phi, res = _inverse_iteration(k)
@@ -355,7 +297,7 @@ def _dense_pair(k: np.ndarray, eta):
     return lam0, phi, res
 
 
-def dirichlet_eigenpair(gen_or_k, normalization: str = "first") -> DirichletEigenpair:
+def dirichlet_eigenpair(gen: AbsorbingGenerator, normalization: str = "first") -> DirichletEigenpair:
     """First Dirichlet eigenpair (lambda0, phi) of the killed generator.
 
     phi is strictly positive and normalized per `normalization`:
@@ -365,12 +307,13 @@ def dirichlet_eigenpair(gen_or_k, normalization: str = "first") -> DirichletEige
     """
     if normalization not in NORMALIZATIONS:
         raise InvalidParameter(f"normalization must be one of {NORMALIZATIONS}")
-    bd = _birth_death_rates(gen_or_k)
+    _check_generator(gen, "dirichlet_eigenpair")
+    bd = gen.birth_death_rates() if gen.is_birth_death else None
     if bd is not None:
         lam0, phi, res = _bd_pair(*bd)
     else:
-        k = _as_k_matrix(gen_or_k)
-        eta, _ = reversible_measure(gen_or_k)
+        k = gen.k_matrix()
+        eta, _ = reversible_measure(gen)
         lam0, phi, res = _dense_pair(k, eta)
     phi = phi / phi[0]
     if normalization == "max":
@@ -395,19 +338,18 @@ def _reversible_eigenpair(k: np.ndarray, eta: np.ndarray):
     return lam0, phi, res
 
 
-def quasi_stationary_dist(gen_or_k) -> np.ndarray:
+def quasi_stationary_dist(gen: AbsorbingGenerator) -> np.ndarray:
     """Quasi-stationary distribution: the positive left eigenvector of K.
 
     Normalized to sum 1.  Reversible inputs use nu = eta * phi; otherwise
     the transpose is solved directly.
     """
-    bd = _birth_death_rates(gen_or_k)
+    _check_generator(gen, "quasi_stationary_dist")
+    bd = gen.birth_death_rates() if gen.is_birth_death else None
     if bd is not None:
         return _qsd(None, _bd_eta(*bd), _bd_pair(*bd)[1])
-    k = _as_k_matrix(gen_or_k)
-    if k.shape[0] == 1:
-        return np.ones(1)
-    eta, _ = reversible_measure(gen_or_k)
+    k = gen.k_matrix()
+    eta, _ = reversible_measure(gen)
     return _qsd(k, eta, None if eta is None else _dense_pair(k, eta)[1])
 
 
@@ -441,8 +383,8 @@ def _drop_state(a: np.ndarray, x: int) -> np.ndarray:
     return a[np.ix_(keep, keep)]
 
 
-def _minor_lambda0(k: np.ndarray, x: int, s: np.ndarray | None = None) -> float:
-    """First eigenvalue of -K with state x removed; +inf if nothing is left.
+def _minor_lambda0(k: np.ndarray, x: int, s: np.ndarray | None) -> float:
+    """First eigenvalue of -K with state x removed (K has two or more states).
 
     With the symmetrization s of a reversible K, the minor is the submatrix
     of s (a minor is reversible for eta restricted to it) and goes to the
@@ -450,34 +392,30 @@ def _minor_lambda0(k: np.ndarray, x: int, s: np.ndarray | None = None) -> float:
     eigenvalue is the minimum over the blocks.  Without s, the dense
     non-symmetric solver is used.
     """
-    if k.shape[0] == 1:
-        return math.inf
     if s is not None:
         return float(eigh(_drop_state(s, x), subset_by_index=(0, 0), eigvals_only=True)[0])
     return float(-np.max(np.linalg.eigvals(_drop_state(k, x)).real))
 
 
-def lambda0_minor(gen_or_k, x: int) -> float:
+def lambda0_minor(gen: AbsorbingGenerator, x: int) -> float:
     """First Dirichlet eigenvalue after removing state x; +inf if nothing is left.
 
     The minor of an irreducible chain may be reducible; the first eigenvalue
     is then the smallest over its diagonal blocks, which the symmetric or
     dense solver (or per-block tridiagonal solve) delivers directly.
     """
-    if isinstance(gen_or_k, AbsorbingGenerator) and gen_or_k.is_birth_death:
-        b, d = gen_or_k.birth_death_rates()
-        return _bd_minor_lambda0(b, d, x)
-    k = _as_k_matrix(gen_or_k)
-    if not 1 <= x <= k.shape[0]:
+    _check_generator(gen, "lambda0_minor")
+    if not 1 <= x <= gen.n_states:
         raise InvalidParameter(f"state {x} out of range")
-    eta, _ = reversible_measure(gen_or_k)
+    if gen.is_birth_death:
+        return _bd_minor_lambda0(*gen.birth_death_rates(), x)
+    k = gen.k_matrix()
+    eta, _ = reversible_measure(gen)
     return _minor_lambda0(k, x, None if eta is None else _sym_neg_k(k))
 
 
 def _bd_minor_lambda0(b, d, x: int) -> float:
     n = len(d)
-    if not 1 <= x <= n:
-        raise InvalidParameter(f"state {x} out of range")
     if n == 1:
         return math.inf
     main, off = tridiag.sym_tridiag(b, d)
@@ -504,8 +442,7 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     spectrum is real is reported without eta; complex eigenvalues raise
     NotDiagonalizableDetected.
     """
-    if not isinstance(gen, AbsorbingGenerator):
-        raise InvalidParameter("full_spectrum needs an AbsorbingGenerator")
+    _check_generator(gen, "full_spectrum")
     eta, _ = reversible_measure(gen)
     n = gen.n_states
     k = s = None
@@ -533,7 +470,7 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
         if k is None:  # birth-death chains are reversible; S is needed only here
             k = gen.k_matrix()
             s = _sym_neg_k(k)
-        minor_spectra = {x: _minor_eigenvalues(k, x, s) for x in range(1, n + 1)}
+        minor_spectra = {x: _minor_eigenvalues(gen, k, x, s) for x in range(1, n + 1)}
     return SpectrumReport(
         eigenvalues=np.asarray(eigenvalues, dtype=float),
         reversible_measure=eta,
@@ -542,17 +479,25 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     )
 
 
-def _minor_eigenvalues(k: np.ndarray, x: int, s: np.ndarray | None) -> np.ndarray:
+def _minor_eigenvalues(gen: AbsorbingGenerator, k: np.ndarray, x: int,
+                       s: np.ndarray | None) -> np.ndarray:
     """Ascending spectrum of -K with state x removed.
 
     A reversible K passes its symmetrization s; otherwise the minor itself
-    is tested, since removing a state can leave a reversible chain.
+    is tested for reversibility on the parent's rate triplets without row
+    and column x, since removing a state can leave a reversible chain.
     """
     if k.shape[0] == 1:
         return np.array([])
-    if s is None:
-        sub = _drop_state(k, x)
-        if reversible_measure(sub)[0] is None:
-            return np.sort(np.linalg.eigvals(-sub).real)
-        return eigh(_sym_neg_k(sub), eigvals_only=True)
-    return eigh(_drop_state(s, x), eigvals_only=True)
+    if s is not None:
+        return eigh(_drop_state(s, x), eigvals_only=True)
+    sub = _drop_state(k, x)
+    rows, cols, vals = gen._coo
+    keep = (rows != x - 1) & (cols != x - 1)
+    rows, cols = rows[keep], cols[keep]
+    # renumber the states after x down by one
+    rows, cols = rows - (rows >= x), cols - (cols >= x)
+    rates = csr_matrix((vals[keep], (rows, cols)), shape=sub.shape)
+    if _csr_measure(rates)[0] is None:
+        return np.sort(np.linalg.eigvals(-sub).real)
+    return eigh(_sym_neg_k(sub), eigvals_only=True)

@@ -45,6 +45,25 @@ class TestValidate:
         assert code == 2
         assert "NonIrreducible" in err
 
+    @pytest.mark.parametrize("text, field", [
+        (json.dumps({"n_states": 2, "transitions": [[1, 2, 1.0], [2, 1, 1.0]],
+                     "absorption": [{"state": 1, "rate": 1.0}]}), "transitions"),
+        (json.dumps({"transitions": [{"from": 1, "to": 2, "rate": 1.0},
+                                     {"from": 2, "to": 1, "rate": 1.0}],
+                     "absorption": [{"state": 1, "rate": 1.0}]}), "n_states"),
+        (json.dumps([{"from": 1, "to": 2, "rate": 1.0}]), "object"),
+        (json.dumps({"n_states": 2, "transitions": [{"from": 1, "to": 2, "rate": "1.0"},
+                                                    {"from": 2, "to": 1, "rate": 1.0}],
+                     "absorption": [{"state": 1, "rate": 1.0}]}), "'1.0'"),
+        ('{"n_states": 2,', "not valid JSON"),
+    ], ids=["list-transition", "no-n-states", "top-level-array", "string-rate", "truncated"])
+    def test_malformed_file(self, capsys, tmp_path, text, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "validate", "--input", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("INVALID: InvalidParameter:") and field in err
+
 
 class TestSpectrum:
     def test_fields(self, capsys, golden_file):

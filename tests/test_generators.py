@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -169,6 +170,20 @@ def test_irreducibility_matches_transitive_closure_oracle():
 def test_duplicate_transitions_are_summed():
     gen = build_general(2, [(1, 2, 0.5), (1, 2, 0.5), (2, 1, 1.0)], {1: 1.0})
     assert gen.rate(1, 2) == 1.0
+
+
+def test_transitions_must_be_sorted():
+    # every ordering but the sorted one would mislead the jump table and the
+    # path search, which read the triplets in (from, to) order
+    ordered = ((1, 2, 1.0), (1, 3, 0.3), (2, 1, 2.0), (2, 3, 1.5), (3, 1, 0.5), (3, 2, 0.7))
+    gen = AbsorbingGenerator(3, ordered, ((1, 1.0),))
+    assert gen == build_general(3, ordered, {1: 1.0})
+    for perm in itertools.permutations(ordered):
+        if perm != ordered:
+            with pytest.raises(InvalidParameter):
+                AbsorbingGenerator(3, perm, ((1, 1.0),))
+    with pytest.raises(InvalidParameter):
+        AbsorbingGenerator(3, ordered[:1] + ordered, ((1, 1.0),))
 
 
 def test_birth_death_detection(golden):

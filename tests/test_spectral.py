@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh
+from scipy.sparse import csr_matrix
 
 from qsamp import (
     InvalidParameter,
@@ -293,8 +295,6 @@ class TestReversibleMeasure:
         eta, witness = reversible_measure(gen)
         assert eta is None
         assert_kolmogorov_witness(gen, witness)
-        eta, dense_witness = reversible_measure(gen.k_matrix())
-        assert eta is None and dense_witness == witness
 
     def test_one_way_cycle_with_chords_witness(self):
         rng = np.random.default_rng(14)
@@ -411,7 +411,9 @@ class TestLambda0Minor:
 
     def test_cross_check_with_eigenpair(self):
         gen = build_rho_chain(3, 1.0)
-        sub = minor(gen, {1})
+        # states 2 and 3 of the chain; state 2's down-rate now kills
+        sub = build_general(2, [(1, 2, 1.0), (2, 1, 2.0)], {1: 1.0})
+        np.testing.assert_array_equal(minor(gen, {1}), sub.k_matrix())
         assert lambda0_minor(gen, 1) == pytest.approx(
             dirichlet_eigenpair(sub).lambda0, rel=1e-10
         )
@@ -426,11 +428,15 @@ class TestLambda0Minor:
 
     def test_domain_monotonicity_birth_death(self):
         # nested intervals of a drifted chain: smaller domain, larger eigenvalue
-        gen = build_rho_chain(12, 1.3)
-        k = gen.k_matrix()
+        rho = 1.3
+        gen = build_rho_chain(12, rho)
         values = []
         for keep in (12, 9, 6, 3):
-            sub = k[:keep, :keep]
+            # the leading block: the up-rate across the cut becomes killing
+            inside = [t for t in gen.transitions if max(t[:2]) <= keep]
+            absorption = {1: 1.0, **({keep: rho} if keep < 12 else {})}
+            sub = build_general(keep, inside, absorption)
+            np.testing.assert_array_equal(sub.k_matrix(), gen.k_matrix()[:keep, :keep])
             values.append(dirichlet_eigenpair(sub).lambda0)
         assert all(a < b for a, b in zip(values, values[1:]))
 
@@ -462,10 +468,48 @@ def test_reversible_routes_match_dense_references(seed, dumbbell):
         sub = minor(gen, {x})
         if sub.shape[0] > 1:
             # minors may split into components, each with its own root
-            sub_eta, _ = reversible_measure(sub)
+            sub_eta, _ = spectral._csr_measure(csr_matrix(sub - np.diag(np.diag(sub))))
             np.testing.assert_allclose(sub_eta, dense_bfs_eta(sub), rtol=1e-12, atol=0)
             expect = -float(np.max(np.linalg.eigvals(sub).real))
             assert lambda0_minor(gen, x) == pytest.approx(expect, rel=1e-10)
         minors[x] = lambda0_minor(gen, x)
     rep = full_spectrum(gen)
     assert rep.lambda0_prime == min(minors[x] for x in gen.absorbing_set)
+
+
+@pytest.mark.parametrize("call", [
+    dirichlet_eigenpair,
+    quasi_stationary_dist,
+    reversible_measure,
+    lambda x: lambda0_minor(x, 1),
+    full_spectrum,
+], ids=["dirichlet_eigenpair", "quasi_stationary_dist", "reversible_measure",
+        "lambda0_minor", "full_spectrum"])
+def test_matrix_input_rejected(call, golden):
+    with pytest.raises(InvalidParameter):
+        call(golden.k_matrix())
+
+
+@pytest.mark.parametrize("label", [(1, 2, 3, 4), (1, 3, 4, 2)])
+def test_minor_reversible_on_restricted_triplets(label, monkeypatch):
+    # 1 <-> 2 <-> 3 -> 4 -> 1 is non-reversible with a real spectrum; without
+    # state 4 it leaves the reversible path 1 <-> 2 <-> 3.  The second
+    # labelling puts that state in the middle, so the minor is renumbered.
+    edges = [(1, 2, 1), (2, 1, 1), (2, 3, 1), (3, 2, 1), (3, 4, 0.5), (4, 1, 0.5)]
+    gen = build_general(4, [(label[i - 1], label[j - 1], r) for i, j, r in edges], {1: 1})
+    k = gen.k_matrix()
+    x = label[3]
+    sub = spectral._drop_state(k, x)
+    seen = []
+    real_eigvals = np.linalg.eigvals
+
+    def recording(a):
+        seen.append(np.array(a))
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    rep = full_spectrum(gen, compute_minors=True)
+    assert rep.reversible_measure is None
+    assert not any(a.shape == sub.shape and np.array_equal(a, -sub) for a in seen)
+    expect = eigh(spectral._sym_neg_k(sub), eigvals_only=True)
+    np.testing.assert_array_equal(rep.minor_spectra[x], expect)
