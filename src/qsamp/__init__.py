@@ -31,7 +31,6 @@ from .errors import (
 )
 from .generators import (
     AbsorbingGenerator,
-    BirthDeathSpec,
     Path,
     build_birth_death,
     build_general,

@@ -262,7 +262,6 @@ def entrance_check(rates: RateFamily, cutoff: int) -> EntranceVerdict:
     m = int(cutoff)
     b, d = rates.realize(m)
     lp = tridiag.log_pi(b, d)
-    logb = np.concatenate([np.log(b), [np.nan]])  # b_m unused below
 
     log_r = -lp[:-1] - np.log(b) + _log_prefix(lp)[:-1]
     log_s = -lp[:-1] - np.log(b) + _log_suffix_excl(lp)[:-1]

@@ -14,10 +14,10 @@ Four routes are provided:
 
 Path selection maximizes P per (y, x) pair with a Bellman-Ford relaxation on
 edge costs -log(factor).  Costs within 1e-14 (1 + max |cost|) of each other
-tie, and ties prefer fewer edges, then the smaller predecessor state.  Cycle
-products never exceed one (each factor is at most the corresponding
-eigenvector ratio), so genuine negative cycles cannot occur; if rounding
-manufactures one, the search falls back to Dijkstra on clipped costs.
+tie, and ties prefer fewer edges, then the smaller predecessor state.  At
+or below the Dirichlet eigenvalue, cycle products never exceed one (each
+factor is at most the corresponding eigenvector ratio), so a negative cycle
+means the caller's lambda0 is above it, and raises InvalidParameter.
 Certificates are then propagated down the shortest-path tree of each exit
 state: a state takes its predecessor's path, P and Q and extends them by one
 edge, so P and Q are the same left-to-right products that path_weight and
@@ -27,7 +27,6 @@ of the search.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -159,27 +158,6 @@ def _bellman_ford(n, rows, cols, costs, src):
     return parent, False
 
 
-def _dijkstra_clipped(adj, src):
-    """Dijkstra on max(cost, 0); used only as the cycle-guard fallback."""
-    n = len(adj)
-    dist = [math.inf] * n
-    parent = [-1] * n
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    seen = [False] * n
-    while heap:
-        du, u = heapq.heappop(heap)
-        if seen[u]:
-            continue
-        seen[u] = True
-        for v, c in adj[u]:
-            cand = du + max(c, 0.0)
-            if cand < dist[v]:
-                dist[v], parent[v] = cand, u
-                heapq.heappush(heap, (cand, v))
-    return parent
-
-
 def _geodesic_tree(adj, src):
     """BFS tree with lexicographic predecessor choice."""
     parent = [-1] * len(adj)
@@ -227,7 +205,9 @@ def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
     paths="best" maximizes P(gamma) per pair; paths="geodesic" uses
     fewest-edge paths instead, which reproduces the degree-diameter bound on
     unit-rate walks.  The report carries every chosen path, the bound
-    (min P)^-1 and the rough bound max Q over the same paths.
+    (min P)^-1 and the rough bound max Q over the same paths.  A lambda0
+    that the best-path search finds above the Dirichlet eigenvalue raises
+    InvalidParameter.
     """
     if paths not in ("best", "geodesic"):
         raise InvalidParameter("paths must be 'best' or 'geodesic'")
@@ -250,7 +230,10 @@ def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
         else:
             parent, neg_cycle = _bellman_ford(n, rows, cols, costs, src)
             if neg_cycle:
-                parent = _dijkstra_clipped(adj, src)
+                raise InvalidParameter(
+                    f"lambda0 = {lambda0!r} is above the Dirichlet eigenvalue: "
+                    "a cycle of path factors has product above one"
+                )
         certs = _tree_certificates(gen, parent, src, denom, exit_rates)
         for x, cert in enumerate(certs, 1):
             if cert is None:

@@ -256,7 +256,7 @@ def _golden_generator():
     return build_general(2, [(1, 2, 1.0), (2, 1, 1.0)], {1: 1.0})
 
 
-def reproduce(case_id: str, seed: int = 0, threads: int = 1) -> dict:
+def reproduce(case_id: str) -> dict:
     """Recompute a named example and compare against its expected values."""
     checks = []
     if case_id == "golden-ratio":
@@ -366,7 +366,7 @@ def reproduce(case_id: str, seed: int = 0, threads: int = 1) -> dict:
 
 
 def cmd_reproduce(args):
-    result = reproduce(args.case, seed=args.seed, threads=args.threads)
+    result = reproduce(args.case)
     result["config"] = _config_echo(args)
     return (0 if result["all_pass"] else 3), result
 

@@ -28,8 +28,6 @@ from .errors import (
     NonIrreducible,
 )
 
-ROWSUM_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class AbsorbingGenerator:
@@ -214,30 +212,32 @@ def build_general(
     n_states : number of surviving states.
     transitions : iterable of (from_state, to_state, rate), 1-based labels.
         Duplicate entries are summed; zero rates are dropped.  NaN or
-        infinite rates raise InvalidParameter here, which every other
-        constructor passes through.
+        infinite rates and labels that are not integers raise
+        InvalidParameter here, which every other constructor passes through.
     absorption_rates : mapping state -> rate, or iterable of (state, rate).
     """
     merged: dict = {}
     for i, j, r in transitions:
+        i, j = _state_label(i), _state_label(j)
         if not _is_finite_number(r):
             raise InvalidParameter(f"rate {r!r} on ({i},{j}) is not a finite number")
         if r < 0:
             raise NegativeRate(f"rate {r} on ({i},{j})")
         if r > 0:
-            merged[(int(i), int(j))] = merged.get((int(i), int(j)), 0.0) + float(r)
+            merged[(i, j)] = merged.get((i, j), 0.0) + float(r)
     if isinstance(absorption_rates, Mapping):
         pairs = absorption_rates.items()
     else:
         pairs = absorption_rates
     absorb: dict = {}
     for i, r in pairs:
+        i = _state_label(i)
         if not _is_finite_number(r):
             raise InvalidParameter(f"absorption rate {r!r} at state {i} is not a finite number")
         if r < 0:
             raise NegativeRate(f"absorption rate {r} at state {i}")
         if r > 0:
-            absorb[int(i)] = absorb.get(int(i), 0.0) + float(r)
+            absorb[i] = absorb.get(i, 0.0) + float(r)
     return AbsorbingGenerator(
         n_states=int(n_states),
         transitions=tuple(sorted((i, j, r) for (i, j), r in merged.items())),
@@ -247,6 +247,15 @@ def build_general(
 
 def _is_finite_number(r) -> bool:
     return isinstance(r, numbers.Real) and math.isfinite(r)
+
+
+def _state_label(i) -> int:
+    """i as a state label: any integer type (numpy's too), not a bool."""
+    if type(i) is int:  # the common case, without the slower ABC check
+        return i
+    if not isinstance(i, numbers.Integral) or isinstance(i, bool):
+        raise InvalidParameter(f"state label {i!r} is not an integer")
+    return int(i)
 
 
 def build_rho_chain(n: int, rho: float) -> AbsorbingGenerator:
@@ -283,31 +292,16 @@ def build_birth_death(b: Sequence, d: Sequence) -> AbsorbingGenerator:
     the absorption rate out of state 1.  The top state only jumps down (a
     reflecting cut at n).
     """
-    return BirthDeathSpec(np.asarray(b, dtype=float), np.asarray(d, dtype=float)).to_generator()
-
-
-@dataclass(frozen=True)
-class BirthDeathSpec:
-    """Finite birth-death rate arrays; absorption is the down-rate out of state 1."""
-
-    b: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        if len(self.d) < 1 or len(self.b) != len(self.d) - 1:
-            raise InvalidParameter("need len(b) == len(d) - 1 >= 0")
-        if np.any(self.b <= 0) or np.any(self.d <= 0):
-            raise InvalidParameter("birth-death rates must be strictly positive")
-
-    @property
-    def n_states(self) -> int:
-        return len(self.d)
-
-    def to_generator(self) -> AbsorbingGenerator:
-        n = self.n_states
-        transitions = [(x, x + 1, float(self.b[x - 1])) for x in range(1, n)]
-        transitions += [(x, x - 1, float(self.d[x - 1])) for x in range(2, n + 1)]
-        return build_general(n, transitions, {1: float(self.d[0])})
+    b = np.asarray(b, dtype=float)
+    d = np.asarray(d, dtype=float)
+    n = len(d)
+    if n < 1 or len(b) != n - 1:
+        raise InvalidParameter("need len(b) == len(d) - 1 >= 0")
+    if np.any(b <= 0) or np.any(d <= 0):
+        raise InvalidParameter("birth-death rates must be strictly positive")
+    transitions = [(x, x + 1, float(b[x - 1])) for x in range(1, n)]
+    transitions += [(x, x - 1, float(d[x - 1])) for x in range(2, n + 1)]
+    return build_general(n, transitions, {1: float(d[0])})
 
 
 @dataclass(frozen=True)

@@ -17,21 +17,23 @@ Every other chain is tested for reversibility once, on its rate triplets
 S = diag(sqrt eta) (-K) diag(1/sqrt eta), and handed to the dense
 symmetric solver; a single-state minor of such a chain is reversible for
 eta restricted to it, so its spectrum comes from the submatrix of the same
-S.  Non-reversible chains use inverse iteration on an LU factorization of
--K (the inverse of an irreducible M-matrix is entrywise positive, so plain
-power steps on it converge to the Perron direction from the all-ones
-start), and their spectra and minors the dense non-symmetric solver,
-except for a minor that the parent's triplets, restricted to it, show to
-be reversible.
+S, and its pair is held to DirichletEigenpair.residual_bound.
+Non-reversible chains run power steps on one LU factorization of -K (the
+transposed solve for the QSD; the same steps per strongly connected block
+give lambda0 of a minor), stopped by tridiag.ground_pair's rule and accepted
+on their Collatz-Wielandt bracket, as birth-death pairs are.  Only their
+full spectra use the dense non-symmetric solver, minors included unless the
+parent's triplets, restricted to a minor, show it to be reversible.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, eigh, eigvalsh_tridiagonal, lu_factor, lu_solve
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
@@ -44,11 +46,8 @@ from .errors import (
 )
 from .generators import AbsorbingGenerator
 
-#: target for the iterative residual ||K phi + lambda0 phi||_inf
-RESIDUAL_TARGET = 1e-12
-#: invariant bound actually asserted on outputs
+#: widest accepted relative lambda0 bracket; relative residual of eigh pairs
 RESIDUAL_RTOL = 1e-10
-MAX_ITERATIONS = 100_000
 
 NORMALIZATIONS = ("first", "qsd", "max")
 
@@ -63,7 +62,9 @@ class DirichletEigenpair:
     residual: float
 
     def residual_bound(self, max_rate: float) -> float:
-        """Tolerated residual: the relative bound plus a machine floor.
+        """Tolerated residual of a symmetric-solver pair: the relative bound
+        plus a machine floor.  Pairs from power steps are accepted on their
+        lambda0 bracket instead.
 
         The floor 64 eps * max_rate * ||phi|| is unavoidable in double
         arithmetic; it matters only when lambda0 is many orders of magnitude
@@ -231,63 +232,71 @@ def _sym_neg_k(k: np.ndarray) -> np.ndarray:
     return s
 
 
-def _inverse_iteration(k: np.ndarray):
-    """(lam0, phi, residual) by power steps on (-K)^{-1} from the ones vector."""
-    n = k.shape[0]
-    a = -k
-    lu = lu_factor(a)
-    v = np.ones(n) / n
-    max_rate = float(np.abs(np.diag(k)).max())
-    floor = 64 * np.finfo(float).eps * max_rate
-    lam = np.nan
-    prev_res = np.inf
-    for _ in range(MAX_ITERATIONS):
-        w = lu_solve(lu, v)
-        w /= np.abs(w).max()
-        if w[np.argmax(np.abs(w))] < 0:
-            w = -w
-        av = a @ w
-        lam = float(np.dot(w, av) / np.dot(w, w))
-        res = float(np.abs(av - lam * w).max())
-        v = w
-        tol = max(RESIDUAL_TARGET * lam, floor) * float(np.abs(v).max())
-        if res <= tol:
-            return lam, v, res
-        if res >= prev_res * 0.999999 and res <= 100 * floor * float(np.abs(v).max()):
-            # stagnated at the machine floor
-            return lam, v, res
-        prev_res = res
-    if res <= RESIDUAL_RTOL * lam * float(np.abs(v).max()) + floor:
-        return lam, v, res
-    raise NoConvergence(f"inverse iteration exhausted budget; residual {res:.3e}")
-
-
-def _bd_pair(b, d):
-    """(lambda0, phi, residual) of a birth-death chain from tridiag.ground_pair.
-
-    Accepted on the certified bracket: a correct pair far below the rates
-    can still exceed the absolute residual floor.
-    """
-    lam0, phi, (lo, hi) = tridiag.ground_pair(b, d)
-    res = tridiag.residual_inf(b, d, lam0, phi)
+def _check_bracket(lo: float, hi: float, lam0: float) -> None:
+    """Accept a pair on its lambda0 bracket: at most RESIDUAL_RTOL wide,
+    relatively.  A correct pair far below the rates can still exceed an
+    absolute residual floor."""
     if hi - lo > RESIDUAL_RTOL * lam0:
         raise NoConvergence(
             f"lambda0 bracket [{lo:.6e}, {hi:.6e}] wider than {RESIDUAL_RTOL:g} relative"
         )
-    return lam0, phi, res
+
+
+def _perron_pair(a: np.ndarray, trans: int = 0):
+    """(lambda0, f) of a = -K, K an irreducible killed generator, by power
+    steps on a^-1 (a^-T with trans=1, for the left vector) from the ones
+    vector, on one LU factorization.
+
+    a^-1 is entrywise positive, so each step gives the Collatz-Wielandt
+    bracket min f/a^-1 f <= lambda0 <= max f/a^-1 f.  The steps stop by
+    tridiag.bracket_settled, and the pair (the bracket's midpoint, the last
+    step scaled to max 1) is accepted on the bracket.  A step that is not
+    positive and finite, as from a singular LU, raises NoConvergence.
+    """
+    if len(a) == 1:
+        return float(a[0, 0]), np.ones(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)  # a singular LU fails below
+        lu = lu_factor(a)
+    f, width = np.ones(len(a)), np.inf
+    for _ in range(tridiag.MAX_POWER_STEPS):
+        g = lu_solve(lu, f, trans=trans, check_finite=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = f / g
+        lo, hi = float(ratio.min()), float(ratio.max())
+        if not 0 < lo <= hi < math.inf:
+            raise NoConvergence("power step not positive and finite: -K is numerically singular")
+        f = g / g.max()
+        if tridiag.bracket_settled((hi - lo) / lo, width):
+            break
+        width = (hi - lo) / lo
+    else:
+        raise NoConvergence(f"power steps still narrowing after {tridiag.MAX_POWER_STEPS}")
+    lam0 = (lo + hi) / 2
+    _check_bracket(lo, hi, lam0)
+    return lam0, f
+
+
+def _bd_pair(b, d):
+    """(lambda0, phi, residual) of a birth-death chain from tridiag.ground_pair,
+    accepted on its certified bracket."""
+    lam0, phi, (lo, hi) = tridiag.ground_pair(b, d)
+    _check_bracket(lo, hi, lam0)
+    return lam0, phi, tridiag.residual_inf(b, d, lam0, phi)
 
 
 def _dense_pair(k: np.ndarray, eta):
     """(lambda0, phi, residual) of a dense killed generator, checked.
 
-    eta is the reversible measure (symmetric solver) or None (inverse
-    iteration).  phi must be positive and the residual within
+    Without a reversible measure eta, the pair comes from power steps and is
+    accepted on its bracket.  With eta it comes from the symmetric solver;
+    phi must then be positive and the residual within
     DirichletEigenpair.residual_bound.
     """
-    if eta is not None:
-        lam0, phi, res = _reversible_eigenpair(k, eta)
-    else:
-        lam0, phi, res = _inverse_iteration(k)
+    if eta is None:
+        lam0, phi = _perron_pair(-k)
+        return lam0, phi, float(np.abs(k @ phi + lam0 * phi).max())
+    lam0, phi, res = _reversible_eigenpair(k, eta)
     if np.any(phi <= 0):
         raise NoConvergence("eigenvector failed positivity; residual too large")
     max_rate = float(np.abs(np.diag(k)).max())
@@ -360,7 +369,7 @@ def _qsd(k, eta, phi) -> np.ndarray:
     (non-reversible K) the transpose is solved directly and phi is unused.
     """
     if eta is None:
-        _, nu, _ = _inverse_iteration(k.T)
+        nu = _perron_pair(-k, trans=1)[1]
         return nu / nu.sum()
     # phi scaled as dirichlet_eigenpair reports it
     nu = eta * (phi / phi[0])
@@ -389,20 +398,26 @@ def _minor_lambda0(k: np.ndarray, x: int, s: np.ndarray | None) -> float:
     With the symmetrization s of a reversible K, the minor is the submatrix
     of s (a minor is reversible for eta restricted to it) and goes to the
     symmetric solver; a reducible minor is block-diagonal, so its smallest
-    eigenvalue is the minimum over the blocks.  Without s, the dense
-    non-symmetric solver is used.
+    eigenvalue is the minimum over the blocks.  Without s, the minor is
+    block-triangular over its strongly connected blocks, each one
+    irreducible, so its smallest eigenvalue is the minimum of the blocks'
+    power-step eigenvalues.
     """
     if s is not None:
         return float(eigh(_drop_state(s, x), subset_by_index=(0, 0), eigvals_only=True)[0])
-    return float(-np.max(np.linalg.eigvals(_drop_state(k, x)).real))
+    a = -_drop_state(k, x)
+    n_blocks, labels = connected_components(csr_matrix(a), directed=True, connection="strong")
+    blocks = (np.flatnonzero(labels == c) for c in range(n_blocks))
+    return min(_perron_pair(a[np.ix_(idx, idx)])[0] for idx in blocks)
 
 
 def lambda0_minor(gen: AbsorbingGenerator, x: int) -> float:
     """First Dirichlet eigenvalue after removing state x; +inf if nothing is left.
 
     The minor of an irreducible chain may be reducible; the first eigenvalue
-    is then the smallest over its diagonal blocks, which the symmetric or
-    dense solver (or per-block tridiagonal solve) delivers directly.
+    is then the smallest over its diagonal blocks, which the symmetric
+    solver (or per-block tridiagonal solve) delivers directly and power
+    steps take block by block.
     """
     _check_generator(gen, "lambda0_minor")
     if not 1 <= x <= gen.n_states:

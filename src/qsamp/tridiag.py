@@ -186,6 +186,15 @@ def _inverse_iteration(b, d, eig_index, lam_hat, iters=3):
     return v
 
 
+MAX_POWER_STEPS = 1000
+
+
+def bracket_settled(width: float, previous: float) -> bool:
+    """Stop rule of every power iteration: the Collatz-Wielandt bracket's
+    relative width has closed to about 4 ulps, or no longer narrows."""
+    return width <= 4 * np.finfo(float).eps or width >= previous
+
+
 def ground_pair(b, d):
     """Lowest eigenpair (lambda0, phi, (lo, hi)) of -K with phi(1) = 1.
 
@@ -211,18 +220,18 @@ def ground_pair(b, d):
     v = _inverse_iteration(b, d, 0, eigenvalues(b, d, 0, 0)[0])
     f = np.log(v) if np.all(v > 0) and np.all(np.isfinite(v)) else np.zeros(n)
     width = np.inf
-    for _ in range(1000):
+    for _ in range(MAX_POWER_STEPS):
         tail = np.logaddexp.accumulate((lp + f)[::-1])[::-1]
         g = np.logaddexp.accumulate(tail + log_w)
         ratio = f - g
         lo, hi = float(ratio.min()), float(ratio.max())
         f = g - g[0]
-        if hi - lo <= 4 * np.finfo(float).eps or hi - lo >= width:
+        if bracket_settled(hi - lo, width):
             break
         width = hi - lo
     else:
         raise NoConvergence(
-            f"Green power steps still narrowing after 1000 steps: relative "
+            f"Green power steps still narrowing after {MAX_POWER_STEPS} steps: relative "
             f"bracket width {hi - lo:.2e}, log max phi {f.max():.1f}"
         )
     mid = (lo + hi) / 2

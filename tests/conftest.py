@@ -56,9 +56,10 @@ def random_reversible_generator(rng, n_max=12):
     return build_general(n, transitions, absorption)
 
 
-def random_cycle_with_chords(rng, n_max=40):
+def random_cycle_with_chords(rng, n_max=40, absorption_range=(0.1, 1.0)):
     """Non-reversible chain: a directed n-cycle plus about n/2 random chords,
-    rates log-uniform in [0.5, 2], absorption at one to three states."""
+    rates log-uniform in [0.5, 2], absorption at one to three states with
+    rates log-uniform in absorption_range."""
     n = int(rng.integers(2, n_max + 1))
     rates = {(i, i % n + 1): float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
              for i in range(1, n + 1)}
@@ -67,7 +68,8 @@ def random_cycle_with_chords(rng, n_max=40):
         if a != b:
             rates[(a, b)] = float(np.exp(rng.uniform(np.log(0.5), np.log(2.0))))
     states = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, min(n, 3) + 1)), replace=False)
-    absorption = {int(s): float(np.exp(rng.uniform(np.log(0.1), 0.0))) for s in states}
+    low, high = np.log(absorption_range)
+    absorption = {int(s): float(np.exp(rng.uniform(low, high))) for s in states}
     return build_general(n, [(a, b, r) for (a, b), r in rates.items()], absorption)
 
 

@@ -139,6 +139,21 @@ class TestPathBound:
     def test_lambda0_computed_when_omitted(self, golden):
         assert path_bound(golden).bound == pytest.approx(GOLDEN_RATIO, abs=1e-10)
 
+    def test_lambda0_above_the_eigenvalue_rejected(self):
+        # bidirectional unit 4-cycle absorbed at state 1: lambda0 = 0.002492
+        # and amplitude 1.00501.  At 1.5 every edge factor is 1 / 0.5 = 2, so
+        # each cycle of factors has product above one; a bound from such
+        # factors (1.0 here) need not dominate the amplitude.
+        ring = [(1, 2), (2, 3), (3, 4), (4, 1)]
+        transitions = [(i, j, 1.0) for a, b in ring for i, j in ((a, b), (b, a))]
+        gen = build_general(4, sorted(transitions), {1: 0.01})
+        pair = dirichlet_eigenpair(gen)
+        assert pair.lambda0 == pytest.approx(0.002492, rel=1e-3)
+        assert amplitude(pair) == pytest.approx(1.00501, rel=1e-5)
+        assert path_bound(gen, pair.lambda0).bound >= amplitude(pair)
+        with pytest.raises(InvalidParameter, match="above the Dirichlet eigenvalue"):
+            path_bound(gen, 1.5)
+
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())

@@ -56,7 +56,17 @@ class TestValidate:
                                                     {"from": 2, "to": 1, "rate": 1.0}],
                      "absorption": [{"state": 1, "rate": 1.0}]}), "'1.0'"),
         ('{"n_states": 2,', "not valid JSON"),
-    ], ids=["list-transition", "no-n-states", "top-level-array", "string-rate", "truncated"])
+        (json.dumps({"n_states": 2, "transitions": [{"from": 1.5, "to": 2, "rate": 1.0},
+                                                    {"from": 2, "to": 1, "rate": 1.0}],
+                     "absorption": [{"state": 1, "rate": 1.0}]}), "1.5"),
+        (json.dumps({"n_states": 2, "transitions": [{"from": 1, "to": 2, "rate": 1.0},
+                                                    {"from": 2, "to": "a", "rate": 1.0}],
+                     "absorption": [{"state": 1, "rate": 1.0}]}), "'a'"),
+        (json.dumps({"n_states": 2, "transitions": [{"from": 1, "to": 2, "rate": 1.0},
+                                                    {"from": 2, "to": 1, "rate": 1.0}],
+                     "absorption": [{"state": 1.0, "rate": 1.0}]}), "1.0"),
+    ], ids=["list-transition", "no-n-states", "top-level-array", "string-rate", "truncated",
+            "float-label", "string-label", "float-absorption-label"])
     def test_malformed_file(self, capsys, tmp_path, text, field):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

@@ -55,6 +55,37 @@ def test_non_finite_rate_rejected(bad):
         build_birth_death([1.0], [bad, 1.0])
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "a", "2", None, True])
+def test_non_integer_label_rejected(bad):
+    # a label is never truncated or parsed: 1.5 once read as state 1
+    with pytest.raises(InvalidParameter, match="not an integer"):
+        build_general(2, [(bad, 2, 1.0), (2, 1, 1.0)], {1: 1.0})
+    with pytest.raises(InvalidParameter, match="not an integer"):
+        build_general(2, [(1, 2, 1.0), (2, bad, 1.0)], {1: 1.0})
+    with pytest.raises(InvalidParameter, match="not an integer"):
+        build_general(2, [(1, 2, 1.0), (2, 1, 1.0)], {bad: 1.0})
+    with pytest.raises(InvalidParameter, match="not an integer"):
+        build_general(2, [(1, 2, 1.0), (2, 1, 1.0)], [(bad, 1.0)])
+
+
+def test_numpy_integer_labels_accepted(golden):
+    one, two = np.int64(1), np.int32(2)
+    gen = build_general(2, [(one, two, 1.0), (two, one, 1.0)], {one: 1.0})
+    assert gen == golden
+    assert all(type(v) is int for t in gen.transitions for v in t[:2])
+
+
+def test_birth_death_arrays_checked():
+    with pytest.raises(InvalidParameter):
+        build_birth_death([1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(InvalidParameter):
+        build_birth_death([], [])
+    with pytest.raises(InvalidParameter):
+        build_birth_death([0.0], [1.0, 1.0])
+    with pytest.raises(InvalidParameter):
+        build_birth_death([1.0], [1.0, -1.0])
+
+
 def test_negative_rate_rejected():
     with pytest.raises(NegativeRate):
         build_general(2, [(1, 2, -1.0), (2, 1, 1.0)], {1: 1.0})

@@ -8,8 +8,10 @@ from scipy.sparse import csr_matrix
 
 from qsamp import (
     InvalidParameter,
+    NoConvergence,
     NonPositiveInput,
     NotDiagonalizableDetected,
+    QsampError,
     amplitude,
     build_general,
     build_graph_walk,
@@ -513,3 +515,63 @@ def test_minor_reversible_on_restricted_triplets(label, monkeypatch):
     assert not any(a.shape == sub.shape and np.array_equal(a, -sub) for a in seen)
     expect = eigh(spectral._sym_neg_k(sub), eigvals_only=True)
     np.testing.assert_array_equal(rep.minor_spectra[x], expect)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_non_reversible_power_steps_return_or_raise(seed, mild):
+    # absorption log-uniform in [1e-30, 1], or in [1e-3, 1] where the dense
+    # solver's absolute accuracy still gives lambda0 to 1e-9 relative
+    rng = np.random.default_rng(seed)
+    gen = random_cycle_with_chords(rng, absorption_range=(1e-3 if mild else 1e-30, 1.0))
+    k = gen.k_matrix()
+    results = {}
+    for name, call in [("pair", dirichlet_eigenpair), ("nu", quasi_stationary_dist)] + [
+        (x, lambda g, x=x: lambda0_minor(g, x)) for x in range(1, gen.n_states + 1)
+    ]:
+        try:
+            results[name] = call(gen)
+        except QsampError:
+            assert not mild
+    if "pair" in results:
+        assert np.all(results["pair"].phi > 0)
+    if "nu" in results:
+        assert np.all(results["nu"] > 0) and results["nu"].sum() == pytest.approx(1.0)
+    if mild:
+        oracle = float(np.min(np.linalg.eigvals(-k).real))
+        assert results["pair"].lambda0 == pytest.approx(oracle, rel=1e-9)
+        for x in range(1, gen.n_states + 1):  # two states or more
+            expect = float(np.min(np.linalg.eigvals(spectral._drop_state(-k, x)).real))
+            assert results[x] == pytest.approx(expect, rel=1e-9)
+
+
+def test_absorption_below_rounding_raises_no_convergence():
+    # unit cycle 1 -> 2 -> 3 -> 1 with the chord 1 -> 3; absorption 1e-20 at
+    # state 3 is lost from the diagonal, so -K is singular in double
+    gen = build_general(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0), (3, 1, 1.0)], {3: 1e-20})
+    for call in (dirichlet_eigenpair, quasi_stationary_dist):
+        with pytest.raises(NoConvergence):
+            call(gen)
+
+
+def test_non_reversible_minor_by_strongly_connected_blocks(monkeypatch):
+    # without state 1, the chain splits into the one-way 3-cycle 2 -> 3 -> 4
+    # (chord 2 -> 4) and the pair 5 <-> 6, joined only by 4 -> 5
+    transitions = [(1, 2, 1.0), (2, 3, 1.5), (2, 4, 0.5), (3, 4, 2.0), (4, 2, 1.0),
+                   (4, 5, 0.7), (5, 6, 1.0), (6, 1, 0.3), (6, 5, 2.0)]
+    gen = build_general(6, transitions, {1: 1.0, 5: 0.2})
+    assert reversible_measure(gen)[0] is None
+    sub = -minor(gen, {1})
+    expect = float(np.min(np.linalg.eigvals(sub).real))
+    blocks = [float(np.min(np.linalg.eigvals(sub[np.ix_(b, b)]).real))
+              for b in ([0, 1, 2], [3, 4])]
+    assert expect == pytest.approx(min(blocks), rel=1e-12)
+    assert max(blocks) > 1.2 * min(blocks)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called for a minor's lambda0")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    assert lambda0_minor(gen, 1) == pytest.approx(expect, rel=1e-12)
+    for x in range(2, 7):
+        lambda0_minor(gen, x)
