@@ -18,12 +18,14 @@ S = diag(sqrt eta) (-K) diag(1/sqrt eta), and handed to the dense
 symmetric solver; a single-state minor of such a chain is reversible for
 eta restricted to it, so its spectrum comes from the submatrix of the same
 S, and its pair is held to DirichletEigenpair.residual_bound.
-Non-reversible chains run power steps on one LU factorization of -K (the
-transposed solve for the QSD; the same steps per strongly connected block
-give lambda0 of a minor), stopped by tridiag.ground_pair's rule and accepted
-on their Collatz-Wielandt bracket, as birth-death pairs are.  Only their
-full spectra use the dense non-symmetric solver, minors included unless the
-parent's triplets, restricted to a minor, show it to be reversible.
+Non-reversible chains run power steps on an LU factorization of -K,
+shifted toward lambda0 when the steps narrow slowly (the transposed solve on
+the same factorization for the QSD; the same steps per strongly connected
+block give lambda0 of a minor), stopped by tridiag.ground_pair's rule and
+accepted on their Collatz-Wielandt bracket, as birth-death pairs are.  Only
+their full spectra use the dense non-symmetric solver, minors included
+unless the parent's triplets, restricted to a minor, show it to be
+reversible; a report with minor spectra reads lambda0' off them.
 """
 
 from __future__ import annotations
@@ -242,39 +244,47 @@ def _check_bracket(lo: float, hi: float, lam0: float) -> None:
         )
 
 
-def _perron_pair(a: np.ndarray, trans: int = 0):
-    """(lambda0, f) of a = -K, K an irreducible killed generator, by power
-    steps on a^-1 (a^-T with trans=1, for the left vector) from the ones
-    vector, on one LU factorization.
+def _perron_pair(a: np.ndarray, trans: int = 0, start=None):
+    """(lambda0, f, factor) of a = -K, K an irreducible killed generator, by
+    power steps on (a - s I)^-1 from the ones vector ((a - s I)^-T with
+    trans=1, for the left vector).
 
-    a^-1 is entrywise positive, so each step gives the Collatz-Wielandt
-    bracket min f/a^-1 f <= lambda0 <= max f/a^-1 f.  The steps stop by
-    tridiag.bracket_settled, and the pair (the bracket's midpoint, the last
-    step scaled to max 1) is accepted on the bracket.  A step that is not
-    positive and finite, as from a singular LU, raises NoConvergence.
+    For a shift s below lambda0, (a - s I)^-1 is entrywise positive, so each
+    step f -> g gives the Collatz-Wielandt bracket
+    s + min f/g <= lambda0 <= s + max f/g.  The steps start at s = 0, or on
+    start, the factor = (LU, s) returned by an earlier call on the same a.  A
+    step that narrows the bracket by less than half while it is wider than
+    RESIDUAL_RTOL moves s to one bracket width below its lower end, where
+    the steps narrow by (lambda0 - s)/|lambda1 - s| however close lambda1 is.
+    Each shift's steps stop by tridiag.bracket_settled, all of them after
+    tridiag.MAX_POWER_STEPS, and the pair (the midpoint, the last step scaled
+    to max 1) is accepted on the bracket.  A step that is not positive and
+    finite, as from a singular LU, raises NoConvergence.
     """
-    if len(a) == 1:
-        return float(a[0, 0]), np.ones(1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)  # a singular LU fails below
-        lu = lu_factor(a)
-    f, width = np.ones(len(a)), np.inf
+    lu, shift = start or (None, 0.0)
+    f, width = np.ones(len(a)), math.inf
     for _ in range(tridiag.MAX_POWER_STEPS):
+        if lu is None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinAlgWarning)  # a singular LU fails below
+                lu = lu_factor(a - shift * np.eye(len(a)) if shift else a)
         g = lu_solve(lu, f, trans=trans, check_finite=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = f / g
         lo, hi = float(ratio.min()), float(ratio.max())
         if not 0 < lo <= hi < math.inf:
             raise NoConvergence("power step not positive and finite: -K is numerically singular")
+        lo, hi = shift + lo, shift + hi
         f = g / g.max()
-        if tridiag.bracket_settled((hi - lo) / lo, width):
+        step_width = (hi - lo) / lo
+        if tridiag.bracket_settled(step_width, width):
             break
-        width = (hi - lo) / lo
-    else:
-        raise NoConvergence(f"power steps still narrowing after {tridiag.MAX_POWER_STEPS}")
+        if RESIDUAL_RTOL < step_width and 2 * step_width > width and 2 * lo - hi > shift:
+            lu, shift, step_width = None, 2 * lo - hi, math.inf
+        width = step_width
     lam0 = (lo + hi) / 2
     _check_bracket(lo, hi, lam0)
-    return lam0, f
+    return lam0, f, (lu, shift)
 
 
 def _bd_pair(b, d):
@@ -286,16 +296,16 @@ def _bd_pair(b, d):
 
 
 def _dense_pair(k: np.ndarray, eta):
-    """(lambda0, phi, residual) of a dense killed generator, checked.
+    """(lambda0, phi, residual, factor) of a dense killed generator, checked.
 
     Without a reversible measure eta, the pair comes from power steps and is
-    accepted on its bracket.  With eta it comes from the symmetric solver;
-    phi must then be positive and the residual within
-    DirichletEigenpair.residual_bound.
+    accepted on its bracket; factor is their last LU, for the QSD.  With eta
+    it comes from the symmetric solver (factor None); phi must then be
+    positive and the residual within DirichletEigenpair.residual_bound.
     """
     if eta is None:
-        lam0, phi = _perron_pair(-k)
-        return lam0, phi, float(np.abs(k @ phi + lam0 * phi).max())
+        lam0, phi, factor = _perron_pair(-k)
+        return lam0, phi, float(np.abs(k @ phi + lam0 * phi).max()), factor
     lam0, phi, res = _reversible_eigenpair(k, eta)
     if np.any(phi <= 0):
         raise NoConvergence("eigenvector failed positivity; residual too large")
@@ -303,7 +313,7 @@ def _dense_pair(k: np.ndarray, eta):
     bound = DirichletEigenpair(lam0, phi, "first", res).residual_bound(max_rate)
     if res > bound:
         raise NoConvergence(f"residual {res:.3e} exceeds bound {bound:.3e}")
-    return lam0, phi, res
+    return lam0, phi, res, None
 
 
 def dirichlet_eigenpair(gen: AbsorbingGenerator, normalization: str = "first") -> DirichletEigenpair:
@@ -319,18 +329,18 @@ def dirichlet_eigenpair(gen: AbsorbingGenerator, normalization: str = "first") -
     _check_generator(gen, "dirichlet_eigenpair")
     bd = gen.birth_death_rates() if gen.is_birth_death else None
     if bd is not None:
-        lam0, phi, res = _bd_pair(*bd)
+        (lam0, phi, res), factor = _bd_pair(*bd), None
     else:
         k = gen.k_matrix()
         eta, _ = reversible_measure(gen)
-        lam0, phi, res = _dense_pair(k, eta)
+        lam0, phi, res, factor = _dense_pair(k, eta)
     phi = phi / phi[0]
     if normalization == "max":
         phi = phi / phi.max()
     elif normalization == "qsd":
         if bd is not None:
             k, eta = None, _bd_eta(*bd)
-        phi = phi / float(_qsd(k, eta, phi) @ phi)
+        phi = phi / float(_qsd(k, eta, phi, factor) @ phi)
     return DirichletEigenpair(lam0, phi, normalization, res)
 
 
@@ -362,14 +372,15 @@ def quasi_stationary_dist(gen: AbsorbingGenerator) -> np.ndarray:
     return _qsd(k, eta, None if eta is None else _dense_pair(k, eta)[1])
 
 
-def _qsd(k, eta, phi) -> np.ndarray:
+def _qsd(k, eta, phi, factor=None) -> np.ndarray:
     """Quasi-stationary distribution from a ground pair already in hand.
 
     With the reversible measure eta, nu = eta * phi normalized; without it
-    (non-reversible K) the transpose is solved directly and phi is unused.
+    (non-reversible K) phi is unused and the power steps run on the
+    transposed solve, on the pair's last LU factor when one is passed.
     """
     if eta is None:
-        nu = _perron_pair(-k, trans=1)[1]
+        nu = _perron_pair(-k, 1, factor)[1]
         return nu / nu.sum()
     # phi scaled as dirichlet_eigenpair reports it
     nu = eta * (phi / phi[0])
@@ -455,7 +466,9 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     and sorted ascending, and every minor is a submatrix of the same
     symmetric matrix.  A non-reversible generator whose numerically computed
     spectrum is real is reported without eta; complex eigenvalues raise
-    NotDiagonalizableDetected.
+    NotDiagonalizableDetected.  lambda0' is read off the minor spectra when
+    they are computed, so one report takes each minor's values from one
+    solver; otherwise it comes from lambda0_minor's routes.
     """
     _check_generator(gen, "full_spectrum")
     eta, _ = reversible_measure(gen)
@@ -464,7 +477,6 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     if gen.is_birth_death:
         b, d = gen.birth_death_rates()
         eigenvalues = np.sort(tridiag.eigenvalues(b, d))
-        lambda0_prime = min(_bd_minor_lambda0(b, d, x) for x in gen.absorbing_set)
     else:
         k = gen.k_matrix()
         if eta is not None:
@@ -479,13 +491,18 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
                     "spectral results are restricted to lambda0/phi/nu"
                 )
             eigenvalues = np.sort(vals.real)
-        lambda0_prime = min(_minor_lambda0(k, x, s) for x in gen.absorbing_set)
     minor_spectra = None
     if compute_minors:
         if k is None:  # birth-death chains are reversible; S is needed only here
             k = gen.k_matrix()
             s = _sym_neg_k(k)
         minor_spectra = {x: _minor_eigenvalues(gen, k, x, s) for x in range(1, n + 1)}
+        lambda0_prime = min(float(minor_spectra[x][0]) if n > 1 else math.inf
+                            for x in gen.absorbing_set)
+    elif gen.is_birth_death:
+        lambda0_prime = min(_bd_minor_lambda0(b, d, x) for x in gen.absorbing_set)
+    else:
+        lambda0_prime = min(_minor_lambda0(k, x, s) for x in gen.absorbing_set)
     return SpectrumReport(
         eigenvalues=np.asarray(eigenvalues, dtype=float),
         reversible_measure=eta,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from qsamp import (
     InvalidParameter,
@@ -371,10 +372,12 @@ class TestQuasiStationary:
                 return real(*args)
             return wrapper
 
-        for name in ("_bd_pair", "_dense_pair", "reversible_measure"):
+        for name in ("_bd_pair", "_dense_pair", "reversible_measure", "lu_factor"):
             monkeypatch.setattr(spectral, name, counted(name))
         phi = dirichlet_eigenpair(gen, "qsd").phi
         assert calls.count("_bd_pair") + calls.count("_dense_pair") == 1
+        # the QSD's transposed steps run on the pair's own factorization
+        assert calls.count("lu_factor") == (route == "non-reversible")
         assert calls.count("reversible_measure") == (route != "birth-death")
         np.testing.assert_allclose(phi, old_path, rtol=1e-15, atol=0)
 
@@ -575,3 +578,59 @@ def test_non_reversible_minor_by_strongly_connected_blocks(monkeypatch):
     assert lambda0_minor(gen, 1) == pytest.approx(expect, rel=1e-12)
     for x in range(2, 7):
         lambda0_minor(gen, x)
+
+
+def hub_and_pairs(a, delta, kappa, skew):
+    """Hub 1, absorbed at rate a, feeds the pairs {2, 3} and {4, 5} through 2
+    and 4; they drain back to it one way, from 3 and 5, at kappa and
+    kappa * skew, and are joined one way round 2 -> 3 -> 4 -> 5 -> 2 at
+    delta (0 for no join).  The chain is not reversible."""
+    transitions = [(1, 2, 1.0), (1, 4, 1.0), (2, 3, 1.0), (3, 2, 1.0), (4, 5, 1.0),
+                   (5, 4, 1.0), (3, 1, kappa), (5, 1, kappa * skew)]
+    if delta:
+        transitions += [(3, 4, delta), (5, 2, delta)]
+    return build_general(5, transitions, {1: a})
+
+
+def test_metastable_non_reversible_pair_and_qsd():
+    # the pairs are two near-identical traps: lambda0/lambda1 is about 0.99,
+    # so unshifted power steps would narrow the bracket to 0.99^1000, about
+    # 4e-5, within their step cap
+    gen = hub_and_pairs(1000.0, 0.0, 1e-2, 1.01)
+    assert reversible_measure(gen)[0] is None
+    k = gen.k_matrix()
+    vals = np.sort(np.linalg.eigvals(-k).real)
+    assert vals[0] / vals[1] > 0.985
+    pair = dirichlet_eigenpair(gen)
+    assert pair.lambda0 == pytest.approx(vals[0], rel=1e-9)
+    assert np.abs(k @ pair.phi + pair.lambda0 * pair.phi).max() <= 1e-10 * pair.lambda0 * pair.phi.max()
+    nu = quasi_stationary_dist(gen)
+    assert np.all(nu > 0) and np.abs(nu @ k + pair.lambda0 * nu).max() <= 1e-10 * pair.lambda0
+    phi = dirichlet_eigenpair(gen, "qsd").phi
+    assert float(nu @ phi) == pytest.approx(1.0, rel=1e-12)
+    expect = float(np.min(np.linalg.eigvals(spectral._drop_state(-k, 1)).real))
+    assert full_spectrum(gen).lambda0_prime == pytest.approx(expect, rel=1e-9)
+
+
+def test_minor_block_with_a_bottleneck():
+    # without the hub, states 2..5 are one strongly connected block whose two
+    # halves are joined at 1e-6, against drains of 1e-2: its lambda0/lambda1
+    # is about 0.999
+    gen = hub_and_pairs(1.0, 1e-6, 1e-2, 1.001)
+    sub = spectral._drop_state(-gen.k_matrix(), 1)
+    assert connected_components(csr_matrix(sub), directed=True, connection="strong")[0] == 1
+    vals = np.sort(np.linalg.eigvals(sub).real)
+    assert vals[0] / vals[1] > 0.998
+    assert lambda0_minor(gen, 1) == pytest.approx(vals[0], rel=1e-9)
+    rep = full_spectrum(gen, compute_minors=True)
+    assert rep.lambda0_prime == pytest.approx(vals[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("gen", [
+    build_rho_chain(12, 0.8),
+    hub_and_pairs(1.0, 1e-3, 1e-2, 1.01),
+    build_general(3, [(1, 2, 1.0), (2, 1, 2.0), (2, 3, 1.0), (3, 2, 1.0)], {1: 1.0, 3: 0.5}),
+], ids=["birth-death", "non-reversible", "reversible"])
+def test_lambda0_prime_read_off_the_minor_spectra(gen):
+    rep = full_spectrum(gen, compute_minors=True)
+    assert rep.lambda0_prime == min(rep.minor_spectra[x][0] for x in gen.absorbing_set)
