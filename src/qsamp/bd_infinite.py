@@ -349,10 +349,14 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
     """lambda_{N,n} for n <= n_max over an increasing truncation schedule.
 
     The ground column, phi and lambda0' come from the Green-operator routine
-    tridiag.ground_pair; the higher columns of a truncation come from one
-    bisection call, each value refined through the Dirichlet-form Rayleigh
-    quotient of an inverse-iterated vector (tridiag.higher_eigenvalues).
-    Both keep full relative accuracy; each column must be non-increasing in
+    tridiag.ground_pair; the higher columns come from the Dirichlet-form
+    Rayleigh quotients of inverse-iterated vectors
+    (tridiag.higher_eigenvalues).  Both keep full relative accuracy.  The
+    first truncation bisects for its estimates; each later one starts from
+    the one before it: phi and the minor's phi', padded with their last
+    entries, as ground_pair's starts, and lambda_1..lambda_k as
+    higher_eigenvalues' guesses, each falling back to bisection when it
+    does not lead to its eigenvalue.  Each column must be non-increasing in
     N (checked with slack 1e-12).  A column's limit is declared once the
     relative change between consecutive truncations drops below tol.
     Failure to resolve the ground column raises NotConverged.
@@ -367,15 +371,18 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
     rows = []
     rows_prime = []
     phi_list = []
+    phi = phi_prime = guesses = None  # the truncation before, to start from
     for n in schedule:
         b, d = rates.realize(n)
         lam_row = np.full(n_max + 1, np.inf)
-        lam_row[0], phi, _ = tridiag.ground_pair(b, d)
+        lam_row[0], phi, _ = tridiag.ground_pair(b, d, _padded(phi, n))
         k = min(n_max, n - 1)
-        lam_row[1 : k + 1] = tridiag.higher_eigenvalues(b, d, k)
+        lam_row[1 : k + 1] = tridiag.higher_eigenvalues(b, d, k, guesses)
+        lam0p, phi_prime, _ = tridiag.ground_pair(b[1:], d[1:], _padded(phi_prime, n - 1))
         rows.append(lam_row)
-        rows_prime.append(tridiag.ground_pair(b[1:], d[1:])[0])
+        rows_prime.append(lam0p)
         phi_list.append(phi)
+        guesses = lam_row[1:]
     table = np.array(rows)
     prime = np.array(rows_prime)
 
@@ -418,6 +425,11 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
         phi_nondecreasing=phi_ok,
         tol=tol,
     )
+
+
+def _padded(v, n):
+    """v extended to length n by its last entry; None stays None."""
+    return None if v is None else np.pad(v, (0, n - len(v)), mode="edge")
 
 
 @dataclass(frozen=True)

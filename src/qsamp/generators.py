@@ -246,6 +246,8 @@ def build_general(
 
 
 def _is_finite_number(r) -> bool:
+    if type(r) is float:  # the common case, without the slower ABC check
+        return math.isfinite(r)
     return isinstance(r, numbers.Real) and math.isfinite(r)
 
 

@@ -253,9 +253,9 @@ def _perron_pair(a: np.ndarray, trans: int = 0, start=None):
     step f -> g gives the Collatz-Wielandt bracket
     s + min f/g <= lambda0 <= s + max f/g.  The steps start at s = 0, or on
     start, the factor = (LU, s) returned by an earlier call on the same a.  A
-    step that narrows the bracket by less than half while it is wider than
-    RESIDUAL_RTOL moves s to one bracket width below its lower end, where
-    the steps narrow by (lambda0 - s)/|lambda1 - s| however close lambda1 is.
+    step that narrows the bracket slowly (tridiag.narrowing_slowly) moves s
+    to one bracket width below its lower end, where the steps narrow by
+    (lambda0 - s)/|lambda1 - s| however close lambda1 is.
     Each shift's steps stop by tridiag.bracket_settled, all of them after
     tridiag.MAX_POWER_STEPS, and the pair (the midpoint, the last step scaled
     to max 1) is accepted on the bracket.  A step that is not positive and
@@ -279,7 +279,7 @@ def _perron_pair(a: np.ndarray, trans: int = 0, start=None):
         step_width = (hi - lo) / lo
         if tridiag.bracket_settled(step_width, width):
             break
-        if RESIDUAL_RTOL < step_width and 2 * step_width > width and 2 * lo - hi > shift:
+        if tridiag.narrowing_slowly(step_width, width) and 2 * lo - hi > shift:
             lu, shift, step_width = None, 2 * lo - hi, math.inf
         width = step_width
     lam0 = (lo + hi) / 2
@@ -441,6 +441,14 @@ def lambda0_minor(gen: AbsorbingGenerator, x: int) -> float:
 
 
 def _bd_minor_lambda0(b, d, x: int) -> float:
+    """lambda0 of a birth-death chain without state x, the least over its blocks.
+
+    The upper block x+1..n is a birth-death chain killed from its first
+    state, so tridiag.ground_pair gives its lambda0 with relative accuracy;
+    LAPACK's bisection takes over when that pair raises NoConvergence (phi
+    outside the double range, or the step cap).
+    The lower block 1..x-1 is killed at both ends and goes to LAPACK.
+    """
     n = len(d)
     if n == 1:
         return math.inf
@@ -449,7 +457,10 @@ def _bd_minor_lambda0(b, d, x: int) -> float:
     if x > 1:  # lower block 1..x-1, upper boundary mass acts as killing
         vals.append(_tridiag_lambda0(main[: x - 1], off[: x - 2]))
     if x < n:  # upper block x+1..n
-        vals.append(_tridiag_lambda0(main[x:], off[x:]))
+        try:
+            vals.append(tridiag.ground_pair(b[x:], d[x:])[0])
+        except NoConvergence:
+            vals.append(_tridiag_lambda0(main[x:], off[x:]))
     return min(vals)
 
 

@@ -19,10 +19,15 @@ operator G = (-K)^-1 carried out on log f.  G has the closed form
 whose terms are all positive, so each component keeps relative accuracy
 however far lambda0 sits below the rates, and each step gives the
 Collatz-Wielandt bracket min f/Gf <= lambda0 <= max f/Gf as a certificate.
-higher_eigenvalues gives lambda_1..lambda_k from one bisection call, each
-refined through the Dirichlet-form Rayleigh quotient of a banded
-inverse-iterated vector.  The diagonal of the same closed form gives
-green_trace, the sum of every 1/lambda_k in O(n) and without subtraction:
+higher_eigenvalues gives lambda_1..lambda_k, each the Dirichlet-form
+Rayleigh quotient of a banded inverse-iterated vector.  The shifts come from
+one bisection call, or from guesses such as a smaller truncation's
+eigenvalues, re-shifted at each quotient until it settles and accepted only
+when every vector has as many sign changes as its index; ground_pair takes
+a start vector the same way, so a schedule of nested truncations
+(bd_infinite.eigen_convergence) bisects only for its first one.  The
+diagonal of the same closed form gives green_trace, the sum of every
+1/lambda_k in O(n) and without subtraction:
 
     trace G = sum_x pi_x sum_{z<=x} (pi_z d_z)^-1.
 
@@ -123,16 +128,24 @@ def green_trace(b, d) -> float:
         return float(np.exp(np.logaddexp.reduce(lp + np.logaddexp.accumulate(-lp - np.log(d)))))
 
 
-def higher_eigenvalues(b, d, k):
+def higher_eigenvalues(b, d, k, guesses=None):
     """lambda_1..lambda_k of -K, ascending, with relative accuracy.
 
-    One bisection call gives all k estimates; each is refined to the
-    Dirichlet-form Rayleigh quotient of the vector inverse-iterated from it.
-    The quotient is valid for signed vectors too (summation by parts against
-    the reflecting top), and every summand is nonnegative.
+    Each value is the Dirichlet-form Rayleigh quotient of a vector
+    inverse-iterated from an estimate of it.  The quotient is valid for
+    signed vectors too (summation by parts against the reflecting top), and
+    every summand is nonnegative.  The estimates come from one bisection
+    call, unless guesses (such as lambda_1..lambda_k of a smaller
+    truncation) are given and each of them leads to its eigenvalue through
+    _shifted_quotient; if any guess does not, or is missing or not finite,
+    bisection gives them all.
     """
     if k == 0:
         return np.zeros(0)
+    if guesses is not None and len(guesses) >= k and np.all(np.isfinite(guesses[:k])):
+        warm = [_shifted_quotient(b, d, idx, g) for idx, g in enumerate(guesses[:k], start=1)]
+        if None not in warm:
+            return np.array(warm)
     estimates = eigenvalues(b, d, 1, k)
     return np.array([
         rayleigh_quotient(b, d, _inverse_iteration(b, d, idx, lam_hat))
@@ -140,11 +153,42 @@ def higher_eigenvalues(b, d, k):
     ])
 
 
-def _inverse_iteration(b, d, eig_index, lam_hat, iters=3):
+#: Rayleigh-quotient re-shifts allowed from a guess before bisection takes over
+MAX_RESHIFTS = 6
+
+
+def _shifted_quotient(b, d, eig_index, guess):
+    """lambda_{eig_index} from a guess at it, or None when it cannot be vouched for.
+
+    Inverse iteration shifted at the guess, then at each new Rayleigh
+    quotient from the last vector, until the quotients settle by
+    bracket_settled's rule: two agree to about 4 ulps, or they stop getting
+    closer at a relative distance below SLOW_WIDTH_FLOOR (rounding in the
+    quotient).  Every vector must have exactly eig_index sign changes: the
+    eigenvector of index j of an irreducible Jacobi matrix has j nodes
+    (Sturm oscillation), and the diagonal similarity to the symmetrized
+    matrix keeps signs, so a guess nearer another eigenvalue is caught.
+    """
+    lam, width, v = guess, np.inf, None
+    for _ in range(MAX_RESHIFTS):
+        v = _inverse_iteration(b, d, eig_index, lam, start=v)
+        signs = np.sign(v[v != 0])
+        if np.count_nonzero(signs[1:] != signs[:-1]) != eig_index:
+            return None
+        lam, previous = rayleigh_quotient(b, d, v), lam
+        step = abs(lam - previous) / lam
+        if bracket_settled(step, width):
+            return lam if step <= SLOW_WIDTH_FLOOR else None
+        width = step
+    return None
+
+
+def _inverse_iteration(b, d, eig_index, lam_hat, start=None):
     """Eigenvector estimate of -K for the given index, max |v| = 1.
 
-    Inverse iteration on the unsymmetrized banded matrix, started from the
-    ones vector with a shift just below the bisection eigenvalue lam_hat.
+    Inverse iteration on the unsymmetrized banded matrix with a shift just
+    below the eigenvalue estimate lam_hat: three solves from the ones
+    vector, or one from start, an eigenvector estimate at a nearby shift.
     Shifts that make the solve singular fall back to small negative shifts,
     which still isolate the target direction whenever the eigenvalue is far
     below the matrix norm (the regime where the singular shift occurs).
@@ -158,8 +202,8 @@ def _inverse_iteration(b, d, eig_index, lam_hat, iters=3):
     for s in shifts:
         try:
             ab = _banded(b, d, s)
-            w = np.ones(n)
-            for _ in range(iters):
+            w = np.ones(n) if start is None else start
+            for _ in range(3 if start is None else 1):
                 w = solve_banded((1, 1), ab, w)
                 nrm = np.abs(w).max()
                 if not np.isfinite(nrm) or nrm == 0:
@@ -195,7 +239,17 @@ def bracket_settled(width: float, previous: float) -> bool:
     return width <= 4 * np.finfo(float).eps or width >= previous
 
 
-def ground_pair(b, d):
+#: relative bracket width below which slow narrowing is left to run out
+SLOW_WIDTH_FLOOR = 1e-10
+
+
+def narrowing_slowly(width: float, previous: float) -> bool:
+    """A power step narrowed a bracket still wider than SLOW_WIDTH_FLOOR by
+    less than half: the cue for a better start or shift."""
+    return width > SLOW_WIDTH_FLOOR and 2 * width > previous
+
+
+def ground_pair(b, d, start=None):
     """Lowest eigenpair (lambda0, phi, (lo, hi)) of -K with phi(1) = 1.
 
     Power steps on the Green operator G = (-K)^-1, applied to log f by two
@@ -204,11 +258,17 @@ def ground_pair(b, d):
     steps stop once it has closed to a few ulps or no longer narrows, which
     happens at rounding level.  lambda0 is the bracket's geometric midpoint
     and phi the last iterate Gf; the bracket's relative width bounds the
-    componentwise backward error of phi.  The start is the vector
-    inverse-iterated from the bisection eigenvalue, which usually leaves one
-    or two steps to take (cold starts need tens).  Raises NoConvergence when
+    componentwise backward error of phi.  The steps start from the vector
+    inverse-iterated from an estimate of lambda0, which usually leaves one
+    or two steps to take (cold starts need tens).  The estimate is the
+    bisection eigenvalue, or, when start is given, the Rayleigh quotient of
+    start: a positive vector of length n, such as the ground vector of a
+    smaller truncation padded with its last entry.  A poor start shows as a
+    step that narrows the bracket slowly (narrowing_slowly), which sends the
+    steps back to the bisection estimate, once.  Raises NoConvergence when
     the bracket is still narrowing after the step cap, or when phi or
-    lambda0 leaves the double range.
+    lambda0 leaves the double range; InvalidParameter for a start that is
+    not n positive finite numbers.
     """
     b = np.asarray(b, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -217,8 +277,37 @@ def ground_pair(b, d):
         return float(d[0]), np.ones(1), (float(d[0]), float(d[0]))
     lp = log_pi(b, d)
     log_w = -lp - np.log(d)
-    v = _inverse_iteration(b, d, 0, eigenvalues(b, d, 0, 0)[0])
-    f = np.log(v) if np.all(v > 0) and np.all(np.isfinite(v)) else np.zeros(n)
+    steps = None
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (n,) or not np.all((start > 0) & np.isfinite(start)):
+            raise InvalidParameter(f"start must be {n} positive finite numbers")
+        f = _log_start(b, d, rayleigh_quotient(b, d, start))
+        steps = _green_steps(lp, log_w, f, restart=True)
+    if steps is None:
+        steps = _green_steps(lp, log_w, _log_start(b, d, eigenvalues(b, d, 0, 0)[0]), restart=False)
+    lo, hi, f = steps
+    mid = (lo + hi) / 2
+    if f.max() >= np.log(np.finfo(float).max) or mid <= np.log(np.finfo(float).tiny):
+        raise NoConvergence(
+            f"ground eigenpair outside the double range: log lambda0 = {mid:.1f}, "
+            f"log max phi = {f.max():.1f}"
+        )
+    return float(np.exp(mid)), np.exp(f), (float(np.exp(lo)), float(np.exp(hi)))
+
+
+def _log_start(b, d, lam_hat):
+    """log of the ground vector inverse-iterated from lam_hat; zeros if not positive."""
+    v = _inverse_iteration(b, d, 0, lam_hat)
+    return np.log(v) if np.all(v > 0) and np.all(np.isfinite(v)) else np.zeros(len(d))
+
+
+def _green_steps(lp, log_w, f, restart):
+    """Green power steps on log f until bracket_settled: (log lo, log hi, log phi).
+
+    With restart, a step that is narrowing_slowly returns None instead, so
+    that the caller can try a better start.
+    """
     width = np.inf
     for _ in range(MAX_POWER_STEPS):
         tail = np.logaddexp.accumulate((lp + f)[::-1])[::-1]
@@ -227,20 +316,14 @@ def ground_pair(b, d):
         lo, hi = float(ratio.min()), float(ratio.max())
         f = g - g[0]
         if bracket_settled(hi - lo, width):
-            break
+            return lo, hi, f
+        if restart and narrowing_slowly(hi - lo, width):
+            return None
         width = hi - lo
-    else:
-        raise NoConvergence(
-            f"Green power steps still narrowing after {MAX_POWER_STEPS} steps: relative "
-            f"bracket width {hi - lo:.2e}, log max phi {f.max():.1f}"
-        )
-    mid = (lo + hi) / 2
-    if f.max() >= np.log(np.finfo(float).max) or mid <= np.log(np.finfo(float).tiny):
-        raise NoConvergence(
-            f"ground eigenpair outside the double range: log lambda0 = {mid:.1f}, "
-            f"log max phi = {f.max():.1f}"
-        )
-    return float(np.exp(mid)), np.exp(f), (float(np.exp(lo)), float(np.exp(hi)))
+    raise NoConvergence(
+        f"Green power steps still narrowing after {MAX_POWER_STEPS} steps: relative "
+        f"bracket width {hi - lo:.2e}, log max phi {f.max():.1f}"
+    )
 
 
 def apply_neg_k(b, d, v):

@@ -32,6 +32,15 @@ def pivot_digits_lost(b, d) -> int:
     return max(0, int(np.ceil(lost.max() / np.log(10))))
 
 
+def count_bisections(monkeypatch):
+    """Spy on tridiag.eigenvalues (LAPACK bisection); returns the list of
+    argument tuples its calls append to."""
+    calls = []
+    bisect = tridiag.eigenvalues
+    monkeypatch.setattr(tridiag, "eigenvalues", lambda *a: calls.append(a) or bisect(*a))
+    return calls
+
+
 def random_reversible_generator(rng, n_max=12):
     """Random reversible absorbing generator: a connected conductance graph
     gives detailed balance by construction, plus a random absorption set."""

@@ -6,6 +6,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsamp import (
     GapViolation,
@@ -35,7 +36,7 @@ from qsamp import (
 )
 from qsamp import tridiag
 from qsamp.bd_infinite import RateFamily, parse_rate_family
-from conftest import pivot_digits_lost
+from conftest import count_bisections, pivot_digits_lost
 
 
 class TestPiMeasure:
@@ -164,10 +165,18 @@ class TestEigenConvergence:
         assert series.lambda_monotone
 
     def test_failed_solve_is_not_monotone(self, monkeypatch):
-        monkeypatch.setattr(tridiag, "higher_eigenvalues", lambda b, d, k: np.full(k, math.nan))
+        monkeypatch.setattr(tridiag, "higher_eigenvalues",
+                            lambda b, d, k, guesses=None: np.full(k, math.nan))
         series = eigen_convergence(poisson_family(), 2, [16, 32], 1e-2)
         assert np.isnan(series.lambda_table[:, 1:]).all()
         assert not series.lambda_monotone
+
+    def test_one_bisection_call_per_kind_per_schedule(self, monkeypatch):
+        # the first truncation bisects for its ground start, lambda_1..lambda_6
+        # and its minor's start; every later one starts from the one before
+        calls = count_bisections(monkeypatch)
+        eigen_convergence(accelerated_poisson_family(), 6, [2 ** k for k in range(4, 13)], 1e-8)
+        assert [len(a[1]) for a in calls] == [16, 16, 15]
 
     def test_spread_beyond_double_range_raises(self):
         # at N = 2048 phi spans more than 1e308: the pair itself fails, not
@@ -184,6 +193,33 @@ class TestEigenConvergence:
     def test_negative_n_max_rejected(self):
         with pytest.raises(InvalidParameter):
             eigen_convergence(poisson_family(), -1, [64, 128], 1e-6)
+
+
+def log_accelerated_family(q):
+    """b_x = ln^q(e+x), d_x = x ln^q(e-1+x): Poisson(1) weights, and an
+    entrance boundary at infinity for every q > 1."""
+    return RateFamily(lambda x: np.log(np.e + x) ** q, lambda x: x * np.log(np.e - 1.0 + x) ** q,
+                      name=f"log-accelerated q={q}")
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(st.floats(1.5, 4.0).map(log_accelerated_family),
+              st.sampled_from([poisson_family(), accelerated_poisson_family()])),
+    st.lists(st.integers(3, 2048), min_size=3, max_size=5, unique=True).map(sorted),
+    st.integers(0, 6),
+)
+def test_warm_started_truncations_match_cold_solves(fam, schedule, n_max):
+    series = eigen_convergence(fam, n_max, schedule, 10.0)
+    for n, row, lam0p, phi in zip(schedule, series.lambda_table, series.lambda0_prime_table,
+                                  series.phi_list):
+        b, d = fam.realize(n)
+        lam0, phi_cold, _ = tridiag.ground_pair(b, d)
+        k = min(n_max, n - 1)
+        cold = np.r_[lam0, tridiag.higher_eigenvalues(b, d, k), np.full(n_max - k, np.inf)]
+        np.testing.assert_allclose(row, cold, rtol=1e-13)
+        np.testing.assert_allclose(phi, phi_cold, rtol=1e-13)
+        assert lam0p == pytest.approx(tridiag.ground_pair(b[1:], d[1:])[0], rel=1e-13)
 
 
 class TestTheoremBound:

@@ -1,5 +1,6 @@
 import itertools
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ def test_non_finite_rate_rejected(bad):
         build_birth_death([bad], [1.0, 1.0])
     with pytest.raises(InvalidParameter):
         build_birth_death([1.0], [bad, 1.0])
+
+
+@pytest.mark.parametrize("rate", [2.5, 2, np.float64(2.5), True])
+def test_real_rate_types_accepted(rate):
+    gen = build_general(2, [(1, 2, rate), (2, 1, 1.0)], {1: rate})
+    assert gen.transitions[0] == (1, 2, float(rate))
+    assert gen.absorption == ((1, float(rate)),)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "1.0", 1 + 0j, Decimal("1.0")])
+def test_non_real_or_non_finite_rate_rejected(bad):
+    with pytest.raises(InvalidParameter, match="not a finite number"):
+        build_general(2, [(1, 2, bad), (2, 1, 1.0)], {1: 1.0})
+    with pytest.raises(InvalidParameter, match="not a finite number"):
+        build_general(2, [(1, 2, 1.0), (2, 1, 1.0)], {1: bad})
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, "a", "2", None, True])

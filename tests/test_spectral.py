@@ -24,7 +24,7 @@ from qsamp import (
     quasi_stationary_dist,
     reversible_measure,
 )
-from qsamp import spectral
+from qsamp import spectral, tridiag
 from conftest import random_cycle_with_chords, random_reversible_generator
 
 # roots of the 2x2 characteristic polynomial lam^2 - 3 lam + 1, by hand
@@ -450,6 +450,17 @@ class TestLambda0Minor:
         for x in (0, 7, -1):
             with pytest.raises(InvalidParameter):
                 lambda0_minor(gen, x)
+
+    def test_birth_death_minor_far_below_the_rates(self):
+        # lambda0' ~ 1.7e-24 sits below eps * ||K||, LAPACK's absolute
+        # accuracy; the Green pair of the upper block keeps it relatively
+        gen = build_rho_chain(200, 1.3)
+        b, d = gen.birth_death_rates()
+        ref = float(tridiag.mp_lambda(b[1:], d[1:]))
+        lam0p = full_spectrum(gen).lambda0_prime
+        assert lam0p > 0
+        assert lam0p == pytest.approx(ref, rel=1e-10)
+        assert lambda0_minor(gen, 1) == lam0p
 
     def test_reducible_minor(self):
         # removing the middle of a 3-chain leaves two singleton blocks

@@ -14,15 +14,17 @@ from scipy.linalg import eigvalsh_tridiagonal
 from qsamp import (
     InvalidParameter,
     NoConvergence,
+    accelerated_poisson_family,
     amplitude,
     build_birth_death,
     build_rho_chain,
     dirichlet_eigenpair,
     exact_bd_amplitude,
+    poisson_family,
     rho_family,
 )
 from qsamp import tridiag
-from conftest import pivot_digits_lost
+from conftest import count_bisections, pivot_digits_lost
 
 
 def log_uniform_chain(rng, n, low, high):
@@ -89,6 +91,80 @@ def test_higher_eigenvalue_beyond_half_the_exponent_range():
         v = tridiag._inverse_iteration(b, d, 3, ref)
     assert np.abs(v).min() < 1e-154
     assert abs(lam - ref) <= 1e-8 * ref
+
+
+def test_ground_pair_from_a_nearby_start():
+    # the ground vector of a smaller truncation, padded with its last entry
+    fam = accelerated_poisson_family()
+    phi_small = tridiag.ground_pair(*fam.realize(300))[1]
+    b, d = fam.realize(600)
+    lam, phi, (lo, hi) = tridiag.ground_pair(b, d)
+    warm = tridiag.ground_pair(b, d, np.pad(phi_small, (0, 300), mode="edge"))
+    assert warm[0] == pytest.approx(lam, rel=1e-14)
+    np.testing.assert_allclose(warm[1], phi, rtol=1e-13)
+    assert warm[2][0] <= warm[0] <= warm[2][1]
+
+
+@pytest.mark.parametrize("start", [np.ones, lambda n: np.arange(1.0, n + 1) ** 3],
+                         ids=["flat", "cubic"])
+def test_ground_pair_restarts_from_a_poor_start(start, monkeypatch):
+    # the steps narrow at lambda0/lambda1 ~ 1 from these starts on a rho chain,
+    # so the first slow step sends them back to the bisection start
+    b, d = rho_family(0.5).realize(512)
+    cold = tridiag.ground_pair(b, d)
+    calls = count_bisections(monkeypatch)
+    lam, phi, bracket = tridiag.ground_pair(b, d, start(512))
+    assert len(calls) == 1
+    assert (lam, bracket) == (cold[0], cold[2])
+    np.testing.assert_array_equal(phi, cold[1])
+
+
+@pytest.mark.parametrize("start", [np.ones(5), np.r_[1.0, 0.0, np.ones(4)], np.full(6, np.inf)],
+                         ids=["short", "zero", "inf"])
+def test_ground_pair_rejects_a_bad_start(start):
+    with pytest.raises(InvalidParameter):
+        tridiag.ground_pair(*accelerated_poisson_family().realize(6), start)
+
+
+def test_higher_eigenvalues_from_good_guesses_skip_bisection(monkeypatch):
+    fam = accelerated_poisson_family()
+    guesses = tridiag.higher_eigenvalues(*fam.realize(300), 5)
+    b, d = fam.realize(600)
+    cold = tridiag.higher_eigenvalues(b, d, 5)
+    calls = count_bisections(monkeypatch)
+    warm = tridiag.higher_eigenvalues(b, d, 5, guesses)
+    assert calls == []
+    np.testing.assert_allclose(warm, cold, rtol=1e-13)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda lam: lam[[2, 1, 3, 4]],                  # lambda_2 offered for lambda_1
+    lambda lam: np.r_[lam[1:3], np.nan, lam[4]],
+    lambda lam: np.r_[lam[1], lam[3], lam[3:5]],    # lambda_2's guess on lambda_3
+    lambda lam: np.r_[lam[1:4], lam[4] + 0.99 * (lam[5] - lam[4])],
+    lambda lam: np.r_[lam[1] - 0.3 * (lam[1] - lam[0]), lam[2:5]],
+    lambda lam: lam[1:4],                           # one guess missing
+], ids=["swapped", "nan", "neighbour", "nearer-the-next", "stalls-short", "missing"])
+def test_higher_eigenvalues_from_wrong_guesses_fall_back(wrong, monkeypatch):
+    # "stalls-short": the quotients stop closing in while still far apart
+    b, d = accelerated_poisson_family().realize(400)
+    cold = tridiag.higher_eigenvalues(b, d, 4)
+    lam = tridiag.eigenvalues(b, d, 0, 5)
+    calls = count_bisections(monkeypatch)
+    np.testing.assert_array_equal(tridiag.higher_eigenvalues(b, d, 4, wrong(lam)), cold)
+    assert len(calls) == 1
+
+
+def test_higher_eigenvalues_from_rough_guesses_re_shift(monkeypatch):
+    # a fifth of the way to the next eigenvalue: the first quotient is off,
+    # and the re-shifted ones settle on the cold values
+    b, d = poisson_family().realize(600)
+    lam = tridiag.eigenvalues(b, d, 1, 6)
+    cold = tridiag.higher_eigenvalues(b, d, 5)
+    calls = count_bisections(monkeypatch)
+    warm = tridiag.higher_eigenvalues(b, d, 5, lam[:5] + 0.2 * np.diff(lam))
+    assert calls == []
+    np.testing.assert_allclose(warm, cold, rtol=1e-13)
 
 
 def mp_green_trace(b, d):
