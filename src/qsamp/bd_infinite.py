@@ -352,9 +352,10 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
     tridiag.ground_pair; the higher columns come from the Dirichlet-form
     Rayleigh quotients of inverse-iterated vectors
     (tridiag.higher_eigenvalues).  Both keep full relative accuracy.  The
-    first truncation bisects for its estimates; each later one starts from
-    the one before it: phi and the minor's phi', padded with their last
-    entries, as ground_pair's starts, and lambda_1..lambda_k as
+    first truncation's ground pairs start from the first Green step G1 and
+    its lambda_1..lambda_k from one bisection call; each later truncation
+    starts from the one before it: phi and the minor's phi', padded with
+    their last entries, as ground_pair's starts, and lambda_1..lambda_k as
     higher_eigenvalues' guesses, each falling back to bisection when it
     does not lead to its eigenvalue.  Each column must be non-increasing in
     N (checked with slack 1e-12).  A column's limit is declared once the

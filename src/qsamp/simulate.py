@@ -28,6 +28,7 @@ the GIL for most of a step, so threads cannot overlap its blocks.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,19 +115,24 @@ def sample_path(gen: AbsorbingGenerator, start: int, target: int | None,
     if target is not None and start == target:
         return TrajectoryOutcome(True, 0.0, False, 0)
     scale, cols, thresh = _jump_table(gen)
+    # Python scalars per jump: the draws and the u > threshold comparisons of
+    # the batch kernel, without the cost of one-element arrays
+    scale, cols, rows = scale.tolist(), cols.tolist(), thresh.T.tolist()
     n = gen.n_states
-    state = np.array([start - 1])
+    goal = -1 if target is None else target - 1
+    state = start - 1
     elapsed = 0.0
     events = 0
     while True:
         if events >= EVENT_BUDGET:
             raise EventBudgetExceeded(f"{events} jumps without resolution")
-        elapsed += rng.standard_exponential() * scale[state[0]]
+        elapsed += rng.standard_exponential() * scale[state]
         events += 1
-        state = _next_state(cols, thresh, state, rng.random(1))
-        if state[0] == n:
+        # thresholds ascend to +inf: the slot is the number of them below u
+        state = cols[state][bisect_left(rows[state], rng.random())]
+        if state == n:
             return TrajectoryOutcome(False, elapsed, True, events)
-        if target is not None and state[0] == target - 1:
+        if state == goal:
             return TrajectoryOutcome(True, elapsed, False, events)
 
 

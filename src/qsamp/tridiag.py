@@ -12,21 +12,29 @@ the symmetrized entries are local, so no product weight is ever formed in
 a way that can overflow.
 
 The lowest eigenpair comes from ground_pair: power steps on the Green
-operator G = (-K)^-1 carried out on log f.  G has the closed form
+operator G = (-K)^-1.  G has the closed form
 
     G f(x) = sum_{z<=x} (pi_z d_z)^-1 sum_{y>=z} pi_y f(y),
 
-whose terms are all positive, so each component keeps relative accuracy
-however far lambda0 sits below the rates, and each step gives the
+which factors into two bidiagonal sweeps with positive coefficients and no
+pi (the subtraction-free elimination of Grassmann, Taksar and Heyman,
+1985): y_z = f(z)/d_z + (b_z/d_z) y_{z+1} from the top down, then the
+running sum of y.  Every term is positive, so each component keeps relative
+accuracy however far lambda0 sits below the rates, and each step gives the
 Collatz-Wielandt bracket min f/Gf <= lambda0 <= max f/Gf as a certificate.
+Where a value would leave the double range, the step runs on log f over
+log pi instead.  The steps start from a vector that inverse iteration has
+settled on, shifted at each new Rayleigh quotient from G1 (the expected
+absorption times) or from a given start, so one or two steps certify it;
+a LAPACK bisection eigenvalue seeds the start only when that fails.
 higher_eigenvalues gives lambda_1..lambda_k, each the Dirichlet-form
-Rayleigh quotient of a banded inverse-iterated vector.  The shifts come from
-one bisection call, or from guesses such as a smaller truncation's
-eigenvalues, re-shifted at each quotient until it settles and accepted only
-when every vector has as many sign changes as its index; ground_pair takes
-a start vector the same way, so a schedule of nested truncations
-(bd_infinite.eigen_convergence) bisects only for its first one.  The
-diagonal of the same closed form gives green_trace, the sum of every
+Rayleigh quotient of an inverse-iterated vector, through the same
+re-shifted iteration from guesses such as a smaller truncation's
+eigenvalues, accepted only when every vector has as many sign changes as
+its index; without guesses, one bisection call gives the shifts.  So a
+schedule of nested truncations (bd_infinite.eigen_convergence) bisects
+only for the higher eigenvalues of its first one.  The diagonal of the
+Green operator's closed form gives green_trace, the sum of every
 1/lambda_k in O(n) and without subtraction:
 
     trace G = sum_x pi_x sum_{z<=x} (pi_z d_z)^-1.
@@ -53,9 +61,13 @@ import math
 from decimal import Decimal
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgtsv
 
 from .errors import InvalidParameter, NoConvergence
+
+_TINY = float(np.finfo(float).tiny)
 
 
 def sym_tridiag(b: np.ndarray, d: np.ndarray):
@@ -88,32 +100,25 @@ def eigenvalues(b, d, n_lo=0, n_hi=None):
     return eigvalsh_tridiagonal(main, off, select="i", select_range=(n_lo, n_hi))
 
 
-def rayleigh_quotient(b, d, v) -> float:
+def rayleigh_quotient(b, d, v, lp=None) -> float:
     """Rayleigh quotient of -K at v through the Dirichlet form.
 
     All terms are nonnegative, so the quotient keeps full relative accuracy
     even when it is many orders of magnitude below the matrix norm.  Both
     sums are shifted by max(log pi + 2 log|v|) in log space, so neither
     underflows when pi and v grow in opposite directions (spreads past 1e154).
+    lp is log_pi(b, d), for callers that take several quotients on one chain.
     """
-    lp = log_pi(b, d)
+    if lp is None:
+        lp = log_pi(b, d)
     with np.errstate(divide="ignore"):
         log_mass = lp + 2 * np.log(np.abs(v))
         shift = log_mass.max()
         energy = d[0] * np.exp(log_mass[0] - shift)
         if len(d) > 1:
-            log_jump = lp[:-1] + 2 * np.log(np.abs(np.diff(v)))
-            energy += np.sum(b * np.exp(log_jump - shift))
-    return float(energy / np.sum(np.exp(log_mass - shift)))
-
-
-def _banded(b, d, shift):
-    n = len(d)
-    ab = np.zeros((3, n))
-    ab[1, :] = d + np.append(b, 0.0) - shift
-    ab[0, 1:] = -b
-    ab[2, : n - 1] = -d[1:]
-    return ab
+            log_jump = lp[:-1] + 2 * np.log(np.abs(v[1:] - v[:-1]))
+            energy += (b * np.exp(log_jump - shift)).sum()
+    return float(energy / np.exp(log_mass - shift).sum())
 
 
 def green_trace(b, d) -> float:
@@ -142,13 +147,14 @@ def higher_eigenvalues(b, d, k, guesses=None):
     """
     if k == 0:
         return np.zeros(0)
+    lp = log_pi(b, d)
     if guesses is not None and len(guesses) >= k and np.all(np.isfinite(guesses[:k])):
-        warm = [_shifted_quotient(b, d, idx, g) for idx, g in enumerate(guesses[:k], start=1)]
+        warm = [_shifted_quotient(b, d, idx, g, lp) for idx, g in enumerate(guesses[:k], start=1)]
         if None not in warm:
-            return np.array(warm)
+            return np.array([lam for lam, _ in warm])
     estimates = eigenvalues(b, d, 1, k)
     return np.array([
-        rayleigh_quotient(b, d, _inverse_iteration(b, d, idx, lam_hat))
+        rayleigh_quotient(b, d, _inverse_iteration(b, d, idx, lam_hat), lp)
         for idx, lam_hat in enumerate(estimates, start=1)
     ])
 
@@ -157,76 +163,84 @@ def higher_eigenvalues(b, d, k, guesses=None):
 MAX_RESHIFTS = 6
 
 
-def _shifted_quotient(b, d, eig_index, guess):
-    """lambda_{eig_index} from a guess at it, or None when it cannot be vouched for.
+def _shifted_quotient(b, d, eig_index, guess, lp, start=None):
+    """(lambda_{eig_index}, its vector) from a guess at it, or None when it
+    cannot be vouched for.
 
-    Inverse iteration shifted at the guess, then at each new Rayleigh
-    quotient from the last vector, until the quotients settle by
+    Inverse iteration shifted just below the guess, then below each new
+    Rayleigh quotient from the last vector, until the quotients settle by
     bracket_settled's rule: two agree to about 4 ulps, or they stop getting
     closer at a relative distance below SLOW_WIDTH_FLOOR (rounding in the
-    quotient).  Every vector must have exactly eig_index sign changes: the
-    eigenvector of index j of an irreducible Jacobi matrix has j nodes
+    quotient).  The first shift solves from start, or three times from the
+    ones vector.  Every vector must have exactly eig_index sign changes:
+    the eigenvector of index j of an irreducible Jacobi matrix has j nodes
     (Sturm oscillation), and the diagonal similarity to the symmetrized
     matrix keeps signs, so a guess nearer another eigenvalue is caught.
     """
-    lam, width, v = guess, np.inf, None
+    lam, width, v = guess, np.inf, start
     for _ in range(MAX_RESHIFTS):
-        v = _inverse_iteration(b, d, eig_index, lam, start=v)
+        try:
+            v = _shifted_solves(b, d, lam * (1 - 1e-8), v)
+        except np.linalg.LinAlgError:
+            return None
         signs = np.sign(v[v != 0])
         if np.count_nonzero(signs[1:] != signs[:-1]) != eig_index:
             return None
-        lam, previous = rayleigh_quotient(b, d, v), lam
+        lam, previous = rayleigh_quotient(b, d, v, lp), lam
         step = abs(lam - previous) / lam
         if bracket_settled(step, width):
-            return lam if step <= SLOW_WIDTH_FLOOR else None
+            return (lam, np.abs(v) if eig_index == 0 else v) if step <= SLOW_WIDTH_FLOOR else None
         width = step
     return None
 
 
-def _inverse_iteration(b, d, eig_index, lam_hat, start=None):
+def _shifted_solves(b, d, shift, start):
+    """(-K - shift)^-1 applied to start, or three times to the ones vector,
+    each result scaled to max |v| = 1 (LAPACK dgtsv).  Raises LinAlgError
+    for a singular shift or a result that is not finite."""
+    main = d + np.append(b, 0.0) - shift
+    v = np.ones(len(d)) if start is None else start
+    for _ in range(3 if start is None else 1):
+        *_, v, info = dgtsv(-d[1:], main, -b, v, overwrite_dl=1, overwrite_du=1)
+        nrm = np.abs(v).max() if info == 0 else np.nan
+        if not 0 < nrm < np.inf:
+            raise np.linalg.LinAlgError("singular shift")
+        v = v / nrm
+    return v
+
+
+def _inverse_iteration(b, d, eig_index, lam_hat):
     """Eigenvector estimate of -K for the given index, max |v| = 1.
 
-    Inverse iteration on the unsymmetrized banded matrix with a shift just
-    below the eigenvalue estimate lam_hat: three solves from the ones
-    vector, or one from start, an eigenvector estimate at a nearby shift.
-    Shifts that make the solve singular fall back to small negative shifts,
-    which still isolate the target direction whenever the eigenvalue is far
-    below the matrix norm (the regime where the singular shift occurs).
+    Inverse iteration from the ones vector on the unsymmetrized tridiagonal
+    matrix with a shift just below the eigenvalue estimate lam_hat (three
+    solves).  Shifts that make the solve singular fall back to small
+    negative shifts, which still isolate the target direction whenever the
+    eigenvalue is far below the matrix norm (the regime where the singular
+    shift occurs).
     """
-    n = len(d)
     scale = float((d + np.append(b, 0.0)).max())
     shifts = [lam_hat * (1 - 1e-8), lam_hat - 1e-14 * scale]
     if eig_index == 0:
         shifts += [-1e-13 * scale, -1e-10 * scale]
-    v = None
     for s in shifts:
         try:
-            ab = _banded(b, d, s)
-            w = np.ones(n) if start is None else start
-            for _ in range(3 if start is None else 1):
-                w = solve_banded((1, 1), ab, w)
-                nrm = np.abs(w).max()
-                if not np.isfinite(nrm) or nrm == 0:
-                    raise np.linalg.LinAlgError
-                w = w / nrm
-            if eig_index == 0 and np.any(w <= 0):
-                if np.all(w >= 0) or np.all(w <= 0):
-                    w = np.abs(w)
-                else:
-                    continue
-            v = w
-            break
+            w = _shifted_solves(b, d, s, None)
         except np.linalg.LinAlgError:
             continue
-    if v is None:
-        # last resort: dense tridiagonal solve with vectors
-        main, off = sym_tridiag(b, d)
-        lam, vec = eigh_tridiagonal(main, off, select="i", select_range=(eig_index, eig_index))
-        lp = log_pi(b, d)
-        v = vec[:, 0] * np.exp(-(lp - lp.max()) / 2.0)
-        v = v / np.abs(v).max()
-        if v[np.abs(v).argmax()] < 0:
-            v = -v
+        if eig_index == 0 and np.any(w <= 0):
+            if not (np.all(w >= 0) or np.all(w <= 0)):
+                continue
+            w = np.abs(w)
+        return w
+    # last resort: dense tridiagonal solve with vectors
+    main, off = sym_tridiag(b, d)
+    lam, vec = eigh_tridiagonal(main, off, select="i", select_range=(eig_index, eig_index))
+    lp = log_pi(b, d)
+    v = vec[:, 0] * np.exp(-(lp - lp.max()) / 2.0)
+    v = v / np.abs(v).max()
+    if v[np.abs(v).argmax()] < 0:
+        v = -v
     return v
 
 
@@ -252,40 +266,135 @@ def narrowing_slowly(width: float, previous: float) -> bool:
 def ground_pair(b, d, start=None):
     """Lowest eigenpair (lambda0, phi, (lo, hi)) of -K with phi(1) = 1.
 
-    Power steps on the Green operator G = (-K)^-1, applied to log f by two
-    cumulative log-sum-exp passes over log pi.  Each step gives the
-    Collatz-Wielandt bracket lo = min f/Gf <= lambda0 <= max f/Gf, and the
+    Power steps on the Green operator G = (-K)^-1, each of which gives the
+    Collatz-Wielandt bracket lo = min f/Gf <= lambda0 <= max f/Gf; the
     steps stop once it has closed to a few ulps or no longer narrows, which
-    happens at rounding level.  lambda0 is the bracket's geometric midpoint
-    and phi the last iterate Gf; the bracket's relative width bounds the
-    componentwise backward error of phi.  The steps start from the vector
-    inverse-iterated from an estimate of lambda0, which usually leaves one
-    or two steps to take (cold starts need tens).  The estimate is the
-    bisection eigenvalue, or, when start is given, the Rayleigh quotient of
-    start: a positive vector of length n, such as the ground vector of a
-    smaller truncation padded with its last entry.  A poor start shows as a
-    step that narrows the bracket slowly (narrowing_slowly), which sends the
-    steps back to the bisection estimate, once.  Raises NoConvergence when
-    the bracket is still narrowing after the step cap, or when phi or
-    lambda0 leaves the double range; InvalidParameter for a start that is
-    not n positive finite numbers.
+    happens at rounding level.  lambda0 is the bracket's geometric
+    midpoint and phi the last iterate Gf; the bracket's relative width
+    bounds the componentwise backward error of phi.  A step is one
+    back-substitution and one running sum over positive terms
+    (_ratio_step), or, where a value would leave the double range, two
+    cumulative log-sum-exp passes over log pi (_log_step).
+
+    The steps run from the first of three starts whose steps do not narrow
+    the bracket slowly (narrowing_slowly):
+      1. the vector that inverse iteration settles on when shifted at each
+         new Rayleigh quotient (_shifted_quotient), which usually leaves
+         one or two steps to take;
+      2. the vector that iteration started from: start, a positive vector
+         of length n such as the ground vector of a smaller truncation
+         padded with its last entry, or else the first Green step G1 (the
+         expected absorption times).  It serves when lambda0 sits so far
+         below lambda1 that shifted solves drown in rounding, and steps on
+         G converge fast;
+      3. the vector inverse-iterated from the bisection eigenvalue, which
+         runs to the end.
+    Raises NoConvergence when the bracket is still narrowing after the step
+    cap, or when phi or lambda0 leaves the double range; InvalidParameter
+    for a start that is not n positive finite numbers.
     """
     b = np.asarray(b, dtype=float)
     d = np.asarray(d, dtype=float)
     n = len(d)
     if n == 1:
         return float(d[0]), np.ones(1), (float(d[0]), float(d[0]))
-    lp = log_pi(b, d)
-    log_w = -lp - np.log(d)
-    steps = None
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != (n,) or not np.all((start > 0) & np.isfinite(start)):
             raise InvalidParameter(f"start must be {n} positive finite numbers")
-        f = _log_start(b, d, rayleigh_quotient(b, d, start))
-        steps = _green_steps(lp, log_w, f, restart=True)
+    lp = log_pi(b, d)
+    ratio_step = _ratio_step(b, d)
+    steps = None
+    try:
+        f = ratio_step(np.ones(n))[3] if start is None else start
+    except _LeavesRange:
+        f = None
+    if f is not None:
+        found = _shifted_quotient(b, d, 0, rayleigh_quotient(b, d, f, lp), lp, start=f)
+        if found is not None:
+            steps = _green_steps(ratio_step, d, lp, found[1], restart=True)
+        if steps is None:
+            steps = _green_steps(ratio_step, d, lp, f, restart=True)
     if steps is None:
-        steps = _green_steps(lp, log_w, _log_start(b, d, eigenvalues(b, d, 0, 0)[0]), restart=False)
+        v = _inverse_iteration(b, d, 0, eigenvalues(b, d, 0, 0)[0])
+        steps = _green_steps(ratio_step, d, lp, v, restart=False)
+    return steps
+
+
+class _LeavesRange(Exception):
+    """A ratio-form Green step would leave the normal double range."""
+
+
+def _ratio_step(b, d):
+    """The Green step of the chain in ratio form: f -> (lo, hi, width, Gf),
+    with f scaled to max 1 first.
+
+    With y_z = sum_{y>=z} pi_y f(y) / (pi_z d_z), the closed form reads
+
+        y_z = f(z)/d_z + (b_z/d_z) y_{z+1},   Gf(x) = sum_{z<=x} y_z,
+
+    one back-substitution (BLAS dtbsv) and one running sum with positive
+    terms and no pi.  Each y_z is at most Gf(z), so no value exceeds
+    max Gf, about 1/lambda0 once f is near phi.  Raises _LeavesRange when a
+    right-hand side f(z)/d_z, the bracket's lower end or Gf(1)/max Gf is
+    below the smallest normal double, or Gf overflows.
+    """
+    with np.errstate(over="ignore"):
+        inv_d = 1.0 / d
+        band = np.zeros((2, len(d)), order="F")
+        band[0, 1:] = -(b * inv_d[:-1])
+
+    def step(f):
+        f = f / f.max()
+        rhs = f * inv_d
+        if not rhs.min() >= _TINY:
+            raise _LeavesRange
+        g = np.cumsum(dtbsv(1, band, rhs, diag=1, overwrite_x=1))
+        if not g[-1] < np.inf:
+            raise _LeavesRange
+        ratio = f / g
+        lo, hi = float(ratio.min()), float(ratio.max())
+        if not min(lo, g[0] / g[-1]) >= _TINY:
+            raise _LeavesRange
+        return lo, hi, (hi - lo) / lo, g
+
+    return step
+
+
+def _log_step(lp, log_w):
+    """The Green step on log f: log f -> (log lo, log hi, width, log Gf - log Gf(1))."""
+
+    def step(f):
+        tail = np.logaddexp.accumulate((lp + f)[::-1])[::-1]
+        g = np.logaddexp.accumulate(tail + log_w)
+        ratio = f - g
+        lo, hi = float(ratio.min()), float(ratio.max())
+        return lo, hi, hi - lo, g - g[0]
+
+    return step
+
+
+def _green_steps(ratio_step, d, lp, v, restart):
+    """The pair from Green steps started at the positive vector v.
+
+    Steps in ratio form, or in log form from the start again when a ratio
+    step leaves the double range.  With restart, a step that is
+    narrowing_slowly returns None instead, so that the caller can try a
+    better start.
+    """
+    try:
+        steps = _power_steps(ratio_step, v, restart)
+    except _LeavesRange:
+        pass
+    else:
+        if steps is None:
+            return None
+        lo, hi, f = steps
+        return math.sqrt(lo) * math.sqrt(hi), f / f[0], (lo, hi)
+    log_v = np.log(v / v.max()) if np.all(v > 0) and np.all(np.isfinite(v)) else np.zeros(len(d))
+    steps = _power_steps(_log_step(lp, -lp - np.log(d)), log_v, restart)
+    if steps is None:
+        return None
     lo, hi, f = steps
     mid = (lo + hi) / 2
     if f.max() >= np.log(np.finfo(float).max) or mid <= np.log(np.finfo(float).tiny):
@@ -296,33 +405,22 @@ def ground_pair(b, d, start=None):
     return float(np.exp(mid)), np.exp(f), (float(np.exp(lo)), float(np.exp(hi)))
 
 
-def _log_start(b, d, lam_hat):
-    """log of the ground vector inverse-iterated from lam_hat; zeros if not positive."""
-    v = _inverse_iteration(b, d, 0, lam_hat)
-    return np.log(v) if np.all(v > 0) and np.all(np.isfinite(v)) else np.zeros(len(d))
+def _power_steps(step, f, restart):
+    """f -> step(f) until bracket_settled: (lo, hi, f) of the last step.
 
-
-def _green_steps(lp, log_w, f, restart):
-    """Green power steps on log f until bracket_settled: (log lo, log hi, log phi).
-
-    With restart, a step that is narrowing_slowly returns None instead, so
-    that the caller can try a better start.
+    With restart, a step that is narrowing_slowly returns None instead.
     """
     width = np.inf
     for _ in range(MAX_POWER_STEPS):
-        tail = np.logaddexp.accumulate((lp + f)[::-1])[::-1]
-        g = np.logaddexp.accumulate(tail + log_w)
-        ratio = f - g
-        lo, hi = float(ratio.min()), float(ratio.max())
-        f = g - g[0]
-        if bracket_settled(hi - lo, width):
+        lo, hi, step_width, f = step(f)
+        if bracket_settled(step_width, width):
             return lo, hi, f
-        if restart and narrowing_slowly(hi - lo, width):
+        if restart and narrowing_slowly(step_width, width):
             return None
-        width = hi - lo
+        width = step_width
     raise NoConvergence(
         f"Green power steps still narrowing after {MAX_POWER_STEPS} steps: relative "
-        f"bracket width {hi - lo:.2e}, log max phi {f.max():.1f}"
+        f"bracket width {step_width:.2e}"
     )
 
 
@@ -342,7 +440,6 @@ def residual_inf(b, d, lam, v) -> float:
 
 # -- multi-precision oracle --------------------------------------------------
 
-_TINY = float(np.finfo(float).tiny)
 #: Newton steps from a relatively accurate start take a handful; from 0 (an
 #: eigenvalue below the double range) they climb monotonically to it
 _NEWTON_STEPS = 100

@@ -172,11 +172,12 @@ class TestEigenConvergence:
         assert not series.lambda_monotone
 
     def test_one_bisection_call_per_kind_per_schedule(self, monkeypatch):
-        # the first truncation bisects for its ground start, lambda_1..lambda_6
-        # and its minor's start; every later one starts from the one before
+        # only lambda_1..lambda_6 of the first truncation bisect: the ground
+        # pairs start from G1 or the truncation before, and every later
+        # truncation's higher values from the one before
         calls = count_bisections(monkeypatch)
         eigen_convergence(accelerated_poisson_family(), 6, [2 ** k for k in range(4, 13)], 1e-8)
-        assert [len(a[1]) for a in calls] == [16, 16, 15]
+        assert [(len(a[1]), a[2:]) for a in calls] == [(16, (1, 6))]
 
     def test_spread_beyond_double_range_raises(self):
         # at N = 2048 phi spans more than 1e308: the pair itself fails, not
@@ -369,6 +370,12 @@ class TestGapIdentity:
 
     def test_poisson_small_residual(self):
         assert gap_identity_check(poisson_family(), 128) <= 1e-8
+
+    def test_cold_pairs_do_not_bisect(self, monkeypatch):
+        # both Green pairs start from G1 and settle by Rayleigh-quotient shifts
+        calls = count_bisections(monkeypatch)
+        assert gap_identity_check(log_accelerated_family(3), 4096) <= 1e-8
+        assert calls == []
 
 
 class TestHittingTime:

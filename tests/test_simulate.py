@@ -54,6 +54,20 @@ class TestSamplePath:
             out = sample_path(golden, 2, 1, rng)
             assert out.hit_target and not out.absorbed
 
+    def test_seeded_outcomes_are_pinned(self, rho1_chain10):
+        # every draw and threshold comparison of a seeded sequence of paths
+        rng = np.random.default_rng(2024)
+        outs = [sample_path(rho1_chain10, 5, 8, rng) for _ in range(4)]
+        outs += [sample_path(rho1_chain10, 5, None, rng) for _ in range(2)]
+        assert [(o.hit_target, o.elapsed, o.absorbed, o.events) for o in outs] == [
+            (False, 6.642624220328236, True, 13),
+            (False, 9.246139816667185, True, 35),
+            (False, 5.3320381532586385, True, 7),
+            (True, 0.7437744755177833, False, 3),
+            (False, 7.280060474962589, True, 17),
+            (False, 53.70798173209346, True, 105),
+        ]
+
     def test_outcome_exclusive(self, rho1_chain10):
         rng = np.random.default_rng(3)
         for _ in range(100):

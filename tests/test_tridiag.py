@@ -119,6 +119,36 @@ def test_ground_pair_restarts_from_a_poor_start(start, monkeypatch):
     np.testing.assert_array_equal(phi, cold[1])
 
 
+def test_ground_pair_falls_back_to_bisection_on_a_close_gap(monkeypatch):
+    # lambda0/lambda1 = 0.92: the quotient of G1 lies nearer higher
+    # eigenvalues and Green steps from G1 narrow slowly, so the steps start
+    # from the vector inverse-iterated at the bisection eigenvalue
+    b, d = rho_family(0.8).realize(150)
+    calls = count_bisections(monkeypatch)
+    lam, phi, (lo, hi) = tridiag.ground_pair(b, d)
+    assert len(calls) == 1
+    ref = float(tridiag.mp_lambda(b, d, 0))
+    assert abs(lam - ref) <= 4 * np.spacing(ref)
+    assert lo <= lam <= hi
+    # phi of the log-space Green steps on the same chain
+    np.testing.assert_allclose(phi[[75, 149]], [217916.0436101404, 154730867.70629027], rtol=1e-12)
+
+
+def test_ground_pair_in_log_form_beyond_the_ratio_form_range(monkeypatch):
+    # phi spans 8.5e305 and d_1 = 1024, so phi(1)/d_1 / max phi is below the
+    # smallest normal double: the ratio-form steps hand over to log-space
+    # steps, while lambda0 and phi stay inside the double range
+    b, d = rho_family(0.5).realize(2030)
+    log_steps = []
+    log_step = tridiag._log_step
+    monkeypatch.setattr(tridiag, "_log_step", lambda *a: log_steps.append(1) or log_step(*a))
+    lam, phi, _ = tridiag.ground_pair(1024 * b, 1024 * d)
+    assert log_steps
+    assert abs(lam - 87.8470404848027) <= 4 * np.spacing(lam)
+    np.testing.assert_allclose(phi[[1015, 2029]], [3.8352942669342224e155, 8.476508696932695e305],
+                               rtol=1e-12)
+
+
 @pytest.mark.parametrize("start", [np.ones(5), np.r_[1.0, 0.0, np.ones(4)], np.full(6, np.inf)],
                          ids=["short", "zero", "inf"])
 def test_ground_pair_rejects_a_bad_start(start):
