@@ -529,7 +529,7 @@ def tail_sum_estimate(rates: RateFamily, n: int, n_used: int) -> float:
     with lambda0 from tridiag.ground_pair and the rest from
     tridiag.higher_eigenvalues, all relatively accurate.  When the
     subtraction would cancel more than TRACE_CANCELLATION_LIMIT allows, or
-    the ground pair leaves the double range, the tail is summed over the
+    the ground pair raises NoConvergence, the tail is summed over the
     full LAPACK spectrum instead.  Exact for the truncated operator; as an
     estimate of the limiting tail it is uncertified (truncated eigenvalues
     only bound their limits from above, and the truncation carries finitely
@@ -544,8 +544,9 @@ def tail_sum_estimate(rates: RateFamily, n: int, n_used: int) -> float:
     try:
         lam0 = tridiag.ground_pair(b, d)[0]
     except NoConvergence:
-        # phi or lambda0 outside the double range: no relatively accurate
-        # lambda0, so the NaN tail selects the spectrum sum
+        # phi or lambda0 outside the double range, or a bracket that does
+        # not settle: no certified lambda0, so the NaN tail selects the
+        # spectrum sum
         lam0 = math.nan
     head = 1.0 / lam0 + float(np.sum(1.0 / tridiag.higher_eigenvalues(b, d, n_used)))
     tail = trace - head

@@ -8,24 +8,24 @@ matching left eigenvector), single-state minor eigenvalues, and the amplitude
 max(phi)/min(phi).
 
 Every entry point takes an AbsorbingGenerator (built from rate triplets by
-build_general); anything else raises InvalidParameter.  Solver routing
-follows the generator's structure.  Birth-death chains (decided once by
-AbsorbingGenerator.is_birth_death) go to the Green-operator routine
-tridiag.ground_pair and are accepted on its certified lambda0 bracket.
-Every other chain is tested for reversibility once, on its rate triplets
-(reversible_measure).  Reversible chains are symmetrized,
-S = diag(sqrt eta) (-K) diag(1/sqrt eta), and handed to the dense
-symmetric solver; a single-state minor of such a chain is reversible for
-eta restricted to it, so its spectrum comes from the submatrix of the same
-S, and its pair is held to DirichletEigenpair.residual_bound.
-Non-reversible chains run power steps on an LU factorization of -K,
-shifted toward lambda0 when the steps narrow slowly (the transposed solve on
-the same factorization for the QSD; the same steps per strongly connected
-block give lambda0 of a minor), stopped by tridiag.ground_pair's rule and
-accepted on their Collatz-Wielandt bracket, as birth-death pairs are.  Only
-their full spectra use the dense non-symmetric solver, minors included
-unless the parent's triplets, restricted to a minor, show it to be
-reversible; a report with minor spectra reads lambda0' off them.
+build_general); anything else raises InvalidParameter.  Every ground pair is
+accepted on a certified lambda0 bracket, by tridiag's one stop and accept
+rule.  Birth-death chains (decided once by AbsorbingGenerator.is_birth_death)
+go to the Green-operator routine tridiag.ground_pair.  Every other chain runs
+power steps on an LU factorization of -K (_perron_pair), shifted toward
+lambda0 when the steps narrow slowly, and accepted on their Collatz-Wielandt
+bracket.  Its QSD is eta * phi when the rate triplets show the chain to be
+reversible with measure eta (reversible_measure); otherwise it comes from the
+transposed solve on the same factorization.
+The spectra take the chain's structure instead.  A reversible chain is
+symmetrized, S = diag(sqrt eta) (-K) diag(1/sqrt eta), and handed to the
+dense symmetric solver for its full spectrum; a single-state minor of such a
+chain is reversible for eta restricted to it, so its spectrum and lambda0
+come from the submatrix of the same S.  A non-reversible chain's minor takes
+lambda0 from the same power steps per strongly connected block; only full
+spectra use the dense non-symmetric solver, minors included unless the
+parent's triplets, restricted to a minor, show it to be reversible; a report
+with minor spectra reads lambda0' off them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, eigh, eigvalsh_tridiagonal, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, eigh, eigvalsh_tridiagonal, lu_factor
+from scipy.linalg.lapack import dgetrs
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
@@ -48,9 +49,6 @@ from .errors import (
 )
 from .generators import AbsorbingGenerator
 
-#: widest accepted relative lambda0 bracket; relative residual of eigh pairs
-RESIDUAL_RTOL = 1e-10
-
 NORMALIZATIONS = ("first", "qsd", "max")
 
 
@@ -62,18 +60,6 @@ class DirichletEigenpair:
     phi: np.ndarray
     normalization: str
     residual: float
-
-    def residual_bound(self, max_rate: float) -> float:
-        """Tolerated residual of a symmetric-solver pair: the relative bound
-        plus a machine floor.  Pairs from power steps are accepted on their
-        lambda0 bracket instead.
-
-        The floor 64 eps * max_rate * ||phi|| is unavoidable in double
-        arithmetic; it matters only when lambda0 is many orders of magnitude
-        below the largest exit rate.
-        """
-        scale = float(np.abs(self.phi).max())
-        return RESIDUAL_RTOL * self.lambda0 * scale + 64 * np.finfo(float).eps * max_rate * scale
 
 
 @dataclass(frozen=True)
@@ -234,16 +220,7 @@ def _sym_neg_k(k: np.ndarray) -> np.ndarray:
     return s
 
 
-def _check_bracket(lo: float, hi: float, lam0: float) -> None:
-    """Accept a pair on its lambda0 bracket: at most RESIDUAL_RTOL wide,
-    relatively.  A correct pair far below the rates can still exceed an
-    absolute residual floor."""
-    if hi - lo > RESIDUAL_RTOL * lam0:
-        raise NoConvergence(
-            f"lambda0 bracket [{lo:.6e}, {hi:.6e}] wider than {RESIDUAL_RTOL:g} relative"
-        )
-
-
+@np.errstate(divide="ignore", invalid="ignore")  # f / g of a singular LU fails below
 def _perron_pair(a: np.ndarray, trans: int = 0, start=None):
     """(lambda0, f, factor) of a = -K, K an irreducible killed generator, by
     power steps on (a - s I)^-1 from the ones vector ((a - s I)^-T with
@@ -258,8 +235,13 @@ def _perron_pair(a: np.ndarray, trans: int = 0, start=None):
     (lambda0 - s)/|lambda1 - s| however close lambda1 is.
     Each shift's steps stop by tridiag.bracket_settled, all of them after
     tridiag.MAX_POWER_STEPS, and the pair (the midpoint, the last step scaled
-    to max 1) is accepted on the bracket.  A step that is not positive and
-    finite, as from a singular LU, raises NoConvergence.
+    to max 1) is accepted on the bracket by tridiag._check_bracket, as
+    tridiag.ground_pair's pairs are.  This is the ground pair of every chain
+    that is not birth-death, reversible or not: the bracket vouches for each
+    pair it accepts, where a symmetric solver's lambda0 carries an error of
+    order eps times the largest rate, which swamps a lambda0 far below the
+    rates.  A step that is not positive and finite, as from a singular LU,
+    raises NoConvergence.
     """
     lu, shift = start or (None, 0.0)
     f, width = np.ones(len(a)), math.inf
@@ -268,9 +250,9 @@ def _perron_pair(a: np.ndarray, trans: int = 0, start=None):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LinAlgWarning)  # a singular LU fails below
                 lu = lu_factor(a - shift * np.eye(len(a)) if shift else a)
-        g = lu_solve(lu, f, trans=trans, check_finite=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = f / g
+        # LAPACK's solve directly: lu_solve's checks cost more than the solve
+        g = dgetrs(*lu, f, trans=trans)[0]
+        ratio = f / g
         lo, hi = float(ratio.min()), float(ratio.max())
         if not 0 < lo <= hi < math.inf:
             raise NoConvergence("power step not positive and finite: -K is numerically singular")
@@ -283,37 +265,8 @@ def _perron_pair(a: np.ndarray, trans: int = 0, start=None):
             lu, shift, step_width = None, 2 * lo - hi, math.inf
         width = step_width
     lam0 = (lo + hi) / 2
-    _check_bracket(lo, hi, lam0)
+    tridiag._check_bracket(lo, hi, lam0)
     return lam0, f, (lu, shift)
-
-
-def _bd_pair(b, d):
-    """(lambda0, phi, residual) of a birth-death chain from tridiag.ground_pair,
-    accepted on its certified bracket."""
-    lam0, phi, (lo, hi) = tridiag.ground_pair(b, d)
-    _check_bracket(lo, hi, lam0)
-    return lam0, phi, tridiag.residual_inf(b, d, lam0, phi)
-
-
-def _dense_pair(k: np.ndarray, eta):
-    """(lambda0, phi, residual, factor) of a dense killed generator, checked.
-
-    Without a reversible measure eta, the pair comes from power steps and is
-    accepted on its bracket; factor is their last LU, for the QSD.  With eta
-    it comes from the symmetric solver (factor None); phi must then be
-    positive and the residual within DirichletEigenpair.residual_bound.
-    """
-    if eta is None:
-        lam0, phi, factor = _perron_pair(-k)
-        return lam0, phi, float(np.abs(k @ phi + lam0 * phi).max()), factor
-    lam0, phi, res = _reversible_eigenpair(k, eta)
-    if np.any(phi <= 0):
-        raise NoConvergence("eigenvector failed positivity; residual too large")
-    max_rate = float(np.abs(np.diag(k)).max())
-    bound = DirichletEigenpair(lam0, phi, "first", res).residual_bound(max_rate)
-    if res > bound:
-        raise NoConvergence(f"residual {res:.3e} exceeds bound {bound:.3e}")
-    return lam0, phi, res, None
 
 
 def dirichlet_eigenpair(gen: AbsorbingGenerator, normalization: str = "first") -> DirichletEigenpair:
@@ -327,34 +280,21 @@ def dirichlet_eigenpair(gen: AbsorbingGenerator, normalization: str = "first") -
     if normalization not in NORMALIZATIONS:
         raise InvalidParameter(f"normalization must be one of {NORMALIZATIONS}")
     _check_generator(gen, "dirichlet_eigenpair")
-    bd = gen.birth_death_rates() if gen.is_birth_death else None
-    if bd is not None:
-        (lam0, phi, res), factor = _bd_pair(*bd), None
+    if gen.is_birth_death:
+        b, d = gen.birth_death_rates()
+        lam0, phi, _ = tridiag.ground_pair(b, d)
+        k, factor, res = None, None, tridiag.residual_inf(b, d, lam0, phi)
     else:
         k = gen.k_matrix()
-        eta, _ = reversible_measure(gen)
-        lam0, phi, res, factor = _dense_pair(k, eta)
+        lam0, phi, factor = _perron_pair(-k)
+        res = float(np.abs(k @ phi + lam0 * phi).max())
     phi = phi / phi[0]
     if normalization == "max":
         phi = phi / phi.max()
     elif normalization == "qsd":
-        if bd is not None:
-            k, eta = None, _bd_eta(*bd)
+        eta = _bd_eta(b, d) if gen.is_birth_death else reversible_measure(gen)[0]
         phi = phi / float(_qsd(k, eta, phi, factor) @ phi)
     return DirichletEigenpair(lam0, phi, normalization, res)
-
-
-def _reversible_eigenpair(k: np.ndarray, eta: np.ndarray):
-    s = _sym_neg_k(k)
-    vals, vecs = eigh(s, subset_by_index=(0, 0))
-    u = vecs[:, 0]
-    if u[np.argmax(np.abs(u))] < 0:
-        u = -u
-    phi = u / np.sqrt(eta)
-    phi /= np.abs(phi).max()
-    lam0 = float(vals[0])
-    res = float(np.abs(k @ phi + lam0 * phi).max())
-    return lam0, phi, res
 
 
 def quasi_stationary_dist(gen: AbsorbingGenerator) -> np.ndarray:
@@ -364,12 +304,12 @@ def quasi_stationary_dist(gen: AbsorbingGenerator) -> np.ndarray:
     the transpose is solved directly.
     """
     _check_generator(gen, "quasi_stationary_dist")
-    bd = gen.birth_death_rates() if gen.is_birth_death else None
-    if bd is not None:
-        return _qsd(None, _bd_eta(*bd), _bd_pair(*bd)[1])
+    if gen.is_birth_death:
+        bd = gen.birth_death_rates()
+        return _qsd(None, _bd_eta(*bd), tridiag.ground_pair(*bd)[1])
     k = gen.k_matrix()
     eta, _ = reversible_measure(gen)
-    return _qsd(k, eta, None if eta is None else _dense_pair(k, eta)[1])
+    return _qsd(k, eta, None if eta is None else _perron_pair(-k)[1])
 
 
 def _qsd(k, eta, phi, factor=None) -> np.ndarray:
@@ -446,7 +386,7 @@ def _bd_minor_lambda0(b, d, x: int) -> float:
     The upper block x+1..n is a birth-death chain killed from its first
     state, so tridiag.ground_pair gives its lambda0 with relative accuracy;
     LAPACK's bisection takes over when that pair raises NoConvergence (phi
-    outside the double range, or the step cap).
+    outside the double range, or a bracket that does not settle).
     The lower block 1..x-1 is killed at both ends and goes to LAPACK.
     """
     n = len(d)

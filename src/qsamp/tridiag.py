@@ -170,9 +170,10 @@ def _shifted_quotient(b, d, eig_index, guess, lp, start=None):
     Inverse iteration shifted just below the guess, then below each new
     Rayleigh quotient from the last vector, until the quotients settle by
     bracket_settled's rule: two agree to about 4 ulps, or they stop getting
-    closer at a relative distance below SLOW_WIDTH_FLOOR (rounding in the
-    quotient).  The first shift solves from start, or three times from the
-    ones vector.  Every vector must have exactly eig_index sign changes:
+    closer at a relative distance below RESIDUAL_RTOL (rounding in the
+    quotient); quotients that stop getting closer further apart give None.
+    The first shift solves from start, or three times from the ones
+    vector.  Every vector must have exactly eig_index sign changes:
     the eigenvector of index j of an irreducible Jacobi matrix has j nodes
     (Sturm oscillation), and the diagonal similarity to the symmetrized
     matrix keeps signs, so a guess nearer another eigenvalue is caught.
@@ -189,7 +190,9 @@ def _shifted_quotient(b, d, eig_index, guess, lp, start=None):
         lam, previous = rayleigh_quotient(b, d, v, lp), lam
         step = abs(lam - previous) / lam
         if bracket_settled(step, width):
-            return (lam, np.abs(v) if eig_index == 0 else v) if step <= SLOW_WIDTH_FLOOR else None
+            return lam, np.abs(v) if eig_index == 0 else v
+        if step >= width:
+            return None
         width = step
     return None
 
@@ -246,21 +249,32 @@ def _inverse_iteration(b, d, eig_index, lam_hat):
 
 MAX_POWER_STEPS = 1000
 
+#: widest relative lambda0 bracket a pair is accepted on, which bounds the
+#: pair's componentwise relative residual; slow narrowing below it runs out
+RESIDUAL_RTOL = 1e-10
+
 
 def bracket_settled(width: float, previous: float) -> bool:
     """Stop rule of every power iteration: the Collatz-Wielandt bracket's
-    relative width has closed to about 4 ulps, or no longer narrows."""
-    return width <= 4 * np.finfo(float).eps or width >= previous
-
-
-#: relative bracket width below which slow narrowing is left to run out
-SLOW_WIDTH_FLOOR = 1e-10
+    relative width has closed to about 4 ulps, or no longer narrows and is
+    at most RESIDUAL_RTOL.  A wider bracket that stops narrowing is a
+    plateau, not an answer."""
+    return width <= 4 * np.finfo(float).eps or RESIDUAL_RTOL >= width >= previous
 
 
 def narrowing_slowly(width: float, previous: float) -> bool:
-    """A power step narrowed a bracket still wider than SLOW_WIDTH_FLOOR by
+    """A power step narrowed a bracket still wider than RESIDUAL_RTOL by
     less than half: the cue for a better start or shift."""
-    return width > SLOW_WIDTH_FLOOR and 2 * width > previous
+    return width > RESIDUAL_RTOL and 2 * width > previous
+
+
+def _check_bracket(lo: float, hi: float, lam0: float) -> None:
+    """Accept a pair on its lambda0 bracket: at most RESIDUAL_RTOL wide,
+    relatively, or raise NoConvergence."""
+    if hi - lo > RESIDUAL_RTOL * lam0:
+        raise NoConvergence(
+            f"lambda0 bracket [{lo:.6e}, {hi:.6e}] wider than {RESIDUAL_RTOL:g} relative"
+        )
 
 
 def ground_pair(b, d, start=None):
@@ -268,8 +282,8 @@ def ground_pair(b, d, start=None):
 
     Power steps on the Green operator G = (-K)^-1, each of which gives the
     Collatz-Wielandt bracket lo = min f/Gf <= lambda0 <= max f/Gf; the
-    steps stop once it has closed to a few ulps or no longer narrows, which
-    happens at rounding level.  lambda0 is the bracket's geometric
+    steps stop by bracket_settled, and the pair is accepted on the final
+    bracket (_check_bracket).  lambda0 is the bracket's geometric
     midpoint and phi the last iterate Gf; the bracket's relative width
     bounds the componentwise backward error of phi.  A step is one
     back-substitution and one running sum over positive terms
@@ -289,9 +303,10 @@ def ground_pair(b, d, start=None):
          G converge fast;
       3. the vector inverse-iterated from the bisection eigenvalue, which
          runs to the end.
-    Raises NoConvergence when the bracket is still narrowing after the step
-    cap, or when phi or lambda0 leaves the double range; InvalidParameter
-    for a start that is not n positive finite numbers.
+    Raises NoConvergence when the bracket has not settled after the step
+    cap or is wider than RESIDUAL_RTOL, or when phi or lambda0 leaves the
+    double range; InvalidParameter for a start that is not n positive
+    finite numbers.
     """
     b = np.asarray(b, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -318,6 +333,8 @@ def ground_pair(b, d, start=None):
     if steps is None:
         v = _inverse_iteration(b, d, 0, eigenvalues(b, d, 0, 0)[0])
         steps = _green_steps(ratio_step, d, lp, v, restart=False)
+    lam0, _, (lo, hi) = steps
+    _check_bracket(lo, hi, lam0)
     return steps
 
 
@@ -408,7 +425,9 @@ def _green_steps(ratio_step, d, lp, v, restart):
 def _power_steps(step, f, restart):
     """f -> step(f) until bracket_settled: (lo, hi, f) of the last step.
 
-    With restart, a step that is narrowing_slowly returns None instead.
+    With restart, a step that is narrowing_slowly (a plateau wider than
+    RESIDUAL_RTOL among them) returns None instead; without it, the steps
+    run on to the cap.
     """
     width = np.inf
     for _ in range(MAX_POWER_STEPS):
@@ -419,7 +438,7 @@ def _power_steps(step, f, restart):
             return None
         width = step_width
     raise NoConvergence(
-        f"Green power steps still narrowing after {MAX_POWER_STEPS} steps: relative "
+        f"Green power steps not settled after {MAX_POWER_STEPS} steps: relative "
         f"bracket width {step_width:.2e}"
     )
 

@@ -65,6 +65,28 @@ def random_reversible_generator(rng, n_max=12):
     return build_general(n, transitions, absorption)
 
 
+def random_drifted_reversible_generator(rng):
+    """Reversible chain drifting away from its only absorbing state.
+
+    Weights eta = exp(cumsum(uniform(0, 1, n))) for n in 20..79; path edges
+    i <-> i+1, then n//4 chord draws, each kept when it skips a state and
+    is new.  Every edge has its own conductance c = exp(uniform(-1, 1)) and
+    the rates c/eta[i] and c/eta[j], so detailed balance holds for eta.
+    State 1 is absorbed at 1/eta[0], and lambda0 sits many orders of
+    magnitude below the rates.
+    """
+    n = int(rng.integers(20, 80))
+    eta = np.exp(np.cumsum(rng.uniform(0, 1, n)))
+    edges = {(i, i + 1): np.exp(rng.uniform(-1, 1)) for i in range(n - 1)}
+    for _ in range(n // 4):
+        a, b = sorted(int(v) for v in rng.integers(0, n, 2))
+        if b - a > 1 and (a, b) not in edges:
+            edges[(a, b)] = np.exp(rng.uniform(-1, 1))
+    transitions = [t for (a, b), c in edges.items()
+                   for t in ((a + 1, b + 1, c / eta[a]), (b + 1, a + 1, c / eta[b]))]
+    return build_general(n, transitions, {1: 1 / eta[0]})
+
+
 def random_cycle_with_chords(rng, n_max=40, absorption_range=(0.1, 1.0)):
     """Non-reversible chain: a directed n-cycle plus about n/2 random chords,
     rates log-uniform in [0.5, 2], absorption at one to three states with

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,11 @@ from qsamp import (
     reversible_measure,
 )
 from qsamp import spectral, tridiag
-from conftest import random_cycle_with_chords, random_reversible_generator
+from conftest import (
+    random_cycle_with_chords,
+    random_drifted_reversible_generator,
+    random_reversible_generator,
+)
 
 # roots of the 2x2 characteristic polynomial lam^2 - 3 lam + 1, by hand
 GOLDEN_LAM0 = (3 - math.sqrt(5)) / 2
@@ -364,21 +369,28 @@ class TestQuasiStationary:
         old_path = first / float(quasi_stationary_dist(gen) @ first)
         calls = []
 
-        def counted(name):
-            real = getattr(spectral, name)
+        def counted(module, name):
+            real = getattr(module, name)
 
-            def wrapper(*args):
-                calls.append(name)
-                return real(*args)
+            def wrapper(*args, **kwargs):
+                # _perron_pair(-k, 1, factor) is the QSD's transposed solve
+                transposed = name == "_perron_pair" and len(args) > 1 and args[1] == 1
+                calls.append(name + "^T" if transposed else name)
+                return real(*args, **kwargs)
             return wrapper
 
-        for name in ("_bd_pair", "_dense_pair", "reversible_measure", "lu_factor"):
-            monkeypatch.setattr(spectral, name, counted(name))
+        for module, name in [(tridiag, "ground_pair"), (spectral, "_perron_pair"),
+                             (spectral, "reversible_measure"), (spectral, "lu_factor"),
+                             (spectral, "eigh")]:
+            monkeypatch.setattr(module, name, counted(module, name))
         phi = dirichlet_eigenpair(gen, "qsd").phi
-        assert calls.count("_bd_pair") + calls.count("_dense_pair") == 1
-        # the QSD's transposed steps run on the pair's own factorization
-        assert calls.count("lu_factor") == (route == "non-reversible")
+        assert calls.count("ground_pair") + calls.count("_perron_pair") == 1
+        # every chain that is not birth-death takes its pair from one LU, and a
+        # non-reversible QSD's transposed steps run on that same factorization
+        assert calls.count("lu_factor") == (route != "birth-death")
+        assert calls.count("_perron_pair^T") == (route == "non-reversible")
         assert calls.count("reversible_measure") == (route != "birth-death")
+        assert "eigh" not in calls
         np.testing.assert_allclose(phi, old_path, rtol=1e-15, atol=0)
 
 
@@ -560,12 +572,43 @@ def test_non_reversible_power_steps_return_or_raise(seed, mild):
 
 
 def test_absorption_below_rounding_raises_no_convergence():
-    # unit cycle 1 -> 2 -> 3 -> 1 with the chord 1 -> 3; absorption 1e-20 at
-    # state 3 is lost from the diagonal, so -K is singular in double
-    gen = build_general(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0), (3, 1, 1.0)], {3: 1e-20})
-    for call in (dirichlet_eigenpair, quasi_stationary_dist):
-        with pytest.raises(NoConvergence):
-            call(gen)
+    # absorption 1e-20 is lost from the diagonal, so -K is singular in
+    # double: the unit cycle 1 -> 2 -> 3 -> 1 with the chord 1 -> 3, absorbed
+    # at state 3, and the reversible unit triangle absorbed at state 1
+    cycle = build_general(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0), (3, 1, 1.0)], {3: 1e-20})
+    triangle = build_general(3, [(i, j, 1.0) for i in (1, 2, 3) for j in (1, 2, 3) if i != j],
+                             {1: 1e-20})
+    assert reversible_measure(triangle)[0] is not None
+    for gen in (cycle, triangle):
+        for call in (dirichlet_eigenpair, quasi_stationary_dist):
+            with pytest.raises(NoConvergence):
+                call(gen)
+
+
+def mp_reversible_lambda0(gen, dps=50):
+    """lambda0 of a reversible chain by mpmath's symmetric eigensolver at dps
+    digits, on the symmetrized -K built from the rates (exit rates summed in
+    mpmath)."""
+    with mp.workdps(dps):
+        rates = {(i, j): mp.mpf(r) for i, j, r in gen.transitions}
+        s = mp.zeros(gen.n_states, gen.n_states)
+        for (i, j), r in rates.items():
+            s[i - 1, i - 1] += r
+            s[i - 1, j - 1] = -mp.sqrt(r * rates[(j, i)])
+        for i, r in gen.absorption:
+            s[i - 1, i - 1] += mp.mpf(r)
+        return float(min(mp.eigsy(s, eigvals_only=True)))
+
+
+def test_drifted_reversible_chain_pair_is_relatively_accurate():
+    # lambda0 = 8.3e-14 sits far below the unit rates of this 50-state
+    # chain, within the symmetric solver's eps-times-the-rates error: eigh's
+    # lambda0 was 7e-4 relatively off, where the LU power steps' is exact
+    gen = random_drifted_reversible_generator(np.random.default_rng(127))
+    assert gen.n_states == 50 and reversible_measure(gen)[0] is not None
+    pair = dirichlet_eigenpair(gen)
+    assert pair.lambda0 == pytest.approx(mp_reversible_lambda0(gen), rel=1e-12, abs=0)
+    assert np.all(pair.phi > 0)
 
 
 def test_non_reversible_minor_by_strongly_connected_blocks(monkeypatch):

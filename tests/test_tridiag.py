@@ -20,11 +20,12 @@ from qsamp import (
     build_rho_chain,
     dirichlet_eigenpair,
     exact_bd_amplitude,
+    lambda0_minor,
     poisson_family,
     rho_family,
 )
 from qsamp import tridiag
-from conftest import count_bisections, pivot_digits_lost
+from conftest import count_bisections, pivot_digits_lost, random_birth_death
 
 
 def log_uniform_chain(rng, n, low, high):
@@ -227,9 +228,9 @@ def test_singleton():
 
 
 @st.composite
-def birth_death_rates(draw):
-    n = draw(st.integers(1, 60))
-    log_rate = st.floats(np.log(1e-2), np.log(1e2))
+def birth_death_rates(draw, n_max=60, spread=1e2):
+    n = draw(st.integers(1, n_max))
+    log_rate = st.floats(np.log(1 / spread), np.log(spread))
     b = np.exp(draw(st.lists(log_rate, min_size=n - 1, max_size=n - 1)))
     d = np.exp(draw(st.lists(log_rate, min_size=n, max_size=n)))
     return b, d
@@ -248,6 +249,36 @@ def test_ground_pair_agrees_with_the_exact_identity(rates):
     via_phi = amplitude(dirichlet_eigenpair(gen))
     via_product = exact_bd_amplitude(gen)
     assert abs(via_phi - via_product) <= 1e-8 * via_product
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(birth_death_rates(n_max=300, spread=1e3))
+def test_ground_pair_checks_its_own_bracket(rates):
+    # callers that drop the bracket rely on it: a pair is never returned on a
+    # bracket wider than RESIDUAL_RTOL, nor on one that misses lambda0
+    b, d = rates
+    try:
+        _, _, (lo, hi) = tridiag.ground_pair(b, d)
+    except NoConvergence:
+        return
+    assert hi - lo <= 1e-10 * hi
+    lam = float(tridiag.mp_lambda(b, d, 0, dps=oracle_dps(b, d)))
+    assert lo * (1 - 1e-12) <= lam <= hi * (1 + 1e-12)
+
+
+def test_green_steps_do_not_settle_on_a_plateau():
+    # chains 19 (n = 254) and 21 (n = 284) of this draw: from the bisection
+    # start, the bracket stops narrowing at a relative width of 19 and 2.7e8
+    # for many steps before rounding seeds the ground direction; a minor's
+    # pair accepted on that plateau was 4.4x and 16400x too large
+    rng = np.random.default_rng(7)
+    chains = [random_birth_death(rng, n_max=299, low=1e-3, high=1e3) for _ in range(22)]
+    for b, d in (chains[19], chains[21]):
+        gen = build_birth_death(b, d)
+        lam = float(tridiag.mp_lambda(b, d, 0, dps=oracle_dps(b, d)))
+        minor_lam = float(tridiag.mp_lambda(b[1:], d[1:], 0, dps=oracle_dps(b[1:], d[1:])))
+        assert dirichlet_eigenpair(gen).lambda0 == pytest.approx(lam, rel=1e-13, abs=0)
+        assert lambda0_minor(gen, 1) == pytest.approx(minor_lam, rel=1e-13, abs=0)
 
 
 # -- the multi-precision oracle: double start, mp Newton, Sturm certificate --
