@@ -18,6 +18,9 @@ tie, and ties prefer fewer edges, then the smaller predecessor state.  At
 or below the Dirichlet eigenvalue, cycle products never exceed one (each
 factor is at most the corresponding eigenvector ratio), so a negative cycle
 means the caller's lambda0 is above it, and raises InvalidParameter.
+Fewest-edge (geodesic) paths come instead from a breadth-first search of
+the generator's CSR rates (scipy.sparse.csgraph), which gives each state
+the first state in queue order that reaches it as its predecessor.
 Certificates are then propagated down the shortest-path tree of each exit
 state: a state takes its predecessor's path, P and Q and extends them by one
 edge, so P and Q are the same left-to-right products that path_weight and
@@ -28,11 +31,10 @@ of the search.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import breadth_first_order, shortest_path
 
 from . import tridiag
 from .errors import (
@@ -158,41 +160,35 @@ def _bellman_ford(n, rows, cols, costs, src):
     return parent, False
 
 
-def _geodesic_tree(adj, src):
-    """BFS tree with lexicographic predecessor choice."""
-    parent = [-1] * len(adj)
-    seen = [False] * len(adj)
-    seen[src] = True
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v, _ in adj[u]:
-            if not seen[v]:
-                seen[v], parent[v] = True, u
-                queue.append(v)
-    return parent
-
-
 def _tree_certificates(gen, parent, src, denom, exit_rates):
     """(path, P, Q) per state, propagated down the predecessor tree of src.
 
-    A child extends its parent's path by one edge and multiplies in that
-    edge's factor, so P and Q are the same left-to-right products that
-    path_weight and rough_weight form.  States the tree does not reach from
-    src get None.
+    parent holds each state's predecessor (0-based), negative where there
+    is none.  A child extends its parent's path by one edge and multiplies
+    in that edge's factor, so P and Q are the same left-to-right products
+    that path_weight and rough_weight form.  States the tree does not reach
+    from src get None.
     """
-    children = [[] for _ in parent]
-    for v, u in enumerate(parent):
-        if u != -1 and v != src:
-            children[u].append(v)
-    certs = [None] * len(parent)
+    n = gen.n_states
+    parent = np.asarray(parent, dtype=np.int64)
+    child = np.flatnonzero(parent >= 0)
+    child = child[child != src]
+    # the rate of every tree edge (parent, child), by one sorted-key lookup
+    rows, cols, vals = gen._coo
+    rate_in = np.zeros(n)
+    rate_in[child] = vals[np.searchsorted(rows * n + cols, parent[child] * n + child)]
+    rate_in = rate_in.tolist()
+    children = [[] for _ in range(n)]
+    for v, u in zip(child.tolist(), parent[child].tolist()):
+        children[u].append(v)
+    certs = [None] * n
     certs[src] = ((src + 1,), 1.0, 1.0)
     stack = [src]
     while stack:
         u = stack.pop()
         path, p, q = certs[u]
         for v in children[u]:
-            r = gen._rates[(u + 1, v + 1)]
+            r = rate_in[v]
             certs[v] = (path + (v + 1,), p * (r / denom[u]), q * (exit_rates[u] / r))
             stack.append(v)
     return certs
@@ -218,15 +214,12 @@ def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
     rows, cols, vals = gen._coo
     costs = -(np.log(vals) - np.log(denom[rows]))
     rows, cols, costs = rows.tolist(), cols.tolist(), costs.tolist()
-    adj = [[] for _ in range(n)]
-    for u, v, c in zip(rows, cols, costs):
-        adj[u].append((v, c))
     denom, exit_rates = denom.tolist(), (-gen.diagonal).tolist()
     pairs = {}
     for y in gen.absorbing_set:
         src = y - 1
         if paths == "geodesic":
-            parent = _geodesic_tree(adj, src)
+            parent = breadth_first_order(gen._csr, src, return_predecessors=True)[1]
         else:
             parent, neg_cycle = _bellman_ford(n, rows, cols, costs, src)
             if neg_cycle:
@@ -259,16 +252,13 @@ def graph_parameters(gen: AbsorbingGenerator):
     """(d, D, r, R) read off a generator: max out-degree of the full graph
     (absorption edges included), oriented diameter of the internal graph, and
     min/max positive rates (absorption included)."""
-    rows, _, vals = gen._coo
-    n = gen.n_states
-    degree = np.zeros(n, dtype=int)
-    np.add.at(degree, rows, 1)
-    degree += (gen.absorption_rates > 0).astype(int)
-    rates = np.concatenate([vals, gen.absorption_rates[gen.absorption_rates > 0]])
+    csr, n = gen._csr, gen.n_states
+    degree = np.diff(csr.indptr) + (gen.absorption_rates > 0)
+    rates = np.concatenate([csr.data, gen.absorption_rates[gen.absorption_rates > 0]])
     diameter = 0
     for start in range(0, n, DIAMETER_BLOCK):
         sources = np.arange(start, min(n, start + DIAMETER_BLOCK))
-        hops = shortest_path(gen._support_csr, unweighted=True, indices=sources)
+        hops = shortest_path(csr, unweighted=True, indices=sources)
         diameter = max(diameter, int(hops.max()))
     return int(degree.max()), diameter, float(rates.min()), float(rates.max())
 

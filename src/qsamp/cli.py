@@ -242,13 +242,19 @@ def cmd_bd(args):
 
 def _check(name, computed, expected, tol):
     err = abs(computed - expected)
+    return _verdict(name, float(computed), float(expected), err <= tol, float(tol), float(err))
+
+
+def _verdict(name, computed, expected, passed, tolerance=0, abs_error=0):
+    """A check row whose pass is decided by the caller; the fields keep
+    their JSON types (a verdict of strings reports tolerance 0, not 0.0)."""
     return {
         "check": name,
-        "computed": float(computed),
-        "expected": float(expected),
-        "tolerance": float(tol),
-        "abs_error": float(err),
-        "pass": bool(err <= tol),
+        "computed": computed,
+        "expected": expected,
+        "tolerance": tolerance,
+        "abs_error": abs_error,
+        "pass": bool(passed),
     }
 
 
@@ -282,14 +288,9 @@ def reproduce(case_id: str) -> dict:
             lam0 = spectral.dirichlet_eigenpair(build_rho_chain(n, 2.0)).lambda0
             ratios[n] = lam0 / (0.5 * 3.0 * 2.0 ** (-(n + 1)))
         checks.append(_check("lambda0_ratio_N30", ratios[30], 1.0, 0.1))
-        checks.append({
-            "check": "ratio_moves_toward_1",
-            "computed": float(abs(ratios[60] - 1.0)),
-            "expected": float(abs(ratios[30] - 1.0)),
-            "tolerance": 0.0,
-            "abs_error": 0.0,
-            "pass": bool(abs(ratios[60] - 1.0) <= abs(ratios[30] - 1.0)),
-        })
+        moved, before = abs(ratios[60] - 1.0), abs(ratios[30] - 1.0)
+        checks.append(_verdict("ratio_moves_toward_1", float(moved), float(before),
+                               moved <= before, 0.0, 0.0))
     elif case_id == "sandwich-demo":
         for label, gen in (("golden", _golden_generator()), ("rho1-N10", build_rho_chain(10, 1.0))):
             mu0 = np.zeros(gen.n_states)
@@ -299,63 +300,30 @@ def reproduce(case_id: str) -> dict:
                 min(r.dist_conditioned - r.lower, r.upper - r.dist_conditioned)
                 for r in rows
             )
-            checks.append({
-                "check": f"sandwich_slack_{label}",
-                "computed": float(slack),
-                "expected": 0.0,
-                "tolerance": 1e-9,
-                "abs_error": float(max(0.0, -slack)),
-                "pass": bool(slack >= -1e-9),
-            })
+            checks.append(_verdict(f"sandwich_slack_{label}", float(slack), 0.0,
+                                   slack >= -1e-9, 1e-9, float(max(0.0, -slack))))
     elif case_id == "bd-poisson":
         verdict = bd_infinite.entrance_check(bd_infinite.poisson_family(), 20000)
-        checks.append({
-            "check": "condition_S_fails",
-            "computed": verdict.s_series_converges,
-            "expected": "no",
-            "tolerance": 0,
-            "abs_error": 0,
-            "pass": verdict.s_series_converges == "no",
-        })
-        checks.append({
-            "check": "condition_R_holds",
-            "computed": verdict.r_series_diverges,
-            "expected": "yes",
-            "tolerance": 0,
-            "abs_error": 0,
-            "pass": verdict.r_series_diverges == "yes",
-        })
+        checks.append(_verdict("condition_S_fails", verdict.s_series_converges, "no",
+                               verdict.s_series_converges == "no"))
+        checks.append(_verdict("condition_R_holds", verdict.r_series_diverges, "yes",
+                               verdict.r_series_diverges == "yes"))
     elif case_id == "bd-accelerated":
         family = bd_infinite.accelerated_poisson_family()
         verdict = bd_infinite.entrance_check(family, 20000)
-        checks.append({
-            "check": "entrance_boundary",
-            "computed": str(verdict.is_entrance_boundary),
-            "expected": "True",
-            "tolerance": 0,
-            "abs_error": 0,
-            "pass": verdict.is_entrance_boundary is True,
-        })
+        checks.append(_verdict("entrance_boundary", str(verdict.is_entrance_boundary), "True",
+                               verdict.is_entrance_boundary is True))
         schedule = [2 ** k for k in range(6, 13)]
         series = bd_infinite.eigen_convergence(family, 6, schedule, 1e-8)
-        checks.append({
-            "check": "tables_monotone",
-            "computed": str(series.lambda_monotone and series.lambda0_prime_monotone),
-            "expected": "True", "tolerance": 0, "abs_error": 0,
-            "pass": series.lambda_monotone and series.lambda0_prime_monotone,
-        })
+        monotone = series.lambda_monotone and series.lambda0_prime_monotone
+        checks.append(_verdict("tables_monotone", str(monotone), "True", monotone))
         resid = bd_infinite.gap_identity_check(family, 1024)
         checks.append(_check("gap_identity_residual", resid, 0.0, 1e-8))
         tail = bd_infinite.tail_sum_estimate(family, 4096, 6)
         rep = bd_infinite.theorem_bound(series, tail_bound=tail)
         amps = series.amplitudes()
-        checks.append({
-            "check": "bound_dominates_amplitudes",
-            "computed": float(rep.bound),
-            "expected": float(amps.max()),
-            "tolerance": 0, "abs_error": 0,
-            "pass": bool(np.isfinite(rep.bound) and np.all(amps <= rep.bound)),
-        })
+        checks.append(_verdict("bound_dominates_amplitudes", float(rep.bound), float(amps.max()),
+                               np.isfinite(rep.bound) and np.all(amps <= rep.bound)))
     else:
         raise UnknownCase(f"case {case_id!r}; known: {', '.join(REPRODUCE_CASES)}")
     return {

@@ -5,6 +5,13 @@ Only off-diagonal rates are stored: internal transitions as sparse triplets
 and the absorption column as a per-state rate.  Diagonals are derived so that
 every full row sums to zero, which keeps the row-sum invariant exact up to a
 single rounding per row.
+
+The validated triplets give one derived structure, the canonical CSR matrix
+of the positive internal rates (0-based, rows in order, columns sorted, no
+repeats), built once and read-only.  Every structural query reads it: the
+strong-connectivity check, rate lookups, the graph searches of the bounds,
+the reversibility test and minors of the spectra, and the jump table of
+the Monte Carlo kernel.
 """
 
 from __future__ import annotations
@@ -55,9 +62,7 @@ class AbsorbingGenerator:
                 raise InvalidParameter("diagonal entries are derived, not supplied")
             if r < 0:
                 raise NegativeRate(f"rate {r} on ({i},{j})")
-        rows, cols, _ = self._coo
-        if np.any(np.diff(rows * self.n_states + cols) <= 0):
-            raise InvalidParameter("transitions must be sorted by (from, to) without repeats")
+        csr = self._csr  # rejects unsorted or repeated (from, to) pairs
         for i, r in self.absorption:
             if not 1 <= i <= self.n_states:
                 raise InvalidParameter(f"absorption state {i} out of range")
@@ -65,9 +70,7 @@ class AbsorbingGenerator:
                 raise NegativeRate(f"absorption rate {r} at state {i}")
         if not self.absorbing_set:
             raise NoAbsorption("no state has a positive absorption rate")
-        n, labels = connected_components(
-            self._support_csr, directed=True, connection="strong"
-        )
+        n, _ = connected_components(csr, directed=True, connection="strong")
         if n != 1:
             raise NonIrreducible(
                 f"killed chain splits into {n} strongly connected components"
@@ -76,18 +79,31 @@ class AbsorbingGenerator:
     # -- derived structure -------------------------------------------------
 
     @cached_property
-    def _coo(self):
+    def _csr(self) -> csr_matrix:
+        """The positive internal rates as a canonical CSR matrix (0-based).
+
+        Built straight from the triplets, whose (from, to) keys must
+        increase strictly, so no rate is summed or reordered on the way.
+        """
+        n = self.n_states
         rows = np.array([i - 1 for i, _, r in self.transitions if r > 0], dtype=np.int64)
         cols = np.array([j - 1 for _, j, r in self.transitions if r > 0], dtype=np.int64)
         vals = np.array([r for _, _, r in self.transitions if r > 0], dtype=float)
-        return rows, cols, vals
+        if np.any(np.diff(rows * n + cols) <= 0):
+            raise InvalidParameter("transitions must be sorted by (from, to) without repeats")
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        csr = csr_matrix((vals, cols, indptr), shape=(n, n))
+        for a in (csr.data, csr.indices, csr.indptr):
+            a.setflags(write=False)
+        return csr
 
     @cached_property
-    def _support_csr(self):
-        rows, cols, vals = self._coo
-        return csr_matrix(
-            (np.ones_like(vals), (rows, cols)), shape=(self.n_states, self.n_states)
-        )
+    def _coo(self):
+        """(rows, cols, rates) of _csr: the internal edges in (from, to) order,
+        rows as int64."""
+        csr = self._csr
+        rows = np.repeat(np.arange(self.n_states, dtype=np.int64), np.diff(csr.indptr))
+        return rows, csr.indices, csr.data
 
     @cached_property
     def absorption_rates(self) -> np.ndarray:
@@ -126,17 +142,17 @@ class AbsorbingGenerator:
         np.fill_diagonal(k, self.diagonal)
         return k
 
-    @cached_property
-    def _rates(self) -> dict:
-        """{(i, j): rate} over the internal edges, 1-based."""
-        rows, cols, vals = self._coo
-        return dict(zip(zip((rows + 1).tolist(), (cols + 1).tolist()), vals.tolist()))
-
     def rate(self, i: int, j: int) -> float:
         """Off-diagonal rate from i to j (1-based); j=0 queries absorption."""
+        n = self.n_states
+        if not (1 <= i <= n and 0 <= j <= n):
+            raise InvalidParameter(f"rate ({i},{j}) out of range for {n} states")
         if j == 0:
             return float(self.absorption_rates[i - 1])
-        return self._rates.get((i, j), 0.0)
+        csr = self._csr
+        lo, hi = csr.indptr[i - 1 : i + 1]
+        k = lo + np.searchsorted(csr.indices[lo:hi], j - 1)
+        return float(csr.data[k]) if k < hi and csr.indices[k] == j - 1 else 0.0
 
     # -- birth-death structure ---------------------------------------------
 

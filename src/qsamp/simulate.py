@@ -8,10 +8,11 @@ verify the stochastic representation of eigenvector ratios
 absorption law from the quasi-stationary start, and the two-sided transfer
 inequality between conditioned evolution and the Doob-transformed chain.
 
-Jumps are drawn from a sparse table built once per call from the rate
-triplets, never from the dense generator.  Each state lists the columns with
-a positive rate, in column order with absorption last, padded to the largest
-out-degree, beside the cumulative jump probabilities summed in that order.
+Jumps are drawn from a sparse table built once per call from the
+generator's CSR rates, never from the dense generator.  Each state lists
+the columns with a positive rate, in column order with absorption last,
+padded to the largest out-degree, beside the cumulative jump probabilities
+summed in that order.
 The next state is the column whose slot equals the number of thresholds
 below a uniform; the last threshold of every row is +inf, so the uniform
 always lands on a column with a positive rate, whatever its rounding.  The
@@ -61,7 +62,7 @@ class EstimateWithCI:
 
 
 def _jump_table(gen: AbsorbingGenerator):
-    """Sparse jump table (scale, cols, thresh), built from the rate triplets.
+    """Sparse jump table (scale, cols, thresh), built from the generator's CSR.
 
     cols[s] lists the columns with a positive rate out of state s, in column
     order with absorption last (encoded as n_states), padded to the maximum
@@ -76,9 +77,9 @@ def _jump_table(gen: AbsorbingGenerator):
     rows, cols, vals = gen._coo
     rates = -gen.diagonal
     a = gen.absorption_rates
-    internal = np.bincount(rows, minlength=n)
-    # the generator keeps its triplets sorted by (row, column): rows are contiguous
-    slot = np.arange(rows.size) - (np.cumsum(internal) - internal)[rows]
+    indptr = gen._csr.indptr
+    internal = np.diff(indptr)
+    slot = np.arange(rows.size) - indptr[rows]
     exits = np.flatnonzero(a > 0)
     deg = internal + (a > 0)
     w = int(deg.max())

@@ -14,7 +14,7 @@ rule.  Birth-death chains (decided once by AbsorbingGenerator.is_birth_death)
 go to the Green-operator routine tridiag.ground_pair.  Every other chain runs
 power steps on an LU factorization of -K (_perron_pair), shifted toward
 lambda0 when the steps narrow slowly, and accepted on their Collatz-Wielandt
-bracket.  Its QSD is eta * phi when the rate triplets show the chain to be
+bracket.  Its QSD is eta * phi when the CSR rates show the chain to be
 reversible with measure eta (reversible_measure); otherwise it comes from the
 transposed solve on the same factorization.
 The spectra take the chain's structure instead.  A reversible chain is
@@ -24,7 +24,7 @@ chain is reversible for eta restricted to it, so its spectrum and lambda0
 come from the submatrix of the same S.  A non-reversible chain's minor takes
 lambda0 from the same power steps per strongly connected block; only full
 spectra use the dense non-symmetric solver, minors included unless the
-parent's triplets, restricted to a minor, show it to be reversible; a report
+parent's CSR rates, sliced to a minor, show it to be reversible; a report
 with minor spectra reads lambda0' off them.
 """
 
@@ -88,23 +88,21 @@ def reversible_measure(gen: AbsorbingGenerator):
     (None, cycle) otherwise, where cycle is a closed state sequence
     (1-based, first == last) violating the Kolmogorov cycle criterion.
 
-    Works on the rate triplets: each edge finds its reverse by a sorted-key
-    lookup, log eta is summed down a breadth-first spanning forest, and one
-    vectorized test checks detailed balance on every edge.
+    Works on the generator's CSR rates: each edge finds its reverse by a
+    sorted-key lookup, log eta is summed down a breadth-first spanning
+    forest, and one vectorized test checks detailed balance on every edge.
     """
     _check_generator(gen, "reversible_measure")
     if gen.is_birth_death:
         return _bd_eta(*gen.birth_death_rates()), None
-    rows, cols, vals = gen._coo
-    n = gen.n_states
-    return _csr_measure(csr_matrix((vals, (rows, cols)), shape=(n, n)))
+    return _csr_measure(gen._csr)
 
 
 def _csr_measure(rates: csr_matrix):
     """reversible_measure on positive off-diagonal rates in canonical CSR
     form (sorted, summed); the support may be disconnected."""
     n = rates.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(rates.indptr))
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(rates.indptr))
     cols = rates.indices.astype(np.int64)
     keys = rows * n + cols  # ascending: a canonical CSR matrix is row-major
     rev_keys = cols * n + rows
@@ -343,7 +341,15 @@ def _drop_state(a: np.ndarray, x: int) -> np.ndarray:
     return a[np.ix_(keep, keep)]
 
 
-def _minor_lambda0(k: np.ndarray, x: int, s: np.ndarray | None) -> float:
+def _minor_rates(gen: AbsorbingGenerator, x: int):
+    """The generator's CSR rates without row and column x (1-based), a
+    canonical CSR slice with the states after x numbered down by one."""
+    keep = np.delete(np.arange(gen.n_states), x - 1)
+    return gen._csr[keep][:, keep]
+
+
+def _minor_lambda0(gen: AbsorbingGenerator, k: np.ndarray, x: int,
+                   s: np.ndarray | None) -> float:
     """First eigenvalue of -K with state x removed (K has two or more states).
 
     With the symmetrization s of a reversible K, the minor is the submatrix
@@ -357,7 +363,8 @@ def _minor_lambda0(k: np.ndarray, x: int, s: np.ndarray | None) -> float:
     if s is not None:
         return float(eigh(_drop_state(s, x), subset_by_index=(0, 0), eigvals_only=True)[0])
     a = -_drop_state(k, x)
-    n_blocks, labels = connected_components(csr_matrix(a), directed=True, connection="strong")
+    n_blocks, labels = connected_components(_minor_rates(gen, x), directed=True,
+                                            connection="strong")
     blocks = (np.flatnonzero(labels == c) for c in range(n_blocks))
     return min(_perron_pair(a[np.ix_(idx, idx)])[0] for idx in blocks)
 
@@ -377,7 +384,7 @@ def lambda0_minor(gen: AbsorbingGenerator, x: int) -> float:
         return _bd_minor_lambda0(*gen.birth_death_rates(), x)
     k = gen.k_matrix()
     eta, _ = reversible_measure(gen)
-    return _minor_lambda0(k, x, None if eta is None else _sym_neg_k(k))
+    return _minor_lambda0(gen, k, x, None if eta is None else _sym_neg_k(k))
 
 
 def _bd_minor_lambda0(b, d, x: int) -> float:
@@ -453,7 +460,7 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     elif gen.is_birth_death:
         lambda0_prime = min(_bd_minor_lambda0(b, d, x) for x in gen.absorbing_set)
     else:
-        lambda0_prime = min(_minor_lambda0(k, x, s) for x in gen.absorbing_set)
+        lambda0_prime = min(_minor_lambda0(gen, k, x, s) for x in gen.absorbing_set)
     return SpectrumReport(
         eigenvalues=np.asarray(eigenvalues, dtype=float),
         reversible_measure=eta,
@@ -467,20 +474,14 @@ def _minor_eigenvalues(gen: AbsorbingGenerator, k: np.ndarray, x: int,
     """Ascending spectrum of -K with state x removed.
 
     A reversible K passes its symmetrization s; otherwise the minor itself
-    is tested for reversibility on the parent's rate triplets without row
-    and column x, since removing a state can leave a reversible chain.
+    is tested for reversibility on the parent's CSR rates without row and
+    column x, since removing a state can leave a reversible chain.
     """
     if k.shape[0] == 1:
         return np.array([])
     if s is not None:
         return eigh(_drop_state(s, x), eigvals_only=True)
     sub = _drop_state(k, x)
-    rows, cols, vals = gen._coo
-    keep = (rows != x - 1) & (cols != x - 1)
-    rows, cols = rows[keep], cols[keep]
-    # renumber the states after x down by one
-    rows, cols = rows - (rows >= x), cols - (cols >= x)
-    rates = csr_matrix((vals[keep], (rows, cols)), shape=sub.shape)
-    if _csr_measure(rates)[0] is None:
+    if _csr_measure(_minor_rates(gen, x))[0] is None:
         return np.sort(np.linalg.eigvals(-sub).real)
     return eigh(_sym_neg_k(sub), eigvals_only=True)

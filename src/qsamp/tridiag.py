@@ -25,8 +25,10 @@ Collatz-Wielandt bracket min f/Gf <= lambda0 <= max f/Gf as a certificate.
 Where a value would leave the double range, the step runs on log f over
 log pi instead.  The steps start from a vector that inverse iteration has
 settled on, shifted at each new Rayleigh quotient from G1 (the expected
-absorption times) or from a given start, so one or two steps certify it;
-a LAPACK bisection eigenvalue seeds the start only when that fails.
+absorption times) or from a given start, so one or two steps certify it,
+or from that starting vector itself when the iteration cannot vouch for
+one; a LAPACK bisection eigenvalue seeds the start only when those steps
+narrow slowly.
 higher_eigenvalues gives lambda_1..lambda_k, each the Dirichlet-form
 Rayleigh quotient of an inverse-iterated vector, through the same
 re-shifted iteration from guesses such as a smaller truncation's
@@ -290,18 +292,18 @@ def ground_pair(b, d, start=None):
     (_ratio_step), or, where a value would leave the double range, two
     cumulative log-sum-exp passes over log pi (_log_step).
 
-    The steps run from the first of three starts whose steps do not narrow
-    the bracket slowly (narrowing_slowly):
+    The steps run from one of two starts, the second only when the first
+    one's steps narrow the bracket slowly (narrowing_slowly):
       1. the vector that inverse iteration settles on when shifted at each
          new Rayleigh quotient (_shifted_quotient), which usually leaves
-         one or two steps to take;
-      2. the vector that iteration started from: start, a positive vector
-         of length n such as the ground vector of a smaller truncation
-         padded with its last entry, or else the first Green step G1 (the
-         expected absorption times).  It serves when lambda0 sits so far
-         below lambda1 that shifted solves drown in rounding, and steps on
-         G converge fast;
-      3. the vector inverse-iterated from the bisection eigenvalue, which
+         one or two steps to take.  The iteration starts from start, a
+         positive vector of length n such as the ground vector of a smaller
+         truncation padded with its last entry, or else from the first
+         Green step G1 (the expected absorption times); when it cannot
+         vouch for a vector, as when lambda0 sits so far below lambda1
+         that shifted solves drown in rounding, the steps run from that
+         starting vector itself, and steps on G then converge fast;
+      2. the vector inverse-iterated from the bisection eigenvalue, which
          runs to the end.
     Raises NoConvergence when the bracket has not settled after the step
     cap or is wider than RESIDUAL_RTOL, or when phi or lambda0 leaves the
@@ -326,10 +328,7 @@ def ground_pair(b, d, start=None):
         f = None
     if f is not None:
         found = _shifted_quotient(b, d, 0, rayleigh_quotient(b, d, f, lp), lp, start=f)
-        if found is not None:
-            steps = _green_steps(ratio_step, d, lp, found[1], restart=True)
-        if steps is None:
-            steps = _green_steps(ratio_step, d, lp, f, restart=True)
+        steps = _green_steps(ratio_step, d, lp, f if found is None else found[1], restart=True)
     if steps is None:
         v = _inverse_iteration(b, d, 0, eigenvalues(b, d, 0, 0)[0])
         steps = _green_steps(ratio_step, d, lp, v, restart=False)

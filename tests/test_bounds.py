@@ -171,6 +171,37 @@ def test_certificates_rescore_exactly_and_bound_the_amplitude(seed, reversible):
         assert amplitude(pair) <= rep.bound * (1 + 1e-9)
 
 
+def simple_path_weights(gen, lambda0, src):
+    """{x: [(P(gamma), edges)] over every simple path gamma from src to x},
+    with P formed left to right as path_weight forms it."""
+    succ = {x: [j for i, j, _ in gen.transitions if i == x] for x in range(1, gen.n_states + 1)}
+    denom = -gen.diagonal - lambda0
+    found = {x: [] for x in succ}
+    stack = [((src,), 1.0)]
+    while stack:
+        path, p = stack.pop()
+        found[path[-1]].append((p, len(path) - 1))
+        u = path[-1]
+        stack += [(path + (v,), p * (gen.rate(u, v) / denom[u - 1]))
+                  for v in succ[u] if v not in path]
+    return found
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_best_paths_are_optimal_with_fewest_edges_among_ties(seed):
+    rng = np.random.default_rng(seed)
+    for gen in (random_reversible_generator(rng, 7), random_cycle_with_chords(rng, n_max=7)):
+        lam0 = dirichlet_eigenpair(gen).lambda0
+        rep = path_bound(gen, lam0)
+        for y in gen.absorbing_set:
+            for x, weights in simple_path_weights(gen, lam0, y).items():
+                cert = rep.certificate(y, x)
+                best = max(p for p, _ in weights)
+                assert best * (1 - 1e-12) <= cert.weight <= best
+                tied = [k for p, k in weights if p >= best * (1 - 1e-12)]
+                assert len(cert.path) - 1 == min(tied)
+
+
 class TestGraphBound:
     def test_drifted_chain_formula(self):
         for rho, n in ((0.5, 7), (2.0, 5)):

@@ -126,6 +126,16 @@ def test_rho_chain_n3_rho2():
     assert gen.rate(1, 0) == 1.0
 
 
+def test_rate_rejects_labels_out_of_range():
+    # absorbed at states 1 and 3: a wrapped index would read state 3's rate
+    gen = build_general(3, [(1, 2, 1.0), (2, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0)],
+                        {1: 2.0, 3: 5.0})
+    assert (gen.rate(3, 0), gen.rate(2, 2), gen.rate(1, 3), gen.rate(3, 2)) == (5.0, 0.0, 0.0, 1.0)
+    for i, j in ((0, 0), (4, 0), (1, 4), (0, 1), (2, -1)):
+        with pytest.raises(InvalidParameter, match="out of range"):
+            gen.rate(i, j)
+
+
 def test_rho_chain_needs_interior():
     with pytest.raises(InvalidParameter):
         build_rho_chain(1, 1.0)
