@@ -262,14 +262,15 @@ def entrance_check(rates: RateFamily, cutoff: int) -> EntranceVerdict:
     m = int(cutoff)
     b, d = rates.realize(m)
     lp = tridiag.log_pi(b, d)
+    log_z = _log_prefix(lp)
 
-    log_r = -lp[:-1] - np.log(b) + _log_prefix(lp)[:-1]
+    log_r = -lp[:-1] - np.log(b) + log_z[:-1]
     log_s = -lp[:-1] - np.log(b) + _log_suffix_excl(lp)[:-1]
 
     with np.errstate(over="ignore"):
         r_partial = np.exp(_log_prefix(log_r))
         s_partial = np.exp(_log_prefix(log_s))
-        z_partial = float(np.exp(_log_prefix(lp)[-1]))
+        z_partial = float(np.exp(log_z[-1]))
 
     diagnostics = {}
 

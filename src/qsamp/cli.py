@@ -77,8 +77,7 @@ def cmd_validate(args):
     except QsampError as exc:
         sys.stderr.write(f"INVALID: {type(exc).__name__}: {exc}\n")
         return 2, None
-    k = gen.k_matrix()
-    row_sums = k.sum(axis=1) + gen.absorption_rates
+    row_sums = np.asarray(gen._csr.sum(axis=1)).ravel() + gen.diagonal + gen.absorption_rates
     report = {
         "config": _config_echo(args),
         "valid": True,

@@ -15,10 +15,20 @@ padded to the largest out-degree, beside the cumulative jump probabilities
 summed in that order.
 The next state is the column whose slot equals the number of thresholds
 below a uniform; the last threshold of every row is +inf, so the uniform
-always lands on a column with a positive rate, whatever its rounding.  The
-batch kernel carries only the trajectories still running (index, state,
-elapsed time) and compacts them whenever some finish, so a step costs
-O(active * out-degree).
+always lands on a column with a positive rate, whatever its rounding.
+
+The batch kernel runs in two phases.  While more than TAIL trajectories are
+running it steps them as arrays: it carries only the running trajectories
+(index, state, elapsed time) and compacts them whenever some finish, so a
+step costs O(active * out-degree) plus a fixed number of numpy calls.  The
+last TAIL trajectories of a block, often the slowest few, would pay that
+fixed cost for a handful of jumps per step, so they are finished with
+Python scalars on the list form of the table, as sample_path steps.  Both
+phases draw the same numbers in the same order (each step one exponential
+and then one uniform per running trajectory, in index order), add them
+with the same double-precision operations, and pick the same slot (the
+number of thresholds below u, counted by comparison or by bisection of the
+ascending row), so samples do not depend on where the phases meet.
 
 Sampling is reproducible: a base seed is split into one child stream per
 fixed-size block, and block results are merged in block order.  The n_jobs
@@ -41,6 +51,8 @@ from .spectral import DirichletEigenpair, dirichlet_eigenpair, quasi_stationary_
 
 EVENT_BUDGET = 100_000_000
 BLOCK_SIZE = 16_384
+#: a block's last TAIL running trajectories are stepped with Python scalars
+TAIL = 32
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,13 @@ def _next_state(cols, thresh, s, u):
     return cols.take(k)
 
 
+def _table_lists(scale, cols, thresh):
+    """The jump table as Python lists (scale, cols, row-major thresholds) for
+    stepping with scalars: a one-element numpy operation costs more than
+    the jump it computes."""
+    return scale.tolist(), cols.tolist(), thresh.T.tolist()
+
+
 def sample_path(gen: AbsorbingGenerator, start: int, target: int | None,
                 rng: np.random.Generator) -> TrajectoryOutcome:
     """Simulate one trajectory until the target is hit or the path is absorbed.
@@ -115,10 +134,7 @@ def sample_path(gen: AbsorbingGenerator, start: int, target: int | None,
         raise InvalidParameter(f"target state {target} out of range")
     if target is not None and start == target:
         return TrajectoryOutcome(True, 0.0, False, 0)
-    scale, cols, thresh = _jump_table(gen)
-    # Python scalars per jump: the draws and the u > threshold comparisons of
-    # the batch kernel, without the cost of one-element arrays
-    scale, cols, rows = scale.tolist(), cols.tolist(), thresh.T.tolist()
+    scale, cols, rows = _table_lists(*_jump_table(gen))
     n = gen.n_states
     goal = -1 if target is None else target - 1
     state = start - 1
@@ -138,12 +154,11 @@ def sample_path(gen: AbsorbingGenerator, start: int, target: int | None,
 
 
 def _simulate_block(table, starts, target0, rng):
-    """Vectorized batch of trajectories; returns (elapsed, hit) arrays.
+    """Batch of trajectories; returns (elapsed, hit) arrays.
 
     target0 is a 0-based state index or None (run to absorption).  Each step
-    draws one exponential and then one uniform per active trajectory.  Only
-    the active trajectories' index, state and elapsed time are carried, and
-    they are compacted whenever some finish.
+    draws one exponential and then one uniform per running trajectory, in
+    index order: as arrays while more than TAIL run, then as Python scalars.
     """
     scale, cols, thresh = table
     n = cols.shape[0]
@@ -160,7 +175,7 @@ def _simulate_block(table, starts, target0, rng):
         cols = np.where(cols == target0, n + 1, cols)
     t = np.zeros(idx.size)
     total_events = 0
-    while idx.size:
+    while idx.size > TAIL:
         t += rng.standard_exponential(idx.size) * scale.take(state)
         u = rng.random(idx.size)
         total_events += idx.size
@@ -174,6 +189,25 @@ def _simulate_block(table, starts, target0, rng):
             hit[ended] = state[done] > n
             keep = ~done
             idx, state, t = idx[keep], state[keep], t[keep]
+    scale, cols, rows = _table_lists(scale, cols, thresh)
+    running = list(zip(idx.tolist(), state.tolist(), t.tolist()))
+    while running:
+        k = len(running)
+        es = rng.standard_exponential(k).tolist()
+        us = rng.random(k).tolist()
+        total_events += k
+        if total_events > EVENT_BUDGET:
+            raise EventBudgetExceeded(f"block exceeded {EVENT_BUDGET} jump events")
+        still = []
+        for (i, s, ti), e, u in zip(running, es, us):
+            ti += e * scale[s]
+            s = cols[s][bisect_left(rows[s], u)]
+            if s < n:
+                still.append((i, s, ti))
+            else:
+                elapsed[i] = ti
+                hit[i] = s > n
+        running = still
     return elapsed, hit
 
 

@@ -34,6 +34,21 @@ class TestValidate:
         assert payload["n_states"] == 2
         assert payload["birth_death"] is True
 
+    def test_row_sums_without_dense_matrix(self, capsys, tmp_path, monkeypatch):
+        gen = qsamp.build_rho_chain(200, 0.9)
+        path = tmp_path / "rho.json"
+        save_generator(gen, path)
+
+        def forbidden(self):
+            raise AssertionError("k_matrix called")
+
+        monkeypatch.setattr(qsamp.AbsorbingGenerator, "k_matrix", forbidden)
+        code, out, _ = run(capsys, "validate", "--input", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n_states"] == 200 and payload["birth_death"] is True
+        assert payload["max_abs_row_sum"] <= 4 * np.finfo(float).eps * gen.max_rate
+
     def test_invalid_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({

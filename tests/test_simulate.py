@@ -158,20 +158,21 @@ KERNEL_CHAINS = {
 class TestJumpKernel:
     @pytest.mark.parametrize("chain", sorted(KERNEL_CHAINS))
     def test_samples_equal_dense_kernel(self, chain):
-        # two blocks: the second seeds its own stream and is merged after the first
+        # two blocks: the second seeds its own stream and is merged after the
+        # first; and one block small enough to run in scalar steps throughout
         make, x, y = KERNEL_CHAINS[chain]
         gen = make()
-        n = simulate.BLOCK_SIZE + 700
-        times = absorption_times(gen, 1, n, seed=3)
-        ref_times, _ = dense_run_blocks(gen, 1, None, n, seed=3)
-        assert np.array_equal(times, ref_times)
         lam0 = dirichlet_eigenpair(gen).lambda0
-        elapsed, hit = simulate._run_blocks(gen, simulate._starts_array(gen, x, n, 3), y, n, 3)
-        ref_elapsed, ref_hit = dense_run_blocks(gen, x, y, n, seed=3)
-        assert np.array_equal(elapsed, ref_elapsed) and np.array_equal(hit, ref_hit)
-        assert 0 < hit.sum() < n
-        est = estimate_ratio(gen, lam0, x, y, n, seed=3)
-        assert est == simulate._log_weight_stats(lam0 * ref_elapsed[ref_hit], n, 3)
+        for n in (simulate.BLOCK_SIZE + 700, simulate.TAIL):
+            times = absorption_times(gen, 1, n, seed=3)
+            ref_times, _ = dense_run_blocks(gen, 1, None, n, seed=3)
+            assert np.array_equal(times, ref_times)
+            elapsed, hit = simulate._run_blocks(gen, simulate._starts_array(gen, x, n, 3), y, n, 3)
+            ref_elapsed, ref_hit = dense_run_blocks(gen, x, y, n, seed=3)
+            assert np.array_equal(elapsed, ref_elapsed) and np.array_equal(hit, ref_hit)
+            assert 0 < hit.sum() < n
+            est = estimate_ratio(gen, lam0, x, y, n, seed=3)
+            assert est == simulate._log_weight_stats(lam0 * ref_elapsed[ref_hit], n, 3)
 
     def test_table_is_built_without_dense_matrix(self, monkeypatch):
         gen = grid_walk(4, 5)
@@ -211,6 +212,21 @@ class StubRng:
         return self.u if size is None else np.full(size, self.u)
 
 
+class CountingRng:
+    """Wraps a generator for the dense kernel and counts its uniforms, one per jump."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.uniforms = 0
+
+    def exponential(self, scale):
+        return self.rng.exponential(scale)
+
+    def random(self, size):
+        self.uniforms += size
+        return self.rng.random(size)
+
+
 def first_jumps(gen, x, ends_at):
     """Every y (0 for absorption) where a path from x can end with its first jump.
 
@@ -235,13 +251,14 @@ class TestTransitions:
     }
 
     @staticmethod
-    def block_ends_at(gen):
+    def block_ends_at(gen, size):
+        """A block of `size` paths from x; under the stub they all move alike."""
         def ends_at(x, y):
             try:
                 if y == 0:
-                    absorption_times(gen, x, 1, seed=0)
+                    absorption_times(gen, x, size, seed=0)
                     return True
-                return estimate_ratio(gen, 0.0, x, y, 1, seed=0).mean == 1.0
+                return estimate_ratio(gen, 0.0, x, y, size, seed=0).mean == 1.0
             except EventBudgetExceeded:
                 return False
         return ends_at
@@ -261,9 +278,14 @@ class TestTransitions:
     def test_every_jump_follows_a_positive_rate(self, chain, u, monkeypatch):
         gen = self.CHAINS[chain]()
         rng = StubRng(u)
-        monkeypatch.setattr(simulate, "EVENT_BUDGET", 1)
         monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: rng)
-        for ends_at in (self.block_ends_at(gen), self.path_ends_at(gen, rng)):
+        # a budget of one step: a one-path block jumps in scalar steps, and
+        # TAIL + 1 paths take their first jump in array steps
+        wide = simulate.TAIL + 1
+        for ends_at, budget in ((self.block_ends_at(gen, 1), 1),
+                                (self.block_ends_at(gen, wide), wide),
+                                (self.path_ends_at(gen, rng), 1)):
+            monkeypatch.setattr(simulate, "EVENT_BUDGET", budget)
             for x in range(1, gen.n_states + 1):
                 jumps = first_jumps(gen, x, ends_at)
                 assert len(jumps) == 1, f"first jump from {x}: {jumps}"
@@ -286,6 +308,16 @@ class TestTransitions:
         with pytest.raises(EventBudgetExceeded) as err:
             sample_path(gen, 30, None, np.random.default_rng(1))
         assert isinstance(err.value, QsampError)
+        # the last jump of a block is a scalar step: a budget one short of
+        # the block's jump count runs out there, and the exact count does not
+        rates, cum = dense_jump_tables(gen)
+        rng = CountingRng(np.random.default_rng(np.random.SeedSequence(1).spawn(1)[0]))
+        ref_times, _ = dense_simulate_block(rates, cum, np.full(100, 29), None, rng)
+        monkeypatch.setattr(simulate, "EVENT_BUDGET", rng.uniforms - 1)
+        with pytest.raises(EventBudgetExceeded):
+            absorption_times(gen, 30, 100, seed=1)
+        monkeypatch.setattr(simulate, "EVENT_BUDGET", rng.uniforms)
+        assert np.array_equal(absorption_times(gen, 30, 100, seed=1), ref_times)
 
 
 class TestEstimateRatio:
