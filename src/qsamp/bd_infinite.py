@@ -351,21 +351,26 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
 
     The ground column, phi and lambda0' come from the Green-operator routine
     tridiag.ground_pair; the higher columns come from the Dirichlet-form
-    Rayleigh quotients of inverse-iterated vectors
-    (tridiag.higher_eigenvalues).  Both keep full relative accuracy.  The
-    first truncation's ground pairs start from the first Green step G1 and
-    its lambda_1..lambda_k from one bisection call; each later truncation
+    Rayleigh quotients of inverse-iterated vectors (tridiag.higher_eigenpairs).
+    Both keep full relative accuracy.  The first truncation's ground pairs
+    start from the first Green step G1, and its lambda_1..lambda_k from the
+    half-size ladder, which, when every rung holds, bisects only on a prefix
+    of fewer than 2 tridiag.LADDER_BASE states.  Each later truncation
     starts from the one before it: phi and the minor's phi', padded with
-    their last entries, as ground_pair's starts, and lambda_1..lambda_k as
-    higher_eigenvalues' guesses, each falling back to bisection when it
-    does not lead to its eigenvalue.  Each column must be non-increasing in
-    N (checked with slack 1e-12).  A column's limit is declared once the
-    relative change between consecutive truncations drops below tol.
-    Failure to resolve the ground column raises NotConverged.
+    their last entries (tridiag.padded), as ground_pair's starts, and
+    lambda_1..lambda_k as guesses, with their eigenvectors padded the same
+    way as the start of one shifted solve each; where they do not lead to
+    their eigenvalues, the ladder and then bisection take over.  Each column
+    must be non-increasing in N (checked with slack 1e-12).  A column's
+    limit is declared once the relative change between consecutive
+    truncations drops below tol.  Failure to resolve the ground column
+    raises NotConverged.
     """
     schedule = [int(n) for n in schedule]
     if len(schedule) < 2 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InvalidParameter("schedule must be increasing with >= 2 entries")
+    if schedule[0] < 2:
+        raise InvalidParameter("schedule entries must be >= 2, as truncate_neumann requires")
     if tol <= 0:
         raise InvalidParameter("tol must be positive")
     if n_max < 0:
@@ -374,13 +379,16 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
     rows_prime = []
     phi_list = []
     phi = phi_prime = guesses = None  # the truncation before, to start from
+    vectors = []
     for n in schedule:
         b, d = rates.realize(n)
         lam_row = np.full(n_max + 1, np.inf)
-        lam_row[0], phi, _ = tridiag.ground_pair(b, d, _padded(phi, n))
+        lam_row[0], phi, _ = tridiag.ground_pair(b, d, tridiag.padded(phi, n))
         k = min(n_max, n - 1)
-        lam_row[1 : k + 1] = tridiag.higher_eigenvalues(b, d, k, guesses)
-        lam0p, phi_prime, _ = tridiag.ground_pair(b[1:], d[1:], _padded(phi_prime, n - 1))
+        lam_row[1 : k + 1], vectors = tridiag.higher_eigenpairs(
+            b, d, k, guesses, [tridiag.padded(v, n) for v in vectors])
+        lam0p, phi_prime, _ = tridiag.ground_pair(b[1:], d[1:],
+                                                  tridiag.padded(phi_prime, n - 1))
         rows.append(lam_row)
         rows_prime.append(lam0p)
         phi_list.append(phi)
@@ -427,11 +435,6 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
         phi_nondecreasing=phi_ok,
         tol=tol,
     )
-
-
-def _padded(v, n):
-    """v extended to length n by its last entry; None stays None."""
-    return None if v is None else np.pad(v, (0, n - len(v)), mode="edge")
 
 
 @dataclass(frozen=True)
@@ -486,8 +489,9 @@ def theorem_bound(limits, n_used: int | None = None, tail_bound: float = 0.0,
     undeclared = np.flatnonzero(np.isnan(lambdas))
     if undeclared.size:
         raise NotConverged(f"undeclared limit lambda_{int(undeclared[0]) + 1}")
-    if tail_bound < 0:
-        raise InvalidParameter("tail_bound must be nonnegative")
+    # a NaN fails every comparison, and an inf tail makes the bound 1/0
+    if not (math.isfinite(tail_bound) and tail_bound >= 0):
+        raise InvalidParameter(f"tail_bound must be finite and nonnegative, got {tail_bound}")
     if not math.isinf(lam0p) and lam0p <= lam0:
         raise GapViolation(f"lambda0' = {lam0p} <= lambda0 = {lam0}")
     factors = [1.0 - lam0 / lam0p if not math.isinf(lam0p) else 1.0]
@@ -528,7 +532,10 @@ def tail_sum_estimate(rates: RateFamily, n: int, n_used: int) -> float:
         tail = green_trace - 1/lambda0 - sum_{k=1..n_used} 1/lambda_k,
 
     with lambda0 from tridiag.ground_pair and the rest from
-    tridiag.higher_eigenvalues, all relatively accurate.  When the
+    tridiag.higher_eigenvalues, all relatively accurate; those start from
+    the chain's own half-size truncation, down a ladder of halvings that
+    bisects only on a prefix of fewer than 2 tridiag.LADDER_BASE states
+    (and on the chain itself where a rung's warm solves fail).  When the
     subtraction would cancel more than TRACE_CANCELLATION_LIMIT allows, or
     the ground pair raises NoConvergence, the tail is summed over the
     full LAPACK spectrum instead.  Exact for the truncated operator; as an
@@ -598,6 +605,8 @@ def lyapunov_check(rates: RateFamily, phi, lam: float, n: int, tol: float = 1e-1
     b_n and is excluded (one-sided boundary handling).  Returns
     (ok, worst_slack) with slack(x) = -lam phi(x) - K[phi](x).
     """
+    if n < 2:
+        raise InvalidParameter("lyapunov_check needs n >= 2")
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (n,) or np.any(phi <= 0):
         raise InvalidParameter("phi must be positive on 1..n")

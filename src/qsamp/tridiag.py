@@ -29,15 +29,22 @@ absorption times) or from a given start, so one or two steps certify it,
 or from that starting vector itself when the iteration cannot vouch for
 one; a LAPACK bisection eigenvalue seeds the start only when those steps
 narrow slowly.
-higher_eigenvalues gives lambda_1..lambda_k, each the Dirichlet-form
-Rayleigh quotient of an inverse-iterated vector, through the same
-re-shifted iteration from guesses such as a smaller truncation's
-eigenvalues, accepted only when every vector has as many sign changes as
-its index; without guesses, one bisection call gives the shifts.  So a
-schedule of nested truncations (bd_infinite.eigen_convergence) bisects
-only for the higher eigenvalues of its first one.  The diagonal of the
-Green operator's closed form gives green_trace, the sum of every
-1/lambda_k in O(n) and without subtraction:
+higher_eigenvalues gives lambda_1..lambda_k (higher_eigenpairs with their
+vectors), each the Dirichlet-form Rayleigh quotient of an inverse-iterated
+vector, through the same re-shifted iteration from guesses and start
+vectors, accepted only when every vector has as many sign changes as its
+index.  The guesses and vectors are a smaller truncation's eigenpairs
+padded with their last entries (padded): the truncation before in a
+schedule of nested truncations (bd_infinite.eigen_convergence), or else
+the chain's own reflecting truncation at half its size, solved the same
+way down a ladder of halvings to fewer than 2 LADDER_BASE states.  One
+bisection call gives the shifts at the foot of the ladder; where a rung's
+warm solves fail, the climb stops and the chain itself bisects.  So a
+schedule bisects only for the higher eigenvalues of its first truncation,
+and a single chain, when every rung holds, only on a prefix of fewer than
+2 LADDER_BASE states.
+The diagonal of the Green operator's closed form gives green_trace, the sum
+of every 1/lambda_k in O(n) and without subtraction:
 
     trace G = sum_x pi_x sum_{z<=x} (pi_z d_z)^-1.
 
@@ -70,6 +77,7 @@ from scipy.linalg.lapack import dgtsv
 from .errors import InvalidParameter, NoConvergence
 
 _TINY = float(np.finfo(float).tiny)
+_LOG_TINY = math.log(_TINY)
 
 
 def sym_tridiag(b: np.ndarray, d: np.ndarray):
@@ -113,14 +121,32 @@ def rayleigh_quotient(b, d, v, lp=None) -> float:
     """
     if lp is None:
         lp = log_pi(b, d)
+    exp = _exp_normal if len(d) >= MASKED_EXP_MIN else np.exp
     with np.errstate(divide="ignore"):
         log_mass = lp + 2 * np.log(np.abs(v))
         shift = log_mass.max()
         energy = d[0] * np.exp(log_mass[0] - shift)
         if len(d) > 1:
             log_jump = lp[:-1] + 2 * np.log(np.abs(v[1:] - v[:-1]))
-            energy += (b * np.exp(log_jump - shift)).sum()
-    return float(energy / np.exp(log_mass - shift).sum())
+            energy += (b * exp(log_jump - shift)).sum()
+    return float(energy / exp(log_mass - shift).sum())
+
+
+#: chains of at least this many states take _exp_normal in
+#: rayleigh_quotient; below it the mask's fixed cost outweighs what it saves
+MASKED_EXP_MIN = 512
+
+
+def _exp_normal(x):
+    """exp(x) where it is at least the smallest normal double, else 0.
+
+    numpy's exp takes a slow path for results that underflow (about 15
+    times slower per entry), and on long entrance chains most entries of a
+    Rayleigh quotient do.  The mask costs a few microseconds per call, so
+    shorter chains keep the plain exp.  The terms dropped are below 2.2e-308
+    and carried no full digits anyway.
+    """
+    return np.exp(x, out=np.zeros_like(x), where=x >= _LOG_TINY)
 
 
 def green_trace(b, d) -> float:
@@ -141,27 +167,85 @@ def higher_eigenvalues(b, d, k, guesses=None):
     Each value is the Dirichlet-form Rayleigh quotient of a vector
     inverse-iterated from an estimate of it.  The quotient is valid for
     signed vectors too (summation by parts against the reflecting top), and
-    every summand is nonnegative.  The estimates come from one bisection
-    call, unless guesses (such as lambda_1..lambda_k of a smaller
-    truncation) are given and each of them leads to its eigenvalue through
-    _shifted_quotient; if any guess does not, or is missing or not finite,
-    bisection gives them all.
+    every summand is nonnegative.  The estimates are guesses (such as
+    lambda_1..lambda_k of a smaller truncation) when each of them leads to
+    its eigenvalue through _shifted_quotient; if any does not, or is
+    missing or not finite, they come from the half-size ladder of
+    higher_eigenpairs, and from one bisection call where that fails too.
+    """
+    return higher_eigenpairs(b, d, k, guesses)[0]
+
+
+#: smallest rung of the half-size ladder: a chain has a rung below it only
+#: when its half has at least this many states
+LADDER_BASE = 64
+
+
+def higher_eigenpairs(b, d, k, guesses=None, starts=None):
+    """(lambda_1..lambda_k, their vectors) of -K, from warm starts where
+    they can be vouched for.
+
+    First from guesses and their start vectors (length n each, such as a
+    smaller truncation's vectors extended by padded, or None for three
+    solves from the ones vector), as higher_eigenvalues says.
+    Failing that, up the half-size ladder: the prefixes (b[:m-1], d[:m])
+    of sizes m = n // 2, n // 4, ..., each the chain's own reflecting
+    truncation at m, while m is at least LADDER_BASE and above k.  The
+    smallest one bisects (_bisected_pairs), and each larger one starts from
+    the pairs of the one below, vectors padded with their last entries.  A
+    rung whose warm solves fail ends the climb, and the chain itself
+    bisects, as it does when it is too small for a ladder.
     """
     if k == 0:
-        return np.zeros(0)
+        return np.zeros(0), []
     lp = log_pi(b, d)
-    if guesses is not None and len(guesses) >= k and np.all(np.isfinite(guesses[:k])):
-        warm = [_shifted_quotient(b, d, idx, g, lp) for idx, g in enumerate(guesses[:k], start=1)]
-        if None not in warm:
-            return np.array([lam for lam, _ in warm])
-    estimates = eigenvalues(b, d, 1, k)
-    return np.array([
-        rayleigh_quotient(b, d, _inverse_iteration(b, d, idx, lam_hat), lp)
-        for idx, lam_hat in enumerate(estimates, start=1)
-    ])
+    found = _warm_pairs(b, d, k, guesses, starts, lp)
+    sizes = [len(d)]
+    while sizes[-1] // 2 >= LADDER_BASE and sizes[-1] // 2 > k:
+        sizes.append(sizes[-1] // 2)
+    if found is None and len(sizes) > 1:
+        m = sizes.pop()
+        found = _bisected_pairs(b[: m - 1], d[:m], k, lp[:m])
+        for m in reversed(sizes):
+            vectors = [padded(v, m) for v in found[1]]
+            found = _warm_pairs(b[: m - 1], d[:m], k, found[0], vectors, lp[:m])
+            if found is None:
+                break
+    return _bisected_pairs(b, d, k, lp) if found is None else found
 
 
-#: Rayleigh-quotient re-shifts allowed from a guess before bisection takes over
+def padded(v, n):
+    """v extended to length n by its last entry; None stays None.  A
+    smaller truncation's eigenvector padded this way starts the warm solves
+    of ground_pair and higher_eigenpairs on the larger one."""
+    return None if v is None else np.pad(v, (0, n - len(v)), mode="edge")
+
+
+def _bisected_pairs(b, d, k, lp):
+    """(lambda_1..lambda_k, vectors) from one bisection call, each vector
+    inverse-iterated from its eigenvalue estimate."""
+    vectors = [_inverse_iteration(b, d, idx, lam_hat)
+               for idx, lam_hat in enumerate(eigenvalues(b, d, 1, k), start=1)]
+    return np.array([rayleigh_quotient(b, d, v, lp) for v in vectors]), vectors
+
+
+def _warm_pairs(b, d, k, guesses, starts, lp):
+    """(lambda_1..lambda_k, vectors) by _shifted_quotient from k finite
+    guesses, or None when there are fewer or any of them fails."""
+    if guesses is None or len(guesses) < k or not np.all(np.isfinite(guesses[:k])):
+        return None
+    pairs = []
+    for idx, guess, start in zip(range(1, k + 1), guesses, starts or [None] * k):
+        pair = _shifted_quotient(b, d, idx, guess, lp, start)
+        if pair is None:
+            return None
+        pairs.append(pair)
+    lams, vectors = zip(*pairs)
+    return np.array(lams), list(vectors)
+
+
+#: Rayleigh-quotient re-shifts allowed from a guess before the ladder or
+#: bisection takes over
 MAX_RESHIFTS = 6
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsamp import build_general, build_rho_chain, tridiag
+from qsamp.bd_infinite import RateFamily
 
 
 @pytest.fixture
@@ -39,6 +40,24 @@ def count_bisections(monkeypatch):
     bisect = tridiag.eigenvalues
     monkeypatch.setattr(tridiag, "eigenvalues", lambda *a: calls.append(a) or bisect(*a))
     return calls
+
+
+def cold_higher_eigenvalues(b, d, k):
+    """lambda_1..lambda_k by the cold route alone, as a reference for the
+    warm ones: one bisection call, then three solves from the ones vector at
+    each estimate and the Rayleigh quotient (tridiag._bisected_pairs), with
+    no guesses, carried vectors or half-size ladder."""
+    if k == 0:
+        return np.zeros(0)
+    return tridiag._bisected_pairs(b, d, k, tridiag.log_pi(b, d))[0]
+
+
+def log_accelerated_family(q):
+    """b_x = ln^q(e+x), d_x = x ln^q(e-1+x): Poisson(1) weights, and an
+    entrance boundary at infinity for every q > 1."""
+    return RateFamily(lambda x: np.log(np.e + np.asarray(x, dtype=float)) ** q,
+                      lambda x: np.asarray(x, dtype=float) * np.log(np.e - 1.0 + np.asarray(x, dtype=float)) ** q,
+                      name=f"log-accelerated q={q}")
 
 
 def random_reversible_generator(rng, n_max=12):

@@ -36,7 +36,9 @@ from qsamp import (
 )
 from qsamp import tridiag
 from qsamp.bd_infinite import RateFamily, parse_rate_family
-from conftest import count_bisections, pivot_digits_lost
+from conftest import (
+    cold_higher_eigenvalues, count_bisections, log_accelerated_family, pivot_digits_lost,
+)
 
 
 class TestPiMeasure:
@@ -165,8 +167,8 @@ class TestEigenConvergence:
         assert series.lambda_monotone
 
     def test_failed_solve_is_not_monotone(self, monkeypatch):
-        monkeypatch.setattr(tridiag, "higher_eigenvalues",
-                            lambda b, d, k, guesses=None: np.full(k, math.nan))
+        monkeypatch.setattr(tridiag, "higher_eigenpairs",
+                            lambda b, d, k, guesses=None, starts=None: (np.full(k, math.nan), []))
         series = eigen_convergence(poisson_family(), 2, [16, 32], 1e-2)
         assert np.isnan(series.lambda_table[:, 1:]).all()
         assert not series.lambda_monotone
@@ -178,6 +180,21 @@ class TestEigenConvergence:
         calls = count_bisections(monkeypatch)
         eigen_convergence(accelerated_poisson_family(), 6, [2 ** k for k in range(4, 13)], 1e-8)
         assert [(len(a[1]), a[2:]) for a in calls] == [(16, (1, 6))]
+
+    def test_later_truncations_start_every_solve_warm(self, monkeypatch):
+        # the eigenvectors of the truncation before, padded, start each
+        # shifted solve; only the first truncation solves from the ones vector
+        cold = []
+        solves = tridiag._shifted_solves
+
+        def spy(b, d, shift, start):
+            if start is None:
+                cold.append(len(d))
+            return solves(b, d, shift, start)
+
+        monkeypatch.setattr(tridiag, "_shifted_solves", spy)
+        eigen_convergence(accelerated_poisson_family(), 6, [2 ** k for k in range(4, 13)], 1e-8)
+        assert cold == [16] * 6
 
     def test_spread_beyond_double_range_raises(self):
         # at N = 2048 phi spans more than 1e308: the pair itself fails, not
@@ -191,16 +208,14 @@ class TestEigenConvergence:
         with pytest.raises(InvalidParameter):
             eigen_convergence(poisson_family(), 2, [64, 32], 1e-6)
 
+    def test_one_state_truncation_rejected(self):
+        # a 1-state truncation has an empty minor, as truncate_neumann says
+        with pytest.raises(InvalidParameter):
+            eigen_convergence(poisson_family(), 2, (1, 2), 1e-6)
+
     def test_negative_n_max_rejected(self):
         with pytest.raises(InvalidParameter):
             eigen_convergence(poisson_family(), -1, [64, 128], 1e-6)
-
-
-def log_accelerated_family(q):
-    """b_x = ln^q(e+x), d_x = x ln^q(e-1+x): Poisson(1) weights, and an
-    entrance boundary at infinity for every q > 1."""
-    return RateFamily(lambda x: np.log(np.e + x) ** q, lambda x: x * np.log(np.e - 1.0 + x) ** q,
-                      name=f"log-accelerated q={q}")
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -217,7 +232,7 @@ def test_warm_started_truncations_match_cold_solves(fam, schedule, n_max):
         b, d = fam.realize(n)
         lam0, phi_cold, _ = tridiag.ground_pair(b, d)
         k = min(n_max, n - 1)
-        cold = np.r_[lam0, tridiag.higher_eigenvalues(b, d, k), np.full(n_max - k, np.inf)]
+        cold = np.r_[lam0, cold_higher_eigenvalues(b, d, k), np.full(n_max - k, np.inf)]
         np.testing.assert_allclose(row, cold, rtol=1e-13)
         np.testing.assert_allclose(phi, phi_cold, rtol=1e-13)
         assert lam0p == pytest.approx(tridiag.ground_pair(b[1:], d[1:])[0], rel=1e-13)
@@ -283,6 +298,14 @@ class TestTheoremBound:
         with pytest.raises(NotConverged):
             theorem_bound(limits, tail_bound=0.1)
 
+    @pytest.mark.parametrize("tail", [-0.5, math.nan, math.inf])
+    def test_tail_bound_must_be_finite_and_nonnegative(self, tail):
+        # a NaN tail would fail both tail < 0 and tail > 0 and drop out,
+        # and an inf one would make the bound 1/0
+        with pytest.raises(InvalidParameter):
+            theorem_bound({"lambda0": 1.0, "lambda0_prime": 2.0, "lambdas": [3.0]},
+                          tail_bound=tail)
+
     def test_negative_n_used_rejected(self):
         with pytest.raises(InvalidParameter):
             theorem_bound({"lambda0": 1.0, "lambda0_prime": 2.0, "lambdas": [3.0, 4.0]},
@@ -309,12 +332,6 @@ class TestTheoremBound:
         series = eigen_convergence(accelerated_poisson_family(), 2, [64, 128], 1e-4)
         with pytest.raises(NotConverged):
             theorem_bound(replace(series, lambda0_prime_limit=math.nan), tail_bound=0.1)
-
-
-def log_accelerated_family(q):
-    """b_x = ln^q(e+x), d_x = x ln^q(e-1+x): Poisson(1) weights, entrance at infinity."""
-    return RateFamily(lambda x: np.log(np.e + np.asarray(x, dtype=float)) ** q,
-                      lambda x: np.asarray(x, dtype=float) * np.log(np.e - 1.0 + np.asarray(x, dtype=float)) ** q)
 
 
 def spectrum_tail(rates, n, n_used):
@@ -356,6 +373,14 @@ class TestTailSum:
     def test_negative_count_rejected(self):
         with pytest.raises(InvalidParameter):
             tail_sum_estimate(accelerated_poisson_family(), 64, -3)
+
+    def test_bisects_only_at_the_foot_of_the_ladder(self, monkeypatch):
+        # lambda_1..lambda_6 of the 4096-state chain come from its halvings
+        # down to 64 states, the only one that bisects
+        calls = count_bisections(monkeypatch)
+        tail_sum_estimate(log_accelerated_family(3), 4096, 6)
+        assert len(calls) == 1
+        assert len(calls[0][1]) < 2 * tridiag.LADDER_BASE
 
 
 class TestGapIdentity:
@@ -432,6 +457,11 @@ class TestLyapunov:
         ok, worst = lyapunov_check(fam, phi, 0.9 * series.lambda0_limit, n)
         assert ok
         assert worst > 0
+
+    def test_one_state_rejected(self):
+        # the check has no interior row at n = 1
+        with pytest.raises(InvalidParameter):
+            lyapunov_check(accelerated_poisson_family(), [1.0], 0.5, 1)
 
 
 class TestDirichletForm:

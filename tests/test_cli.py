@@ -185,6 +185,15 @@ class TestBd:
         assert payload["bound"] > max(payload["truncation_amplitudes"])
         assert payload["tail_certified"] is False
 
+    @pytest.mark.parametrize("tail", ["nan", "inf", "-1"])
+    def test_bound_rejects_a_tail_bound_that_is_not_finite_and_nonnegative(self, capsys, tail):
+        code, out, err = run(capsys, "bd", "bound", "--rates", "poisson-accelerated",
+                             "--nmax", "3", "--tol", "1e-8", "--max-log2", "8",
+                             "--tail-bound", tail)
+        assert code == 2
+        assert out == ""
+        assert "InvalidParameter" in err
+
 
 class TestReproduce:
     def test_golden_case_cli(self, capsys):

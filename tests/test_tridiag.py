@@ -25,7 +25,10 @@ from qsamp import (
     rho_family,
 )
 from qsamp import tridiag
-from conftest import count_bisections, pivot_digits_lost, random_birth_death
+from conftest import (
+    cold_higher_eigenvalues, count_bisections, log_accelerated_family, pivot_digits_lost,
+    random_birth_death,
+)
 
 
 def log_uniform_chain(rng, n, low, high):
@@ -161,7 +164,7 @@ def test_higher_eigenvalues_from_good_guesses_skip_bisection(monkeypatch):
     fam = accelerated_poisson_family()
     guesses = tridiag.higher_eigenvalues(*fam.realize(300), 5)
     b, d = fam.realize(600)
-    cold = tridiag.higher_eigenvalues(b, d, 5)
+    cold = cold_higher_eigenvalues(b, d, 5)
     calls = count_bisections(monkeypatch)
     warm = tridiag.higher_eigenvalues(b, d, 5, guesses)
     assert calls == []
@@ -178,12 +181,43 @@ def test_higher_eigenvalues_from_good_guesses_skip_bisection(monkeypatch):
 ], ids=["swapped", "nan", "neighbour", "nearer-the-next", "stalls-short", "missing"])
 def test_higher_eigenvalues_from_wrong_guesses_fall_back(wrong, monkeypatch):
     # "stalls-short": the quotients stop closing in while still far apart
+    # the fallback is the same route as no guesses at all, and it matches
+    # the cold route
     b, d = accelerated_poisson_family().realize(400)
-    cold = tridiag.higher_eigenvalues(b, d, 4)
+    unguessed = tridiag.higher_eigenvalues(b, d, 4)
     lam = tridiag.eigenvalues(b, d, 0, 5)
+    cold = cold_higher_eigenvalues(b, d, 4)
     calls = count_bisections(monkeypatch)
-    np.testing.assert_array_equal(tridiag.higher_eigenvalues(b, d, 4, wrong(lam)), cold)
+    fallback = tridiag.higher_eigenvalues(b, d, 4, wrong(lam))
+    np.testing.assert_array_equal(fallback, unguessed)
     assert len(calls) == 1
+    np.testing.assert_allclose(fallback, cold, rtol=1e-13)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("n", [300, 1000])
+def test_higher_eigenvalues_down_the_ladder_match_the_oracle(n, q, monkeypatch):
+    # without guesses the values come from the halvings of the chain, and
+    # only the foot of the ladder bisects
+    b, d = log_accelerated_family(q).realize(n)
+    calls = count_bisections(monkeypatch)
+    lam = tridiag.higher_eigenvalues(b, d, 6)
+    assert len(calls) == 1
+    assert len(calls[0][1]) < 2 * tridiag.LADDER_BASE
+    dps = max(60, 30 + pivot_digits_lost(b, d))
+    ref = np.array([float(tridiag.mp_lambda(b, d, k, dps=dps)) for k in range(1, 7)])
+    np.testing.assert_allclose(lam, ref, rtol=1e-13)
+
+
+def test_higher_eigenvalues_where_the_half_size_guesses_fail(monkeypatch):
+    # b = 1.5, d = 1 drifts to the top, so the truncation at 75 states says
+    # little about the one at 150: the climb stops there, and the full chain
+    # bisects instead of each rung above the foot
+    b, d = rho_family(1.5).realize(300)
+    calls = count_bisections(monkeypatch)
+    lam = tridiag.higher_eigenvalues(b, d, 3)
+    assert [len(a[1]) for a in calls] == [75, 300]
+    np.testing.assert_allclose(lam, tridiag.eigenvalues(b, d, 1, 3), rtol=1e-13)
 
 
 def test_higher_eigenvalues_from_rough_guesses_re_shift(monkeypatch):
@@ -191,7 +225,7 @@ def test_higher_eigenvalues_from_rough_guesses_re_shift(monkeypatch):
     # and the re-shifted ones settle on the cold values
     b, d = poisson_family().realize(600)
     lam = tridiag.eigenvalues(b, d, 1, 6)
-    cold = tridiag.higher_eigenvalues(b, d, 5)
+    cold = cold_higher_eigenvalues(b, d, 5)
     calls = count_bisections(monkeypatch)
     warm = tridiag.higher_eigenvalues(b, d, 5, lam[:5] + 0.2 * np.diff(lam))
     assert calls == []
