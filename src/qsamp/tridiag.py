@@ -38,11 +38,11 @@ padded with their last entries (padded): the truncation before in a
 schedule of nested truncations (bd_infinite.eigen_convergence), or else
 the chain's own reflecting truncation at half its size, solved the same
 way down a ladder of halvings to fewer than 2 LADDER_BASE states.  One
-bisection call gives the shifts at the foot of the ladder; where a rung's
-warm solves fail, the climb stops and the chain itself bisects.  So a
-schedule bisects only for the higher eigenvalues of its first truncation,
-and a single chain, when every rung holds, only on a prefix of fewer than
-2 LADDER_BASE states.
+bisection call gives the first shifts at the foot of the ladder, re-shifted
+the same way; where a rung's warm solves fail, the climb stops and the
+chain itself bisects.  So a schedule bisects only for the higher
+eigenvalues of its first truncation, and a single chain, when every rung
+holds, only on a prefix of fewer than 2 LADDER_BASE states.
 The diagonal of the Green operator's closed form gives green_trace, the sum
 of every 1/lambda_k in O(n) and without subtraction:
 
@@ -58,9 +58,11 @@ certificate, the decimal Newton steps and the determinant ratio of the
 state-1 minor.  The decimal passes run on the standard library's decimal
 module (libmpdec, C code) at dps significant digits, in a thread-local
 context with the widest exponent range decimal allows (oracle_context).
-mp_lambda bisects on the double count down to adjacent floats, refines
-with a few decimal Newton steps on det(T - lam), and certifies the result
-by two decimal counts just below and just above it.
+mp_lambda starts from adjacent floats around the eigenvalue that the
+double count certifies (float Newton steps from 0 and a walk of a few ulps
+for lambda0, bisection otherwise), refines with a few decimal Newton steps
+on det(T - lam), and certifies the result by two decimal counts just below
+and just above it, as soon as a step is small enough for that to hold.
 """
 
 from __future__ import annotations
@@ -77,13 +79,23 @@ from scipy.linalg.lapack import dgtsv
 from .errors import InvalidParameter, NoConvergence
 
 _TINY = float(np.finfo(float).tiny)
+_EPS = float(np.finfo(float).eps)
 _LOG_TINY = math.log(_TINY)
 
 
 def sym_tridiag(b: np.ndarray, d: np.ndarray):
-    """Main and off diagonals of the symmetrized -K."""
+    """Main and off diagonals of the symmetrized -K.
+
+    The off-diagonal is -sqrt(b_x d_{x+1}), taken as -sqrt(b_x) sqrt(d_{x+1})
+    where the product is not a normal double (it overflows, or loses bits
+    below the smallest normal), so that no rate scale breaks it and normal
+    products keep their bits.
+    """
     main = d + np.append(b, 0.0)
-    off = -np.sqrt(b * d[1:]) if len(d) > 1 else np.zeros(0)
+    with np.errstate(over="ignore"):
+        prod = b * d[1:]
+    normal = (prod >= _TINY) & (prod < np.inf)
+    off = -np.where(normal, np.sqrt(prod), np.sqrt(b) * np.sqrt(d[1:]))
     return main, off
 
 
@@ -222,11 +234,18 @@ def padded(v, n):
 
 
 def _bisected_pairs(b, d, k, lp):
-    """(lambda_1..lambda_k, vectors) from one bisection call, each vector
-    inverse-iterated from its eigenvalue estimate."""
-    vectors = [_inverse_iteration(b, d, idx, lam_hat)
-               for idx, lam_hat in enumerate(eigenvalues(b, d, 1, k), start=1)]
-    return np.array([rayleigh_quotient(b, d, v, lp) for v in vectors]), vectors
+    """(lambda_1..lambda_k, vectors) from one bisection call: each pair by
+    _shifted_quotient from its eigenvalue estimate, or, where that cannot
+    vouch for one, the quotient of the vector inverse-iterated from it."""
+    pairs = []
+    for idx, lam_hat in enumerate(eigenvalues(b, d, 1, k), start=1):
+        pair = _shifted_quotient(b, d, idx, lam_hat, lp)
+        if pair is None:
+            v = _inverse_iteration(b, d, idx, lam_hat)
+            pair = rayleigh_quotient(b, d, v, lp), v
+        pairs.append(pair)
+    lams, vectors = zip(*pairs)
+    return np.array(lams), list(vectors)
 
 
 def _warm_pairs(b, d, k, guesses, starts, lp):
@@ -612,12 +631,76 @@ def sturm_count(b, d, sigma: float) -> int:
 def _double_start(b, d, eig_index):
     """Lower end lo of a bracket of adjacent doubles around the eigenvalue.
 
-    b and d are lists of floats.  Bisection on the pivot count keeps
-    count(lo) <= eig_index < count(hi), with hi starting at
+    b and d are lists of floats.  lo is the double with
+    count(lo) <= eig_index < count(nextafter(lo)), or 0 when the eigenvalue
+    is below the smallest normal double: from _newton_start for lambda0,
+    and from _bisected_start for higher indices or where _newton_start
+    gives up.
+    """
+    if eig_index == 0:
+        lo = _newton_start(b, d)
+        if lo is not None:
+            return lo
+    return _bisected_start(b, d, eig_index)
+
+
+#: float Newton steps of _newton_start: each costs about two count passes,
+#: so steps that give up (clustered eigenvalues above lambda0 make them
+#: creep) have cost about what the bisection taking over does
+_START_STEPS = 30
+
+#: ulps the walk after the float Newton steps of _newton_start covers in
+#: either direction before bisection takes over
+_WALK_ULPS = 8
+
+
+def _newton_start(b, d):
+    """_double_start for lambda0 by float Newton steps, or None.
+
+    Newton steps on det(T - lam) from 0 (_newton_step over Python floats)
+    rise monotonically toward the smallest root, because every root lies
+    above them.  They stop after a step of at most 4 ulps, before one that
+    does not shrink (rounding, or steps that stall), or at an exact zero
+    pivot, and a walk of at most _WALK_ULPS ulps down or up from there
+    finds the lo that the count certifies.  None where _START_STEPS steps
+    have not stopped, where they stop below the smallest normal double, or
+    where the walk runs out.
+    """
+    lam, last = 0.0, math.inf
+    for _ in range(_START_STEPS):
+        step = _newton_step(b, d, lam)
+        if step is None or not abs(step) < last:
+            break
+        lam, last = lam + step, abs(step)
+        if last <= 4 * _EPS * lam:
+            break
+    else:
+        return None
+    if not lam >= _TINY:
+        return None
+    if _count(b, d, lam) == 0:
+        for _ in range(_WALK_ULPS):
+            up = math.nextafter(lam, math.inf)
+            if _count(b, d, up) > 0:
+                return lam
+            lam = up
+    else:
+        for _ in range(_WALK_ULPS):
+            lam = math.nextafter(lam, -math.inf)
+            if _count(b, d, lam) == 0:
+                return lam
+    return None
+
+
+def _bisected_start(b, d, eig_index):
+    """_double_start by bisection on the pivot count, for any index.
+
+    Keeps count(lo) <= eig_index < count(hi), with hi starting at
     2 max_x (b_x + d_x), the row-sum norm of -K.  Midpoints are geometric
     while hi/lo > 4, so an eigenvalue hundreds of orders below the rates
-    costs a dozen passes, then arithmetic down to adjacent floats.  lo is 0
-    when the eigenvalue is below the smallest normal double.
+    costs a dozen passes, then arithmetic down to adjacent floats (about 60
+    passes in all).  lo is 0 when the eigenvalue is below the smallest
+    normal double.
     """
     hi = 2 * max(bx + dx for bx, dx in zip(b + [0.0], d))
     lo = _TINY
@@ -648,9 +731,9 @@ def _newton_step(b, d, lam):
             log_deriv += dt / q
             dt = bx * dx * dt / (q * q) - 1
         log_deriv += dt / pivots[-1]
+        return -1 / log_deriv
     except ZeroDivisionError:
         return None
-    return -1 / log_deriv
 
 
 def mp_lambda(b, d, eig_index=0, dps=60):
@@ -658,12 +741,16 @@ def mp_lambda(b, d, eig_index=0, dps=60):
 
     Three steps on the pivot recursion _pivots, none shared with
     ground_pair, which is what lets bounds.exact_bd_amplitude check it:
-      1. bisection on the double-precision count down to adjacent floats,
-         which gives the eigenvalue to relative accuracy in about 60 passes;
+      1. the lower end of adjacent doubles around the eigenvalue, certified
+         by the double-precision count (_double_start): float Newton steps
+         from 0 and a walk of a few ulps for lambda0, which usually take
+         a handful of passes, or else bisection, about 60;
       2. Newton steps on det(T - lam) in dps-digit decimal arithmetic from
-         the lower end of that bracket, until a step falls below the
-         relative width w = n 10^(5 - dps), stops shrinking, or lands on an
-         exact zero pivot;
+         that lower end, until a step falls below the relative width
+         w = n 10^(5 - dps), stops shrinking, or lands on an exact zero
+         pivot.  Convergence is quadratic, so after a step whose square is
+         below w lam^2 the next one would be below w lam: each such step
+         tries the certificate of step 3 and returns on success;
       3. a certificate: the decimal counts at lam (1 - w) and lam (1 + w)
          must put the eigenvalue between them.
     The decimal pivots are exact for rates perturbed by a few units in the
@@ -695,14 +782,22 @@ def mp_lambda(b, d, eig_index=0, dps=60):
             last = abs(step)
             if last <= w * lam:
                 break
-        below = _count(bm, dm, lam * (1 - w))
-        above = _count(bm, dm, lam * (1 + w))
+            if last * last <= w * lam * lam:
+                below, above = _bracket_counts(bm, dm, lam, w)
+                if below <= eig_index < above:
+                    return lam
+        below, above = _bracket_counts(bm, dm, lam, w)
         if below > eig_index or above <= eig_index:
             raise NoConvergence(
                 f"eigenvalue {eig_index} not certified at {lam:.20g}: "
                 f"Sturm counts {below} and {above} at relative width {w:.3g}"
             )
         return lam
+
+
+def _bracket_counts(b, d, lam, w):
+    """The decimal counts at lam (1 - w) and lam (1 + w)."""
+    return _count(b, d, lam * (1 - w)), _count(b, d, lam * (1 + w))
 
 
 def mp_detratio_minor(b, d, lam_mp, dps=60):

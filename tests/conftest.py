@@ -45,11 +45,15 @@ def count_bisections(monkeypatch):
 def cold_higher_eigenvalues(b, d, k):
     """lambda_1..lambda_k by the cold route alone, as a reference for the
     warm ones: one bisection call, then three solves from the ones vector at
-    each estimate and the Rayleigh quotient (tridiag._bisected_pairs), with
-    no guesses, carried vectors or half-size ladder."""
+    each estimate and the Rayleigh quotient, with no guesses, re-shifts,
+    carried vectors or half-size ladder."""
     if k == 0:
         return np.zeros(0)
-    return tridiag._bisected_pairs(b, d, k, tridiag.log_pi(b, d))[0]
+    lp = tridiag.log_pi(b, d)
+    return np.array([
+        tridiag.rayleigh_quotient(b, d, tridiag._inverse_iteration(b, d, idx, lam_hat), lp)
+        for idx, lam_hat in enumerate(tridiag.eigenvalues(b, d, 1, k), start=1)
+    ])
 
 
 def log_accelerated_family(q):

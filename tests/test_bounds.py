@@ -345,6 +345,18 @@ class TestExactBirthDeath:
         # 100 digits beyond the 60 + log10(amplitude) that the answer asks for
         assert exact_bd_amplitude(gen, dps=160 + math.ceil(math.log10(value))) == value
 
+    @pytest.mark.parametrize("exponent", [-1000, 512, 700, 1000])
+    def test_power_of_two_rescaling_leaves_the_amplitude(self, exponent):
+        # from 2^512 up, double pivot products of the unscaled rates overflow
+        # and the decimal certificate failed; the amplitude is scale-free
+        rng = np.random.default_rng(20240817)
+        n = int(rng.integers(2, 201))
+        b = np.exp(rng.uniform(np.log(0.1), np.log(10), n - 1))
+        d = np.exp(rng.uniform(np.log(0.1), np.log(10), n))
+        value = exact_bd_amplitude(build_birth_death(b, d))
+        scale = 2.0 ** exponent
+        assert exact_bd_amplitude(build_birth_death(b * scale, d * scale)) == value
+
     def test_random_rates(self):
         rng = np.random.default_rng(25)
         for _ in range(5):

@@ -15,6 +15,7 @@ from qsamp import (
     NotDiagonalizableDetected,
     QsampError,
     amplitude,
+    build_birth_death,
     build_general,
     build_graph_walk,
     build_rho_chain,
@@ -24,6 +25,7 @@ from qsamp import (
     minor,
     quasi_stationary_dist,
     reversible_measure,
+    spectral_bound,
 )
 from qsamp import spectral, tridiag
 from conftest import (
@@ -688,3 +690,17 @@ def test_minor_block_with_a_bottleneck():
 def test_lambda0_prime_read_off_the_minor_spectra(gen):
     rep = full_spectrum(gen, compute_minors=True)
     assert rep.lambda0_prime == min(rep.minor_spectra[x][0] for x in gen.absorbing_set)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+def test_birth_death_spectrum_at_any_rate_scale(scale):
+    # the symmetrized off-diagonal sqrt(b_x d_{x+1}) overflowed from 1e160 on
+    # (a raw scipy ValueError) and lost bits below 1e-154 (DegenerateGap at
+    # 1e-200, lambda0 1.4e-3 off at 1e-160)
+    b = np.array([1, 2, 0.5, 1, 3])
+    d = np.array([1, 1, 2, 0.7, 1, 2])
+    ref = full_spectrum(build_birth_death(b, d))
+    rep = full_spectrum(build_birth_death(b * scale, d * scale))
+    np.testing.assert_allclose(rep.eigenvalues / scale, ref.eigenvalues, rtol=1e-13)
+    assert rep.lambda0_prime / scale == pytest.approx(ref.lambda0_prime, rel=1e-13)
+    assert spectral_bound(rep).bound == pytest.approx(spectral_bound(ref).bound, rel=1e-12)

@@ -220,6 +220,18 @@ def test_higher_eigenvalues_where_the_half_size_guesses_fail(monkeypatch):
     np.testing.assert_allclose(lam, tridiag.eigenvalues(b, d, 1, 3), rtol=1e-13)
 
 
+@pytest.mark.parametrize("n", [200, 300])
+def test_bisected_higher_eigenvalues_match_the_oracle(n):
+    # b = 2, d = 1 drifts to the top: every rung of the ladder fails and the
+    # chain bisects, where three solves and one quotient per estimate were
+    # 9.0e-12 (n = 200) and 5.0e-12 (n = 300) relative from the oracle
+    b, d = rho_family(2.0).realize(n)
+    lam = tridiag.higher_eigenvalues(b, d, 6)
+    dps = max(60, 30 + pivot_digits_lost(b, d))
+    ref = np.array([float(tridiag.mp_lambda(b, d, k, dps=dps)) for k in range(1, 7)])
+    np.testing.assert_allclose(lam, ref, rtol=1e-13)
+
+
 def test_higher_eigenvalues_from_rough_guesses_re_shift(monkeypatch):
     # a fifth of the way to the next eigenvalue: the first quotient is off,
     # and the re-shifted ones settle on the cold values
@@ -398,6 +410,46 @@ def test_higher_indices_are_certified_too(k):
     main, off = tridiag.sym_tridiag(b, d)
     ref = eigvalsh_tridiagonal(main, off)[k]
     assert float(tridiag.mp_lambda(b, d, k)) == pytest.approx(ref, rel=1e-11)
+
+
+def random_oracle_chains():
+    """Chains 0-59 of default_rng(7): n from integers(2, 300), rates
+    log-uniform in [1e-3, 1e3]."""
+    rng = np.random.default_rng(7)
+    return [random_birth_death(rng, n_max=299, low=1e-3, high=1e3) for _ in range(60)]
+
+
+@pytest.mark.parametrize(
+    "chains",
+    [lambda: [criterion05_chain(i) for i in range(50)], random_oracle_chains,
+     lambda: [(np.full(119, 1e-3), np.full(120, 1e3))]],
+    ids=["criterion05", "rng7", "clustered"],
+)
+def test_newton_start_is_the_bisection_start(chains):
+    # "clustered": 120 eigenvalues in [998, 1002], so float Newton from 0
+    # creeps and the start falls back to bisection
+    for b, d in chains():
+        b, d = b.tolist(), d.tolist()
+        assert tridiag._double_start(b, d, 0) == tridiag._bisected_start(b, d, 0)
+
+
+def test_newton_start_takes_few_counts(monkeypatch):
+    # bisection down to adjacent floats took 63.1 count passes per chain
+    counts = []
+    count = tridiag._count
+    monkeypatch.setattr(tridiag, "_count", lambda *a: counts.append(1) or count(*a))
+    for i in range(50):
+        b, d = criterion05_chain(i)
+        tridiag._double_start(b.tolist(), d.tolist(), 0)
+    assert len(counts) / 50 <= 15
+
+
+def test_stalled_float_newton_falls_back_to_bisection(monkeypatch):
+    b, d = (x.tolist() for x in criterion05_chain(0))
+    bisected = tridiag._bisected_start(b, d, 0)
+    monkeypatch.setattr(tridiag, "_newton_step", lambda b, d, lam: 0 * lam)
+    assert tridiag._newton_start(b, d) is None
+    assert tridiag._double_start(b, d, 0) == bisected
 
 
 def test_stalled_newton_is_not_certified(monkeypatch):
