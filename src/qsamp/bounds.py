@@ -299,9 +299,9 @@ def exact_bd_amplitude(gen: AbsorbingGenerator, dps: int | None = None) -> float
     a double-precision start certified by the differential Sturm count
     (float Newton steps from 0 and a walk of a few ulps, or bisection), a
     few decimal Newton steps on det(T - lambda), and a certificate of two
-    decimal Sturm counts just below and above the result.  Both run on the
-    rates scaled by a power of two to a largest rate in [1/2, 1), which is
-    exact and leaves R unchanged, so no double product of rates overflows.
+    decimal Sturm counts just below and above the result.  The double-
+    precision start runs on the rates scaled by a power of two, which is
+    exact, so no double product of rates overflows at any rate scale.
     The ratio's condition number is the amplitude itself, so R is accepted
     only when R > 0 and log10(1/R) + 30 <= dps.  The default precision starts at 60
     digits and otherwise repeats at ceil(log10(1/R)) + 60 digits, or at 60
@@ -315,8 +315,6 @@ def exact_bd_amplitude(gen: AbsorbingGenerator, dps: int | None = None) -> float
     b, d = gen.birth_death_rates()
     if len(d) == 1:
         return 1.0
-    k = math.frexp(max(b.max(), d.max()))[1]
-    b, d = np.ldexp(b, -k), np.ldexp(d, -k)
     digits = 60 if dps is None else dps
     while True:
         lam = tridiag.mp_lambda(b, d, 0, dps=digits)

@@ -23,17 +23,22 @@ running it steps them as arrays: it carries only the running trajectories
 step costs O(active * out-degree) plus a fixed number of numpy calls.  The
 last TAIL trajectories of a block, often the slowest few, would pay that
 fixed cost for a handful of jumps per step, so they are finished with
-Python scalars on the list form of the table, as sample_path steps.  Both
-phases draw the same numbers in the same order (each step one exponential
-and then one uniform per running trajectory, in index order), add them
-with the same double-precision operations, and pick the same slot (the
-number of thresholds below u, counted by comparison or by bisection of the
-ascending row), so samples do not depend on where the phases meet.
+Python scalars on the list form of the table (as is sample_path, a block
+of one path).  Both phases draw the same numbers in the same order (each
+step one exponential and then one uniform per running trajectory, in index
+order), add them with the same double-precision operations, and pick the
+same slot (the number of thresholds below u, counted by comparison or by
+bisection of the ascending row), so samples do not depend on where the
+phases meet.
 
 Sampling is reproducible: a base seed is split into one child stream per
 fixed-size block, and block results are merged in block order.  The n_jobs
 keyword of the estimators is accepted and has no effect: the kernel holds
 the GIL for most of a step, so threads cannot overlap its blocks.
+
+sandwich_experiment reads the conditioned and the Doob law off one
+uniformized series mu0 exp(tK) per time (expm_action), and nu off the
+eigenpair in hand; doob_transform's dense generator serves demos and checks.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from scipy.special import logsumexp
 
 from .errors import EventBudgetExceeded, HeavyTailWarning, InvalidParameter, UnderflowWarning
 from .generators import AbsorbingGenerator
-from .spectral import DirichletEigenpair, dirichlet_eigenpair, quasi_stationary_dist
+from .spectral import DirichletEigenpair, _qsd, dirichlet_eigenpair, reversible_measure
 
 EVENT_BUDGET = 100_000_000
 BLOCK_SIZE = 16_384
@@ -115,13 +120,6 @@ def _next_state(cols, thresh, s, u):
     return cols.take(k)
 
 
-def _table_lists(scale, cols, thresh):
-    """The jump table as Python lists (scale, cols, row-major thresholds) for
-    stepping with scalars: a one-element numpy operation costs more than
-    the jump it computes."""
-    return scale.tolist(), cols.tolist(), thresh.T.tolist()
-
-
 def sample_path(gen: AbsorbingGenerator, start: int, target: int | None,
                 rng: np.random.Generator) -> TrajectoryOutcome:
     """Simulate one trajectory until the target is hit or the path is absorbed.
@@ -132,29 +130,14 @@ def sample_path(gen: AbsorbingGenerator, start: int, target: int | None,
         raise InvalidParameter(f"start state {start} out of range")
     if target is not None and not 1 <= target <= gen.n_states:
         raise InvalidParameter(f"target state {target} out of range")
-    if target is not None and start == target:
-        return TrajectoryOutcome(True, 0.0, False, 0)
-    scale, cols, rows = _table_lists(*_jump_table(gen))
-    n = gen.n_states
-    goal = -1 if target is None else target - 1
-    state = start - 1
-    elapsed = 0.0
-    events = 0
-    while True:
-        if events >= EVENT_BUDGET:
-            raise EventBudgetExceeded(f"{events} jumps without resolution")
-        elapsed += rng.standard_exponential() * scale[state]
-        events += 1
-        # thresholds ascend to +inf: the slot is the number of them below u
-        state = cols[state][bisect_left(rows[state], rng.random())]
-        if state == n:
-            return TrajectoryOutcome(False, elapsed, True, events)
-        if state == goal:
-            return TrajectoryOutcome(True, elapsed, False, events)
+    target0 = None if target is None else target - 1
+    elapsed, hit, events = _simulate_block(_jump_table(gen), np.array([start - 1]), target0, rng)
+    return TrajectoryOutcome(bool(hit[0]), float(elapsed[0]), not hit[0], events)
 
 
 def _simulate_block(table, starts, target0, rng):
-    """Batch of trajectories; returns (elapsed, hit) arrays.
+    """Batch of trajectories; returns the (elapsed, hit) arrays and the
+    number of jumps taken.
 
     target0 is a 0-based state index or None (run to absorption).  Each step
     draws one exponential and then one uniform per running trajectory, in
@@ -189,7 +172,8 @@ def _simulate_block(table, starts, target0, rng):
             hit[ended] = state[done] > n
             keep = ~done
             idx, state, t = idx[keep], state[keep], t[keep]
-    scale, cols, rows = _table_lists(scale, cols, thresh)
+    # lists: a one-element numpy operation costs more than the jump it computes
+    scale, cols, rows = scale.tolist(), cols.tolist(), thresh.T.tolist()
     running = list(zip(idx.tolist(), state.tolist(), t.tolist()))
     while running:
         k = len(running)
@@ -208,7 +192,7 @@ def _simulate_block(table, starts, target0, rng):
                 elapsed[i] = ti
                 hit[i] = s > n
         running = still
-    return elapsed, hit
+    return elapsed, hit, total_events
 
 
 def _run_blocks(gen, starts, target, n, seed):
@@ -220,9 +204,8 @@ def _run_blocks(gen, starts, target, n, seed):
         _simulate_block(table, starts[lo:lo + BLOCK_SIZE], target0, np.random.default_rng(stream))
         for lo, stream in zip(los, streams)
     ]
-    elapsed = np.concatenate([r[0] for r in results])
-    hit = np.concatenate([r[1] for r in results])
-    return elapsed, hit
+    elapsed, hit, _ = zip(*results)
+    return np.concatenate(elapsed), np.concatenate(hit)
 
 
 def _starts_array(gen, start, n, seed):
@@ -257,8 +240,7 @@ def estimate_ratio(gen: AbsorbingGenerator, lambda0: float, x: int, y: int,
         return EstimateWithCI(1.0, 0.0, n, seed)
     starts = _starts_array(gen, x, n, seed)
     elapsed, hit = _run_blocks(gen, starts, y, n, seed)
-    logw = lambda0 * elapsed[hit]
-    return _log_weight_stats(logw, n, seed)
+    return _log_weight_stats(lambda0 * elapsed[hit], n, seed)
 
 
 def estimate_psi(gen: AbsorbingGenerator, lam: float, start, n: int, seed: int,
@@ -312,19 +294,23 @@ def doob_transform(gen: AbsorbingGenerator, eigenpair: DirichletEigenpair) -> np
 
 
 def doob_stationary(gen: AbsorbingGenerator, eigenpair: DirichletEigenpair) -> np.ndarray:
-    """Stationary law of the Doob transform: nu * phi normalized."""
-    nu = quasi_stationary_dist(gen)
-    out = nu * eigenpair.phi
+    """Stationary law of the Doob transform: nu * phi normalized, nu from the pair."""
+    phi = eigenpair.phi
+    out = _qsd(gen.k_matrix(), reversible_measure(gen)[0], phi) * phi
     return out / out.sum()
 
 
-def expm_action(q: np.ndarray, v: np.ndarray, t: float, tail: float = 1e-12) -> np.ndarray:
+#: Poisson mass that the uniformized series of expm_action leaves out
+SERIES_TAIL = 1e-12
+
+
+def expm_action(q: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     """v exp(t Q) for a (sub-)Markovian generator Q by uniformization.
 
     P = I + Q/Theta is entrywise nonnegative, so the Poisson-weighted series
     preserves nonnegativity; it is truncated once the accumulated Poisson
-    mass reaches 1 - tail.  Large Theta*t is split into segments to keep the
-    leading Poisson weight representable.
+    mass reaches 1 - SERIES_TAIL.  Large Theta*t is split into segments to
+    keep the leading Poisson weight representable.
     """
     if t < 0:
         raise InvalidParameter("time must be nonnegative")
@@ -335,7 +321,7 @@ def expm_action(q: np.ndarray, v: np.ndarray, t: float, tail: float = 1e-12) -> 
     p = q / theta + np.eye(q.shape[0])
     out = np.asarray(v, dtype=float).copy()
     for _ in range(segments):
-        out = _uniformized_segment(p, out, theta * t / segments, tail / segments)
+        out = _uniformized_segment(p, out, theta * t / segments, SERIES_TAIL / segments)
     return out
 
 
@@ -379,6 +365,9 @@ def sandwich_experiment(gen: AbsorbingGenerator, mu0, times,
     law, and the transfer flanks
 
         (min phi / 2 max phi) * d_doob <= d_cond <= (2 max phi / min phi) * d_doob.
+
+    The Doob generator is Phi^-1 K Phi + lambda0 I, so the Doob law at t is
+    the surviving law mu0 exp(tK) reweighted by phi and normalized.
     """
     mu0 = np.asarray(mu0, dtype=float)
     if mu0.shape != (gen.n_states,) or np.any(mu0 < 0) or abs(mu0.sum() - 1) > 1e-9:
@@ -387,13 +376,11 @@ def sandwich_experiment(gen: AbsorbingGenerator, mu0, times,
         eigenpair = dirichlet_eigenpair(gen)
     phi = eigenpair.phi
     k = gen.k_matrix()
-    nu = quasi_stationary_dist(gen)
-    tilde = doob_transform(gen, eigenpair)
-    # doob_stationary's law, from the nu already in hand
+    nu = _qsd(k, reversible_measure(gen)[0], phi)
+    # doob_stationary's law, from the nu in hand
     eta_tilde = nu * phi
     eta_tilde /= eta_tilde.sum()
-    mu0_tilde = mu0 * phi
-    mu0_tilde /= mu0_tilde.sum()
+    phi_w = phi / phi.max()
     lo_c = phi.min() / (2.0 * phi.max())
     up_c = 2.0 * phi.max() / phi.min()
     rows = []
@@ -403,19 +390,11 @@ def sandwich_experiment(gen: AbsorbingGenerator, mu0, times,
         raw = expm_action(k, mu0, float(t))
         mass = raw.sum()
         if mass < 1e-250:
-            warnings.warn(
-                f"survival mass {mass:.3e} at t={t}; conditioned law unreliable",
-                UnderflowWarning,
-            )
-        mu_t = raw / mass
-        doob_t = expm_action(tilde, mu0_tilde, float(t))
-        d_cond = total_variation(mu_t, nu)
-        d_doob = total_variation(doob_t, eta_tilde)
-        rows.append(SandwichRow(
-            t=float(t),
-            dist_conditioned=float(d_cond),
-            dist_doob=float(d_doob),
-            lower=float(lo_c * d_doob),
-            upper=float(up_c * d_doob),
-        ))
+            warnings.warn(f"survival mass {mass:.3e} at t={t}; conditioned law unreliable",
+                          UnderflowWarning)
+        w = raw * phi_w
+        d_cond = total_variation(raw / mass, nu)
+        d_doob = total_variation(w / w.sum(), eta_tilde)
+        rows.append(SandwichRow(float(t), float(d_cond), float(d_doob),
+                                float(lo_c * d_doob), float(up_c * d_doob)))
     return rows

@@ -211,9 +211,14 @@ def _sym_neg_k(k: np.ndarray) -> np.ndarray:
 
     Detailed balance gives sqrt(eta_i/eta_j) K_ij = sqrt(K_ij K_ji), so the
     transform has off-diagonal -sqrt(K_ij K_ji) and diagonal -K_ii; entries
-    are local and never touch the possibly huge weight ratios.
+    are local and never touch the possibly huge weight ratios.  Products
+    that are not normal doubles take -sqrt(K_ij) sqrt(K_ji), as sym_tridiag.
     """
-    s = -np.sqrt(np.maximum(k * k.T, 0.0))
+    rates = np.maximum(k, 0.0)  # the diagonal is replaced below
+    with np.errstate(over="ignore"):
+        prod = rates * rates.T
+    normal = (prod >= tridiag._TINY) & (prod < np.inf)
+    s = -np.where(normal, np.sqrt(prod), np.sqrt(rates) * np.sqrt(rates.T))
     np.fill_diagonal(s, -np.diag(k))
     return s
 
@@ -393,7 +398,8 @@ def _bd_minor_lambda0(b, d, x: int) -> float:
     The upper block x+1..n is a birth-death chain killed from its first
     state, so tridiag.ground_pair gives its lambda0 with relative accuracy;
     LAPACK's bisection takes over when that pair raises NoConvergence (phi
-    outside the double range, or a bracket that does not settle).
+    outside the double range, or a bracket that does not settle), and its
+    value stands only above its absolute error bound m eps max row sum.
     The lower block 1..x-1 is killed at both ends and goes to LAPACK.
     """
     n = len(d)
@@ -407,7 +413,11 @@ def _bd_minor_lambda0(b, d, x: int) -> float:
         try:
             vals.append(tridiag.ground_pair(b[x:], d[x:])[0])
         except NoConvergence:
-            vals.append(_tridiag_lambda0(main[x:], off[x:]))
+            lam = _tridiag_lambda0(main[x:], off[x:])
+            rows = main[x:] - np.append(off[x:], 0.0) - np.append(0.0, off[x:])
+            if not lam > (n - x) * tridiag._EPS * rows.max():
+                raise
+            vals.append(lam)
     return min(vals)
 
 

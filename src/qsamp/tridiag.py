@@ -55,9 +55,10 @@ shift, so its pivots are exact for rates perturbed by a few units in the
 last place (_pivots).  It is written once over plain Python numbers and
 serves the double-precision Sturm count sturm_count, the decimal Sturm
 certificate, the decimal Newton steps and the determinant ratio of the
-state-1 minor.  The decimal passes run on the standard library's decimal
-module (libmpdec, C code) at dps significant digits, in a thread-local
-context with the widest exponent range decimal allows (oracle_context).
+state-1 minor.  The double passes run on the rates scaled exactly by a
+power of two, so no product of rates overflows; the decimal passes run on
+the standard library's decimal module (libmpdec, C code) at dps digits, in
+a thread-local context with the widest exponent range (oracle_context).
 mp_lambda starts from adjacent floats around the eigenvalue that the
 double count certifies (float Newton steps from 0 and a walk of a few ulps
 for lambda0, bisection otherwise), refines with a few decimal Newton steps
@@ -620,12 +621,22 @@ def sturm_count(b, d, sigma: float) -> int:
     Counts the negative pivots of the differential recursion _pivots, so
     the count is exact for rates perturbed by a few ulps each, and
     eigenvalues bracketed by it keep relative accuracy however far below
-    the rates they sit.
+    the rates they sit, at any rate scale (_unit_rates).
     """
-    # Python floats: a zero pivot raises instead of turning into inf and nan
-    b = np.asarray(b, dtype=float).tolist()
-    d = np.asarray(d, dtype=float).tolist()
-    return _count(b, d, float(sigma))
+    b, d, k = _unit_rates(b, d)
+    if math.frexp(sigma)[1] > k + 2:  # |sigma| >= 4 * 2^k, past every eigenvalue
+        return len(d) if sigma > 0 else 0
+    return _count(b, d, math.ldexp(sigma, -k))
+
+
+def _unit_rates(b, d):
+    """(b 2^-k, d 2^-k, k) as lists of Python floats (a zero pivot raises),
+    with the largest rate in [1/2, 1) and so every eigenvalue below 4.  The
+    float pivots are those of the unscaled rates scaled, wherever these
+    stay normal, and no product of scaled rates overflows."""
+    b, d = np.asarray(b, dtype=float), np.asarray(d, dtype=float)
+    k = math.frexp(max(np.max(b, initial=0.0), np.max(d)))[1]
+    return np.ldexp(b, -k).tolist(), np.ldexp(d, -k).tolist(), k
 
 
 def _double_start(b, d, eig_index):
@@ -744,7 +755,8 @@ def mp_lambda(b, d, eig_index=0, dps=60):
       1. the lower end of adjacent doubles around the eigenvalue, certified
          by the double-precision count (_double_start): float Newton steps
          from 0 and a walk of a few ulps for lambda0, which usually take
-         a handful of passes, or else bisection, about 60;
+         a handful of passes, or else bisection, about 60, on the rates
+         scaled by a power of two (_unit_rates) and scaled back exactly;
       2. Newton steps on det(T - lam) in dps-digit decimal arithmetic from
          that lower end, until a step falls below the relative width
          w = n 10^(5 - dps), stops shrinking, or lands on an exact zero
@@ -762,8 +774,6 @@ def mp_lambda(b, d, eig_index=0, dps=60):
     to w.  Raises InvalidParameter for an index outside 0..n-1 or a dps too
     small to give w < 1, and NoConvergence when the certificate fails.
     """
-    b = np.asarray(b, dtype=float).tolist()
-    d = np.asarray(d, dtype=float).tolist()
     n = len(d)
     if not 0 <= eig_index < n:
         raise InvalidParameter(f"eigenvalue index {eig_index} outside 0..{n - 1}")
@@ -771,7 +781,9 @@ def mp_lambda(b, d, eig_index=0, dps=60):
         w = n * Decimal(10) ** (5 - dps)
         if w >= 1:
             raise InvalidParameter(f"dps = {dps} cannot resolve a chain of {n} states")
-        lam = Decimal(_double_start(b, d, eig_index))
+        bs, ds, k = _unit_rates(b, d)
+        with decimal.localcontext(oracle_context(2000)):  # exact: at most 1520 digits
+            lam = Decimal(_double_start(bs, ds, eig_index)) * Decimal(2) ** k
         bm, dm = _mp_rates(b, d)
         last = Decimal("Infinity")
         for _ in range(_NEWTON_STEPS):

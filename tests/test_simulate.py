@@ -25,7 +25,7 @@ from qsamp import (
     sandwich_experiment,
     total_variation,
 )
-from qsamp import simulate
+from qsamp import simulate, spectral
 from conftest import random_reversible_generator
 
 GOLDEN_LAM0 = (3 - math.sqrt(5)) / 2
@@ -465,8 +465,37 @@ class TestSandwich:
         with pytest.raises(InvalidParameter):
             sandwich_experiment(golden, np.array([0.5, 0.4]), [1.0])
 
+    @pytest.mark.parametrize("chain", ["golden", "reversible", "cycle-chords"])
+    def test_one_series_per_time_and_nu_from_the_pair(self, chain, golden, monkeypatch):
+        gen = {"golden": lambda: golden,
+               "reversible": lambda: random_reversible_generator(np.random.default_rng(33)),
+               "cycle-chords": cycle_with_chords}[chain]()
+        pair = dirichlet_eigenpair(gen)
+        mu0 = np.full(gen.n_states, 1.0 / gen.n_states)
+        times = [0.0, 0.5, 3.0]
+        expected = (sandwich_experiment(gen, mu0, times, pair), doob_stationary(gen, pair))
+        series = []
+        real = simulate.expm_action
+
+        def spy(*args):
+            series.append(args[2])
+            return real(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(simulate, "expm_action", spy)
+        monkeypatch.setattr(simulate, "doob_transform", forbidden)
+        monkeypatch.setattr(spectral, "quasi_stationary_dist", forbidden)
+        monkeypatch.setattr(simulate, "quasi_stationary_dist", forbidden, raising=False)
+        assert sandwich_experiment(gen, mu0, times, pair) == expected[0]
+        assert series == times
+        assert np.array_equal(doob_stationary(gen, pair), expected[1])
+        assert series == times
+
     def test_rows_match_the_doob_stationary_formula(self):
-        # eta~ is formed from the nu in hand; doob_stationary solves for nu again
+        # the Doob law at t is the surviving law reweighted by phi; the
+        # dense Doob series agrees with it to rounding
         gen = random_reversible_generator(np.random.default_rng(33))
         mu0 = np.full(gen.n_states, 1.0 / gen.n_states)
         pair = dirichlet_eigenpair(gen)
@@ -478,8 +507,11 @@ class TestSandwich:
         for t, row in zip(times, rows):
             raw = expm_action(gen.k_matrix(), mu0, t)
             assert row.dist_conditioned == total_variation(raw / raw.sum(), nu)
-            d_doob = total_variation(expm_action(tilde, mu0_tilde, t), eta_tilde)
+            w = raw * (phi / phi.max())
+            d_doob = total_variation(w / w.sum(), eta_tilde)
             assert row.dist_doob == d_doob
+            two_series = total_variation(expm_action(tilde, mu0_tilde, t), eta_tilde)
+            assert abs(d_doob - two_series) <= 1e-12
             assert (row.lower, row.upper) == (phi.min() / (2.0 * phi.max()) * d_doob,
                                               2.0 * phi.max() / phi.min() * d_doob)
 

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -476,6 +476,24 @@ class TestLambda0Minor:
         assert lam0p == pytest.approx(ref, rel=1e-10)
         assert lambda0_minor(gen, 1) == lam0p
 
+    def test_birth_death_minor_below_the_double_range_raises(self):
+        # lambda0' of the upper block is below the double range, so its
+        # Green pair raises; LAPACK's value there (-3.9e-16) is below its
+        # own error bound and must not be returned
+        with pytest.raises(NoConvergence):
+            lambda0_minor(build_rho_chain(1100, 2.0), 1)
+
+    def test_birth_death_minor_from_lapack_above_its_error_bound(self):
+        # the Green pair raises here too, and LAPACK's value is kept
+        gen = build_rho_chain(1100, 0.25)
+        b, d = gen.birth_death_rates()
+        with pytest.raises(NoConvergence):
+            tridiag.ground_pair(b[1:], d[1:])
+        main, off = tridiag.sym_tridiag(b[1:], d[1:])
+        ref = eigvalsh_tridiagonal(main, off, select="i", select_range=(0, 0))[0]
+        assert lambda0_minor(gen, 1) == ref
+        assert 0.25 < ref < 0.2500041
+
     def test_reducible_minor(self):
         # removing the middle of a 3-chain leaves two singleton blocks
         gen = build_rho_chain(3, 1.0)
@@ -704,3 +722,23 @@ def test_birth_death_spectrum_at_any_rate_scale(scale):
     np.testing.assert_allclose(rep.eigenvalues / scale, ref.eigenvalues, rtol=1e-13)
     assert rep.lambda0_prime / scale == pytest.approx(ref.lambda0_prime, rel=1e-13)
     assert spectral_bound(rep).bound == pytest.approx(spectral_bound(ref).bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e160, 1e300])
+def test_reversible_spectrum_at_any_rate_scale(scale):
+    # the unit triangle absorbed at state 1: sqrt(K_ij K_ji) underflowed to
+    # 0 below 1e-154 (spectrum [2, 2, 3] * scale, lambda0' = 2 * scale) and
+    # overflowed from 1e155 on
+    def triangle(s):
+        edges = [(1, 2, s), (2, 1, s), (2, 3, s), (3, 2, s), (1, 3, s), (3, 1, s)]
+        return build_general(3, edges, {1: s})
+
+    ref, ref_minors = full_spectrum(triangle(1.0)), full_spectrum(triangle(1.0), True)
+    np.testing.assert_allclose(ref.eigenvalues, [2 - math.sqrt(3), 3, 2 + math.sqrt(3)],
+                               rtol=1e-13)
+    assert ref.lambda0_prime == pytest.approx(1.0, rel=1e-13)
+    for rep, base in ((full_spectrum(triangle(scale)), ref),
+                      (full_spectrum(triangle(scale), True), ref_minors)):
+        np.testing.assert_allclose(rep.eigenvalues / scale, base.eigenvalues, rtol=1e-13)
+        assert rep.lambda0_prime / scale == pytest.approx(base.lambda0_prime, rel=1e-13)
+    assert lambda0_minor(triangle(scale), 1) / scale == pytest.approx(1.0, rel=1e-13)

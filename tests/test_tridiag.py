@@ -343,6 +343,24 @@ def oracle_dps(b, d):
     return max(60, 30 + pivot_digits_lost(b, d))
 
 
+@pytest.mark.parametrize("k", [-600, 512, 1000])
+def test_oracle_at_any_power_of_two_scale(k):
+    # from k = 512 on, double pivot products of the scaled rates overflowed:
+    # the count at 1.5 lambda0 2^k was 0 and mp_lambda raised NoConvergence
+    b, d = criterion05_chain(0)
+    lam = tridiag.mp_lambda(b, d)
+    top = 4 * max(b.max(), d.max())
+    for sigma in (0.5 * float(lam), 1.5 * float(lam), 0.1 * top, top):
+        scaled = tridiag.sturm_count(b * 2.0 ** k, d * 2.0 ** k, sigma * 2.0 ** k)
+        assert scaled == tridiag.sturm_count(b, d, sigma)
+    assert tridiag.sturm_count(b * 2.0 ** k, d * 2.0 ** k, 1.5 * float(lam) * 2.0 ** k) == 1
+    assert tridiag.sturm_count(b * 2.0 ** k, d * 2.0 ** k, 1e308) == len(d)
+    assert tridiag.sturm_count(b * 2.0 ** k, d * 2.0 ** k, -1e308) == 0
+    scaled = tridiag.mp_lambda(b * 2.0 ** k, d * 2.0 ** k)
+    with decimal.localcontext(tridiag.oracle_context(60)):
+        assert abs(scaled / (lam * Decimal(2) ** k) - 1) <= Decimal(10) ** -50
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(birth_death_rates())
 def test_differential_count_matches_lapack(rates):
