@@ -48,7 +48,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EventBudgetExceeded, HeavyTailWarning, InvalidParameter, UnderflowWarning
 from .generators import AbsorbingGenerator
@@ -224,10 +223,9 @@ def _log_weight_stats(logw, n, seed):
     """EstimateWithCI from per-trajectory log weights (misses excluded)."""
     if logw.size == 0:
         return EstimateWithCI(0.0, 0.0, n, seed)
-    log_sum = logsumexp(logw)
-    mean = float(np.exp(log_sum - np.log(n)))
-    log_sum2 = logsumexp(2.0 * logw)
-    m2 = float(np.exp(log_sum2 - np.log(n)))
+    top = logw.max()  # the log-sum-exps of logw and 2 logw, scaled by their largest terms
+    mean = float(np.exp(top + np.log(np.sum(np.exp(logw - top))) - np.log(n)))
+    m2 = float(np.exp(2.0 * top + np.log(np.sum(np.exp(2.0 * (logw - top)))) - np.log(n)))
     var = max(m2 - mean * mean, 0.0) * n / max(n - 1, 1)
     return EstimateWithCI(mean, float(np.sqrt(var / n)), n, seed)
 

@@ -20,12 +20,12 @@ transposed solve on the same factorization.
 The spectra take the chain's structure instead.  A reversible chain is
 symmetrized, S = diag(sqrt eta) (-K) diag(1/sqrt eta), and handed to the
 dense symmetric solver for its full spectrum; a single-state minor of such a
-chain is reversible for eta restricted to it, so its spectrum and lambda0
-come from the submatrix of the same S.  A non-reversible chain's minor takes
-lambda0 from the same power steps per strongly connected block; only full
-spectra use the dense non-symmetric solver, minors included unless the
-parent's CSR rates, sliced to a minor, show it to be reversible; a report
-with minor spectra reads lambda0' off them.
+chain is reversible for eta restricted to it, so its spectrum comes from the
+submatrix of the same S.  Only full spectra use the dense non-symmetric
+solver, minors included unless the parent's CSR rates, sliced to a minor,
+show it to be reversible.  Minor spectra are for display only: lambda0'
+has one route (_minor_lambda0), and where it comes from LAPACK, whose error
+is absolute, it stands only above its error bound (tridiag.lapack_lambda0).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, eigh, eigvalsh_tridiagonal, lu_factor
+from scipy.linalg import LinAlgWarning, eigh, lu_factor
 from scipy.linalg.lapack import dgetrs
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
@@ -185,8 +185,7 @@ def _directed_path(rates: csr_matrix, src, dst):
 
 def _bd_eta(b, d) -> np.ndarray:
     """Normalized product weights of a birth-death chain, log-space safe."""
-    lp = tridiag.log_pi(b, d)
-    eta = np.exp(lp - lp.max())
+    eta = tridiag.scaled_pi(b, d)
     return eta / eta.sum()
 
 
@@ -210,15 +209,11 @@ def _sym_neg_k(k: np.ndarray) -> np.ndarray:
     """Symmetric similarity transform of -K for a reversible killed generator.
 
     Detailed balance gives sqrt(eta_i/eta_j) K_ij = sqrt(K_ij K_ji), so the
-    transform has off-diagonal -sqrt(K_ij K_ji) and diagonal -K_ii; entries
-    are local and never touch the possibly huge weight ratios.  Products
-    that are not normal doubles take -sqrt(K_ij) sqrt(K_ji), as sym_tridiag.
+    transform has off-diagonal -sqrt(K_ij K_ji) (tridiag.neg_sqrt_product)
+    and diagonal -K_ii; entries never touch the possibly huge weight ratios.
     """
     rates = np.maximum(k, 0.0)  # the diagonal is replaced below
-    with np.errstate(over="ignore"):
-        prod = rates * rates.T
-    normal = (prod >= tridiag._TINY) & (prod < np.inf)
-    s = -np.where(normal, np.sqrt(prod), np.sqrt(rates) * np.sqrt(rates.T))
+    s = tridiag.neg_sqrt_product(rates, rates.T)
     np.fill_diagonal(s, -np.diag(k))
     return s
 
@@ -353,20 +348,20 @@ def _minor_rates(gen: AbsorbingGenerator, x: int):
     return gen._csr[keep][:, keep]
 
 
-def _minor_lambda0(gen: AbsorbingGenerator, k: np.ndarray, x: int,
+def _minor_lambda0(gen: AbsorbingGenerator, k: np.ndarray | None, x: int,
                    s: np.ndarray | None) -> float:
-    """First eigenvalue of -K with state x removed (K has two or more states).
+    """First eigenvalue of -K with state x removed, the one route to lambda0'.
 
-    With the symmetrization s of a reversible K, the minor is the submatrix
-    of s (a minor is reversible for eta restricted to it) and goes to the
-    symmetric solver; a reducible minor is block-diagonal, so its smallest
-    eigenvalue is the minimum over the blocks.  Without s, the minor is
-    block-triangular over its strongly connected blocks, each one
-    irreducible, so its smallest eigenvalue is the minimum of the blocks'
-    power-step eigenvalues.
+    A birth-death chain goes to _bd_minor_lambda0.  With the symmetrization
+    s of a reversible K, the minor is the submatrix of s (reversible for eta
+    restricted to it) and goes to tridiag.lapack_lambda0.  Without s, the
+    minor is block-triangular over its strongly connected blocks, each one
+    irreducible, so its lambda0 is the least of the blocks' power steps.
     """
+    if gen.is_birth_death:
+        return _bd_minor_lambda0(*gen.birth_death_rates(), x)
     if s is not None:
-        return float(eigh(_drop_state(s, x), subset_by_index=(0, 0), eigvals_only=True)[0])
+        return tridiag.lapack_lambda0(_drop_state(s, x))
     a = -_drop_state(k, x)
     n_blocks, labels = connected_components(_minor_rates(gen, x), directed=True,
                                             connection="strong")
@@ -378,53 +373,37 @@ def lambda0_minor(gen: AbsorbingGenerator, x: int) -> float:
     """First Dirichlet eigenvalue after removing state x; +inf if nothing is left.
 
     The minor of an irreducible chain may be reducible; the first eigenvalue
-    is then the smallest over its diagonal blocks, which the symmetric
-    solver (or per-block tridiagonal solve) delivers directly and power
-    steps take block by block.
+    is then the smallest over its diagonal blocks.  full_spectrum's lambda0'
+    takes the same route (_minor_lambda0); a LAPACK value not above its
+    error bound raises NoConvergence.
     """
     _check_generator(gen, "lambda0_minor")
     if not 1 <= x <= gen.n_states:
         raise InvalidParameter(f"state {x} out of range")
-    if gen.is_birth_death:
-        return _bd_minor_lambda0(*gen.birth_death_rates(), x)
-    k = gen.k_matrix()
-    eta, _ = reversible_measure(gen)
-    return _minor_lambda0(gen, k, x, None if eta is None else _sym_neg_k(k))
+    k = None if gen.is_birth_death else gen.k_matrix()
+    s = None if k is None or reversible_measure(gen)[0] is None else _sym_neg_k(k)
+    return _minor_lambda0(gen, k, x, s)
 
 
 def _bd_minor_lambda0(b, d, x: int) -> float:
     """lambda0 of a birth-death chain without state x, the least over its blocks.
 
     The upper block x+1..n is a birth-death chain killed from its first
-    state, so tridiag.ground_pair gives its lambda0 with relative accuracy;
-    LAPACK's bisection takes over when that pair raises NoConvergence (phi
-    outside the double range, or a bracket that does not settle), and its
-    value stands only above its absolute error bound m eps max row sum.
-    The lower block 1..x-1 is killed at both ends and goes to LAPACK.
+    state, so tridiag.ground_pair gives its lambda0 with relative accuracy.
+    The lower block 1..x-1, killed at both ends, and an upper block whose
+    pair raises NoConvergence (phi outside the double range, or a bracket
+    that does not settle) go to tridiag.lapack_lambda0.
     """
-    n = len(d)
-    if n == 1:
-        return math.inf
-    main, off = tridiag.sym_tridiag(b, d)
-    vals = []
-    if x > 1:  # lower block 1..x-1, upper boundary mass acts as killing
-        vals.append(_tridiag_lambda0(main[: x - 1], off[: x - 2]))
-    if x < n:  # upper block x+1..n
+    vals = [math.inf]  # nothing is left of a one-state chain
+    if x > 1:  # lower block 1..x-1, the up-rate to x acts as killing
+        main, off = tridiag.sym_tridiag(b[: x - 1], d[:x])
+        vals.append(tridiag.lapack_lambda0(main[: x - 1], off[: x - 2]))
+    if x < len(d):  # upper block x+1..n
         try:
             vals.append(tridiag.ground_pair(b[x:], d[x:])[0])
         except NoConvergence:
-            lam = _tridiag_lambda0(main[x:], off[x:])
-            rows = main[x:] - np.append(off[x:], 0.0) - np.append(0.0, off[x:])
-            if not lam > (n - x) * tridiag._EPS * rows.max():
-                raise
-            vals.append(lam)
+            vals.append(tridiag.lapack_lambda0(*tridiag.sym_tridiag(b[x:], d[x:])))
     return min(vals)
-
-
-def _tridiag_lambda0(main, off) -> float:
-    if len(main) == 1:
-        return float(main[0])
-    return float(eigvalsh_tridiagonal(main, off, select="i", select_range=(0, 0))[0])
 
 
 def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> SpectrumReport:
@@ -434,17 +413,15 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     and sorted ascending, and every minor is a submatrix of the same
     symmetric matrix.  A non-reversible generator whose numerically computed
     spectrum is real is reported without eta; complex eigenvalues raise
-    NotDiagonalizableDetected.  lambda0' is read off the minor spectra when
-    they are computed, so one report takes each minor's values from one
-    solver; otherwise it comes from lambda0_minor's routes.
+    NotDiagonalizableDetected.  lambda0' is the least lambda0_minor over the
+    absorbing states, by the same route with or without compute_minors,
+    which only adds the minor spectra to the report for display.
     """
     _check_generator(gen, "full_spectrum")
     eta, _ = reversible_measure(gen)
-    n = gen.n_states
     k = s = None
     if gen.is_birth_death:
-        b, d = gen.birth_death_rates()
-        eigenvalues = np.sort(tridiag.eigenvalues(b, d))
+        eigenvalues = np.sort(tridiag.eigenvalues(*gen.birth_death_rates()))
     else:
         k = gen.k_matrix()
         if eta is not None:
@@ -452,25 +429,19 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
             eigenvalues = eigh(s, eigvals_only=True)
         else:
             vals = np.linalg.eigvals(-k)
-            scale = gen.max_rate
-            if np.max(np.abs(vals.imag)) > 1e-9 * scale:
+            if np.max(np.abs(vals.imag)) > 1e-9 * gen.max_rate:
                 raise NotDiagonalizableDetected(
                     "complex eigenvalues on non-reversible input; "
                     "spectral results are restricted to lambda0/phi/nu"
                 )
             eigenvalues = np.sort(vals.real)
+    lambda0_prime = min(_minor_lambda0(gen, k, x, s) for x in gen.absorbing_set)
     minor_spectra = None
     if compute_minors:
         if k is None:  # birth-death chains are reversible; S is needed only here
             k = gen.k_matrix()
             s = _sym_neg_k(k)
-        minor_spectra = {x: _minor_eigenvalues(gen, k, x, s) for x in range(1, n + 1)}
-        lambda0_prime = min(float(minor_spectra[x][0]) if n > 1 else math.inf
-                            for x in gen.absorbing_set)
-    elif gen.is_birth_death:
-        lambda0_prime = min(_bd_minor_lambda0(b, d, x) for x in gen.absorbing_set)
-    else:
-        lambda0_prime = min(_minor_lambda0(gen, k, x, s) for x in gen.absorbing_set)
+        minor_spectra = {x: _minor_eigenvalues(gen, k, x, s) for x in range(1, gen.n_states + 1)}
     return SpectrumReport(
         eigenvalues=np.asarray(eigenvalues, dtype=float),
         reversible_measure=eta,

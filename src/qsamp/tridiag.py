@@ -73,7 +73,7 @@ import math
 from decimal import Decimal
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgtsv
 
@@ -84,20 +84,27 @@ _EPS = float(np.finfo(float).eps)
 _LOG_TINY = math.log(_TINY)
 
 
-def sym_tridiag(b: np.ndarray, d: np.ndarray):
-    """Main and off diagonals of the symmetrized -K.
+def unit_exponent(x) -> int:
+    """e with max |x| in [2^(e-1), 2^e).  Scaled by 2^-e, which is exact for
+    normal entries, x is the same at every power-of-two rate scale, and
+    LAPACK never rescales it by a factor that is not a power of two."""
+    return math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
 
-    The off-diagonal is -sqrt(b_x d_{x+1}), taken as -sqrt(b_x) sqrt(d_{x+1})
-    where the product is not a normal double (it overflows, or loses bits
-    below the smallest normal), so that no rate scale breaks it and normal
-    products keep their bits.
-    """
-    main = d + np.append(b, 0.0)
-    with np.errstate(over="ignore"):
-        prod = b * d[1:]
-    normal = (prod >= _TINY) & (prod < np.inf)
-    off = -np.where(normal, np.sqrt(prod), np.sqrt(b) * np.sqrt(d[1:]))
-    return main, off
+
+def neg_sqrt_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """-sqrt(x y) elementwise for nonnegative arrays, formed on x and y scaled
+    by 2^-unit_exponent, so no product overflows and every rate scale gives
+    the same bits; a product below the smallest normal is -sqrt(x) sqrt(y)."""
+    e = unit_exponent([np.max(x, initial=0.0), np.max(y, initial=0.0)])
+    x, y = np.ldexp(x, -e), np.ldexp(y, -e)
+    prod = x * y
+    return np.ldexp(-np.where(prod >= _TINY, np.sqrt(prod), np.sqrt(x) * np.sqrt(y)), e)
+
+
+def sym_tridiag(b: np.ndarray, d: np.ndarray):
+    """Main and off diagonals of the symmetrized -K; the off-diagonal is
+    neg_sqrt_product(b_x, d_{x+1})."""
+    return d + np.append(b, 0.0), neg_sqrt_product(b, d[1:])
 
 
 def log_pi(b: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -114,13 +121,35 @@ def scaled_pi(b: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def eigenvalues(b, d, n_lo=0, n_hi=None):
-    """Eigenvalues of -K with indices n_lo..n_hi (inclusive), ascending."""
+    """Eigenvalues of -K with indices n_lo..n_hi (inclusive), ascending, by
+    LAPACK's bisection on sym_tridiag scaled by 2^-unit_exponent."""
     main, off = sym_tridiag(b, d)
     if len(d) == 1:
         return main[n_lo : (n_hi or 0) + 1]
-    if n_hi is None:
-        return eigvalsh_tridiagonal(main, off)
-    return eigvalsh_tridiagonal(main, off, select="i", select_range=(n_lo, n_hi))
+    e = unit_exponent(main)
+    subset = {} if n_hi is None else {"select": "i", "select_range": (n_lo, n_hi)}
+    return np.ldexp(eigvalsh_tridiagonal(np.ldexp(main, -e), np.ldexp(off, -e), **subset), e)
+
+
+def lapack_lambda0(a: np.ndarray, off: np.ndarray | None = None) -> float:
+    """Smallest eigenvalue by LAPACK of the symmetric matrix a (eigh), or of
+    the tridiagonal one with main diagonal a and off-diagonal off (bisection),
+    scaled by 2^-unit_exponent.  LAPACK's error is absolute, up to m eps times
+    the largest absolute row sum for m states, which swamps a lambda0 far
+    below the rates; a value not above that bound raises NoConvergence."""
+    if off is None:
+        rows = np.abs(a).sum(axis=1)
+        e = unit_exponent(rows)
+        lam = eigh(np.ldexp(a, -e), subset_by_index=(0, 0), eigvals_only=True)[0]
+    else:
+        rows = np.abs(a) + np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+        e = unit_exponent(rows)
+        lam = eigvalsh_tridiagonal(np.ldexp(a, -e), np.ldexp(off, -e),
+                                   select="i", select_range=(0, 0))[0]
+    lam, bound = math.ldexp(lam, e), len(a) * _EPS * float(rows.max())
+    if not lam > bound:
+        raise NoConvergence(f"LAPACK's lambda0 {lam:.3e} is not above its error bound {bound:.3e}")
+    return lam
 
 
 def rayleigh_quotient(b, d, v, lp=None) -> float:
@@ -635,7 +664,7 @@ def _unit_rates(b, d):
     float pivots are those of the unscaled rates scaled, wherever these
     stay normal, and no product of scaled rates overflows."""
     b, d = np.asarray(b, dtype=float), np.asarray(d, dtype=float)
-    k = math.frexp(max(np.max(b, initial=0.0), np.max(d)))[1]
+    k = unit_exponent([np.max(b, initial=0.0), np.max(d)])
     return np.ldexp(b, -k).tolist(), np.ldexp(d, -k).tolist(), k
 
 

@@ -246,3 +246,14 @@ def test_exact_amplitude_runs_without_mpmath():
                           capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_import_leaves_scipy_special_out():
+    # the Monte Carlo log-sum-exps are numpy; scipy.special costs import time
+    src = os.path.dirname(os.path.dirname(qsamp.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, qsamp; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -29,6 +29,7 @@ from qsamp import (
 )
 from qsamp import spectral, tridiag
 from conftest import (
+    random_birth_death,
     random_cycle_with_chords,
     random_drifted_reversible_generator,
     random_reversible_generator,
@@ -704,10 +705,102 @@ def test_minor_block_with_a_bottleneck():
     build_rho_chain(12, 0.8),
     hub_and_pairs(1.0, 1e-3, 1e-2, 1.01),
     build_general(3, [(1, 2, 1.0), (2, 1, 2.0), (2, 3, 1.0), (3, 2, 1.0)], {1: 1.0, 3: 0.5}),
-], ids=["birth-death", "non-reversible", "reversible"])
-def test_lambda0_prime_read_off_the_minor_spectra(gen):
+    build_rho_chain(60, 2.0),
+], ids=["birth-death", "non-reversible", "reversible", "birth-death-far-below"])
+def test_lambda0_prime_does_not_depend_on_minor_spectra(gen):
+    # minor spectra are for display; lambda0' has one route
     rep = full_spectrum(gen, compute_minors=True)
-    assert rep.lambda0_prime == min(rep.minor_spectra[x][0] for x in gen.absorbing_set)
+    assert len(rep.minor_spectra) == gen.n_states
+    assert rep.lambda0_prime == full_spectrum(gen).lambda0_prime
+    assert rep.lambda0_prime == min(lambda0_minor(gen, x) for x in gen.absorbing_set)
+
+
+def test_birth_death_lambda0_prime_with_minor_spectra_is_relatively_accurate():
+    # lambda0' = 1.3e-18 sits far below the rates: the minor spectra's eigh
+    # value was -1.55e-15, and a report with them used to read lambda0' off it
+    gen = build_rho_chain(60, 2.0)
+    b, d = gen.birth_death_rates()
+    ref = float(tridiag.mp_lambda(b[1:], d[1:]))
+    assert ref == pytest.approx(1.3010426069826055e-18, rel=1e-15, abs=0)
+    assert full_spectrum(gen, compute_minors=True).lambda0_prime == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+def rho_chain_with_chord():
+    """build_rho_chain(60, 2.0) plus the chord 30 <-> 32 at rates c / pi,
+    with c = pi_30 / 2, so the chain stays reversible for pi."""
+    gen = build_rho_chain(60, 2.0)
+    pi = np.exp(tridiag.log_pi(*gen.birth_death_rates()))
+    c = pi[29] / 2
+    chord = [(30, 32, c / pi[29]), (32, 30, c / pi[31])]
+    return build_general(60, list(gen.transitions) + chord, dict(gen.absorption))
+
+
+@pytest.mark.parametrize("gen, x", [
+    (build_birth_death([1, 1, 1e-18, 1], [1e-18, 1, 1, 1, 1]), 4),
+    (rho_chain_with_chord(), 1),
+], ids=["birth-death-lower-block", "reversible-chord"])
+def test_lapack_lambda0_below_its_error_bound_raises(gen, x):
+    # lambda0' is about 1e-18 against unit rates, below LAPACK's absolute
+    # error bound: the lower block's bisection gave -4.4e-17, and the chord
+    # chain's eigh (1.3e-18 in 60-digit arithmetic) from 8e-18 to 8e-16,
+    # depending on the LAPACK build
+    assert reversible_measure(gen)[0] is not None
+    with pytest.raises(NoConvergence):
+        lambda0_minor(gen, x)
+    if gen.absorbing_set == (x,):
+        for minors in (False, True):
+            with pytest.raises(NoConvergence):
+                full_spectrum(gen, minors)
+
+
+def scaled_by_power_of_two(gen, k):
+    """gen with every rate times 2^k, which is exact in binary."""
+    return build_general(gen.n_states,
+                         [(i, j, math.ldexp(r, k)) for i, j, r in gen.transitions],
+                         {i: math.ldexp(a, k) for i, a in gen.absorption})
+
+
+SCALE_FAMILIES = {
+    "birth-death": lambda rng: build_birth_death(*random_birth_death(rng, 30, 1e-2, 1e2)),
+    "reversible": random_reversible_generator,
+    "drifted": random_drifted_reversible_generator,
+    "cycle-with-chords": random_cycle_with_chords,
+}
+
+
+def is_normal(x) -> bool:
+    return np.finfo(float).tiny <= abs(x) < math.inf
+
+
+def outcome(call, gen):
+    try:
+        return call(gen)
+    except QsampError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("family", SCALE_FAMILIES)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-900, 900))
+def test_lambda0_prime_at_any_power_of_two_scale(family, seed, k):
+    # every lambda0' route scales by 2^k, or raises at both scales
+    gen = SCALE_FAMILIES[family](np.random.default_rng(seed))
+    rates = [r for *_, r in gen.transitions] + [a for _, a in gen.absorption]
+    assume(all(is_normal(math.ldexp(r, k)) for r in rates))
+    assume(is_normal(math.ldexp(dirichlet_eigenpair(gen).lambda0, k)))
+    calls = {f"lambda0_minor {x}": lambda g, x=x: lambda0_minor(g, x) for x in gen.absorbing_set}
+    calls.update({f"full_spectrum {c}": lambda g, c=c: full_spectrum(g, c).lambda0_prime
+                  for c in (False, True)})
+    base = {name: outcome(call, gen) for name, call in calls.items()}
+    assume(all(is_normal(math.ldexp(v, k)) for v in base.values() if isinstance(v, float)))
+    big = scaled_by_power_of_two(gen, k)
+    for name, call in calls.items():
+        scaled = outcome(call, big)
+        if isinstance(base[name], QsampError):
+            assert isinstance(scaled, QsampError), name
+        else:
+            assert not isinstance(scaled, QsampError), (name, scaled)
+            assert math.ldexp(scaled, -k) == pytest.approx(base[name], rel=1e-12, abs=0), name
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
