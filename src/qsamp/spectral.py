@@ -18,8 +18,9 @@ bracket.  Its QSD is eta * phi when the CSR rates show the chain to be
 reversible with measure eta (reversible_measure); otherwise it comes from the
 transposed solve on the same factorization.
 The spectra take the chain's structure instead.  A reversible chain is
-symmetrized, S = diag(sqrt eta) (-K) diag(1/sqrt eta), and handed to the
-dense symmetric solver for its full spectrum; a single-state minor of such a
+symmetrized, S = diag(sqrt eta) (-K) diag(1/sqrt eta), from its CSR rates,
+and handed to the dense symmetric solver, scaled by a power of two, for its
+full spectrum; a single-state minor of such a
 chain is reversible for eta restricted to it, so its spectrum comes from the
 submatrix of the same S.  Only full spectra use the dense non-symmetric
 solver, minors included unless the parent's CSR rates, sliced to a minor,
@@ -102,12 +103,7 @@ def _csr_measure(rates: csr_matrix):
     """reversible_measure on positive off-diagonal rates in canonical CSR
     form (sorted, summed); the support may be disconnected."""
     n = rates.shape[0]
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(rates.indptr))
-    cols = rates.indices.astype(np.int64)
-    keys = rows * n + cols  # ascending: a canonical CSR matrix is row-major
-    rev_keys = cols * n + rows
-    rev = np.minimum(np.searchsorted(keys, rev_keys), len(keys) - 1)
-    two_way = keys[rev] == rev_keys
+    rows, cols, keys, rev, two_way = _reverse_edges(rates)
 
     # one-way edges break reversibility outright
     if not two_way.all():
@@ -135,6 +131,20 @@ def _csr_measure(rates: csr_matrix):
         return None, _tree_cycle(parent, int(rows[e]), int(cols[e]))
     eta = np.exp(log_eta - log_eta.max())
     return eta / eta.sum(), None
+
+
+def _reverse_edges(rates: csr_matrix):
+    """(rows, cols, keys, rev, two_way) per edge of canonical CSR rates:
+    its row, column and sorted key row * n + col, the index of its reverse
+    edge by a sorted-key lookup, and whether that reverse edge exists (rev
+    is meaningless where it does not)."""
+    n = rates.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(rates.indptr))
+    cols = rates.indices.astype(np.int64)
+    keys = rows * n + cols  # ascending: a canonical CSR matrix is row-major
+    rev_keys = cols * n + rows
+    rev = np.minimum(np.searchsorted(keys, rev_keys), len(keys) - 1)
+    return rows, cols, keys, rev, keys[rev] == rev_keys
 
 
 def _spanning_forest(rates: csr_matrix) -> np.ndarray:
@@ -205,17 +215,31 @@ def _tree_cycle(parent, u, v):
     return [x + 1 for x in cycle]
 
 
-def _sym_neg_k(k: np.ndarray) -> np.ndarray:
-    """Symmetric similarity transform of -K for a reversible killed generator.
+def _sym_neg_k(rates: csr_matrix, exit_rates: np.ndarray) -> np.ndarray:
+    """Symmetric similarity transform of -K for a reversible killed generator,
+    from its CSR rates (every edge two-way) and its exit rates.
 
     Detailed balance gives sqrt(eta_i/eta_j) K_ij = sqrt(K_ij K_ji), so the
-    transform has off-diagonal -sqrt(K_ij K_ji) (tridiag.neg_sqrt_product)
-    and diagonal -K_ii; entries never touch the possibly huge weight ratios.
+    transform has off-diagonal -sqrt(K_ij K_ji) (tridiag.neg_sqrt_product),
+    one value per edge and its reverse, scattered over the support, and the
+    exit rates on the diagonal; entries never touch the possibly huge weight
+    ratios.  Every other entry is -0.0, the value -sqrt(0 * 0) takes:
+    LAPACK's Householder reflections take their signs from these entries, so
+    +0.0 would move eigenvalues by rounding.
     """
-    rates = np.maximum(k, 0.0)  # the diagonal is replaced below
-    s = tridiag.neg_sqrt_product(rates, rates.T)
-    np.fill_diagonal(s, -np.diag(k))
+    rows, cols, _, rev, _ = _reverse_edges(rates)
+    s = np.full(rates.shape, -0.0)
+    s[rows, cols] = tridiag.neg_sqrt_product(rates.data, rates.data[rev])
+    np.fill_diagonal(s, exit_rates)
     return s
+
+
+def _sym_eigenvalues(s: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetrized -K by eigh, run on s scaled by
+    2^-unit_exponent of its diagonal (the exit rates, which bound every
+    entry), so every power-of-two rate scale gives the same bits, scaled."""
+    e = tridiag.unit_exponent(np.diagonal(s))
+    return np.ldexp(eigh(np.ldexp(s, -e), eigvals_only=True), e)
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # f / g of a singular LU fails below
@@ -380,8 +404,12 @@ def lambda0_minor(gen: AbsorbingGenerator, x: int) -> float:
     _check_generator(gen, "lambda0_minor")
     if not 1 <= x <= gen.n_states:
         raise InvalidParameter(f"state {x} out of range")
-    k = None if gen.is_birth_death else gen.k_matrix()
-    s = None if k is None or reversible_measure(gen)[0] is None else _sym_neg_k(k)
+    k = s = None
+    if not gen.is_birth_death:
+        if reversible_measure(gen)[0] is None:
+            k = gen.k_matrix()
+        else:
+            s = _sym_neg_k(gen._csr, -gen.diagonal)
     return _minor_lambda0(gen, k, x, s)
 
 
@@ -422,25 +450,23 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     k = s = None
     if gen.is_birth_death:
         eigenvalues = np.sort(tridiag.eigenvalues(*gen.birth_death_rates()))
+    elif eta is not None:
+        s = _sym_neg_k(gen._csr, -gen.diagonal)
+        eigenvalues = _sym_eigenvalues(s)
     else:
         k = gen.k_matrix()
-        if eta is not None:
-            s = _sym_neg_k(k)
-            eigenvalues = eigh(s, eigvals_only=True)
-        else:
-            vals = np.linalg.eigvals(-k)
-            if np.max(np.abs(vals.imag)) > 1e-9 * gen.max_rate:
-                raise NotDiagonalizableDetected(
-                    "complex eigenvalues on non-reversible input; "
-                    "spectral results are restricted to lambda0/phi/nu"
-                )
-            eigenvalues = np.sort(vals.real)
+        vals = np.linalg.eigvals(-k)
+        if np.max(np.abs(vals.imag)) > 1e-9 * gen.max_rate:
+            raise NotDiagonalizableDetected(
+                "complex eigenvalues on non-reversible input; "
+                "spectral results are restricted to lambda0/phi/nu"
+            )
+        eigenvalues = np.sort(vals.real)
     lambda0_prime = min(_minor_lambda0(gen, k, x, s) for x in gen.absorbing_set)
     minor_spectra = None
     if compute_minors:
-        if k is None:  # birth-death chains are reversible; S is needed only here
-            k = gen.k_matrix()
-            s = _sym_neg_k(k)
+        if gen.is_birth_death:  # S is needed only here
+            s = _sym_neg_k(gen._csr, -gen.diagonal)
         minor_spectra = {x: _minor_eigenvalues(gen, k, x, s) for x in range(1, gen.n_states + 1)}
     return SpectrumReport(
         eigenvalues=np.asarray(eigenvalues, dtype=float),
@@ -450,19 +476,20 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     )
 
 
-def _minor_eigenvalues(gen: AbsorbingGenerator, k: np.ndarray, x: int,
+def _minor_eigenvalues(gen: AbsorbingGenerator, k: np.ndarray | None, x: int,
                        s: np.ndarray | None) -> np.ndarray:
     """Ascending spectrum of -K with state x removed.
 
     A reversible K passes its symmetrization s; otherwise the minor itself
     is tested for reversibility on the parent's CSR rates without row and
-    column x, since removing a state can leave a reversible chain.
+    column x, since removing a state can leave a reversible chain, and only
+    a minor that is not reversible reads the dense k.
     """
-    if k.shape[0] == 1:
+    if gen.n_states == 1:
         return np.array([])
     if s is not None:
-        return eigh(_drop_state(s, x), eigvals_only=True)
-    sub = _drop_state(k, x)
-    if _csr_measure(_minor_rates(gen, x))[0] is None:
-        return np.sort(np.linalg.eigvals(-sub).real)
-    return eigh(_sym_neg_k(sub), eigvals_only=True)
+        return _sym_eigenvalues(_drop_state(s, x))
+    rates = _minor_rates(gen, x)
+    if _csr_measure(rates)[0] is None:
+        return np.sort(np.linalg.eigvals(-_drop_state(k, x)).real)
+    return _sym_eigenvalues(_sym_neg_k(rates, np.delete(-gen.diagonal, x - 1)))

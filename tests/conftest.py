@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsamp import build_general, build_rho_chain, tridiag
+from qsamp import build_general, build_graph_walk, build_rho_chain, tridiag
 from qsamp.bd_infinite import RateFamily
 
 
@@ -62,6 +62,17 @@ def log_accelerated_family(q):
     return RateFamily(lambda x: np.log(np.e + np.asarray(x, dtype=float)) ** q,
                       lambda x: np.asarray(x, dtype=float) * np.log(np.e - 1.0 + np.asarray(x, dtype=float)) ** q,
                       name=f"log-accelerated q={q}")
+
+
+def grid_walk(rows, cols):
+    """Unit-rate nearest-neighbour walk on a rows x cols grid, absorbed from state 1."""
+    edges = []
+    for s in range(1, rows * cols + 1):
+        if s % cols:
+            edges += [(s, s + 1), (s + 1, s)]
+        if s + cols <= rows * cols:
+            edges += [(s, s + cols), (s + cols, s)]
+    return build_graph_walk(edges, [1])
 
 
 def random_reversible_generator(rng, n_max=12):

@@ -99,7 +99,7 @@ class TestEntranceCheck:
         v = entrance_check(poisson_family(), 500)
         assert len(v.r_partial_sums) == 499
         assert len(v.s_partial_sums) == 499
-        assert v.z_partial == pytest.approx(math.e - 1.0, rel=1e-10)
+        assert v.z_partial == pytest.approx(math.e - 1.0, rel=1e-10, abs=0)
 
     def test_small_cutoff_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -157,7 +157,7 @@ class TestEigenConvergence:
         # phi spans 1e165 and 1e225; lambda0 tends to (1 - sqrt(rho))^2
         series = eigen_convergence(rho_family(0.5), 0, [1100, 1500], 1e-4)
         assert np.all(np.isfinite(series.lambda_table[:, 0]))
-        assert series.lambda0_limit == pytest.approx((1 - math.sqrt(0.5)) ** 2, rel=1e-4)
+        assert series.lambda0_limit == pytest.approx((1 - math.sqrt(0.5)) ** 2, rel=1e-4, abs=0)
 
     def test_higher_columns_past_half_the_exponent_range(self):
         with warnings.catch_warnings():
@@ -235,7 +235,7 @@ def test_warm_started_truncations_match_cold_solves(fam, schedule, n_max):
         cold = np.r_[lam0, cold_higher_eigenvalues(b, d, k), np.full(n_max - k, np.inf)]
         np.testing.assert_allclose(row, cold, rtol=1e-13)
         np.testing.assert_allclose(phi, phi_cold, rtol=1e-13)
-        assert lam0p == pytest.approx(tridiag.ground_pair(b[1:], d[1:])[0], rel=1e-13)
+        assert lam0p == pytest.approx(tridiag.ground_pair(b[1:], d[1:])[0], rel=1e-13, abs=0)
 
 
 class TestTheoremBound:
@@ -249,7 +249,7 @@ class TestTheoremBound:
             "lambdas": rep.eigenvalues[1:],
         }
         mine = theorem_bound(limits, tail_bound=0.0)
-        assert mine.bound == pytest.approx(finite.bound, rel=1e-12)
+        assert mine.bound == pytest.approx(finite.bound, rel=1e-12, abs=0)
 
     def test_golden_route(self, golden):
         rep = full_spectrum(golden)
@@ -289,7 +289,7 @@ class TestTheoremBound:
         out = theorem_bound({"lambda0": 1.0, "lambda0_prime": math.inf, "lambdas": []},
                             tail_bound=0.5)
         assert out.log_concavity_c == 1.0
-        assert out.bound == pytest.approx(math.exp(0.5), rel=1e-15)
+        assert out.bound == pytest.approx(math.exp(0.5), rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("key", ["lambda0", "lambda0_prime"])
     def test_undeclared_limit_raises(self, key):
@@ -348,7 +348,7 @@ class TestTailSum:
         b, d = log_accelerated_family(q).realize(n)
         dps = max(60, 30 + pivot_digits_lost(b, d))
         ref = float(mp.fsum(1 / tridiag.mp_lambda(b, d, k, dps=dps) for k in range(7, n)))
-        assert tail_sum_estimate(log_accelerated_family(q), n, 6) == pytest.approx(ref, rel=1e-12)
+        assert tail_sum_estimate(log_accelerated_family(q), n, 6) == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_drifting_chain_falls_back_to_the_spectrum(self):
         # b = 2, d = 1 pushes mass to the top: the trace is about 1e47 and
@@ -356,7 +356,7 @@ class TestTailSum:
         b, d = rho_family(2.0).realize(200)
         ref = spectrum_tail(rho_family(2.0), 200, 6)
         assert tridiag.green_trace(b, d) > 1e40 * ref
-        assert ref == pytest.approx(162.08, rel=1e-4)
+        assert ref == pytest.approx(162.08, rel=1e-4, abs=0)
         assert tail_sum_estimate(rho_family(2.0), 200, 6) == ref
 
     def test_ground_pair_out_of_range_falls_back_to_the_spectrum(self):
@@ -416,7 +416,7 @@ class TestHittingTime:
         fam = accelerated_poisson_family()
         v = entrance_check(fam, 4000)
         late = hitting_time_from(fam, 4000)
-        assert late == pytest.approx(float(v.s_partial_sums[-1]), rel=1e-6)
+        assert late == pytest.approx(float(v.s_partial_sums[-1]), rel=1e-6, abs=0)
 
     def test_monte_carlo_cross_check(self):
         # the formula value is the reflected-truncation hitting time, so
@@ -471,7 +471,7 @@ class TestDirichletForm:
         gen = truncate_neumann(fam, n)
         pair = dirichlet_eigenpair(gen)
         q = dirichlet_form(fam, pair.phi, n)
-        assert q == pytest.approx(pair.lambda0, rel=1e-10)
+        assert q == pytest.approx(pair.lambda0, rel=1e-10, abs=0)
 
     def test_indicator_of_state_one(self):
         fam = accelerated_poisson_family()
@@ -479,7 +479,7 @@ class TestDirichletForm:
         f = np.zeros(n)
         f[0] = 1.0
         b, d = fam.realize(n)
-        assert dirichlet_form(fam, f, n) == pytest.approx(d[0] + b[0], rel=1e-12)
+        assert dirichlet_form(fam, f, n) == pytest.approx(d[0] + b[0], rel=1e-12, abs=0)
 
     def test_random_vectors_dominate_ground_value(self):
         fam = poisson_family()
@@ -510,7 +510,7 @@ def test_wallis_sanity():
     # prod over odd k >= 3 of (1 - 1/k^2) converges to pi/4
     k = np.arange(3, 200_001, 2, dtype=float)
     partial = np.exp(np.log1p(-1.0 / k ** 2).sum())
-    assert partial == pytest.approx(math.pi / 4, rel=1e-5)
+    assert partial == pytest.approx(math.pi / 4, rel=1e-5, abs=0)
 
 
 def test_parse_rate_family(tmp_path):

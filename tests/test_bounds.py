@@ -29,7 +29,13 @@ from qsamp import (
     spectral_bound,
     tridiag,
 )
-from conftest import random_cycle_with_chords, random_reversible_generator
+from qsamp import bounds
+from conftest import (
+    grid_walk,
+    random_cycle_with_chords,
+    random_drifted_reversible_generator,
+    random_reversible_generator,
+)
 
 
 def brute_force_graph_parameters(gen):
@@ -148,8 +154,8 @@ class TestPathBound:
         transitions = [(i, j, 1.0) for a, b in ring for i, j in ((a, b), (b, a))]
         gen = build_general(4, sorted(transitions), {1: 0.01})
         pair = dirichlet_eigenpair(gen)
-        assert pair.lambda0 == pytest.approx(0.002492, rel=1e-3)
-        assert amplitude(pair) == pytest.approx(1.00501, rel=1e-5)
+        assert pair.lambda0 == pytest.approx(0.002492, rel=1e-3, abs=0)
+        assert amplitude(pair) == pytest.approx(1.00501, rel=1e-5, abs=0)
         assert path_bound(gen, pair.lambda0).bound >= amplitude(pair)
         with pytest.raises(InvalidParameter, match="above the Dirichlet eigenvalue"):
             path_bound(gen, 1.5)
@@ -222,11 +228,26 @@ class TestGraphBound:
         with pytest.raises(InvalidParameter):
             graph_bound(2, 1, 2.0, 1.0)
 
-    def test_parameters_match_brute_force_bfs(self):
+    def test_parameters_match_brute_force_bfs(self, golden):
         rng = np.random.default_rng(26)
-        for _ in range(25):
-            gen = random_cycle_with_chords(rng)
+        gens = [random_cycle_with_chords(rng) for _ in range(25)]
+        gens += [random_reversible_generator(rng, 40) for _ in range(25)]
+        gens += [random_drifted_reversible_generator(rng) for _ in range(10)]
+        gens += [grid_walk(1, n) for n in (2, 3, 8)]
+        gens += [golden, build_general(2, [(1, 2, 0.5), (2, 1, 3.0)], {2: 2.0})]
+        for gen in gens:
             assert graph_parameters(gen) == brute_force_graph_parameters(gen)
+
+    def test_large_grid_diameter_from_few_searches(self, monkeypatch):
+        # all-pairs hop counts search from all 10^4 states; eccentricity
+        # bounds settle the corner-to-corner distance after a handful
+        gen = grid_walk(100, 100)
+        calls = []
+        search = bounds.breadth_first_order
+        monkeypatch.setattr(bounds, "breadth_first_order",
+                            lambda csr, src, **kw: calls.append(src) or search(csr, src, **kw))
+        assert graph_parameters(gen) == (4, 198, 1.0, 1.0)
+        assert 1 <= len(set(calls)) < 100
 
     def test_parameters_dominate_amplitude(self):
         rng = np.random.default_rng(24)
@@ -294,12 +315,12 @@ class TestExactBirthDeath:
     def test_drifted_chain_n100(self):
         gen = build_rho_chain(100, 1.0)
         amp = amplitude(dirichlet_eigenpair(gen))
-        assert exact_bd_amplitude(gen) == pytest.approx(amp, rel=1e-8)
+        assert exact_bd_amplitude(gen) == pytest.approx(amp, rel=1e-8, abs=0)
 
     def test_rho2_limit(self):
         gen = build_rho_chain(30, 2.0)
         value = exact_bd_amplitude(gen)
-        assert value == pytest.approx(amplitude(dirichlet_eigenpair(gen)), rel=1e-8)
+        assert value == pytest.approx(amplitude(dirichlet_eigenpair(gen)), rel=1e-8, abs=0)
         assert value == pytest.approx(2.0, abs=1e-6)
 
     def test_cancellation_beyond_default_digits(self):
@@ -307,8 +328,8 @@ class TestExactBirthDeath:
         # about 120 digits; with lambda0 negligible, phi(x) = sum_k<x 1e-4^k
         gen = build_birth_death(np.full(29, 100.0), np.full(30, 0.01))
         value = exact_bd_amplitude(gen)
-        assert value == pytest.approx(1.0 / (1.0 - 1e-4), rel=1e-12)
-        assert value == pytest.approx(amplitude(dirichlet_eigenpair(gen)), rel=1e-8)
+        assert value == pytest.approx(1.0 / (1.0 - 1e-4), rel=1e-12, abs=0)
+        assert value == pytest.approx(amplitude(dirichlet_eigenpair(gen)), rel=1e-8, abs=0)
 
     def test_not_birth_death(self):
         ring = build_graph_walk([(1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)], [2])
@@ -327,7 +348,7 @@ class TestExactBirthDeath:
         gen = build_birth_death(b, d)
         value = exact_bd_amplitude(gen)
         assert value > 0
-        assert value == pytest.approx(amplitude(dirichlet_eigenpair(gen)), rel=1e-8)
+        assert value == pytest.approx(amplitude(dirichlet_eigenpair(gen)), rel=1e-8, abs=0)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(wide_birth_death_rates())
@@ -365,4 +386,4 @@ class TestExactBirthDeath:
             d = np.exp(rng.uniform(np.log(0.1), np.log(10), n))
             gen = build_birth_death(b, d)
             amp = amplitude(dirichlet_eigenpair(gen))
-            assert exact_bd_amplitude(gen) == pytest.approx(amp, rel=1e-8)
+            assert exact_bd_amplitude(gen) == pytest.approx(amp, rel=1e-8, abs=0)

@@ -12,7 +12,6 @@ from qsamp import (
     absorption_times,
     amplitude,
     build_general,
-    build_graph_walk,
     build_rho_chain,
     dirichlet_eigenpair,
     doob_stationary,
@@ -26,7 +25,7 @@ from qsamp import (
     total_variation,
 )
 from qsamp import simulate, spectral
-from conftest import random_reversible_generator
+from conftest import grid_walk, random_reversible_generator
 
 GOLDEN_LAM0 = (3 - math.sqrt(5)) / 2
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
@@ -127,17 +126,6 @@ def dense_run_blocks(gen, start, target, n, seed):
                for lo, stream in zip(los, streams)]
     return (np.concatenate([r[0] for r in results]),
             np.concatenate([r[1] for r in results]))
-
-
-def grid_walk(rows, cols):
-    """Unit-rate nearest-neighbour walk on a rows x cols grid, absorbed from state 1."""
-    edges = []
-    for s in range(1, rows * cols + 1):
-        if s % cols:
-            edges += [(s, s + 1), (s + 1, s)]
-        if s + cols <= rows * cols:
-            edges += [(s, s + cols), (s + cols, s)]
-    return build_graph_walk(edges, [1])
 
 
 def cycle_with_chords():

@@ -165,7 +165,7 @@ class TestDirichletEigenpair:
         nu = quasi_stationary_dist(rho1_chain10)
         assert float(nu @ qsd.phi) == pytest.approx(1.0, abs=1e-12)
         for pair in (mx, qsd):
-            assert amplitude(pair) == pytest.approx(amplitude(first), rel=1e-12)
+            assert amplitude(pair) == pytest.approx(amplitude(first), rel=1e-12, abs=0)
 
     def test_deterministic(self, rho1_chain10):
         a = dirichlet_eigenpair(rho1_chain10)
@@ -185,7 +185,7 @@ class TestDirichletEigenpair:
         assert eta is None and witness is not None
         pair = dirichlet_eigenpair(gen)
         oracle = np.linalg.eigvals(-gen.k_matrix())
-        assert pair.lambda0 == pytest.approx(float(np.min(oracle.real)), rel=1e-10)
+        assert pair.lambda0 == pytest.approx(float(np.min(oracle.real)), rel=1e-10, abs=0)
         assert np.all(pair.phi > 0)
 
 
@@ -412,7 +412,7 @@ class TestAmplitude:
         rng = np.random.default_rng(12)
         phi = np.exp(rng.normal(size=9))
         for c in (1e-7, 0.5, 3e8):
-            assert amplitude(c * phi) == pytest.approx(amplitude(phi), rel=1e-12)
+            assert amplitude(c * phi) == pytest.approx(amplitude(phi), rel=1e-12, abs=0)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(NonPositiveInput):
@@ -435,7 +435,7 @@ class TestLambda0Minor:
         sub = build_general(2, [(1, 2, 1.0), (2, 1, 2.0)], {1: 1.0})
         np.testing.assert_array_equal(minor(gen, {1}), sub.k_matrix())
         assert lambda0_minor(gen, 1) == pytest.approx(
-            dirichlet_eigenpair(sub).lambda0, rel=1e-10
+            dirichlet_eigenpair(sub).lambda0, rel=1e-10, abs=0
         )
 
     def test_strict_minor_gap(self):
@@ -474,7 +474,7 @@ class TestLambda0Minor:
         ref = float(tridiag.mp_lambda(b[1:], d[1:]))
         lam0p = full_spectrum(gen).lambda0_prime
         assert lam0p > 0
-        assert lam0p == pytest.approx(ref, rel=1e-10)
+        assert lam0p == pytest.approx(ref, rel=1e-10, abs=0)
         assert lambda0_minor(gen, 1) == lam0p
 
     def test_birth_death_minor_below_the_double_range_raises(self):
@@ -520,7 +520,7 @@ def test_reversible_routes_match_dense_references(seed, dumbbell):
             sub_eta, _ = spectral._csr_measure(csr_matrix(sub - np.diag(np.diag(sub))))
             np.testing.assert_allclose(sub_eta, dense_bfs_eta(sub), rtol=1e-12, atol=0)
             expect = -float(np.max(np.linalg.eigvals(sub).real))
-            assert lambda0_minor(gen, x) == pytest.approx(expect, rel=1e-10)
+            assert lambda0_minor(gen, x) == pytest.approx(expect, rel=1e-10, abs=0)
         minors[x] = lambda0_minor(gen, x)
     rep = full_spectrum(gen)
     assert rep.lambda0_prime == min(minors[x] for x in gen.absorbing_set)
@@ -537,6 +537,15 @@ def test_reversible_routes_match_dense_references(seed, dumbbell):
 def test_matrix_input_rejected(call, golden):
     with pytest.raises(InvalidParameter):
         call(golden.k_matrix())
+
+
+def dense_sym_neg_k(k):
+    """The symmetrized -K of a reversible k by the dense formula
+    -sqrt(K_ij K_ji) on every entry off the diagonal."""
+    rates = np.maximum(k, 0.0)
+    s = tridiag.neg_sqrt_product(rates, rates.T)
+    np.fill_diagonal(s, -np.diag(k))
+    return s
 
 
 @pytest.mark.parametrize("label", [(1, 2, 3, 4), (1, 3, 4, 2)])
@@ -560,7 +569,7 @@ def test_minor_reversible_on_restricted_triplets(label, monkeypatch):
     rep = full_spectrum(gen, compute_minors=True)
     assert rep.reversible_measure is None
     assert not any(a.shape == sub.shape and np.array_equal(a, -sub) for a in seen)
-    expect = eigh(spectral._sym_neg_k(sub), eigvals_only=True)
+    expect = eigh(dense_sym_neg_k(sub), eigvals_only=True)
     np.testing.assert_array_equal(rep.minor_spectra[x], expect)
 
 
@@ -586,10 +595,10 @@ def test_non_reversible_power_steps_return_or_raise(seed, mild):
         assert np.all(results["nu"] > 0) and results["nu"].sum() == pytest.approx(1.0)
     if mild:
         oracle = float(np.min(np.linalg.eigvals(-k).real))
-        assert results["pair"].lambda0 == pytest.approx(oracle, rel=1e-9)
+        assert results["pair"].lambda0 == pytest.approx(oracle, rel=1e-9, abs=0)
         for x in range(1, gen.n_states + 1):  # two states or more
             expect = float(np.min(np.linalg.eigvals(spectral._drop_state(-k, x)).real))
-            assert results[x] == pytest.approx(expect, rel=1e-9)
+            assert results[x] == pytest.approx(expect, rel=1e-9, abs=0)
 
 
 def test_absorption_below_rounding_raises_no_convergence():
@@ -643,14 +652,14 @@ def test_non_reversible_minor_by_strongly_connected_blocks(monkeypatch):
     expect = float(np.min(np.linalg.eigvals(sub).real))
     blocks = [float(np.min(np.linalg.eigvals(sub[np.ix_(b, b)]).real))
               for b in ([0, 1, 2], [3, 4])]
-    assert expect == pytest.approx(min(blocks), rel=1e-12)
+    assert expect == pytest.approx(min(blocks), rel=1e-12, abs=0)
     assert max(blocks) > 1.2 * min(blocks)
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg.eigvals called for a minor's lambda0")
 
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
-    assert lambda0_minor(gen, 1) == pytest.approx(expect, rel=1e-12)
+    assert lambda0_minor(gen, 1) == pytest.approx(expect, rel=1e-12, abs=0)
     for x in range(2, 7):
         lambda0_minor(gen, x)
 
@@ -677,14 +686,14 @@ def test_metastable_non_reversible_pair_and_qsd():
     vals = np.sort(np.linalg.eigvals(-k).real)
     assert vals[0] / vals[1] > 0.985
     pair = dirichlet_eigenpair(gen)
-    assert pair.lambda0 == pytest.approx(vals[0], rel=1e-9)
+    assert pair.lambda0 == pytest.approx(vals[0], rel=1e-9, abs=0)
     assert np.abs(k @ pair.phi + pair.lambda0 * pair.phi).max() <= 1e-10 * pair.lambda0 * pair.phi.max()
     nu = quasi_stationary_dist(gen)
     assert np.all(nu > 0) and np.abs(nu @ k + pair.lambda0 * nu).max() <= 1e-10 * pair.lambda0
     phi = dirichlet_eigenpair(gen, "qsd").phi
-    assert float(nu @ phi) == pytest.approx(1.0, rel=1e-12)
+    assert float(nu @ phi) == pytest.approx(1.0, rel=1e-12, abs=0)
     expect = float(np.min(np.linalg.eigvals(spectral._drop_state(-k, 1)).real))
-    assert full_spectrum(gen).lambda0_prime == pytest.approx(expect, rel=1e-9)
+    assert full_spectrum(gen).lambda0_prime == pytest.approx(expect, rel=1e-9, abs=0)
 
 
 def test_minor_block_with_a_bottleneck():
@@ -696,9 +705,9 @@ def test_minor_block_with_a_bottleneck():
     assert connected_components(csr_matrix(sub), directed=True, connection="strong")[0] == 1
     vals = np.sort(np.linalg.eigvals(sub).real)
     assert vals[0] / vals[1] > 0.998
-    assert lambda0_minor(gen, 1) == pytest.approx(vals[0], rel=1e-9)
+    assert lambda0_minor(gen, 1) == pytest.approx(vals[0], rel=1e-9, abs=0)
     rep = full_spectrum(gen, compute_minors=True)
-    assert rep.lambda0_prime == pytest.approx(vals[0], rel=1e-9)
+    assert rep.lambda0_prime == pytest.approx(vals[0], rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("gen", [
@@ -813,8 +822,8 @@ def test_birth_death_spectrum_at_any_rate_scale(scale):
     ref = full_spectrum(build_birth_death(b, d))
     rep = full_spectrum(build_birth_death(b * scale, d * scale))
     np.testing.assert_allclose(rep.eigenvalues / scale, ref.eigenvalues, rtol=1e-13)
-    assert rep.lambda0_prime / scale == pytest.approx(ref.lambda0_prime, rel=1e-13)
-    assert spectral_bound(rep).bound == pytest.approx(spectral_bound(ref).bound, rel=1e-12)
+    assert rep.lambda0_prime / scale == pytest.approx(ref.lambda0_prime, rel=1e-13, abs=0)
+    assert spectral_bound(rep).bound == pytest.approx(spectral_bound(ref).bound, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e160, 1e300])
@@ -829,9 +838,40 @@ def test_reversible_spectrum_at_any_rate_scale(scale):
     ref, ref_minors = full_spectrum(triangle(1.0)), full_spectrum(triangle(1.0), True)
     np.testing.assert_allclose(ref.eigenvalues, [2 - math.sqrt(3), 3, 2 + math.sqrt(3)],
                                rtol=1e-13)
-    assert ref.lambda0_prime == pytest.approx(1.0, rel=1e-13)
+    assert ref.lambda0_prime == pytest.approx(1.0, rel=1e-13, abs=0)
     for rep, base in ((full_spectrum(triangle(scale)), ref),
                       (full_spectrum(triangle(scale), True), ref_minors)):
         np.testing.assert_allclose(rep.eigenvalues / scale, base.eigenvalues, rtol=1e-13)
-        assert rep.lambda0_prime / scale == pytest.approx(base.lambda0_prime, rel=1e-13)
-    assert lambda0_minor(triangle(scale), 1) / scale == pytest.approx(1.0, rel=1e-13)
+        assert rep.lambda0_prime / scale == pytest.approx(base.lambda0_prime, rel=1e-13, abs=0)
+    assert lambda0_minor(triangle(scale), 1) / scale == pytest.approx(1.0, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("family", ["reversible", "drifted"])
+def test_symmetrization_from_the_csr_matches_the_dense_formula(family):
+    # every entry off the support is -0.0, as -sqrt(0 * 0) gives: +0.0 moves
+    # eigh's Householder signs and so the last bits of the spectra
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        gen = SCALE_FAMILIES[family](rng)
+        expect = dense_sym_neg_k(gen.k_matrix())
+        s = spectral._sym_neg_k(gen._csr, -gen.diagonal)
+        np.testing.assert_array_equal(s, expect)
+        np.testing.assert_array_equal(np.signbit(s), np.signbit(expect))
+
+
+@pytest.mark.parametrize("k", [-600, 512, 900])
+@pytest.mark.parametrize("family", ["birth-death", "reversible", "drifted"])
+def test_reversible_spectra_scale_by_powers_of_two_exactly(family, k):
+    # eigh ran on S as given, and LAPACK rescaled an S outside its safe
+    # range by a factor that is not a power of two, which moved the bits
+    rng = np.random.default_rng(43)
+    for _ in range(4):
+        gen = SCALE_FAMILIES[family](rng)
+        base = outcome(lambda g: full_spectrum(g, True), gen)
+        scaled = outcome(lambda g: full_spectrum(g, True), scaled_by_power_of_two(gen, k))
+        if isinstance(base, QsampError):
+            assert type(scaled) is type(base)
+            continue
+        np.testing.assert_array_equal(scaled.eigenvalues, np.ldexp(base.eigenvalues, k))
+        for x, vals in base.minor_spectra.items():
+            np.testing.assert_array_equal(scaled.minor_spectra[x], np.ldexp(vals, k))

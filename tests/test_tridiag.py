@@ -58,7 +58,7 @@ def test_lambda0_far_below_the_rates_keeps_relative_accuracy():
     assert n == 117
     lam = dirichlet_eigenpair(build_birth_death(b, d)).lambda0
     ref = float(tridiag.mp_lambda(b, d, 0, dps=60))
-    assert ref == pytest.approx(1.2298637614560e-37, rel=1e-12)
+    assert ref == pytest.approx(1.2298637614560e-37, rel=1e-12, abs=0)
     assert abs(lam - ref) <= 1e-10 * ref
 
 
@@ -104,7 +104,7 @@ def test_ground_pair_from_a_nearby_start():
     b, d = fam.realize(600)
     lam, phi, (lo, hi) = tridiag.ground_pair(b, d)
     warm = tridiag.ground_pair(b, d, np.pad(phi_small, (0, 300), mode="edge"))
-    assert warm[0] == pytest.approx(lam, rel=1e-14)
+    assert warm[0] == pytest.approx(lam, rel=1e-14, abs=0)
     np.testing.assert_allclose(warm[1], phi, rtol=1e-13)
     assert warm[2][0] <= warm[0] <= warm[2][1]
 
@@ -264,7 +264,7 @@ def test_green_trace_matches_the_matrix_inverse():
         n = int(rng.integers(1, 26))
         b, d = log_uniform_chain(rng, n, 1e-2, 1e2)
         ref = mp_green_trace(b, d)
-        assert tridiag.green_trace(b, d) == pytest.approx(ref, rel=1e-13)
+        assert tridiag.green_trace(b, d) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 def test_singleton():
@@ -427,7 +427,7 @@ def test_higher_indices_are_certified_too(k):
     b, d = build_rho_chain(100, 1.0).birth_death_rates()
     main, off = tridiag.sym_tridiag(b, d)
     ref = eigvalsh_tridiagonal(main, off)[k]
-    assert float(tridiag.mp_lambda(b, d, k)) == pytest.approx(ref, rel=1e-11)
+    assert float(tridiag.mp_lambda(b, d, k)) == pytest.approx(ref, rel=1e-11, abs=0)
 
 
 def random_oracle_chains():
