@@ -230,8 +230,8 @@ def _series_stats(logt, lo, hi):
     dl = logt[lo - 1 : hi - 1] - logt[lo:hi]
     rho = xs * np.expm1(dl)
     beta = np.log(xs) * (rho - 1.0)
-    med_dlog = float(np.median(-dl))
-    return float(np.percentile(beta, 10)), float(np.percentile(beta, 90)), med_dlog
+    beta_10, beta_90 = np.percentile(beta, [10, 90])
+    return float(beta_10), float(beta_90), float(np.median(-dl))
 
 
 def _classify(logt, lo, hi):
@@ -603,13 +603,17 @@ def lyapunov_check(rates: RateFamily, phi, lam: float, n: int, tol: float = 1e-1
 
     phi is given on 1..n with phi(0) = 0 implied; the row at n touches
     b_n and is excluded (one-sided boundary handling).  Returns
-    (ok, worst_slack) with slack(x) = -lam phi(x) - K[phi](x).
+    (ok, worst_slack) with slack(x) = -lam phi(x) - K[phi](x).  Raises
+    InvalidParameter for a phi that is not positive and finite on 1..n, or
+    a lam that is not finite.
     """
     if n < 2:
         raise InvalidParameter("lyapunov_check needs n >= 2")
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != (n,) or np.any(phi <= 0):
-        raise InvalidParameter("phi must be positive on 1..n")
+    if phi.shape != (n,) or not np.all((phi > 0) & (phi < np.inf)):
+        raise InvalidParameter("phi must be positive and finite on 1..n")
+    if not math.isfinite(lam):
+        raise InvalidParameter(f"lam must be finite, got {lam}")
     b, d = rates.realize(n)
     x = np.arange(0, n - 1)
     phi_prev = np.concatenate([[0.0], phi[:-2]]) if n > 2 else np.array([0.0])
@@ -624,10 +628,13 @@ def dirichlet_form(rates: RateFamily, f, n: int) -> float:
 
     E(f) = eta(1) d_1 f(1)^2 + sum_{x<n} eta(x) b_x (f(x+1)-f(x))^2, with the
     Neumann convention f(n+1) = f(n).  The quotient is at least the ground
-    eigenvalue, with equality on its eigenvector.
+    eigenvalue, with equality on its eigenvector.  Raises InvalidParameter
+    for an f that is not n finite numbers, not all zero.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (n,):
         raise InvalidParameter(f"f must have length {n}")
+    if not (np.all(np.isfinite(f)) and np.any(f)):
+        raise InvalidParameter("f must be finite and not identically zero")
     b, d = rates.realize(n)
     return tridiag.rayleigh_quotient(b, d, f)

@@ -33,9 +33,13 @@ higher_eigenvalues gives lambda_1..lambda_k (higher_eigenpairs with their
 vectors), each the Dirichlet-form Rayleigh quotient of an inverse-iterated
 vector, through the same re-shifted iteration from guesses and start
 vectors, accepted only when every vector has as many sign changes as its
-index.  The guesses and vectors are a smaller truncation's eigenpairs
-padded with their last entries (padded): the truncation before in a
-schedule of nested truncations (bd_infinite.eigen_convergence), or else
+index.  Each quotient is two plain sums over the chain's pi weights,
+formed once per chain (pi_weights), with a log-space form as the fallback
+where they would underflow (rayleigh_quotient); the solves and quotients
+run on the rates scaled by a power of two into (0, 1), so every rate scale
+gives the same bits.  The guesses and vectors are a smaller truncation's
+eigenpairs padded with their last entries (padded): the truncation before
+in a schedule of nested truncations (bd_infinite.eigen_convergence), or else
 the chain's own reflecting truncation at half its size, solved the same
 way down a ladder of halvings to fewer than 2 LADDER_BASE states.  One
 bisection call gives the first shifts at the foot of the ladder, re-shifted
@@ -89,6 +93,19 @@ def unit_exponent(x) -> int:
     normal entries, x is the same at every power-of-two rate scale, and
     LAPACK never rescales it by a factor that is not a power of two."""
     return math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
+
+
+def _rate_exponent(b: np.ndarray, d: np.ndarray) -> int:
+    """k with the largest rate in [2^(k-1), 2^k): the rates scaled by 2^-k,
+    which is exact for normal rates, lie in (0, 1) and are the same at
+    every power-of-two rate scale."""
+    return math.frexp(max(d.max(), b.max()) if len(b) else d[0])[1]
+
+
+def _unit_arrays(b, d):
+    """(b 2^-k, d 2^-k, k) with k = _rate_exponent(b, d)."""
+    k = _rate_exponent(b, d)
+    return np.ldexp(b, -k), np.ldexp(d, -k), k
 
 
 def neg_sqrt_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -152,41 +169,87 @@ def lapack_lambda0(a: np.ndarray, off: np.ndarray | None = None) -> float:
     return lam
 
 
-def rayleigh_quotient(b, d, v, lp=None) -> float:
+def pi_weights(lp: np.ndarray) -> np.ndarray:
+    """The weights of rayleigh_quotient from lp = log_pi(b, d): pi over its
+    maximum, 0 where that is below the smallest normal double, and without
+    the run of such zeros at the top (where the pi of an entrance chain
+    decays, that is most of them).  Formed once per chain; the first m of
+    them serve its truncation at m states too, as a constant multiple of
+    that truncation's own weights."""
+    x = lp - lp.max()
+    return _exp_normal(x[: len(x) - int(np.argmax(x[::-1] >= _LOG_TINY))])
+
+
+#: the linear sums of rayleigh_quotient stand when both are at least this:
+#: every term they lose to underflow is then below 2^-120 of its sum
+_LINEAR_FLOOR = 2.0 ** -900
+
+
+def rayleigh_quotient(b, d, v, w=None) -> float:
     """Rayleigh quotient of -K at v through the Dirichlet form.
 
-    All terms are nonnegative, so the quotient keeps full relative accuracy
-    even when it is many orders of magnitude below the matrix norm.  Both
-    sums are shifted by max(log pi + 2 log|v|) in log space, so neither
-    underflows when pi and v grow in opposite directions (spreads past 1e154).
-    lp is log_pi(b, d), for callers that take several quotients on one chain.
+    Two plain sums of nonnegative terms, with v scaled to max |v| = 1 and
+    the rates by 2^-k, k = _rate_exponent(b, d), so that the largest lies
+    in [1/2, 1) as in _unit_rates:
+
+        mass = sum_x w_x v_x^2,
+        energy = d_1 w_1 v_1^2 + sum_{x<n} b_x w_x (v_{x+1} - v_x)^2,
+
+    and the quotient is 2^k energy / mass, scaled back exactly.  The
+    quotient is valid for signed vectors too (summation by parts against the
+    reflecting top), and since no term is negative it keeps full relative
+    accuracy even when it sits many orders of magnitude below the matrix
+    norm.  w is pi_weights(log_pi(b, d)), formed here when None, or a prefix
+    of it: weights past its end count as 0.  No transcendental function
+    runs per call.
+
+    Guard: a term that the weights' zeros or the products lose to underflow
+    is below 4 * 2^-1022 (a weight below 2^-1022 times at most 4), so when
+    both sums are at least 2^-900 (_LINEAR_FLOOR) each lost term is below
+    2^-120 of its sum, at any rate scale.  Otherwise the quotient comes from
+    the fallback _log_quotient, the same sums shifted in log space: when pi
+    and v grow in opposite directions, so that pi v^2 is far below the
+    smallest normal double wherever v or pi is near its maximum (on
+    rho_family(0.5) at 1100 states, for one).
     """
-    if lp is None:
-        lp = log_pi(b, d)
-    exp = _exp_normal if len(d) >= MASKED_EXP_MIN else np.exp
+    if w is None:
+        w = pi_weights(log_pi(b, d))
+    k = _rate_exponent(b, d)
+    m = min(len(w), len(b))
+    u = v[: len(w) + 1] / np.abs(v).max()  # the part of v that meets a weight
+    mass = np.dot(w * u[: len(w)], u[: len(w)])
+    jump = u[1 : m + 1] - u[:m]
+    jump *= jump
+    energy = math.ldexp(d[0], -k) * w[0] * u[0] ** 2 + np.dot(np.ldexp(b[:m], -k) * w[:m], jump)
+    if not (mass >= _LINEAR_FLOOR and energy >= _LINEAR_FLOOR):
+        bu, du, _ = _unit_arrays(b, d)
+        return math.ldexp(_log_quotient(bu, du, v, log_pi(b, d)), k)
+    return math.ldexp(energy / mass, k)
+
+
+def _log_quotient(b, d, v, lp) -> float:
+    """rayleigh_quotient with both sums shifted by max(log pi + 2 log |v|)
+    in log space, so neither underflows when pi and v grow in opposite
+    directions (spreads past 1e154); lp is log_pi(b, d).  The rates are
+    those scaled by 2^-_rate_exponent, so that no energy term is lost at a
+    small rate scale."""
     with np.errstate(divide="ignore"):
         log_mass = lp + 2 * np.log(np.abs(v))
         shift = log_mass.max()
         energy = d[0] * np.exp(log_mass[0] - shift)
         if len(d) > 1:
             log_jump = lp[:-1] + 2 * np.log(np.abs(v[1:] - v[:-1]))
-            energy += (b * exp(log_jump - shift)).sum()
-    return float(energy / exp(log_mass - shift).sum())
-
-
-#: chains of at least this many states take _exp_normal in
-#: rayleigh_quotient; below it the mask's fixed cost outweighs what it saves
-MASKED_EXP_MIN = 512
+            energy += (b * _exp_normal(log_jump - shift)).sum()
+    return float(energy / _exp_normal(log_mass - shift).sum())
 
 
 def _exp_normal(x):
     """exp(x) where it is at least the smallest normal double, else 0.
 
     numpy's exp takes a slow path for results that underflow (about 15
-    times slower per entry), and on long entrance chains most entries of a
-    Rayleigh quotient do.  The mask costs a few microseconds per call, so
-    shorter chains keep the plain exp.  The terms dropped are below 2.2e-308
-    and carried no full digits anyway.
+    times slower per entry), and on long entrance chains most entries of
+    pi do.  The terms dropped are below 2.2e-308 and carried no full digits
+    anyway.
     """
     return np.exp(x, out=np.zeros_like(x), where=x >= _LOG_TINY)
 
@@ -236,24 +299,31 @@ def higher_eigenpairs(b, d, k, guesses=None, starts=None):
     smallest one bisects (_bisected_pairs), and each larger one starts from
     the pairs of the one below, vectors padded with their last entries.  A
     rung whose warm solves fail ends the climb, and the chain itself
-    bisects, as it does when it is too small for a ladder.
+    bisects, as it does when it is too small for a ladder.  Every step runs
+    on the rates scaled by 2^-_rate_exponent, where no shifted solve over-
+    or underflows at any rate scale, with the chain's pi_weights formed
+    once; a rung's weights are their first m entries.
     """
     if k == 0:
         return np.zeros(0), []
-    lp = log_pi(b, d)
-    found = _warm_pairs(b, d, k, guesses, starts, lp)
+    b, d, e = _unit_arrays(b, d)
+    if guesses is not None:
+        guesses = np.ldexp(guesses, -e)
+    w = pi_weights(log_pi(b, d))
+    found = _warm_pairs(b, d, k, guesses, starts, w)
     sizes = [len(d)]
     while sizes[-1] // 2 >= LADDER_BASE and sizes[-1] // 2 > k:
         sizes.append(sizes[-1] // 2)
     if found is None and len(sizes) > 1:
         m = sizes.pop()
-        found = _bisected_pairs(b[: m - 1], d[:m], k, lp[:m])
+        found = _bisected_pairs(b[: m - 1], d[:m], k, w[:m])
         for m in reversed(sizes):
             vectors = [padded(v, m) for v in found[1]]
-            found = _warm_pairs(b[: m - 1], d[:m], k, found[0], vectors, lp[:m])
+            found = _warm_pairs(b[: m - 1], d[:m], k, found[0], vectors, w[:m])
             if found is None:
                 break
-    return _bisected_pairs(b, d, k, lp) if found is None else found
+    lams, vectors = _bisected_pairs(b, d, k, w) if found is None else found
+    return np.ldexp(lams, e), vectors
 
 
 def padded(v, n):
@@ -263,29 +333,29 @@ def padded(v, n):
     return None if v is None else np.pad(v, (0, n - len(v)), mode="edge")
 
 
-def _bisected_pairs(b, d, k, lp):
+def _bisected_pairs(b, d, k, w):
     """(lambda_1..lambda_k, vectors) from one bisection call: each pair by
     _shifted_quotient from its eigenvalue estimate, or, where that cannot
     vouch for one, the quotient of the vector inverse-iterated from it."""
     pairs = []
     for idx, lam_hat in enumerate(eigenvalues(b, d, 1, k), start=1):
-        pair = _shifted_quotient(b, d, idx, lam_hat, lp)
+        pair = _shifted_quotient(b, d, idx, lam_hat, w)
         if pair is None:
             v = _inverse_iteration(b, d, idx, lam_hat)
-            pair = rayleigh_quotient(b, d, v, lp), v
+            pair = rayleigh_quotient(b, d, v, w), v
         pairs.append(pair)
     lams, vectors = zip(*pairs)
     return np.array(lams), list(vectors)
 
 
-def _warm_pairs(b, d, k, guesses, starts, lp):
+def _warm_pairs(b, d, k, guesses, starts, w):
     """(lambda_1..lambda_k, vectors) by _shifted_quotient from k finite
     guesses, or None when there are fewer or any of them fails."""
     if guesses is None or len(guesses) < k or not np.all(np.isfinite(guesses[:k])):
         return None
     pairs = []
     for idx, guess, start in zip(range(1, k + 1), guesses, starts or [None] * k):
-        pair = _shifted_quotient(b, d, idx, guess, lp, start)
+        pair = _shifted_quotient(b, d, idx, guess, w, start)
         if pair is None:
             return None
         pairs.append(pair)
@@ -298,7 +368,7 @@ def _warm_pairs(b, d, k, guesses, starts, lp):
 MAX_RESHIFTS = 6
 
 
-def _shifted_quotient(b, d, eig_index, guess, lp, start=None):
+def _shifted_quotient(b, d, eig_index, guess, w, start=None):
     """(lambda_{eig_index}, its vector) from a guess at it, or None when it
     cannot be vouched for.
 
@@ -322,7 +392,7 @@ def _shifted_quotient(b, d, eig_index, guess, lp, start=None):
         signs = np.sign(v[v != 0])
         if np.count_nonzero(signs[1:] != signs[:-1]) != eig_index:
             return None
-        lam, previous = rayleigh_quotient(b, d, v, lp), lam
+        lam, previous = rayleigh_quotient(b, d, v, w), lam
         step = abs(lam - previous) / lam
         if bracket_settled(step, width):
             return lam, np.abs(v) if eig_index == 0 else v
@@ -438,6 +508,10 @@ def ground_pair(b, d, start=None):
          starting vector itself, and steps on G then converge fast;
       2. the vector inverse-iterated from the bisection eigenvalue, which
          runs to the end.
+    Both starts are solved for on the rates scaled by 2^-_rate_exponent, so
+    that a chain whose phi spans far (rho_family(0.5) at 1100 states) gets
+    the same start vectors at every rate scale; the Green steps run on the
+    rates as given.
     Raises NoConvergence when the bracket has not settled after the step
     cap or is wider than RESIDUAL_RTOL, or when phi or lambda0 leaves the
     double range; InvalidParameter for a start that is not n positive
@@ -453,6 +527,8 @@ def ground_pair(b, d, start=None):
         if start.shape != (n,) or not np.all((start > 0) & np.isfinite(start)):
             raise InvalidParameter(f"start must be {n} positive finite numbers")
     lp = log_pi(b, d)
+    w = pi_weights(lp)
+    bu, du, _ = _unit_arrays(b, d)  # the start vectors' solves, at any rate scale
     ratio_step = _ratio_step(b, d)
     steps = None
     try:
@@ -460,10 +536,10 @@ def ground_pair(b, d, start=None):
     except _LeavesRange:
         f = None
     if f is not None:
-        found = _shifted_quotient(b, d, 0, rayleigh_quotient(b, d, f, lp), lp, start=f)
+        found = _shifted_quotient(bu, du, 0, rayleigh_quotient(bu, du, f, w), w, start=f)
         steps = _green_steps(ratio_step, d, lp, f if found is None else found[1], restart=True)
     if steps is None:
-        v = _inverse_iteration(b, d, 0, eigenvalues(b, d, 0, 0)[0])
+        v = _inverse_iteration(bu, du, 0, eigenvalues(bu, du, 0, 0)[0])
         steps = _green_steps(ratio_step, d, lp, v, restart=False)
     lam0, _, (lo, hi) = steps
     _check_bracket(lo, hi, lam0)
@@ -660,12 +736,11 @@ def sturm_count(b, d, sigma: float) -> int:
 
 def _unit_rates(b, d):
     """(b 2^-k, d 2^-k, k) as lists of Python floats (a zero pivot raises),
-    with the largest rate in [1/2, 1) and so every eigenvalue below 4.  The
+    with k = _rate_exponent(b, d) and so every eigenvalue below 4.  The
     float pivots are those of the unscaled rates scaled, wherever these
     stay normal, and no product of scaled rates overflows."""
-    b, d = np.asarray(b, dtype=float), np.asarray(d, dtype=float)
-    k = unit_exponent([np.max(b, initial=0.0), np.max(d)])
-    return np.ldexp(b, -k).tolist(), np.ldexp(d, -k).tolist(), k
+    b, d, k = _unit_arrays(np.asarray(b, dtype=float), np.asarray(d, dtype=float))
+    return b.tolist(), d.tolist(), k
 
 
 def _double_start(b, d, eig_index):

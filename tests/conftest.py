@@ -49,9 +49,9 @@ def cold_higher_eigenvalues(b, d, k):
     carried vectors or half-size ladder."""
     if k == 0:
         return np.zeros(0)
-    lp = tridiag.log_pi(b, d)
+    w = tridiag.pi_weights(tridiag.log_pi(b, d))
     return np.array([
-        tridiag.rayleigh_quotient(b, d, tridiag._inverse_iteration(b, d, idx, lam_hat), lp)
+        tridiag.rayleigh_quotient(b, d, tridiag._inverse_iteration(b, d, idx, lam_hat), w)
         for idx, lam_hat in enumerate(tridiag.eigenvalues(b, d, 1, k), start=1)
     ])
 

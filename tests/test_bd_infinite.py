@@ -463,6 +463,18 @@ class TestLyapunov:
         with pytest.raises(InvalidParameter):
             lyapunov_check(accelerated_poisson_family(), [1.0], 0.5, 1)
 
+    @pytest.mark.parametrize("phi, lam", [
+        ([1.0, np.nan, 1.0, 1.0, 1.0], 0.5),
+        ([1.0, np.inf, 1.0, 1.0, 1.0], 0.5),
+        ([1.0, 1.0, 1.0, 1.0, 1.0], np.nan),
+        ([1.0, 1.0, 1.0, 1.0, 1.0], np.inf),
+    ], ids=["nan-phi", "inf-phi", "nan-lam", "inf-lam"])
+    def test_non_finite_input_rejected(self, phi, lam):
+        # a NaN gave (False, nan) and an infinite phi a raw RuntimeWarning;
+        # an infinite lam is no rate either
+        with pytest.raises(InvalidParameter):
+            lyapunov_check(poisson_family(), phi, lam, 5)
+
 
 class TestDirichletForm:
     def test_eigenvector_attains_ground_value(self):
@@ -480,6 +492,13 @@ class TestDirichletForm:
         f[0] = 1.0
         b, d = fam.realize(n)
         assert dirichlet_form(fam, f, n) == pytest.approx(d[0] + b[0], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("f", [[1.0, np.nan, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0],
+                                   [1.0, np.inf, 1.0, 1.0]], ids=["nan", "zero", "inf"])
+    def test_bad_vector_rejected(self, f):
+        # a NaN gave nan, and a zero or infinite f a raw RuntimeWarning
+        with pytest.raises(InvalidParameter):
+            dirichlet_form(poisson_family(), f, 4)
 
     def test_random_vectors_dominate_ground_value(self):
         fam = poisson_family()

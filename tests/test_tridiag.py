@@ -2,29 +2,34 @@
 wide eigenvector spreads, and agreement with the multi-precision oracle."""
 
 import decimal
+import math
 import warnings
 from decimal import Decimal
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from qsamp import (
     InvalidParameter,
     NoConvergence,
+    QsampError,
     accelerated_poisson_family,
     amplitude,
     build_birth_death,
     build_rho_chain,
     dirichlet_eigenpair,
+    dirichlet_form,
     exact_bd_amplitude,
     lambda0_minor,
     poisson_family,
     rho_family,
 )
 from qsamp import tridiag
+from qsamp.bd_infinite import RateFamily
 from conftest import (
     cold_higher_eigenvalues, count_bisections, log_accelerated_family, pivot_digits_lost,
     random_birth_death,
@@ -325,6 +330,110 @@ def test_green_steps_do_not_settle_on_a_plateau():
         minor_lam = float(tridiag.mp_lambda(b[1:], d[1:], 0, dps=oracle_dps(b[1:], d[1:])))
         assert dirichlet_eigenpair(gen).lambda0 == pytest.approx(lam, rel=1e-13, abs=0)
         assert lambda0_minor(gen, 1) == pytest.approx(minor_lam, rel=1e-13, abs=0)
+
+
+# -- the Dirichlet-form Rayleigh quotient and power-of-two rate scales ------
+
+#: the power-of-two rate scales 2^k of the scale properties
+SCALES = (-600, 512, 900)
+
+
+def is_normal(x) -> bool:
+    return np.finfo(float).tiny <= abs(x) < math.inf
+
+
+def array_family(b, d):
+    """The chain (b, d) as a RateFamily, for the bd_infinite entry points."""
+    return RateFamily(lambda x: b[np.asarray(x, dtype=int) - 1],
+                      lambda x: d[np.asarray(x, dtype=int) - 1])
+
+
+@st.composite
+def quotient_inputs(draw):
+    """Rates log-uniform in [1e-3, 1e3] with n <= 300, and a vector whose
+    magnitudes are log-uniform in [1e-5, 1e5], positive or with drawn signs."""
+    b, d = draw(birth_death_rates(n_max=300, spread=1e3))
+    n = len(d)
+    v = np.exp(draw(st.lists(st.floats(np.log(1e-5), np.log(1e5)), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        v *= np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    return b, d, v
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(quotient_inputs())
+def test_linear_quotient_matches_the_log_form_at_any_scale(inputs):
+    b, d, v = inputs
+    with mock.patch.object(tridiag, "_log_quotient", wraps=tridiag._log_quotient) as log_form:
+        q = tridiag.rayleigh_quotient(b, d, v)
+    for k in SCALES:
+        if is_normal(math.ldexp(q, k)):
+            scaled = tridiag.rayleigh_quotient(np.ldexp(b, k), np.ldexp(d, k), v)
+            assert math.ldexp(scaled, -k) == pytest.approx(q, rel=1e-12, abs=0)
+    assume(log_form.call_count == 0)  # the linear sums stood
+    log_q = tridiag._log_quotient(b, d, v, tridiag.log_pi(b, d))
+    assert q == pytest.approx(log_q, rel=1e-12, abs=0)
+
+
+def test_quotient_takes_the_log_form_only_where_the_sums_underflow(monkeypatch):
+    # the index-3 vector of rho_family(0.5) at 1100 states grows where pi
+    # falls, so pi v^2 is below the smallest normal double everywhere; the
+    # ground vector of a log-accelerated chain keeps the linear sums even
+    # at 16,384 states, where pi underflows on all but 170 of them
+    b, d = log_accelerated_family(3).realize(16384)
+    lam, phi, _ = tridiag.ground_pair(b, d)
+    calls = []
+    log_form = tridiag._log_quotient
+    monkeypatch.setattr(tridiag, "_log_quotient", lambda *a: calls.append(1) or log_form(*a))
+    assert tridiag.rayleigh_quotient(b, d, phi) == pytest.approx(lam, rel=1e-12, abs=0)
+    assert calls == []
+    b, d = rho_family(0.5).realize(1100)
+    ref = tridiag.eigenvalues(b, d, 3, 3)[0]
+    v = tridiag._inverse_iteration(b, d, 3, ref)
+    assert abs(tridiag.rayleigh_quotient(b, d, v) - ref) <= 1e-8 * ref
+    assert len(calls) == 1
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(quotient_inputs())
+def test_truncation_values_at_any_power_of_two_scale(inputs):
+    # the higher eigenpairs run on the rates scaled into (0, 1), so their
+    # bits are the same at every scale; lambda0 of a chain whose ground pair
+    # raises is not compared
+    b, d, v = inputs
+    n, k_high = len(d), min(3, len(d) - 1)
+    try:
+        lam = tridiag.ground_pair(b, d)[0]
+    except QsampError:
+        lam = math.nan
+    higher = tridiag.higher_eigenvalues(b, d, k_high)
+    form = dirichlet_form(array_family(b, d), v, n)
+    for k in SCALES:
+        bk, dk = np.ldexp(b, k), np.ldexp(d, k)
+        if is_normal(math.ldexp(lam, k)):
+            scaled = tridiag.ground_pair(bk, dk)[0]
+            assert math.ldexp(scaled, -k) == pytest.approx(lam, rel=1e-12, abs=0)
+        if all(is_normal(x) for x in np.ldexp(higher, k)):
+            np.testing.assert_array_equal(tridiag.higher_eigenvalues(bk, dk, k_high),
+                                          np.ldexp(higher, k))
+        if is_normal(math.ldexp(form, k)):
+            scaled = dirichlet_form(array_family(bk, dk), v, n)
+            assert math.ldexp(scaled, -k) == pytest.approx(form, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_wide_spread_chain_at_any_power_of_two_scale(k):
+    # rho_family(0.5) at 1100 states: phi spans past 1e154, and at 2^-600 and
+    # 2^900 the shifted solves on the rates as given overflowed or
+    # underflowed, so the higher eigenvalues came out as 1.5 and 0.49999 (not
+    # 0.0858) and the ground pair's steps ran out from a poor start
+    b, d = rho_family(0.5).realize(1100)
+    lam = tridiag.ground_pair(b, d)[0]
+    higher = tridiag.higher_eigenvalues(b, d, 6)
+    bk, dk = np.ldexp(b, k), np.ldexp(d, k)
+    assert math.ldexp(tridiag.ground_pair(bk, dk)[0], -k) == pytest.approx(lam, rel=1e-12, abs=0)
+    np.testing.assert_array_equal(tridiag.higher_eigenvalues(bk, dk, 6), np.ldexp(higher, k))
+    np.testing.assert_allclose(higher, tridiag.eigenvalues(b, d, 1, 6), rtol=1e-12)
 
 
 # -- the multi-precision oracle: double start, mp Newton, Sturm certificate --
