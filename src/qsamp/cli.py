@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import bd_infinite, bounds, simulate, spectral
-from .errors import QsampError, UnknownCase
+from .errors import InvalidParameter, QsampError, UnknownCase
 from .generators import build_general, build_rho_chain, load_generator
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -155,6 +155,13 @@ def cmd_simulate(args):
     }
 
 
+def _numbers(spec: str, flag: str) -> list:
+    try:
+        return [float(v) for v in spec.split(",")]
+    except ValueError:
+        raise InvalidParameter(f"{flag} {spec}: not a comma-separated list of numbers") from None
+
+
 def _parse_mu0(spec: str, gen) -> np.ndarray:
     n = gen.n_states
     if spec == "uniform":
@@ -162,18 +169,23 @@ def _parse_mu0(spec: str, gen) -> np.ndarray:
     if spec == "qsd":
         return spectral.quasi_stationary_dist(gen)
     if spec.startswith("delta:"):
-        x = int(spec.split(":", 1)[1])
+        x = spec[len("delta:"):]
+        x = int(x) if x.isdecimal() else 0
+        if not 1 <= x <= n:
+            raise InvalidParameter(f"--mu0 {spec}: delta takes a state in 1..{n}")
         out = np.zeros(n)
         out[x - 1] = 1.0
         return out
-    vals = np.array([float(v) for v in spec.split(",")])
+    vals = np.array(_numbers(spec, "--mu0"))
+    if not (np.all(vals >= 0) and 0 < vals.sum() < math.inf):
+        raise InvalidParameter(f"--mu0 {spec}: weights must be nonnegative with a finite positive sum")
     return vals / vals.sum()
 
 
 def cmd_sandwich(args):
     gen = load_generator(args.input)
     mu0 = _parse_mu0(args.mu0, gen)
-    times = [float(t) for t in args.times.split(",")]
+    times = _numbers(args.times, "--times")
     rows = simulate.sandwich_experiment(gen, mu0, times)
     if (args.format or "csv") == "json":
         return 0, {

@@ -37,12 +37,16 @@ keyword of the estimators is accepted and has no effect: the kernel holds
 the GIL for most of a step, so threads cannot overlap its blocks.
 
 sandwich_experiment reads the conditioned and the Doob law off one
-uniformized series mu0 exp(tK) per time (expm_action), and nu off the
-eigenpair in hand; doob_transform's dense generator serves demos and checks.
+propagation mu0 exp(tK) per time, and nu off the eigenpair in hand;
+doob_transform's dense generator serves demos and checks.  expm_action
+sums the uniformized series at t / 2^s, where Theta t / 2^s <= 1/2, and
+squares the result s times: every step adds nonnegative terms, and the
+cost grows with log t rather than t.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -207,14 +211,22 @@ def _run_blocks(gen, starts, target, n, seed):
     return np.concatenate(elapsed), np.concatenate(hit)
 
 
+def _probability_vector(p, n_states, name):
+    """p as a float array, or InvalidParameter unless it has one finite,
+    nonnegative entry per state and sums to 1 within 1e-9."""
+    p = np.asarray(p, dtype=float)
+    if (p.shape != (n_states,) or not np.all(np.isfinite(p)) or np.any(p < 0)
+            or abs(p.sum() - 1) > 1e-9):
+        raise InvalidParameter(f"{name} must be a probability vector on the {n_states} states")
+    return p
+
+
 def _starts_array(gen, start, n, seed):
     if np.isscalar(start):
         if not 1 <= int(start) <= gen.n_states:
             raise InvalidParameter(f"start state {start} out of range")
         return np.full(n, int(start) - 1, dtype=np.int64)
-    dist = np.asarray(start, dtype=float)
-    if dist.shape != (gen.n_states,) or np.any(dist < 0) or abs(dist.sum() - 1) > 1e-9:
-        raise InvalidParameter("start distribution must be a probability vector")
+    dist = _probability_vector(start, gen.n_states, "start distribution")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5747]))
     return rng.choice(gen.n_states, size=n, p=dist / dist.sum())
 
@@ -298,46 +310,43 @@ def doob_stationary(gen: AbsorbingGenerator, eigenpair: DirichletEigenpair) -> n
     return out / out.sum()
 
 
-#: Poisson mass that the uniformized series of expm_action leaves out
-SERIES_TAIL = 1e-12
+#: Poisson weight at which expm_action's series stops.  The mass it leaves
+#: out is below this; s squarings multiply it by 2^s, as they multiply each
+#: rounding of 2^-53, so it stays 128 times below their rounding at any s.
+SERIES_STOP = 2.0 ** -60
 
 
 def expm_action(q: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """v exp(t Q) for a (sub-)Markovian generator Q by uniformization.
+    """v exp(t Q) for a (sub-)Markovian generator Q, by squaring the
+    uniformized step.
 
-    P = I + Q/Theta is entrywise nonnegative, so the Poisson-weighted series
-    preserves nonnegativity; it is truncated once the accumulated Poisson
-    mass reaches 1 - SERIES_TAIL.  Large Theta*t is split into segments to
-    keep the leading Poisson weight representable.
+    P = I + Q/Theta, Theta = max |Q(x,x)|, is entrywise nonnegative.  For
+    Theta t = f 2^e with 1/2 <= f < 1, s = max(0, e + 1) brings
+    x = Theta t / 2^s to at most 1/2.  E = sum_m e^-x x^m/m! P^m, which is
+    exp(t Q / 2^s), is summed until a weight falls below SERIES_STOP (about
+    16 terms) and squared s times.  Every sum and product adds nonnegative
+    terms (Xue & Ye, Numer. Math. 2008), at a cost of O(n^3 log(Theta t)),
+    and Q 2^k with t 2^-k gives the same bits.
     """
-    if t < 0:
-        raise InvalidParameter("time must be nonnegative")
-    theta = float(np.abs(np.diag(q)).max())
+    t, theta = float(t), float(np.abs(np.diag(q)).max())
+    if not (t >= 0 and theta * t < math.inf):
+        raise InvalidParameter(f"time {t} must be nonnegative with Theta t finite")
+    v = np.asarray(v, dtype=float)
     if t == 0 or theta == 0:
-        return np.asarray(v, dtype=float).copy()
-    segments = int(np.ceil(theta * t / 100.0))
-    p = q / theta + np.eye(q.shape[0])
-    out = np.asarray(v, dtype=float).copy()
-    for _ in range(segments):
-        out = _uniformized_segment(p, out, theta * t / segments, SERIES_TAIL / segments)
-    return out
-
-
-def _uniformized_segment(p, v, theta_t, tail):
-    weight = np.exp(-theta_t)
-    acc = weight * v
-    cum = weight
-    term = v.copy()
-    m = 0
-    while cum < 1.0 - tail:
+        return v.copy()
+    s = max(0, math.frexp(theta * t)[1] + 1)
+    x = math.ldexp(theta * t, -s)
+    p = q / theta + np.eye(len(q))
+    term, weight, m = np.eye(len(q)), math.exp(-x), 0
+    e = weight * term
+    while weight >= SERIES_STOP:
         m += 1
         term = term @ p
-        weight *= theta_t / m
-        acc += weight * term
-        cum += weight
-        if m > 10_000_000:  # defensive; segments keep theta_t <= 100
-            break
-    return acc
+        weight *= x / m
+        e += weight * term
+    for _ in range(s):
+        e = e @ e
+    return v @ e
 
 
 @dataclass(frozen=True)
@@ -365,11 +374,11 @@ def sandwich_experiment(gen: AbsorbingGenerator, mu0, times,
         (min phi / 2 max phi) * d_doob <= d_cond <= (2 max phi / min phi) * d_doob.
 
     The Doob generator is Phi^-1 K Phi + lambda0 I, so the Doob law at t is
-    the surviving law mu0 exp(tK) reweighted by phi and normalized.
+    the surviving law mu0 exp(tK) reweighted by phi and normalized.  A
+    survival mass below 1e-250 warns (UnderflowWarning); one that underflows
+    to 0 leaves no law to condition and raises InvalidParameter.
     """
-    mu0 = np.asarray(mu0, dtype=float)
-    if mu0.shape != (gen.n_states,) or np.any(mu0 < 0) or abs(mu0.sum() - 1) > 1e-9:
-        raise InvalidParameter("mu0 must be a probability vector on the states")
+    mu0 = _probability_vector(mu0, gen.n_states, "mu0")
     if eigenpair is None:
         eigenpair = dirichlet_eigenpair(gen)
     phi = eigenpair.phi
@@ -383,10 +392,10 @@ def sandwich_experiment(gen: AbsorbingGenerator, mu0, times,
     up_c = 2.0 * phi.max() / phi.min()
     rows = []
     for t in times:
-        if t < 0:
-            raise InvalidParameter("times must be nonnegative")
         raw = expm_action(k, mu0, float(t))
         mass = raw.sum()
+        if mass == 0:
+            raise InvalidParameter(f"survival mass underflows to 0 at t={t}")
         if mass < 1e-250:
             warnings.warn(f"survival mass {mass:.3e} at t={t}; conditioned law unreliable",
                           UnderflowWarning)

@@ -43,7 +43,8 @@ in a schedule of nested truncations (bd_infinite.eigen_convergence), or else
 the chain's own reflecting truncation at half its size, solved the same
 way down a ladder of halvings to fewer than 2 LADDER_BASE states.  One
 bisection call gives the first shifts at the foot of the ladder, re-shifted
-the same way; where a rung's warm solves fail, the climb stops and the
+the same way, and the Sturm count gives the value where no quotient
+vouches for one; where a rung's warm solves fail, the climb stops and the
 chain itself bisects.  So a schedule bisects only for the higher
 eigenvalues of its first truncation, and a single chain, when every rung
 holds, only on a prefix of fewer than 2 LADDER_BASE states.
@@ -277,6 +278,8 @@ def higher_eigenvalues(b, d, k, guesses=None):
     its eigenvalue through _shifted_quotient; if any does not, or is
     missing or not finite, they come from the half-size ladder of
     higher_eigenpairs, and from one bisection call where that fails too.
+    A bisection estimate that no quotient vouches for gives way to the
+    eigenvalue the Sturm count certifies (_bisected_pairs).
     """
     return higher_eigenpairs(b, d, k, guesses)[0]
 
@@ -288,7 +291,8 @@ LADDER_BASE = 64
 
 def higher_eigenpairs(b, d, k, guesses=None, starts=None):
     """(lambda_1..lambda_k, their vectors) of -K, from warm starts where
-    they can be vouched for.
+    they can be vouched for; a vector is None where only the Sturm count
+    vouches for its value (_bisected_pairs).
 
     First from guesses and their start vectors (length n each, such as a
     smaller truncation's vectors extended by padded, or None for three
@@ -330,19 +334,26 @@ def padded(v, n):
     """v extended to length n by its last entry; None stays None.  A
     smaller truncation's eigenvector padded this way starts the warm solves
     of ground_pair and higher_eigenpairs on the larger one."""
-    return None if v is None else np.pad(v, (0, n - len(v)), mode="edge")
+    return None if v is None else np.concatenate([v, np.full(n - len(v), v[-1])])
 
 
 def _bisected_pairs(b, d, k, w):
     """(lambda_1..lambda_k, vectors) from one bisection call: each pair by
-    _shifted_quotient from its eigenvalue estimate, or, where that cannot
-    vouch for one, the quotient of the vector inverse-iterated from it."""
+    _shifted_quotient from its eigenvalue estimate.  Where that cannot vouch
+    for one, the eigenvalue is the lower end of the adjacent doubles around
+    it that the differential Sturm count certifies (_bisected_start), with
+    the vector of _shifted_quotient started there, or None if that cannot
+    vouch either.  b and d are scaled to unit rates, so only an eigenvalue
+    below the double range (a start of 0) raises NoConvergence."""
     pairs = []
     for idx, lam_hat in enumerate(eigenvalues(b, d, 1, k), start=1):
         pair = _shifted_quotient(b, d, idx, lam_hat, w)
         if pair is None:
-            v = _inverse_iteration(b, d, idx, lam_hat)
-            pair = rayleigh_quotient(b, d, v, w), v
+            lam = _bisected_start(b.tolist(), d.tolist(), idx)
+            if lam == 0:
+                raise NoConvergence(f"eigenvalue {idx} is below the double range")
+            found = _shifted_quotient(b, d, idx, lam, w)
+            pair = lam, None if found is None else found[1]
         pairs.append(pair)
     lams, vectors = zip(*pairs)
     return np.array(lams), list(vectors)

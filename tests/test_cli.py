@@ -158,6 +158,23 @@ class TestSandwich:
         payload = json.loads(out)
         assert len(payload["rows"]) == 1
 
+    @pytest.mark.parametrize("mu0", ["delta:0", "delta:-1", "delta:5", "abc", "0,0", "1,-1"])
+    def test_bad_mu0_is_an_invalid_parameter(self, capsys, golden_file, mu0):
+        # delta:0 and delta:-1 would index from the end, and 0,0 and 1,-1
+        # have a zero sum to divide by
+        code, out, err = run(capsys, "sandwich", "--input", golden_file,
+                             "--mu0", mu0, "--times", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter:") and mu0 in err
+
+    @pytest.mark.parametrize("times", ["1,2000", "nan", "inf"])
+    def test_times_without_a_law_are_an_invalid_parameter(self, capsys, golden_file, times):
+        # the survival mass is 0 at t = 2000, so there is no law to condition
+        code, out, err = run(capsys, "sandwich", "--input", golden_file,
+                             "--mu0", "delta:2", "--times", times)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter:")
+
 
 class TestBd:
     def test_entrance(self, capsys):

@@ -9,6 +9,7 @@ from qsamp import (
     HeavyTailWarning,
     InvalidParameter,
     QsampError,
+    UnderflowWarning,
     absorption_times,
     amplitude,
     build_general,
@@ -25,7 +26,7 @@ from qsamp import (
     total_variation,
 )
 from qsamp import simulate, spectral
-from conftest import grid_walk, random_reversible_generator
+from conftest import grid_walk, random_cycle_with_chords, random_reversible_generator
 
 GOLDEN_LAM0 = (3 - math.sqrt(5)) / 2
 GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
@@ -344,6 +345,13 @@ class TestEstimatePsi:
         est = estimate_psi(golden, 0.0, 2, 5000, seed=3)
         assert est.mean == 1.0 and est.std_error == 0.0
 
+    def test_nan_in_the_start_law(self, golden):
+        # NaN fails neither a sign nor a sum test
+        with pytest.raises(InvalidParameter):
+            estimate_psi(golden, 0.1, [math.nan, 1.0], 100, seed=3)
+        with pytest.raises(InvalidParameter):
+            absorption_times(golden, [math.nan, 1.0], 100, seed=3)
+
     def test_qsd_start_geometric_moment(self, golden):
         # from the quasi-stationary start the absorption time is exponential,
         # so the moment is lam0/(lam0 - lam)
@@ -412,18 +420,39 @@ class TestDoobTransform:
 
 class TestUniformization:
     def test_against_dense_expm_oracle(self, golden, rho1_chain10):
-        rng = np.random.default_rng(31)
-        for gen in (golden, rho1_chain10):
+        # nonnegative, and within 1e-12 of the mass; the reference rounds
+        # too, so t = 300 (6.0e-13 apart) would test little
+        rng, draws = np.random.default_rng(31), np.random.default_rng(5)
+        chains = [golden, rho1_chain10]
+        chains += [random_reversible_generator(draws) for _ in range(10)]
+        chains += [random_cycle_with_chords(draws) for _ in range(10)]
+        for gen in chains:
             k = gen.k_matrix()
             v = rng.dirichlet(np.ones(gen.n_states))
             for t in (0.0, 0.3, 2.0, 30.0):
                 mine = expm_action(k, v, t)
                 oracle = v @ expm(k * t)
-                np.testing.assert_allclose(mine, oracle, atol=1e-12)
+                assert np.all(mine >= 0)
+                assert np.abs(mine - oracle).max() <= 1e-12 * oracle.sum()
+
+    @pytest.mark.parametrize("k", [-600, 512, 900])
+    def test_power_of_two_scale_gives_the_same_bits(self, k, golden):
+        rng = np.random.default_rng(5)
+        for gen in (golden, random_reversible_generator(rng), random_cycle_with_chords(rng)):
+            q = gen.k_matrix()
+            v = rng.dirichlet(np.ones(gen.n_states))
+            for t in (0.3, 2.0, 30.0):
+                assert np.array_equal(expm_action(np.ldexp(q, k), v, math.ldexp(t, -k)),
+                                      expm_action(q, v, t))
 
     def test_negative_time_rejected(self, golden):
         with pytest.raises(InvalidParameter):
             expm_action(golden.k_matrix(), np.array([1.0, 0.0]), -1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nan_and_infinite_times_rejected(self, t, golden):
+        with pytest.raises(InvalidParameter):
+            expm_action(golden.k_matrix(), np.array([1.0, 0.0]), t)
 
 
 class TestSandwich:
@@ -452,6 +481,24 @@ class TestSandwich:
     def test_invalid_mu0(self, golden):
         with pytest.raises(InvalidParameter):
             sandwich_experiment(golden, np.array([0.5, 0.4]), [1.0])
+
+    def test_nan_in_mu0(self, golden):
+        # NaN fails neither a sign nor a sum test
+        with pytest.raises(InvalidParameter):
+            sandwich_experiment(golden, [math.nan, 1.0], [1.0])
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nan_and_infinite_times_rejected(self, golden, t):
+        with pytest.raises(InvalidParameter):
+            sandwich_experiment(golden, [0.0, 1.0], [1.0, t])
+
+    def test_survival_mass_that_underflows(self, golden):
+        # lambda0 = 0.382: the mass is about 4e-266 at t = 1600 and 0 at 2000
+        with pytest.warns(UnderflowWarning, match="t=1600"):
+            (row,) = sandwich_experiment(golden, [0.0, 1.0], [1600.0])
+        assert math.isfinite(row.dist_conditioned) and math.isfinite(row.dist_doob)
+        with pytest.raises(InvalidParameter, match="t=2000"):
+            sandwich_experiment(golden, [0.0, 1.0], [1.0, 2000.0])
 
     @pytest.mark.parametrize("chain", ["golden", "reversible", "cycle-chords"])
     def test_one_series_per_time_and_nu_from_the_pair(self, chain, golden, monkeypatch):

@@ -546,6 +546,18 @@ def random_oracle_chains():
     return [random_birth_death(rng, n_max=299, low=1e-3, high=1e3) for _ in range(60)]
 
 
+@pytest.mark.parametrize("index", [0, 1])
+def test_higher_eigenvalues_the_quotient_cannot_vouch_for_match_the_oracle(index):
+    # no quotient vouches for the bisection estimates of these chains: on
+    # chain 0 (283 states) an inverse-iterated vector's quotient is 2.407e-26
+    # for all three, against 7.3e-27, 6.0e-21 and 1.9e-17
+    b, d = random_oracle_chains()[index]
+    lam = tridiag.higher_eigenvalues(b, d, 3)
+    dps = 30 + pivot_digits_lost(b, d)
+    ref = np.array([float(tridiag.mp_lambda(b, d, k, dps=dps)) for k in range(1, 4)])
+    np.testing.assert_allclose(lam, ref, rtol=1e-12)
+
+
 @pytest.mark.parametrize(
     "chains",
     [lambda: [criterion05_chain(i) for i in range(50)], random_oracle_chains,
