@@ -12,20 +12,26 @@ Four routes are provided:
   for reversible chains, and its exact birth-death sharpening, where the
   product over the state-1 minor spectrum equals the amplitude.
 
-Path selection maximizes P per (y, x) pair with a Bellman-Ford relaxation on
+Path selection maximizes P per (y, x) pair, a shortest-path search on
 edge costs -log(factor).  Costs within 1e-14 (1 + max |cost|) of each other
 tie, and ties prefer fewer edges, then the smaller predecessor state.  At
 or below the Dirichlet eigenvalue, cycle products never exceed one (each
 factor is at most the corresponding eigenvector ratio), so a negative cycle
 means the caller's lambda0 is above it, and raises InvalidParameter.
+Costs can be negative, so the search follows Johnson (JACM 1977): where
+one is, a Bellman-Ford relaxation from the first exit state gives that
+state's paths and a potential h, and one scipy.sparse.csgraph Dijkstra
+call on the reduced costs c(u, v) + h(u) - h(v) >= 0 serves every other
+exit state; with no negative cost it serves them all.  The ties come from
+the tight edges of each search, whose fewest-edge depths one unweighted
+search of all of them finds at once.
 Fewest-edge (geodesic) paths come instead from a breadth-first search of
-the generator's CSR rates (scipy.sparse.csgraph), which gives each state
-the first state in queue order that reaches it as its predecessor.
-Certificates are then propagated down the shortest-path tree of each exit
-state: a state takes its predecessor's path, P and Q and extends them by one
-edge, so P and Q are the same left-to-right products that path_weight and
-rough_weight form, and each exit state costs one pass over the edges on top
-of the search.
+the generator's CSR rates, which gives each state the first state in queue
+order that reaches it as its predecessor.  Either way the result is one
+predecessor array per exit state.  Certificates are built from it on
+demand, so P and Q are the same left-to-right products that path_weight
+and rough_weight form; the bound needs only the extreme ones, which a
+pointer-doubling sum of log factors over every path locates.
 
 The oriented diameter of the degree-diameter bound comes from eccentricity
 bounds (Takes & Kosters, CIKM 2011): a breadth-first search from one state,
@@ -38,10 +44,13 @@ settles after a few searches where all pairs would take ten thousand.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from . import tridiag
 from .errors import (
@@ -69,17 +78,79 @@ class PathCertificate:
     rough_weight: float  # Q(gamma)
 
 
+class PathCertificates(Mapping):
+    """Read-only (exit state y, state x) -> PathCertificate, each built on
+    demand by walking the predecessors from x back to y.
+
+    The arrays are flat over the pairs: the pair of the b-th exit state
+    (b = 0, 1, ...) and state x sits at b n + x - 1.  parent holds each pair's
+    predecessor in that numbering (negative at the exit state itself), and
+    factor[0] and factor[1] the factors rate / (exit-rate - lambda0) and
+    exit-rate / rate of its incoming path edge.  P and Q multiply them from
+    y onwards, the same left-to-right products that path_weight and
+    rough_weight form.  Keys run over the exit states in order, and over
+    x = 1..n for each.
+    """
+
+    def __init__(self, exits, n_states, parent, factor):
+        self._row = {int(y): b for b, y in enumerate(exits)}
+        self._n = n_states
+        self._parent, self._factor = parent, factor
+
+    def __getitem__(self, key):
+        try:
+            y, x = key
+            b = self._row[y]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if x not in range(1, self._n + 1):
+            raise KeyError(key)
+        return self._build(b * self._n + int(x) - 1)
+
+    def _build(self, i: int) -> PathCertificate:
+        """The certificate of the pair at flat index i."""
+        parent, p_factor, q_factor = self._lists
+        base = i - i % self._n - 1  # a flat index minus base is a state label
+        path = []
+        while i >= 0:
+            path.append(i)
+            i = parent[i]
+        path.reverse()
+        p = q = 1.0
+        for j in path[1:]:
+            p *= p_factor[j]
+            q *= q_factor[j]
+        return PathCertificate(tuple([j - base for j in path]), p, q)
+
+    @cached_property
+    def _lists(self) -> tuple:
+        return self._parent.tolist(), *self._factor.tolist()
+
+    def __iter__(self):
+        return ((y, x) for y in self._row for x in range(1, self._n + 1))
+
+    def __len__(self):
+        return len(self._parent)
+
+
 @dataclass(frozen=True)
 class PathBoundReport:
     """Per-pair chosen paths plus the resulting amplitude bounds."""
 
-    pairs: dict
+    pairs: PathCertificates
     bound: float
     rough_bound: float
     method: str
 
     def certificate(self, y: int, x: int) -> PathCertificate:
-        return self.pairs[(y, x)]
+        """The chosen path from exit state y to state x with its P and Q;
+        InvalidParameter unless y is an exit state and x a state."""
+        try:
+            return self.pairs[(y, x)]
+        except KeyError:
+            raise InvalidParameter(
+                f"no certificate for ({y}, {x}): y must be an exit state and x a state"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -132,6 +203,13 @@ def _bellman_ford(n, rows, cols, costs, src):
     rows, cols and costs are plain lists in (from, to) order.  Ties on cost
     prefer fewer edges, then the lexicographically smaller predecessor
     state.  Returns (parent, negative_cycle_flag).
+
+    path_bound runs this once, from the first exit state, and only when
+    some cost is negative; its tree gives the potential that makes every
+    other search a Dijkstra.  scipy's own routes fail on exactly these
+    costs: csgraph.johnson did not return on a two-state chain whose cycle
+    product is 1 at lambda0, and csgraph.bellman_ford, with no tolerance in
+    its negative-cycle test, raises at a chain's own lambda0.
     """
     inf = math.inf
     dist = [inf] * n
@@ -165,38 +243,72 @@ def _bellman_ford(n, rows, cols, costs, src):
     return parent, False
 
 
-def _tree_certificates(gen, parent, src, denom, exit_rates):
-    """(path, P, Q) per state, propagated down the predecessor tree of src.
-
-    parent holds each state's predecessor (0-based), negative where there
-    is none.  A child extends its parent's path by one edge and multiplies
-    in that edge's factor, so P and Q are the same left-to-right products
-    that path_weight and rough_weight form.  States the tree does not reach
-    from src get None.
-    """
+def _edge_index(gen: AbsorbingGenerator, u, v):
+    """Position in gen._coo of each edge (u, v), by one sorted-key lookup."""
+    rows, cols, _ = gen._coo
     n = gen.n_states
-    parent = np.asarray(parent, dtype=np.int64)
-    child = np.flatnonzero(parent >= 0)
-    child = child[child != src]
-    # the rate of every tree edge (parent, child), by one sorted-key lookup
+    return np.searchsorted(rows * n + cols, u * n + v)
+
+
+def _best_parents(gen: AbsorbingGenerator, denom, exits, lambda0) -> np.ndarray:
+    """Predecessors of the paths maximizing P, flat over the (exit, state)
+    pairs as in PathCertificates.
+
+    Costs are -log(factor).  Where one is negative, a Bellman-Ford search
+    from the first exit state gives its paths and, summed down its tree, a
+    potential h; the reduced costs max(c + h(u) - h(v), 0) then serve one
+    Dijkstra from the other exit states, and with no negative cost (h = 0)
+    that Dijkstra covers every exit state.  An edge is tight when
+    d(u) + c(u, v) <= d(v) + 1e-14 (1 + max |c|); a state's predecessor is
+    the smallest tight u whose fewest-tight-edge depth is one less than its
+    own.  Only where some state has two tight edges in are those depths
+    needed, and then one unweighted search of every exit state's tight
+    edges, stacked block-diagonally, gives them all.
+    """
+    n, m = gen.n_states, len(exits) * gen.n_states
     rows, cols, vals = gen._coo
-    rate_in = np.zeros(n)
-    rate_in[child] = vals[np.searchsorted(rows * n + cols, parent[child] * n + child)]
-    rate_in = rate_in.tolist()
-    children = [[] for _ in range(n)]
-    for v, u in zip(child.tolist(), parent[child].tolist()):
-        children[u].append(v)
-    certs = [None] * n
-    certs[src] = ((src + 1,), 1.0, 1.0)
-    stack = [src]
-    while stack:
-        u = stack.pop()
-        path, p, q = certs[u]
-        for v in children[u]:
-            r = rate_in[v]
-            certs[v] = (path + (v + 1,), p * (r / denom[u]), q * (exit_rates[u] / r))
-            stack.append(v)
-    return certs
+    costs = -(np.log(vals) - np.log(denom[rows]))
+    eps = 1e-14 * (1.0 + np.abs(costs).max()) if len(costs) else 0.0
+    parent = np.full(m, -1, dtype=np.int64)
+    first = 0  # exit states before this one are settled
+    if len(costs) and costs.min() < 0:
+        tree, neg_cycle = _bellman_ford(n, rows.tolist(), cols.tolist(), costs.tolist(), exits[0])
+        if neg_cycle:
+            raise InvalidParameter(
+                f"lambda0 = {lambda0!r} is above the Dirichlet eigenvalue: "
+                "a cycle of path factors has product above one"
+            )
+        # a cycle of factors whose product rounds to just above one may hand
+        # the source a predecessor, which it does not keep (a loop of other
+        # states would make the pointer doubling of path_bound raise)
+        parent[:n] = tree
+        parent[exits[0]] = -1
+        first = 1
+        if len(exits) == 1:
+            return parent
+        child = np.flatnonzero(parent[:n] >= 0)
+        step = np.zeros(n)
+        step[child] = costs[_edge_index(gen, parent[child], child)]
+        h = _sum_to_root(parent[:n], step)
+        costs = np.maximum(costs + h[rows] - h[cols], 0.0)
+    csr = gen._csr
+    dist = dijkstra(csr_matrix((costs, csr.indices, csr.indptr), shape=(n, n)),
+                    indices=exits[first:])
+    sources = np.arange(first, len(exits)) * n + exits[first:]
+    block, edge = np.nonzero(dist[:, rows] + costs <= dist[:, cols] + eps)
+    u, v = (block + first) * n + rows[edge], (block + first) * n + cols[edge]
+    count = np.bincount(v, minlength=m)
+    count[sources] = 0
+    if count.max() > 1:
+        tight = csr_matrix((np.ones(len(u)), (u, v)), shape=(m, m))
+        depth = dijkstra(tight, indices=sources, unweighted=True, min_only=True)
+        keep = depth[u] == depth[v] - 1
+        u, v = u[keep], v[keep]
+    best = np.full(m, m, dtype=np.int64)
+    np.minimum.at(best, v, u)
+    best[sources] = -1
+    parent[first * n:] = best[first * n:]
+    return parent
 
 
 def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
@@ -209,6 +321,13 @@ def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
     (min P)^-1 and the rough bound max Q over the same paths.  A lambda0
     that the best-path search finds above the Dirichlet eigenvalue raises
     InvalidParameter.
+
+    One pointer-doubling pass sums the log factors of every path, P and Q
+    side by side.  The pairs whose sums lie within rounding of the extreme
+    are candidates, and their products are then formed exactly, left to
+    right.  A sum of logs and a product formed left to right differ by at
+    most a few n ulps of (1 + n max |log factor|) in the log, so the pair
+    with the extreme exact product is always among the candidates.
     """
     if paths not in ("best", "geodesic"):
         raise InvalidParameter("paths must be 'best' or 'geodesic'")
@@ -216,30 +335,33 @@ def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
         lambda0 = dirichlet_eigenpair(gen).lambda0
     n = gen.n_states
     denom = _edge_factors(gen, lambda0)
-    rows, cols, vals = gen._coo
-    costs = -(np.log(vals) - np.log(denom[rows]))
-    rows, cols, costs = rows.tolist(), cols.tolist(), costs.tolist()
-    denom, exit_rates = denom.tolist(), (-gen.diagonal).tolist()
-    pairs = {}
-    for y in gen.absorbing_set:
-        src = y - 1
-        if paths == "geodesic":
-            parent = breadth_first_order(gen._csr, src, return_predecessors=True)[1]
-        else:
-            parent, neg_cycle = _bellman_ford(n, rows, cols, costs, src)
-            if neg_cycle:
-                raise InvalidParameter(
-                    f"lambda0 = {lambda0!r} is above the Dirichlet eigenvalue: "
-                    "a cycle of path factors has product above one"
-                )
-        certs = _tree_certificates(gen, parent, src, denom, exit_rates)
-        for x, cert in enumerate(certs, 1):
-            if cert is None:
-                raise InvalidParameter(f"no path from {y} to {x}; generator not irreducible?")
-            pairs[(y, x)] = PathCertificate(*cert)
-    worst = min(c.weight for c in pairs.values())
-    rough = max(c.rough_weight for c in pairs.values())
-    return PathBoundReport(pairs=pairs, bound=1.0 / worst, rough_bound=rough, method=paths)
+    exits = np.array(gen.absorbing_set) - 1
+    if paths == "geodesic":
+        trees = [breadth_first_order(gen._csr, y, return_predecessors=True)[1] for y in exits]
+        parent = np.concatenate([np.where(t >= 0, t + b * n, -1) for b, t in enumerate(trees)])
+    else:
+        parent = _best_parents(gen, denom, exits, lambda0)
+    # AbsorbingGenerator rejects reducible chains, so every pair has a path
+    child = np.flatnonzero(parent >= 0)
+    u, v = parent[child] % n, child % n
+    rate = gen._coo[2][_edge_index(gen, u, v)]
+    factor = np.ones((2, len(parent)))
+    factor[0, child] = rate / denom[u]
+    factor[1, child] = -gen.diagonal[u] / rate
+    certs = PathCertificates(exits + 1, n, parent, factor)
+    # -log P and log Q of every path side by side, so the largest of each
+    # marks the extreme product
+    logs = np.log(factor)
+    logs[0] *= -1.0
+    m = len(parent)
+    total = _sum_to_root(np.concatenate([parent, np.where(parent >= 0, parent + m, -1)]),
+                         logs.ravel()).reshape(2, m)
+    tol = 1e-15 * n * (1.0 + n * float(np.abs(logs).max()))
+    low_p, high_q = (np.flatnonzero(t >= t.max() - tol).tolist() for t in total)
+    built = {i: certs._build(i) for i in {*low_p, *high_q}}
+    worst = min(built[i].weight for i in low_p)
+    rough = max(built[i].rough_weight for i in high_q)
+    return PathBoundReport(pairs=certs, bound=1.0 / worst, rough_bound=rough, method=paths)
 
 
 def graph_bound(d: float, diameter: int, r: float, big_r: float) -> float:

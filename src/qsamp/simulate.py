@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EventBudgetExceeded, HeavyTailWarning, InvalidParameter, UnderflowWarning
-from .generators import AbsorbingGenerator
+from .generators import AbsorbingGenerator, _state_label
 from .spectral import DirichletEigenpair, _qsd, dirichlet_eigenpair, reversible_measure
 
 EVENT_BUDGET = 100_000_000
@@ -129,10 +129,9 @@ def sample_path(gen: AbsorbingGenerator, start: int, target: int | None,
 
     start == target reports an immediate hit at elapsed time zero.
     """
-    if not 1 <= start <= gen.n_states:
-        raise InvalidParameter(f"start state {start} out of range")
-    if target is not None and not 1 <= target <= gen.n_states:
-        raise InvalidParameter(f"target state {target} out of range")
+    start = _state(gen, start, "start")
+    if target is not None:
+        target = _state(gen, target, "target")
     target0 = None if target is None else target - 1
     elapsed, hit, events = _simulate_block(_jump_table(gen), np.array([start - 1]), target0, rng)
     return TrajectoryOutcome(bool(hit[0]), float(elapsed[0]), not hit[0], events)
@@ -221,11 +220,18 @@ def _probability_vector(p, n_states, name):
     return p
 
 
+def _state(gen, s, role) -> int:
+    """s as a state label of gen, or InvalidParameter unless it is an
+    integer in 1..n_states."""
+    s = _state_label(s)
+    if not 1 <= s <= gen.n_states:
+        raise InvalidParameter(f"{role} state {s} out of range")
+    return s
+
+
 def _starts_array(gen, start, n, seed):
     if np.isscalar(start):
-        if not 1 <= int(start) <= gen.n_states:
-            raise InvalidParameter(f"start state {start} out of range")
-        return np.full(n, int(start) - 1, dtype=np.int64)
+        return np.full(n, _state(gen, start, "start") - 1, dtype=np.int64)
     dist = _probability_vector(start, gen.n_states, "start distribution")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5747]))
     return rng.choice(gen.n_states, size=n, p=dist / dist.sum())
@@ -246,6 +252,7 @@ def estimate_ratio(gen: AbsorbingGenerator, lambda0: float, x: int, y: int,
                    n: int, seed: int, n_jobs: int = 1) -> EstimateWithCI:
     """Monte Carlo estimate of E[exp(lambda0 tau_y) 1{hit y before absorption}]
     starting from x; its expectation is phi(x)/phi(y).  n_jobs has no effect."""
+    x, y = _state(gen, x, "start"), _state(gen, y, "target")
     if x == y:
         return EstimateWithCI(1.0, 0.0, n, seed)
     starts = _starts_array(gen, x, n, seed)

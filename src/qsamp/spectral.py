@@ -171,14 +171,20 @@ def _sum_to_root(parent: np.ndarray, step: np.ndarray) -> np.ndarray:
     """Sum of step over each state's path up to its root, by pointer doubling.
 
     After round r every state holds the sum over its next 2^r ancestors, so
-    the loop runs log2 of the forest height times.
+    the loop runs log2 of the forest height times.  Predecessors that loop
+    never reach a root and raise NoConvergence.
     """
     n = len(parent)
     root = parent < 0
     anc = np.where(root, np.arange(n), parent)
     acc = np.where(root, 0.0, step)
-    while np.any(anc[anc] != anc):
-        acc, anc = acc + acc[anc], anc[anc]
+    for _ in range(n.bit_length() + 1):
+        up = anc[anc]
+        if (up == anc).all():
+            break
+        acc, anc = acc + acc[anc], up
+    if not root[anc].all():
+        raise NoConvergence("predecessor pointers form a loop that reaches no root")
     return acc
 
 

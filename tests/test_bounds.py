@@ -1,4 +1,5 @@
 import math
+import time
 from collections import deque
 from decimal import Decimal
 
@@ -206,6 +207,64 @@ def test_best_paths_are_optimal_with_fewest_edges_among_ties(seed):
                 assert best * (1 - 1e-12) <= cert.weight <= best
                 tied = [k for p, k in weights if p >= best * (1 - 1e-12)]
                 assert len(cert.path) - 1 == min(tied)
+
+
+class TestPathCertificates:
+    def test_pairs_are_a_read_only_mapping_in_exit_then_state_order(self):
+        gen = build_general(3, [(1, 2, 1.0), (2, 1, 1.0), (2, 3, 2.0), (3, 2, 0.5)], {1: 1.0, 3: 0.3})
+        rep = path_bound(gen, dirichlet_eigenpair(gen).lambda0)
+        assert list(rep.pairs) == [(1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (3, 3)]
+        assert len(rep.pairs) == 6
+        assert rep.pairs[(3, 1)].path == (3, 2, 1)
+        assert (2, 1) not in rep.pairs and (1, 4) not in rep.pairs and 5 not in rep.pairs
+        with pytest.raises(TypeError):
+            rep.pairs[(1, 2)] = rep.pairs[(1, 1)]
+
+    @pytest.mark.parametrize("key", [(2, 1), (0, 1), (1, 0), (1, 3), (1, 1.5)])
+    def test_bad_pair_raises_invalid_parameter(self, golden, key):
+        rep = path_bound(golden)
+        with pytest.raises(KeyError):
+            rep.pairs[key]
+        with pytest.raises(InvalidParameter, match="exit state"):
+            rep.certificate(*key)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(math.log(1e-3), math.log(1e3)), min_size=3, max_size=3))
+def test_two_state_chains_with_unit_cycle_product(log_rates):
+    # at lambda0 the cycle 1 -> 2 -> 1 has factor product exactly 1, the
+    # zero-cost cycle on which a Johnson reweighting need not terminate
+    a, b, c = (math.exp(r) for r in log_rates)
+    gen = build_general(2, [(1, 2, a), (2, 1, b)], {1: c})
+    pair = dirichlet_eigenpair(gen)
+    assert path_bound(gen, pair.lambda0).bound == pytest.approx(amplitude(pair), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("transitions, tree", [
+    ([(1, 2), (2, 1), (2, 3), (3, 2)], [-1, 2, 1]),
+    ([(1, 2), (2, 1), (2, 4), (3, 2), (4, 3)], [-1, 2, 3, 1]),
+])
+def test_bellman_ford_tree_that_does_not_span_raises(monkeypatch, transitions, tree):
+    # a loop of predecessors off the source could only come from a cycle of
+    # factors whose product rounds to just above one; it must raise rather
+    # than send the path walks round the loop.  Pointer doubling settles on
+    # the loop of two, and never settles on the loop of three.  State 3 has
+    # one way out, so its cost is negative and the Bellman-Ford search runs.
+    gen = build_general(len(tree), [(i, j, 1.0) for i, j in transitions], {1: 1.0})
+    monkeypatch.setattr(bounds, "_bellman_ford", lambda *args: (tree, False))
+    with pytest.raises(NoConvergence, match="loop"):
+        path_bound(gen, dirichlet_eigenpair(gen).lambda0)
+
+
+def test_large_grid_is_fast_and_beats_geodesic_paths():
+    gen = grid_walk(100, 100)
+    elapsed = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        best = path_bound(gen, 0.0)
+        elapsed.append(time.perf_counter() - t0)
+    assert min(elapsed) < 0.05
+    assert best.bound <= path_bound(gen, 0.0, paths="geodesic").bound
 
 
 class TestGraphBound:

@@ -132,6 +132,13 @@ class TestSimulate:
         assert abs(payload["deviation_sigmas"]) <= 4.0
         assert payload["n_samples"] == 20000
 
+    @pytest.mark.parametrize("states", [("2", "5"), ("0", "1")])
+    def test_state_out_of_range_is_an_invalid_parameter(self, capsys, golden_file, states):
+        code, out, err = run(capsys, "simulate", "--input", golden_file,
+                             "--from", states[0], "--to", states[1], "--samples", "100")
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter:") and "out of range" in err
+
     def test_seed_changes_result(self, capsys, golden_file):
         _, out1, _ = run(capsys, "--seed", "1", "simulate", "--input", golden_file,
                          "--from", "2", "--to", "1", "--samples", "5000")

@@ -314,6 +314,12 @@ class TestEstimateRatio:
         est = estimate_ratio(golden, GOLDEN_LAM0, 2, 2, 1000, seed=5)
         assert est.mean == 1.0 and est.std_error == 0.0
 
+    @pytest.mark.parametrize("x, y", [(2, 5), (2, 0), (0, 1), (3, 3)])
+    def test_states_out_of_range_rejected(self, golden, x, y):
+        # a target outside 1..n is never hit, which read as a mean of 0
+        with pytest.raises(InvalidParameter, match="out of range"):
+            estimate_ratio(golden, GOLDEN_LAM0, x, y, 100, seed=1)
+
     def test_golden_within_three_sigma(self, golden):
         pair = dirichlet_eigenpair(golden)
         est = estimate_ratio(golden, pair.lambda0, 2, 1, 100_000, seed=42)
@@ -344,6 +350,14 @@ class TestEstimatePsi:
     def test_lambda_zero_exact(self, golden):
         est = estimate_psi(golden, 0.0, 2, 5000, seed=3)
         assert est.mean == 1.0 and est.std_error == 0.0
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, 1.5, np.float64(2.0)])
+    def test_scalar_start_must_be_a_state_label(self, golden, start):
+        # int() raised on NaN and inf, and truncated 1.5 to state 1
+        with pytest.raises(InvalidParameter, match="not an integer"):
+            absorption_times(golden, start, 10, seed=1)
+        with pytest.raises(InvalidParameter, match="not an integer"):
+            estimate_psi(golden, 0.1, start, 10, seed=1)
 
     def test_nan_in_the_start_law(self, golden):
         # NaN fails neither a sign nor a sum test
