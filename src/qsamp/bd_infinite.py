@@ -65,6 +65,8 @@ class RateFamily:
             d = np.array([float(self.d(int(x))) for x in xs])
         if np.any(b <= 0) or np.any(d <= 0):
             raise InvalidParameter(f"family {self.name!r} produced a non-positive rate")
+        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(d))):
+            raise InvalidParameter(f"family {self.name!r} produced a NaN or infinite rate")
         return b, d
 
 
@@ -147,8 +149,10 @@ def _rate_expression(expr) -> Callable:
     body = build(tree.body)
 
     def rate(n):
+        # a NaN or inf from numpy reaches RateFamily.realize, which names it
         try:
-            return body(np.asarray(n, dtype=float))
+            with np.errstate(all="ignore"):
+                return body(np.asarray(n, dtype=float))
         except ArithmeticError as exc:
             raise InvalidParameter(f"rate expression {expr!r}: {exc}") from None
 
@@ -181,11 +185,17 @@ def log_pi_measure(rates: RateFamily, n: int) -> np.ndarray:
 
 
 def pi_measure(rates: RateFamily, n: int) -> np.ndarray:
-    """pi_1..pi_n computed in log-space and exponentiated at the end."""
+    """pi_1..pi_n computed in log-space and exponentiated at the end.
+
+    Raises InvalidParameter where some pi_x is not a finite double; the log
+    weights of log_pi_measure stay in range much longer.
+    """
     lp = log_pi_measure(rates, n)
-    if not np.all(np.isfinite(lp)):
-        raise OverflowError("log pi left the double range")
-    return np.exp(lp)
+    with np.errstate(over="ignore"):
+        pi = np.exp(lp)
+    if not np.all(np.isfinite(pi)):
+        raise InvalidParameter(f"pi_x for x <= {n} leaves the double range; use log_pi_measure")
+    return pi
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,10 @@ class SpectralBoundReport:
 
 
 def _edge_factors(gen: AbsorbingGenerator, lambda0: float):
-    """(u, v, rate, denom) per internal edge; denom = |L(u,u)| - lambda0."""
+    """denom = |L(x,x)| - lambda0 per state x (0-based array).
+
+    Raises SingularFactor where a denom is not safely positive.
+    """
     exit_rates = -gen.diagonal
     denom = exit_rates - lambda0
     bad = denom <= SINGULAR_RTOL * exit_rates

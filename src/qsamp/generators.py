@@ -6,12 +6,20 @@ and the absorption column as a per-state rate.  Diagonals are derived so that
 every full row sums to zero, which keeps the row-sum invariant exact up to a
 single rounding per row.
 
-The validated triplets give one derived structure, the canonical CSR matrix
-of the positive internal rates (0-based, rows in order, columns sorted, no
-repeats), built once and read-only.  Every structural query reads it: the
-strong-connectivity check, rate lookups, the graph searches of the bounds,
-the reversibility test and minors of the spectra, and the jump table of
-the Monte Carlo kernel.
+Construction is one numpy pass.  The triplets and the absorption pairs are
+converted to column arrays once, every check runs on those arrays, and the
+same pass sets the derived arrays, read-only: the canonical CSR matrix of
+the positive internal rates (0-based, rows in order, columns sorted, no
+repeats), the absorption rate per state and the diagonal.  Every structural
+query reads the CSR: the strong-connectivity check, rate lookups, the graph
+searches of the bounds, the reversibility test and minors of the spectra,
+and the jump table of the Monte Carlo kernel.
+
+build_general and build_graph_walk read user input entry by entry, so they
+type-check each entry and merge duplicates before construction.
+build_birth_death lays out the sorted triplets of its checked rate arrays
+with numpy and constructs the generator directly; build_rho_chain is one
+build_birth_death call.
 """
 
 from __future__ import annotations
@@ -46,6 +54,18 @@ class AbsorbingGenerator:
     transitions : tuple of (from_state, to_state, rate) with positive rates,
         strictly increasing in (from_state, to_state); 1-based labels.
     absorption : tuple of (state, rate) with positive absorption rates.
+    absorption_rates : read-only array, the absorption rate per state
+        (length n_states, 0-based order).
+    diagonal : read-only array, the derived diagonal of the full generator:
+        minus the total exit rate per state.
+
+    Only the first three are dataclass fields, so ==, hash, repr and JSON
+    read those.  Construction rejects, with InvalidParameter unless noted,
+    entries that are not numbers, labels that are not integers in 1..n,
+    diagonal entries, NaN or infinite rates, negative rates (NegativeRate),
+    unsorted or repeated (from, to) keys, no positive absorption
+    (NoAbsorption) and a chain that is not strongly connected
+    (NonIrreducible).
     """
 
     n_states: int
@@ -53,49 +73,38 @@ class AbsorbingGenerator:
     absorption: tuple
 
     def __post_init__(self):
-        if self.n_states < 1:
-            raise InvalidParameter("need at least one surviving state")
-        for i, j, r in self.transitions:
-            if not (1 <= i <= self.n_states and 1 <= j <= self.n_states):
-                raise InvalidParameter(f"transition ({i},{j}) out of range")
-            if i == j:
-                raise InvalidParameter("diagonal entries are derived, not supplied")
-            if r < 0:
-                raise NegativeRate(f"rate {r} on ({i},{j})")
-        csr = self._csr  # rejects unsorted or repeated (from, to) pairs
-        for i, r in self.absorption:
-            if not 1 <= i <= self.n_states:
-                raise InvalidParameter(f"absorption state {i} out of range")
-            if r < 0:
-                raise NegativeRate(f"absorption rate {r} at state {i}")
-        if not self.absorbing_set:
-            raise NoAbsorption("no state has a positive absorption rate")
-        n, _ = connected_components(csr, directed=True, connection="strong")
-        if n != 1:
-            raise NonIrreducible(
-                f"killed chain splits into {n} strongly connected components"
-            )
-
-    # -- derived structure -------------------------------------------------
-
-    @cached_property
-    def _csr(self) -> csr_matrix:
-        """The positive internal rates as a canonical CSR matrix (0-based).
-
-        Built straight from the triplets, whose (from, to) keys must
-        increase strictly, so no rate is summed or reordered on the way.
-        """
         n = self.n_states
-        rows = np.array([i - 1 for i, _, r in self.transitions if r > 0], dtype=np.int64)
-        cols = np.array([j - 1 for _, j, r in self.transitions if r > 0], dtype=np.int64)
-        vals = np.array([r for _, _, r in self.transitions if r > 0], dtype=float)
-        if np.any(np.diff(rows * n + cols) <= 0):
+        if n < 1:
+            raise InvalidParameter("need at least one surviving state")
+        i, j, r = _columns(self.transitions, 3,
+                           "transitions must be (from, to, rate) triples of numbers")
+        at, kill = _columns(self.absorption, 2, "absorption must be (state, rate) pairs of numbers")
+        _check_entries(self.transitions, np.concatenate((i, j)), r, n, "transition ({0},{1})",
+                       "rate {2} on ({0},{1})")
+        rows, cols = i.astype(np.int64) - 1, j.astype(np.int64) - 1
+        if np.count_nonzero(rows == cols):
+            raise InvalidParameter("diagonal entries are derived, not supplied")
+        if np.count_nonzero(np.diff(rows * n + cols) <= 0):
             raise InvalidParameter("transitions must be sorted by (from, to) without repeats")
+        _check_entries(self.absorption, at, kill, n, "absorption state {0}",
+                       "absorption rate {1} at state {0}")
+        keep = r > 0
+        rows, cols, vals = rows[keep], cols[keep], r[keep].astype(float)
         indptr = np.searchsorted(rows, np.arange(n + 1))
         csr = csr_matrix((vals, cols, indptr), shape=(n, n))
-        for a in (csr.data, csr.indices, csr.indptr):
-            a.setflags(write=False)
-        return csr
+        absorption_rates = np.bincount(at.astype(np.int64) - 1, weights=kill, minlength=n)
+        if not np.count_nonzero(absorption_rates > 0):
+            raise NoAbsorption("no state has a positive absorption rate")
+        n_comp, _ = connected_components(csr, directed=True, connection="strong")
+        if n_comp != 1:
+            raise NonIrreducible(f"killed chain splits into {n_comp} strongly connected components")
+        diagonal = -(np.bincount(rows, weights=vals, minlength=n) + absorption_rates)
+        for arr in (csr.data, csr.indices, csr.indptr, absorption_rates, diagonal):
+            arr.setflags(write=False)
+        # the dataclass is frozen: derived attributes go into the instance dict
+        vars(self).update(_csr=csr, absorption_rates=absorption_rates, diagonal=diagonal)
+
+    # -- derived structure -------------------------------------------------
 
     @cached_property
     def _coo(self):
@@ -104,26 +113,6 @@ class AbsorbingGenerator:
         csr = self._csr
         rows = np.repeat(np.arange(self.n_states, dtype=np.int64), np.diff(csr.indptr))
         return rows, csr.indices, csr.data
-
-    @cached_property
-    def absorption_rates(self) -> np.ndarray:
-        """Absorption rate per state (length n_states, 0-based order)."""
-        a = np.zeros(self.n_states)
-        for i, r in self.absorption:
-            a[i - 1] += r
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def diagonal(self) -> np.ndarray:
-        """Derived diagonal of the full generator: minus the total exit rate."""
-        rows, _, vals = self._coo
-        out = np.zeros(self.n_states)
-        np.add.at(out, rows, vals)
-        out += self.absorption_rates
-        out = -out
-        out.setflags(write=False)
-        return out
 
     @cached_property
     def absorbing_set(self) -> tuple:
@@ -136,9 +125,7 @@ class AbsorbingGenerator:
 
     def k_matrix(self) -> np.ndarray:
         """Dense killed generator (the n x n minor over surviving states)."""
-        rows, cols, vals = self._coo
-        k = np.zeros((self.n_states, self.n_states))
-        np.add.at(k, (rows, cols), vals)
+        k = self._csr.toarray()
         np.fill_diagonal(k, self.diagonal)
         return k
 
@@ -204,6 +191,40 @@ class AbsorbingGenerator:
         )
 
 
+def _columns(entries, width: int, message: str) -> list:
+    """The columns of entries, rows of width numbers, as integer or float arrays.
+
+    np.asarray never parses a string or reads None as NaN, so such entries
+    keep a dtype that is rejected here, as are rows of other lengths.
+    """
+    try:
+        cols = [np.asarray(c) for c in zip(*entries, strict=True)]
+        if not len(entries):
+            cols = [np.zeros(0)] * width
+    except (TypeError, ValueError):
+        raise InvalidParameter(message) from None
+    if len(cols) != width or any(c.ndim != 1 or c.dtype.kind not in "iuf" for c in cols):
+        raise InvalidParameter(message)
+    return cols
+
+
+def _check_entries(entries, labels, rates, n: int, entry: str, rate: str) -> None:
+    """Raise for an entry whose labels are not integers in 1..n, or whose
+    rate is not finite and nonnegative (NegativeRate when it is negative).
+
+    labels holds the entries' label columns one after another; entry and
+    rate are format strings over an entry that name it and its rate.
+    """
+    for mask, error, message in (
+        (labels != np.floor(labels), InvalidParameter, entry + ": state labels must be integers"),
+        ((labels < 1) | (labels > n), InvalidParameter, entry + " out of range"),
+        (~np.isfinite(rates), InvalidParameter, rate + " is not a finite number"),
+        (rates < 0, NegativeRate, rate),
+    ):
+        if np.count_nonzero(mask):
+            raise error(message.format(*entries[mask.argmax() % len(entries)]))
+
+
 def _json_entries(obj: dict, field: str, keys: tuple) -> list:
     """The entries of obj[field] as tuples of their keys' values."""
     entries = obj.get(field, [])
@@ -227,9 +248,10 @@ def build_general(
     ----------
     n_states : number of surviving states.
     transitions : iterable of (from_state, to_state, rate), 1-based labels.
-        Duplicate entries are summed; zero rates are dropped.  NaN or
-        infinite rates and labels that are not integers raise
-        InvalidParameter here, which every other constructor passes through.
+        Duplicate entries are summed; zero rates are dropped.  Each entry is
+        type-checked as it is read: a rate that is not a finite real number,
+        or a label that is not an integer (bools included), raises
+        InvalidParameter.
     absorption_rates : mapping state -> rate, or iterable of (state, rate).
     """
     merged: dict = {}
@@ -242,11 +264,9 @@ def build_general(
         if r > 0:
             merged[(i, j)] = merged.get((i, j), 0.0) + float(r)
     if isinstance(absorption_rates, Mapping):
-        pairs = absorption_rates.items()
-    else:
-        pairs = absorption_rates
+        absorption_rates = absorption_rates.items()
     absorb: dict = {}
-    for i, r in pairs:
+    for i, r in absorption_rates:
         i = _state_label(i)
         if not _is_finite_number(r):
             raise InvalidParameter(f"absorption rate {r!r} at state {i} is not a finite number")
@@ -254,11 +274,8 @@ def build_general(
             raise NegativeRate(f"absorption rate {r} at state {i}")
         if r > 0:
             absorb[i] = absorb.get(i, 0.0) + float(r)
-    return AbsorbingGenerator(
-        n_states=int(n_states),
-        transitions=tuple(sorted((i, j, r) for (i, j), r in merged.items())),
-        absorption=tuple(sorted(absorb.items())),
-    )
+    transitions = tuple(sorted((i, j, r) for (i, j), r in merged.items()))
+    return AbsorbingGenerator(int(n_states), transitions, tuple(sorted(absorb.items())))
 
 
 def _is_finite_number(r) -> bool:
@@ -286,21 +303,17 @@ def build_rho_chain(n: int, rho: float) -> AbsorbingGenerator:
         raise InvalidParameter("chain needs an interior; n >= 2")
     if rho <= 0:
         raise InvalidParameter("rho must be positive")
-    transitions = [(x, x + 1, float(rho)) for x in range(1, n)]
-    transitions += [(x + 1, x, 1.0) for x in range(1, n - 1)]
-    transitions.append((n, n - 1, 1.0 + float(rho)))
-    return build_general(n, transitions, {1: 1.0})
+    return build_birth_death(np.full(n - 1, float(rho)), np.r_[np.ones(n - 1), 1.0 + float(rho)])
 
 
 def build_graph_walk(edges: Iterable, absorbing_from: Iterable) -> AbsorbingGenerator:
     """Unit-rate walk on a directed edge set with absorption out of given states."""
     edges = list(edges)
-    states = sorted({v for e in edges for v in e})
+    states = {v for e in edges for v in e}
     if not states:
         raise InvalidParameter("empty edge set")
-    n = max(states)
     transitions = [(i, j, 1.0) for i, j in edges]
-    return build_general(n, transitions, {x: 1.0 for x in absorbing_from})
+    return build_general(max(states), transitions, {x: 1.0 for x in absorbing_from})
 
 
 def build_birth_death(b: Sequence, d: Sequence) -> AbsorbingGenerator:
@@ -317,9 +330,14 @@ def build_birth_death(b: Sequence, d: Sequence) -> AbsorbingGenerator:
         raise InvalidParameter("need len(b) == len(d) - 1 >= 0")
     if np.any(b <= 0) or np.any(d <= 0):
         raise InvalidParameter("birth-death rates must be strictly positive")
-    transitions = [(x, x + 1, float(b[x - 1])) for x in range(1, n)]
-    transitions += [(x, x - 1, float(d[x - 1])) for x in range(2, n + 1)]
-    return build_general(n, transitions, {1: float(d[0])})
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(d))):
+        raise InvalidParameter("birth-death rates must be finite numbers")
+    # (x, x+1, b_x) then (x+1, x, d_{x+1}) for x = 1..n-1: the (from, to) order
+    x = np.arange(1, n)
+    transitions = zip(np.column_stack((x, x + 1)).ravel().tolist(),
+                      np.column_stack((x + 1, x)).ravel().tolist(),
+                      np.column_stack((b, d[1:])).ravel().tolist())
+    return AbsorbingGenerator(n, tuple(transitions), ((1, float(d[0])),))
 
 
 @dataclass(frozen=True)

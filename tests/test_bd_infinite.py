@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import warnings
 from dataclasses import replace
 
@@ -35,7 +36,7 @@ from qsamp import (
     truncate_neumann,
 )
 from qsamp import tridiag
-from qsamp.bd_infinite import RateFamily, parse_rate_family
+from qsamp.bd_infinite import RateFamily, _rate_expression, parse_rate_family
 from conftest import (
     cold_higher_eigenvalues, count_bisections, log_accelerated_family, pivot_digits_lost,
 )
@@ -260,6 +261,7 @@ class TestTheoremBound:
         }
         out = theorem_bound(limits, tail_bound=0.0)
         assert out.bound == pytest.approx(1 + 2 / math.sqrt(5), abs=1e-9)
+        assert float(out) == out.bound
 
     def test_tail_inflates_bound_validly(self):
         series = eigen_convergence(
@@ -577,3 +579,37 @@ def test_rate_family_positivity_enforced():
     bad = RateFamily(lambda n: np.asarray(n, float) - 2.0, lambda n: np.ones_like(np.asarray(n, float)))
     with pytest.raises(InvalidParameter):
         bad.realize(5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: poisson_family().realize(0), "^need n >= 1$"),
+    (lambda: rho_family(0), "^rho must be positive$"),
+    (lambda: _rate_expression(2.0), "^rate expression must be a string, got 2.0$"),
+    (lambda: _rate_expression("n +"), r"^rate expression 'n \+': invalid syntax$"),
+    (lambda: eigen_convergence(poisson_family(), 1, [4, 8], tol=0), "^tol must be positive$"),
+    (lambda: RateFamily(_rate_expression("1 / (n - 1)"), _rate_expression("n")).realize(5),
+     "^family 'custom' produced a NaN or infinite rate$"),
+    (lambda: RateFamily(_rate_expression("(n - 1) / (n - 1)"), _rate_expression("n")).realize(5),
+     "NaN or infinite rate$"),
+    (lambda: RateFamily(_rate_expression("1"), _rate_expression("exp(1000 * n)")).realize(3),
+     "NaN or infinite rate$"),
+    (lambda: pi_measure(rho_family(2.0), 1100), "leaves the double range; use log_pi_measure$"),
+], ids=["realize-0", "rho-0", "expression-not-a-string", "expression-syntax-error",
+        "tol-0", "inf-rate", "nan-rate", "overflowing-rate", "pi-overflow"])
+def test_public_input_checks(call, message):
+    # the pytest ini turns RuntimeWarning into an error: none may escape
+    with pytest.raises(InvalidParameter, match=message):
+        call()
+
+
+def test_rate_expression_unary_minus():
+    rate = _rate_expression("-(1 - n) + -(-1)")
+    np.testing.assert_array_equal(rate(np.arange(1.0, 4.0)), [1.0, 2.0, 3.0])
+
+
+def test_realize_falls_back_to_integers_for_callbacks_that_reject_arrays():
+    # operator.index rejects an array, so both callbacks take the per-integer route
+    family = RateFamily(lambda x: float(operator.index(x) ** 0), lambda x: float(operator.index(x)))
+    b, d = family.realize(7)
+    want_b, want_d = poisson_family().realize(7)
+    assert b.tobytes() == want_b.tobytes() and d.tobytes() == want_d.tobytes()

@@ -14,6 +14,7 @@ from qsamp import (
     NotBirthDeath,
     NotReversible,
     SingularFactor,
+    SpectrumReport,
     amplitude,
     build_birth_death,
     build_general,
@@ -194,10 +195,21 @@ def simple_path_weights(gen, lambda0, src):
     return found
 
 
-@pytest.mark.parametrize("seed", range(60))
+#: a chain on which bounds._bellman_ford takes its equal-cost update (a tie
+#: won by fewer edges); 4 of 1693 valid draws of 5-6 states with rates in
+#: {1, 2, 4} do, and no seeded generator below does
+BELLMAN_FORD_TIE = (5, [(1, 3, 2.0), (2, 4, 1.0), (3, 1, 2.0), (3, 2, 2.0), (4, 3, 2.0),
+                        (4, 5, 2.0), (5, 2, 2.0), (5, 4, 2.0)], {4: 1.0})
+
+
+@pytest.mark.parametrize("seed", [*range(60), pytest.param(None, id="bellman-ford-tie")])
 def test_best_paths_are_optimal_with_fewest_edges_among_ties(seed):
-    rng = np.random.default_rng(seed)
-    for gen in (random_reversible_generator(rng, 7), random_cycle_with_chords(rng, n_max=7)):
+    if seed is None:
+        gens = (build_general(*BELLMAN_FORD_TIE),)
+    else:
+        rng = np.random.default_rng(seed)
+        gens = (random_reversible_generator(rng, 7), random_cycle_with_chords(rng, n_max=7))
+    for gen in gens:
         lam0 = dirichlet_eigenpair(gen).lambda0
         rep = path_bound(gen, lam0)
         for y in gen.absorbing_set:
@@ -446,3 +458,21 @@ class TestExactBirthDeath:
             gen = build_birth_death(b, d)
             amp = amplitude(dirichlet_eigenpair(gen))
             assert exact_bd_amplitude(gen) == pytest.approx(amp, rel=1e-8, abs=0)
+
+
+def _report(eigenvalues, measure):
+    """A reversible (measure given) or non-reversible report with lambda0' = 2."""
+    return SpectrumReport(np.array(eigenvalues), measure, 2.0, None)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: path_bound(build_rho_chain(3, 1.0), paths="shortest"), InvalidParameter,
+     "^paths must be 'best' or 'geodesic'$"),
+    (lambda: spectral_bound(_report([1.0, 3.0], None)), NotReversible,
+     "^spectral bound requires a reversible generator$"),
+    (lambda: spectral_bound(_report([1.0, 1.0, 3.0], np.ones(3))), DegenerateGap,
+     r"^eigenvalue .* <= lambda0 = 1\.0$"),
+], ids=["unknown-paths", "no-reversible-measure", "higher-eigenvalue-at-lambda0"])
+def test_public_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

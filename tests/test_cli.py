@@ -218,6 +218,16 @@ class TestBd:
         assert out == ""
         assert "InvalidParameter" in err
 
+    @pytest.mark.parametrize("command", ["entrance", "converge"])
+    def test_family_with_an_infinite_rate_exits_2(self, capsys, tmp_path, command):
+        # b_1 = 1/0: once NaN partial sums on entrance, a raw ValueError on converge
+        spec = tmp_path / "rates.json"
+        spec.write_text(json.dumps({"b": "1/(n-1)", "d": "n"}))
+        code, out, err = run(capsys, "bd", command, "--rates", str(spec))
+        assert code == 2
+        assert out == ""
+        assert f"InvalidParameter: family '{spec}' produced a NaN or infinite rate" in err
+
 
 class TestReproduce:
     def test_golden_case_cli(self, capsys):

@@ -284,3 +284,83 @@ def test_immutability(golden):
     with pytest.raises(Exception):
         golden.n_states = 5
     assert not golden.absorption_rates.flags.writeable
+
+
+GOLDEN_TRANSITIONS = ((1, 2, 1.0), (2, 1, 1.0))
+
+
+@pytest.mark.parametrize("transitions, absorption, message", [
+    (((1, 2, 1.0), (1.5, 1, 1.0)), ((1, 1.0),), r"transition \(1.5,1\): state labels must be integers"),
+    (((1, 2, np.inf), (2, 1, 1.0)), ((1, 1.0),), r"rate inf on \(1,2\) is not a finite number"),
+    (GOLDEN_TRANSITIONS, ((1, np.inf),), "absorption rate inf at state 1 is not a finite number"),
+    (((1, 2, np.nan), (2, 1, 1.0)), ((1, 1.0),), r"rate nan on \(1,2\) is not a finite number"),
+    (GOLDEN_TRANSITIONS, ((1, 1.0), (2, np.nan)), "absorption rate nan at state 2 is not"),
+    (((1, 2, "1.0"), (2, 1, 1.0)), ((1, 1.0),), r"\(from, to, rate\) triples of numbers"),
+    (((1, 2), (2, 1, 1.0)), ((1, 1.0),), r"\(from, to, rate\) triples of numbers"),
+    (GOLDEN_TRANSITIONS, ((1.5, 1.0),), "absorption state 1.5: state labels must be integers"),
+], ids=["float-label", "inf-rate", "inf-absorption", "nan-rate", "nan-absorption", "string-rate",
+        "pair-for-triple", "float-absorption-state"])
+def test_direct_construction_rejects_what_build_general_rejects(transitions, absorption, message):
+    # each of these was once accepted, misread (1.5 as state 1) or ended in
+    # a raw TypeError, ValueError or IndexError
+    with pytest.raises(InvalidParameter, match=message):
+        AbsorbingGenerator(2, transitions, absorption)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_general(0, [], {}), InvalidParameter, "need at least one surviving state"),
+    (lambda: build_general(2, [(1, 3, 1.0), (2, 1, 1.0)], {1: 1.0}), InvalidParameter,
+     r"^transition \(1,3\) out of range$"),
+    (lambda: build_general(2, [(1, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)], {1: 1.0}),
+     InvalidParameter, "^diagonal entries are derived, not supplied$"),
+    (lambda: build_general(2, GOLDEN_TRANSITIONS, {3: 1.0}), InvalidParameter,
+     "^absorption state 3 out of range$"),
+    (lambda: AbsorbingGenerator(2, ((1, 2, -1.0), (2, 1, 1.0)), ((1, 1.0),)), NegativeRate,
+     r"^rate -1.0 on \(1,2\)$"),
+    (lambda: AbsorbingGenerator(2, GOLDEN_TRANSITIONS, ((1, 1.0), (2, -2.0))), NegativeRate,
+     "^absorption rate -2.0 at state 2$"),
+    (lambda: build_graph_walk([(1, 2), (2, 3), (3, 1)], [1]).birth_death_rates(),
+     InvalidParameter, "^generator is not birth-death absorbed from state 1$"),
+    (lambda: build_rho_chain(5, 0), InvalidParameter, "^rho must be positive$"),
+    (lambda: build_graph_walk([], [1]), InvalidParameter, "^empty edge set$"),
+    (lambda: minor(build_rho_chain(3, 1.0), {4}), InvalidParameter, "^state 4 out of range$"),
+    (lambda: build_birth_death([np.inf], [1.0, 1.0]), InvalidParameter,
+     "^birth-death rates must be finite numbers$"),
+], ids=["no-state", "label-above-n", "diagonal", "absorption-above-n", "negative-rate",
+        "negative-absorption", "ring-birth-death-rates", "rho-zero", "empty-walk", "minor-above-n",
+        "inf-birth-death-rate"])
+def test_public_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_path_length_counts_edges():
+    assert len(Path((1, 2, 3))) == 2
+    assert len(Path((2,))) == 0
+
+
+@pytest.mark.parametrize("b, d", [
+    ([], [0.5]),
+    ([2.0], [1.0, 3.0]),
+    ([2.0, 3.0, 0.25], [0.5, 1.5, 2.5, 1e-300]),
+])
+def test_birth_death_builders_equal_build_general(b, d):
+    # the numpy layout of build_birth_death gives build_general's triplets,
+    # bit for bit, and so the same ==, hash and derived arrays
+    n = len(d)
+    triplets = [(x, x + 1, b[x - 1]) for x in range(1, n)] + [(x, x - 1, d[x - 1]) for x in range(2, n + 1)]
+    want = build_general(n, triplets, {1: d[0]})
+    got = build_birth_death(b, d)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    for name in ("diagonal", "absorption_rates"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.k_matrix().tobytes() == want.k_matrix().tobytes()
+    assert build_rho_chain(3, 2.0) == build_general(
+        3, [(1, 2, 2.0), (2, 1, 1.0), (2, 3, 2.0), (3, 2, 3.0)], {1: 1.0})
+
+
+def test_derived_arrays_are_read_only(golden):
+    csr = golden._csr
+    for arr in (golden.diagonal, golden.absorption_rates, csr.data, csr.indices, csr.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 0

@@ -568,3 +568,8 @@ class TestSandwich:
 def test_total_variation():
     assert total_variation([0.5, 0.5], [1.0, 0.0]) == pytest.approx(0.5)
     assert total_variation([0.2, 0.8], [0.2, 0.8]) == 0.0
+
+
+def test_estimate_psi_rejects_negative_lam(golden):
+    with pytest.raises(InvalidParameter, match="^lam must be nonnegative$"):
+        estimate_psi(golden, -0.1, 1, 10, seed=0)

@@ -875,3 +875,16 @@ def test_reversible_spectra_scale_by_powers_of_two_exactly(family, k):
         np.testing.assert_array_equal(scaled.eigenvalues, np.ldexp(base.eigenvalues, k))
         for x, vals in base.minor_spectra.items():
             np.testing.assert_array_equal(scaled.minor_spectra[x], np.ldexp(vals, k))
+
+
+def test_unknown_normalization_rejected(golden):
+    with pytest.raises(InvalidParameter, match="^normalization must be one of"):
+        dirichlet_eigenpair(golden, normalization="sum")
+
+
+def test_spectrum_report_lambda0_is_its_first_eigenvalue(golden):
+    report = full_spectrum(golden)
+    assert type(report.lambda0) is float
+    assert report.lambda0 == report.eigenvalues[0]
+    # -K = [[2, -1], [-1, 1]] has eigenvalues (3 -+ sqrt 5) / 2
+    assert report.lambda0 == pytest.approx((3 - math.sqrt(5)) / 2, rel=1e-14, abs=0)
