@@ -278,7 +278,7 @@ def _best_parents(gen: AbsorbingGenerator, denom, exits, lambda0) -> np.ndarray:
         tree, neg_cycle = _bellman_ford(n, rows.tolist(), cols.tolist(), costs.tolist(), exits[0])
         if neg_cycle:
             raise InvalidParameter(
-                f"lambda0 = {lambda0!r} is above the Dirichlet eigenvalue: "
+                f"lambda0 = {float(lambda0)!r} is above the Dirichlet eigenvalue: "
                 "a cycle of path factors has product above one"
             )
         # a cycle of factors whose product rounds to just above one may hand
@@ -442,7 +442,7 @@ def spectral_bound(report: SpectrumReport) -> SpectralBoundReport:
     factors = [1.0 - lam0 / lam0p] if not math.isinf(lam0p) else [1.0]
     for lk in lam[1:]:
         if lk <= lam0 * (1 + 1e-12):
-            raise DegenerateGap(f"eigenvalue {lk!r} <= lambda0 = {lam0!r}")
+            raise DegenerateGap(f"eigenvalue {float(lk)!r} <= lambda0 = {lam0!r}")
         factors.append(1.0 - lam0 / lk)
     prod = float(np.prod(factors))
     return SpectralBoundReport(bound=1.0 / prod, factors=tuple(factors))

@@ -82,7 +82,7 @@ def cmd_validate(args):
         "config": _config_echo(args),
         "valid": True,
         "n_states": gen.n_states,
-        "n_transitions": len(gen.transitions),
+        "n_transitions": gen._csr.nnz,
         "absorbing_states": list(gen.absorbing_set),
         "max_abs_row_sum": float(np.abs(row_sums).max()),
         "irreducible": True,

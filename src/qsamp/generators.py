@@ -1,31 +1,33 @@
 """Construction and validation of absorbing Markov generators.
 
 A generator lives on states 1..n plus one absorbing point (written oo below).
-Only off-diagonal rates are stored: internal transitions as sparse triplets
+Only off-diagonal rates are stored: internal transitions as a sparse matrix
 and the absorption column as a per-state rate.  Diagonals are derived so that
 every full row sums to zero, which keeps the row-sum invariant exact up to a
 single rounding per row.
 
-Construction is one numpy pass.  The triplets and the absorption pairs are
-converted to column arrays once, every check runs on those arrays, and the
-same pass sets the derived arrays, read-only: the canonical CSR matrix of
-the positive internal rates (0-based, rows in order, columns sorted, no
-repeats), the absorption rate per state and the diagonal.  Every structural
-query reads the CSR: the strong-connectivity check, rate lookups, the graph
-searches of the bounds, the reversibility test and minors of the spectra,
-and the jump table of the Monte Carlo kernel.
+A generator has one representation, built once and read-only: the canonical
+CSR matrix of its positive internal rates (0-based, rows in order, columns
+sorted, no repeats) and the absorption rate per state, with the diagonal set
+in the same pass.  Every structural query reads the CSR: the
+strong-connectivity check, rate lookups, the graph searches of the bounds,
+the reversibility test and minors of the spectra, and the jump table of the
+Monte Carlo kernel.  The triplet tuples transitions and absorption are
+derived from it when something reads them (JSON, repr).
 
-build_general and build_graph_walk read user input entry by entry, so they
-type-check each entry and merge duplicates before construction.
-build_birth_death lays out the sorted triplets of its checked rate arrays
-with numpy and constructs the generator directly; build_rho_chain is one
-build_birth_death call.
+Every way in shares one set of checks on whole columns.  The constructor
+and build_general read their entries as columns of labels and rates and
+reject labels that are not integers in 1..n (bools, floats, strings and
+None included), rates that are not finite nonnegative reals, and diagonal
+entries.  The constructor also asks for keys sorted without repeats, while
+build_general drops zero rates and sums repeated keys in input order.
+build_graph_walk runs the same label checks on its edge columns, with unit
+rates, and build_birth_death passes its rate arrays straight in.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,76 +37,73 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (
-    EmptyResult,
-    InvalidParameter,
-    NegativeRate,
-    NoAbsorption,
-    NonIrreducible,
-)
+from .errors import EmptyResult, InvalidParameter, NegativeRate, NoAbsorption, NonIrreducible
 
 
-@dataclass(frozen=True)
+# frozen makes every assignment raise; construction, ==, hash and repr are
+# the class's own, over the arrays that _assemble puts in the instance dict
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class AbsorbingGenerator:
     """Validated absorbing generator.
 
     Attributes
     ----------
     n_states : number of surviving states, labelled 1..n_states.
-    transitions : tuple of (from_state, to_state, rate) with positive rates,
-        strictly increasing in (from_state, to_state); 1-based labels.
-    absorption : tuple of (state, rate) with positive absorption rates.
     absorption_rates : read-only array, the absorption rate per state
         (length n_states, 0-based order).
     diagonal : read-only array, the derived diagonal of the full generator:
         minus the total exit rate per state.
+    transitions : tuple of (from_state, to_state, rate) with positive rates,
+        strictly increasing in (from_state, to_state); 1-based labels.
+    absorption : tuple of (state, rate) with positive absorption rates,
+        increasing in state.
 
-    Only the first three are dataclass fields, so ==, hash, repr and JSON
-    read those.  Construction rejects, with InvalidParameter unless noted,
-    entries that are not numbers, labels that are not integers in 1..n,
-    diagonal entries, NaN or infinite rates, negative rates (NegativeRate),
-    unsorted or repeated (from, to) keys, no positive absorption
-    (NoAbsorption) and a chain that is not strongly connected
-    (NonIrreducible).
+    The last two are derived from the CSR matrix when read.  ==, hash and
+    repr read the rates, so two generators with the same rates are equal
+    however they were built; the object is immutable.
+
+    AbsorbingGenerator(n_states, transitions, absorption) takes entries laid
+    out as the last two attributes, except that zero rates are allowed (and
+    dropped) and absorption states need not be sorted (repeats add up).  It
+    rejects, with InvalidParameter unless noted, an n_states that is not a
+    positive integer, entries that are not numbers, labels that are not
+    integers in 1..n (bools included), diagonal entries, NaN or infinite
+    rates, negative rates (NegativeRate), unsorted or repeated (from, to)
+    keys, no positive absorption (NoAbsorption) and a chain that is not
+    strongly connected (NonIrreducible).
     """
 
-    n_states: int
-    transitions: tuple
-    absorption: tuple
+    def __init__(self, n_states: int, transitions, absorption):
+        _build(self, n_states, transitions, absorption, strict=True)
 
-    def __post_init__(self):
-        n = self.n_states
-        if n < 1:
-            raise InvalidParameter("need at least one surviving state")
-        i, j, r = _columns(self.transitions, 3,
-                           "transitions must be (from, to, rate) triples of numbers")
-        at, kill = _columns(self.absorption, 2, "absorption must be (state, rate) pairs of numbers")
-        _check_entries(self.transitions, np.concatenate((i, j)), r, n, "transition ({0},{1})",
-                       "rate {2} on ({0},{1})")
-        rows, cols = i.astype(np.int64) - 1, j.astype(np.int64) - 1
-        if np.count_nonzero(rows == cols):
-            raise InvalidParameter("diagonal entries are derived, not supplied")
-        if np.count_nonzero(np.diff(rows * n + cols) <= 0):
-            raise InvalidParameter("transitions must be sorted by (from, to) without repeats")
-        _check_entries(self.absorption, at, kill, n, "absorption state {0}",
-                       "absorption rate {1} at state {0}")
-        keep = r > 0
-        rows, cols, vals = rows[keep], cols[keep], r[keep].astype(float)
-        indptr = np.searchsorted(rows, np.arange(n + 1))
-        csr = csr_matrix((vals, cols, indptr), shape=(n, n))
-        absorption_rates = np.bincount(at.astype(np.int64) - 1, weights=kill, minlength=n)
-        if not np.count_nonzero(absorption_rates > 0):
-            raise NoAbsorption("no state has a positive absorption rate")
-        n_comp, _ = connected_components(csr, directed=True, connection="strong")
-        if n_comp != 1:
-            raise NonIrreducible(f"killed chain splits into {n_comp} strongly connected components")
-        diagonal = -(np.bincount(rows, weights=vals, minlength=n) + absorption_rates)
-        for arr in (csr.data, csr.indices, csr.indptr, absorption_rates, diagonal):
-            arr.setflags(write=False)
-        # the dataclass is frozen: derived attributes go into the instance dict
-        vars(self).update(_csr=csr, absorption_rates=absorption_rates, diagonal=diagonal)
+    def __eq__(self, other):
+        return self._key == other._key if isinstance(other, AbsorbingGenerator) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return (f"AbsorbingGenerator(n_states={self.n_states!r}, "
+                f"transitions={self.transitions!r}, absorption={self.absorption!r})")
 
     # -- derived structure -------------------------------------------------
+
+    @cached_property
+    def _key(self) -> tuple:
+        """What == and hash read: n_states and the bytes of the rate arrays."""
+        csr = self._csr
+        arrays = (csr.indptr, csr.indices, csr.data, self.absorption_rates)
+        return (self.n_states, *(a.tobytes() for a in arrays))
+
+    @cached_property
+    def transitions(self) -> tuple:
+        rows, cols, rates = self._coo
+        return tuple(zip((rows + 1).tolist(), (cols + 1).tolist(), rates.tolist()))
+
+    @cached_property
+    def absorption(self) -> tuple:
+        states = np.flatnonzero(self.absorption_rates)
+        return tuple(zip((states + 1).tolist(), self.absorption_rates[states].tolist()))
 
     @cached_property
     def _coo(self):
@@ -117,7 +116,7 @@ class AbsorbingGenerator:
     @cached_property
     def absorbing_set(self) -> tuple:
         """States with a positive absorption rate (1-based, sorted)."""
-        return tuple(int(i) + 1 for i in np.nonzero(self.absorption_rates > 0)[0])
+        return tuple(state for state, _ in self.absorption)
 
     @property
     def max_rate(self) -> float:
@@ -131,7 +130,7 @@ class AbsorbingGenerator:
 
     def rate(self, i: int, j: int) -> float:
         """Off-diagonal rate from i to j (1-based); j=0 queries absorption."""
-        n = self.n_states
+        i, j, n = _state_label(i), _state_label(j), self.n_states
         if not (1 <= i <= n and 0 <= j <= n):
             raise InvalidParameter(f"rate ({i},{j}) out of range for {n} states")
         if j == 0:
@@ -147,9 +146,7 @@ class AbsorbingGenerator:
     def is_birth_death(self) -> bool:
         """True when jumps only connect neighbours and absorption exits state 1."""
         rows, cols, _ = self._coo
-        if np.any(np.abs(rows - cols) != 1):
-            return False
-        return self.absorbing_set == (1,)
+        return self.absorbing_set == (1,) and not np.any(np.abs(rows - cols) != 1)
 
     def birth_death_rates(self):
         """Return (b, d): up-rates b_1..b_{n-1} and down-rates d_1..d_n.
@@ -170,125 +167,171 @@ class AbsorbingGenerator:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_states": self.n_states,
-            "transitions": [
-                {"from": i, "to": j, "rate": r} for i, j, r in self.transitions
-            ],
-            "absorption": [{"state": i, "rate": r} for i, r in self.absorption],
-        }
+        return {"n_states": self.n_states,
+                "transitions": [{"from": i, "to": j, "rate": r} for i, j, r in self.transitions],
+                "absorption": [{"state": i, "rate": r} for i, r in self.absorption]}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "AbsorbingGenerator":
         if not isinstance(obj, dict):
             raise InvalidParameter("generator JSON must be an object")
-        if not isinstance(obj.get("n_states"), int):
-            raise InvalidParameter("generator JSON needs an integer 'n_states'")
-        return build_general(
-            obj["n_states"],
-            _json_entries(obj, "transitions", ("from", "to", "rate")),
-            dict(_json_entries(obj, "absorption", ("state", "rate"))),
-        )
+        return build_general(obj.get("n_states"),
+                             _json_entries(obj, "transitions", ("from", "to", "rate")),
+                             _json_entries(obj, "absorption", ("state", "rate")))
 
 
-def _columns(entries, width: int, message: str) -> list:
-    """The columns of entries, rows of width numbers, as integer or float arrays.
+def _build(gen, n_states, transitions, absorption, strict: bool):
+    """Check the entries of transitions and absorption and assemble gen.
 
-    np.asarray never parses a string or reads None as NaN, so such entries
-    keep a dtype that is rejected here, as are rows of other lengths.
+    strict gives the constructor's rules: zero rates are checked like any
+    other, keys must be sorted without repeats, a label that is not an
+    integer is named by its entry and a rate that is not a number by the
+    malformed input.  Otherwise (build_general) zero rates are dropped before
+    the keys are checked, repeated keys add up, and a bad label or rate is
+    named by itself.
+    """
+    if not _is_label_type(type(n_states)):
+        raise InvalidParameter(f"n_states {n_states!r} is not an integer")
+    if n_states < 1:
+        raise InvalidParameter("need at least one surviving state")
+    n = int(n_states)
+    (rows, cols), rates = _entries(
+        transitions, 3, n, strict, "transitions must be (from, to, rate) triples of numbers",
+        "transition ({0},{1})", "rate {2} on ({0},{1})")
+    return _finish(gen, n, rows, cols, rates, absorption, strict)
+
+
+def _finish(gen, n: int, rows, cols, rates, absorption, strict: bool):
+    """_build after the transitions' entries are checked: the diagonal and
+    order checks, then the absorption entries."""
+    if np.count_nonzero(rows == cols):
+        raise InvalidParameter("diagonal entries are derived, not supplied")
+    if strict and np.count_nonzero(np.diff(rows * n + cols) <= 0):
+        raise InvalidParameter("transitions must be sorted by (from, to) without repeats")
+    (states,), kill = _entries(
+        absorption, 2, n, strict, "absorption must be (state, rate) pairs of numbers",
+        "absorption state {0}", "absorption rate {1} at state {0}")
+    return _assemble(gen, n, rows, cols, rates, states, kill)
+
+
+def _entries(entries, width: int, n: int, strict: bool, shape: str, entry: str, rate: str | None):
+    """The label columns of entries, rows of width values, as 0-based int64
+    arrays, and their rate column (the last, or unit rates where rate is
+    None) as a float array.
+
+    Raises InvalidParameter for rows that are not of width values (message
+    shape), for the first label that is not an integer (bools included), for
+    the first rate that is not a finite real number and for the first label
+    outside 1..n, and NegativeRate for the first negative rate.  entry and
+    rate are format strings over a row that name it and its rate; see
+    _build for strict.
     """
     try:
-        cols = [np.asarray(c) for c in zip(*entries, strict=True)]
-        if not len(entries):
-            cols = [np.zeros(0)] * width
+        entries = tuple(entries)
+        cols = list(zip(*entries, strict=True)) if entries else [()] * width
     except (TypeError, ValueError):
-        raise InvalidParameter(message) from None
-    if len(cols) != width or any(c.ndim != 1 or c.dtype.kind not in "iuf" for c in cols):
-        raise InvalidParameter(message)
-    return cols
+        cols = ()
+    if len(cols) != width:
+        raise InvalidParameter(shape)
+    *labels, rates = cols if rate else (*cols, (1.0,) * len(entries))
+    for c in labels:
+        k = _first_of_type(c, _is_label_type)
+        if k is not None:
+            if not strict:
+                _state_label(c[k])
+            raise InvalidParameter(entry.format(*entries[k]) + ": state labels must be integers")
+    k = _first_of_type(rates, lambda t: issubclass(t, numbers.Real))
+    if k is None:
+        r = np.array(rates, dtype=float)
+        k = _first(~np.isfinite(r))
+    elif strict:
+        raise InvalidParameter(shape)
+    if k is not None:
+        raise InvalidParameter(rate.format(*entries[k][:-1], repr(rates[k]))
+                               + " is not a finite number")
+    k = _first(r < 0)
+    if k is not None:
+        raise NegativeRate(rate.format(*entries[k]))
+    labels = [np.asarray(c) for c in labels]
+    if not strict:
+        labels, r = [c[r > 0] for c in labels], r[r > 0]
+    k = _first(np.any([(c < 1) | (c > n) for c in labels], axis=0))
+    if k is not None:
+        raise InvalidParameter(entry.format(*(c[k] for c in labels)) + " out of range")
+    return [c.astype(np.int64) - 1 for c in labels], r
 
 
-def _check_entries(entries, labels, rates, n: int, entry: str, rate: str) -> None:
-    """Raise for an entry whose labels are not integers in 1..n, or whose
-    rate is not finite and nonnegative (NegativeRate when it is negative).
+def _first_of_type(values, ok) -> int | None:
+    """Index of the first of values whose type fails ok, or None; ok is
+    asked once per type."""
+    bad = {t for t in set(map(type, values)) if not ok(t)}
+    return next(k for k, x in enumerate(values) if type(x) in bad) if bad else None
 
-    labels holds the entries' label columns one after another; entry and
-    rate are format strings over an entry that name it and its rate.
-    """
-    for mask, error, message in (
-        (labels != np.floor(labels), InvalidParameter, entry + ": state labels must be integers"),
-        ((labels < 1) | (labels > n), InvalidParameter, entry + " out of range"),
-        (~np.isfinite(rates), InvalidParameter, rate + " is not a finite number"),
-        (rates < 0, NegativeRate, rate),
-    ):
-        if np.count_nonzero(mask):
-            raise error(message.format(*entries[mask.argmax() % len(entries)]))
+
+def _first(mask: np.ndarray) -> int | None:
+    return int(mask.argmax()) if np.count_nonzero(mask) else None
+
+
+def _assemble(gen, n: int, rows, cols, rates, states, kill):
+    """Set gen's arrays from its internal rates (0-based rows and cols; zero
+    rates are dropped and repeated keys add up in input order) and its
+    absorption rates at states, after the NoAbsorption and NonIrreducible
+    checks."""
+    keep = rates > 0
+    keys, inverse = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    rates = np.bincount(inverse, weights=rates[keep]).astype(float, copy=False)
+    rows, cols = np.divmod(keys, n)
+    csr = csr_matrix((rates, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    absorption_rates = np.bincount(states, weights=kill, minlength=n)
+    if not np.count_nonzero(absorption_rates > 0):
+        raise NoAbsorption("no state has a positive absorption rate")
+    n_comp, _ = connected_components(csr, directed=True, connection="strong")
+    if n_comp != 1:
+        raise NonIrreducible(f"killed chain splits into {n_comp} strongly connected components")
+    diagonal = -(np.bincount(rows, weights=rates, minlength=n) + absorption_rates)
+    for arr in (csr.data, csr.indices, csr.indptr, absorption_rates, diagonal):
+        arr.setflags(write=False)
+    # the instance is frozen: its arrays go straight into the instance dict
+    vars(gen).update(n_states=n, _csr=csr, absorption_rates=absorption_rates, diagonal=diagonal)
+    return gen
 
 
 def _json_entries(obj: dict, field: str, keys: tuple) -> list:
     """The entries of obj[field] as tuples of their keys' values."""
     entries = obj.get(field, [])
-    if not isinstance(entries, list) or not all(
-        isinstance(e, dict) and all(k in e for k in keys) for e in entries
-    ):
-        raise InvalidParameter(
-            f"'{field}' must be a list of objects with keys {', '.join(keys)}"
-        )
+    if not isinstance(entries, list) or not all(isinstance(e, dict) and all(k in e for k in keys)
+                                                for e in entries):
+        raise InvalidParameter(f"'{field}' must be a list of objects with keys {', '.join(keys)}")
     return [tuple(e[k] for k in keys) for e in entries]
 
 
-def build_general(
-    n_states: int,
-    transitions: Iterable,
-    absorption_rates,
-) -> AbsorbingGenerator:
+def build_general(n_states: int, transitions: Iterable, absorption_rates) -> AbsorbingGenerator:
     """Build and validate a generator from sparse rate data.
 
     Parameters
     ----------
-    n_states : number of surviving states.
+    n_states : number of surviving states, an integer (not a bool).
     transitions : iterable of (from_state, to_state, rate), 1-based labels.
-        Duplicate entries are summed; zero rates are dropped.  Each entry is
-        type-checked as it is read: a rate that is not a finite real number,
-        or a label that is not an integer (bools included), raises
-        InvalidParameter.
+        Duplicate entries are summed in input order; zero rates are dropped.
+        A rate that is not a finite real number, or a label that is not an
+        integer (bools included), raises InvalidParameter.
     absorption_rates : mapping state -> rate, or iterable of (state, rate).
     """
-    merged: dict = {}
-    for i, j, r in transitions:
-        i, j = _state_label(i), _state_label(j)
-        if not _is_finite_number(r):
-            raise InvalidParameter(f"rate {r!r} on ({i},{j}) is not a finite number")
-        if r < 0:
-            raise NegativeRate(f"rate {r} on ({i},{j})")
-        if r > 0:
-            merged[(i, j)] = merged.get((i, j), 0.0) + float(r)
     if isinstance(absorption_rates, Mapping):
         absorption_rates = absorption_rates.items()
-    absorb: dict = {}
-    for i, r in absorption_rates:
-        i = _state_label(i)
-        if not _is_finite_number(r):
-            raise InvalidParameter(f"absorption rate {r!r} at state {i} is not a finite number")
-        if r < 0:
-            raise NegativeRate(f"absorption rate {r} at state {i}")
-        if r > 0:
-            absorb[i] = absorb.get(i, 0.0) + float(r)
-    transitions = tuple(sorted((i, j, r) for (i, j), r in merged.items()))
-    return AbsorbingGenerator(int(n_states), transitions, tuple(sorted(absorb.items())))
+    return _build(object.__new__(AbsorbingGenerator), n_states, transitions, absorption_rates,
+                  strict=False)
 
 
-def _is_finite_number(r) -> bool:
-    if type(r) is float:  # the common case, without the slower ABC check
-        return math.isfinite(r)
-    return isinstance(r, numbers.Real) and math.isfinite(r)
+def _is_label_type(t) -> bool:
+    """Whether t is a type of state labels: any integer type (numpy's too),
+    not bool."""
+    return t is int or (issubclass(t, numbers.Integral) and not issubclass(t, bool))
 
 
 def _state_label(i) -> int:
     """i as a state label: any integer type (numpy's too), not a bool."""
-    if type(i) is int:  # the common case, without the slower ABC check
-        return i
-    if not isinstance(i, numbers.Integral) or isinstance(i, bool):
+    if not _is_label_type(type(i)):
         raise InvalidParameter(f"state label {i!r} is not an integer")
     return int(i)
 
@@ -307,13 +350,20 @@ def build_rho_chain(n: int, rho: float) -> AbsorbingGenerator:
 
 
 def build_graph_walk(edges: Iterable, absorbing_from: Iterable) -> AbsorbingGenerator:
-    """Unit-rate walk on a directed edge set with absorption out of given states."""
-    edges = list(edges)
-    states = {v for e in edges for v in e}
-    if not states:
+    """Unit-rate walk on a directed edge set with absorption out of given states.
+
+    edges holds (from, to) pairs of state labels, and the states are 1..n for
+    the largest label n.  A repeated edge adds up; a repeated absorbing state
+    does not.
+    """
+    # n is the largest label, so only labels below 1 can be out of range
+    (rows, cols), rates = _entries(edges, 2, np.iinfo(np.int64).max, False,
+                                   "edges must be (from, to) pairs", "transition ({0},{1})", None)
+    if not len(rates):
         raise InvalidParameter("empty edge set")
-    transitions = [(i, j, 1.0) for i, j in edges]
-    return build_general(max(states), transitions, {x: 1.0 for x in absorbing_from})
+    n = int(max(rows.max(), cols.max())) + 1
+    return _finish(object.__new__(AbsorbingGenerator), n, rows, cols, rates,
+                   dict.fromkeys(absorbing_from, 1.0).items(), strict=False)
 
 
 def build_birth_death(b: Sequence, d: Sequence) -> AbsorbingGenerator:
@@ -323,21 +373,17 @@ def build_birth_death(b: Sequence, d: Sequence) -> AbsorbingGenerator:
     the absorption rate out of state 1.  The top state only jumps down (a
     reflecting cut at n).
     """
-    b = np.asarray(b, dtype=float)
-    d = np.asarray(d, dtype=float)
-    n = len(d)
-    if n < 1 or len(b) != n - 1:
-        raise InvalidParameter("need len(b) == len(d) - 1 >= 0")
+    b, d = np.asarray(b, dtype=float), np.asarray(d, dtype=float)
+    n = d.size
+    if b.ndim != 1 or d.ndim != 1 or n < 1 or b.size != n - 1:
+        raise InvalidParameter("need 1-D arrays with len(b) == len(d) - 1 >= 0")
     if np.any(b <= 0) or np.any(d <= 0):
         raise InvalidParameter("birth-death rates must be strictly positive")
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(d))):
         raise InvalidParameter("birth-death rates must be finite numbers")
-    # (x, x+1, b_x) then (x+1, x, d_{x+1}) for x = 1..n-1: the (from, to) order
-    x = np.arange(1, n)
-    transitions = zip(np.column_stack((x, x + 1)).ravel().tolist(),
-                      np.column_stack((x + 1, x)).ravel().tolist(),
-                      np.column_stack((b, d[1:])).ravel().tolist())
-    return AbsorbingGenerator(n, tuple(transitions), ((1, float(d[0])),))
+    x = np.arange(n - 1)  # x -> x+1 at b_x, x+1 -> x at d_{x+1} (0-based)
+    return _assemble(object.__new__(AbsorbingGenerator), n, np.r_[x, x + 1], np.r_[x + 1, x],
+                     np.r_[b, d[1:]], np.zeros(1, dtype=np.int64), d[:1])
 
 
 @dataclass(frozen=True)
@@ -351,7 +397,7 @@ class Path:
 
     def validate(self, gen: AbsorbingGenerator) -> None:
         for v in self.vertices:
-            if not 1 <= v <= gen.n_states:
+            if not 1 <= _state_label(v) <= gen.n_states:
                 raise InvalidParameter(f"vertex {v} out of range")
         for u, v in zip(self.vertices, self.vertices[1:]):
             if gen.rate(u, v) <= 0:
@@ -364,7 +410,7 @@ def minor(gen: AbsorbingGenerator, removed) -> np.ndarray:
     Rows keep their diagonal, so rate mass toward removed states acts as
     extra killing.  Removing every state raises EmptyResult.
     """
-    removed = {int(x) for x in removed}
+    removed = {_state_label(x) for x in removed}
     for x in removed:
         if not 1 <= x <= gen.n_states:
             raise InvalidParameter(f"state {x} out of range")

@@ -1,9 +1,13 @@
 import itertools
 import json
+import math
+import numbers
+from collections.abc import Mapping
 from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qsamp import (
     AbsorbingGenerator,
@@ -21,7 +25,7 @@ from qsamp import (
     minor,
     save_generator,
 )
-from conftest import random_reversible_generator
+from conftest import grid_walk, random_reversible_generator
 
 
 def test_singleton():
@@ -326,9 +330,33 @@ def test_direct_construction_rejects_what_build_general_rejects(transitions, abs
     (lambda: minor(build_rho_chain(3, 1.0), {4}), InvalidParameter, "^state 4 out of range$"),
     (lambda: build_birth_death([np.inf], [1.0, 1.0]), InvalidParameter,
      "^birth-death rates must be finite numbers$"),
+    (lambda: minor(build_rho_chain(3, 1.0), [1.5]), InvalidParameter,
+     "^state label 1.5 is not an integer$"),
+    (lambda: minor(build_rho_chain(3, 1.0), [True]), InvalidParameter,
+     "^state label True is not an integer$"),
+    (lambda: build_rho_chain(3, 1.0).rate(1.5, 2), InvalidParameter,
+     "^state label 1.5 is not an integer$"),
+    (lambda: build_rho_chain(3, 1.0).rate(1.0, 0), InvalidParameter,
+     "^state label 1.0 is not an integer$"),
+    (lambda: Path((1.5, 2)).validate(build_rho_chain(3, 1.0)), InvalidParameter,
+     "^state label 1.5 is not an integer$"),
+    (lambda: Path(("1", 2)).validate(build_rho_chain(3, 1.0)), InvalidParameter,
+     "^state label '1' is not an integer$"),
+    (lambda: build_general(2.5, GOLDEN_TRANSITIONS, {1: 1.0}), InvalidParameter,
+     "^n_states 2.5 is not an integer$"),
+    (lambda: build_general("2", GOLDEN_TRANSITIONS, {1: 1.0}), InvalidParameter,
+     "^n_states '2' is not an integer$"),
+    (lambda: build_general(True, [], {1: 1.0}), InvalidParameter,
+     "^n_states True is not an integer$"),
+    (lambda: build_graph_walk([(1, 2, 3), (2, 1)], [1]), InvalidParameter,
+     r"^edges must be \(from, to\) pairs$"),
+    (lambda: build_birth_death([[1.0]], [[1.0], [1.0]]), InvalidParameter,
+     r"^need 1-D arrays with len\(b\) == len\(d\) - 1 >= 0$"),
 ], ids=["no-state", "label-above-n", "diagonal", "absorption-above-n", "negative-rate",
         "negative-absorption", "ring-birth-death-rates", "rho-zero", "empty-walk", "minor-above-n",
-        "inf-birth-death-rate"])
+        "inf-birth-death-rate", "minor-float-label", "minor-bool-label", "rate-float-label",
+        "rate-float-absorption-label", "path-float-label", "path-string-label", "float-n-states",
+        "string-n-states", "bool-n-states", "walk-triple-for-pair", "birth-death-2d"])
 def test_public_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -364,3 +392,143 @@ def test_derived_arrays_are_read_only(golden):
     for arr in (golden.diagonal, golden.absorption_rates, csr.data, csr.indices, csr.indptr):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def test_equal_rates_make_equal_generators():
+    # ==, hash and repr read the rates, not the entries they were given as
+    direct = AbsorbingGenerator(3, ((1, 2, 1.0), (1, 3, 0.0), (2, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0)),
+                                ((3, 0.0), (1, 0.5), (1, 0.5)))
+    built = build_general(3, [(1, 2, 1.0), (2, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0)], {1: 1.0})
+    assert direct == built and hash(direct) == hash(built) and repr(direct) == repr(built)
+    assert direct.transitions == built.transitions and direct.absorption == ((1, 1.0),)
+    assert direct != build_general(3, [(1, 2, 1.0), (2, 1, 1.0), (2, 3, 1.0), (3, 2, 2.0)], {1: 1.0})
+    assert direct != build_general(3, [(1, 2, 1.0), (2, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0)], {1: 2.0})
+    assert direct != direct.transitions
+
+
+def test_triplet_tuples_are_derived_when_read():
+    gen = grid_walk(24, 24)
+    assert "transitions" not in vars(gen) and "absorption" not in vars(gen)
+    assert gen.transitions[:2] == ((1, 2, 1.0), (1, 25, 1.0)) and gen.absorption == ((1, 1.0),)
+    assert len(gen.transitions) == gen._csr.nnz == 4 * 24 * 23
+
+
+def _reference_state_label(i) -> int:
+    if type(i) is int:
+        return i
+    if not isinstance(i, numbers.Integral) or isinstance(i, bool):
+        raise InvalidParameter(f"state label {i!r} is not an integer")
+    return int(i)
+
+
+def _reference_is_finite_number(r) -> bool:
+    if type(r) is float:
+        return math.isfinite(r)
+    return isinstance(r, numbers.Real) and math.isfinite(r)
+
+
+def reference_build_general(n_states, transitions, absorption_rates):
+    """build_general as it once read its input, entry by entry: each entry
+    type-checked in Python, duplicates merged in two dicts and the merged
+    triplets sorted before construction."""
+    merged: dict = {}
+    for i, j, r in transitions:
+        i, j = _reference_state_label(i), _reference_state_label(j)
+        if not _reference_is_finite_number(r):
+            raise InvalidParameter(f"rate {r!r} on ({i},{j}) is not a finite number")
+        if r < 0:
+            raise NegativeRate(f"rate {r} on ({i},{j})")
+        if r > 0:
+            merged[(i, j)] = merged.get((i, j), 0.0) + float(r)
+    if isinstance(absorption_rates, Mapping):
+        absorption_rates = absorption_rates.items()
+    absorb: dict = {}
+    for i, r in absorption_rates:
+        i = _reference_state_label(i)
+        if not _reference_is_finite_number(r):
+            raise InvalidParameter(f"absorption rate {r!r} at state {i} is not a finite number")
+        if r < 0:
+            raise NegativeRate(f"absorption rate {r} at state {i}")
+        if r > 0:
+            absorb[i] = absorb.get(i, 0.0) + float(r)
+    transitions = tuple(sorted((i, j, r) for (i, j), r in merged.items()))
+    return AbsorbingGenerator(int(n_states), transitions, tuple(sorted(absorb.items())))
+
+
+RATES = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1e-300, 2.5, 1e300]),
+                  st.floats(0, 10, allow_nan=False), st.integers(0, 3), st.booleans(),
+                  st.integers(0, 3).map(np.int64))
+LABEL_TYPES = st.sampled_from([int, np.int64, np.int32])
+FAULTS = {
+    "rate": [math.nan, math.inf, -math.inf, np.float64(math.nan), -0.5, -2, np.int64(-1),
+             np.float64(-0.5), "1.0", None, 1 + 0j],
+    "label": [1.5, 2.0, True, False, "1", None, 0, -1, 7],
+}
+
+
+@st.composite
+def entry_lists(draw):
+    """(n, transitions, absorption) for build_general: a ring through
+    every state with positive rates, random extra entries (repeats, zero
+    rates and every accepted number type among them), absorption as a dict
+    or as pairs, all shuffled, and at most one corrupted entry."""
+    n = draw(st.integers(1, 6))
+    label = draw(LABEL_TYPES)
+    ring = [(x, x % n + 1, draw(st.floats(0.1, 10))) for x in range(1, n + 1)] if n > 1 else []
+    keys = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    pool = draw(st.sampled_from([keys, keys[:1]]))  # one key: many repeats to sum
+    extra = [(*draw(st.sampled_from(pool)), draw(RATES))
+             for _ in range(draw(st.integers(0, 8) if keys else st.just(0)))]
+    transitions = [(label(i), label(j), r) for i, j, r in draw(st.permutations(ring + extra))]
+    absorption = [(label(draw(st.integers(1, n))), draw(RATES))
+                  for _ in range(draw(st.integers(0, 3)))]
+    absorption.insert(draw(st.integers(0, len(absorption))), (1, draw(st.floats(0.1, 10))))
+    fault = draw(st.sampled_from([None, "rate", "label", "diagonal"]))
+    if fault == "diagonal":
+        x = label(draw(st.integers(1, n)))
+        transitions.insert(draw(st.integers(0, len(transitions))), (x, x, draw(RATES)))
+    elif fault is not None:
+        table = transitions if transitions and draw(st.booleans()) else absorption
+        k = draw(st.integers(0, len(table) - 1))
+        row = list(table[k])
+        if fault == "rate":
+            row[-1] = draw(st.sampled_from(FAULTS["rate"]))
+        else:
+            row[draw(st.integers(0, len(row) - 2))] = draw(st.sampled_from(FAULTS["label"]))
+        table[k] = tuple(row)
+    if draw(st.booleans()):
+        absorption = dict(absorption)
+    return n, transitions, absorption
+
+
+def _outcome(build, args):
+    try:
+        return build(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(entry_lists())
+@example((2, [(1, 2, 0.1), (1, 2, 0.2), (1, 2, 0.3), (2, 1, 1.0)], {1: 1.0}))
+@example((2, [(1, 2, 1.0), (2, 1, np.float64(math.nan))], [(1, 1.0)]))
+@example((2, [(1, 2, 1.0), (np.int32(2), 1, -math.inf)], {1: 1.0}))
+@example((3, [(1, 2, 1.0), (2, 3, 1.0), (2, 7, 0.0), (3, 1, 1.0), (2, 2, 0)], {1: True, 9: 0}))
+def test_build_general_matches_the_entry_by_entry_reference(case):
+    # the column checks, the np.unique merge and the bincount sums give the
+    # entry-by-entry build bit for bit, and raise what it raised; the
+    # example's repeats sum to 0.6000000000000001 in input order, and to 0.6
+    # by np.add.reduceat
+    n, transitions, absorption = case
+    want = _outcome(reference_build_general, (n, transitions, absorption))
+    got = _outcome(build_general, (n, transitions, absorption))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert got.transitions == want.transitions and got.absorption == want.absorption
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got._csr, name), getattr(want._csr, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.diagonal.tobytes() == want.diagonal.tobytes()
+    assert got.absorption_rates.tobytes() == want.absorption_rates.tobytes()
