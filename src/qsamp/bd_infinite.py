@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tridiag
 from .errors import GapViolation, InvalidParameter, NoConvergence, NotConverged
-from .generators import AbsorbingGenerator, build_birth_death
+from .generators import AbsorbingGenerator, _finite_real, _integer, build_birth_death
 
 INCONCLUSIVE = "inconclusive"
 YES = "yes"
@@ -267,9 +267,7 @@ def entrance_check(rates: RateFamily, cutoff: int) -> EntranceVerdict:
     A non-summable pi forces (S) to fail outright: every true term is
     infinite.
     """
-    if cutoff < 10:
-        raise InvalidParameter("cutoff must be at least 10")
-    m = int(cutoff)
+    m = _integer(cutoff, "cutoff", 10)
     b, d = rates.realize(m)
     lp = tridiag.log_pi(b, d)
     log_z = _log_prefix(lp)
@@ -324,9 +322,7 @@ def entrance_check(rates: RateFamily, cutoff: int) -> EntranceVerdict:
 def truncate_neumann(rates: RateFamily, n: int) -> AbsorbingGenerator:
     """Reflecting truncation at n: interior rates from the family, absorption
     d_1 out of state 1, and a top row that only jumps down at rate d_n."""
-    if n < 2:
-        raise InvalidParameter("truncation needs n >= 2")
-    b, d = rates.realize(n)
+    b, d = rates.realize(_integer(n, "n", 2))
     return build_birth_death(b, d)
 
 
@@ -383,8 +379,7 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
         raise InvalidParameter("schedule entries must be >= 2, as truncate_neumann requires")
     if tol <= 0:
         raise InvalidParameter("tol must be positive")
-    if n_max < 0:
-        raise InvalidParameter("n_max must be nonnegative")
+    n_max = _integer(n_max, "n_max", 0)
     rows = []
     rows_prime = []
     phi_list = []
@@ -553,8 +548,7 @@ def tail_sum_estimate(rates: RateFamily, n: int, n_used: int) -> float:
     only bound their limits from above, and the truncation carries finitely
     many modes).
     """
-    if n_used < 0:
-        raise InvalidParameter("n_used must be nonnegative")
+    n_used = _integer(n_used, "n_used", 0)
     b, d = rates.realize(n)
     if n_used >= n - 1:
         return 0.0
@@ -580,9 +574,7 @@ def gap_identity_check(rates: RateFamily, n: int) -> float:
     with phi' the minor eigenvector extended by phi'(1) = 0; it holds exactly
     for the truncated operators.
     """
-    if n < 2:
-        raise InvalidParameter("need n >= 2")
-    b, d = rates.realize(n)
+    b, d = rates.realize(_integer(n, "n", 2))
     lam0, phi, _ = tridiag.ground_pair(b, d)
     lam0p, phip, _ = tridiag.ground_pair(b[1:], d[1:])
     pis = tridiag.scaled_pi(b, d)
@@ -597,8 +589,7 @@ def gap_identity_check(rates: RateFamily, n: int) -> float:
 def hitting_time_from(rates: RateFamily, x: int) -> float:
     """Expected time to reach state 1 from x:
     sum_{y=1}^{x-1} (pi_y b_y)^-1 sum_{z=y+1}^{x} pi_z; zero for x = 1."""
-    if x < 1:
-        raise InvalidParameter("x must be >= 1")
+    x = _integer(x, "x", 1)
     if x == 1:
         return 0.0
     b, d = rates.realize(x)
@@ -622,8 +613,7 @@ def lyapunov_check(rates: RateFamily, phi, lam: float, n: int, tol: float = 1e-1
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (n,) or not np.all((phi > 0) & (phi < np.inf)):
         raise InvalidParameter("phi must be positive and finite on 1..n")
-    if not math.isfinite(lam):
-        raise InvalidParameter(f"lam must be finite, got {lam}")
+    lam = _finite_real(lam, "lam")
     b, d = rates.realize(n)
     x = np.arange(0, n - 1)
     phi_prev = np.concatenate([[0.0], phi[:-2]]) if n > 2 else np.array([0.0])

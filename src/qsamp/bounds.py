@@ -61,7 +61,7 @@ from .errors import (
     NotReversible,
     SingularFactor,
 )
-from .generators import AbsorbingGenerator, Path
+from .generators import AbsorbingGenerator, Path, _finite_real, _integer
 from .spectral import SpectrumReport, _sum_to_root, dirichlet_eigenpair
 
 SINGULAR_RTOL = 1e-14
@@ -162,10 +162,11 @@ class SpectralBoundReport:
 def _edge_factors(gen: AbsorbingGenerator, lambda0: float):
     """denom = |L(x,x)| - lambda0 per state x (0-based array).
 
-    Raises SingularFactor where a denom is not safely positive.
+    Raises InvalidParameter for a lambda0 that is not a finite number and
+    SingularFactor where a denom is not safely positive.
     """
     exit_rates = -gen.diagonal
-    denom = exit_rates - lambda0
+    denom = exit_rates - _finite_real(lambda0, "lambda0")
     bad = denom <= SINGULAR_RTOL * exit_rates
     if np.any(bad):
         x = int(np.nonzero(bad)[0][0]) + 1
@@ -371,8 +372,7 @@ def graph_bound(d: float, diameter: int, r: float, big_r: float) -> float:
     """Degree-diameter bound (R d / r)^D for rate-perturbed unit walks."""
     if d < 1:
         raise InvalidParameter("max out-degree must be >= 1")
-    if diameter < 0:
-        raise InvalidParameter("diameter must be >= 0")
+    _integer(diameter, "diameter", 0)
     if not 0 < r <= big_r:
         raise InvalidParameter("need 0 < r <= R")
     return float((big_r * d / r) ** diameter)
@@ -430,6 +430,8 @@ def spectral_bound(report: SpectrumReport) -> SpectralBoundReport:
 
     bound = ((1 - lambda0/lambda0') prod_{k>=1} (1 - lambda0/lambda_k))^-1.
     """
+    if not isinstance(report, SpectrumReport):
+        raise InvalidParameter("spectral_bound needs a SpectrumReport")
     if report.reversible_measure is None:
         raise NotReversible("spectral bound requires a reversible generator")
     lam = np.asarray(report.eigenvalues, dtype=float)
@@ -474,10 +476,10 @@ def exact_bd_amplitude(gen: AbsorbingGenerator, dps: int | None = None) -> float
     """
     if not gen.is_birth_death:
         raise NotBirthDeath("exact amplitude needs birth-death absorbed from state 1")
+    digits = 60 if dps is None else _integer(dps, "dps", 1)
     b, d = gen.birth_death_rates()
     if len(d) == 1:
         return 1.0
-    digits = 60 if dps is None else dps
     while True:
         lam = tridiag.mp_lambda(b, d, 0, dps=digits)
         ratio = tridiag.mp_detratio_minor(b, d, lam, dps=digits)

@@ -22,12 +22,15 @@ None included), rates that are not finite nonnegative reals, and diagonal
 entries.  The constructor also asks for keys sorted without repeats, while
 build_general drops zero rates and sums repeated keys in input order.
 build_graph_walk runs the same label checks on its edge columns, with unit
-rates, and build_birth_death passes its rate arrays straight in.
+rates, and build_birth_death checks only arrays of objects entry by entry,
+for real numbers, before passing its arrays straight in.  Scalar inputs
+anywhere in the package go through _integer, _state and _finite_real.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -130,7 +133,7 @@ class AbsorbingGenerator:
 
     def rate(self, i: int, j: int) -> float:
         """Off-diagonal rate from i to j (1-based); j=0 queries absorption."""
-        i, j, n = _state_label(i), _state_label(j), self.n_states
+        i, j, n = _integer(i), _integer(j), self.n_states
         if not (1 <= i <= n and 0 <= j <= n):
             raise InvalidParameter(f"rate ({i},{j}) out of range for {n} states")
         if j == 0:
@@ -190,11 +193,9 @@ def _build(gen, n_states, transitions, absorption, strict: bool):
     the keys are checked, repeated keys add up, and a bad label or rate is
     named by itself.
     """
-    if not _is_label_type(type(n_states)):
-        raise InvalidParameter(f"n_states {n_states!r} is not an integer")
-    if n_states < 1:
+    n = _integer(n_states, "n_states")
+    if n < 1:
         raise InvalidParameter("need at least one surviving state")
-    n = int(n_states)
     (rows, cols), rates = _entries(
         transitions, 3, n, strict, "transitions must be (from, to, rate) triples of numbers",
         "transition ({0},{1})", "rate {2} on ({0},{1})")
@@ -238,7 +239,7 @@ def _entries(entries, width: int, n: int, strict: bool, shape: str, entry: str, 
         k = _first_of_type(c, _is_label_type)
         if k is not None:
             if not strict:
-                _state_label(c[k])
+                _integer(c[k])
             raise InvalidParameter(entry.format(*entries[k]) + ": state labels must be integers")
     k = _first_of_type(rates, lambda t: issubclass(t, numbers.Real))
     if k is None:
@@ -329,11 +330,28 @@ def _is_label_type(t) -> bool:
     return t is int or (issubclass(t, numbers.Integral) and not issubclass(t, bool))
 
 
-def _state_label(i) -> int:
-    """i as a state label: any integer type (numpy's too), not a bool."""
-    if not _is_label_type(type(i)):
-        raise InvalidParameter(f"state label {i!r} is not an integer")
-    return int(i)
+def _integer(x, name: str = "state label", least: int | None = None) -> int:
+    """x as an int; InvalidParameter unless an integer (not a bool), >= least."""
+    if not _is_label_type(type(x)):
+        raise InvalidParameter(f"{name} {x!r} is not an integer")
+    if least is not None and x < least:
+        raise InvalidParameter(f"{name} must be at least {least}, got {x!r}")
+    return int(x)
+
+
+def _state(gen: AbsorbingGenerator, x, what: str = "state") -> int:
+    """x as a state of gen; InvalidParameter unless an integer in 1..n_states."""
+    x = _integer(x)
+    if not 1 <= x <= gen.n_states:
+        raise InvalidParameter(f"{what} {x} out of range")
+    return x
+
+
+def _finite_real(x, name: str) -> float:
+    """x as a float, or InvalidParameter unless it is a finite real number."""
+    if not (isinstance(x, numbers.Real) and math.isfinite(x)):
+        raise InvalidParameter(f"{name} {x!r} is not a finite number")
+    return float(x)
 
 
 def build_rho_chain(n: int, rho: float) -> AbsorbingGenerator:
@@ -342,9 +360,8 @@ def build_rho_chain(n: int, rho: float) -> AbsorbingGenerator:
     Up-rate rho from every state x <= n-1, down-rate 1 from interior states,
     absorption rate 1 out of state 1, and down-rate 1+rho from the top state.
     """
-    if n < 2:
-        raise InvalidParameter("chain needs an interior; n >= 2")
-    if rho <= 0:
+    n = _integer(n, "n", 2)  # the chain needs an interior
+    if _finite_real(rho, "rho") <= 0:
         raise InvalidParameter("rho must be positive")
     return build_birth_death(np.full(n - 1, float(rho)), np.r_[np.ones(n - 1), 1.0 + float(rho)])
 
@@ -362,8 +379,12 @@ def build_graph_walk(edges: Iterable, absorbing_from: Iterable) -> AbsorbingGene
     if not len(rates):
         raise InvalidParameter("empty edge set")
     n = int(max(rows.max(), cols.max())) + 1
-    return _finish(object.__new__(AbsorbingGenerator), n, rows, cols, rates,
-                   dict.fromkeys(absorbing_from, 1.0).items(), strict=False)
+    try:
+        absorption = dict.fromkeys(absorbing_from, 1.0).items()
+    except TypeError:  # not iterable, or unhashable entries
+        raise InvalidParameter("absorbing_from must be an iterable of state labels") from None
+    return _finish(object.__new__(AbsorbingGenerator), n, rows, cols, rates, absorption,
+                   strict=False)
 
 
 def build_birth_death(b: Sequence, d: Sequence) -> AbsorbingGenerator:
@@ -373,17 +394,29 @@ def build_birth_death(b: Sequence, d: Sequence) -> AbsorbingGenerator:
     the absorption rate out of state 1.  The top state only jumps down (a
     reflecting cut at n).
     """
-    b, d = np.asarray(b, dtype=float), np.asarray(d, dtype=float)
+    b, d = _rate_array(b), _rate_array(d)
     n = d.size
     if b.ndim != 1 or d.ndim != 1 or n < 1 or b.size != n - 1:
         raise InvalidParameter("need 1-D arrays with len(b) == len(d) - 1 >= 0")
     if np.any(b <= 0) or np.any(d <= 0):
         raise InvalidParameter("birth-death rates must be strictly positive")
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(d))):
-        raise InvalidParameter("birth-death rates must be finite numbers")
     x = np.arange(n - 1)  # x -> x+1 at b_x, x+1 -> x at d_{x+1} (0-based)
     return _assemble(object.__new__(AbsorbingGenerator), n, np.r_[x, x + 1], np.r_[x + 1, x],
                      np.r_[b, d[1:]], np.zeros(1, dtype=np.int64), d[:1])
+
+
+def _rate_array(values) -> np.ndarray:
+    """values as a float array, or InvalidParameter unless every entry is a
+    finite real number; only an array of objects is checked entry by entry."""
+    try:
+        a = np.asarray(values)
+        if a.dtype.kind == "O" and all(isinstance(x, numbers.Real) for x in a.flat):
+            a = a.astype(float)
+    except ValueError:  # ragged nesting
+        a = np.asarray(None)
+    if a.dtype.kind not in "biuf" or not np.all(np.isfinite(a)):
+        raise InvalidParameter("birth-death rates must be finite numbers")
+    return a.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -397,8 +430,7 @@ class Path:
 
     def validate(self, gen: AbsorbingGenerator) -> None:
         for v in self.vertices:
-            if not 1 <= _state_label(v) <= gen.n_states:
-                raise InvalidParameter(f"vertex {v} out of range")
+            _state(gen, v, "vertex")
         for u, v in zip(self.vertices, self.vertices[1:]):
             if gen.rate(u, v) <= 0:
                 raise InvalidParameter(f"({u},{v}) is not a positive-rate edge")
@@ -410,10 +442,7 @@ def minor(gen: AbsorbingGenerator, removed) -> np.ndarray:
     Rows keep their diagonal, so rate mass toward removed states acts as
     extra killing.  Removing every state raises EmptyResult.
     """
-    removed = {_state_label(x) for x in removed}
-    for x in removed:
-        if not 1 <= x <= gen.n_states:
-            raise InvalidParameter(f"state {x} out of range")
+    removed = {_state(gen, x) for x in removed}
     keep = [x for x in range(1, gen.n_states + 1) if x not in removed]
     if not keep:
         raise EmptyResult("removed every state")

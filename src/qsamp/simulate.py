@@ -37,11 +37,12 @@ keyword of the estimators is accepted and has no effect: the kernel holds
 the GIL for most of a step, so threads cannot overlap its blocks.
 
 sandwich_experiment reads the conditioned and the Doob law off one
-propagation mu0 exp(tK) per time, and nu off the eigenpair in hand;
-doob_transform's dense generator serves demos and checks.  expm_action
-sums the uniformized series at t / 2^s, where Theta t / 2^s <= 1/2, and
-squares the result s times: every step adds nonnegative terms, and the
-cost grows with log t rather than t.
+propagation mu0 exp(tK) per time, and nu as spectral's QSD route forms it:
+pi * phi from the pair in hand for a birth-death chain, the transposed power
+steps otherwise.  doob_transform's dense generator serves demos and checks.
+expm_action sums the uniformized series at t / 2^s, where
+Theta t / 2^s <= 1/2, and squares the result s times: every step adds
+nonnegative terms, and the cost grows with log t rather than t.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EventBudgetExceeded, HeavyTailWarning, InvalidParameter, UnderflowWarning
-from .generators import AbsorbingGenerator, _state_label
-from .spectral import DirichletEigenpair, _qsd, dirichlet_eigenpair, reversible_measure
+from .generators import AbsorbingGenerator, _finite_real, _integer, _state
+from .spectral import DirichletEigenpair, _check_generator, _qsd, dirichlet_eigenpair
 
 EVENT_BUDGET = 100_000_000
 BLOCK_SIZE = 16_384
@@ -129,10 +130,8 @@ def sample_path(gen: AbsorbingGenerator, start: int, target: int | None,
 
     start == target reports an immediate hit at elapsed time zero.
     """
-    start = _state(gen, start, "start")
-    if target is not None:
-        target = _state(gen, target, "target")
-    target0 = None if target is None else target - 1
+    start = _state(gen, start, "start state")
+    target0 = None if target is None else _state(gen, target, "target state") - 1
     elapsed, hit, events = _simulate_block(_jump_table(gen), np.array([start - 1]), target0, rng)
     return TrajectoryOutcome(bool(hit[0]), float(elapsed[0]), not hit[0], events)
 
@@ -220,18 +219,11 @@ def _probability_vector(p, n_states, name):
     return p
 
 
-def _state(gen, s, role) -> int:
-    """s as a state label of gen, or InvalidParameter unless it is an
-    integer in 1..n_states."""
-    s = _state_label(s)
-    if not 1 <= s <= gen.n_states:
-        raise InvalidParameter(f"{role} state {s} out of range")
-    return s
-
-
 def _starts_array(gen, start, n, seed):
+    """n start states (0-based): start itself, or draws from a start law."""
+    n, seed = _integer(n, "n", 1), _integer(seed, "seed", 0)
     if np.isscalar(start):
-        return np.full(n, _state(gen, start, "start") - 1, dtype=np.int64)
+        return np.full(n, _state(gen, start, "start state") - 1, dtype=np.int64)
     dist = _probability_vector(start, gen.n_states, "start distribution")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5747]))
     return rng.choice(gen.n_states, size=n, p=dist / dist.sum())
@@ -252,10 +244,11 @@ def estimate_ratio(gen: AbsorbingGenerator, lambda0: float, x: int, y: int,
                    n: int, seed: int, n_jobs: int = 1) -> EstimateWithCI:
     """Monte Carlo estimate of E[exp(lambda0 tau_y) 1{hit y before absorption}]
     starting from x; its expectation is phi(x)/phi(y).  n_jobs has no effect."""
-    x, y = _state(gen, x, "start"), _state(gen, y, "target")
+    lambda0 = _finite_real(lambda0, "lambda0")
+    x, y = _state(gen, x, "start state"), _state(gen, y, "target state")
+    starts = _starts_array(gen, x, n, seed)
     if x == y:
         return EstimateWithCI(1.0, 0.0, n, seed)
-    starts = _starts_array(gen, x, n, seed)
     elapsed, hit = _run_blocks(gen, starts, y, n, seed)
     return _log_weight_stats(lambda0 * elapsed[hit], n, seed)
 
@@ -269,6 +262,7 @@ def estimate_psi(gen: AbsorbingGenerator, lam: float, start, n: int, seed: int,
     threshold trigger warnings and are useful only as divergence
     demonstrations.  n_jobs has no effect.
     """
+    lam = _finite_real(lam, "lam")
     if lam < 0:
         raise InvalidParameter("lam must be nonnegative")
     lam0 = dirichlet_eigenpair(gen).lambda0
@@ -303,6 +297,7 @@ def doob_transform(gen: AbsorbingGenerator, eigenpair: DirichletEigenpair) -> np
     Rates are phi(y) L(x,y) / phi(x) off the diagonal and L(x,x) + lambda0 on
     it; rows sum to zero and the stationary law is proportional to nu * phi.
     """
+    _check_pair(gen, eigenpair)
     k = gen.k_matrix()
     phi = eigenpair.phi
     tilde = k * phi[None, :] / phi[:, None]
@@ -311,10 +306,18 @@ def doob_transform(gen: AbsorbingGenerator, eigenpair: DirichletEigenpair) -> np
 
 
 def doob_stationary(gen: AbsorbingGenerator, eigenpair: DirichletEigenpair) -> np.ndarray:
-    """Stationary law of the Doob transform: nu * phi normalized, nu from the pair."""
+    """Stationary law of the Doob transform: nu * phi normalized."""
+    _check_pair(gen, eigenpair)
     phi = eigenpair.phi
-    out = _qsd(gen.k_matrix(), reversible_measure(gen)[0], phi) * phi
+    out = _qsd(gen, phi) * phi
     return out / out.sum()
+
+
+def _check_pair(gen, eigenpair) -> None:
+    """InvalidParameter unless eigenpair is a DirichletEigenpair of gen's size."""
+    _check_generator(gen, "the Doob transform")
+    if not (isinstance(eigenpair, DirichletEigenpair) and len(eigenpair.phi) == gen.n_states):
+        raise InvalidParameter("eigenpair must be a DirichletEigenpair of the generator")
 
 
 #: Poisson weight at which expm_action's series stops.  The mass it leaves
@@ -339,6 +342,8 @@ def expm_action(q: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     if not (t >= 0 and theta * t < math.inf):
         raise InvalidParameter(f"time {t} must be nonnegative with Theta t finite")
     v = np.asarray(v, dtype=float)
+    if v.shape != (len(q),):
+        raise InvalidParameter(f"v must be a vector of {len(q)} entries, one per state")
     if t == 0 or theta == 0:
         return v.copy()
     s = max(0, math.frexp(theta * t)[1] + 1)
@@ -385,12 +390,13 @@ def sandwich_experiment(gen: AbsorbingGenerator, mu0, times,
     survival mass below 1e-250 warns (UnderflowWarning); one that underflows
     to 0 leaves no law to condition and raises InvalidParameter.
     """
-    mu0 = _probability_vector(mu0, gen.n_states, "mu0")
     if eigenpair is None:
         eigenpair = dirichlet_eigenpair(gen)
+    _check_pair(gen, eigenpair)
+    mu0 = _probability_vector(mu0, gen.n_states, "mu0")
     phi = eigenpair.phi
     k = gen.k_matrix()
-    nu = _qsd(k, reversible_measure(gen)[0], phi)
+    nu = _qsd(gen, phi)
     # doob_stationary's law, from the nu in hand
     eta_tilde = nu * phi
     eta_tilde /= eta_tilde.sum()

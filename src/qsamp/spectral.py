@@ -7,26 +7,23 @@ full spectrum in the reversible case, the quasi-stationary distribution (the
 matching left eigenvector), single-state minor eigenvalues, and the amplitude
 max(phi)/min(phi).
 
-Every entry point takes an AbsorbingGenerator (built from rate triplets by
-build_general); anything else raises InvalidParameter.  Every ground pair is
-accepted on a certified lambda0 bracket, by tridiag's one stop and accept
-rule.  Birth-death chains (decided once by AbsorbingGenerator.is_birth_death)
-go to the Green-operator routine tridiag.ground_pair.  Every other chain runs
-power steps on an LU factorization of -K (_perron_pair), shifted toward
-lambda0 when the steps narrow slowly, and accepted on their Collatz-Wielandt
-bracket.  Its QSD is eta * phi when the CSR rates show the chain to be
-reversible with measure eta (reversible_measure); otherwise it comes from the
-transposed solve on the same factorization.
-The spectra take the chain's structure instead.  A reversible chain is
-symmetrized, S = diag(sqrt eta) (-K) diag(1/sqrt eta), from its CSR rates,
-and handed to the dense symmetric solver, scaled by a power of two, for its
-full spectrum; a single-state minor of such a
-chain is reversible for eta restricted to it, so its spectrum comes from the
-submatrix of the same S.  Only full spectra use the dense non-symmetric
-solver, minors included unless the parent's CSR rates, sliced to a minor,
-show it to be reversible.  Minor spectra are for display only: lambda0'
-has one route (_minor_lambda0), and where it comes from LAPACK, whose error
-is absolute, it stands only above its error bound (tridiag.lapack_lambda0).
+Every entry point takes an AbsorbingGenerator; anything else raises
+InvalidParameter.  Every ground pair is accepted on a certified lambda0
+bracket, by tridiag's one stop and accept rule: a birth-death chain's
+(AbsorbingGenerator.is_birth_death) from the Green-operator routine
+tridiag.ground_pair, every other chain's from power steps on an LU
+factorization of -K (_perron_pair).  A birth-death chain's QSD is pi * phi;
+every other chain's, reversible or not, comes from the same steps on the
+transposed solve, on the pair's own factorization when one is in hand.
+Only the spectra test reversibility (reversible_measure), where eta is
+reported or used: a reversible chain is symmetrized,
+S = diag(sqrt eta) (-K) diag(1/sqrt eta), for the dense symmetric solver,
+and its single-state minors are submatrices of the same S.  Only full
+spectra use the dense non-symmetric solver, minors included unless the
+parent's CSR rates, sliced to a minor, show it to be reversible.  Minor
+spectra are for display only: lambda0' has one route (_minor_lambda0), and
+where it comes from LAPACK, whose error is absolute, it stands only above
+its error bound (tridiag.lapack_lambda0).
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from .errors import (
     NonPositiveInput,
     NotDiagonalizableDetected,
 )
-from .generators import AbsorbingGenerator
+from .generators import AbsorbingGenerator, _state
 
 NORMALIZATIONS = ("first", "qsd", "max")
 
@@ -264,12 +261,12 @@ def _perron_pair(a: np.ndarray, trans: int = 0, start=None):
     Each shift's steps stop by tridiag.bracket_settled, all of them after
     tridiag.MAX_POWER_STEPS, and the pair (the midpoint, the last step scaled
     to max 1) is accepted on the bracket by tridiag._check_bracket, as
-    tridiag.ground_pair's pairs are.  This is the ground pair of every chain
-    that is not birth-death, reversible or not: the bracket vouches for each
-    pair it accepts, where a symmetric solver's lambda0 carries an error of
-    order eps times the largest rate, which swamps a lambda0 far below the
-    rates.  A step that is not positive and finite, as from a singular LU,
-    raises NoConvergence.
+    tridiag.ground_pair's pairs are.  These steps give the ground pair and the
+    QSD of every chain that is not birth-death, reversible or not: the
+    bracket vouches for each pair it accepts, where a symmetric solver's
+    lambda0 carries an error of order eps times the largest rate.  A step
+    that is not positive and finite, as from a singular LU, raises
+    NoConvergence.
     """
     lu, shift = start or (None, 0.0)
     f, width = np.ones(len(a)), math.inf
@@ -302,56 +299,47 @@ def dirichlet_eigenpair(gen: AbsorbingGenerator, normalization: str = "first") -
 
     phi is strictly positive and normalized per `normalization`:
     "first" sets phi(1) = 1, "max" sets max phi = 1, and "qsd" scales so the
-    quasi-stationary expectation of phi equals 1.  Deterministic for fixed
-    input.
+    quasi-stationary expectation of phi equals 1.  The residual is
+    max |K phi + lambda0 phi| with phi(1) = 1, whatever the normalization,
+    from the CSR rates and the diagonal.  Deterministic for fixed input.
     """
     if normalization not in NORMALIZATIONS:
         raise InvalidParameter(f"normalization must be one of {NORMALIZATIONS}")
     _check_generator(gen, "dirichlet_eigenpair")
+    factor = None
     if gen.is_birth_death:
-        b, d = gen.birth_death_rates()
-        lam0, phi, _ = tridiag.ground_pair(b, d)
-        k, factor, res = None, None, tridiag.residual_inf(b, d, lam0, phi)
+        lam0, phi, _ = tridiag.ground_pair(*gen.birth_death_rates())
     else:
-        k = gen.k_matrix()
-        lam0, phi, factor = _perron_pair(-k)
-        res = float(np.abs(k @ phi + lam0 * phi).max())
+        lam0, phi, factor = _perron_pair(-gen.k_matrix())
     phi = phi / phi[0]
+    res = float(np.abs(gen._csr @ phi + gen.diagonal * phi + lam0 * phi).max())
     if normalization == "max":
         phi = phi / phi.max()
     elif normalization == "qsd":
-        eta = _bd_eta(b, d) if gen.is_birth_death else reversible_measure(gen)[0]
-        phi = phi / float(_qsd(k, eta, phi, factor) @ phi)
+        phi = phi / float(_qsd(gen, phi, factor) @ phi)
     return DirichletEigenpair(lam0, phi, normalization, res)
 
 
 def quasi_stationary_dist(gen: AbsorbingGenerator) -> np.ndarray:
     """Quasi-stationary distribution: the positive left eigenvector of K.
 
-    Normalized to sum 1.  Reversible inputs use nu = eta * phi; otherwise
-    the transpose is solved directly.
+    Normalized to sum 1.  A birth-death chain's is pi * phi; every other
+    chain's comes from the transposed solve, with no right pair.
     """
     _check_generator(gen, "quasi_stationary_dist")
+    phi = tridiag.ground_pair(*gen.birth_death_rates())[1] if gen.is_birth_death else None
+    return _qsd(gen, phi)
+
+
+def _qsd(gen: AbsorbingGenerator, phi, factor=None) -> np.ndarray:
+    """Quasi-stationary distribution of gen: pi * phi normalized for a
+    birth-death chain; otherwise phi is unused and the power steps run on
+    the transposed solve, on the pair's last LU factor when one is passed."""
     if gen.is_birth_death:
-        bd = gen.birth_death_rates()
-        return _qsd(None, _bd_eta(*bd), tridiag.ground_pair(*bd)[1])
-    k = gen.k_matrix()
-    eta, _ = reversible_measure(gen)
-    return _qsd(k, eta, None if eta is None else _perron_pair(-k)[1])
-
-
-def _qsd(k, eta, phi, factor=None) -> np.ndarray:
-    """Quasi-stationary distribution from a ground pair already in hand.
-
-    With the reversible measure eta, nu = eta * phi normalized; without it
-    (non-reversible K) phi is unused and the power steps run on the
-    transposed solve, on the pair's last LU factor when one is passed.
-    """
-    if eta is None:
-        nu = _perron_pair(-k, 1, factor)[1]
-        return nu / nu.sum()
-    # phi scaled as dirichlet_eigenpair reports it
-    nu = eta * (phi / phi[0])
+        # phi scaled as dirichlet_eigenpair reports it
+        nu = _bd_eta(*gen.birth_death_rates()) * (phi / phi[0])
+    else:
+        nu = _perron_pair(-gen.k_matrix(), 1, factor)[1]
     return nu / nu.sum()
 
 
@@ -408,15 +396,18 @@ def lambda0_minor(gen: AbsorbingGenerator, x: int) -> float:
     error bound raises NoConvergence.
     """
     _check_generator(gen, "lambda0_minor")
-    if not 1 <= x <= gen.n_states:
-        raise InvalidParameter(f"state {x} out of range")
-    k = s = None
-    if not gen.is_birth_death:
-        if reversible_measure(gen)[0] is None:
-            k = gen.k_matrix()
-        else:
-            s = _sym_neg_k(gen._csr, -gen.diagonal)
+    x = _state(gen, x)
+    _, k, s = _reversible_form(gen)
     return _minor_lambda0(gen, k, x, s)
+
+
+def _reversible_form(gen: AbsorbingGenerator):
+    """(eta, k, s): the measure eta and, unless birth-death, symmetrization s
+    of a reversible chain, or the dense k of any other; the rest are None."""
+    eta, _ = reversible_measure(gen)
+    if eta is None:
+        return None, gen.k_matrix(), None
+    return eta, None, None if gen.is_birth_death else _sym_neg_k(gen._csr, -gen.diagonal)
 
 
 def _bd_minor_lambda0(b, d, x: int) -> float:
@@ -452,15 +443,12 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     which only adds the minor spectra to the report for display.
     """
     _check_generator(gen, "full_spectrum")
-    eta, _ = reversible_measure(gen)
-    k = s = None
+    eta, k, s = _reversible_form(gen)
     if gen.is_birth_death:
         eigenvalues = np.sort(tridiag.eigenvalues(*gen.birth_death_rates()))
-    elif eta is not None:
-        s = _sym_neg_k(gen._csr, -gen.diagonal)
+    elif s is not None:
         eigenvalues = _sym_eigenvalues(s)
     else:
-        k = gen.k_matrix()
         vals = np.linalg.eigvals(-k)
         if np.max(np.abs(vals.imag)) > 1e-9 * gen.max_rate:
             raise NotDiagonalizableDetected(
@@ -474,12 +462,8 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
         if gen.is_birth_death:  # S is needed only here
             s = _sym_neg_k(gen._csr, -gen.diagonal)
         minor_spectra = {x: _minor_eigenvalues(gen, k, x, s) for x in range(1, gen.n_states + 1)}
-    return SpectrumReport(
-        eigenvalues=np.asarray(eigenvalues, dtype=float),
-        reversible_measure=eta,
-        lambda0_prime=float(lambda0_prime),
-        minor_spectra=minor_spectra,
-    )
+    return SpectrumReport(np.asarray(eigenvalues, dtype=float), eta, float(lambda0_prime),
+                          minor_spectra)
 
 
 def _minor_eigenvalues(gen: AbsorbingGenerator, k: np.ndarray | None, x: int,

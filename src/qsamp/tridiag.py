@@ -662,20 +662,6 @@ def _power_steps(step, f, restart):
     )
 
 
-def apply_neg_k(b, d, v):
-    """(-K) v for the birth-death killed generator."""
-    n = len(d)
-    out = (d + np.append(b, 0.0)) * v
-    if n > 1:
-        out[:-1] -= b * v[1:]
-        out[1:] -= d[1:] * v[:-1]
-    return out
-
-
-def residual_inf(b, d, lam, v) -> float:
-    return float(np.abs(apply_neg_k(b, d, v) - lam * v).max())
-
-
 # -- multi-precision oracle --------------------------------------------------
 
 #: Newton steps from a relatively accurate start take a handful; from 0 (an

@@ -594,8 +594,19 @@ def test_rate_family_positivity_enforced():
     (lambda: RateFamily(_rate_expression("1"), _rate_expression("exp(1000 * n)")).realize(3),
      "NaN or infinite rate$"),
     (lambda: pi_measure(rho_family(2.0), 1100), "leaves the double range; use log_pi_measure$"),
+    (lambda: entrance_check(poisson_family(), 20.5), r"^cutoff 20\.5 is not an integer$"),
+    (lambda: truncate_neumann(poisson_family(), 2.5), r"^n 2\.5 is not an integer$"),
+    (lambda: gap_identity_check(poisson_family(), 8.0), r"^n 8\.0 is not an integer$"),
+    (lambda: eigen_convergence(poisson_family(), 0.5, [4, 8], 1e-6),
+     r"^n_max 0\.5 is not an integer$"),
+    (lambda: tail_sum_estimate(poisson_family(), 8, 1.5), r"^n_used 1\.5 is not an integer$"),
+    (lambda: hitting_time_from(poisson_family(), 2.5), r"^x 2\.5 is not an integer$"),
+    (lambda: lyapunov_check(poisson_family(), np.ones(5), "0.5", 5),
+     "^lam '0.5' is not a finite number$"),
 ], ids=["realize-0", "rho-0", "expression-not-a-string", "expression-syntax-error",
-        "tol-0", "inf-rate", "nan-rate", "overflowing-rate", "pi-overflow"])
+        "tol-0", "inf-rate", "nan-rate", "overflowing-rate", "pi-overflow", "float-cutoff",
+        "float-truncation", "float-gap-identity-size", "float-n-max", "float-n-used",
+        "float-hitting-state", "string-lyapunov-lam"])
 def test_public_input_checks(call, message):
     # the pytest ini turns RuntimeWarning into an error: none may escape
     with pytest.raises(InvalidParameter, match=message):

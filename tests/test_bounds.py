@@ -472,7 +472,26 @@ def _report(eigenvalues, measure):
      "^spectral bound requires a reversible generator$"),
     (lambda: spectral_bound(_report([1.0, 1.0, 3.0], np.ones(3))), DegenerateGap,
      r"^eigenvalue 1\.0 <= lambda0 = 1\.0$"),
-], ids=["unknown-paths", "no-reversible-measure", "higher-eigenvalue-at-lambda0"])
+    (lambda: spectral_bound(None), InvalidParameter, "^spectral_bound needs a SpectrumReport$"),
+    (lambda: path_bound(build_rho_chain(3, 1.0), math.nan), InvalidParameter,
+     "^lambda0 nan is not a finite number$"),
+    (lambda: path_bound(build_rho_chain(3, 1.0), -math.inf, paths="geodesic"), InvalidParameter,
+     "^lambda0 -inf is not a finite number$"),
+    (lambda: path_weight(build_rho_chain(3, 1.0), math.nan, (1, 2)), InvalidParameter,
+     "^lambda0 nan is not a finite number$"),
+    (lambda: path_weight(build_rho_chain(3, 1.0), "0.1", (1, 2)), InvalidParameter,
+     "^lambda0 '0.1' is not a finite number$"),
+    (lambda: exact_bd_amplitude(build_rho_chain(3, 1.0), dps=0), InvalidParameter,
+     "^dps must be at least 1, got 0$"),
+    (lambda: exact_bd_amplitude(build_rho_chain(3, 1.0), dps=-5), InvalidParameter,
+     "^dps must be at least 1, got -5$"),
+    (lambda: exact_bd_amplitude(build_rho_chain(3, 1.0), dps=1.5), InvalidParameter,
+     r"^dps 1\.5 is not an integer$"),
+    (lambda: graph_bound(2, 1.5, 1.0, 1.0), InvalidParameter, r"^diameter 1\.5 is not an integer$"),
+], ids=["unknown-paths", "no-reversible-measure", "higher-eigenvalue-at-lambda0",
+        "spectral-bound-of-none", "path-bound-nan-lambda0", "geodesic-bound-inf-lambda0",
+        "path-weight-nan-lambda0", "path-weight-string-lambda0", "oracle-dps-zero",
+        "oracle-dps-negative", "oracle-dps-float", "graph-bound-float-diameter"])
 def test_public_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -352,14 +352,39 @@ def test_direct_construction_rejects_what_build_general_rejects(transitions, abs
      r"^edges must be \(from, to\) pairs$"),
     (lambda: build_birth_death([[1.0]], [[1.0], [1.0]]), InvalidParameter,
      r"^need 1-D arrays with len\(b\) == len\(d\) - 1 >= 0$"),
+    (lambda: build_birth_death(["a"], ["1", "1"]), InvalidParameter,
+     "^birth-death rates must be finite numbers$"),
+    (lambda: build_birth_death(["2"], ["1", "1"]), InvalidParameter,
+     "^birth-death rates must be finite numbers$"),
+    (lambda: build_birth_death([1.0, None], [1.0, 1.0, 1.0]), InvalidParameter,
+     "^birth-death rates must be finite numbers$"),
+    (lambda: build_birth_death([[1.0], [1.0, 2.0]], [1.0, 1.0, 1.0]), InvalidParameter,
+     "^birth-death rates must be finite numbers$"),
+    (lambda: build_rho_chain(2.5, 1.0), InvalidParameter, r"^n 2\.5 is not an integer$"),
+    (lambda: build_rho_chain(3, "1"), InvalidParameter, "^rho '1' is not a finite number$"),
+    (lambda: build_rho_chain(3, math.nan), InvalidParameter, "^rho nan is not a finite number$"),
+    (lambda: build_graph_walk([(1, 2), (2, 1)], 1), InvalidParameter,
+     "^absorbing_from must be an iterable of state labels$"),
 ], ids=["no-state", "label-above-n", "diagonal", "absorption-above-n", "negative-rate",
         "negative-absorption", "ring-birth-death-rates", "rho-zero", "empty-walk", "minor-above-n",
         "inf-birth-death-rate", "minor-float-label", "minor-bool-label", "rate-float-label",
         "rate-float-absorption-label", "path-float-label", "path-string-label", "float-n-states",
-        "string-n-states", "bool-n-states", "walk-triple-for-pair", "birth-death-2d"])
+        "string-n-states", "bool-n-states", "walk-triple-for-pair", "birth-death-2d",
+        "birth-death-letter-rate", "birth-death-string-rate", "birth-death-none-rate",
+        "birth-death-ragged", "rho-float-n", "rho-string-rho", "rho-nan-rho",
+        "walk-scalar-absorbing"])
 def test_public_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_birth_death_rates_of_any_real_type():
+    # an array of objects is checked entry by entry; numeric arrays are not
+    expect = build_birth_death([0.5, 2.0], [1.0, 1.0, 3.0])
+    assert build_birth_death(np.array([0.5, 2], dtype=object), [True, 1, np.int8(3)]) == expect
+    assert build_birth_death(np.array([0.5, 2.0], dtype=np.float32), [1, 1, 3]) == expect
+    with pytest.raises(InvalidParameter, match="^birth-death rates must be finite numbers$"):
+        build_birth_death(np.array([Decimal("0.5"), 2.0], dtype=object), [1, 1, 3])
 
 
 def test_path_length_counts_edges():

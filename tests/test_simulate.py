@@ -573,3 +573,67 @@ def test_total_variation():
 def test_estimate_psi_rejects_negative_lam(golden):
     with pytest.raises(InvalidParameter, match="^lam must be nonnegative$"):
         estimate_psi(golden, -0.1, 1, 10, seed=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: estimate_ratio(g, GOLDEN_LAM0, 2, 1, 0, seed=1),
+    lambda g: estimate_ratio(g, GOLDEN_LAM0, 2, 1, -1, seed=1),
+    lambda g: estimate_ratio(g, GOLDEN_LAM0, 2, 1, 2.5, seed=1),
+    lambda g: estimate_ratio(g, GOLDEN_LAM0, 2, 2, 0, seed=1),
+    lambda g: estimate_ratio(g, GOLDEN_LAM0, 2, 1, 10, seed=-1),
+    lambda g: estimate_ratio(g, math.nan, 2, 1, 10, seed=1),
+    lambda g: estimate_psi(g, 0.1, 1, 0, seed=1),
+    lambda g: estimate_psi(g, 0.1, 1, True, seed=1),
+    lambda g: estimate_psi(g, 0.1, 1, 10, seed=-1),
+    lambda g: estimate_psi(g, 0.1, 1, 10, seed=1.0),
+    lambda g: estimate_psi(g, math.nan, 1, 10, seed=1),
+    lambda g: estimate_psi(g, math.inf, 1, 10, seed=1),
+    lambda g: absorption_times(g, 1, 0, seed=1),
+    lambda g: absorption_times(g, 1, -1, seed=1),
+    lambda g: absorption_times(g, 1, 2.5, seed=1),
+    lambda g: absorption_times(g, 1, 10, seed=-1),
+], ids=["ratio-n-zero", "ratio-n-negative", "ratio-n-float", "ratio-same-state-n-zero",
+        "ratio-seed-negative", "ratio-nan-lambda0", "psi-n-zero", "psi-n-bool",
+        "psi-seed-negative", "psi-seed-float", "psi-nan-lam", "psi-inf-lam", "times-n-zero",
+        "times-n-negative", "times-n-float", "times-seed-negative"])
+def test_monte_carlo_inputs_rejected(golden, call):
+    with pytest.raises(InvalidParameter, match="^(n|seed|lambda0|lam) "):
+        call(golden)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g, p: doob_transform(g, None), "^eigenpair must be a DirichletEigenpair"),
+    (lambda g, p: doob_stationary(g, None), "^eigenpair must be a DirichletEigenpair"),
+    (lambda g, p: doob_stationary(build_rho_chain(3, 1.0), p),
+     "^eigenpair must be a DirichletEigenpair"),
+    (lambda g, p: doob_transform(None, p), "^the Doob transform needs an AbsorbingGenerator$"),
+    (lambda g, p: sandwich_experiment(g, [0.5, 0.5], [1.0], eigenpair=3),
+     "^eigenpair must be a DirichletEigenpair"),
+    (lambda g, p: expm_action(g.k_matrix(), np.ones(3) / 3, 1.0),
+     "^v must be a vector of 2 entries, one per state$"),
+    (lambda g, p: expm_action(g.k_matrix(), np.ones(3) / 3, 0.0),
+     "^v must be a vector of 2 entries, one per state$"),
+], ids=["transform-of-none", "stationary-of-none", "stationary-of-another-size",
+        "transform-of-no-generator", "sandwich-pair-3", "expm-v-too-long", "expm-v-at-t-zero"])
+def test_doob_and_propagation_inputs_rejected(golden, call, message):
+    with pytest.raises(InvalidParameter, match=message):
+        call(golden, dirichlet_eigenpair(golden))
+
+
+@pytest.mark.parametrize("chain", ["golden", "reversible-grid", "cycle-chords"])
+def test_qsd_routes_never_decide_reversibility(chain, golden, monkeypatch):
+    # only full_spectrum and lambda0_minor, which report or use eta, test it
+    gen = {"golden": lambda: golden,
+           "reversible-grid": lambda: grid_walk(4, 5),
+           "cycle-chords": cycle_with_chords}[chain]()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reversible_measure called")
+
+    monkeypatch.setattr(spectral, "reversible_measure", forbidden)
+    monkeypatch.setattr(simulate, "reversible_measure", forbidden, raising=False)
+    pair = dirichlet_eigenpair(gen)
+    nu = quasi_stationary_dist(gen)
+    dirichlet_eigenpair(gen, "qsd")
+    sandwich_experiment(gen, nu, [0.0, 1.0], pair)
+    doob_stationary(gen, pair)

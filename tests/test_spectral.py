@@ -362,39 +362,66 @@ class TestQuasiStationary:
 
     @pytest.mark.parametrize("route", ["birth-death", "reversible", "non-reversible"])
     def test_qsd_normalization_solves_the_ground_problem_once(self, route, monkeypatch):
-        edges = [(i + 1, j + 1) for a, b in lattice_edges(4, 5) for i, j in ((a, b), (b, a))]
-        gen = {
-            "birth-death": lambda: build_rho_chain(40, 0.8),
-            "reversible": lambda: build_graph_walk(edges, [1, 20]),
-            "non-reversible": lambda: random_cycle_with_chords(np.random.default_rng(13)),
-        }[route]()
+        gen = _route_chain(route)
         first = dirichlet_eigenpair(gen).phi
         old_path = first / float(quasi_stationary_dist(gen) @ first)
-        calls = []
-
-        def counted(module, name):
-            real = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                # _perron_pair(-k, 1, factor) is the QSD's transposed solve
-                transposed = name == "_perron_pair" and len(args) > 1 and args[1] == 1
-                calls.append(name + "^T" if transposed else name)
-                return real(*args, **kwargs)
-            return wrapper
-
-        for module, name in [(tridiag, "ground_pair"), (spectral, "_perron_pair"),
-                             (spectral, "reversible_measure"), (spectral, "lu_factor"),
-                             (spectral, "eigh")]:
-            monkeypatch.setattr(module, name, counted(module, name))
+        calls, factors = _count_solves(monkeypatch)
         phi = dirichlet_eigenpair(gen, "qsd").phi
         assert calls.count("ground_pair") + calls.count("_perron_pair") == 1
-        # every chain that is not birth-death takes its pair from one LU, and a
-        # non-reversible QSD's transposed steps run on that same factorization
+        # every chain that is not birth-death takes its pair from one LU, and
+        # its QSD's transposed steps run on that same factorization
         assert calls.count("lu_factor") == (route != "birth-death")
-        assert calls.count("_perron_pair^T") == (route == "non-reversible")
-        assert calls.count("reversible_measure") == (route != "birth-death")
+        assert calls.count("_perron_pair^T") == (route != "birth-death")
+        assert route == "birth-death" or factors[1] is factors[0]
+        assert "reversible_measure" not in calls
         assert "eigh" not in calls
         np.testing.assert_allclose(phi, old_path, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("route", ["reversible", "non-reversible"])
+    def test_qsd_solves_only_the_transposed_problem(self, route, monkeypatch):
+        gen = _route_chain(route)
+        calls, _ = _count_solves(monkeypatch)
+        quasi_stationary_dist(gen)
+        assert calls == ["_perron_pair^T", "lu_factor"]
+
+
+def _route_chain(route):
+    """A birth-death chain, a reversible grid walk or a non-reversible cycle
+    with chords."""
+    edges = [(i + 1, j + 1) for a, b in lattice_edges(4, 5) for i, j in ((a, b), (b, a))]
+    return {
+        "birth-death": lambda: build_rho_chain(40, 0.8),
+        "reversible": lambda: build_graph_walk(edges, [1, 20]),
+        "non-reversible": lambda: random_cycle_with_chords(np.random.default_rng(13)),
+    }[route]()
+
+
+def _count_solves(monkeypatch):
+    """Spy on the ground solvers, reversible_measure, lu_factor and eigh.
+
+    Returns the list of names called, with _perron_pair(-k, 1, ...), the
+    transposed steps, as "_perron_pair^T", and the list of LU factors that
+    _perron_pair returned or, transposed, started from.
+    """
+    calls, factors = [], []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            transposed = name == "_perron_pair" and len(args) > 1 and args[1] == 1
+            calls.append(name + "^T" if transposed else name)
+            out = real(*args, **kwargs)
+            if name == "_perron_pair":
+                factors.append(args[2] if transposed else out[2])
+            return out
+        return wrapper
+
+    for module, name in [(tridiag, "ground_pair"), (spectral, "_perron_pair"),
+                         (spectral, "reversible_measure"), (spectral, "lu_factor"),
+                         (spectral, "eigh")]:
+        monkeypatch.setattr(module, name, counted(module, name))
+    return calls, factors
 
 
 class TestAmplitude:
@@ -425,6 +452,11 @@ class TestLambda0Minor:
     def test_golden_cases(self, golden):
         assert lambda0_minor(golden, 1) == pytest.approx(1.0, abs=1e-12)
         assert lambda0_minor(golden, 2) == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [1.5, 2.0, "1", True, None])
+    def test_state_that_is_not_an_integer_rejected(self, golden, x):
+        with pytest.raises(InvalidParameter, match="^state label .* is not an integer$"):
+            lambda0_minor(golden, x)
 
     def test_singleton_convention(self):
         assert math.isinf(lambda0_minor(build_general(1, [], {1: 1.0}), 1))
