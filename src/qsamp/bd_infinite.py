@@ -22,17 +22,18 @@ whenever the statistics are unstable or sit in the boundary zone.
 from __future__ import annotations
 
 import ast
-import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
 from . import tridiag
 from .errors import GapViolation, InvalidParameter, NoConvergence, NotConverged
-from .generators import AbsorbingGenerator, _finite_real, _integer, build_birth_death
+from .generators import (AbsorbingGenerator, _finite_real, _integer, _read_json, _real_array,
+                         build_birth_death)
 
 INCONCLUSIVE = "inconclusive"
 YES = "yes"
@@ -54,7 +55,7 @@ class RateFamily:
 
     def realize(self, n: int):
         """Rate arrays (b_1..b_{n-1}, d_1..d_n) for the n-state truncation."""
-        if n < 1:
+        if _integer(n, "n") < 1:
             raise InvalidParameter("need n >= 1")
         xs = np.arange(1, n + 1, dtype=float)
         try:
@@ -87,7 +88,7 @@ def accelerated_poisson_family() -> RateFamily:
 
 def rho_family(rho: float) -> RateFamily:
     """Constant drift: b = rho, d = 1 on all of the state space."""
-    if rho <= 0:
+    if _finite_real(rho, "rho") <= 0:
         raise InvalidParameter("rho must be positive")
     return RateFamily(
         lambda n, r=float(rho): np.full_like(np.asarray(n, dtype=float), r),
@@ -167,20 +168,29 @@ def parse_rate_family(spec: str) -> RateFamily:
         return poisson_family()
     if spec == "poisson-accelerated":
         return accelerated_poisson_family()
-    if spec.startswith("rho:"):
-        return rho_family(float(spec.split(":", 1)[1]))
-    with open(spec) as fh:
-        obj = json.load(fh)
+    if isinstance(spec, str) and spec.startswith("rho:"):
+        try:
+            return rho_family(float(spec[4:]))
+        except ValueError:
+            raise InvalidParameter(f"rate family {spec!r}: rho is not a number") from None
+    obj = _read_json(spec, "rate family")
     if not isinstance(obj, dict) or not {"b", "d"} <= obj.keys():
         raise InvalidParameter(f"{spec}: need a JSON object with keys 'b' and 'd'")
     return RateFamily(_rate_expression(obj["b"]), _rate_expression(obj["d"]), name=spec)
+
+
+def _realize(rates: RateFamily, n: int):
+    """rates.realize(n), or InvalidParameter unless rates is a RateFamily."""
+    if not isinstance(rates, RateFamily):
+        raise InvalidParameter(f"rates must be a RateFamily, not {type(rates).__name__}")
+    return rates.realize(n)
 
 
 # -- pi measure and entrance diagnostics -------------------------------------
 
 
 def log_pi_measure(rates: RateFamily, n: int) -> np.ndarray:
-    b, d = rates.realize(n)
+    b, d = _realize(rates, n)
     return tridiag.log_pi(b, d)
 
 
@@ -268,7 +278,7 @@ def entrance_check(rates: RateFamily, cutoff: int) -> EntranceVerdict:
     infinite.
     """
     m = _integer(cutoff, "cutoff", 10)
-    b, d = rates.realize(m)
+    b, d = _realize(rates, m)
     lp = tridiag.log_pi(b, d)
     log_z = _log_prefix(lp)
 
@@ -322,7 +332,7 @@ def entrance_check(rates: RateFamily, cutoff: int) -> EntranceVerdict:
 def truncate_neumann(rates: RateFamily, n: int) -> AbsorbingGenerator:
     """Reflecting truncation at n: interior rates from the family, absorption
     d_1 out of state 1, and a top row that only jumps down at rate d_n."""
-    b, d = rates.realize(_integer(n, "n", 2))
+    b, d = _realize(rates, _integer(n, "n", 2))
     return build_birth_death(b, d)
 
 
@@ -372,12 +382,11 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
     truncations drops below tol.  Failure to resolve the ground column
     raises NotConverged.
     """
-    schedule = [int(n) for n in schedule]
+    # entries of 2 or more, as truncate_neumann requires
+    schedule = [_integer(n, "schedule entry", 2) for n in schedule] if np.iterable(schedule) else []
     if len(schedule) < 2 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InvalidParameter("schedule must be increasing with >= 2 entries")
-    if schedule[0] < 2:
-        raise InvalidParameter("schedule entries must be >= 2, as truncate_neumann requires")
-    if tol <= 0:
+    if _finite_real(tol, "tol") <= 0:
         raise InvalidParameter("tol must be positive")
     n_max = _integer(n_max, "n_max", 0)
     rows = []
@@ -386,7 +395,7 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
     phi = phi_prime = guesses = None  # the truncation before, to start from
     vectors = []
     for n in schedule:
-        b, d = rates.realize(n)
+        b, d = _realize(rates, n)
         lam_row = np.full(n_max + 1, np.inf)
         lam_row[0], phi, _ = tridiag.ground_pair(b, d, tridiag.padded(phi, n))
         k = min(n_max, n - 1)
@@ -480,14 +489,17 @@ def theorem_bound(limits, n_used: int | None = None, tail_bound: float = 0.0,
         lam0 = float(limits.limits[0])
         lambdas = limits.limits[1:]
         lam0p = float(limits.lambda0_prime_limit)
-    else:
+    elif isinstance(limits, Mapping) and all(isinstance(limits.get(k), numbers.Real)
+                                             for k in ("lambda0", "lambda0_prime")):
         lam0 = float(limits["lambda0"])
         lam0p = float(limits["lambda0_prime"])
-        lambdas = np.asarray(limits["lambdas"], dtype=float)
+        lambdas = _real_array(limits.get("lambdas"), "lambdas must be finite numbers", (None,))
+    else:
+        raise InvalidParameter("limits must be a TruncationSeries or a mapping of real limits")
     if math.isnan(lam0) or math.isnan(lam0p):
         raise NotConverged(f"undeclared limit: lambda0 = {lam0}, lambda0' = {lam0p}")
     if n_used is not None:
-        if not 0 <= n_used <= len(lambdas):
+        if not 0 <= _integer(n_used, "n_used") <= len(lambdas):
             raise InvalidParameter(f"n_used = {n_used} outside 0..{len(lambdas)}")
         lambdas = lambdas[:n_used]
     # an undeclared limit cannot be skipped: its factor would drop out
@@ -495,7 +507,7 @@ def theorem_bound(limits, n_used: int | None = None, tail_bound: float = 0.0,
     if undeclared.size:
         raise NotConverged(f"undeclared limit lambda_{int(undeclared[0]) + 1}")
     # a NaN fails every comparison, and an inf tail makes the bound 1/0
-    if not (math.isfinite(tail_bound) and tail_bound >= 0):
+    if _finite_real(tail_bound, "tail_bound") < 0:
         raise InvalidParameter(f"tail_bound must be finite and nonnegative, got {tail_bound}")
     if not math.isinf(lam0p) and lam0p <= lam0:
         raise GapViolation(f"lambda0' = {lam0p} <= lambda0 = {lam0}")
@@ -549,7 +561,7 @@ def tail_sum_estimate(rates: RateFamily, n: int, n_used: int) -> float:
     many modes).
     """
     n_used = _integer(n_used, "n_used", 0)
-    b, d = rates.realize(n)
+    b, d = _realize(rates, n)
     if n_used >= n - 1:
         return 0.0
     trace = tridiag.green_trace(b, d)
@@ -574,7 +586,7 @@ def gap_identity_check(rates: RateFamily, n: int) -> float:
     with phi' the minor eigenvector extended by phi'(1) = 0; it holds exactly
     for the truncated operators.
     """
-    b, d = rates.realize(_integer(n, "n", 2))
+    b, d = _realize(rates, _integer(n, "n", 2))
     lam0, phi, _ = tridiag.ground_pair(b, d)
     lam0p, phip, _ = tridiag.ground_pair(b[1:], d[1:])
     pis = tridiag.scaled_pi(b, d)
@@ -592,7 +604,7 @@ def hitting_time_from(rates: RateFamily, x: int) -> float:
     x = _integer(x, "x", 1)
     if x == 1:
         return 0.0
-    b, d = rates.realize(x)
+    b, d = _realize(rates, x)
     lp = tridiag.log_pi(b, d)
     log_tail = _log_suffix_excl(lp)  # log sum_{z > y} pi_z, z <= x
     log_terms = log_tail[:-1] - lp[:-1] - np.log(b)
@@ -606,15 +618,14 @@ def lyapunov_check(rates: RateFamily, phi, lam: float, n: int, tol: float = 1e-1
     b_n and is excluded (one-sided boundary handling).  Returns
     (ok, worst_slack) with slack(x) = -lam phi(x) - K[phi](x).  Raises
     InvalidParameter for a phi that is not positive and finite on 1..n, or
-    a lam that is not finite.
+    a lam or tol that is not finite.
     """
-    if n < 2:
-        raise InvalidParameter("lyapunov_check needs n >= 2")
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (n,) or not np.all((phi > 0) & (phi < np.inf)):
+    _integer(n, "n", 2)
+    phi = _real_array(phi, f"phi must be {n} finite numbers", (n,))
+    if np.any(phi <= 0):
         raise InvalidParameter("phi must be positive and finite on 1..n")
-    lam = _finite_real(lam, "lam")
-    b, d = rates.realize(n)
+    lam, tol = _finite_real(lam, "lam"), _finite_real(tol, "tol")
+    b, d = _realize(rates, n)
     x = np.arange(0, n - 1)
     phi_prev = np.concatenate([[0.0], phi[:-2]]) if n > 2 else np.array([0.0])
     k_phi = d[x] * phi_prev - (b[x] + d[x]) * phi[x] + b[x] * phi[x + 1]
@@ -631,10 +642,9 @@ def dirichlet_form(rates: RateFamily, f, n: int) -> float:
     eigenvalue, with equality on its eigenvector.  Raises InvalidParameter
     for an f that is not n finite numbers, not all zero.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (n,):
-        raise InvalidParameter(f"f must have length {n}")
-    if not (np.all(np.isfinite(f)) and np.any(f)):
-        raise InvalidParameter("f must be finite and not identically zero")
-    b, d = rates.realize(n)
+    message = f"f must be {n} finite numbers, not all zero"
+    f = _real_array(f, message, (n,))
+    if not np.any(f):
+        raise InvalidParameter(message)
+    b, d = _realize(rates, n)
     return tridiag.rayleigh_quotient(b, d, f)

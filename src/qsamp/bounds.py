@@ -61,7 +61,7 @@ from .errors import (
     NotReversible,
     SingularFactor,
 )
-from .generators import AbsorbingGenerator, Path, _finite_real, _integer
+from .generators import AbsorbingGenerator, Path, _finite_real, _generator, _integer, _real_array
 from .spectral import SpectrumReport, _sum_to_root, dirichlet_eigenpair
 
 SINGULAR_RTOL = 1e-14
@@ -162,9 +162,10 @@ class SpectralBoundReport:
 def _edge_factors(gen: AbsorbingGenerator, lambda0: float):
     """denom = |L(x,x)| - lambda0 per state x (0-based array).
 
-    Raises InvalidParameter for a lambda0 that is not a finite number and
+    Raises InvalidParameter for a gen or a lambda0 that is malformed and
     SingularFactor where a denom is not safely positive.
     """
+    _generator(gen, "a path bound")
     exit_rates = -gen.diagonal
     denom = exit_rates - _finite_real(lambda0, "lambda0")
     bad = denom <= SINGULAR_RTOL * exit_rates
@@ -337,8 +338,8 @@ def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
         raise InvalidParameter("paths must be 'best' or 'geodesic'")
     if lambda0 is None:
         lambda0 = dirichlet_eigenpair(gen).lambda0
-    n = gen.n_states
     denom = _edge_factors(gen, lambda0)
+    n = gen.n_states
     exits = np.array(gen.absorbing_set) - 1
     if paths == "geodesic":
         trees = [breadth_first_order(gen._csr, y, return_predecessors=True)[1] for y in exits]
@@ -370,10 +371,10 @@ def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
 
 def graph_bound(d: float, diameter: int, r: float, big_r: float) -> float:
     """Degree-diameter bound (R d / r)^D for rate-perturbed unit walks."""
-    if d < 1:
+    if _finite_real(d, "d") < 1:
         raise InvalidParameter("max out-degree must be >= 1")
     _integer(diameter, "diameter", 0)
-    if not 0 < r <= big_r:
+    if not 0 < _finite_real(r, "r") <= _finite_real(big_r, "R"):
         raise InvalidParameter("need 0 < r <= R")
     return float((big_r * d / r) ** diameter)
 
@@ -382,6 +383,7 @@ def graph_parameters(gen: AbsorbingGenerator):
     """(d, D, r, R) read off a generator: max out-degree of the full graph
     (absorption edges included), oriented diameter of the internal graph, and
     min/max positive rates (absorption included)."""
+    _generator(gen, "graph_parameters")
     csr = gen._csr
     degree = np.diff(csr.indptr) + (gen.absorption_rates > 0)
     rates = np.concatenate([csr.data, gen.absorption_rates[gen.absorption_rates > 0]])
@@ -434,7 +436,7 @@ def spectral_bound(report: SpectrumReport) -> SpectralBoundReport:
         raise InvalidParameter("spectral_bound needs a SpectrumReport")
     if report.reversible_measure is None:
         raise NotReversible("spectral bound requires a reversible generator")
-    lam = np.asarray(report.eigenvalues, dtype=float)
+    lam = _real_array(report.eigenvalues, "eigenvalues must be finite numbers", (None,))
     lam0 = float(lam[0])
     lam0p = float(report.lambda0_prime)
     if not math.isinf(lam0p) and lam0p <= lam0 * (1 + 1e-12):
@@ -474,6 +476,7 @@ def exact_bd_amplitude(gen: AbsorbingGenerator, dps: int | None = None) -> float
     needs more digits than a float holds.  Nothing here uses the
     double-precision eigenpair, so the result is an independent check of it.
     """
+    _generator(gen, "exact_bd_amplitude")
     if not gen.is_birth_death:
         raise NotBirthDeath("exact amplitude needs birth-death absorbed from state 1")
     digits = 60 if dps is None else _integer(dps, "dps", 1)

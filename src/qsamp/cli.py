@@ -5,8 +5,8 @@ Subcommands: validate, spectrum, bounds, simulate, sandwich, bd
 result (JSON or CSV) that echoes the exact configuration, so identical
 invocations produce byte-identical output.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 reproduction-tolerance failure.
+Exit codes: 0 success, 1 usage error, 2 invalid input or numerical
+failure, 3 reproduction-tolerance failure.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ None included), rates that are not finite nonnegative reals, and diagonal
 entries.  The constructor also asks for keys sorted without repeats, while
 build_general drops zero rates and sums repeated keys in input order.
 build_graph_walk runs the same label checks on its edge columns, with unit
-rates, and build_birth_death checks only arrays of objects entry by entry,
-for real numbers, before passing its arrays straight in.  Scalar inputs
-anywhere in the package go through _integer, _state and _finite_real.
+rates.  The package's other argument checks live here too: _integer,
+_state and _finite_real (scalars), _real_array (arrays, build_birth_death's
+rates among them), _generator (generators) and _read_json (JSON files).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -394,7 +395,7 @@ def build_birth_death(b: Sequence, d: Sequence) -> AbsorbingGenerator:
     the absorption rate out of state 1.  The top state only jumps down (a
     reflecting cut at n).
     """
-    b, d = _rate_array(b), _rate_array(d)
+    b, d = (_real_array(x, "birth-death rates must be finite numbers") for x in (b, d))
     n = d.size
     if b.ndim != 1 or d.ndim != 1 or n < 1 or b.size != n - 1:
         raise InvalidParameter("need 1-D arrays with len(b) == len(d) - 1 >= 0")
@@ -405,18 +406,27 @@ def build_birth_death(b: Sequence, d: Sequence) -> AbsorbingGenerator:
                      np.r_[b, d[1:]], np.zeros(1, dtype=np.int64), d[:1])
 
 
-def _rate_array(values) -> np.ndarray:
-    """values as a float array, or InvalidParameter unless every entry is a
-    finite real number; only an array of objects is checked entry by entry."""
+def _real_array(values, message: str, shape=None) -> np.ndarray:
+    """values as a float array, or InvalidParameter(message) unless every
+    entry is a finite real number (not a string, None or ragged nesting) and,
+    where shape is given, the array has it (a None entry matches any length).
+    Only an array of objects is checked entry by entry."""
     try:
         a = np.asarray(values)
         if a.dtype.kind == "O" and all(isinstance(x, numbers.Real) for x in a.flat):
             a = a.astype(float)
     except ValueError:  # ragged nesting
         a = np.asarray(None)
-    if a.dtype.kind not in "biuf" or not np.all(np.isfinite(a)):
-        raise InvalidParameter("birth-death rates must be finite numbers")
+    if (a.dtype.kind not in "biuf" or not np.all(np.isfinite(a)) or shape is not None
+            and (a.ndim != len(shape) or any(s not in (None, t) for s, t in zip(shape, a.shape)))):
+        raise InvalidParameter(message)
     return a.astype(float, copy=False)
+
+
+def _generator(gen, what: str) -> None:
+    """InvalidParameter unless gen is an AbsorbingGenerator; what names the caller."""
+    if not isinstance(gen, AbsorbingGenerator):
+        raise InvalidParameter(f"{what} needs an AbsorbingGenerator")
 
 
 @dataclass(frozen=True)
@@ -429,6 +439,7 @@ class Path:
         return len(self.vertices) - 1
 
     def validate(self, gen: AbsorbingGenerator) -> None:
+        _generator(gen, "a path")
         for v in self.vertices:
             _state(gen, v, "vertex")
         for u, v in zip(self.vertices, self.vertices[1:]):
@@ -442,6 +453,9 @@ def minor(gen: AbsorbingGenerator, removed) -> np.ndarray:
     Rows keep their diagonal, so rate mass toward removed states acts as
     extra killing.  Removing every state raises EmptyResult.
     """
+    _generator(gen, "minor")
+    if not np.iterable(removed):
+        raise InvalidParameter("removed must be an iterable of state labels")
     removed = {_state(gen, x) for x in removed}
     keep = [x for x in range(1, gen.n_states + 1) if x not in removed]
     if not keep:
@@ -450,16 +464,22 @@ def minor(gen: AbsorbingGenerator, removed) -> np.ndarray:
     return gen.k_matrix()[np.ix_(idx, idx)]
 
 
+def _read_json(path, what: str):
+    """The JSON value in the file at path, or InvalidParameter for a path
+    that names no readable file and for text that is not valid JSON."""
+    try:
+        with open(os.fspath(path)) as fh:
+            return json.load(fh)
+    except (OSError, TypeError, ValueError) as exc:
+        raise InvalidParameter(f"{what} file is unreadable or not valid JSON: {exc}") from None
+
+
 def load_generator(path) -> AbsorbingGenerator:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameter(f"generator file is not valid JSON: {exc}") from None
-    return AbsorbingGenerator.from_json_dict(obj)
+    return AbsorbingGenerator.from_json_dict(_read_json(path, "generator"))
 
 
 def save_generator(gen: AbsorbingGenerator, path) -> None:
+    _generator(gen, "save_generator")
     with open(path, "w") as fh:
         json.dump(gen.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -55,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EventBudgetExceeded, HeavyTailWarning, InvalidParameter, UnderflowWarning
-from .generators import AbsorbingGenerator, _finite_real, _integer, _state
-from .spectral import DirichletEigenpair, _check_generator, _qsd, dirichlet_eigenpair
+from .generators import AbsorbingGenerator, _finite_real, _generator, _integer, _real_array, _state
+from .spectral import DirichletEigenpair, _qsd, dirichlet_eigenpair
 
 EVENT_BUDGET = 100_000_000
 BLOCK_SIZE = 16_384
@@ -130,6 +130,7 @@ def sample_path(gen: AbsorbingGenerator, start: int, target: int | None,
 
     start == target reports an immediate hit at elapsed time zero.
     """
+    _generator(gen, "sampling")
     start = _state(gen, start, "start state")
     target0 = None if target is None else _state(gen, target, "target state") - 1
     elapsed, hit, events = _simulate_block(_jump_table(gen), np.array([start - 1]), target0, rng)
@@ -212,15 +213,16 @@ def _run_blocks(gen, starts, target, n, seed):
 def _probability_vector(p, n_states, name):
     """p as a float array, or InvalidParameter unless it has one finite,
     nonnegative entry per state and sums to 1 within 1e-9."""
-    p = np.asarray(p, dtype=float)
-    if (p.shape != (n_states,) or not np.all(np.isfinite(p)) or np.any(p < 0)
-            or abs(p.sum() - 1) > 1e-9):
-        raise InvalidParameter(f"{name} must be a probability vector on the {n_states} states")
+    message = f"{name} must be a probability vector on the {n_states} states"
+    p = _real_array(p, message, (n_states,))
+    if np.any(p < 0) or abs(p.sum() - 1) > 1e-9:
+        raise InvalidParameter(message)
     return p
 
 
 def _starts_array(gen, start, n, seed):
     """n start states (0-based): start itself, or draws from a start law."""
+    _generator(gen, "sampling")
     n, seed = _integer(n, "n", 1), _integer(seed, "seed", 0)
     if np.isscalar(start):
         return np.full(n, _state(gen, start, "start state") - 1, dtype=np.int64)
@@ -245,8 +247,8 @@ def estimate_ratio(gen: AbsorbingGenerator, lambda0: float, x: int, y: int,
     """Monte Carlo estimate of E[exp(lambda0 tau_y) 1{hit y before absorption}]
     starting from x; its expectation is phi(x)/phi(y).  n_jobs has no effect."""
     lambda0 = _finite_real(lambda0, "lambda0")
-    x, y = _state(gen, x, "start state"), _state(gen, y, "target state")
     starts = _starts_array(gen, x, n, seed)
+    x, y = _state(gen, x, "start state"), _state(gen, y, "target state")
     if x == y:
         return EstimateWithCI(1.0, 0.0, n, seed)
     elapsed, hit = _run_blocks(gen, starts, y, n, seed)
@@ -315,7 +317,7 @@ def doob_stationary(gen: AbsorbingGenerator, eigenpair: DirichletEigenpair) -> n
 
 def _check_pair(gen, eigenpair) -> None:
     """InvalidParameter unless eigenpair is a DirichletEigenpair of gen's size."""
-    _check_generator(gen, "the Doob transform")
+    _generator(gen, "the Doob transform")
     if not (isinstance(eigenpair, DirichletEigenpair) and len(eigenpair.phi) == gen.n_states):
         raise InvalidParameter("eigenpair must be a DirichletEigenpair of the generator")
 
@@ -338,12 +340,14 @@ def expm_action(q: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     terms (Xue & Ye, Numer. Math. 2008), at a cost of O(n^3 log(Theta t)),
     and Q 2^k with t 2^-k gives the same bits.
     """
-    t, theta = float(t), float(np.abs(np.diag(q)).max())
+    square = "q must be a nonempty square matrix of finite rates"
+    q = _real_array(q, square, (None, None))
+    if not 0 < len(q) == q.shape[1]:
+        raise InvalidParameter(square)
+    t, theta = _finite_real(t, "time"), float(np.abs(np.diag(q)).max())
     if not (t >= 0 and theta * t < math.inf):
         raise InvalidParameter(f"time {t} must be nonnegative with Theta t finite")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (len(q),):
-        raise InvalidParameter(f"v must be a vector of {len(q)} entries, one per state")
+    v = _real_array(v, f"v must be a vector of {len(q)} entries, one per state", (len(q),))
     if t == 0 or theta == 0:
         return v.copy()
     s = max(0, math.frexp(theta * t)[1] + 1)
@@ -371,7 +375,9 @@ class SandwichRow:
 
 
 def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+    p = _real_array(p, "p must be finite numbers")
+    q = _real_array(q, "q must be finite numbers of the shape of p", p.shape)
+    return 0.5 * float(np.abs(p - q).sum())
 
 
 def sandwich_experiment(gen: AbsorbingGenerator, mu0, times,
@@ -394,6 +400,7 @@ def sandwich_experiment(gen: AbsorbingGenerator, mu0, times,
         eigenpair = dirichlet_eigenpair(gen)
     _check_pair(gen, eigenpair)
     mu0 = _probability_vector(mu0, gen.n_states, "mu0")
+    times = _real_array(times, "times must be a vector of finite numbers", (None,))
     phi = eigenpair.phi
     k = gen.k_matrix()
     nu = _qsd(gen, phi)

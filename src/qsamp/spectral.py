@@ -45,7 +45,7 @@ from .errors import (
     NonPositiveInput,
     NotDiagonalizableDetected,
 )
-from .generators import AbsorbingGenerator, _state
+from .generators import AbsorbingGenerator, _generator, _real_array, _state
 
 NORMALIZATIONS = ("first", "qsd", "max")
 
@@ -74,11 +74,6 @@ class SpectrumReport:
         return float(self.eigenvalues[0])
 
 
-def _check_generator(gen, name: str) -> None:
-    if not isinstance(gen, AbsorbingGenerator):
-        raise InvalidParameter(f"{name} needs an AbsorbingGenerator")
-
-
 def reversible_measure(gen: AbsorbingGenerator):
     """Probability eta with eta(x) K(x,y) = eta(y) K(y,x), or a witness.
 
@@ -90,7 +85,7 @@ def reversible_measure(gen: AbsorbingGenerator):
     sorted-key lookup, log eta is summed down a breadth-first spanning
     forest, and one vectorized test checks detailed balance on every edge.
     """
-    _check_generator(gen, "reversible_measure")
+    _generator(gen, "reversible_measure")
     if gen.is_birth_death:
         return _bd_eta(*gen.birth_death_rates()), None
     return _csr_measure(gen._csr)
@@ -305,7 +300,7 @@ def dirichlet_eigenpair(gen: AbsorbingGenerator, normalization: str = "first") -
     """
     if normalization not in NORMALIZATIONS:
         raise InvalidParameter(f"normalization must be one of {NORMALIZATIONS}")
-    _check_generator(gen, "dirichlet_eigenpair")
+    _generator(gen, "dirichlet_eigenpair")
     factor = None
     if gen.is_birth_death:
         lam0, phi, _ = tridiag.ground_pair(*gen.birth_death_rates())
@@ -326,7 +321,7 @@ def quasi_stationary_dist(gen: AbsorbingGenerator) -> np.ndarray:
     Normalized to sum 1.  A birth-death chain's is pi * phi; every other
     chain's comes from the transposed solve, with no right pair.
     """
-    _check_generator(gen, "quasi_stationary_dist")
+    _generator(gen, "quasi_stationary_dist")
     phi = tridiag.ground_pair(*gen.birth_death_rates())[1] if gen.is_birth_death else None
     return _qsd(gen, phi)
 
@@ -347,8 +342,8 @@ def amplitude(phi) -> float:
     """max(phi) / min(phi) for a positive vector (or eigenpair)."""
     if isinstance(phi, DirichletEigenpair):
         phi = phi.phi
-    phi = np.asarray(phi, dtype=float)
-    if phi.size == 0 or np.any(phi <= 0) or not np.all(np.isfinite(phi)):
+    phi = _real_array(phi, "amplitude needs a vector of finite numbers")
+    if phi.size == 0 or np.any(phi <= 0):
         raise NonPositiveInput("amplitude needs a strictly positive finite vector")
     return float(phi.max() / phi.min())
 
@@ -395,7 +390,7 @@ def lambda0_minor(gen: AbsorbingGenerator, x: int) -> float:
     takes the same route (_minor_lambda0); a LAPACK value not above its
     error bound raises NoConvergence.
     """
-    _check_generator(gen, "lambda0_minor")
+    _generator(gen, "lambda0_minor")
     x = _state(gen, x)
     _, k, s = _reversible_form(gen)
     return _minor_lambda0(gen, k, x, s)
@@ -442,7 +437,7 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     absorbing states, by the same route with or without compute_minors,
     which only adds the minor spectra to the report for display.
     """
-    _check_generator(gen, "full_spectrum")
+    _generator(gen, "full_spectrum")
     eta, k, s = _reversible_form(gen)
     if gen.is_birth_death:
         eigenvalues = np.sort(tridiag.eigenvalues(*gen.birth_death_rates()))
@@ -462,8 +457,7 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
         if gen.is_birth_death:  # S is needed only here
             s = _sym_neg_k(gen._csr, -gen.diagonal)
         minor_spectra = {x: _minor_eigenvalues(gen, k, x, s) for x in range(1, gen.n_states + 1)}
-    return SpectrumReport(np.asarray(eigenvalues, dtype=float), eta, float(lambda0_prime),
-                          minor_spectra)
+    return SpectrumReport(eigenvalues, eta, float(lambda0_prime), minor_spectra)
 
 
 def _minor_eigenvalues(gen: AbsorbingGenerator, k: np.ndarray | None, x: int,

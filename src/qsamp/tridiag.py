@@ -78,11 +78,12 @@ import math
 from decimal import Decimal
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgtsv
 
 from .errors import InvalidParameter, NoConvergence
+from .generators import _real_array
 
 _TINY = float(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
@@ -428,41 +429,6 @@ def _shifted_solves(b, d, shift, start):
     return v
 
 
-def _inverse_iteration(b, d, eig_index, lam_hat):
-    """Eigenvector estimate of -K for the given index, max |v| = 1.
-
-    Inverse iteration from the ones vector on the unsymmetrized tridiagonal
-    matrix with a shift just below the eigenvalue estimate lam_hat (three
-    solves).  Shifts that make the solve singular fall back to small
-    negative shifts, which still isolate the target direction whenever the
-    eigenvalue is far below the matrix norm (the regime where the singular
-    shift occurs).
-    """
-    scale = float((d + np.append(b, 0.0)).max())
-    shifts = [lam_hat * (1 - 1e-8), lam_hat - 1e-14 * scale]
-    if eig_index == 0:
-        shifts += [-1e-13 * scale, -1e-10 * scale]
-    for s in shifts:
-        try:
-            w = _shifted_solves(b, d, s, None)
-        except np.linalg.LinAlgError:
-            continue
-        if eig_index == 0 and np.any(w <= 0):
-            if not (np.all(w >= 0) or np.all(w <= 0)):
-                continue
-            w = np.abs(w)
-        return w
-    # last resort: dense tridiagonal solve with vectors
-    main, off = sym_tridiag(b, d)
-    lam, vec = eigh_tridiagonal(main, off, select="i", select_range=(eig_index, eig_index))
-    lp = log_pi(b, d)
-    v = vec[:, 0] * np.exp(-(lp - lp.max()) / 2.0)
-    v = v / np.abs(v).max()
-    if v[np.abs(v).argmax()] < 0:
-        v = -v
-    return v
-
-
 MAX_POWER_STEPS = 1000
 
 #: widest relative lambda0 bracket a pair is accepted on, which bounds the
@@ -525,8 +491,8 @@ def ground_pair(b, d, start=None):
     rates as given.
     Raises NoConvergence when the bracket has not settled after the step
     cap or is wider than RESIDUAL_RTOL, or when phi or lambda0 leaves the
-    double range; InvalidParameter for a start that is not n positive
-    finite numbers.
+    double range, or when no shift gives the second start;
+    InvalidParameter for a start that is not n positive finite numbers.
     """
     b = np.asarray(b, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -534,8 +500,8 @@ def ground_pair(b, d, start=None):
     if n == 1:
         return float(d[0]), np.ones(1), (float(d[0]), float(d[0]))
     if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (n,) or not np.all((start > 0) & np.isfinite(start)):
+        start = _real_array(start, f"start must be {n} finite numbers", (n,))
+        if np.any(start <= 0):
             raise InvalidParameter(f"start must be {n} positive finite numbers")
     lp = log_pi(b, d)
     w = pi_weights(lp)
@@ -550,8 +516,18 @@ def ground_pair(b, d, start=None):
         found = _shifted_quotient(bu, du, 0, rayleigh_quotient(bu, du, f, w), w, start=f)
         steps = _green_steps(ratio_step, d, lp, f if found is None else found[1], restart=True)
     if steps is None:
-        v = _inverse_iteration(bu, du, 0, eigenvalues(bu, du, 0, 0)[0])
-        steps = _green_steps(ratio_step, d, lp, v, restart=False)
+        lam, scale = eigenvalues(bu, du, 0, 0)[0], float((du + np.append(bu, 0.0)).max())
+        # shifts below zero still isolate phi where lambda0 is far below the rates
+        for shift in (lam * (1 - 1e-8), lam - 1e-14 * scale, -1e-13 * scale, -1e-10 * scale):
+            try:
+                v = _shifted_solves(bu, du, shift, None)
+            except np.linalg.LinAlgError:
+                continue
+            if np.all(v >= 0) or np.all(v <= 0):
+                break
+        else:
+            raise NoConvergence("no shifted solve gives a one-signed start vector")
+        steps = _green_steps(ratio_step, d, lp, np.abs(v), restart=False)
     lam0, _, (lo, hi) = steps
     _check_bracket(lo, hi, lam0)
     return steps

@@ -51,8 +51,8 @@ def cold_higher_eigenvalues(b, d, k):
         return np.zeros(0)
     w = tridiag.pi_weights(tridiag.log_pi(b, d))
     return np.array([
-        tridiag.rayleigh_quotient(b, d, tridiag._inverse_iteration(b, d, idx, lam_hat), w)
-        for idx, lam_hat in enumerate(tridiag.eigenvalues(b, d, 1, k), start=1)
+        tridiag.rayleigh_quotient(b, d, tridiag._shifted_solves(b, d, lam * (1 - 1e-8), None), w)
+        for lam in tridiag.eigenvalues(b, d, 1, k)
     ])
 
 

@@ -581,6 +581,9 @@ def test_rate_family_positivity_enforced():
         bad.realize(5)
 
 
+LIMITS = {"lambda0": 1.0, "lambda0_prime": 2.0, "lambdas": [3.0]}
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: poisson_family().realize(0), "^need n >= 1$"),
     (lambda: rho_family(0), "^rho must be positive$"),
@@ -603,10 +606,42 @@ def test_rate_family_positivity_enforced():
     (lambda: hitting_time_from(poisson_family(), 2.5), r"^x 2\.5 is not an integer$"),
     (lambda: lyapunov_check(poisson_family(), np.ones(5), "0.5", 5),
      "^lam '0.5' is not a finite number$"),
+    (lambda: poisson_family().realize("3"), "^n '3' is not an integer$"),
+    (lambda: poisson_family().realize(2.5), r"^n 2\.5 is not an integer$"),
+    (lambda: lyapunov_check(poisson_family(), np.ones(5), 0.1, "5"), "^n '5' is not an integer$"),
+    (lambda: lyapunov_check(poisson_family(), ["a"] * 5, 0.1, 5), "^phi must be 5 finite numbers$"),
+    (lambda: lyapunov_check(poisson_family(), np.ones(5), 0.1, 5, tol=math.nan),
+     "^tol nan is not a finite number$"),
+    (lambda: dirichlet_form(poisson_family(), ["a"] * 5, 5),
+     "^f must be 5 finite numbers, not all zero$"),
+    (lambda: rho_family("1"), "^rho '1' is not a finite number$"),
+    (lambda: rho_family(math.nan), "^rho nan is not a finite number$"),
+    (lambda: eigen_convergence(poisson_family(), 1, ["a", 8], 1e-6),
+     "^schedule entry 'a' is not an integer$"),
+    (lambda: eigen_convergence(poisson_family(), 1, [4.5, 8], 1e-6),
+     r"^schedule entry 4\.5 is not an integer$"),
+    (lambda: eigen_convergence(poisson_family(), 1, None, 1e-6),
+     "^schedule must be increasing with >= 2 entries$"),
+    (lambda: eigen_convergence(poisson_family(), 1, [4, 8], math.nan),
+     "^tol nan is not a finite number$"),
+    (lambda: eigen_convergence(poisson_family(), 1, [4, 8], "a"), "^tol 'a' is not a finite number$"),
+    (lambda: theorem_bound(LIMITS, tail_bound="a"), "^tail_bound 'a' is not a finite number$"),
+    (lambda: theorem_bound(LIMITS, n_used="1"), "^n_used '1' is not an integer$"),
+    (lambda: theorem_bound(None), "^limits must be a TruncationSeries or a mapping of real limits$"),
+    (lambda: theorem_bound({"lambda0": 1.0}),
+     "^limits must be a TruncationSeries or a mapping of real limits$"),
+    (lambda: theorem_bound({**LIMITS, "lambdas": ["a"]}), "^lambdas must be finite numbers$"),
+    (lambda: parse_rate_family("no/such/rates.json"),
+     r"^rate family file is unreadable or not valid JSON: \[Errno 2\]"),
+    (lambda: parse_rate_family("rho:abc"), "^rate family 'rho:abc': rho is not a number$"),
 ], ids=["realize-0", "rho-0", "expression-not-a-string", "expression-syntax-error",
         "tol-0", "inf-rate", "nan-rate", "overflowing-rate", "pi-overflow", "float-cutoff",
         "float-truncation", "float-gap-identity-size", "float-n-max", "float-n-used",
-        "float-hitting-state", "string-lyapunov-lam"])
+        "float-hitting-state", "string-lyapunov-lam", "realize-string", "realize-float",
+        "string-lyapunov-size", "string-lyapunov-phi", "nan-lyapunov-tol", "string-form-vector",
+        "rho-string", "rho-nan", "string-schedule-entry", "float-schedule-entry", "no-schedule",
+        "nan-tol", "string-tol", "string-tail-bound", "string-n-used", "no-limits",
+        "limits-without-lambda0-prime", "string-limit", "missing-rate-file", "rho-not-a-number"])
 def test_public_input_checks(call, message):
     # the pytest ini turns RuntimeWarning into an error: none may escape
     with pytest.raises(InvalidParameter, match=message):

@@ -488,10 +488,17 @@ def _report(eigenvalues, measure):
     (lambda: exact_bd_amplitude(build_rho_chain(3, 1.0), dps=1.5), InvalidParameter,
      r"^dps 1\.5 is not an integer$"),
     (lambda: graph_bound(2, 1.5, 1.0, 1.0), InvalidParameter, r"^diameter 1\.5 is not an integer$"),
+    (lambda: graph_bound(math.nan, 2, 1.0, 1.0), InvalidParameter, "^d nan is not a finite number$"),
+    (lambda: graph_bound(2, 2, "1", 1.0), InvalidParameter, "^r '1' is not a finite number$"),
+    (lambda: graph_bound(2, 2, 1.0, math.inf), InvalidParameter, "^R inf is not a finite number$"),
+    (lambda: spectral_bound(_report(["a", "b"], np.ones(2))), InvalidParameter,
+     "^eigenvalues must be finite numbers$"),
 ], ids=["unknown-paths", "no-reversible-measure", "higher-eigenvalue-at-lambda0",
         "spectral-bound-of-none", "path-bound-nan-lambda0", "geodesic-bound-inf-lambda0",
         "path-weight-nan-lambda0", "path-weight-string-lambda0", "oracle-dps-zero",
-        "oracle-dps-negative", "oracle-dps-float", "graph-bound-float-diameter"])
+        "oracle-dps-negative", "oracle-dps-float", "graph-bound-float-diameter",
+        "graph-bound-nan-degree", "graph-bound-string-r", "graph-bound-inf-big-r",
+        "spectral-bound-string-eigenvalues"])
 def test_public_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -60,6 +60,11 @@ class TestValidate:
         assert code == 2
         assert "NonIrreducible" in err
 
+    def test_missing_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "validate", "--input", str(tmp_path / "missing.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("INVALID: InvalidParameter:") and "missing.json" in err
+
     @pytest.mark.parametrize("text, field", [
         (json.dumps({"n_states": 2, "transitions": [[1, 2, 1.0], [2, 1, 1.0]],
                      "absorption": [{"state": 1, "rate": 1.0}]}), "transitions"),
@@ -101,6 +106,11 @@ class TestSpectrum:
         assert len(payload["phi"]) == 2 and len(payload["nu"]) == 2
         assert len(payload["eigenvalues"]) == 2
         assert payload["minor_spectra"]["1"] == pytest.approx([1.0])
+
+    def test_missing_input_is_an_invalid_parameter(self, capsys, tmp_path):
+        code, out, err = run(capsys, "spectrum", "--input", str(tmp_path / "missing.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter:") and "Traceback" not in err
 
     def test_replay_determinism(self, capsys, golden_file):
         _, out1, _ = run(capsys, "spectrum", "--input", golden_file, "--full")
@@ -227,6 +237,20 @@ class TestBd:
         assert code == 2
         assert out == ""
         assert f"InvalidParameter: family '{spec}' produced a NaN or infinite rate" in err
+
+
+    @pytest.mark.parametrize("rates", ["missing.json", "rho:abc"])
+    def test_unreadable_rates_exit_2(self, capsys, tmp_path, rates):
+        spec = str(tmp_path / rates) if rates.endswith(".json") else rates
+        code, out, err = run(capsys, "bd", "entrance", "--rates", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error: InvalidParameter:") and "Traceback" not in err
+
+    def test_nan_tolerance_is_an_invalid_parameter(self, capsys):
+        # a NaN tol once ran the whole schedule and reported NotConverged
+        code, out, err = run(capsys, "bd", "converge", "--rates", "poisson", "--tol", "nan")
+        assert code == 2 and out == ""
+        assert err == "error: InvalidParameter: tol nan is not a finite number\n"
 
 
 class TestReproduce:

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qsamp
 from qsamp import (
     AbsorbingGenerator,
     EmptyResult,
@@ -365,6 +367,15 @@ def test_direct_construction_rejects_what_build_general_rejects(transitions, abs
     (lambda: build_rho_chain(3, math.nan), InvalidParameter, "^rho nan is not a finite number$"),
     (lambda: build_graph_walk([(1, 2), (2, 1)], 1), InvalidParameter,
      "^absorbing_from must be an iterable of state labels$"),
+    (lambda: minor(build_rho_chain(3, 1.0), 1), InvalidParameter,
+     "^removed must be an iterable of state labels$"),
+    (lambda: Path((1, 2)).validate(None), InvalidParameter, "^a path needs an AbsorbingGenerator$"),
+    (lambda: load_generator("no/such/generator.json"), InvalidParameter,
+     r"^generator file is unreadable or not valid JSON: \[Errno 2\]"),
+    (lambda: load_generator("."), InvalidParameter,
+     r"^generator file is unreadable or not valid JSON: \[Errno 21\]"),
+    (lambda: load_generator(None), InvalidParameter,
+     "^generator file is unreadable or not valid JSON: expected str"),
 ], ids=["no-state", "label-above-n", "diagonal", "absorption-above-n", "negative-rate",
         "negative-absorption", "ring-birth-death-rates", "rho-zero", "empty-walk", "minor-above-n",
         "inf-birth-death-rate", "minor-float-label", "minor-bool-label", "rate-float-label",
@@ -372,10 +383,53 @@ def test_direct_construction_rejects_what_build_general_rejects(transitions, abs
         "string-n-states", "bool-n-states", "walk-triple-for-pair", "birth-death-2d",
         "birth-death-letter-rate", "birth-death-string-rate", "birth-death-none-rate",
         "birth-death-ragged", "rho-float-n", "rho-string-rho", "rho-nan-rho",
-        "walk-scalar-absorbing"])
+        "walk-scalar-absorbing", "minor-scalar-removed", "path-of-no-generator",
+        "load-missing-file", "load-directory", "load-none-path"])
 def test_public_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def _first_parameter(fn):
+    return next(iter(inspect.signature(fn).parameters), None)
+
+
+#: the public functions whose first argument is a generator or a rate family,
+#: found by signature, so that a new one is checked here as soon as it exists
+ENTRY_POINTS = [(name, _first_parameter(fn)) for name, fn in sorted(vars(qsamp).items())
+                if inspect.isfunction(fn) and not name.startswith("_")
+                and _first_parameter(fn) in ("gen", "rates")]
+
+
+def _valid_arguments(golden):
+    """A valid value, by parameter name, for every required parameter after
+    the first of an entry point: on the golden chain, or on an 8-state
+    truncation of a rate family.  x is 2, since hitting_time_from returns 0
+    from state 1 without reading its family."""
+    return {"lambda0": 0.3, "lam": 0.1, "x": 2, "y": 1, "start": 1, "target": 2, "n": 8, "seed": 1,
+            "rng": np.random.default_rng(0), "path": (1, 2), "removed": [1],
+            "eigenpair": qsamp.dirichlet_eigenpair(golden), "mu0": [0.5, 0.5], "times": [1.0],
+            "cutoff": 100, "n_max": 1, "schedule": [4, 8], "tol": 1e-6, "n_used": 1,
+            "phi": np.ones(8), "f": np.ones(8)}
+
+
+def test_entry_points_are_found():
+    assert sum(first == "gen" for _, first in ENTRY_POINTS) >= 19
+    assert sum(first == "rates" for _, first in ENTRY_POINTS) >= 9
+
+
+@pytest.mark.parametrize("bad", [None, "chain"], ids=["none", "string"])
+@pytest.mark.parametrize("name, first", ENTRY_POINTS, ids=[name for name, _ in ENTRY_POINTS])
+def test_every_entry_point_checks_its_generator_or_rate_family(golden, name, first, bad):
+    # the shared check raises before anything else touches the argument
+    fn = getattr(qsamp, name)
+    valid = _valid_arguments(golden)
+    args = [valid[p.name] for p in list(inspect.signature(fn).parameters.values())[1:]
+            if p.default is p.empty]
+    message = ("needs an AbsorbingGenerator$" if first == "gen"
+               else f"^rates must be a RateFamily, not {type(bad).__name__}$")
+    with pytest.raises(InvalidParameter, match=message):
+        fn(bad, *args)
 
 
 def test_birth_death_rates_of_any_real_type():

@@ -601,6 +601,10 @@ def test_monte_carlo_inputs_rejected(golden, call):
         call(golden)
 
 
+SQUARE = "^q must be a nonempty square matrix of finite rates$"
+TIMES = "^times must be a vector of finite numbers$"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda g, p: doob_transform(g, None), "^eigenpair must be a DirichletEigenpair"),
     (lambda g, p: doob_stationary(g, None), "^eigenpair must be a DirichletEigenpair"),
@@ -613,8 +617,34 @@ def test_monte_carlo_inputs_rejected(golden, call):
      "^v must be a vector of 2 entries, one per state$"),
     (lambda g, p: expm_action(g.k_matrix(), np.ones(3) / 3, 0.0),
      "^v must be a vector of 2 entries, one per state$"),
+    (lambda g, p: expm_action(g.k_matrix(), ["a", 1], 1.0),
+     "^v must be a vector of 2 entries, one per state$"),
+    (lambda g, p: expm_action(None, [1.0, 0.0], 1.0), SQUARE),
+    (lambda g, p: expm_action("q", [1.0, 0.0], 1.0), SQUARE),
+    (lambda g, p: expm_action(np.zeros((0, 0)), [], 1.0), SQUARE),
+    (lambda g, p: expm_action(np.ones((2, 3)), [1.0, 0.0], 1.0), SQUARE),
+    (lambda g, p: expm_action(np.full((2, 2), np.nan), [1.0, 0.0], 1.0), SQUARE),
+    (lambda g, p: expm_action(g.k_matrix(), [1.0, 0.0], "a"), "^time 'a' is not a finite number$"),
+    (lambda g, p: sandwich_experiment(g, ["a", 1], [1.0]),
+     "^mu0 must be a probability vector on the 2 states$"),
+    (lambda g, p: absorption_times(g, ["a", 1], 5, seed=1),
+     "^start distribution must be a probability vector on the 2 states$"),
+    (lambda g, p: absorption_times(g, [[1.0], [0.0, 1.0]], 5, seed=1),
+     "^start distribution must be a probability vector on the 2 states$"),
+    (lambda g, p: estimate_psi(g, 0.1, ["a", 1], 5, seed=1),
+     "^start distribution must be a probability vector on the 2 states$"),
+    (lambda g, p: sandwich_experiment(g, [0.5, 0.5], ["a"]), TIMES),
+    (lambda g, p: sandwich_experiment(g, [0.5, 0.5], None), TIMES),
+    (lambda g, p: sandwich_experiment(g, [0.5, 0.5], 1.0), TIMES),
+    (lambda g, p: total_variation(["a"], [1.0]), "^p must be finite numbers$"),
+    (lambda g, p: total_variation([1.0, 0.0], [1.0, 0.0, 0.0]),
+     "^q must be finite numbers of the shape of p$"),
 ], ids=["transform-of-none", "stationary-of-none", "stationary-of-another-size",
-        "transform-of-no-generator", "sandwich-pair-3", "expm-v-too-long", "expm-v-at-t-zero"])
+        "transform-of-no-generator", "sandwich-pair-3", "expm-v-too-long", "expm-v-at-t-zero",
+        "expm-string-v", "expm-none-q", "expm-string-q", "expm-empty-q", "expm-oblong-q",
+        "expm-nan-q", "expm-string-t", "sandwich-string-mu0", "times-string-start-law",
+        "times-ragged-start-law", "psi-string-start-law", "sandwich-string-times",
+        "sandwich-none-times", "sandwich-scalar-times", "variation-string", "variation-shapes"])
 def test_doob_and_propagation_inputs_rejected(golden, call, message):
     with pytest.raises(InvalidParameter, match=message):
         call(golden, dirichlet_eigenpair(golden))

@@ -909,6 +909,16 @@ def test_reversible_spectra_scale_by_powers_of_two_exactly(family, k):
             np.testing.assert_array_equal(scaled.minor_spectra[x], np.ldexp(vals, k))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: amplitude(["a"]), "^amplitude needs a vector of finite numbers$"),
+    (lambda: amplitude([[1.0], [1.0, 2.0]]), "^amplitude needs a vector of finite numbers$"),
+    (lambda: amplitude([1.0, math.nan]), "^amplitude needs a vector of finite numbers$"),
+], ids=["amplitude-string", "amplitude-ragged", "amplitude-nan"])
+def test_public_input_checks(call, message):
+    with pytest.raises(InvalidParameter, match=message):
+        call()
+
+
 def test_unknown_normalization_rejected(golden):
     with pytest.raises(InvalidParameter, match="^normalization must be one of"):
         dirichlet_eigenpair(golden, normalization="sum")
