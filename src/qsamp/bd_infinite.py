@@ -62,8 +62,12 @@ class RateFamily:
             b = np.broadcast_to(np.asarray(self.b(xs[:-1]), dtype=float), (n - 1,)).copy()
             d = np.broadcast_to(np.asarray(self.d(xs), dtype=float), (n,)).copy()
         except (TypeError, ValueError):
-            b = np.array([float(self.b(int(x))) for x in xs[:-1]])
-            d = np.array([float(self.d(int(x))) for x in xs])
+            try:  # callbacks of one int x at a time
+                b = np.array([float(self.b(int(x))) for x in xs[:-1]])
+                d = np.array([float(self.d(int(x))) for x in xs])
+            except (TypeError, ValueError) as exc:
+                raise InvalidParameter(
+                    f"family {self.name!r} did not produce real rates: {exc}") from None
         if np.any(b <= 0) or np.any(d <= 0):
             raise InvalidParameter(f"family {self.name!r} produced a non-positive rate")
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(d))):
@@ -483,7 +487,9 @@ def theorem_bound(limits, n_used: int | None = None, tail_bound: float = 0.0,
         prod_tail (1 - lambda0/lambda_n) >= exp(-c lambda0 T),
 
     with c chosen so -log(1-u) <= c u on the realized range u <= u_max.
-    tail_bound = 0 reduces exactly to the finite spectral bound.
+    tail_bound = 0 reduces exactly to the finite spectral bound.  The bound
+    is math.inf where the factors' product underflows: it then exceeds the
+    largest double, which it still bounds.
     """
     if isinstance(limits, TruncationSeries):
         lam0 = float(limits.limits[0])
@@ -522,7 +528,8 @@ def theorem_bound(limits, n_used: int | None = None, tail_bound: float = 0.0,
         # -log(1-u)/u increases from its u -> 0 limit 1
         c = -math.log1p(-u_max) / u_max if u_max > 0 else 1.0
         tail_factor = math.exp(-c * lam0 * tail_bound)
-    bound = 1.0 / (float(np.prod(factors)) * tail_factor)
+    prod = float(np.prod(factors)) * tail_factor
+    bound = math.inf if prod == 0 else 1.0 / prod
     return TheoremBoundReport(
         bound=bound,
         lambda0=lam0,

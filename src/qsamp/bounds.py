@@ -18,20 +18,14 @@ tie, and ties prefer fewer edges, then the smaller predecessor state.  At
 or below the Dirichlet eigenvalue, cycle products never exceed one (each
 factor is at most the corresponding eigenvector ratio), so a negative cycle
 means the caller's lambda0 is above it, and raises InvalidParameter.
-Costs can be negative, so the search follows Johnson (JACM 1977): where
-one is, a Bellman-Ford relaxation from the first exit state gives that
-state's paths and a potential h, and one scipy.sparse.csgraph Dijkstra
-call on the reduced costs c(u, v) + h(u) - h(v) >= 0 serves every other
-exit state; with no negative cost it serves them all.  The ties come from
-the tight edges of each search, whose fewest-edge depths one unweighted
-search of all of them finds at once.
-Fewest-edge (geodesic) paths come instead from a breadth-first search of
-the generator's CSR rates, which gives each state the first state in queue
-order that reaches it as its predecessor.  Either way the result is one
-predecessor array per exit state.  Certificates are built from it on
-demand, so P and Q are the same left-to-right products that path_weight
-and rough_weight form; the bound needs only the extreme ones, which a
-pointer-doubling sum of log factors over every path locates.
+Costs can be negative, so the search follows Johnson (JACM 1977):
+Bellman-Ford distances from one exit state are a potential, and one
+Dijkstra call on the reduced costs searches from every exit state.
+Fewest-edge (geodesic) paths come instead from a breadth-first search,
+whose predecessor of each state is the first in queue order to reach it.
+Either way the result is one predecessor array per exit state; each
+certificate is built from it on demand, and a pointer-doubling sum of log
+factors over every path locates the extreme ones that the bound needs.
 
 The oriented diameter of the degree-diameter bound comes from eccentricity
 bounds (Takes & Kosters, CIKM 2011): a breadth-first search from one state,
@@ -177,93 +171,68 @@ def _edge_factors(gen: AbsorbingGenerator, lambda0: float):
     return denom
 
 
-def path_weight(gen: AbsorbingGenerator, lambda0: float, path) -> float:
-    """P(gamma): product of rate / (exit-rate - lambda0) along the path.
+def _edges(gen: AbsorbingGenerator, path) -> list:
+    """Consecutive pairs of path, a Path or a sequence of state labels;
+    InvalidParameter unless each is a positive-rate edge of gen."""
+    if not isinstance(path, Path):
+        path = Path(tuple(path) if np.iterable(path) else path)
+    path.validate(gen)
+    return list(zip(path.vertices, path.vertices[1:]))
 
-    The empty path (a single vertex) has weight 1.
-    """
-    vertices = path.vertices if isinstance(path, Path) else tuple(path)
-    Path(vertices).validate(gen)
+
+def path_weight(gen: AbsorbingGenerator, lambda0: float, path) -> float:
+    """P(gamma): product of rate / (exit-rate - lambda0) along the path;
+    the empty path (a single vertex) has weight 1."""
+    edges = _edges(gen, path)
     denom = _edge_factors(gen, lambda0)
-    out = 1.0
-    for u, v in zip(vertices, vertices[1:]):
-        out *= gen.rate(u, v) / denom[u - 1]
-    return out
+    return math.prod((gen.rate(u, v) / denom[u - 1] for u, v in edges), start=1.0)
 
 
 def rough_weight(gen: AbsorbingGenerator, path) -> float:
     """Q(gamma): product of exit-rate / rate along the path; empty path -> 1."""
-    vertices = path.vertices if isinstance(path, Path) else tuple(path)
-    Path(vertices).validate(gen)
+    edges = _edges(gen, path)
     exit_rates = -gen.diagonal
-    out = 1.0
-    for u, v in zip(vertices, vertices[1:]):
-        out *= exit_rates[u - 1] / gen.rate(u, v)
-    return out
+    return math.prod((exit_rates[u - 1] / gen.rate(u, v) for u, v in edges), start=1.0)
 
 
-def _bellman_ford(n, rows, cols, costs, src):
-    """Shortest walks from src with deterministic tie-breaking.
+def _bellman_ford(n, rows, cols, costs, src, scale):
+    """Shortest-walk distances from src over the edges (rows, cols) with
+    these costs, or None where a negative cycle is reachable.  A distance
+    falls only by more than 1e-14 scale; a round that lowers none ends the
+    search, and after n - 1 rounds one lowered by CYCLE_EPS scale marks a
+    negative cycle.
 
-    rows, cols and costs are plain lists in (from, to) order.  Ties on cost
-    prefer fewer edges, then the lexicographically smaller predecessor
-    state.  Returns (parent, negative_cycle_flag).
-
-    path_bound runs this once, from the first exit state, and only when
-    some cost is negative; its tree gives the potential that makes every
-    other search a Dijkstra.  scipy's own routes fail on exactly these
-    costs: csgraph.johnson did not return on a two-state chain whose cycle
-    product is 1 at lambda0, and csgraph.bellman_ford, with no tolerance in
-    its negative-cycle test, raises at a chain's own lambda0.
+    scipy's own routes fail on exactly these costs: csgraph.johnson did not
+    return on a two-state chain whose cycle product is 1 at lambda0, and
+    csgraph.bellman_ford, with no tolerance in its negative-cycle test,
+    raises at a chain's own lambda0.
     """
-    inf = math.inf
-    dist = [inf] * n
-    nedge = [0] * n
-    parent = [-1] * n
+    dist = [math.inf] * n
     dist[src] = 0.0
-    scale = 1.0 + max(map(abs, costs)) if costs else 1.0
     eps = 1e-14 * scale
-    edges = list(zip(rows, cols, costs))
+    edges = list(zip(rows.tolist(), cols.tolist(), costs.tolist()))
     for _ in range(max(n - 1, 1)):
         changed = False
         for u, v, c in edges:
-            du = dist[u]
-            if du == inf:
-                continue
-            cand = du + c
-            dv = dist[v]
-            if cand < dv - eps:
-                dist[v], nedge[v], parent[v] = cand, nedge[u] + 1, u
+            cand = dist[u] + c
+            if cand < dist[v] - eps:
+                dist[v] = cand
                 changed = True
-            elif cand <= dv + eps:
-                ne = nedge[u] + 1
-                if ne < nedge[v] or (ne == nedge[v] and parent[v] != -1 and u < parent[v]):
-                    dist[v], nedge[v], parent[v] = cand, ne, u
-                    changed = True
         if not changed:
-            break
-    for u, v, c in edges:
-        if dist[u] != inf and dist[u] + c < dist[v] - CYCLE_EPS * scale:
-            return parent, True
-    return parent, False
-
-
-def _edge_index(gen: AbsorbingGenerator, u, v):
-    """Position in gen._coo of each edge (u, v), by one sorted-key lookup."""
-    rows, cols, _ = gen._coo
-    n = gen.n_states
-    return np.searchsorted(rows * n + cols, u * n + v)
+            return np.array(dist)
+    if any(dist[u] + c < dist[v] - CYCLE_EPS * scale for u, v, c in edges):
+        return None
+    return np.array(dist)
 
 
 def _best_parents(gen: AbsorbingGenerator, denom, exits, lambda0) -> np.ndarray:
     """Predecessors of the paths maximizing P, flat over the (exit, state)
     pairs as in PathCertificates.
 
-    Costs are -log(factor).  Where one is negative, a Bellman-Ford search
-    from the first exit state gives its paths and, summed down its tree, a
-    potential h; the reduced costs max(c + h(u) - h(v), 0) then serve one
-    Dijkstra from the other exit states, and with no negative cost (h = 0)
-    that Dijkstra covers every exit state.  An edge is tight when
+    Costs are -log(factor).  Where one is negative, the Bellman-Ford
+    distances h from the first exit state are a potential, and the reduced
+    costs max(c + h(u) - h(v), 0) are nonnegative; one Dijkstra call then
+    searches from every exit state.  An edge is tight when
     d(u) + c(u, v) <= d(v) + 1e-14 (1 + max |c|); a state's predecessor is
     the smallest tight u whose fewest-tight-edge depth is one less than its
     own.  Only where some state has two tight edges in are those depths
@@ -273,35 +242,20 @@ def _best_parents(gen: AbsorbingGenerator, denom, exits, lambda0) -> np.ndarray:
     n, m = gen.n_states, len(exits) * gen.n_states
     rows, cols, vals = gen._coo
     costs = -(np.log(vals) - np.log(denom[rows]))
-    eps = 1e-14 * (1.0 + np.abs(costs).max()) if len(costs) else 0.0
-    parent = np.full(m, -1, dtype=np.int64)
-    first = 0  # exit states before this one are settled
+    scale = 1.0 + float(np.abs(costs).max()) if len(costs) else 1.0
     if len(costs) and costs.min() < 0:
-        tree, neg_cycle = _bellman_ford(n, rows.tolist(), cols.tolist(), costs.tolist(), exits[0])
-        if neg_cycle:
+        h = _bellman_ford(n, rows, cols, costs, exits[0], scale)
+        if h is None:
             raise InvalidParameter(
                 f"lambda0 = {float(lambda0)!r} is above the Dirichlet eigenvalue: "
                 "a cycle of path factors has product above one"
             )
-        # a cycle of factors whose product rounds to just above one may hand
-        # the source a predecessor, which it does not keep (a loop of other
-        # states would make the pointer doubling of path_bound raise)
-        parent[:n] = tree
-        parent[exits[0]] = -1
-        first = 1
-        if len(exits) == 1:
-            return parent
-        child = np.flatnonzero(parent[:n] >= 0)
-        step = np.zeros(n)
-        step[child] = costs[_edge_index(gen, parent[child], child)]
-        h = _sum_to_root(parent[:n], step)
         costs = np.maximum(costs + h[rows] - h[cols], 0.0)
     csr = gen._csr
-    dist = dijkstra(csr_matrix((costs, csr.indices, csr.indptr), shape=(n, n)),
-                    indices=exits[first:])
-    sources = np.arange(first, len(exits)) * n + exits[first:]
-    block, edge = np.nonzero(dist[:, rows] + costs <= dist[:, cols] + eps)
-    u, v = (block + first) * n + rows[edge], (block + first) * n + cols[edge]
+    dist = dijkstra(csr_matrix((costs, csr.indices, csr.indptr), shape=(n, n)), indices=exits)
+    sources = np.arange(len(exits)) * n + exits
+    block, edge = np.nonzero(dist[:, rows] + costs <= dist[:, cols] + 1e-14 * scale)
+    u, v = block * n + rows[edge], block * n + cols[edge]
     count = np.bincount(v, minlength=m)
     count[sources] = 0
     if count.max() > 1:
@@ -309,10 +263,9 @@ def _best_parents(gen: AbsorbingGenerator, denom, exits, lambda0) -> np.ndarray:
         depth = dijkstra(tight, indices=sources, unweighted=True, min_only=True)
         keep = depth[u] == depth[v] - 1
         u, v = u[keep], v[keep]
-    best = np.full(m, m, dtype=np.int64)
-    np.minimum.at(best, v, u)
-    best[sources] = -1
-    parent[first * n:] = best[first * n:]
+    parent = np.full(m, m, dtype=np.int64)
+    np.minimum.at(parent, v, u)
+    parent[sources] = -1
     return parent
 
 
@@ -325,7 +278,8 @@ def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
     unit-rate walks.  The report carries every chosen path, the bound
     (min P)^-1 and the rough bound max Q over the same paths.  A lambda0
     that the best-path search finds above the Dirichlet eigenvalue raises
-    InvalidParameter.
+    InvalidParameter.  The bound is math.inf where min P underflows: it then
+    exceeds the largest double, which it still bounds.
 
     One pointer-doubling pass sums the log factors of every path, P and Q
     side by side.  The pairs whose sums lie within rounding of the extreme
@@ -349,7 +303,8 @@ def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
     # AbsorbingGenerator rejects reducible chains, so every pair has a path
     child = np.flatnonzero(parent >= 0)
     u, v = parent[child] % n, child % n
-    rate = gen._coo[2][_edge_index(gen, u, v)]
+    rows, cols, vals = gen._coo
+    rate = vals[np.searchsorted(rows * n + cols, u * n + v)]
     factor = np.ones((2, len(parent)))
     factor[0, child] = rate / denom[u]
     factor[1, child] = -gen.diagonal[u] / rate
@@ -366,17 +321,24 @@ def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
     built = {i: certs._build(i) for i in {*low_p, *high_q}}
     worst = min(built[i].weight for i in low_p)
     rough = max(built[i].rough_weight for i in high_q)
-    return PathBoundReport(pairs=certs, bound=1.0 / worst, rough_bound=rough, method=paths)
+    return PathBoundReport(pairs=certs, bound=math.inf if worst == 0 else 1.0 / worst,
+                           rough_bound=rough, method=paths)
 
 
 def graph_bound(d: float, diameter: int, r: float, big_r: float) -> float:
-    """Degree-diameter bound (R d / r)^D for rate-perturbed unit walks."""
-    if _finite_real(d, "d") < 1:
+    """Degree-diameter bound (R d / r)^D for rate-perturbed unit walks;
+    math.inf where it exceeds the largest double, which it still bounds."""
+    d = _finite_real(d, "d")
+    if d < 1:
         raise InvalidParameter("max out-degree must be >= 1")
-    _integer(diameter, "diameter", 0)
-    if not 0 < _finite_real(r, "r") <= _finite_real(big_r, "R"):
+    diameter = _integer(diameter, "diameter", 0)
+    r, big_r = _finite_real(r, "r"), _finite_real(big_r, "R")
+    if not 0 < r <= big_r:
         raise InvalidParameter("need 0 < r <= R")
-    return float((big_r * d / r) ** diameter)
+    try:
+        return (big_r * d / r) ** diameter
+    except OverflowError:
+        return math.inf
 
 
 def graph_parameters(gen: AbsorbingGenerator):
@@ -430,26 +392,29 @@ def _hops(csr, src) -> np.ndarray:
 def spectral_bound(report: SpectrumReport) -> SpectralBoundReport:
     """Reversible amplitude bound from the full spectrum and lambda0'.
 
-    bound = ((1 - lambda0/lambda0') prod_{k>=1} (1 - lambda0/lambda_k))^-1.
+    bound = ((1 - lambda0/lambda0') prod_{k>=1} (1 - lambda0/lambda_k))^-1,
+    math.inf where the product underflows: the bound then exceeds the
+    largest double, which it still bounds.
     """
     if not isinstance(report, SpectrumReport):
         raise InvalidParameter("spectral_bound needs a SpectrumReport")
     if report.reversible_measure is None:
         raise NotReversible("spectral bound requires a reversible generator")
     lam = _real_array(report.eigenvalues, "eigenvalues must be finite numbers", (None,))
+    if not len(lam):
+        raise InvalidParameter("spectral_bound needs at least one eigenvalue")
     lam0 = float(lam[0])
     lam0p = float(report.lambda0_prime)
-    if not math.isinf(lam0p) and lam0p <= lam0 * (1 + 1e-12):
+    if lam0p <= lam0 * (1 + 1e-12):
         raise DegenerateGap(
             f"lambda0' = {lam0p!r} <= lambda0 = {lam0!r}; eigensolver failure"
         )
-    factors = [1.0 - lam0 / lam0p] if not math.isinf(lam0p) else [1.0]
-    for lk in lam[1:]:
-        if lk <= lam0 * (1 + 1e-12):
-            raise DegenerateGap(f"eigenvalue {float(lk)!r} <= lambda0 = {lam0!r}")
-        factors.append(1.0 - lam0 / lk)
+    low = lam[1:][lam[1:] <= lam0 * (1 + 1e-12)]
+    if len(low):
+        raise DegenerateGap(f"eigenvalue {float(low[0])!r} <= lambda0 = {lam0!r}")
+    factors = [1.0 - lam0 / lam0p, *(1.0 - lam0 / lam[1:]).tolist()]
     prod = float(np.prod(factors))
-    return SpectralBoundReport(bound=1.0 / prod, factors=tuple(factors))
+    return SpectralBoundReport(bound=math.inf if prod == 0 else 1.0 / prod, factors=tuple(factors))
 
 
 def exact_bd_amplitude(gen: AbsorbingGenerator, dps: int | None = None) -> float:
@@ -461,13 +426,8 @@ def exact_bd_amplitude(gen: AbsorbingGenerator, dps: int | None = None) -> float
     R = det(T~ - lambda0)/det(T~) in dps-digit decimal arithmetic (the
     standard library's decimal module, with an exponent range no chain can
     leave), so the result stays accurate even when the amplitude spans
-    hundreds of orders of magnitude.  lambda0 comes from tridiag.mp_lambda:
-    a double-precision start certified by the differential Sturm count
-    (float Newton steps from 0 and a walk of a few ulps, or bisection), a
-    few decimal Newton steps on det(T - lambda), and a certificate of two
-    decimal Sturm counts just below and above the result.  The double-
-    precision start runs on the rates scaled by a power of two, which is
-    exact, so no double product of rates overflows at any rate scale.
+    hundreds of orders of magnitude.  lambda0 comes from tridiag.mp_lambda,
+    certified there by two decimal Sturm counts just below and above it.
     The ratio's condition number is the amplitude itself, so R is accepted
     only when R > 0 and log10(1/R) + 30 <= dps.  The default precision starts at 60
     digits and otherwise repeats at ceil(log10(1/R)) + 60 digits, or at 60

@@ -57,8 +57,11 @@ def _emit(payload, args) -> None:
     else:
         text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParameter(f"--out {args.out} cannot be written: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -445,14 +448,14 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         code, payload = args.func(args)
+        if payload is not None:
+            _emit(payload, args)
     except UnknownCase as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except QsampError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
-    if payload is not None:
-        _emit(payload, args)
     return code
 
 

@@ -440,6 +440,8 @@ class Path:
 
     def validate(self, gen: AbsorbingGenerator) -> None:
         _generator(gen, "a path")
+        if not np.iterable(self.vertices):
+            raise InvalidParameter("a path must be a sequence of state labels")
         for v in self.vertices:
             _state(gen, v, "vertex")
         for u, v in zip(self.vertices, self.vertices[1:]):

@@ -240,6 +240,11 @@ def test_warm_started_truncations_match_cold_solves(fam, schedule, n_max):
 
 
 class TestTheoremBound:
+    def test_bound_above_the_double_range_is_inf(self):
+        # the tail factor exp(-1.5e6) underflows to zero
+        limits = {"lambda0": 1, "lambda0_prime": 2, "lambdas": [3]}
+        assert theorem_bound(limits, tail_bound=1e6).bound == math.inf
+
     def test_tail_zero_reduces_to_finite_spectral_bound(self):
         gen = truncate_neumann(accelerated_poisson_family(), 12)
         rep = full_spectrum(gen)
@@ -634,6 +639,10 @@ LIMITS = {"lambda0": 1.0, "lambda0_prime": 2.0, "lambdas": [3.0]}
     (lambda: parse_rate_family("no/such/rates.json"),
      r"^rate family file is unreadable or not valid JSON: \[Errno 2\]"),
     (lambda: parse_rate_family("rho:abc"), "^rate family 'rho:abc': rho is not a number$"),
+    (lambda: RateFamily(None, None).realize(3),
+     "^family 'custom' did not produce real rates: 'NoneType' object is not callable$"),
+    (lambda: RateFamily(lambda x: "a", lambda x: "a").realize(3),
+     "^family 'custom' did not produce real rates: could not convert string to float: 'a'$"),
 ], ids=["realize-0", "rho-0", "expression-not-a-string", "expression-syntax-error",
         "tol-0", "inf-rate", "nan-rate", "overflowing-rate", "pi-overflow", "float-cutoff",
         "float-truncation", "float-gap-identity-size", "float-n-max", "float-n-used",
@@ -641,7 +650,8 @@ LIMITS = {"lambda0": 1.0, "lambda0_prime": 2.0, "lambdas": [3.0]}
         "string-lyapunov-size", "string-lyapunov-phi", "nan-lyapunov-tol", "string-form-vector",
         "rho-string", "rho-nan", "string-schedule-entry", "float-schedule-entry", "no-schedule",
         "nan-tol", "string-tol", "string-tail-bound", "string-n-used", "no-limits",
-        "limits-without-lambda0-prime", "string-limit", "missing-rate-file", "rho-not-a-number"])
+        "limits-without-lambda0-prime", "string-limit", "missing-rate-file", "rho-not-a-number",
+        "callbacks-not-callable", "callbacks-return-strings"])
 def test_public_input_checks(call, message):
     # the pytest ini turns RuntimeWarning into an error: none may escape
     with pytest.raises(InvalidParameter, match=message):

@@ -32,6 +32,7 @@ from qsamp import (
     tridiag,
 )
 from qsamp import bounds
+from qsamp.spectral import _sum_to_root
 from conftest import (
     grid_walk,
     random_cycle_with_chords,
@@ -195,11 +196,15 @@ def simple_path_weights(gen, lambda0, src):
     return found
 
 
-#: a chain on which bounds._bellman_ford takes its equal-cost update (a tie
-#: won by fewer edges); 4 of 1693 valid draws of 5-6 states with rates in
-#: {1, 2, 4} do, and no seeded generator below does
+#: a chain whose one exit state reaches state 2 by two paths of equal P: the
+#: state has two tight edges in, and the path with fewer edges must win.
+#: The costs include a negative one, and no seeded generator below has a tie
 BELLMAN_FORD_TIE = (5, [(1, 3, 2.0), (2, 4, 1.0), (3, 1, 2.0), (3, 2, 2.0), (4, 3, 2.0),
                         (4, 5, 2.0), (5, 2, 2.0), (5, 4, 2.0)], {4: 1.0})
+#: a seed whose draws include a chain with a negative cost and two or more
+#: exit states: the first exit state's paths, like the others', then come
+#: from the search on reduced costs
+FIRST_EXIT_SEED = 2
 
 
 @pytest.mark.parametrize("seed", [*range(60), pytest.param(None, id="bellman-ford-tie")])
@@ -209,8 +214,12 @@ def test_best_paths_are_optimal_with_fewest_edges_among_ties(seed):
     else:
         rng = np.random.default_rng(seed)
         gens = (random_reversible_generator(rng, 7), random_cycle_with_chords(rng, n_max=7))
-    for gen in gens:
-        lam0 = dirichlet_eigenpair(gen).lambda0
+    lam0s = [dirichlet_eigenpair(gen).lambda0 for gen in gens]
+    if seed == FIRST_EXIT_SEED:
+        assert any(len(gen.absorbing_set) >= 2
+                   and any(r > -gen.diagonal[u - 1] - lam0 for u, _, r in gen.transitions)
+                   for gen, lam0 in zip(gens, lam0s))
+    for gen, lam0 in zip(gens, lam0s):
         rep = path_bound(gen, lam0)
         for y in gen.absorbing_set:
             for x, weights in simple_path_weights(gen, lam0, y).items():
@@ -252,20 +261,21 @@ def test_two_state_chains_with_unit_cycle_product(log_rates):
     assert path_bound(gen, pair.lambda0).bound == pytest.approx(amplitude(pair), rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("transitions, tree", [
-    ([(1, 2), (2, 1), (2, 3), (3, 2)], [-1, 2, 1]),
-    ([(1, 2), (2, 1), (2, 4), (3, 2), (4, 3)], [-1, 2, 3, 1]),
-])
-def test_bellman_ford_tree_that_does_not_span_raises(monkeypatch, transitions, tree):
-    # a loop of predecessors off the source could only come from a cycle of
-    # factors whose product rounds to just above one; it must raise rather
-    # than send the path walks round the loop.  Pointer doubling settles on
-    # the loop of two, and never settles on the loop of three.  State 3 has
-    # one way out, so its cost is negative and the Bellman-Ford search runs.
-    gen = build_general(len(tree), [(i, j, 1.0) for i, j in transitions], {1: 1.0})
-    monkeypatch.setattr(bounds, "_bellman_ford", lambda *args: (tree, False))
+@pytest.mark.parametrize("parent", [[-1, 2, 1], [-1, 2, 3, 1]])
+def test_predecessor_loop_that_reaches_no_root_raises(parent):
+    # predecessors that loop off the root must raise rather than send the
+    # path walks round the loop.  Pointer doubling settles on the loop of
+    # two, and never settles on the loop of three.
     with pytest.raises(NoConvergence, match="loop"):
-        path_bound(gen, dirichlet_eigenpair(gen).lambda0)
+        _sum_to_root(np.array(parent), np.ones(len(parent)))
+
+
+@pytest.mark.parametrize("mode", ["best", "geodesic"])
+def test_path_bound_above_the_double_range_is_inf(mode):
+    # P of the path from state 1 up to state 400 underflows; the amplitude,
+    # about 4e259, does not
+    gen = build_rho_chain(400, 0.05)
+    assert path_bound(gen, dirichlet_eigenpair(gen).lambda0, paths=mode).bound == math.inf
 
 
 def test_large_grid_is_fast_and_beats_geodesic_paths():
@@ -290,6 +300,11 @@ class TestGraphBound:
 
     def test_unit_params(self):
         assert graph_bound(1, 3, 1.0, 1.0) == 1.0
+
+    def test_bound_above_the_double_range_is_inf(self):
+        # 10^400 overflows a double; a walk of out-degree 10 and oriented
+        # diameter 400 has this bound
+        assert graph_bound(10, 400, 1.0, 1.0) == math.inf
 
     def test_invalid(self):
         with pytest.raises(InvalidParameter):
@@ -465,6 +480,11 @@ def _report(eigenvalues, measure):
     return SpectrumReport(np.array(eigenvalues), measure, 2.0, None)
 
 
+def test_spectral_bound_above_the_double_range_is_inf():
+    # 399 factors of about 1e-11 multiply to zero in double precision
+    assert spectral_bound(_report([1.0] + [1.0 + 1e-11] * 399, np.ones(400))).bound == math.inf
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: path_bound(build_rho_chain(3, 1.0), paths="shortest"), InvalidParameter,
      "^paths must be 'best' or 'geodesic'$"),
@@ -493,12 +513,19 @@ def _report(eigenvalues, measure):
     (lambda: graph_bound(2, 2, 1.0, math.inf), InvalidParameter, "^R inf is not a finite number$"),
     (lambda: spectral_bound(_report(["a", "b"], np.ones(2))), InvalidParameter,
      "^eigenvalues must be finite numbers$"),
+    (lambda: path_weight(build_rho_chain(3, 1.0), 0.3, 5), InvalidParameter,
+     "^a path must be a sequence of state labels$"),
+    (lambda: rough_weight(build_rho_chain(3, 1.0), 5), InvalidParameter,
+     "^a path must be a sequence of state labels$"),
+    (lambda: spectral_bound(_report([], np.ones(0))), InvalidParameter,
+     "^spectral_bound needs at least one eigenvalue$"),
 ], ids=["unknown-paths", "no-reversible-measure", "higher-eigenvalue-at-lambda0",
         "spectral-bound-of-none", "path-bound-nan-lambda0", "geodesic-bound-inf-lambda0",
         "path-weight-nan-lambda0", "path-weight-string-lambda0", "oracle-dps-zero",
         "oracle-dps-negative", "oracle-dps-float", "graph-bound-float-diameter",
         "graph-bound-nan-degree", "graph-bound-string-r", "graph-bound-inf-big-r",
-        "spectral-bound-string-eigenvalues"])
+        "spectral-bound-string-eigenvalues", "path-weight-integer-path",
+        "rough-weight-integer-path", "spectral-bound-no-eigenvalues"])
 def test_public_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()

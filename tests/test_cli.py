@@ -283,6 +283,15 @@ def test_out_file(tmp_path, capsys, golden_file):
     assert json.loads(target.read_text())["lambda0"] > 0
 
 
+def test_out_file_that_cannot_be_written_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "report.json"
+    code, out, err = run(capsys, "--out", str(target), "reproduce", "golden-ratio")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: InvalidParameter: --out {target} cannot be written: "
+                   "No such file or directory\n")
+
+
 def test_module_entry_point_starts_without_warnings():
     # importing the package must not import qsamp.cli ahead of runpy
     src = os.path.dirname(os.path.dirname(qsamp.__file__))
