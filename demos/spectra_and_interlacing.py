@@ -4,12 +4,14 @@ For the drifted chain with no bias the full Dirichlet spectrum is known in
 closed form, which makes it a good solver check.  Removing one state from a
 reversible chain interlaces the spectra, with a strict gap at the bottom;
 this script prints both, plus a Kolmogorov-cycle witness for a chain that
-is not reversible.
+is not reversible, whose full spectrum is refused while its eigenpair and
+minor eigenvalues still exist.
 """
 
 import numpy as np
 
 from qsamp import (
+    NotReversible,
     build_general,
     build_rho_chain,
     dirichlet_eigenpair,
@@ -64,6 +66,12 @@ def main():
     pair = dirichlet_eigenpair(drifted_cycle)
     print(f"the eigenpair still exists: lambda0 = {pair.lambda0:.6f}, "
           f"phi = {np.array2string(pair.phi, precision=5)}")
+    try:
+        full_spectrum(drifted_cycle)
+    except NotReversible as exc:
+        print(f"full_spectrum refuses it: {exc}")
+    minors = [lambda0_minor(drifted_cycle, x) for x in range(1, 4)]
+    print(f"lambda0_minor still answers: {np.array2string(np.array(minors), precision=6)}")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from .errors import (
     NonPositiveInput,
     NotBirthDeath,
     NotConverged,
-    NotDiagonalizableDetected,
     NotReversible,
     QsampError,
     SingularFactor,

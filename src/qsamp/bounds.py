@@ -38,6 +38,7 @@ settles after a few searches where all pairs would take ten thousand.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,6 +53,7 @@ from .errors import (
     InvalidParameter,
     NoConvergence,
     NotBirthDeath,
+    NotConverged,
     NotReversible,
     SingularFactor,
 )
@@ -404,7 +406,12 @@ def spectral_bound(report: SpectrumReport) -> SpectralBoundReport:
     if not len(lam):
         raise InvalidParameter("spectral_bound needs at least one eigenvalue")
     lam0 = float(lam[0])
-    lam0p = float(report.lambda0_prime)
+    lam0p = report.lambda0_prime  # +inf for a one-state chain
+    if not isinstance(lam0p, numbers.Real):
+        raise InvalidParameter(f"lambda0' {lam0p!r} is not a real number")
+    if math.isnan(lam0p):
+        raise NotConverged("lambda0' is nan, not a converged eigenvalue")
+    lam0p = float(lam0p)
     if lam0p <= lam0 * (1 + 1e-12):
         raise DegenerateGap(
             f"lambda0' = {lam0p!r} <= lambda0 = {lam0!r}; eigensolver failure"

@@ -111,7 +111,7 @@ def cmd_spectrum(args):
         out["eigenvalues"] = report.eigenvalues
         out["lambda0_prime"] = report.lambda0_prime
         out["reversible"] = report.reversible_measure is not None
-        if args.minors and report.minor_spectra is not None:
+        if args.minors:
             out["minor_spectra"] = {str(x): v for x, v in report.minor_spectra.items()}
     return 0, out
 

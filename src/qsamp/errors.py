@@ -29,10 +29,6 @@ class NoConvergence(QsampError):
     """Iterative eigensolver exhausted its budget; message reports the residual."""
 
 
-class NotDiagonalizableDetected(QsampError):
-    """Non-reversible input produced complex eigenvalues; full-spectrum results withheld."""
-
-
 class NonPositiveInput(QsampError):
     """A vector that must be strictly positive is not."""
 

@@ -481,7 +481,12 @@ def load_generator(path) -> AbsorbingGenerator:
 
 
 def save_generator(gen: AbsorbingGenerator, path) -> None:
+    """Write gen as JSON to the file at path, or raise InvalidParameter for
+    a path that names no writable file."""
     _generator(gen, "save_generator")
-    with open(path, "w") as fh:
-        json.dump(gen.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(os.fspath(path), "w") as fh:
+            json.dump(gen.to_json_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except (OSError, TypeError) as exc:
+        raise InvalidParameter(f"generator file cannot be written: {exc}") from None

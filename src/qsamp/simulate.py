@@ -128,9 +128,13 @@ def sample_path(gen: AbsorbingGenerator, start: int, target: int | None,
                 rng: np.random.Generator) -> TrajectoryOutcome:
     """Simulate one trajectory until the target is hit or the path is absorbed.
 
-    start == target reports an immediate hit at elapsed time zero.
+    start == target reports an immediate hit at elapsed time zero.  rng is
+    a numpy Generator or RandomState, or anything with their
+    standard_exponential and random methods.
     """
     _generator(gen, "sampling")
+    if not all(callable(getattr(rng, m, None)) for m in ("standard_exponential", "random")):
+        raise InvalidParameter(f"rng must be a numpy Generator or RandomState, not {type(rng).__name__}")
     start = _state(gen, start, "start state")
     target0 = None if target is None else _state(gen, target, "target state") - 1
     elapsed, hit, events = _simulate_block(_jump_table(gen), np.array([start - 1]), target0, rng)

@@ -15,15 +15,14 @@ tridiag.ground_pair, every other chain's from power steps on an LU
 factorization of -K (_perron_pair).  A birth-death chain's QSD is pi * phi;
 every other chain's, reversible or not, comes from the same steps on the
 transposed solve, on the pair's own factorization when one is in hand.
-Only the spectra test reversibility (reversible_measure), where eta is
-reported or used: a reversible chain is symmetrized,
+Only full_spectrum and lambda0_minor test reversibility
+(reversible_measure).  Full spectra are for reversible chains only, as the
+paper's spectral route is: a reversible chain is symmetrized,
 S = diag(sqrt eta) (-K) diag(1/sqrt eta), for the dense symmetric solver,
-and its single-state minors are submatrices of the same S.  Only full
-spectra use the dense non-symmetric solver, minors included unless the
-parent's CSR rates, sliced to a minor, show it to be reversible.  Minor
-spectra are for display only: lambda0' has one route (_minor_lambda0), and
-where it comes from LAPACK, whose error is absolute, it stands only above
-its error bound (tridiag.lapack_lambda0).
+and its single-state minors are submatrices of the same S.  Minor spectra
+are for display only: lambda0' has one route (_minor_lambda0), for any
+chain, and where it comes from LAPACK, whose error is absolute, it stands
+only above its error bound (tridiag.lapack_lambda0).
 """
 
 from __future__ import annotations
@@ -39,12 +38,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import tridiag
-from .errors import (
-    InvalidParameter,
-    NoConvergence,
-    NonPositiveInput,
-    NotDiagonalizableDetected,
-)
+from .errors import InvalidParameter, NoConvergence, NonPositiveInput, NotReversible
 from .generators import AbsorbingGenerator, _generator, _real_array, _state
 
 NORMALIZATIONS = ("first", "qsd", "max")
@@ -65,7 +59,7 @@ class SpectrumReport:
     """Sorted eigenvalues of -K plus reversibility data and minor information."""
 
     eigenvalues: np.ndarray
-    reversible_measure: np.ndarray | None
+    reversible_measure: np.ndarray
     lambda0_prime: float
     minor_spectra: dict | None
 
@@ -361,8 +355,7 @@ def _minor_rates(gen: AbsorbingGenerator, x: int):
     return gen._csr[keep][:, keep]
 
 
-def _minor_lambda0(gen: AbsorbingGenerator, k: np.ndarray | None, x: int,
-                   s: np.ndarray | None) -> float:
+def _minor_lambda0(gen: AbsorbingGenerator, x: int, s: np.ndarray | None) -> float:
     """First eigenvalue of -K with state x removed, the one route to lambda0'.
 
     A birth-death chain goes to _bd_minor_lambda0.  With the symmetrization
@@ -375,7 +368,7 @@ def _minor_lambda0(gen: AbsorbingGenerator, k: np.ndarray | None, x: int,
         return _bd_minor_lambda0(*gen.birth_death_rates(), x)
     if s is not None:
         return tridiag.lapack_lambda0(_drop_state(s, x))
-    a = -_drop_state(k, x)
+    a = -_drop_state(gen.k_matrix(), x)
     n_blocks, labels = connected_components(_minor_rates(gen, x), directed=True,
                                             connection="strong")
     blocks = (np.flatnonzero(labels == c) for c in range(n_blocks))
@@ -385,24 +378,16 @@ def _minor_lambda0(gen: AbsorbingGenerator, k: np.ndarray | None, x: int,
 def lambda0_minor(gen: AbsorbingGenerator, x: int) -> float:
     """First Dirichlet eigenvalue after removing state x; +inf if nothing is left.
 
-    The minor of an irreducible chain may be reducible; the first eigenvalue
-    is then the smallest over its diagonal blocks.  full_spectrum's lambda0'
-    takes the same route (_minor_lambda0); a LAPACK value not above its
-    error bound raises NoConvergence.
+    Any chain, reversible or not.  The minor of an irreducible chain may be
+    reducible; the first eigenvalue is then the smallest over its diagonal
+    blocks.  full_spectrum's lambda0' takes the same route (_minor_lambda0);
+    a LAPACK value not above its error bound raises NoConvergence.
     """
     _generator(gen, "lambda0_minor")
     x = _state(gen, x)
-    _, k, s = _reversible_form(gen)
-    return _minor_lambda0(gen, k, x, s)
-
-
-def _reversible_form(gen: AbsorbingGenerator):
-    """(eta, k, s): the measure eta and, unless birth-death, symmetrization s
-    of a reversible chain, or the dense k of any other; the rest are None."""
     eta, _ = reversible_measure(gen)
-    if eta is None:
-        return None, gen.k_matrix(), None
-    return eta, None, None if gen.is_birth_death else _sym_neg_k(gen._csr, -gen.diagonal)
+    s = None if eta is None or gen.is_birth_death else _sym_neg_k(gen._csr, -gen.diagonal)
+    return _minor_lambda0(gen, x, s)
 
 
 def _bd_minor_lambda0(b, d, x: int) -> float:
@@ -427,53 +412,31 @@ def _bd_minor_lambda0(b, d, x: int) -> float:
 
 
 def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> SpectrumReport:
-    """All eigenvalues of -K plus lambda0' and optional single-state minor spectra.
+    """All eigenvalues of a reversible -K plus lambda0' and optional
+    single-state minor spectra.
 
-    Reversible generators are symmetrized once, so every eigenvalue is real
+    A chain that is not reversible raises NotReversible before any matrix is
+    built.  A reversible one is symmetrized once, so every eigenvalue is real
     and sorted ascending, and every minor is a submatrix of the same
-    symmetric matrix.  A non-reversible generator whose numerically computed
-    spectrum is real is reported without eta; complex eigenvalues raise
-    NotDiagonalizableDetected.  lambda0' is the least lambda0_minor over the
-    absorbing states, by the same route with or without compute_minors,
-    which only adds the minor spectra to the report for display.
+    symmetric matrix.  lambda0' is the least lambda0_minor over the absorbing
+    states, by the same route with or without compute_minors, which only
+    adds the minor spectra to the report for display.
     """
     _generator(gen, "full_spectrum")
-    eta, k, s = _reversible_form(gen)
+    eta, witness = reversible_measure(gen)
+    if eta is None:
+        raise NotReversible(f"full spectra need a reversible chain; the cycle {witness} "
+                            "breaks detailed balance (lambda0_minor gives lambda0' of any chain)")
     if gen.is_birth_death:
-        eigenvalues = np.sort(tridiag.eigenvalues(*gen.birth_death_rates()))
-    elif s is not None:
-        eigenvalues = _sym_eigenvalues(s)
+        eigenvalues, s = np.sort(tridiag.eigenvalues(*gen.birth_death_rates())), None
     else:
-        vals = np.linalg.eigvals(-k)
-        if np.max(np.abs(vals.imag)) > 1e-9 * gen.max_rate:
-            raise NotDiagonalizableDetected(
-                "complex eigenvalues on non-reversible input; "
-                "spectral results are restricted to lambda0/phi/nu"
-            )
-        eigenvalues = np.sort(vals.real)
-    lambda0_prime = min(_minor_lambda0(gen, k, x, s) for x in gen.absorbing_set)
+        s = _sym_neg_k(gen._csr, -gen.diagonal)
+        eigenvalues = _sym_eigenvalues(s)
+    lambda0_prime = min(_minor_lambda0(gen, x, s) for x in gen.absorbing_set)
     minor_spectra = None
     if compute_minors:
-        if gen.is_birth_death:  # S is needed only here
+        if s is None:  # a birth-death chain's S is needed only here
             s = _sym_neg_k(gen._csr, -gen.diagonal)
-        minor_spectra = {x: _minor_eigenvalues(gen, k, x, s) for x in range(1, gen.n_states + 1)}
+        minor_spectra = {x: _sym_eigenvalues(_drop_state(s, x)) if gen.n_states > 1 else np.array([])
+                         for x in range(1, gen.n_states + 1)}
     return SpectrumReport(eigenvalues, eta, float(lambda0_prime), minor_spectra)
-
-
-def _minor_eigenvalues(gen: AbsorbingGenerator, k: np.ndarray | None, x: int,
-                       s: np.ndarray | None) -> np.ndarray:
-    """Ascending spectrum of -K with state x removed.
-
-    A reversible K passes its symmetrization s; otherwise the minor itself
-    is tested for reversibility on the parent's CSR rates without row and
-    column x, since removing a state can leave a reversible chain, and only
-    a minor that is not reversible reads the dense k.
-    """
-    if gen.n_states == 1:
-        return np.array([])
-    if s is not None:
-        return _sym_eigenvalues(_drop_state(s, x))
-    rates = _minor_rates(gen, x)
-    if _csr_measure(rates)[0] is None:
-        return np.sort(np.linalg.eigvals(-_drop_state(k, x)).real)
-    return _sym_eigenvalues(_sym_neg_k(rates, np.delete(-gen.diagonal, x - 1)))

@@ -12,6 +12,7 @@ from qsamp import (
     InvalidParameter,
     NoConvergence,
     NotBirthDeath,
+    NotConverged,
     NotReversible,
     SingularFactor,
     SpectrumReport,
@@ -362,15 +363,13 @@ class TestSpectralBound:
         assert rep.bound >= amp > 1.0
 
     def test_not_reversible(self):
-        from qsamp import NotDiagonalizableDetected
-
         gen = build_general(
             3,
             [(1, 2, 2.0), (2, 3, 2.0), (3, 1, 2.0),
              (2, 1, 1.0), (3, 2, 1.0), (1, 3, 1.0)],
             {1: 0.5},
         )
-        with pytest.raises((NotReversible, NotDiagonalizableDetected)):
+        with pytest.raises(NotReversible):
             spectral_bound(full_spectrum(gen))
 
     def test_degenerate_gap_detected(self, golden):
@@ -475,9 +474,9 @@ class TestExactBirthDeath:
             assert exact_bd_amplitude(gen) == pytest.approx(amp, rel=1e-8, abs=0)
 
 
-def _report(eigenvalues, measure):
-    """A reversible (measure given) or non-reversible report with lambda0' = 2."""
-    return SpectrumReport(np.array(eigenvalues), measure, 2.0, None)
+def _report(eigenvalues, measure, lambda0_prime=2.0):
+    """A reversible (measure given) or non-reversible report, lambda0' = 2 by default."""
+    return SpectrumReport(np.array(eigenvalues), measure, lambda0_prime, None)
 
 
 def test_spectral_bound_above_the_double_range_is_inf():
@@ -519,13 +518,21 @@ def test_spectral_bound_above_the_double_range_is_inf():
      "^a path must be a sequence of state labels$"),
     (lambda: spectral_bound(_report([], np.ones(0))), InvalidParameter,
      "^spectral_bound needs at least one eigenvalue$"),
+    (lambda: spectral_bound(_report([1.0, 3.0], np.ones(2), "2.0")), InvalidParameter,
+     "^lambda0' '2.0' is not a real number$"),
+    (lambda: spectral_bound(_report([1.0, 3.0], np.ones(2), None)), InvalidParameter,
+     "^lambda0' None is not a real number$"),
+    (lambda: spectral_bound(_report([1.0, 3.0], np.ones(2), math.nan)), NotConverged,
+     "^lambda0' is nan, not a converged eigenvalue$"),
 ], ids=["unknown-paths", "no-reversible-measure", "higher-eigenvalue-at-lambda0",
         "spectral-bound-of-none", "path-bound-nan-lambda0", "geodesic-bound-inf-lambda0",
         "path-weight-nan-lambda0", "path-weight-string-lambda0", "oracle-dps-zero",
         "oracle-dps-negative", "oracle-dps-float", "graph-bound-float-diameter",
         "graph-bound-nan-degree", "graph-bound-string-r", "graph-bound-inf-big-r",
         "spectral-bound-string-eigenvalues", "path-weight-integer-path",
-        "rough-weight-integer-path", "spectral-bound-no-eigenvalues"])
+        "rough-weight-integer-path", "spectral-bound-no-eigenvalues",
+        "spectral-bound-string-lambda0-prime", "spectral-bound-none-lambda0-prime",
+        "spectral-bound-nan-lambda0-prime"])
 def test_public_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -9,7 +9,7 @@ import pytest
 
 import qsamp
 from qsamp import UnknownCase, save_generator
-from qsamp.cli import main, reproduce
+from qsamp.cli import REPRODUCE_CASES, main, reproduce
 
 
 @pytest.fixture
@@ -111,6 +111,23 @@ class TestSpectrum:
         code, out, err = run(capsys, "spectrum", "--input", str(tmp_path / "missing.json"))
         assert code == 2 and out == ""
         assert err.startswith("error: InvalidParameter:") and "Traceback" not in err
+
+    def test_non_reversible_input(self, capsys, tmp_path):
+        # lambda0, phi and nu exist for any chain; full spectra and the
+        # spectral bound are for reversible chains only
+        path = tmp_path / "cycle.json"
+        save_generator(qsamp.build_general(3, [(1, 2, 2.0), (2, 3, 2.0), (3, 1, 2.0),
+                                               (2, 1, 1.0), (3, 2, 1.0), (1, 3, 1.0)], {1: 0.5}),
+                       path)
+        code, out, _ = run(capsys, "spectrum", "--input", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["lambda0"] > 0 and len(payload["phi"]) == 3 and len(payload["nu"]) == 3
+        for argv in (["spectrum", "--full"], ["spectrum", "--minors"],
+                     ["bounds", "--method", "spectral"]):
+            code, out, err = run(capsys, *argv, "--input", str(path))
+            assert code == 2 and out == ""
+            assert err.startswith("error: NotReversible:") and "Traceback" not in err
 
     def test_replay_determinism(self, capsys, golden_file):
         _, out1, _ = run(capsys, "spectrum", "--input", golden_file, "--full")
@@ -269,7 +286,7 @@ class TestReproduce:
         capsys.readouterr()
         assert code == 1
 
-    @pytest.mark.parametrize("case", ["rho-gt1-amplitude", "rho-gt1-lambda0"])
+    @pytest.mark.parametrize("case", REPRODUCE_CASES)
     def test_fast_cases(self, case):
         result = reproduce(case)
         assert result["all_pass"], result

@@ -376,6 +376,12 @@ def test_direct_construction_rejects_what_build_general_rejects(transitions, abs
      r"^generator file is unreadable or not valid JSON: \[Errno 21\]"),
     (lambda: load_generator(None), InvalidParameter,
      "^generator file is unreadable or not valid JSON: expected str"),
+    (lambda: save_generator(build_rho_chain(3, 1.0), None), InvalidParameter,
+     "^generator file cannot be written: expected str"),
+    (lambda: save_generator(build_rho_chain(3, 1.0), 5.5), InvalidParameter,
+     "^generator file cannot be written: expected str"),
+    (lambda: save_generator(build_rho_chain(3, 1.0), "no/such/dir/generator.json"),
+     InvalidParameter, r"^generator file cannot be written: \[Errno 2\]"),
 ], ids=["no-state", "label-above-n", "diagonal", "absorption-above-n", "negative-rate",
         "negative-absorption", "ring-birth-death-rates", "rho-zero", "empty-walk", "minor-above-n",
         "inf-birth-death-rate", "minor-float-label", "minor-bool-label", "rate-float-label",
@@ -384,7 +390,8 @@ def test_direct_construction_rejects_what_build_general_rejects(transitions, abs
         "birth-death-letter-rate", "birth-death-string-rate", "birth-death-none-rate",
         "birth-death-ragged", "rho-float-n", "rho-string-rho", "rho-nan-rho",
         "walk-scalar-absorbing", "minor-scalar-removed", "path-of-no-generator",
-        "load-missing-file", "load-directory", "load-none-path"])
+        "load-missing-file", "load-directory", "load-none-path", "save-none-path",
+        "save-float-path", "save-missing-directory"])
 def test_public_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()

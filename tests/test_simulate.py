@@ -68,6 +68,10 @@ class TestSamplePath:
             (False, 53.70798173209346, True, 105),
         ]
 
+    def test_legacy_random_state_is_accepted(self, rho1_chain10):
+        out = sample_path(rho1_chain10, 5, 8, np.random.RandomState(3))
+        assert out.hit_target != out.absorbed and out.events >= 1
+
     def test_outcome_exclusive(self, rho1_chain10):
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -639,12 +643,16 @@ TIMES = "^times must be a vector of finite numbers$"
     (lambda g, p: total_variation(["a"], [1.0]), "^p must be finite numbers$"),
     (lambda g, p: total_variation([1.0, 0.0], [1.0, 0.0, 0.0]),
      "^q must be finite numbers of the shape of p$"),
+    (lambda g, p: sample_path(g, 1, None, None),
+     "^rng must be a numpy Generator or RandomState, not NoneType$"),
+    (lambda g, p: sample_path(g, 1, 2, 7), "^rng must be a numpy Generator or RandomState, not int$"),
 ], ids=["transform-of-none", "stationary-of-none", "stationary-of-another-size",
         "transform-of-no-generator", "sandwich-pair-3", "expm-v-too-long", "expm-v-at-t-zero",
         "expm-string-v", "expm-none-q", "expm-string-q", "expm-empty-q", "expm-oblong-q",
         "expm-nan-q", "expm-string-t", "sandwich-string-mu0", "times-string-start-law",
         "times-ragged-start-law", "psi-string-start-law", "sandwich-string-times",
-        "sandwich-none-times", "sandwich-scalar-times", "variation-string", "variation-shapes"])
+        "sandwich-none-times", "sandwich-scalar-times", "variation-string", "variation-shapes",
+        "sample-none-rng", "sample-integer-rng"])
 def test_doob_and_propagation_inputs_rejected(golden, call, message):
     with pytest.raises(InvalidParameter, match=message):
         call(golden, dirichlet_eigenpair(golden))

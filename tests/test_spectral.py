@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -12,7 +12,7 @@ from qsamp import (
     InvalidParameter,
     NoConvergence,
     NonPositiveInput,
-    NotDiagonalizableDetected,
+    NotReversible,
     QsampError,
     amplitude,
     build_birth_death,
@@ -228,15 +228,16 @@ class TestFullSpectrum:
                     assert t <= lam[i + 1] + 1e-9
 
     def test_reversible_input_never_reaches_the_nonsymmetric_solver(self, monkeypatch):
+        # spectra and minors come from the rates, never from the dense K
         rng = np.random.default_rng(15)
         walk = [(a + 1, b + 1) for a, b in lattice_edges(5, 6)]
         walk += [(b, a) for a, b in walk]
-        gens = [reversible_dumbbell(rng), build_graph_walk(walk, [1, 30])]
+        gens = [reversible_dumbbell(rng), build_graph_walk(walk, [1, 30]), build_rho_chain(6, 1.3)]
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.eigvals called on reversible input")
+        def refuse(self):
+            raise AssertionError("k_matrix called on reversible input")
 
-        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(type(gens[0]), "k_matrix", refuse)
         for gen in gens:
             rep = full_spectrum(gen, compute_minors=True)
             assert rep.reversible_measure is not None
@@ -244,16 +245,28 @@ class TestFullSpectrum:
             for x in gen.absorbing_set:
                 lambda0_minor(gen, x)
 
-    def test_complex_spectrum_detected(self):
-        # strong one-directional drift on a 3-cycle has complex eigenvalues
-        gen = build_general(
-            3,
-            [(1, 2, 5.0), (2, 3, 5.0), (3, 1, 5.0),
-             (2, 1, 0.01), (3, 2, 0.01), (1, 3, 0.01)],
-            {1: 1.0},
-        )
-        with pytest.raises(NotDiagonalizableDetected):
-            full_spectrum(gen)
+    def test_complex_spectrum_detected(self, monkeypatch):
+        def refuse_k_matrix(self):
+            raise AssertionError("k_matrix called")
+
+        # a drift round a 3-cycle breaks detailed balance, whether the
+        # spectrum is complex (strong drift) or real (a milder drift under
+        # strong killing)
+        for forward, backward, kill, complex_spectrum in [(5.0, 0.01, 1.0, True),
+                                                          (2.0, 1.0, 5.0, False)]:
+            gen = build_general(
+                3,
+                [(1, 2, forward), (2, 3, forward), (3, 1, forward),
+                 (2, 1, backward), (3, 2, backward), (1, 3, backward)],
+                {1: kill},
+            )
+            vals = np.linalg.eigvals(-gen.k_matrix())
+            assert (np.abs(vals.imag).max() > 1e-3) == complex_spectrum
+            with monkeypatch.context() as patch:  # refused before any matrix is built
+                patch.setattr(type(gen), "k_matrix", refuse_k_matrix)
+                for minors in (False, True):
+                    with pytest.raises(NotReversible, match="lambda0_minor"):
+                        full_spectrum(gen, compute_minors=minors)
 
 
 class TestReversibleMeasure:
@@ -581,28 +594,16 @@ def dense_sym_neg_k(k):
 
 
 @pytest.mark.parametrize("label", [(1, 2, 3, 4), (1, 3, 4, 2)])
-def test_minor_reversible_on_restricted_triplets(label, monkeypatch):
-    # 1 <-> 2 <-> 3 -> 4 -> 1 is non-reversible with a real spectrum; without
-    # state 4 it leaves the reversible path 1 <-> 2 <-> 3.  The second
-    # labelling puts that state in the middle, so the minor is renumbered.
+def test_minor_of_a_non_reversible_chain_on_restricted_rates(label):
+    # 1 <-> 2 <-> 3 -> 4 -> 1 is non-reversible; without state 4 it leaves
+    # the path 1 <-> 2 <-> 3.  The second labelling puts that state in the
+    # middle, so the minor's rates are renumbered.
     edges = [(1, 2, 1), (2, 1, 1), (2, 3, 1), (3, 2, 1), (3, 4, 0.5), (4, 1, 0.5)]
     gen = build_general(4, [(label[i - 1], label[j - 1], r) for i, j, r in edges], {1: 1})
-    k = gen.k_matrix()
-    x = label[3]
-    sub = spectral._drop_state(k, x)
-    seen = []
-    real_eigvals = np.linalg.eigvals
-
-    def recording(a):
-        seen.append(np.array(a))
-        return real_eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", recording)
-    rep = full_spectrum(gen, compute_minors=True)
-    assert rep.reversible_measure is None
-    assert not any(a.shape == sub.shape and np.array_equal(a, -sub) for a in seen)
-    expect = eigh(dense_sym_neg_k(sub), eigvals_only=True)
-    np.testing.assert_array_equal(rep.minor_spectra[x], expect)
+    assert reversible_measure(gen)[0] is None
+    for x in range(1, 5):
+        expect = float(np.min(np.linalg.eigvals(spectral._drop_state(-gen.k_matrix(), x)).real))
+        assert lambda0_minor(gen, x) == pytest.approx(expect, rel=1e-10, abs=0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -725,7 +726,8 @@ def test_metastable_non_reversible_pair_and_qsd():
     phi = dirichlet_eigenpair(gen, "qsd").phi
     assert float(nu @ phi) == pytest.approx(1.0, rel=1e-12, abs=0)
     expect = float(np.min(np.linalg.eigvals(spectral._drop_state(-k, 1)).real))
-    assert full_spectrum(gen).lambda0_prime == pytest.approx(expect, rel=1e-9, abs=0)
+    lambda0_prime = min(lambda0_minor(gen, x) for x in gen.absorbing_set)
+    assert lambda0_prime == pytest.approx(expect, rel=1e-9, abs=0)
 
 
 def test_minor_block_with_a_bottleneck():
@@ -738,16 +740,15 @@ def test_minor_block_with_a_bottleneck():
     vals = np.sort(np.linalg.eigvals(sub).real)
     assert vals[0] / vals[1] > 0.998
     assert lambda0_minor(gen, 1) == pytest.approx(vals[0], rel=1e-9, abs=0)
-    rep = full_spectrum(gen, compute_minors=True)
-    assert rep.lambda0_prime == pytest.approx(vals[0], rel=1e-9, abs=0)
+    lambda0_prime = min(lambda0_minor(gen, x) for x in gen.absorbing_set)
+    assert lambda0_prime == pytest.approx(vals[0], rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("gen", [
     build_rho_chain(12, 0.8),
-    hub_and_pairs(1.0, 1e-3, 1e-2, 1.01),
     build_general(3, [(1, 2, 1.0), (2, 1, 2.0), (2, 3, 1.0), (3, 2, 1.0)], {1: 1.0, 3: 0.5}),
     build_rho_chain(60, 2.0),
-], ids=["birth-death", "non-reversible", "reversible", "birth-death-far-below"])
+], ids=["birth-death", "reversible", "birth-death-far-below"])
 def test_lambda0_prime_does_not_depend_on_minor_spectra(gen):
     # minor spectra are for display; lambda0' has one route
     rep = full_spectrum(gen, compute_minors=True)
