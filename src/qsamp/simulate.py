@@ -17,19 +17,26 @@ The next state is the column whose slot equals the number of thresholds
 below a uniform; the last threshold of every row is +inf, so the uniform
 always lands on a column with a positive rate, whatever its rounding.
 
-The batch kernel runs in two phases.  While more than TAIL trajectories are
-running it steps them as arrays: it carries only the running trajectories
-(index, state, elapsed time) and compacts them whenever some finish, so a
-step costs O(active * out-degree) plus a fixed number of numpy calls.  The
-last TAIL trajectories of a block, often the slowest few, would pay that
-fixed cost for a handful of jumps per step, so they are finished with
-Python scalars on the list form of the table (as is sample_path, a block
-of one path).  Both phases draw the same numbers in the same order (each
-step one exponential and then one uniform per running trajectory, in index
-order), add them with the same double-precision operations, and pick the
-same slot (the number of thresholds below u, counted by comparison or by
-bisection of the ascending row), so samples do not depend on where the
-phases meet.
+The batch kernel draws in chunks.  At each chunk start, with a
+trajectories running, it draws a CHUNK x a array of exponentials and then
+one of uniforms; column i belongs to the i-th running trajectory in index
+order, which takes its j-th step of the chunk with row j.  A trajectory
+that ends mid-chunk discards the draws it has left, and the running set is
+compacted only at chunk ends, so two generator calls and one compaction
+serve CHUNK steps.  While more than TAIL trajectories run, a chunk is
+stepped as arrays on flat tables indexed by state * w, with rows for the
+two terminal codes (absorbed, target) that lead to themselves with holding
+scale 0: an ended trajectory stays put and adds exactly 0.0 to its time
+until the chunk ends.  The last TAIL trajectories of a block, often the
+slowest few, would pay a step's fixed cost of numpy calls for a handful of
+jumps, so their chunks are stepped column by column with Python scalars on
+the list form of the table (as is sample_path, a block of one path).  Both
+phases read the same draws, add the holds in the same order with the same
+double-precision operations, and pick the same slot (the number of
+thresholds below u, counted by comparison or by bisection of the ascending
+row), so samples do not depend on where the phases meet.  EVENT_BUDGET
+counts jumps, not draws: the array phase checks it once per chunk, the
+scalar phase at every jump.
 
 Sampling is reproducible: a base seed is split into one child stream per
 fixed-size block, and block results are merged in block order.  The n_jobs
@@ -61,7 +68,9 @@ from .spectral import DirichletEigenpair, _qsd, dirichlet_eigenpair
 EVENT_BUDGET = 100_000_000
 BLOCK_SIZE = 16_384
 #: a block's last TAIL running trajectories are stepped with Python scalars
-TAIL = 32
+TAIL = 16
+#: steps drawn at once for each running trajectory
+CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -91,8 +100,8 @@ def _jump_table(gen: AbsorbingGenerator):
     first k + 1 of them, summed slot by slot in the same order, so it equals
     the dense cumulative table's entry bit for bit; the last real slot and
     the padding hold +inf, so a uniform always lands on a real column.
-    thresh is slot-major (w, n_states) so that each slot is one contiguous
-    gather.  scale is the mean holding time 1 / |L(s,s)|.
+    thresh is slot-major, (w, n_states).  scale is the mean holding time
+    1 / |L(s,s)|.
     """
     n = gen.n_states
     rows, cols, vals = gen._coo
@@ -114,23 +123,16 @@ def _jump_table(gen: AbsorbingGenerator):
     return 1.0 / rates, table_cols, thresh
 
 
-def _next_state(cols, thresh, s, u):
-    """Columns reached from states s with uniforms u: the number of the
-    row's thresholds below u is the slot taken.  The last real threshold is
-    +inf, so only the first w - 1 slots need comparing."""
-    k = s * cols.shape[1]
-    for j in range(cols.shape[1] - 1):
-        k += u > thresh[j].take(s)
-    return cols.take(k)
-
-
 def sample_path(gen: AbsorbingGenerator, start: int, target: int | None,
                 rng: np.random.Generator) -> TrajectoryOutcome:
     """Simulate one trajectory until the target is hit or the path is absorbed.
 
     start == target reports an immediate hit at elapsed time zero.  rng is
     a numpy Generator or RandomState, or anything with their
-    standard_exponential and random methods.
+    standard_exponential and random methods.  The path is a block of one,
+    so it draws whole chunks of CHUNK exponentials and CHUNK uniforms and
+    discards what it leaves unused: consecutive calls on one rng consume
+    whole chunks.
     """
     _generator(gen, "sampling")
     if not all(callable(getattr(rng, m, None)) for m in ("standard_exponential", "random")):
@@ -145,12 +147,14 @@ def _simulate_block(table, starts, target0, rng):
     """Batch of trajectories; returns the (elapsed, hit) arrays and the
     number of jumps taken.
 
-    target0 is a 0-based state index or None (run to absorption).  Each step
-    draws one exponential and then one uniform per running trajectory, in
-    index order: as arrays while more than TAIL run, then as Python scalars.
+    target0 is a 0-based state index or None (run to absorption).  Each
+    chunk draws CHUNK x a exponentials and then CHUNK x a uniforms for the a
+    running trajectories; column i serves the i-th of them, in index order,
+    one row per step.  The chunks are stepped as arrays while more than TAIL
+    run, then column by column with Python scalars.
     """
     scale, cols, thresh = table
-    n = cols.shape[0]
+    n, w = cols.shape
     m = len(starts)
     elapsed = np.zeros(m)
     hit = np.zeros(m, dtype=bool)
@@ -164,39 +168,61 @@ def _simulate_block(table, starts, target0, rng):
         cols = np.where(cols == target0, n + 1, cols)
     t = np.zeros(idx.size)
     total_events = 0
+    if idx.size > TAIL:
+        # flat tables indexed by state * w, with rows for the terminal codes:
+        # each leads to itself and holds for 0, so an ended path stays put
+        # and adds 0.0 to its time until the chunk ends
+        nw = n * w
+        codes = np.concatenate([cols.ravel(), np.repeat([n, n + 1], w)]) * w
+        holds = np.repeat(np.append(scale, [0.0, 0.0]), w)
+        flat = np.concatenate([thresh.T.ravel(), np.full(2 * w, np.inf)])
+        # slot j's thresholds, read at state * w
+        slots = [flat[j:] for j in range(w - 1)]
     while idx.size > TAIL:
-        t += rng.standard_exponential(idx.size) * scale.take(state)
-        u = rng.random(idx.size)
-        total_events += idx.size
+        a = idx.size
+        e = rng.standard_exponential((CHUNK, a))
+        u = rng.random((CHUNK, a))
+        path = np.empty((CHUNK + 1, a), dtype=np.int64)
+        np.multiply(state, w, out=path[0])
+        for s, s_next, uj in zip(path[:-1], path[1:], u):
+            k = s
+            for thr in slots:
+                k = k + (uj > thr.take(s))
+            codes.take(k, out=s_next)
+        total_events += np.count_nonzero(path[:-1] < nw)
         if total_events > EVENT_BUDGET:
             raise EventBudgetExceeded(f"block exceeded {EVENT_BUDGET} jump events")
-        state = _next_state(cols, thresh, state, u)
-        done = state >= n
-        if done.any():
-            ended = idx[done]
-            elapsed[ended] = t[done]
-            hit[ended] = state[done] > n
-            keep = ~done
-            idx, state, t = idx[keep], state[keep], t[keep]
+        # each step's hold, added in step order as the scalar phase adds it
+        e *= holds.take(path[:-1])
+        for h in e:
+            t += h
+        done = path[-1] >= nw
+        ended = idx[done]
+        elapsed[ended] = t[done]
+        hit[ended] = path[-1][done] > nw
+        keep = ~done
+        idx, state, t = idx[keep], path[-1][keep] // w, t[keep]
     # lists: a one-element numpy operation costs more than the jump it computes
     scale, cols, rows = scale.tolist(), cols.tolist(), thresh.T.tolist()
     running = list(zip(idx.tolist(), state.tolist(), t.tolist()))
     while running:
-        k = len(running)
-        es = rng.standard_exponential(k).tolist()
-        us = rng.random(k).tolist()
-        total_events += k
-        if total_events > EVENT_BUDGET:
-            raise EventBudgetExceeded(f"block exceeded {EVENT_BUDGET} jump events")
+        a = len(running)
+        es = rng.standard_exponential((CHUNK, a)).T.tolist()
+        us = rng.random((CHUNK, a)).T.tolist()
         still = []
-        for (i, s, ti), e, u in zip(running, es, us):
-            ti += e * scale[s]
-            s = cols[s][bisect_left(rows[s], u)]
-            if s < n:
-                still.append((i, s, ti))
+        for (i, s, ti), e_col, u_col in zip(running, es, us):
+            for e, u in zip(e_col, u_col):
+                total_events += 1
+                if total_events > EVENT_BUDGET:
+                    raise EventBudgetExceeded(f"block exceeded {EVENT_BUDGET} jump events")
+                ti += e * scale[s]
+                s = cols[s][bisect_left(rows[s], u)]
+                if s >= n:
+                    elapsed[i] = ti
+                    hit[i] = s > n
+                    break
             else:
-                elapsed[i] = ti
-                hit[i] = s > n
+                still.append((i, s, ti))
         running = still
     return elapsed, hit, total_events
 

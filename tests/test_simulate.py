@@ -55,17 +55,18 @@ class TestSamplePath:
             assert out.hit_target and not out.absorbed
 
     def test_seeded_outcomes_are_pinned(self, rho1_chain10):
-        # every draw and threshold comparison of a seeded sequence of paths
+        # every draw and threshold comparison of a seeded sequence of paths;
+        # each call consumes whole chunks of the shared rng
         rng = np.random.default_rng(2024)
         outs = [sample_path(rho1_chain10, 5, 8, rng) for _ in range(4)]
         outs += [sample_path(rho1_chain10, 5, None, rng) for _ in range(2)]
         assert [(o.hit_target, o.elapsed, o.absorbed, o.events) for o in outs] == [
-            (False, 6.642624220328236, True, 13),
-            (False, 9.246139816667185, True, 35),
-            (False, 5.3320381532586385, True, 7),
-            (True, 0.7437744755177833, False, 3),
-            (False, 7.280060474962589, True, 17),
-            (False, 53.70798173209346, True, 105),
+            (False, 8.853369915303313, True, 23),
+            (False, 3.4049654039355315, True, 7),
+            (True, 0.4954963331929992, False, 3),
+            (True, 3.898361470497321, False, 13),
+            (False, 26.940505627750905, True, 47),
+            (False, 8.738778619568302, True, 21),
         ]
 
     def test_legacy_random_state_is_accepted(self, rho1_chain10):
@@ -92,31 +93,40 @@ def dense_jump_tables(gen):
 
 def dense_simulate_block(rates, cum, starts, target0, rng):
     """Reference kernel: full-length arrays and an O(n) threshold count per
-    jump, drawing the same exponentials and uniforms as the sparse kernel."""
+    jump, drawing the same chunks as the sparse kernel.  Each chunk draws
+    CHUNK x a exponentials and then CHUNK x a uniforms for the a running
+    paths; column i serves the i-th of them in index order, one row per step.
+    Returns the elapsed and hit arrays and the number of jumps."""
     n = rates.shape[0]
     m = len(starts)
     state = starts.copy()
     elapsed = np.zeros(m)
     hit = np.zeros(m, dtype=bool)
     active = np.arange(m)
+    jumps = 0
     if target0 is not None:
         immediate = state == target0
         hit[immediate] = True
         active = active[~immediate]
     while active.size:
-        s = state[active]
-        elapsed[active] += rng.exponential(1.0 / rates[s])
-        u = rng.random(active.size)
-        nxt = (u[:, None] > cum[s]).sum(axis=1)
-        absorbed = nxt >= n
-        done = absorbed
-        if target0 is not None:
-            got = nxt == target0
-            hit[active[got]] = True
-            done = done | got
-        state[active] = np.where(absorbed, -1, nxt)
-        active = active[~done]
-    return elapsed, hit
+        e = rng.standard_exponential((simulate.CHUNK, active.size))
+        u = rng.random((simulate.CHUNK, active.size))
+        col = np.arange(active.size)
+        for j in range(simulate.CHUNK):
+            # a path that ended earlier in the chunk has left active and col
+            s = state[active]
+            elapsed[active] += e[j, col] * (1.0 / rates[s])
+            nxt = (u[j, col][:, None] > cum[s]).sum(axis=1)
+            jumps += active.size
+            absorbed = nxt >= n
+            done = absorbed
+            if target0 is not None:
+                got = nxt == target0
+                hit[active[got]] = True
+                done = done | got
+            state[active] = np.where(absorbed, -1, nxt)
+            active, col = active[~done], col[~done]
+    return elapsed, hit, jumps
 
 
 def dense_run_blocks(gen, start, target, n, seed):
@@ -167,6 +177,26 @@ class TestJumpKernel:
             est = estimate_ratio(gen, lam0, x, y, n, seed=3)
             assert est == simulate._log_weight_stats(lam0 * ref_elapsed[ref_hit], n, 3)
 
+    @pytest.mark.parametrize("chain", sorted(KERNEL_CHAINS))
+    def test_samples_do_not_depend_on_where_the_phases_meet(self, chain, monkeypatch):
+        # TAIL = 0 steps every chunk as arrays, TAIL = BLOCK_SIZE every chunk
+        # in scalar steps
+        make, x, y = KERNEL_CHAINS[chain]
+        gen = make()
+        lam0 = dirichlet_eigenpair(gen).lambda0
+        n = 1000
+        runs = []
+        for tail in (0, simulate.BLOCK_SIZE):
+            monkeypatch.setattr(simulate, "TAIL", tail)
+            runs.append((absorption_times(gen, 1, n, seed=5),
+                         *simulate._run_blocks(gen, simulate._starts_array(gen, x, n, 5), y, n, 5),
+                         estimate_ratio(gen, lam0, x, y, n, seed=5)))
+        (times, elapsed, hit, est), (s_times, s_elapsed, s_hit, s_est) = runs
+        assert np.array_equal(times, s_times)
+        assert np.array_equal(elapsed, s_elapsed) and np.array_equal(hit, s_hit)
+        assert 0 < hit.sum() < n
+        assert est == s_est
+
     def test_table_is_built_without_dense_matrix(self, monkeypatch):
         gen = grid_walk(4, 5)
         n = gen.n_states
@@ -203,21 +233,6 @@ class StubRng:
 
     def random(self, size=None):
         return self.u if size is None else np.full(size, self.u)
-
-
-class CountingRng:
-    """Wraps a generator for the dense kernel and counts its uniforms, one per jump."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.uniforms = 0
-
-    def exponential(self, scale):
-        return self.rng.exponential(scale)
-
-    def random(self, size):
-        self.uniforms += size
-        return self.rng.random(size)
 
 
 def first_jumps(gen, x, ends_at):
@@ -301,16 +316,19 @@ class TestTransitions:
         with pytest.raises(EventBudgetExceeded) as err:
             sample_path(gen, 30, None, np.random.default_rng(1))
         assert isinstance(err.value, QsampError)
-        # the last jump of a block is a scalar step: a budget one short of
-        # the block's jump count runs out there, and the exact count does not
+        # the budget counts jumps, not draws: a budget one short of the
+        # block's jump count runs out, and the exact count does not, whether
+        # the block ends in scalar steps or (TAIL = 0) in array steps
         rates, cum = dense_jump_tables(gen)
-        rng = CountingRng(np.random.default_rng(np.random.SeedSequence(1).spawn(1)[0]))
-        ref_times, _ = dense_simulate_block(rates, cum, np.full(100, 29), None, rng)
-        monkeypatch.setattr(simulate, "EVENT_BUDGET", rng.uniforms - 1)
-        with pytest.raises(EventBudgetExceeded):
-            absorption_times(gen, 30, 100, seed=1)
-        monkeypatch.setattr(simulate, "EVENT_BUDGET", rng.uniforms)
-        assert np.array_equal(absorption_times(gen, 30, 100, seed=1), ref_times)
+        rng = np.random.default_rng(np.random.SeedSequence(1).spawn(1)[0])
+        ref_times, _, jumps = dense_simulate_block(rates, cum, np.full(100, 29), None, rng)
+        for tail in (simulate.TAIL, 0):
+            monkeypatch.setattr(simulate, "TAIL", tail)
+            monkeypatch.setattr(simulate, "EVENT_BUDGET", jumps - 1)
+            with pytest.raises(EventBudgetExceeded):
+                absorption_times(gen, 30, 100, seed=1)
+            monkeypatch.setattr(simulate, "EVENT_BUDGET", jumps)
+            assert np.array_equal(absorption_times(gen, 30, 100, seed=1), ref_times)
 
 
 class TestEstimateRatio:
