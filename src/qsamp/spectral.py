@@ -15,14 +15,17 @@ tridiag.ground_pair, every other chain's from power steps on an LU
 factorization of -K (_perron_pair).  A birth-death chain's QSD is pi * phi;
 every other chain's, reversible or not, comes from the same steps on the
 transposed solve, on the pair's own factorization when one is in hand.
-Only full_spectrum and lambda0_minor test reversibility
-(reversible_measure).  Full spectra are for reversible chains only, as the
-paper's spectral route is: a reversible chain is symmetrized,
-S = diag(sqrt eta) (-K) diag(1/sqrt eta), for the dense symmetric solver,
-and its single-state minors are submatrices of the same S.  Minor spectra
-are for display only: lambda0' has one route (_minor_lambda0), for any
-chain, and where it comes from LAPACK, whose error is absolute, it stands
-only above its error bound (tridiag.lapack_lambda0).
+Only full_spectrum tests reversibility (reversible_measure).  Full spectra
+are for reversible chains only, as the paper's spectral route is: a
+reversible chain is symmetrized, S = diag(sqrt eta) (-K) diag(1/sqrt eta),
+for the dense symmetric solver, and its single-state minor spectra, for
+display only, are submatrices of the same S.  lambda0' has one route
+(_minor_lambda0), for any chain: a birth-death minor's blocks go to
+tridiag, and every other minor is formed from the CSR rates without its
+state and gets the certified power steps on each strongly connected
+block.  With several exits, full_spectrum runs those steps only on the
+exits that the secular equation on one eigendecomposition of S cannot
+rule out (_exit_candidates).
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def reversible_measure(gen: AbsorbingGenerator):
 
     Works on the generator's CSR rates: each edge finds its reverse by a
     sorted-key lookup, log eta is summed down a breadth-first spanning
-    forest, and one vectorized test checks detailed balance on every edge.
+    tree, and one vectorized test checks detailed balance on every edge.
     """
     _generator(gen, "reversible_measure")
     if gen.is_birth_death:
@@ -87,7 +90,8 @@ def reversible_measure(gen: AbsorbingGenerator):
 
 def _csr_measure(rates: csr_matrix):
     """reversible_measure on positive off-diagonal rates in canonical CSR
-    form (sorted, summed); the support may be disconnected."""
+    form (sorted, summed) whose support is connected, as an irreducible
+    chain's is."""
     n = rates.shape[0]
     rows, cols, keys, rev, two_way = _reverse_edges(rates)
 
@@ -103,7 +107,10 @@ def _csr_measure(rates: csr_matrix):
     # log r_uv - log r_vu on every edge (u, v)
     log_rate = np.log(rates.data)
     log_ratio = log_rate - log_rate[rev]
-    parent = _spanning_forest(rates)
+    # parents in a breadth-first spanning tree rooted at state 0
+    _, pred = breadth_first_order(rates, 0, directed=True, return_predecessors=True)
+    parent = pred.astype(np.int64)
+    parent[0] = -1
     step = np.zeros(n)
     child = np.flatnonzero(parent >= 0)
     step[child] = log_ratio[np.searchsorted(keys, parent[child] * n + child)]
@@ -133,31 +140,11 @@ def _reverse_edges(rates: csr_matrix):
     return rows, cols, keys, rev, keys[rev] == rev_keys
 
 
-def _spanning_forest(rates: csr_matrix) -> np.ndarray:
-    """Parents in a breadth-first spanning forest of the support (-1 at roots).
-
-    Each component is rooted at its lowest state; minors of irreducible
-    chains may be disconnected.  An extra vertex adjacent to every root turns
-    the forest into one tree, searched by a single call.
-    """
-    n = rates.shape[0]
-    n_comp, labels = connected_components(rates, directed=False)
-    roots = np.unique(labels, return_index=True)[1]
-    graph = rates.tocoo()
-    rows = np.concatenate([graph.row, np.full(n_comp, n)])
-    cols = np.concatenate([graph.col, roots])
-    tree = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + 1, n + 1))
-    _, pred = breadth_first_order(tree, n, directed=True, return_predecessors=True)
-    parent = pred[:n].astype(np.int64)
-    parent[parent == n] = -1
-    return parent
-
-
 def _sum_to_root(parent: np.ndarray, step: np.ndarray) -> np.ndarray:
     """Sum of step over each state's path up to its root, by pointer doubling.
 
     After round r every state holds the sum over its next 2^r ancestors, so
-    the loop runs log2 of the forest height times.  Predecessors that loop
+    the loop runs log2 of the tree height times.  Predecessors that loop
     never reach a root and raise NoConvergence.
     """
     n = len(parent)
@@ -250,10 +237,10 @@ def _perron_pair(a: np.ndarray, trans: int = 0, start=None):
     Each shift's steps stop by tridiag.bracket_settled, all of them after
     tridiag.MAX_POWER_STEPS, and the pair (the midpoint, the last step scaled
     to max 1) is accepted on the bracket by tridiag._check_bracket, as
-    tridiag.ground_pair's pairs are.  These steps give the ground pair and the
-    QSD of every chain that is not birth-death, reversible or not: the
-    bracket vouches for each pair it accepts, where a symmetric solver's
-    lambda0 carries an error of order eps times the largest rate.  A step
+    tridiag.ground_pair's pairs are.  These steps give the ground pair, the
+    QSD and lambda0' of every chain that is not birth-death, reversible or
+    not: the bracket vouches for each pair it accepts, where a symmetric
+    solver's lambda0 carries an error of order eps times the largest rate.  A step
     that is not positive and finite, as from a singular LU, raises
     NoConvergence.
     """
@@ -348,29 +335,23 @@ def _drop_state(a: np.ndarray, x: int) -> np.ndarray:
     return a[np.ix_(keep, keep)]
 
 
-def _minor_rates(gen: AbsorbingGenerator, x: int):
-    """The generator's CSR rates without row and column x (1-based), a
-    canonical CSR slice with the states after x numbered down by one."""
-    keep = np.delete(np.arange(gen.n_states), x - 1)
-    return gen._csr[keep][:, keep]
-
-
-def _minor_lambda0(gen: AbsorbingGenerator, x: int, s: np.ndarray | None) -> float:
+def _minor_lambda0(gen: AbsorbingGenerator, x: int) -> float:
     """First eigenvalue of -K with state x removed, the one route to lambda0'.
 
-    A birth-death chain goes to _bd_minor_lambda0.  With the symmetrization
-    s of a reversible K, the minor is the submatrix of s (reversible for eta
-    restricted to it) and goes to tridiag.lapack_lambda0.  Without s, the
-    minor is block-triangular over its strongly connected blocks, each one
-    irreducible, so its lambda0 is the least of the blocks' power steps.
+    A birth-death chain goes to _bd_minor_lambda0.  Any other minor,
+    reversible or not, is formed as a dense -K straight from the CSR rates
+    without row and column x and the exit rates of the states left.  It is
+    block-triangular over its strongly connected blocks, each one
+    irreducible, so its lambda0 is the least of the blocks' certified power
+    steps (_perron_pair).
     """
     if gen.is_birth_death:
         return _bd_minor_lambda0(*gen.birth_death_rates(), x)
-    if s is not None:
-        return tridiag.lapack_lambda0(_drop_state(s, x))
-    a = -_drop_state(gen.k_matrix(), x)
-    n_blocks, labels = connected_components(_minor_rates(gen, x), directed=True,
-                                            connection="strong")
+    keep = np.delete(np.arange(gen.n_states), x - 1)
+    rates = gen._csr[keep][:, keep]
+    a = -rates.toarray()
+    np.fill_diagonal(a, -gen.diagonal[keep])
+    n_blocks, labels = connected_components(rates, directed=True, connection="strong")
     blocks = (np.flatnonzero(labels == c) for c in range(n_blocks))
     return min(_perron_pair(a[np.ix_(idx, idx)])[0] for idx in blocks)
 
@@ -378,16 +359,13 @@ def _minor_lambda0(gen: AbsorbingGenerator, x: int, s: np.ndarray | None) -> flo
 def lambda0_minor(gen: AbsorbingGenerator, x: int) -> float:
     """First Dirichlet eigenvalue after removing state x; +inf if nothing is left.
 
-    Any chain, reversible or not.  The minor of an irreducible chain may be
-    reducible; the first eigenvalue is then the smallest over its diagonal
-    blocks.  full_spectrum's lambda0' takes the same route (_minor_lambda0);
-    a LAPACK value not above its error bound raises NoConvergence.
+    Any chain, reversible or not, by one route (_minor_lambda0), which
+    full_spectrum's lambda0' takes too.  The minor of an irreducible chain
+    may be reducible; the first eigenvalue is then the smallest over its
+    diagonal blocks.
     """
     _generator(gen, "lambda0_minor")
-    x = _state(gen, x)
-    eta, _ = reversible_measure(gen)
-    s = None if eta is None or gen.is_birth_death else _sym_neg_k(gen._csr, -gen.diagonal)
-    return _minor_lambda0(gen, x, s)
+    return _minor_lambda0(gen, _state(gen, x))
 
 
 def _bd_minor_lambda0(b, d, x: int) -> float:
@@ -411,6 +389,47 @@ def _bd_minor_lambda0(b, d, x: int) -> float:
     return min(vals)
 
 
+def _exit_candidates(s: np.ndarray, exits: tuple) -> list:
+    """The exits whose minor may attain lambda0', from one eigendecomposition
+    of the symmetrized -K s of a chain with more than one state.
+
+    With s = U diag(lam) U^T, the (x, x) entry of (s - mu)^-1 is
+    det(s_x - mu) / det(s - mu) = sum_k U(x,k)^2 / (lam_k - mu) (the secular
+    equation; Golub, SIAM Review 1973; Bunch, Nielsen & Sorensen, Numer.
+    Math. 1978), increasing in mu between its poles.  So the least
+    eigenvalue of the minor s_x is its root in [lam_0, lam_1] (Cauchy
+    interlacing), bisected for every exit at once on eigh(s 2^-e) with
+    vectors.  That decomposition is exact for s plus a perturbation within
+    the Weyl margin w = n eps times the largest absolute row sum, so each
+    root lies within w of its minor's lambda0, and the certified value of
+    _minor_lambda0 lies within RESIDUAL_RTOL of the same lambda0,
+    relatively.  An exit stays a candidate while the lower end of its
+    root's bracket is within 2 (w + RESIDUAL_RTOL |lower end|) of the least
+    upper end.  The others drop out as the brackets narrow, until one exit
+    is left or every bracket is at most w wide.  Each error in this rule
+    only adds candidates, so the least certified value over the candidates
+    is the least over all exits.  One exit is its own candidate.
+    """
+    if len(exits) == 1:
+        return list(exits)
+    e = tridiag.unit_exponent(np.diagonal(s))
+    a = np.ldexp(s, -e)
+    lam, u = eigh(a, driver="evd")
+    w = len(a) * np.finfo(float).eps * float(np.abs(a).sum(axis=1).max())
+    idx = np.asarray(exits) - 1
+    weights = u[idx] ** 2
+    lo, hi = np.full(len(idx), lam[0]), np.full(len(idx), lam[1])
+    while True:
+        least = hi.min()
+        alive = lo - least <= 2 * (w + tridiag.RESIDUAL_RTOL * np.abs(lo))
+        idx, weights, lo, hi = idx[alive], weights[alive], lo[alive], hi[alive]
+        if len(idx) == 1 or (hi - lo).max() <= w:
+            return (idx + 1).tolist()
+        mid = (lo + hi) / 2  # strictly inside: a width above w spans many ulps
+        below = (weights / (lam - mid[:, None])).sum(axis=1) < 0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+
+
 def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> SpectrumReport:
     """All eigenvalues of a reversible -K plus lambda0' and optional
     single-state minor spectra.
@@ -418,21 +437,26 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     A chain that is not reversible raises NotReversible before any matrix is
     built.  A reversible one is symmetrized once, so every eigenvalue is real
     and sorted ascending, and every minor is a submatrix of the same
-    symmetric matrix.  lambda0' is the least lambda0_minor over the absorbing
-    states, by the same route with or without compute_minors, which only
-    adds the minor spectra to the report for display.
+    symmetric matrix.  lambda0' is the least certified lambda0_minor over the
+    absorbing states (_minor_lambda0).  For a chain that is not birth-death
+    it runs only on the exits the secular equation cannot rule out
+    (_exit_candidates), and gives the same value bit for bit.  It does not
+    depend on compute_minors, which only adds the minor spectra (eigh of each
+    submatrix) to the report for display.
     """
     _generator(gen, "full_spectrum")
     eta, witness = reversible_measure(gen)
     if eta is None:
         raise NotReversible(f"full spectra need a reversible chain; the cycle {witness} "
                             "breaks detailed balance (lambda0_minor gives lambda0' of any chain)")
+    exits = gen.absorbing_set
     if gen.is_birth_death:
         eigenvalues, s = np.sort(tridiag.eigenvalues(*gen.birth_death_rates())), None
     else:
         s = _sym_neg_k(gen._csr, -gen.diagonal)
         eigenvalues = _sym_eigenvalues(s)
-    lambda0_prime = min(_minor_lambda0(gen, x, s) for x in gen.absorbing_set)
+        exits = _exit_candidates(s, exits)
+    lambda0_prime = min(_minor_lambda0(gen, x) for x in exits)
     minor_spectra = None
     if compute_minors:
         if s is None:  # a birth-death chain's S is needed only here

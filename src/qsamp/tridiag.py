@@ -78,7 +78,7 @@ import math
 from decimal import Decimal
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgtsv
 
@@ -150,22 +150,18 @@ def eigenvalues(b, d, n_lo=0, n_hi=None):
     return np.ldexp(eigvalsh_tridiagonal(np.ldexp(main, -e), np.ldexp(off, -e), **subset), e)
 
 
-def lapack_lambda0(a: np.ndarray, off: np.ndarray | None = None) -> float:
-    """Smallest eigenvalue by LAPACK of the symmetric matrix a (eigh), or of
-    the tridiagonal one with main diagonal a and off-diagonal off (bisection),
-    scaled by 2^-unit_exponent.  LAPACK's error is absolute, up to m eps times
-    the largest absolute row sum for m states, which swamps a lambda0 far
-    below the rates; a value not above that bound raises NoConvergence."""
-    if off is None:
-        rows = np.abs(a).sum(axis=1)
-        e = unit_exponent(rows)
-        lam = eigh(np.ldexp(a, -e), subset_by_index=(0, 0), eigvals_only=True)[0]
-    else:
-        rows = np.abs(a) + np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
-        e = unit_exponent(rows)
-        lam = eigvalsh_tridiagonal(np.ldexp(a, -e), np.ldexp(off, -e),
-                                   select="i", select_range=(0, 0))[0]
-    lam, bound = math.ldexp(lam, e), len(a) * _EPS * float(rows.max())
+def lapack_lambda0(main: np.ndarray, off: np.ndarray) -> float:
+    """Smallest eigenvalue by LAPACK's bisection of the symmetric tridiagonal
+    matrix with diagonals main and off, scaled by 2^-unit_exponent: the
+    birth-death minor blocks that tridiag.ground_pair does not serve.
+    LAPACK's error is absolute, up to m eps times the largest absolute row
+    sum for m states, which swamps a lambda0 far below the rates; a value
+    not above that bound raises NoConvergence."""
+    rows = np.abs(main) + np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
+    e = unit_exponent(rows)
+    lam = eigvalsh_tridiagonal(np.ldexp(main, -e), np.ldexp(off, -e),
+                               select="i", select_range=(0, 0))[0]
+    lam, bound = math.ldexp(lam, e), len(main) * _EPS * float(rows.max())
     if not lam > bound:
         raise NoConvergence(f"LAPACK's lambda0 {lam:.3e} is not above its error bound {bound:.3e}")
     return lam
