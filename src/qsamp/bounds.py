@@ -433,12 +433,16 @@ def exact_bd_amplitude(gen: AbsorbingGenerator, dps: int | None = None) -> float
     R = det(T~ - lambda0)/det(T~) in dps-digit decimal arithmetic (the
     standard library's decimal module, with an exponent range no chain can
     leave), so the result stays accurate even when the amplitude spans
-    hundreds of orders of magnitude.  lambda0 comes from tridiag.mp_lambda,
-    certified there by two decimal Sturm counts just below and above it.
-    The ratio's condition number is the amplitude itself, so R is accepted
-    only when R > 0 and log10(1/R) + 30 <= dps.  The default precision starts at 60
-    digits and otherwise repeats at ceil(log10(1/R)) + 60 digits, or at 60
-    more when R <= 0; an explicit dps runs one pass.  NoConvergence is
+    hundreds of orders of magnitude: one pivot pass at lambda0 over
+    det(T~) = d_2 ... d_n (tridiag.mp_detratio_minor).  lambda0 comes from
+    tridiag.mp_lambda, certified there by two decimal Sturm counts just
+    below and above it.  The ratio's condition number is the amplitude
+    itself, so R is accepted only when R > 0 and log10(1/R) + 30 <= dps.
+    The default precision starts at 60 digits and otherwise repeats at
+    ceil(log10(1/R)) + 60 digits, or at 60 more when R <= 0; an explicit
+    dps runs one pass.  The rates become Decimals once for every pass, and
+    a repeated pass starts its Newton steps from the lambda0 of the pass
+    before, so the double-precision start runs once.  NoConvergence is
     raised when an explicit dps fails the check, or when the amplitude
     needs more digits than a float holds.  Nothing here uses the
     double-precision eigenpair, so the result is an independent check of it.
@@ -450,9 +454,11 @@ def exact_bd_amplitude(gen: AbsorbingGenerator, dps: int | None = None) -> float
     b, d = gen.birth_death_rates()
     if len(d) == 1:
         return 1.0
+    rates = tridiag._mp_rates(b, d)
+    lam = None
     while True:
-        lam = tridiag.mp_lambda(b, d, 0, dps=digits)
-        ratio = tridiag.mp_detratio_minor(b, d, lam, dps=digits)
+        lam = tridiag.mp_lambda(b, d, 0, dps=digits, rates=rates, start=lam)
+        ratio = tridiag.mp_detratio_minor(b, d, lam, dps=digits, rates=rates)
         # -adjusted() is ceil(log10(1/R)) for R > 0
         if ratio > 0 and 30 - ratio.adjusted() <= digits:
             return float(tridiag.oracle_context(digits).divide(1, ratio))

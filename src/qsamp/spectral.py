@@ -277,7 +277,9 @@ def dirichlet_eigenpair(gen: AbsorbingGenerator, normalization: str = "first") -
     "first" sets phi(1) = 1, "max" sets max phi = 1, and "qsd" scales so the
     quasi-stationary expectation of phi equals 1.  The residual is
     max |K phi + lambda0 phi| with phi(1) = 1, whatever the normalization,
-    from the CSR rates and the diagonal.  Deterministic for fixed input.
+    from the CSR rates and the diagonal, formed on phi scaled by a power of
+    two so that it is finite at every rate scale.  Deterministic for fixed
+    input.
     """
     if normalization not in NORMALIZATIONS:
         raise InvalidParameter(f"normalization must be one of {NORMALIZATIONS}")
@@ -288,7 +290,10 @@ def dirichlet_eigenpair(gen: AbsorbingGenerator, normalization: str = "first") -
     else:
         lam0, phi, factor = _perron_pair(-gen.k_matrix())
     phi = phi / phi[0]
-    res = float(np.abs(gen._csr @ phi + gen.diagonal * phi + lam0 * phi).max())
+    # scaled by 2^-e, no term overflows, and the scaling back is exact
+    e = tridiag.unit_exponent(phi) + tridiag.unit_exponent(gen.diagonal)
+    unit = np.ldexp(phi, -e)
+    res = math.ldexp(float(np.abs(gen._csr @ unit + gen.diagonal * unit + lam0 * unit).max()), e)
     if normalization == "max":
         phi = phi / phi.max()
     elif normalization == "qsd":
@@ -347,13 +352,24 @@ def _minor_lambda0(gen: AbsorbingGenerator, x: int) -> float:
     """
     if gen.is_birth_death:
         return _bd_minor_lambda0(*gen.birth_death_rates(), x)
-    keep = np.delete(np.arange(gen.n_states), x - 1)
-    rates = gen._csr[keep][:, keep]
+    rates = _minor_rates(gen, x)
     a = -rates.toarray()
-    np.fill_diagonal(a, -gen.diagonal[keep])
+    np.fill_diagonal(a, -np.delete(gen.diagonal, x - 1))
     n_blocks, labels = connected_components(rates, directed=True, connection="strong")
     blocks = (np.flatnonzero(labels == c) for c in range(n_blocks))
     return min(_perron_pair(a[np.ix_(idx, idx)])[0] for idx in blocks)
+
+
+def _minor_rates(gen: AbsorbingGenerator, x: int) -> csr_matrix:
+    """The CSR rates without state x (1-based), built from the sorted edges
+    of gen._coo: the arrays gen._csr[keep][:, keep] gives, without scipy's
+    two fancy-indexing passes."""
+    rows, cols, vals = gen._coo
+    keep = (rows != x - 1) & (cols != x - 1)
+    rows, cols = rows[keep], cols[keep]
+    rows, cols = rows - (rows >= x), cols - (cols >= x)
+    n = gen.n_states - 1
+    return csr_matrix((vals[keep], cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
 
 
 def lambda0_minor(gen: AbsorbingGenerator, x: int) -> float:

@@ -57,18 +57,20 @@ The oracle, bounds.exact_bd_amplitude's independent check of the amplitude
 identity, runs on one pivot recursion: the differential (stationary qd)
 form of the LDL' factorization of T - sigma, whose only subtraction is the
 shift, so its pivots are exact for rates perturbed by a few units in the
-last place (_pivots).  It is written once over plain Python numbers and
-serves the double-precision Sturm count sturm_count, the decimal Sturm
+last place (_pivots).  It is written over plain Python numbers and serves
+the double-precision Sturm count sturm_count, the decimal Sturm
 certificate, the decimal Newton steps and the determinant ratio of the
-state-1 minor.  The double passes run on the rates scaled exactly by a
-power of two, so no product of rates overflows; the decimal passes run on
-the standard library's decimal module (libmpdec, C code) at dps digits, in
-a thread-local context with the widest exponent range (oracle_context).
-mp_lambda starts from adjacent floats around the eigenvalue that the
-double count certifies (float Newton steps from 0 and a walk of a few ulps
-for lambda0, bisection otherwise), refines with a few decimal Newton steps
-on det(T - lam), and certifies the result by two decimal counts just below
-and just above it, as soon as a step is small enough for that to hold.
+state-1 minor; each decimal pass walks the chain once.  The double passes
+run on the rates scaled exactly by a power of two, so no product of rates
+overflows; the decimal passes run on the standard library's decimal module
+(libmpdec, C code) at dps digits, in a thread-local context with the widest
+exponent range (oracle_context), on rates converted to Decimal once per
+chain (_mp_rates).  mp_lambda starts from adjacent floats around the
+eigenvalue that the double count certifies (float Newton steps from 0 and a
+walk of a few ulps for lambda0, bisection otherwise), or from the value of
+an earlier pass at fewer digits, refines with a few decimal Newton steps on
+det(T - lam), and certifies the result by two decimal counts just below and
+just above it, as soon as a step is small enough for that to hold.
 """
 
 from __future__ import annotations
@@ -651,8 +653,11 @@ def oracle_context(dps: int) -> decimal.Context:
 
 
 def _mp_rates(b, d):
-    # Decimal(float) is exact; the context rounds from the first operation on
-    return [Decimal(float(x)) for x in b], [Decimal(float(x)) for x in d]
+    """The rates as lists of Decimals.  Decimal(float) is exact and reads no
+    context, so one conversion serves every dps; the context rounds from the
+    first operation on."""
+    return ([*map(Decimal, np.asarray(b, dtype=float).tolist())],
+            [*map(Decimal, np.asarray(d, dtype=float).tolist())])
 
 
 def _pivots(b, d, sigma):
@@ -801,26 +806,30 @@ def _bisected_start(b, d, eig_index):
 
 
 def _newton_step(b, d, lam):
-    """Newton step -p/p' for p(lam) = det(T - lam) = prod_x q_x.
+    """Newton step -p/p' for p(lam) = det(T - lam) = prod_x q_x, in one pass.
 
     Differentiating the pivot recursion in lam gives t'_1 = -1 and
     t'_{x+1} = b_x d_{x+1} t'_x / q_x^2 - 1, and p'/p = sum_x t'_x / q_x.
-    Returns None at an exact zero pivot, which makes lam an eigenvalue at
-    working precision.
+    One loop carries t, t' and the sum, with no list of pivots.  Each term
+    takes the operations of the recursion in their written order (t as in
+    _pivots; reusing 1/q would change the bits of a float step and cost
+    the float start accuracy).  Serves Python floats (_newton_start) and
+    Decimals (mp_lambda) alike.  Returns None at an exact zero pivot, which
+    makes lam an eigenvalue at working precision.
     """
     try:
-        pivots = _pivots(b, d, lam)
-        dt, log_deriv = -1, 0
-        for q, bx, dx in zip(pivots, b, d[1:]):
+        t, dt, log_deriv = d[0] - lam, -1, 0
+        for bx, dx in zip(b, d[1:]):
+            q = bx + t
             log_deriv += dt / q
             dt = bx * dx * dt / (q * q) - 1
-        log_deriv += dt / pivots[-1]
-        return -1 / log_deriv
+            t = dx * t / q - lam
+        return -1 / (log_deriv + dt / t)
     except ZeroDivisionError:
         return None
 
 
-def mp_lambda(b, d, eig_index=0, dps=60):
+def mp_lambda(b, d, eig_index=0, dps=60, *, rates=None, start=None):
     """Certified eigenvalue of -K with the given index, at dps decimal digits.
 
     Three steps on the pivot recursion _pivots, none shared with
@@ -831,18 +840,25 @@ def mp_lambda(b, d, eig_index=0, dps=60):
          a handful of passes, or else bisection, about 60, on the rates
          scaled by a power of two (_unit_rates) and scaled back exactly;
       2. Newton steps on det(T - lam) in dps-digit decimal arithmetic from
-         that lower end, until a step falls below the relative width
-         w = n 10^(5 - dps), stops shrinking, or lands on an exact zero
-         pivot.  Convergence is quadratic, so after a step whose square is
-         below w lam^2 the next one would be below w lam: each such step
-         tries the certificate of step 3 and returns on success;
-      3. a certificate: the decimal counts at lam (1 - w) and lam (1 + w)
-         must put the eigenvalue between them.
+         that lower end, one pass over the chain each (_newton_step), until
+         a step falls below the relative width w = n 10^(5 - dps), stops
+         shrinking, or lands on an exact zero pivot.  Convergence is
+         quadratic, so after a step whose square is below w lam^2 the next
+         one would be below w lam: each such step tries the certificate of
+         step 3 and returns on success;
+      3. a certificate: the decimal counts at lam (1 - w) and lam (1 + w),
+         taken in one pass (_bracket_counts), must put the eigenvalue
+         between them.
     The decimal pivots are exact for rates perturbed by a few units in the
     last digit each, and such a perturbation moves every eigenvalue of a
     birth-death chain relatively by at most about 2n times as much (-K is
     similar to B B' with B bidiagonal in the square roots of the rates), so
     w covers the rounding however far the eigenvalue sits below the rates.
+    rates, if given, is _mp_rates(b, d), converted once by a caller that
+    runs several passes (the conversion is exact, so it serves every dps).
+    start, if given, replaces step 1: a value of the same eigenvalue from
+    an earlier pass at fewer digits, which the Newton steps refine; the
+    certificate is the same.
     Returns the eigenvalue as a Decimal of dps digits, relatively accurate
     to w.  Raises InvalidParameter for an index outside 0..n-1 or a dps too
     small to give w < 1, and NoConvergence when the certificate fails.
@@ -854,10 +870,12 @@ def mp_lambda(b, d, eig_index=0, dps=60):
         w = n * Decimal(10) ** (5 - dps)
         if w >= 1:
             raise InvalidParameter(f"dps = {dps} cannot resolve a chain of {n} states")
-        bs, ds, k = _unit_rates(b, d)
-        with decimal.localcontext(oracle_context(2000)):  # exact: at most 1520 digits
-            lam = Decimal(_double_start(bs, ds, eig_index)) * Decimal(2) ** k
-        bm, dm = _mp_rates(b, d)
+        lam = start
+        if lam is None:
+            bs, ds, k = _unit_rates(b, d)
+            with decimal.localcontext(oracle_context(2000)):  # exact: at most 1520 digits
+                lam = Decimal(_double_start(bs, ds, eig_index)) * Decimal(2) ** k
+        bm, dm = _mp_rates(b, d) if rates is None else rates
         last = Decimal("Infinity")
         for _ in range(_NEWTON_STEPS):
             step = _newton_step(bm, dm, lam)
@@ -881,21 +899,43 @@ def mp_lambda(b, d, eig_index=0, dps=60):
 
 
 def _bracket_counts(b, d, lam, w):
-    """The decimal counts at lam (1 - w) and lam (1 + w)."""
-    return _count(b, d, lam * (1 - w)), _count(b, d, lam * (1 + w))
+    """The decimal counts at lam (1 - w) and lam (1 + w), in one pass.
+
+    Runs the recursion of _pivots at both shifts side by side and counts the
+    negative pivots of each, as _count does; at a zero pivot of either it
+    falls back to _count for each shift.
+    """
+    lo, hi = lam * (1 - w), lam * (1 + w)
+    try:
+        t_lo, t_hi = d[0] - lo, d[0] - hi
+        below = above = 0
+        for bx, dx in zip(b, d[1:]):
+            q_lo, q_hi = bx + t_lo, bx + t_hi
+            below += q_lo < 0
+            above += q_hi < 0
+            t_lo, t_hi = dx * t_lo / q_lo - lo, dx * t_hi / q_hi - hi
+        return below + (t_lo < 0), above + (t_hi < 0)
+    except ZeroDivisionError:
+        return _count(b, d, lo), _count(b, d, hi)
 
 
-def mp_detratio_minor(b, d, lam_mp, dps=60):
+def mp_detratio_minor(b, d, lam_mp, dps=60, *, rates=None):
     """prod_l (1 - lam/lam~_l) over the minor that removes state 1.
 
-    Computed as det(T~ - lam) / det(T~), the product of the ratios of the
-    minor's pivots at lam and at 0, in dps-digit decimal arithmetic; O(n)
-    and needs no individual eigenvalues.  lam_mp is a Decimal (as mp_lambda
-    returns) or a float; returns a Decimal.
+    Computed as det(T~ - lam) / det(T~) in dps-digit decimal arithmetic, in
+    one pass at lam; O(n) and needs no individual eigenvalues.  The minor is
+    a birth-death chain on states 2..n killed only at state 2, and its
+    pivots at 0 satisfy q_1 ... q_{x-1} t_x = d_2 ... d_{x+1} (t_1 = d_2,
+    and each t_{x+1} = d t_x / q_x adds one factor), so det(T~) is
+    d_2 ... d_n exactly and the ratio is prod_x q~_x(lam) / prod_x d_{x+1}.
+    lam_mp is a Decimal (as mp_lambda returns) or a float; rates, if given,
+    is _mp_rates(b, d) of the whole chain, as mp_lambda takes it.  Returns
+    a Decimal.
     """
     with decimal.localcontext(oracle_context(dps)):
-        bm, dm = _mp_rates(b[1:], d[1:])
-        out = Decimal(1)
-        for qa, qb in zip(_pivots(bm, dm, Decimal(lam_mp)), _pivots(bm, dm, Decimal(0))):
-            out *= qa / qb
-        return out
+        bm, dm = _mp_rates(b, d) if rates is None else rates
+        num = den = Decimal(1)
+        for q, dx in zip(_pivots(bm[1:], dm[1:], Decimal(lam_mp)), dm[1:]):
+            num *= q
+            den *= dx
+        return num / den

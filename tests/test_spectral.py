@@ -143,6 +143,18 @@ class TestDirichletEigenpair:
             res = np.abs(k @ pair.phi + pair.lambda0 * pair.phi).max()
             assert res <= 1e-10 * pair.lambda0 * np.abs(pair.phi).max() + 1e-13
 
+    @pytest.mark.parametrize("k", [-1000, 900, 1000])
+    def test_residual_at_extreme_rate_scales(self, k):
+        # at 2^1000, K phi + lambda0 phi on phi(1) = 1 overflowed to inf - inf:
+        # the residual was NaN, with two RuntimeWarnings; at 2^1000 the pair
+        # itself drifts a little, so only there the bits may differ
+        b, d = np.full(29, 1.0), np.full(30, 4.0)
+        unscaled = dirichlet_eigenpair(build_birth_death(b, d)).residual
+        res = dirichlet_eigenpair(build_birth_death(b * 2.0 ** k, d * 2.0 ** k)).residual
+        assert math.isfinite(res)
+        if k != 1000:
+            assert res == math.ldexp(unscaled, k)
+
     def test_lambda0_below_min_exit_rate(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -742,6 +754,20 @@ def test_minor_block_with_a_bottleneck():
     assert lambda0_minor(gen, 1) == pytest.approx(vals[0], rel=1e-9, abs=0)
     lambda0_prime = min(lambda0_minor(gen, x) for x in gen.absorbing_set)
     assert lambda0_prime == pytest.approx(vals[0], rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("family", ["reversible", "cycle-with-chords"])
+def test_minor_rates_are_the_sliced_csr(family):
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        gen = SCALE_FAMILIES[family](rng)
+        for x in range(1, gen.n_states + 1):
+            keep = np.delete(np.arange(gen.n_states), x - 1)
+            ref, ours = gen._csr[keep][:, keep], spectral._minor_rates(gen, x)
+            assert ours.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(ours, name), getattr(ref, name))
+                assert getattr(ours, name).dtype == getattr(ref, name).dtype
 
 
 @pytest.mark.parametrize("gen", [

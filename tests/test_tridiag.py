@@ -4,6 +4,7 @@ wide eigenvector spreads, and agreement with the multi-precision oracle."""
 import decimal
 import math
 import warnings
+from collections import Counter
 from decimal import Decimal
 from unittest import mock
 
@@ -624,24 +625,27 @@ def test_mp_lambda_rejects_what_it_cannot_certify():
         assert abs(mp.mpf(str(lam)) - ref) <= mp.mpf(10) ** -40 * ref
 
 
+def mpmath_minor_pivots(b, d, shift):
+    """The standard LDL' pivots of the state-1 minor at shift, in binary
+    arithmetic at mpmath's working precision."""
+    bm, dm = [mp.mpf(float(x)) for x in b[1:]], [mp.mpf(float(x)) for x in d[1:]]
+    n = len(dm)
+    q = (bm[0] if n > 1 else mp.mpf(0)) + dm[0] - shift
+    out = [q]
+    for x in range(1, n):
+        main = (bm[x] if x < n - 1 else mp.mpf(0)) + dm[x]
+        q = main - shift - bm[x - 1] * dm[x] / q
+        out.append(q)
+    return out
+
+
 def mpmath_detratio_minor(b, d, lam, dps):
     """mpmath reference for tridiag.mp_detratio_minor: the same LDL' pivot
     recursion of the state-1 minor at lam and at 0, in binary arithmetic."""
     with mp.workdps(dps):
-        bm, dm = [mp.mpf(float(x)) for x in b[1:]], [mp.mpf(float(x)) for x in d[1:]]
-
-        def pivots(shift):
-            n = len(dm)
-            q = (bm[0] if n > 1 else mp.mpf(0)) + dm[0] - shift
-            out = [q]
-            for x in range(1, n):
-                main = (bm[x] if x < n - 1 else mp.mpf(0)) + dm[x]
-                q = main - shift - bm[x - 1] * dm[x] / q
-                out.append(q)
-            return out
-
         ratio = mp.mpf(1)
-        for qa, qb in zip(pivots(mp.mpf(str(lam))), pivots(mp.mpf(0))):
+        pivots = zip(mpmath_minor_pivots(b, d, mp.mpf(str(lam))), mpmath_minor_pivots(b, d, mp.mpf(0)))
+        for qa, qb in pivots:
             ratio *= qa / qb
         return ratio
 
@@ -662,3 +666,74 @@ def test_decimal_detratio_matches_mpmath(rates):
     ref = mpmath_detratio_minor(b, d, lam, dps)
     with mp.workdps(dps):
         assert abs(mp.mpf(str(ours)) - ref) <= mp.mpf(10) ** -40 * abs(ref)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(birth_death_rates(n_max=200, spread=1e3))
+def test_one_pass_detratio_matches_the_two_pass_reference(rates):
+    # mp_detratio_minor takes det(T~) = d_2 ... d_n: the minor is killed only
+    # at its first state, so its pivots at 0 multiply to its death rates.
+    # The ratio's condition number is the amplitude, so the digits grow by
+    # the amplitude's as in exact_bd_amplitude
+    b, d = rates
+    assume(len(d) > 1)
+    dps = oracle_dps(b, d) + 20
+    lam = tridiag.mp_lambda(b, d, 0, dps=dps)
+    ours = tridiag.mp_detratio_minor(b, d, lam, dps=dps)
+    if ours.adjusted() < 0:
+        dps -= ours.adjusted()
+        lam = tridiag.mp_lambda(b, d, 0, dps=dps)
+        ours = tridiag.mp_detratio_minor(b, d, lam, dps=dps)
+    ref = mpmath_detratio_minor(b, d, lam, dps)
+    with mp.workdps(dps):
+        assert abs(mp.mpf(str(ours)) - ref) <= mp.mpf(10) ** -40 * abs(ref)
+        at_zero = mp.fprod(mpmath_minor_pivots(b, d, mp.mpf(0)))
+        deaths = mp.fprod(mp.mpf(float(x)) for x in d[1:])
+        assert abs(at_zero - deaths) <= mp.mpf(10) ** -40 * deaths
+
+
+def oracle_passes(monkeypatch):
+    """Spy on the oracle's passes: a list that gets ("_mp_rates",) and
+    ("_double_start",) for each call, and (name, digits) for each decimal
+    Newton step, certificate, pivot and count pass."""
+    calls = []
+
+    def spy(name, shift_arg=None):
+        real = getattr(tridiag, name)
+
+        def wrapper(*args, **kwargs):
+            if shift_arg is None:
+                calls.append((name,))
+            elif isinstance(args[shift_arg], Decimal):
+                calls.append((name, decimal.getcontext().prec))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tridiag, name, wrapper)
+
+    spy("_mp_rates")
+    spy("_double_start")
+    for name in ("_newton_step", "_bracket_counts", "_pivots", "_count"):
+        spy(name, 2)
+    return calls
+
+
+def test_oracle_runs_one_pass_per_step(monkeypatch):
+    # chain 0's amplitude needs no more than the first 60 digits: from the
+    # double start, two Newton steps reach the certificate, and the ratio is
+    # one pivot pass at lambda0
+    calls = oracle_passes(monkeypatch)
+    exact_bd_amplitude(build_birth_death(*criterion05_chain(0)))
+    assert Counter(calls) == {("_mp_rates",): 1, ("_double_start",): 1, ("_newton_step", 60): 2,
+                              ("_bracket_counts", 60): 1, ("_pivots", 60): 1}
+
+
+def test_oracle_escalation_restarts_from_lambda(monkeypatch):
+    # chain 27 (amplitude 1.1e37) repeats at 98 digits: its Newton steps
+    # start from the 60-digit lambda0, so one step reaches the certificate
+    # and the double start and the rate conversion run once
+    calls = oracle_passes(monkeypatch)
+    exact_bd_amplitude(build_birth_death(*criterion05_chain(27)))
+    count = Counter(calls)
+    assert max(call[-1] for call in calls if len(call) == 2) == 98
+    assert count[("_mp_rates",)] == count[("_double_start",)] == 1
+    assert count[("_newton_step", 98)] == count[("_bracket_counts", 98)] == count[("_pivots", 98)] == 1
