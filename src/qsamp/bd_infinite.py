@@ -562,7 +562,8 @@ def tail_sum_estimate(rates: RateFamily, n: int, n_used: int) -> float:
     (and on the chain itself where a rung's warm solves fail).  When the
     subtraction would cancel more than TRACE_CANCELLATION_LIMIT allows, or
     the ground pair raises NoConvergence, the tail is summed over the
-    full LAPACK spectrum instead.  Exact for the truncated operator; as an
+    full spectrum instead, which dqds gives with relative accuracy
+    (tridiag.spectrum).  Exact for the truncated operator; as an
     estimate of the limiting tail it is uncertified (truncated eigenvalues
     only bound their limits from above, and the truncation carries finitely
     many modes).
@@ -583,7 +584,7 @@ def tail_sum_estimate(rates: RateFamily, n: int, n_used: int) -> float:
     tail = trace - head
     if np.isfinite(trace) and trace <= TRACE_CANCELLATION_LIMIT * tail:
         return tail
-    return float(np.sum(1.0 / np.sort(tridiag.eigenvalues(b, d))[n_used + 1 :]))
+    return float(np.sum(1.0 / tridiag.spectrum(b, d)[n_used + 1 :]))
 
 
 def gap_identity_check(rates: RateFamily, n: int) -> float:

@@ -17,13 +17,14 @@ every other chain's, reversible or not, comes from the same steps on the
 transposed solve, on the pair's own factorization when one is in hand.
 Only full_spectrum tests reversibility (reversible_measure).  Full spectra
 are for reversible chains only, as the paper's spectral route is: a
-reversible chain is symmetrized, S = diag(sqrt eta) (-K) diag(1/sqrt eta),
-for the dense symmetric solver, and its single-state minor spectra, for
-display only, are submatrices of the same S.  lambda0' has one route
-(_minor_lambda0), for any chain: a birth-death minor's blocks go to
-tridiag, and every other minor is formed from the CSR rates without its
-state and gets the certified power steps on each strongly connected
-block.  With several exits, full_spectrum runs those steps only on the
+birth-death chain's comes from its rates by dqds (tridiag.spectrum), with
+relative accuracy, and any other reversible chain is symmetrized,
+S = diag(sqrt eta) (-K) diag(1/sqrt eta), for the dense symmetric solver;
+single-state minor spectra, for display only, are submatrices of S.
+lambda0' has one route (_minor_lambda0), for any chain: a birth-death
+minor's blocks go to tridiag, and every other minor is formed from the CSR
+rates without its state and gets the certified power steps on each
+strongly connected block.  With several exits, full_spectrum runs those steps only on the
 exits that the secular equation on one eigendecomposition of S cannot
 rule out (_exit_candidates).
 """
@@ -387,22 +388,17 @@ def lambda0_minor(gen: AbsorbingGenerator, x: int) -> float:
 def _bd_minor_lambda0(b, d, x: int) -> float:
     """lambda0 of a birth-death chain without state x, the least over its blocks.
 
-    The upper block x+1..n is a birth-death chain killed from its first
-    state, so tridiag.ground_pair gives its lambda0 with relative accuracy.
-    The lower block 1..x-1, killed at both ends, and an upper block whose
-    pair raises NoConvergence (phi outside the double range, or a bracket
-    that does not settle) go to tridiag.lapack_lambda0.
+    The lower block 1..x-1 is killed at both ends, by d_1 and by the up-rate
+    b_{x-1} to x, and the upper block x+1..n from its first state.  Each
+    block's lambda0 is the lower end of the adjacent doubles that the Sturm
+    count of its subtraction-free factorization certifies
+    (tridiag.bisected_lambda0), relatively accurate however far below its
+    rates it sits; one below the double range raises NoConvergence.
     """
-    vals = [math.inf]  # nothing is left of a one-state chain
-    if x > 1:  # lower block 1..x-1, the up-rate to x acts as killing
-        main, off = tridiag.sym_tridiag(b[: x - 1], d[:x])
-        vals.append(tridiag.lapack_lambda0(main[: x - 1], off[: x - 2]))
-    if x < len(d):  # upper block x+1..n
-        try:
-            vals.append(tridiag.ground_pair(b[x:], d[x:])[0])
-        except NoConvergence:
-            vals.append(tridiag.lapack_lambda0(*tridiag.sym_tridiag(b[x:], d[x:])))
-    return min(vals)
+    blocks = [(b[: x - 1], d[: x - 1]), (b[x:], d[x:])]
+    # nothing is left of a one-state chain
+    return min((tridiag.bisected_lambda0(*block) for block in blocks if len(block[1])),
+               default=math.inf)
 
 
 def _exit_candidates(s: np.ndarray, exits: tuple) -> list:
@@ -451,14 +447,18 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     single-state minor spectra.
 
     A chain that is not reversible raises NotReversible before any matrix is
-    built.  A reversible one is symmetrized once, so every eigenvalue is real
-    and sorted ascending, and every minor is a submatrix of the same
-    symmetric matrix.  lambda0' is the least certified lambda0_minor over the
-    absorbing states (_minor_lambda0).  For a chain that is not birth-death
-    it runs only on the exits the secular equation cannot rule out
-    (_exit_candidates), and gives the same value bit for bit.  It does not
-    depend on compute_minors, which only adds the minor spectra (eigh of each
-    submatrix) to the report for display.
+    built.  Every eigenvalue is real and sorted ascending.  A birth-death
+    chain's come from dqds on the bidiagonal factor of its rates
+    (tridiag.spectrum), each with relative accuracy however far below the
+    rates it sits; any other reversible chain is symmetrized once and solved
+    by eigh, whose error is of order eps times the largest rate.  Every
+    minor is a submatrix of the same symmetric matrix.  lambda0' is the
+    least certified lambda0_minor over the absorbing states (_minor_lambda0).
+    For a chain that is not birth-death it runs only on the exits the
+    secular equation cannot rule out (_exit_candidates), and gives the same
+    value bit for bit.  It does not depend on compute_minors, which only
+    adds the minor spectra (eigh of each submatrix) to the report for
+    display.
     """
     _generator(gen, "full_spectrum")
     eta, witness = reversible_measure(gen)
@@ -467,7 +467,7 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
                             "breaks detailed balance (lambda0_minor gives lambda0' of any chain)")
     exits = gen.absorbing_set
     if gen.is_birth_death:
-        eigenvalues, s = np.sort(tridiag.eigenvalues(*gen.birth_death_rates())), None
+        eigenvalues, s = tridiag.spectrum(*gen.birth_death_rates()), None
     else:
         s = _sym_neg_k(gen._csr, -gen.diagonal)
         eigenvalues = _sym_eigenvalues(s)

@@ -27,25 +27,25 @@ log pi instead.  The steps start from a vector that inverse iteration has
 settled on, shifted at each new Rayleigh quotient from G1 (the expected
 absorption times) or from a given start, so one or two steps certify it,
 or from that starting vector itself when the iteration cannot vouch for
-one; a LAPACK bisection eigenvalue seeds the start only when those steps
+one; a bisected eigenvalue (below) seeds the start only when those steps
 narrow slowly.
 higher_eigenvalues gives lambda_1..lambda_k (higher_eigenpairs with their
 vectors), each the Dirichlet-form Rayleigh quotient of an inverse-iterated
 vector, through the same re-shifted iteration from guesses and start
 vectors, accepted only when every vector has as many sign changes as its
-index.  Each quotient is two plain sums over the chain's pi weights,
-formed once per chain (pi_weights), with a log-space form as the fallback
-where they would underflow (rayleigh_quotient); the solves and quotients
-run on the rates scaled by a power of two into (0, 1), so every rate scale
-gives the same bits.  The guesses and vectors are a smaller truncation's
-eigenpairs padded with their last entries (padded): the truncation before
-in a schedule of nested truncations (bd_infinite.eigen_convergence), or else
-the chain's own reflecting truncation at half its size, solved the same
-way down a ladder of halvings to fewer than 2 LADDER_BASE states.  One
-bisection call gives the first shifts at the foot of the ladder, re-shifted
-the same way, and the Sturm count gives the value where no quotient
-vouches for one; where a rung's warm solves fail, the climb stops and the
-chain itself bisects.  So a schedule bisects only for the higher
+index, or else bisected on the Sturm count.  Each quotient is two plain
+sums over the chain's pi weights, formed once per chain (pi_weights), with
+a log-space form as the fallback where they would underflow
+(rayleigh_quotient); the solves and quotients run on the rates scaled by a
+power of two into (0, 1), so every rate scale gives the same bits.  The
+guesses and vectors are a smaller truncation's eigenpairs padded with their
+last entries (padded): the truncation before in a schedule of nested
+truncations (bd_infinite.eigen_convergence), or else the chain's own
+reflecting truncation at half its size, solved the same way down a ladder
+of halvings to fewer than 2 LADDER_BASE states.  One bisection call gives
+the values at the foot of the ladder, and the re-shifted iteration from
+them their vectors; where a rung's warm solves fail, the climb stops and
+the chain itself bisects.  So a schedule bisects only for the higher
 eigenvalues of its first truncation, and a single chain, when every rung
 holds, only on a prefix of fewer than 2 LADDER_BASE states.
 The diagonal of the Green operator's closed form gives green_trace, the sum
@@ -53,24 +53,29 @@ of every 1/lambda_k in O(n) and without subtraction:
 
     trace G = sum_x pi_x sum_{z<=x} (pi_z d_z)^-1.
 
+-K is also similar to B B', B upper bidiagonal with sqrt(d) on its diagonal
+and sqrt(b) above it, so spectrum takes every eigenvalue from B's singular
+values by dqds, with relative accuracy (Demmel & Kahan 1990).  sturm_count
+is LAPACK's stationary qd count on the same factor (_ldl), exact for rates
+perturbed by a few ulps each, and bisection on it (bisected_eigenvalues)
+brackets any one eigenvalue by adjacent doubles.  Both run in C (_lapack),
+on the rates scaled exactly by a power of two.
+
 The oracle, bounds.exact_bd_amplitude's independent check of the amplitude
 identity, runs on one pivot recursion: the differential (stationary qd)
 form of the LDL' factorization of T - sigma, whose only subtraction is the
 shift, so its pivots are exact for rates perturbed by a few units in the
-last place (_pivots).  It is written over plain Python numbers and serves
-the double-precision Sturm count sturm_count, the decimal Sturm
-certificate, the decimal Newton steps and the determinant ratio of the
-state-1 minor; each decimal pass walks the chain once.  The double passes
-run on the rates scaled exactly by a power of two, so no product of rates
-overflows; the decimal passes run on the standard library's decimal module
-(libmpdec, C code) at dps digits, in a thread-local context with the widest
-exponent range (oracle_context), on rates converted to Decimal once per
-chain (_mp_rates).  mp_lambda starts from adjacent floats around the
-eigenvalue that the double count certifies (float Newton steps from 0 and a
-walk of a few ulps for lambda0, bisection otherwise), or from the value of
-an earlier pass at fewer digits, refines with a few decimal Newton steps on
-det(T - lam), and certifies the result by two decimal counts just below and
-just above it, as soon as a step is small enough for that to hold.
+last place (_pivots).  It is written over Decimals and serves the decimal
+Sturm certificate, the decimal Newton steps and the determinant ratio of
+the state-1 minor; each decimal pass walks the chain once, in the standard
+library's decimal module (libmpdec, C code) at dps digits, in a
+thread-local context with the widest exponent range (oracle_context), on
+rates converted to Decimal once per chain (_mp_rates).  mp_lambda starts
+from the lower end of the adjacent doubles around the eigenvalue that the
+double-precision count certifies, or from the value of an earlier pass at
+fewer digits, refines with a few decimal Newton steps on det(T - lam), and
+certifies the result by two decimal counts just below and just above it, as
+soon as a step is small enough for that to hold.
 """
 
 from __future__ import annotations
@@ -80,15 +85,14 @@ import math
 from decimal import Decimal
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgtsv
 
+from . import _lapack
 from .errors import InvalidParameter, NoConvergence
 from .generators import _real_array
 
 _TINY = float(np.finfo(float).tiny)
-_EPS = float(np.finfo(float).eps)
 _LOG_TINY = math.log(_TINY)
 
 
@@ -107,7 +111,8 @@ def _rate_exponent(b: np.ndarray, d: np.ndarray) -> int:
 
 
 def _unit_arrays(b, d):
-    """(b 2^-k, d 2^-k, k) with k = _rate_exponent(b, d)."""
+    """(b 2^-k, d 2^-k, k) as float arrays, with k = _rate_exponent(b, d)."""
+    b, d = np.asarray(b, dtype=float), np.asarray(d, dtype=float)
     k = _rate_exponent(b, d)
     return np.ldexp(b, -k), np.ldexp(d, -k), k
 
@@ -120,12 +125,6 @@ def neg_sqrt_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x, y = np.ldexp(x, -e), np.ldexp(y, -e)
     prod = x * y
     return np.ldexp(-np.where(prod >= _TINY, np.sqrt(prod), np.sqrt(x) * np.sqrt(y)), e)
-
-
-def sym_tridiag(b: np.ndarray, d: np.ndarray):
-    """Main and off diagonals of the symmetrized -K; the off-diagonal is
-    neg_sqrt_product(b_x, d_{x+1})."""
-    return d + np.append(b, 0.0), neg_sqrt_product(b, d[1:])
 
 
 def log_pi(b: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -141,32 +140,15 @@ def scaled_pi(b: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.exp(lp - lp.max())
 
 
-def eigenvalues(b, d, n_lo=0, n_hi=None):
-    """Eigenvalues of -K with indices n_lo..n_hi (inclusive), ascending, by
-    LAPACK's bisection on sym_tridiag scaled by 2^-unit_exponent."""
-    main, off = sym_tridiag(b, d)
-    if len(d) == 1:
-        return main[n_lo : (n_hi or 0) + 1]
-    e = unit_exponent(main)
-    subset = {} if n_hi is None else {"select": "i", "select_range": (n_lo, n_hi)}
-    return np.ldexp(eigvalsh_tridiagonal(np.ldexp(main, -e), np.ldexp(off, -e), **subset), e)
-
-
-def lapack_lambda0(main: np.ndarray, off: np.ndarray) -> float:
-    """Smallest eigenvalue by LAPACK's bisection of the symmetric tridiagonal
-    matrix with diagonals main and off, scaled by 2^-unit_exponent: the
-    birth-death minor blocks that tridiag.ground_pair does not serve.
-    LAPACK's error is absolute, up to m eps times the largest absolute row
-    sum for m states, which swamps a lambda0 far below the rates; a value
-    not above that bound raises NoConvergence."""
-    rows = np.abs(main) + np.abs(np.append(off, 0.0)) + np.abs(np.append(0.0, off))
-    e = unit_exponent(rows)
-    lam = eigvalsh_tridiagonal(np.ldexp(main, -e), np.ldexp(off, -e),
-                               select="i", select_range=(0, 0))[0]
-    lam, bound = math.ldexp(lam, e), len(main) * _EPS * float(rows.max())
-    if not lam > bound:
-        raise NoConvergence(f"LAPACK's lambda0 {lam:.3e} is not above its error bound {bound:.3e}")
-    return lam
+def spectrum(b, d) -> np.ndarray:
+    """Every eigenvalue of -K, ascending, with relative accuracy: -K is
+    similar to B B' with B upper bidiagonal, sqrt(d) on its diagonal and
+    sqrt(b) above it, so the eigenvalues are the squared singular values of
+    B (dqds, _lapack.singular_values).  B is formed from the rates scaled by
+    2^-_rate_exponent, so every power-of-two rate scale gives the same bits,
+    scaled."""
+    b, d, k = _unit_arrays(b, d)
+    return np.ldexp(_lapack.singular_values(np.sqrt(d), np.sqrt(b))[::-1] ** 2, k)
 
 
 def pi_weights(lp: np.ndarray) -> np.ndarray:
@@ -190,7 +172,7 @@ def rayleigh_quotient(b, d, v, w=None) -> float:
 
     Two plain sums of nonnegative terms, with v scaled to max |v| = 1 and
     the rates by 2^-k, k = _rate_exponent(b, d), so that the largest lies
-    in [1/2, 1) as in _unit_rates:
+    in [1/2, 1) as in _unit_arrays:
 
         mass = sum_x w_x v_x^2,
         energy = d_1 w_1 v_1^2 + sum_{x<n} b_x w_x (v_{x+1} - v_x)^2,
@@ -276,9 +258,8 @@ def higher_eigenvalues(b, d, k, guesses=None):
     lambda_1..lambda_k of a smaller truncation) when each of them leads to
     its eigenvalue through _shifted_quotient; if any does not, or is
     missing or not finite, they come from the half-size ladder of
-    higher_eigenpairs, and from one bisection call where that fails too.
-    A bisection estimate that no quotient vouches for gives way to the
-    eigenvalue the Sturm count certifies (_bisected_pairs).
+    higher_eigenpairs, whose foot bisects on the Sturm count, and from one
+    bisection call on the chain where that fails too (_bisected_pairs).
     """
     return higher_eigenpairs(b, d, k, guesses)[0]
 
@@ -290,8 +271,8 @@ LADDER_BASE = 64
 
 def higher_eigenpairs(b, d, k, guesses=None, starts=None):
     """(lambda_1..lambda_k, their vectors) of -K, from warm starts where
-    they can be vouched for; a vector is None where only the Sturm count
-    vouches for its value (_bisected_pairs).
+    they can be vouched for; a vector is None where a bisected value has
+    none that the re-shifted iteration vouches for (_bisected_pairs).
 
     First from guesses and their start vectors (length n each, such as a
     smaller truncation's vectors extended by padded, or None for three
@@ -337,23 +318,18 @@ def padded(v, n):
 
 
 def _bisected_pairs(b, d, k, w):
-    """(lambda_1..lambda_k, vectors) from one bisection call: each pair by
-    _shifted_quotient from its eigenvalue estimate.  Where that cannot vouch
-    for one, the eigenvalue is the lower end of the adjacent doubles around
-    it that the differential Sturm count certifies (_bisected_start), with
-    the vector of _shifted_quotient started there, or None if that cannot
-    vouch either.  b and d are scaled to unit rates, so only an eigenvalue
-    below the double range (a start of 0) raises NoConvergence."""
+    """(lambda_1..lambda_k, vectors) from one bisection call
+    (bisected_eigenvalues): each eigenvalue is the lower end of the adjacent
+    doubles around it that the Sturm count certifies, and its vector that of
+    _shifted_quotient started there, or None where that cannot vouch for
+    one.  b and d are scaled to unit rates, so only an eigenvalue below the
+    double range (a lower end of 0) raises NoConvergence."""
     pairs = []
-    for idx, lam_hat in enumerate(eigenvalues(b, d, 1, k), start=1):
-        pair = _shifted_quotient(b, d, idx, lam_hat, w)
-        if pair is None:
-            lam = _bisected_start(b.tolist(), d.tolist(), idx)
-            if lam == 0:
-                raise NoConvergence(f"eigenvalue {idx} is below the double range")
-            found = _shifted_quotient(b, d, idx, lam, w)
-            pair = lam, None if found is None else found[1]
-        pairs.append(pair)
+    for idx, lam in enumerate(bisected_eigenvalues(b, d, 1, k), start=1):
+        if lam == 0:
+            raise NoConvergence(f"eigenvalue {idx} is below the double range")
+        found = _shifted_quotient(b, d, idx, lam, w)
+        pairs.append((lam, None if found is None else found[1]))
     lams, vectors = zip(*pairs)
     return np.array(lams), list(vectors)
 
@@ -399,8 +375,7 @@ def _shifted_quotient(b, d, eig_index, guess, w, start=None):
             v = _shifted_solves(b, d, lam * (1 - 1e-8), v)
         except np.linalg.LinAlgError:
             return None
-        signs = np.sign(v[v != 0])
-        if np.count_nonzero(signs[1:] != signs[:-1]) != eig_index:
+        if _sign_changes(v) != eig_index:
             return None
         lam, previous = rayleigh_quotient(b, d, v, w), lam
         step = abs(lam - previous) / lam
@@ -410,6 +385,12 @@ def _shifted_quotient(b, d, eig_index, guess, w, start=None):
             return None
         width = step
     return None
+
+
+def _sign_changes(v) -> int:
+    """Sign changes of v over its nonzero entries, from their sign bits."""
+    negative = np.signbit(v[v != 0])
+    return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
 def _shifted_solves(b, d, shift, start):
@@ -481,8 +462,8 @@ def ground_pair(b, d, start=None):
          vouch for a vector, as when lambda0 sits so far below lambda1
          that shifted solves drown in rounding, the steps run from that
          starting vector itself, and steps on G then converge fast;
-      2. the vector inverse-iterated from the bisection eigenvalue, which
-         runs to the end.
+      2. the vector inverse-iterated from lambda0 bisected on the Sturm
+         count (bisected_eigenvalues), which runs to the end.
     Both starts are solved for on the rates scaled by 2^-_rate_exponent, so
     that a chain whose phi spans far (rho_family(0.5) at 1100 states) gets
     the same start vectors at every rate scale; the Green steps run on the
@@ -514,7 +495,7 @@ def ground_pair(b, d, start=None):
         found = _shifted_quotient(bu, du, 0, rayleigh_quotient(bu, du, f, w), w, start=f)
         steps = _green_steps(ratio_step, d, lp, f if found is None else found[1], restart=True)
     if steps is None:
-        lam, scale = eigenvalues(bu, du, 0, 0)[0], float((du + np.append(bu, 0.0)).max())
+        lam, scale = bisected_eigenvalues(bu, du, 0, 0)[0], float((du + np.append(bu, 0.0)).max())
         # shifts below zero still isolate phi where lambda0 is far below the rates
         for shift in (lam * (1 - 1e-8), lam - 1e-14 * scale, -1e-13 * scale, -1e-10 * scale):
             try:
@@ -690,119 +671,75 @@ def _count(b, d, sigma):
         return len([q for q in _pivots(b, d, sigma) if q < 0])
     except ZeroDivisionError:
         # sigma is an eigenvalue of a leading block: count just above it
-        up = sigma.next_plus() if isinstance(sigma, Decimal) else math.nextafter(sigma, math.inf)
-        return _count(b, d, up)
+        return _count(b, d, sigma.next_plus())
 
 
 def sturm_count(b, d, sigma: float) -> int:
-    """Number of eigenvalues of -K below sigma, in double precision.
-
-    Counts the negative pivots of the differential recursion _pivots, so
-    the count is exact for rates perturbed by a few ulps each, and
-    eigenvalues bracketed by it keep relative accuracy however far below
-    the rates they sit, at any rate scale (_unit_rates).
-    """
-    b, d, k = _unit_rates(b, d)
+    """Number of eigenvalues of -K at or below sigma: the stationary qd
+    count of dlarrc on the factor _ldl of the rates scaled by
+    2^-_rate_exponent, so the same at every power-of-two rate scale, and
+    exact for rates perturbed by a few ulps each."""
+    b, d, k = _unit_arrays(b, d)
     if math.frexp(sigma)[1] > k + 2:  # |sigma| >= 4 * 2^k, past every eigenvalue
         return len(d) if sigma > 0 else 0
-    return _count(b, d, math.ldexp(sigma, -k))
+    return _lapack.negcount(*_ldl(b, d))(math.ldexp(sigma, -k))
 
 
-def _unit_rates(b, d):
-    """(b 2^-k, d 2^-k, k) as lists of Python floats (a zero pivot raises),
-    with k = _rate_exponent(b, d) and so every eigenvalue below 4.  The
-    float pivots are those of the unscaled rates scaled, wherever these
-    stay normal, and no product of scaled rates overflows."""
-    b, d, k = _unit_arrays(np.asarray(b, dtype=float), np.asarray(d, dtype=float))
-    return b.tolist(), d.tolist(), k
-
-
-def _double_start(b, d, eig_index):
-    """Lower end lo of a bracket of adjacent doubles around the eigenvalue.
-
-    b and d are lists of floats.  lo is the double with
-    count(lo) <= eig_index < count(nextafter(lo)), or 0 when the eigenvalue
-    is below the smallest normal double: from _newton_start for lambda0,
-    and from _bisected_start for higher indices or where _newton_start
-    gives up.
+def _ldl(b, d):
+    """(D, L), reversed as dlarrc's L D L' takes them, with -K similar to
+    U diag(D) U', U unit upper bidiagonal with L above its diagonal; no entry
+    is a difference.  With a reflecting top (len(b) = len(d) - 1), D = d and
+    L_x = sqrt(b_x / d_{x+1}), since B = U diag(sqrt(d)).  Where the last
+    up-rate kills too (len(b) = len(d), a block below a removed state), the
+    pivots are sums from the top down: D_m = d_m + b_m, e_m = b_m, and
+    e_x = b_x e_{x+1} / D_{x+1}, D_x = d_x + e_x, L_x = sqrt(b_x d_{x+1}) / D_{x+1}.
     """
-    if eig_index == 0:
-        lo = _newton_start(b, d)
-        if lo is not None:
-            return lo
-    return _bisected_start(b, d, eig_index)
+    if len(b) < len(d):
+        return d[::-1], np.sqrt(b / d[1:])[::-1]
+    e, pivots = b[-1], [d[-1] + b[-1]]
+    for bx, dx in zip(b[-2::-1].tolist(), d[-2::-1].tolist()):
+        e = bx * e / pivots[-1]
+        pivots.append(dx + e)
+    pivots = np.array(pivots)
+    return pivots, np.sqrt(b[:-1] * d[1:])[::-1] / pivots[:-1]
 
 
-#: float Newton steps of _newton_start: each costs about two count passes,
-#: so steps that give up (clustered eigenvalues above lambda0 make them
-#: creep) have cost about what the bisection taking over does
-_START_STEPS = 30
+def bisected_eigenvalues(b, d, first, last) -> np.ndarray:
+    """Lower ends lo of the adjacent doubles around lambda_first..lambda_last
+    of -K, by bisection on sturm_count's count (_ldl also takes a block
+    killed at its top).  b and d are unit rates (_unit_arrays), so each lo
+    keeps count(lo) <= index < count(hi) from hi = 4 and lo = the smallest
+    normal double, which gives lo = 0 for an eigenvalue below it.  Midpoints
+    are geometric while hi/lo > 4, so an eigenvalue hundreds of orders below
+    the rates costs a dozen counts, then arithmetic (about 60 in all)."""
+    count = _lapack.negcount(*_ldl(b, d))
 
-#: ulps the walk after the float Newton steps of _newton_start covers in
-#: either direction before bisection takes over
-_WALK_ULPS = 8
+    def bisect(index):
+        lo, hi = _TINY, 4.0
+        if count(lo) > index:
+            return 0.0
+        while True:
+            mid = math.sqrt(lo) * math.sqrt(hi) if hi > 4 * lo else lo + (hi - lo) / 2
+            if not lo < mid < hi:
+                return lo
+            if count(mid) > index:
+                hi = mid
+            else:
+                lo = mid
+
+    return np.array([bisect(index) for index in range(first, last + 1)])
 
 
-def _newton_start(b, d):
-    """_double_start for lambda0 by float Newton steps, or None.
-
-    Newton steps on det(T - lam) from 0 (_newton_step over Python floats)
-    rise monotonically toward the smallest root, because every root lies
-    above them.  They stop after a step of at most 4 ulps, before one that
-    does not shrink (rounding, or steps that stall), or at an exact zero
-    pivot, and a walk of at most _WALK_ULPS ulps down or up from there
-    finds the lo that the count certifies.  None where _START_STEPS steps
-    have not stopped, where they stop below the smallest normal double, or
-    where the walk runs out.
-    """
-    lam, last = 0.0, math.inf
-    for _ in range(_START_STEPS):
-        step = _newton_step(b, d, lam)
-        if step is None or not abs(step) < last:
-            break
-        lam, last = lam + step, abs(step)
-        if last <= 4 * _EPS * lam:
-            break
-    else:
-        return None
+def bisected_lambda0(b, d) -> float:
+    """lambda0 of -K by bisected_eigenvalues on the rates scaled by
+    2^-_rate_exponent, scaled back: the lower end of the adjacent doubles
+    around it.  len(b) = len(d) when the last up-rate kills as well.
+    Raises NoConvergence when lambda0 is below the double range."""
+    b, d, k = _unit_arrays(b, d)
+    lam = math.ldexp(bisected_eigenvalues(b, d, 0, 0)[0], k)
     if not lam >= _TINY:
-        return None
-    if _count(b, d, lam) == 0:
-        for _ in range(_WALK_ULPS):
-            up = math.nextafter(lam, math.inf)
-            if _count(b, d, up) > 0:
-                return lam
-            lam = up
-    else:
-        for _ in range(_WALK_ULPS):
-            lam = math.nextafter(lam, -math.inf)
-            if _count(b, d, lam) == 0:
-                return lam
-    return None
-
-
-def _bisected_start(b, d, eig_index):
-    """_double_start by bisection on the pivot count, for any index.
-
-    Keeps count(lo) <= eig_index < count(hi), with hi starting at
-    2 max_x (b_x + d_x), the row-sum norm of -K.  Midpoints are geometric
-    while hi/lo > 4, so an eigenvalue hundreds of orders below the rates
-    costs a dozen passes, then arithmetic down to adjacent floats (about 60
-    passes in all).  lo is 0 when the eigenvalue is below the smallest
-    normal double.
-    """
-    hi = 2 * max(bx + dx for bx, dx in zip(b + [0.0], d))
-    lo = _TINY
-    if _count(b, d, lo) > eig_index:
-        return 0.0
-    while True:
-        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 4 * lo else lo + (hi - lo) / 2
-        if not lo < mid < hi:
-            return lo
-        if _count(b, d, mid) > eig_index:
-            hi = mid
-        else:
-            lo = mid
+        raise NoConvergence(f"lambda0 {lam:.3e} is below the double range")
+    return lam
 
 
 def _newton_step(b, d, lam):
@@ -810,11 +747,8 @@ def _newton_step(b, d, lam):
 
     Differentiating the pivot recursion in lam gives t'_1 = -1 and
     t'_{x+1} = b_x d_{x+1} t'_x / q_x^2 - 1, and p'/p = sum_x t'_x / q_x.
-    One loop carries t, t' and the sum, with no list of pivots.  Each term
-    takes the operations of the recursion in their written order (t as in
-    _pivots; reusing 1/q would change the bits of a float step and cost
-    the float start accuracy).  Serves Python floats (_newton_start) and
-    Decimals (mp_lambda) alike.  Returns None at an exact zero pivot, which
+    One loop over the Decimal rates of mp_lambda carries t, t' and the sum,
+    with no list of pivots.  Returns None at an exact zero pivot, which
     makes lam an eigenvalue at working precision.
     """
     try:
@@ -832,13 +766,13 @@ def _newton_step(b, d, lam):
 def mp_lambda(b, d, eig_index=0, dps=60, *, rates=None, start=None):
     """Certified eigenvalue of -K with the given index, at dps decimal digits.
 
-    Three steps on the pivot recursion _pivots, none shared with
-    ground_pair, which is what lets bounds.exact_bd_amplitude check it:
+    Three steps, the last two on the pivot recursion _pivots in decimal
+    arithmetic, whose certificate shares nothing with ground_pair, which is
+    what lets bounds.exact_bd_amplitude check it:
       1. the lower end of adjacent doubles around the eigenvalue, certified
-         by the double-precision count (_double_start): float Newton steps
-         from 0 and a walk of a few ulps for lambda0, which usually take
-         a handful of passes, or else bisection, about 60, on the rates
-         scaled by a power of two (_unit_rates) and scaled back exactly;
+         by the double-precision Sturm count (bisected_eigenvalues, about 60
+         counts), on the rates scaled by a power of two (_unit_arrays) and
+         scaled back exactly;
       2. Newton steps on det(T - lam) in dps-digit decimal arithmetic from
          that lower end, one pass over the chain each (_newton_step), until
          a step falls below the relative width w = n 10^(5 - dps), stops
@@ -872,9 +806,10 @@ def mp_lambda(b, d, eig_index=0, dps=60, *, rates=None, start=None):
             raise InvalidParameter(f"dps = {dps} cannot resolve a chain of {n} states")
         lam = start
         if lam is None:
-            bs, ds, k = _unit_rates(b, d)
+            bu, du, k = _unit_arrays(b, d)
             with decimal.localcontext(oracle_context(2000)):  # exact: at most 1520 digits
-                lam = Decimal(_double_start(bs, ds, eig_index)) * Decimal(2) ** k
+                lam = Decimal(bisected_eigenvalues(bu, du, eig_index, eig_index)[0])
+                lam *= Decimal(2) ** k
         bm, dm = _mp_rates(b, d) if rates is None else rates
         last = Decimal("Infinity")
         for _ in range(_NEWTON_STEPS):

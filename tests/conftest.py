@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from qsamp import build_general, build_graph_walk, build_rho_chain, tridiag
 from qsamp.bd_infinite import RateFamily
@@ -34,17 +35,34 @@ def pivot_digits_lost(b, d) -> int:
 
 
 def count_bisections(monkeypatch):
-    """Spy on tridiag.eigenvalues (LAPACK bisection); returns the list of
-    argument tuples its calls append to."""
+    """Spy on tridiag.bisected_eigenvalues (bisection on the Sturm count);
+    returns the list of argument tuples its calls append to."""
     calls = []
-    bisect = tridiag.eigenvalues
-    monkeypatch.setattr(tridiag, "eigenvalues", lambda *a: calls.append(a) or bisect(*a))
+    bisect = tridiag.bisected_eigenvalues
+    monkeypatch.setattr(tridiag, "bisected_eigenvalues", lambda *a: calls.append(a) or bisect(*a))
     return calls
+
+
+def sym_tridiag(b, d):
+    """Main and off diagonals of the symmetric tridiagonal matrix similar to
+    the killed generator's -K: b_x + d_x (b_n = 0) and -sqrt(b_x d_{x+1})."""
+    return d + np.append(b, 0.0), -np.sqrt(b * d[1:])
+
+
+def lapack_eigenvalues(b, d, lo=0, hi=None):
+    """Eigenvalues lo..hi (inclusive; all by default) of -K, ascending, by
+    LAPACK on the symmetrized tridiagonal: a reference independent of
+    tridiag's own routes, accurate to about n eps times the largest rate."""
+    main, off = sym_tridiag(b, d)
+    if len(d) == 1:
+        return main
+    subset = {} if hi is None else {"select": "i", "select_range": (lo, hi)}
+    return eigvalsh_tridiagonal(main, off, **subset)
 
 
 def cold_higher_eigenvalues(b, d, k):
     """lambda_1..lambda_k by the cold route alone, as a reference for the
-    warm ones: one bisection call, then three solves from the ones vector at
+    warm ones: LAPACK's bisection, then three solves from the ones vector at
     each estimate and the Rayleigh quotient, with no guesses, re-shifts,
     carried vectors or half-size ladder."""
     if k == 0:
@@ -52,7 +70,7 @@ def cold_higher_eigenvalues(b, d, k):
     w = tridiag.pi_weights(tridiag.log_pi(b, d))
     return np.array([
         tridiag.rayleigh_quotient(b, d, tridiag._shifted_solves(b, d, lam * (1 - 1e-8), None), w)
-        for lam in tridiag.eigenvalues(b, d, 1, k)
+        for lam in lapack_eigenvalues(b, d, 1, k)
     ])
 
 

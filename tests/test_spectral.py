@@ -6,7 +6,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -476,6 +475,21 @@ class TestAmplitude:
             amplitude(np.array([1.0, -2.0]))
 
 
+def mp_minor_lambda0(b, d, x, dps=50):
+    """lambda0 of the birth-death chain without state x, by mpmath's
+    symmetric eigensolver at dps digits on the symmetrized -K built from the
+    rates, with the row and column of x removed."""
+    n = len(d)
+    keep = [i for i in range(n) if i != x - 1]
+    with mp.workdps(dps):
+        s = mp.zeros(n - 1, n - 1)
+        for r, i in enumerate(keep):
+            s[r, r] = mp.mpf(d[i]) + (mp.mpf(b[i]) if i < n - 1 else 0)
+            if r + 1 < n - 1 and keep[r + 1] == i + 1:
+                s[r, r + 1] = s[r + 1, r] = -mp.sqrt(mp.mpf(b[i]) * mp.mpf(d[i + 1]))
+        return float(min(mp.eigsy(s, eigvals_only=True)))
+
+
 class TestLambda0Minor:
     def test_golden_cases(self, golden):
         assert lambda0_minor(golden, 1) == pytest.approx(1.0, abs=1e-12)
@@ -544,16 +558,31 @@ class TestLambda0Minor:
         with pytest.raises(NoConvergence):
             lambda0_minor(build_rho_chain(1100, 2.0), 1)
 
-    def test_birth_death_minor_from_lapack_above_its_error_bound(self):
-        # the Green pair raises here too, and LAPACK's value is kept
+    def test_birth_death_minor_where_the_green_pair_raises(self):
+        # the upper block's Green steps do not settle here, and its lambda0'
+        # comes from the bisected Sturm count alone; LAPACK's bisection on
+        # the symmetrized block gave 0.2500040734072573, 1 ulp lower
         gen = build_rho_chain(1100, 0.25)
         b, d = gen.birth_death_rates()
         with pytest.raises(NoConvergence):
             tridiag.ground_pair(b[1:], d[1:])
-        main, off = tridiag.sym_tridiag(b[1:], d[1:])
-        ref = eigvalsh_tridiagonal(main, off, select="i", select_range=(0, 0))[0]
-        assert lambda0_minor(gen, 1) == ref
+        ref = float(tridiag.mp_lambda(b[1:], d[1:]))
+        assert abs(lambda0_minor(gen, 1) - ref) <= np.spacing(ref)
         assert 0.25 < ref < 0.2500041
+
+    @pytest.mark.parametrize("b, d, x", [
+        ([1, 1, 1e-18, 1], [1e-18, 1, 1, 1, 1], 4),
+        (np.where(np.arange(1, 30) < 12, 8.0, 1.0), np.where(np.arange(1, 31) < 12, 1.0, 8.0), 24),
+    ], ids=["killed-at-1e-18", "trapped-in-the-middle"])
+    def test_lower_block_far_below_its_rates(self, b, d, x):
+        # the block below x is killed at both ends, by d_1 and by b_{x-1}:
+        # lambda0' is 6.7e-19 on the first chain, and 4.0e-10 on the second,
+        # which drifts to state 12 from both sides.  LAPACK's bisection on
+        # the symmetrized block gave -4.4e-17 and 2.4e-6 relatively off
+        b, d = np.asarray(b, dtype=float), np.asarray(d, dtype=float)
+        ref = mp_minor_lambda0(b, d, x)
+        assert ref < 1e-9
+        assert lambda0_minor(build_birth_death(b, d), x) == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_reducible_minor(self):
         # removing the middle of a 3-chain leaves two singleton blocks
@@ -937,15 +966,14 @@ def rho_chain_with_chord():
 
 
 @pytest.mark.parametrize("gen, x", [
-    (build_birth_death([1, 1, 1e-18, 1], [1e-18, 1, 1, 1, 1]), 4),
     (rho_chain_with_chord(), 1),
-], ids=["birth-death-lower-block", "reversible-chord-singular-minor"])
+], ids=["reversible-chord-singular-minor"])
 def test_lapack_lambda0_below_its_error_bound_raises(gen, x):
-    # lambda0' is about 1e-18 against unit rates.  The birth-death lower
-    # block's LAPACK bisection gave -4.4e-17, below its absolute error bound.
-    # The chord chain's minor (lambda0' 1.3e-18 in 60-digit arithmetic) is
-    # singular in double, since its exit-rate sums lose the 1e-18, so its
-    # power steps are not positive and raise
+    # lambda0' is about 1e-18 against unit rates.  The chord chain's minor
+    # (lambda0' 1.3e-18 in 60-digit arithmetic) is singular in double, since
+    # its exit-rate sums lose the 1e-18, so its power steps are not positive
+    # and raise.  (A birth-death lower block this far below its rates is
+    # relatively accurate: test_lower_block_far_below_its_rates.)
     assert reversible_measure(gen)[0] is not None
     with pytest.raises(NoConvergence):
         lambda0_minor(gen, x)

@@ -25,6 +25,7 @@ from qsamp import (
     dirichlet_eigenpair,
     dirichlet_form,
     exact_bd_amplitude,
+    full_spectrum,
     lambda0_minor,
     poisson_family,
     rho_family,
@@ -32,8 +33,8 @@ from qsamp import (
 from qsamp import tridiag
 from qsamp.bd_infinite import RateFamily
 from conftest import (
-    cold_higher_eigenvalues, count_bisections, log_accelerated_family, pivot_digits_lost,
-    random_birth_death,
+    cold_higher_eigenvalues, count_bisections, lapack_eigenvalues, log_accelerated_family,
+    pivot_digits_lost, random_birth_death, sym_tridiag,
 )
 
 
@@ -83,7 +84,7 @@ def test_ground_pair_beyond_half_the_exponent_range(n):
     # lambda0 is of the order of the rates, where LAPACK is relatively accurate
     b, d = rho_family(0.5).realize(n)
     lam, phi, _ = tridiag.ground_pair(b, d)
-    main, off = tridiag.sym_tridiag(b, d)
+    main, off = sym_tridiag(b, d)
     ref = eigvalsh_tridiagonal(main, off, select="i", select_range=(0, 0))[0]
     assert np.isfinite(lam)
     assert abs(lam - ref) <= 1e-12 * ref
@@ -94,7 +95,7 @@ def test_higher_eigenvalue_beyond_half_the_exponent_range():
     # the index-3 eigenvector spans past 1e154 at n = 1100, so pi v^2
     # underflows everywhere unless the quotient's sums are shifted
     b, d = rho_family(0.5).realize(1100)
-    ref = tridiag.eigenvalues(b, d, 3, 3)[0]
+    ref = lapack_eigenvalues(b, d, 3, 3)[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lam = tridiag.higher_eigenvalues(b, d, 3)[2]
@@ -155,8 +156,12 @@ def test_ground_pair_in_log_form_beyond_the_ratio_form_range(monkeypatch):
     lam, phi, _ = tridiag.ground_pair(1024 * b, 1024 * d)
     assert log_steps
     assert abs(lam - 87.8470404848027) <= 4 * np.spacing(lam)
-    np.testing.assert_allclose(phi[[1015, 2029]], [3.8352942669342224e155, 8.476508696932695e305],
+    np.testing.assert_allclose(phi[[1015, 2029]], [3.8352942669010847e155, 8.47650869684211e305],
                                rtol=1e-12)
+    # phi by the three-term recursion from phi(1) = 1 at a 600-digit lambda0:
+    # the pair's bracket bounds phi's backward error, not its forward error
+    np.testing.assert_allclose(phi[[1015, 2029]], [3.8352942669770644e155, 8.476508697151224e305],
+                               rtol=tridiag.RESIDUAL_RTOL)
 
 
 @pytest.mark.parametrize("start", [np.ones(5), np.r_[1.0, 0.0, np.ones(4)], np.full(6, np.inf),
@@ -191,7 +196,7 @@ def test_higher_eigenvalues_from_wrong_guesses_fall_back(wrong, monkeypatch):
     # the cold route
     b, d = accelerated_poisson_family().realize(400)
     unguessed = tridiag.higher_eigenvalues(b, d, 4)
-    lam = tridiag.eigenvalues(b, d, 0, 5)
+    lam = lapack_eigenvalues(b, d, 0, 5)
     cold = cold_higher_eigenvalues(b, d, 4)
     calls = count_bisections(monkeypatch)
     fallback = tridiag.higher_eigenvalues(b, d, 4, wrong(lam))
@@ -223,7 +228,7 @@ def test_higher_eigenvalues_where_the_half_size_guesses_fail(monkeypatch):
     calls = count_bisections(monkeypatch)
     lam = tridiag.higher_eigenvalues(b, d, 3)
     assert [len(a[1]) for a in calls] == [75, 300]
-    np.testing.assert_allclose(lam, tridiag.eigenvalues(b, d, 1, 3), rtol=1e-13)
+    np.testing.assert_allclose(lam, lapack_eigenvalues(b, d, 1, 3), rtol=1e-13)
 
 
 @pytest.mark.parametrize("n", [200, 300])
@@ -242,7 +247,7 @@ def test_higher_eigenvalues_from_rough_guesses_re_shift(monkeypatch):
     # a fifth of the way to the next eigenvalue: the first quotient is off,
     # and the re-shifted ones settle on the cold values
     b, d = poisson_family().realize(600)
-    lam = tridiag.eigenvalues(b, d, 1, 6)
+    lam = lapack_eigenvalues(b, d, 1, 6)
     cold = cold_higher_eigenvalues(b, d, 5)
     calls = count_bisections(monkeypatch)
     warm = tridiag.higher_eigenvalues(b, d, 5, lam[:5] + 0.2 * np.diff(lam))
@@ -389,7 +394,7 @@ def test_quotient_takes_the_log_form_only_where_the_sums_underflow(monkeypatch):
     assert tridiag.rayleigh_quotient(b, d, phi) == pytest.approx(lam, rel=1e-12, abs=0)
     assert calls == []
     b, d = rho_family(0.5).realize(1100)
-    ref = tridiag.eigenvalues(b, d, 3, 3)[0]
+    ref = lapack_eigenvalues(b, d, 3, 3)[0]
     v = tridiag._shifted_solves(b, d, ref * (1 - 1e-8), None)
     assert abs(tridiag.rayleigh_quotient(b, d, v) - ref) <= 1e-8 * ref
     assert len(calls) == 1
@@ -434,7 +439,7 @@ def test_wide_spread_chain_at_any_power_of_two_scale(k):
     bk, dk = np.ldexp(b, k), np.ldexp(d, k)
     assert math.ldexp(tridiag.ground_pair(bk, dk)[0], -k) == pytest.approx(lam, rel=1e-12, abs=0)
     np.testing.assert_array_equal(tridiag.higher_eigenvalues(bk, dk, 6), np.ldexp(higher, k))
-    np.testing.assert_allclose(higher, tridiag.eigenvalues(b, d, 1, 6), rtol=1e-12)
+    np.testing.assert_allclose(higher, lapack_eigenvalues(b, d, 1, 6), rtol=1e-12)
 
 
 # -- the multi-precision oracle: double start, mp Newton, Sturm certificate --
@@ -478,7 +483,7 @@ def test_differential_count_matches_lapack(rates):
     # are midpoints between them (and one past each end) that clear that by
     # a wide margin; the decimal count runs the same recursion at 60 digits
     b, d = rates
-    main, off = tridiag.sym_tridiag(b, d)
+    main, off = sym_tridiag(b, d)
     w = eigvalsh_tridiagonal(main, off) if len(d) > 1 else main
     sigmas = np.concatenate([[w[0] / 2], (w[:-1] + w[1:]) / 2, [2 * w[-1]]])
     with decimal.localcontext(tridiag.oracle_context(60)):
@@ -487,6 +492,78 @@ def test_differential_count_matches_lapack(rates):
             if np.abs(w - sigma).min() > 1e-8 * w[-1]:
                 in_decimal = tridiag._count(bm, dm, Decimal(float(sigma)))
                 assert tridiag.sturm_count(b, d, sigma) == in_decimal == np.count_nonzero(w < sigma)
+
+
+# -- the LAPACK kernels: dqds spectrum and dlarrc count -------------------------
+
+#: the rates of a fixed 5-state chain
+PIN_B, PIN_D = np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.5, 1.5, 2.5, 3.5, 4.5])
+
+
+def test_lapack_kernels_pinned_on_a_five_state_chain():
+    # a scipy whose entry points take other int widths or argument lists
+    # fails here, not with wrong eigenvalues elsewhere
+    from qsamp import _lapack
+    main, off = sym_tridiag(PIN_B, PIN_D)
+    ref = np.linalg.eigvalsh(np.diag(main) + np.diag(off, 1) + np.diag(off, -1))
+    np.testing.assert_allclose(tridiag.spectrum(PIN_B, PIN_D), ref, rtol=1e-14)
+    np.testing.assert_allclose(_lapack.singular_values(np.sqrt(PIN_D), np.sqrt(PIN_B)),
+                               np.sqrt(ref[::-1]), rtol=1e-14)
+    count = _lapack.negcount(PIN_D[::-1], np.sqrt(PIN_B / PIN_D[1:])[::-1])
+    sigmas = np.concatenate([[ref[0] / 2], (ref[:-1] + ref[1:]) / 2, [2 * ref[-1]]])
+    assert [count(s) for s in sigmas] == [0, 1, 2, 3, 4, 5]
+
+
+def test_missing_lapack_entry_point_fails_at_import(monkeypatch):
+    import importlib.util
+    from scipy.linalg import cython_lapack
+    from qsamp import _lapack
+    monkeypatch.delitem(cython_lapack.__pyx_capi__, "dlarrc")
+    spec = importlib.util.spec_from_file_location("qsamp._lapack_probe", _lapack.__file__)
+    with pytest.raises(ImportError, match="exports no dlarrc"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_spectrum_of_the_lambda0_far_below_the_rates_chain():
+    # LAPACK's bisection on the symmetrized matrix gave lambda0 = -3.1e-16
+    # here, an absolute error of n eps times the rates; dqds keeps every
+    # eigenvalue relatively accurate
+    rng = np.random.default_rng(1)
+    b, d = np.exp(rng.uniform(-2, 2, 199)), np.exp(rng.uniform(-2, 2, 200))
+    lam = tridiag.spectrum(b, d)
+    assert lam[0] > 0
+    assert lam[0] == pytest.approx(tridiag.ground_pair(b, d)[0], rel=1e-13, abs=0)
+    ref = [float(tridiag.mp_lambda(b, d, k)) for k in (0, 1, 2, 3)]
+    np.testing.assert_allclose(lam[:4], ref, rtol=1e-13)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(birth_death_rates(n_max=40), st.integers(-900, 900), st.floats(0.0, 1.0))
+def test_spectrum_and_count_at_any_power_of_two_scale(rates, k, t):
+    # the square roots of dqds's bidiagonal are taken on the rates scaled by
+    # 2^-_rate_exponent: the square root of rates times an odd power of two
+    # is not a scaled square root
+    b, d = rates
+    lam = full_spectrum(build_birth_death(b, d)).eigenvalues
+    assume(all(is_normal(x) for x in np.ldexp(np.r_[b, d, lam], k)))
+    scaled = full_spectrum(build_birth_death(np.ldexp(b, k), np.ldexp(d, k))).eigenvalues
+    np.testing.assert_array_equal(scaled, np.ldexp(lam, k))
+    sigma = lam[0] ** (1 - t) * (2 * lam[-1]) ** t  # geometric, over the whole spectrum
+    assert tridiag.sturm_count(np.ldexp(b, k), np.ldexp(d, k), math.ldexp(sigma, k)) \
+        == tridiag.sturm_count(b, d, sigma)
+
+
+def test_sign_changes_skip_zero_entries():
+    # zeros of either sign are skipped, as np.sign's 0 would be
+    v = np.array([0.0, 1.0, 0.0, -2.0, -0.0, -1.0, 0.0, 0.0, 3.0, -0.0, 4.0, -1e-300, 0.0])
+    assert tridiag._sign_changes(v) == 3
+    assert tridiag._sign_changes(np.array([-0.0, 0.0, -0.0])) == 0
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        v = rng.standard_normal(int(rng.integers(1, 40)))
+        v[rng.random(len(v)) < 0.3] = rng.choice([0.0, -0.0])
+        signs = np.sign(v[v != 0])
+        assert tridiag._sign_changes(v) == np.count_nonzero(signs[1:] != signs[:-1])
 
 
 @pytest.mark.parametrize("n", [400, 1000])
@@ -535,7 +612,7 @@ def test_lambda0_below_the_double_range():
 @pytest.mark.parametrize("k", [1, 50, 99])
 def test_higher_indices_are_certified_too(k):
     b, d = build_rho_chain(100, 1.0).birth_death_rates()
-    main, off = tridiag.sym_tridiag(b, d)
+    main, off = sym_tridiag(b, d)
     ref = eigvalsh_tridiagonal(main, off)[k]
     assert float(tridiag.mp_lambda(b, d, k)) == pytest.approx(ref, rel=1e-11, abs=0)
 
@@ -559,37 +636,32 @@ def test_higher_eigenvalues_the_quotient_cannot_vouch_for_match_the_oracle(index
     np.testing.assert_allclose(lam, ref, rtol=1e-12)
 
 
+def test_bisected_higher_eigenvalues_keep_relative_accuracy():
+    # chain 37 (104 states, too few for a ladder) bisects: the re-shifted
+    # quotient from LAPACK's estimate vouched for a lambda_2 1.86e-11 off the
+    # oracle, where the bisected value is the eigenvalue to a few ulps
+    b, d = random_oracle_chains()[37]
+    lam = tridiag.higher_eigenvalues(b, d, 3)
+    dps = 30 + pivot_digits_lost(b, d)
+    ref = np.array([float(tridiag.mp_lambda(b, d, k, dps=dps)) for k in range(1, 4)])
+    np.testing.assert_allclose(lam, ref, rtol=1e-13)
+
+
 @pytest.mark.parametrize(
     "chains",
     [lambda: [criterion05_chain(i) for i in range(50)], random_oracle_chains,
      lambda: [(np.full(119, 1e-3), np.full(120, 1e3))]],
     ids=["criterion05", "rng7", "clustered"],
 )
-def test_newton_start_is_the_bisection_start(chains):
-    # "clustered": 120 eigenvalues in [998, 1002], so float Newton from 0
-    # creeps and the start falls back to bisection
+def test_bisected_start_is_relatively_accurate(chains):
+    # the count is exact for rates perturbed by a few ulps, which moves
+    # lambda0 by a few n ulps at most; "clustered" has 120 eigenvalues in
+    # [998, 1002].  The worst start was 0.4 n eps from the oracle
     for b, d in chains():
-        b, d = b.tolist(), d.tolist()
-        assert tridiag._double_start(b, d, 0) == tridiag._bisected_start(b, d, 0)
-
-
-def test_newton_start_takes_few_counts(monkeypatch):
-    # bisection down to adjacent floats took 63.1 count passes per chain
-    counts = []
-    count = tridiag._count
-    monkeypatch.setattr(tridiag, "_count", lambda *a: counts.append(1) or count(*a))
-    for i in range(50):
-        b, d = criterion05_chain(i)
-        tridiag._double_start(b.tolist(), d.tolist(), 0)
-    assert len(counts) / 50 <= 15
-
-
-def test_stalled_float_newton_falls_back_to_bisection(monkeypatch):
-    b, d = (x.tolist() for x in criterion05_chain(0))
-    bisected = tridiag._bisected_start(b, d, 0)
-    monkeypatch.setattr(tridiag, "_newton_step", lambda b, d, lam: 0 * lam)
-    assert tridiag._newton_start(b, d) is None
-    assert tridiag._double_start(b, d, 0) == bisected
+        bu, du, k = tridiag._unit_arrays(b, d)
+        lo = math.ldexp(tridiag.bisected_eigenvalues(bu, du, 0, 0)[0], k)
+        ref = float(tridiag.mp_lambda(b, d, 0))
+        assert abs(lo - ref) <= len(d) * np.finfo(float).eps * ref
 
 
 def test_stalled_newton_is_not_certified(monkeypatch):
@@ -694,7 +766,7 @@ def test_one_pass_detratio_matches_the_two_pass_reference(rates):
 
 def oracle_passes(monkeypatch):
     """Spy on the oracle's passes: a list that gets ("_mp_rates",) and
-    ("_double_start",) for each call, and (name, digits) for each decimal
+    ("bisected_eigenvalues",) for each call, and (name, digits) for each decimal
     Newton step, certificate, pivot and count pass."""
     calls = []
 
@@ -711,7 +783,7 @@ def oracle_passes(monkeypatch):
         monkeypatch.setattr(tridiag, name, wrapper)
 
     spy("_mp_rates")
-    spy("_double_start")
+    spy("bisected_eigenvalues")
     for name in ("_newton_step", "_bracket_counts", "_pivots", "_count"):
         spy(name, 2)
     return calls
@@ -723,7 +795,8 @@ def test_oracle_runs_one_pass_per_step(monkeypatch):
     # one pivot pass at lambda0
     calls = oracle_passes(monkeypatch)
     exact_bd_amplitude(build_birth_death(*criterion05_chain(0)))
-    assert Counter(calls) == {("_mp_rates",): 1, ("_double_start",): 1, ("_newton_step", 60): 2,
+    assert Counter(calls) == {("_mp_rates",): 1, ("bisected_eigenvalues",): 1,
+                              ("_newton_step", 60): 2,
                               ("_bracket_counts", 60): 1, ("_pivots", 60): 1}
 
 
@@ -735,5 +808,5 @@ def test_oracle_escalation_restarts_from_lambda(monkeypatch):
     exact_bd_amplitude(build_birth_death(*criterion05_chain(27)))
     count = Counter(calls)
     assert max(call[-1] for call in calls if len(call) == 2) == 98
-    assert count[("_mp_rates",)] == count[("_double_start",)] == 1
+    assert count[("_mp_rates",)] == count[("bisected_eigenvalues",)] == 1
     assert count[("_newton_step", 98)] == count[("_bracket_counts", 98)] == count[("_pivots", 98)] == 1
