@@ -26,7 +26,7 @@ minor's blocks go to tridiag, and every other minor is formed from the CSR
 rates without its state and gets the certified power steps on each
 strongly connected block.  With several exits, full_spectrum runs those steps only on the
 exits that the secular equation on one eigendecomposition of S cannot
-rule out (_exit_candidates).
+rule out, and reports that decomposition's eigenvalues (_exit_candidates).
 """
 
 from __future__ import annotations
@@ -401,9 +401,10 @@ def _bd_minor_lambda0(b, d, x: int) -> float:
                default=math.inf)
 
 
-def _exit_candidates(s: np.ndarray, exits: tuple) -> list:
-    """The exits whose minor may attain lambda0', from one eigendecomposition
-    of the symmetrized -K s of a chain with more than one state.
+def _exit_candidates(s: np.ndarray, exits: tuple):
+    """(eigenvalues, candidates): the ascending eigenvalues of the
+    symmetrized -K s, and the exits whose minor may attain lambda0', both
+    from one eigendecomposition.
 
     With s = U diag(lam) U^T, the (x, x) entry of (s - mu)^-1 is
     det(s_x - mu) / det(s - mu) = sum_k U(x,k)^2 / (lam_k - mu) (the secular
@@ -420,10 +421,12 @@ def _exit_candidates(s: np.ndarray, exits: tuple) -> list:
     upper end.  The others drop out as the brackets narrow, until one exit
     is left or every bracket is at most w wide.  Each error in this rule
     only adds candidates, so the least certified value over the candidates
-    is the least over all exits.  One exit is its own candidate.
+    is the least over all exits.  One exit is its own candidate, with the
+    eigenvalues alone (_sym_eigenvalues); with several, the eigenvalues are
+    those of the decomposition with vectors, scaled back.
     """
     if len(exits) == 1:
-        return list(exits)
+        return _sym_eigenvalues(s), list(exits)
     e = tridiag.unit_exponent(np.diagonal(s))
     a = np.ldexp(s, -e)
     lam, u = eigh(a, driver="evd")
@@ -436,7 +439,7 @@ def _exit_candidates(s: np.ndarray, exits: tuple) -> list:
         alive = lo - least <= 2 * (w + tridiag.RESIDUAL_RTOL * np.abs(lo))
         idx, weights, lo, hi = idx[alive], weights[alive], lo[alive], hi[alive]
         if len(idx) == 1 or (hi - lo).max() <= w:
-            return (idx + 1).tolist()
+            return np.ldexp(lam, e), (idx + 1).tolist()
         mid = (lo + hi) / 2  # strictly inside: a width above w spans many ulps
         below = (weights / (lam - mid[:, None])).sum(axis=1) < 0
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
@@ -451,7 +454,8 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     chain's come from dqds on the bidiagonal factor of its rates
     (tridiag.spectrum), each with relative accuracy however far below the
     rates it sits; any other reversible chain is symmetrized once and solved
-    by eigh, whose error is of order eps times the largest rate.  Every
+    by one eigh, with vectors where it has several exits, whose error is of
+    order eps times the largest rate.  Every
     minor is a submatrix of the same symmetric matrix.  lambda0' is the
     least certified lambda0_minor over the absorbing states (_minor_lambda0).
     For a chain that is not birth-death it runs only on the exits the
@@ -470,8 +474,7 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
         eigenvalues, s = tridiag.spectrum(*gen.birth_death_rates()), None
     else:
         s = _sym_neg_k(gen._csr, -gen.diagonal)
-        eigenvalues = _sym_eigenvalues(s)
-        exits = _exit_candidates(s, exits)
+        eigenvalues, exits = _exit_candidates(s, exits)
     lambda0_prime = min(_minor_lambda0(gen, x) for x in exits)
     minor_spectra = None
     if compute_minors:

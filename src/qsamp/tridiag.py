@@ -22,13 +22,14 @@ pi (the subtraction-free elimination of Grassmann, Taksar and Heyman,
 running sum of y.  Every term is positive, so each component keeps relative
 accuracy however far lambda0 sits below the rates, and each step gives the
 Collatz-Wielandt bracket min f/Gf <= lambda0 <= max f/Gf as a certificate.
-Where a value would leave the double range, the step runs on log f over
-log pi instead.  The steps start from a vector that inverse iteration has
-settled on, shifted at each new Rayleigh quotient from G1 (the expected
-absorption times) or from a given start, so one or two steps certify it,
-or from that starting vector itself when the iteration cannot vouch for
-one; a bisected eigenvalue (below) seeds the start only when those steps
-narrow slowly.
+The steps run on the rates scaled by a power of two into (0, 1), so they
+leave the double range only where phi or lambda0 itself does, and every
+rate scale gives the same bits.  They start from a vector that inverse
+iteration has settled on, shifted at each new Rayleigh quotient from G1
+(the expected absorption times) or from a given start, so one or two steps
+certify it, or from that starting vector itself when the iteration cannot
+vouch for one; a bisected eigenvalue (below) seeds the start only when
+those steps narrow slowly.
 higher_eigenvalues gives lambda_1..lambda_k (higher_eigenpairs with their
 vectors), each the Dirichlet-form Rayleigh quotient of an inverse-iterated
 vector, through the same re-shifted iteration from guesses and start
@@ -448,8 +449,7 @@ def ground_pair(b, d, start=None):
     midpoint and phi the last iterate Gf; the bracket's relative width
     bounds the componentwise backward error of phi.  A step is one
     back-substitution and one running sum over positive terms
-    (_ratio_step), or, where a value would leave the double range, two
-    cumulative log-sum-exp passes over log pi (_log_step).
+    (_ratio_step).
 
     The steps run from one of two starts, the second only when the first
     one's steps narrow the bracket slowly (narrowing_slowly):
@@ -463,14 +463,15 @@ def ground_pair(b, d, start=None):
          that shifted solves drown in rounding, the steps run from that
          starting vector itself, and steps on G then converge fast;
       2. the vector inverse-iterated from lambda0 bisected on the Sturm
-         count (bisected_eigenvalues), which runs to the end.
-    Both starts are solved for on the rates scaled by 2^-_rate_exponent, so
-    that a chain whose phi spans far (rho_family(0.5) at 1100 states) gets
-    the same start vectors at every rate scale; the Green steps run on the
-    rates as given.
+         count (bisected_eigenvalues), which runs to the end; also the
+         start when G1 leaves the double range.
+    Everything runs on the rates scaled by 2^-_rate_exponent (_unit_arrays),
+    and lambda0 and its bracket are scaled back exactly at the end, so every
+    power-of-two rate scale gives the same bits: lambda0 times the scale
+    and the same phi.
     Raises NoConvergence when the bracket has not settled after the step
-    cap or is wider than RESIDUAL_RTOL, or when phi or lambda0 leaves the
-    double range, or when no shift gives the second start;
+    cap or is wider than RESIDUAL_RTOL, or when a step leaves the double
+    range, or when no shift gives the second start;
     InvalidParameter for a start that is not n positive finite numbers.
     """
     b = np.asarray(b, dtype=float)
@@ -482,38 +483,36 @@ def ground_pair(b, d, start=None):
         start = _real_array(start, f"start must be {n} finite numbers", (n,))
         if np.any(start <= 0):
             raise InvalidParameter(f"start must be {n} positive finite numbers")
-    lp = log_pi(b, d)
-    w = pi_weights(lp)
-    bu, du, _ = _unit_arrays(b, d)  # the start vectors' solves, at any rate scale
-    ratio_step = _ratio_step(b, d)
+    b, d, k = _unit_arrays(b, d)
+    w = pi_weights(log_pi(b, d))
+    step = _ratio_step(b, d)
     steps = None
     try:
-        f = ratio_step(np.ones(n))[3] if start is None else start
-    except _LeavesRange:
+        f = step(np.ones(n))[3] if start is None else start
+    except NoConvergence:
         f = None
     if f is not None:
-        found = _shifted_quotient(bu, du, 0, rayleigh_quotient(bu, du, f, w), w, start=f)
-        steps = _green_steps(ratio_step, d, lp, f if found is None else found[1], restart=True)
+        found = _shifted_quotient(b, d, 0, rayleigh_quotient(b, d, f, w), w, start=f)
+        steps = _power_steps(step, f if found is None else found[1], restart=True)
     if steps is None:
-        lam, scale = bisected_eigenvalues(bu, du, 0, 0)[0], float((du + np.append(bu, 0.0)).max())
+        lam, scale = bisected_eigenvalues(b, d, 0, 0)[0], float((d + np.append(b, 0.0)).max())
         # shifts below zero still isolate phi where lambda0 is far below the rates
         for shift in (lam * (1 - 1e-8), lam - 1e-14 * scale, -1e-13 * scale, -1e-10 * scale):
             try:
-                v = _shifted_solves(bu, du, shift, None)
+                v = _shifted_solves(b, d, shift, None)
             except np.linalg.LinAlgError:
                 continue
             if np.all(v >= 0) or np.all(v <= 0):
                 break
         else:
             raise NoConvergence("no shifted solve gives a one-signed start vector")
-        steps = _green_steps(ratio_step, d, lp, np.abs(v), restart=False)
-    lam0, _, (lo, hi) = steps
+        steps = _power_steps(step, np.abs(v), restart=False)
+    lo, hi, f = steps
+    lam0 = math.sqrt(lo) * math.sqrt(hi)
     _check_bracket(lo, hi, lam0)
-    return steps
-
-
-class _LeavesRange(Exception):
-    """A ratio-form Green step would leave the normal double range."""
+    if not math.ldexp(lo, k) >= _TINY:
+        raise NoConvergence(f"lambda0 {math.ldexp(lam0, k):.3e} is below the double range")
+    return math.ldexp(lam0, k), f / f[0], (math.ldexp(lo, k), math.ldexp(hi, k))
 
 
 def _ratio_step(b, d):
@@ -526,9 +525,13 @@ def _ratio_step(b, d):
 
     one back-substitution (BLAS dtbsv) and one running sum with positive
     terms and no pi.  Each y_z is at most Gf(z), so no value exceeds
-    max Gf, about 1/lambda0 once f is near phi.  Raises _LeavesRange when a
-    right-hand side f(z)/d_z, the bracket's lower end or Gf(1)/max Gf is
-    below the smallest normal double, or Gf overflows.
+    max Gf, about 1/lambda0 once f is near phi.  On unit rates (the largest
+    in [1/2, 1)) a step leaves the double range only when the chain itself
+    does: when phi spans past about 2^1022 (f(1)/d_1 or Gf(1)/max Gf below
+    the smallest normal double, with f scaled to max 1), or when lambda0
+    lies below about 2^-1022 of the largest rate (the bracket's lower end
+    below the smallest normal double, or Gf overflowing).  Such a step
+    raises NoConvergence.
     """
     with np.errstate(over="ignore"):
         inv_d = 1.0 / d
@@ -538,62 +541,17 @@ def _ratio_step(b, d):
     def step(f):
         f = f / f.max()
         rhs = f * inv_d
-        if not rhs.min() >= _TINY:
-            raise _LeavesRange
-        g = np.cumsum(dtbsv(1, band, rhs, diag=1, overwrite_x=1))
-        if not g[-1] < np.inf:
-            raise _LeavesRange
-        ratio = f / g
-        lo, hi = float(ratio.min()), float(ratio.max())
-        if not min(lo, g[0] / g[-1]) >= _TINY:
-            raise _LeavesRange
-        return lo, hi, (hi - lo) / lo, g
+        if rhs.min() >= _TINY:
+            g = np.cumsum(dtbsv(1, band, rhs, diag=1, overwrite_x=1))
+            if g[-1] < np.inf:
+                ratio = f / g
+                lo, hi = float(ratio.min()), float(ratio.max())
+                if min(lo, g[0] / g[-1]) >= _TINY:
+                    return lo, hi, (hi - lo) / lo, g
+        raise NoConvergence("a Green step leaves the double range: phi spans past about "
+                            "2^1022, or lambda0 lies below about 2^-1022 of the largest rate")
 
     return step
-
-
-def _log_step(lp, log_w):
-    """The Green step on log f: log f -> (log lo, log hi, width, log Gf - log Gf(1))."""
-
-    def step(f):
-        tail = np.logaddexp.accumulate((lp + f)[::-1])[::-1]
-        g = np.logaddexp.accumulate(tail + log_w)
-        ratio = f - g
-        lo, hi = float(ratio.min()), float(ratio.max())
-        return lo, hi, hi - lo, g - g[0]
-
-    return step
-
-
-def _green_steps(ratio_step, d, lp, v, restart):
-    """The pair from Green steps started at the positive vector v.
-
-    Steps in ratio form, or in log form from the start again when a ratio
-    step leaves the double range.  With restart, a step that is
-    narrowing_slowly returns None instead, so that the caller can try a
-    better start.
-    """
-    try:
-        steps = _power_steps(ratio_step, v, restart)
-    except _LeavesRange:
-        pass
-    else:
-        if steps is None:
-            return None
-        lo, hi, f = steps
-        return math.sqrt(lo) * math.sqrt(hi), f / f[0], (lo, hi)
-    log_v = np.log(v / v.max()) if np.all(v > 0) and np.all(np.isfinite(v)) else np.zeros(len(d))
-    steps = _power_steps(_log_step(lp, -lp - np.log(d)), log_v, restart)
-    if steps is None:
-        return None
-    lo, hi, f = steps
-    mid = (lo + hi) / 2
-    if f.max() >= np.log(np.finfo(float).max) or mid <= np.log(np.finfo(float).tiny):
-        raise NoConvergence(
-            f"ground eigenpair outside the double range: log lambda0 = {mid:.1f}, "
-            f"log max phi = {f.max():.1f}"
-        )
-    return float(np.exp(mid)), np.exp(f), (float(np.exp(lo)), float(np.exp(hi)))
 
 
 def _power_steps(step, f, restart):

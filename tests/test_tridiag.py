@@ -67,6 +67,9 @@ def test_lambda0_far_below_the_rates_keeps_relative_accuracy():
     ref = float(tridiag.mp_lambda(b, d, 0, dps=60))
     assert ref == pytest.approx(1.2298637614560e-37, rel=1e-12, abs=0)
     assert abs(lam - ref) <= 1e-10 * ref
+    # at 2^-1000 the rates are still normal doubles, but lambda0 is not
+    with pytest.raises(NoConvergence, match="below the double range"):
+        tridiag.ground_pair(np.ldexp(b, -1000), np.ldexp(d, -1000))
 
 
 def test_large_random_chains_have_small_backward_error():
@@ -141,27 +144,50 @@ def test_ground_pair_falls_back_to_bisection_on_a_close_gap(monkeypatch):
     ref = float(tridiag.mp_lambda(b, d, 0))
     assert abs(lam - ref) <= 4 * np.spacing(ref)
     assert lo <= lam <= hi
-    # phi of the log-space Green steps on the same chain
+    # phi of the Green steps from that start
     np.testing.assert_allclose(phi[[75, 149]], [217916.0436101404, 154730867.70629027], rtol=1e-12)
 
 
-def test_ground_pair_in_log_form_beyond_the_ratio_form_range(monkeypatch):
-    # phi spans 8.5e305 and d_1 = 1024, so phi(1)/d_1 / max phi is below the
-    # smallest normal double: the ratio-form steps hand over to log-space
-    # steps, while lambda0 and phi stay inside the double range
+def test_wide_spread_ground_pair_is_the_same_at_1024_times_the_rates():
+    # phi spans 8.5e305, so at d_1 = 1024 phi(1)/d_1 / max phi would be below
+    # the smallest normal double; on the unit rates no step leaves the
+    # range, and the pair is the unscaled one times the scale, bit for bit
     b, d = rho_family(0.5).realize(2030)
-    log_steps = []
-    log_step = tridiag._log_step
-    monkeypatch.setattr(tridiag, "_log_step", lambda *a: log_steps.append(1) or log_step(*a))
-    lam, phi, _ = tridiag.ground_pair(1024 * b, 1024 * d)
-    assert log_steps
-    assert abs(lam - 87.8470404848027) <= 4 * np.spacing(lam)
-    np.testing.assert_allclose(phi[[1015, 2029]], [3.8352942669010847e155, 8.47650869684211e305],
+    lam, phi, (lo, hi) = tridiag.ground_pair(b, d)
+    scaled = tridiag.ground_pair(1024 * b, 1024 * d)
+    assert (scaled[0], scaled[2]) == (1024 * lam, (1024 * lo, 1024 * hi))
+    np.testing.assert_array_equal(scaled[1], phi)
+    ref = float(tridiag.mp_lambda(b, d, 0, dps=80))
+    assert abs(lam - ref) <= 1e-14 * ref
+    np.testing.assert_allclose(phi[[1015, 2029]], [3.835294266886757e155, 8.47650869680498e305],
                                rtol=1e-12)
     # phi by the three-term recursion from phi(1) = 1 at a 600-digit lambda0:
     # the pair's bracket bounds phi's backward error, not its forward error
     np.testing.assert_allclose(phi[[1015, 2029]], [3.8352942669770644e155, 8.476508697151224e305],
                                rtol=tridiag.RESIDUAL_RTOL)
+
+
+@pytest.mark.parametrize("k", [0, 600, 1000])
+def test_every_route_raises_where_lambda0_is_below_the_double_range(k):
+    # lambda0 of rho_family(2.0) at 1100 states lies about e^-763 below the
+    # rates: no birth-death route gives it at any scale, although at 2^600
+    # and 2^1000 it is a normal double; the decimal oracle still gives the
+    # amplitude
+    b, d = rho_family(2.0).realize(1100)
+    b, d = np.ldexp(b, k), np.ldexp(d, k)
+    gen = build_birth_death(b, d)
+    for route in (lambda: tridiag.ground_pair(b, d), lambda: dirichlet_eigenpair(gen),
+                  lambda: full_spectrum(gen), lambda: lambda0_minor(gen, 1)):
+        with pytest.raises(NoConvergence):
+            route()
+    assert exact_bd_amplitude(gen) == 2.0
+
+
+def test_ground_pair_names_the_double_range_where_phi_leaves_it():
+    # phi of rho_family(0.5) spans past 1e308 at 4096 states: the first
+    # Green step past the range ends the steps, with no run to the step cap
+    with pytest.raises(NoConvergence, match="double range"):
+        tridiag.ground_pair(*rho_family(0.5).realize(4096))
 
 
 @pytest.mark.parametrize("start", [np.ones(5), np.r_[1.0, 0.0, np.ones(4)], np.full(6, np.inf),
@@ -403,9 +429,9 @@ def test_quotient_takes_the_log_form_only_where_the_sums_underflow(monkeypatch):
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(quotient_inputs())
 def test_truncation_values_at_any_power_of_two_scale(inputs):
-    # the higher eigenpairs run on the rates scaled into (0, 1), so their
-    # bits are the same at every scale; lambda0 of a chain whose ground pair
-    # raises is not compared
+    # the ground and higher eigenpairs run on the rates scaled into (0, 1),
+    # so their bits are the same at every scale; lambda0 of a chain whose
+    # ground pair raises is not compared
     b, d, v = inputs
     n, k_high = len(d), min(3, len(d) - 1)
     try:
@@ -417,8 +443,7 @@ def test_truncation_values_at_any_power_of_two_scale(inputs):
     for k in SCALES:
         bk, dk = np.ldexp(b, k), np.ldexp(d, k)
         if is_normal(math.ldexp(lam, k)):
-            scaled = tridiag.ground_pair(bk, dk)[0]
-            assert math.ldexp(scaled, -k) == pytest.approx(lam, rel=1e-12, abs=0)
+            assert tridiag.ground_pair(bk, dk)[0] == math.ldexp(lam, k)
         if all(is_normal(x) for x in np.ldexp(higher, k)):
             np.testing.assert_array_equal(tridiag.higher_eigenvalues(bk, dk, k_high),
                                           np.ldexp(higher, k))
@@ -430,14 +455,16 @@ def test_truncation_values_at_any_power_of_two_scale(inputs):
 @pytest.mark.parametrize("k", SCALES)
 def test_wide_spread_chain_at_any_power_of_two_scale(k):
     # rho_family(0.5) at 1100 states: phi spans past 1e154, and at 2^-600 and
-    # 2^900 the shifted solves on the rates as given overflowed or
-    # underflowed, so the higher eigenvalues came out as 1.5 and 0.49999 (not
-    # 0.0858) and the ground pair's steps ran out from a poor start
+    # 2^900 shifted solves on unscaled rates overflow or underflow (the
+    # higher eigenvalues once came out as 1.5 and 0.49999, not 0.0858); on
+    # the unit rates every scale gives the same bits
     b, d = rho_family(0.5).realize(1100)
-    lam = tridiag.ground_pair(b, d)[0]
+    lam, phi, _ = tridiag.ground_pair(b, d)
     higher = tridiag.higher_eigenvalues(b, d, 6)
     bk, dk = np.ldexp(b, k), np.ldexp(d, k)
-    assert math.ldexp(tridiag.ground_pair(bk, dk)[0], -k) == pytest.approx(lam, rel=1e-12, abs=0)
+    scaled = tridiag.ground_pair(bk, dk)
+    assert scaled[0] == math.ldexp(lam, k)
+    np.testing.assert_array_equal(scaled[1], phi)
     np.testing.assert_array_equal(tridiag.higher_eigenvalues(bk, dk, 6), np.ldexp(higher, k))
     np.testing.assert_allclose(higher, lapack_eigenvalues(b, d, 1, 6), rtol=1e-12)
 
@@ -551,6 +578,21 @@ def test_spectrum_and_count_at_any_power_of_two_scale(rates, k, t):
     sigma = lam[0] ** (1 - t) * (2 * lam[-1]) ** t  # geometric, over the whole spectrum
     assert tridiag.sturm_count(np.ldexp(b, k), np.ldexp(d, k), math.ldexp(sigma, k)) \
         == tridiag.sturm_count(b, d, sigma)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(birth_death_rates(), st.integers(-900, 900))
+def test_ground_pair_at_any_power_of_two_scale(rates, k):
+    # the Green steps run on the rates scaled by 2^-_rate_exponent, so rates
+    # times 2^k give lambda0 and the residual times 2^k and the same phi
+    b, d = rates
+    pair = dirichlet_eigenpair(build_birth_death(b, d))
+    assume(all(is_normal(x) for x in np.ldexp(np.r_[b, d, pair.lambda0], k)))
+    assume(pair.residual == 0 or is_normal(math.ldexp(pair.residual, k)))
+    scaled = dirichlet_eigenpair(build_birth_death(np.ldexp(b, k), np.ldexp(d, k)))
+    assert scaled.lambda0 == math.ldexp(pair.lambda0, k)
+    assert scaled.residual == math.ldexp(pair.residual, k)
+    np.testing.assert_array_equal(scaled.phi, pair.phi)
 
 
 def test_sign_changes_skip_zero_entries():
