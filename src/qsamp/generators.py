@@ -11,9 +11,10 @@ CSR matrix of its positive internal rates (0-based, rows in order, columns
 sorted, no repeats) and the absorption rate per state, with the diagonal set
 in the same pass.  Every structural query reads the CSR: the
 strong-connectivity check, rate lookups, the graph searches of the bounds,
-the reversibility test and minors of the spectra, and the jump table of the
-Monte Carlo kernel.  The triplet tuples transitions and absorption are
-derived from it when something reads them (JSON, repr).
+the reversibility test and minors of the spectra, the band order of the
+spectral solves, and the jump table of the Monte Carlo kernel.  The triplet
+tuples transitions and absorption are derived from it when something reads
+them (JSON, repr).
 
 Every way in shares one set of checks on whole columns.  The constructor
 and build_general read their entries as columns of labels and rates and
@@ -39,7 +40,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .errors import EmptyResult, InvalidParameter, NegativeRate, NoAbsorption, NonIrreducible
 
@@ -116,6 +117,25 @@ class AbsorbingGenerator:
         csr = self._csr
         rows = np.repeat(np.arange(self.n_states, dtype=np.int64), np.diff(csr.indptr))
         return rows, csr.indices, csr.data
+
+    @cached_property
+    def _band_order(self) -> np.ndarray:
+        """The states (0-based) in reverse Cuthill-McKee order (Cuthill &
+        McKee 1969; George & Liu 1981), which puts the rates in a narrow
+        band.  The order is taken on the symmetric pattern of the rates: the
+        CSR itself where every edge is two-way (each key then appears twice
+        among the keys of the edges and their reverses), else the union of
+        both key sets."""
+        n = self.n_states
+        rows, cols, _ = self._coo
+        keys = np.sort(np.concatenate([rows * n + cols, cols * n + rows]))
+        pattern = self._csr
+        if not (keys[::2] == keys[1::2]).all():
+            keys = keys[np.append(True, keys[1:] != keys[:-1])]
+            rows, cols = np.divmod(keys, n)
+            pattern = csr_matrix((np.ones(len(keys)), cols, np.searchsorted(rows, np.arange(n + 1))),
+                                 shape=(n, n))
+        return reverse_cuthill_mckee(pattern, symmetric_mode=True)
 
     @cached_property
     def absorbing_set(self) -> tuple:

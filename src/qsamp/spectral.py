@@ -11,10 +11,17 @@ Every entry point takes an AbsorbingGenerator; anything else raises
 InvalidParameter.  Every ground pair is accepted on a certified lambda0
 bracket, by tridiag's one stop and accept rule: a birth-death chain's
 (AbsorbingGenerator.is_birth_death) from the Green-operator routine
-tridiag.ground_pair, every other chain's from power steps on an LU
-factorization of -K (_perron_pair).  A birth-death chain's QSD is pi * phi;
-every other chain's, reversible or not, comes from the same steps on the
-transposed solve, on the pair's own factorization when one is in hand.
+tridiag.ground_pair, every other chain's from power steps on LAPACK's
+banded LU (_perron_pair).  The band holds -K, transposed, in the reverse
+Cuthill-McKee order that the generator computes once
+(AbsorbingGenerator._band_order), scattered straight from the CSR rates
+and the exit rates (_band); no Perron route forms a dense -K.  A shift is
+taken off the band's diagonal row.  The band is narrow on grid walks,
+conductance graphs and cycles with chords; on a complete graph it is
+full, where the pair costs about twice what a dense LU would, and the order
+as much again.  A birth-death chain's QSD is pi * phi; every other
+chain's, reversible or not, comes from the same steps on the transposed
+solve, on the pair's own factorization when one is in hand.
 Only full_spectrum tests reversibility (reversible_measure).  Full spectra
 are for reversible chains only, as the paper's spectral route is: a
 birth-death chain's comes from its rates by dqds (tridiag.spectrum), with
@@ -22,22 +29,22 @@ relative accuracy, and any other reversible chain is symmetrized,
 S = diag(sqrt eta) (-K) diag(1/sqrt eta), for the dense symmetric solver;
 single-state minor spectra, for display only, are submatrices of S.
 lambda0' has one route (_minor_lambda0), for any chain: a birth-death
-minor's blocks go to tridiag, and every other minor is formed from the CSR
-rates without its state and gets the certified power steps on each
-strongly connected block.  With several exits, full_spectrum runs those steps only on the
-exits that the secular equation on one eigendecomposition of S cannot
-rule out, and reports that decomposition's eigenvalues (_exit_candidates).
+minor's blocks go to tridiag, and every other minor gets the certified
+power steps on each strongly connected block, banded in the chain's own
+order without the removed state.  With several exits, full_spectrum runs
+those steps only on the exits that the secular equation on one
+eigendecomposition of S cannot rule out, and reports that
+decomposition's eigenvalues (_exit_candidates).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, eigh, lu_factor
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg import eigh
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
@@ -222,38 +229,82 @@ def _sym_eigenvalues(s: np.ndarray) -> np.ndarray:
     return np.ldexp(eigh(np.ldexp(s, -e), eigvals_only=True), e)
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # f / g of a singular LU fails below
-def _perron_pair(a: np.ndarray, trans: int = 0, start=None):
-    """(lambda0, f, factor) of a = -K, K an irreducible killed generator, by
-    power steps on (a - s I)^-1 from the ones vector ((a - s I)^-T with
-    trans=1, for the left vector).
+def _band(gen: AbsorbingGenerator, states: np.ndarray):
+    """(ab, kl, ku): the transpose of -K restricted to states (0-based, in
+    the order given), in LAPACK's band storage for dgbtrf.
 
+    A(i, j) sits at ab[kl + ku + i - j, j], with kl subdiagonals and ku
+    superdiagonals and kl more rows for the fill of row pivoting.  The
+    entries are scattered straight from the CSR rates: -rate at (j, i) for
+    each edge i -> j inside states, and the exit rates on the diagonal row.
+    A rate to a state outside states counts as killing, as it does in a
+    minor.  Why the transpose: a state's exit rate is at least the sum of
+    its rates out, so each column's diagonal entry dominates the column,
+    and every Schur complement keeps that.  Partial pivoting then keeps to
+    the diagonal (short of ties, or a shift above some killing rate), and
+    the LU is Gaussian elimination without pivoting on the M-matrix -K.
+    Row swaps on -K itself, whose columns need not be dominated by their
+    diagonal, lost 1e-7 relative of a lambda0' 18 orders below the rates.
+    """
+    rows, cols, rates = gen._coo
+    pos = np.full(gen.n_states, -1)
+    pos[states] = np.arange(len(states))
+    i, j = pos[cols], pos[rows]
+    inside = (i >= 0) & (j >= 0)
+    i, j, rates = i[inside], j[inside], rates[inside]
+    d = i - j
+    kl, ku = int(d.max(initial=0)), -int(d.min(initial=0))
+    ab = np.zeros((2 * kl + ku + 1, len(states)), order="F")
+    ab[kl + ku + d, j] = -rates
+    ab[kl + ku] = -gen.diagonal[states]
+    return ab, kl, ku
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # f / g of a near-singular LU fails below
+def _perron_pair(band, trans: int = 0, start=None):
+    """(lambda0, f, factor) of a = -K, K an irreducible killed generator
+    whose transpose is given as a band (_band), by power steps on
+    (a - s I)^-1 from the ones vector ((a - s I)^-T with trans=1, for the
+    left vector); f is in the band's order.
+
+    (a - s I)^T gets LAPACK's banded LU (dgbtrf), and each step one banded
+    solve (dgbtrs), at O(n b^2) and O(n b) for a band of width b where a
+    dense LU costs O(n^3).  In the reverse Cuthill-McKee order of
+    AbsorbingGenerator._band_order, the benchmark's grid walks have b of 6
+    to 24, its conductance graphs 7 to 33 and its cycles with chords 9 to
+    62.  On a complete graph the band is full, and the pair costs about
+    twice what a dense LU would (1.5 against 0.8 ms at n = 200), plus the
+    order, once per generator (1.3 ms there).
     For a shift s below lambda0, (a - s I)^-1 is entrywise positive, so each
     step f -> g gives the Collatz-Wielandt bracket
     s + min f/g <= lambda0 <= s + max f/g.  The steps start at s = 0, or on
     start, the factor = (LU, s) returned by an earlier call on the same a.  A
     step that narrows the bracket slowly (tridiag.narrowing_slowly) moves s
     to one bracket width below its lower end, where the steps narrow by
-    (lambda0 - s)/|lambda1 - s| however close lambda1 is.
+    (lambda0 - s)/|lambda1 - s| however close lambda1 is; s is taken off the
+    band's diagonal row before the refactor.
     Each shift's steps stop by tridiag.bracket_settled, all of them after
     tridiag.MAX_POWER_STEPS, and the pair (the midpoint, the last step scaled
     to max 1) is accepted on the bracket by tridiag._check_bracket, as
     tridiag.ground_pair's pairs are.  These steps give the ground pair, the
     QSD and lambda0' of every chain that is not birth-death, reversible or
     not: the bracket vouches for each pair it accepts, where a symmetric
-    solver's lambda0 carries an error of order eps times the largest rate.  A step
-    that is not positive and finite, as from a singular LU, raises
-    NoConvergence.
+    solver's lambda0 carries an error of order eps times the largest rate.
+    An exactly singular pivot, or a step that is not positive and finite,
+    as from a nearly singular LU, raises NoConvergence.
     """
+    ab, kl, ku = band
     lu, shift = start or (None, 0.0)
-    f, width = np.ones(len(a)), math.inf
+    f, width = np.ones(ab.shape[1]), math.inf
     for _ in range(tridiag.MAX_POWER_STEPS):
         if lu is None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)  # a singular LU fails below
-                lu = lu_factor(a - shift * np.eye(len(a)) if shift else a)
-        # LAPACK's solve directly: lu_solve's checks cost more than the solve
-        g = dgetrs(*lu, f, trans=trans)[0]
+            shifted = ab.copy(order="F")
+            shifted[kl + ku] -= shift
+            *lu, info = dgbtrf(shifted, kl, ku, overwrite_ab=1)
+            if info > 0:
+                raise NoConvergence(f"-K is numerically singular: pivot {info} of its LU is zero")
+        # the factor is of a^T: the right vector takes the transposed solve
+        g = dgbtrs(lu[0], kl, ku, f, lu[1], trans=1 - trans)[0]
         ratio = f / g
         lo, hi = float(ratio.min()), float(ratio.max())
         if not 0 < lo <= hi < math.inf:
@@ -269,6 +320,17 @@ def _perron_pair(a: np.ndarray, trans: int = 0, start=None):
     lam0 = (lo + hi) / 2
     tridiag._check_bracket(lo, hi, lam0)
     return lam0, f, (lu, shift)
+
+
+def _ground_vector(gen: AbsorbingGenerator, trans: int = 0, start=None):
+    """(lambda0, v, factor) of a chain that is not birth-death by
+    _perron_pair on its band in gen._band_order: v is the right ground
+    vector, or the left one with trans=1, in state order."""
+    order = gen._band_order
+    lam0, f, factor = _perron_pair(_band(gen, order), trans, start)
+    v = np.empty_like(f)
+    v[order] = f
+    return lam0, v, factor
 
 
 def dirichlet_eigenpair(gen: AbsorbingGenerator, normalization: str = "first") -> DirichletEigenpair:
@@ -289,7 +351,7 @@ def dirichlet_eigenpair(gen: AbsorbingGenerator, normalization: str = "first") -
     if gen.is_birth_death:
         lam0, phi, _ = tridiag.ground_pair(*gen.birth_death_rates())
     else:
-        lam0, phi, factor = _perron_pair(-gen.k_matrix())
+        lam0, phi, factor = _ground_vector(gen)
     phi = phi / phi[0]
     # scaled by 2^-e, no term overflows, and the scaling back is exact
     e = tridiag.unit_exponent(phi) + tridiag.unit_exponent(gen.diagonal)
@@ -321,7 +383,7 @@ def _qsd(gen: AbsorbingGenerator, phi, factor=None) -> np.ndarray:
         # phi scaled as dirichlet_eigenpair reports it
         nu = _bd_eta(*gen.birth_death_rates()) * (phi / phi[0])
     else:
-        nu = _perron_pair(-gen.k_matrix(), 1, factor)[1]
+        nu = _ground_vector(gen, 1, factor)[1]
     return nu / nu.sum()
 
 
@@ -345,20 +407,22 @@ def _minor_lambda0(gen: AbsorbingGenerator, x: int) -> float:
     """First eigenvalue of -K with state x removed, the one route to lambda0'.
 
     A birth-death chain goes to _bd_minor_lambda0.  Any other minor,
-    reversible or not, is formed as a dense -K straight from the CSR rates
-    without row and column x and the exit rates of the states left.  It is
-    block-triangular over its strongly connected blocks, each one
-    irreducible, so its lambda0 is the least of the blocks' certified power
-    steps (_perron_pair).
+    reversible or not, is block-triangular over its strongly connected
+    blocks (found on _minor_rates), each one irreducible, so its lambda0 is
+    the least of the blocks' certified power steps (_perron_pair).  Each
+    block's band is the chain's reverse Cuthill-McKee order with x dropped
+    and the other blocks' states left out, scattered from the chain's CSR
+    rates (_band), with the rates to x and to other blocks as killing.
+    Dropping states from an order never widens its band, so a block's
+    banded LU costs at most what the chain's does; shifts come off the
+    band's diagonal row, and on a complete graph the band is full.
     """
     if gen.is_birth_death:
         return _bd_minor_lambda0(*gen.birth_death_rates(), x)
-    rates = _minor_rates(gen, x)
-    a = -rates.toarray()
-    np.fill_diagonal(a, -np.delete(gen.diagonal, x - 1))
-    n_blocks, labels = connected_components(rates, directed=True, connection="strong")
-    blocks = (np.flatnonzero(labels == c) for c in range(n_blocks))
-    return min(_perron_pair(a[np.ix_(idx, idx)])[0] for idx in blocks)
+    n_blocks, labels = connected_components(_minor_rates(gen, x), directed=True, connection="strong")
+    order = gen._band_order[gen._band_order != x - 1]
+    block = labels[order - (order >= x)]  # labels are indexed by the minor's states
+    return min(_perron_pair(_band(gen, order[block == c]))[0] for c in range(n_blocks))
 
 
 def _minor_rates(gen: AbsorbingGenerator, x: int) -> csr_matrix:

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import eigh
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -31,6 +32,7 @@ from qsamp import (
 import qsamp
 from qsamp import spectral, tridiag
 from conftest import (
+    grid_walk,
     random_birth_death,
     random_cycle_with_chords,
     random_drifted_reversible_generator,
@@ -393,9 +395,9 @@ class TestQuasiStationary:
         calls, factors = _count_solves(monkeypatch)
         phi = dirichlet_eigenpair(gen, "qsd").phi
         assert calls.count("ground_pair") + calls.count("_perron_pair") == 1
-        # every chain that is not birth-death takes its pair from one LU, and
-        # its QSD's transposed steps run on that same factorization
-        assert calls.count("lu_factor") == (route != "birth-death")
+        # every chain that is not birth-death takes its pair from one banded
+        # LU, and its QSD's transposed steps run on that same factorization
+        assert calls.count("dgbtrf") == (route != "birth-death")
         assert calls.count("_perron_pair^T") == (route != "birth-death")
         assert route == "birth-death" or factors[1] is factors[0]
         assert "reversible_measure" not in calls
@@ -407,7 +409,7 @@ class TestQuasiStationary:
         gen = _route_chain(route)
         calls, _ = _count_solves(monkeypatch)
         quasi_stationary_dist(gen)
-        assert calls == ["_perron_pair^T", "lu_factor"]
+        assert calls == ["_perron_pair^T", "dgbtrf"]
 
 
 def _route_chain(route):
@@ -422,9 +424,9 @@ def _route_chain(route):
 
 
 def _count_solves(monkeypatch):
-    """Spy on the ground solvers, reversible_measure, lu_factor and eigh.
+    """Spy on the ground solvers, reversible_measure, dgbtrf and eigh.
 
-    Returns the list of names called, with _perron_pair(-k, 1, ...), the
+    Returns the list of names called, with _perron_pair(band, 1, ...), the
     transposed steps, as "_perron_pair^T", and the list of LU factors that
     _perron_pair returned or, transposed, started from.
     """
@@ -443,7 +445,7 @@ def _count_solves(monkeypatch):
         return wrapper
 
     for module, name in [(tridiag, "ground_pair"), (spectral, "_perron_pair"),
-                         (spectral, "reversible_measure"), (spectral, "lu_factor"),
+                         (spectral, "reversible_measure"), (spectral, "dgbtrf"),
                          (spectral, "eigh")]:
         monkeypatch.setattr(module, name, counted(module, name))
     return calls, factors
@@ -685,6 +687,54 @@ def test_absorption_below_rounding_raises_no_convergence():
         for call in (dirichlet_eigenpair, quasi_stationary_dist):
             with pytest.raises(NoConvergence):
                 call(gen)
+
+
+@pytest.mark.parametrize("chain", ["grid", "cycle-with-chords"])
+def test_perron_routes_build_no_dense_k(chain, monkeypatch):
+    # the pair, the QSD and lambda0' run on the band scattered from the CSR
+    gen = {"grid": lambda: grid_walk(12, 12),
+           "cycle-with-chords": lambda: random_cycle_with_chords(np.random.default_rng(21))}[chain]()
+
+    def forbidden(self):
+        raise AssertionError("k_matrix called")
+
+    monkeypatch.setattr(qsamp.AbsorbingGenerator, "k_matrix", forbidden)
+    for normalization in spectral.NORMALIZATIONS:
+        dirichlet_eigenpair(gen, normalization)
+    quasi_stationary_dist(gen)
+    for x in (1, gen.n_states):
+        lambda0_minor(gen, x)
+
+
+def test_grid_walk_on_the_band_matches_the_symmetric_solver():
+    # the 24 x 24 unit grid absorbed at a corner: -K is symmetric, eta is
+    # uniform, and the far corner's minor is -K without its last state
+    gen = grid_walk(24, 24)
+    s = dense_sym_neg_k(gen.k_matrix())
+    lam, vec = eigh(s, subset_by_index=(0, 0))
+    phi = np.abs(vec[:, 0]) / np.abs(vec[:, 0]).max()
+    pair = dirichlet_eigenpair(gen, "max")
+    assert pair.lambda0 == pytest.approx(lam[0], rel=1e-12, abs=0)
+    np.testing.assert_allclose(pair.phi, phi, rtol=0, atol=1e-12)
+    eta_phi = reversible_measure(gen)[0] * pair.phi
+    np.testing.assert_allclose(quasi_stationary_dist(gen), eta_phi / eta_phi.sum(), rtol=0, atol=1e-12)
+    minor_lam = eigh(spectral._drop_state(s, gen.n_states), subset_by_index=(0, 0), eigvals_only=True)
+    assert lambda0_minor(gen, gen.n_states) == pytest.approx(minor_lam[0], rel=1e-12, abs=0)
+
+
+def test_singular_pivot_raises_no_convergence():
+    # absorption 1e-20 is lost from the unit triangle's diagonal, and so is
+    # the rate 1e-20 from state 3 to state 4, the only killing of the minor
+    # without state 4: each LU meets an exactly zero pivot
+    triangle = [(i, j, 1.0) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+    gen = build_general(3, triangle, {1: 1e-20})
+    for call in (dirichlet_eigenpair, quasi_stationary_dist):
+        with pytest.raises(NoConvergence, match="pivot 3 of its LU is zero"):
+            call(gen)
+    gen = build_general(4, triangle + [(3, 4, 1e-20), (4, 3, 1.0)], {4: 1.0})
+    assert lambda0_minor(gen, 1) == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(NoConvergence, match="pivot 3 of its LU is zero"):
+        lambda0_minor(gen, 4)
 
 
 def mp_reversible_lambda0(gen, dps=50):
@@ -969,22 +1019,20 @@ def rho_chain_with_chord():
     return build_general(60, list(gen.transitions) + chord, dict(gen.absorption))
 
 
-@pytest.mark.parametrize("gen, x", [
-    (rho_chain_with_chord(), 1),
-], ids=["reversible-chord-singular-minor"])
-def test_lapack_lambda0_below_its_error_bound_raises(gen, x):
-    # lambda0' is about 1e-18 against unit rates.  The chord chain's minor
-    # (lambda0' 1.3e-18 in 60-digit arithmetic) is singular in double, since
-    # its exit-rate sums lose the 1e-18, so its power steps are not positive
-    # and raise.  (A birth-death lower block this far below its rates is
-    # relatively accurate: test_lower_block_far_below_its_rates.)
-    assert reversible_measure(gen)[0] is not None
-    with pytest.raises(NoConvergence):
-        lambda0_minor(gen, x)
-    if gen.absorbing_set == (x,):
-        for minors in (False, True):
-            with pytest.raises(NoConvergence):
-                full_spectrum(gen, minors)
+def test_chord_minor_far_below_its_rates_is_relatively_accurate():
+    # lambda0' is about 1e-18 against unit rates: the least mp.eigsy
+    # eigenvalue of the minor's symmetrized -K, built from the rates in
+    # 60-digit arithmetic as test_drifted_probe_lambda0_prime_is_relatively_accurate
+    # builds its references, is 1.30104260747829828113e-18.  Eliminated from
+    # its killed state first, as in label order, the minor is singular in
+    # double; the band order ends at the killed state, and the elimination
+    # keeps lambda0' to a few ulps.
+    gen = rho_chain_with_chord()
+    ref = 1.30104260747829828113e-18
+    assert reversible_measure(gen)[0] is not None and gen.absorbing_set == (1,)
+    assert lambda0_minor(gen, 1) == pytest.approx(ref, rel=1e-14, abs=0)
+    for minors in (False, True):
+        assert full_spectrum(gen, minors).lambda0_prime == lambda0_minor(gen, 1)
 
 
 def scaled_by_power_of_two(gen, k):
