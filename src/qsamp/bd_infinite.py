@@ -489,7 +489,8 @@ def theorem_bound(limits, n_used: int | None = None, tail_bound: float = 0.0,
     with c chosen so -log(1-u) <= c u on the realized range u <= u_max.
     tail_bound = 0 reduces exactly to the finite spectral bound.  The bound
     is math.inf where the factors' product underflows: it then exceeds the
-    largest double, which it still bounds.
+    largest double, which it still bounds.  A lambda0 that is not finite and
+    positive raises InvalidParameter.
     """
     if isinstance(limits, TruncationSeries):
         lam0 = float(limits.limits[0])
@@ -504,6 +505,8 @@ def theorem_bound(limits, n_used: int | None = None, tail_bound: float = 0.0,
         raise InvalidParameter("limits must be a TruncationSeries or a mapping of real limits")
     if math.isnan(lam0) or math.isnan(lam0p):
         raise NotConverged(f"undeclared limit: lambda0 = {lam0}, lambda0' = {lam0p}")
+    if not 0 < lam0 < math.inf:
+        raise InvalidParameter(f"lambda0 {lam0} is not finite and positive")
     if n_used is not None:
         if not 0 <= _integer(n_used, "n_used") <= len(lambdas):
             raise InvalidParameter(f"n_used = {n_used} outside 0..{len(lambdas)}")

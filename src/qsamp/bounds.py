@@ -396,7 +396,8 @@ def spectral_bound(report: SpectrumReport) -> SpectralBoundReport:
 
     bound = ((1 - lambda0/lambda0') prod_{k>=1} (1 - lambda0/lambda_k))^-1,
     math.inf where the product underflows: the bound then exceeds the
-    largest double, which it still bounds.
+    largest double, which it still bounds.  A lambda0 at or below zero, or
+    at or above lambda0' or a higher eigenvalue, raises DegenerateGap.
     """
     if not isinstance(report, SpectrumReport):
         raise InvalidParameter("spectral_bound needs a SpectrumReport")
@@ -412,6 +413,8 @@ def spectral_bound(report: SpectrumReport) -> SpectralBoundReport:
     if math.isnan(lam0p):
         raise NotConverged("lambda0' is nan, not a converged eigenvalue")
     lam0p = float(lam0p)
+    if lam0 <= 0:
+        raise DegenerateGap(f"lambda0 = {lam0!r} <= 0; eigensolver failure")
     if lam0p <= lam0 * (1 + 1e-12):
         raise DegenerateGap(
             f"lambda0' = {lam0p!r} <= lambda0 = {lam0!r}; eigensolver failure"

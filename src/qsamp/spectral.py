@@ -8,11 +8,11 @@ matching left eigenvector), single-state minor eigenvalues, and the amplitude
 max(phi)/min(phi).
 
 Every entry point takes an AbsorbingGenerator; anything else raises
-InvalidParameter.  Every ground pair is accepted on a certified lambda0
-bracket, by tridiag's one stop and accept rule: a birth-death chain's
-(AbsorbingGenerator.is_birth_death) from the Green-operator routine
-tridiag.ground_pair, every other chain's from power steps on LAPACK's
-banded LU (_perron_pair).  The band holds -K, transposed, in the reverse
+InvalidParameter.  Every ground pair comes with a certified lambda0
+bracket from tridiag.perron_steps: a birth-death chain's
+(AbsorbingGenerator.is_birth_death) on the Green operator
+(tridiag.ground_pair), every other chain's on LAPACK's banded LU
+(_perron_pair).  The band holds -K, transposed, in the reverse
 Cuthill-McKee order that the generator computes once
 (AbsorbingGenerator._band_order), scattered straight from the CSR rates
 and the exit rates (_band); no Perron route forms a dense -K.  A shift is
@@ -29,12 +29,12 @@ relative accuracy, and any other reversible chain is symmetrized,
 S = diag(sqrt eta) (-K) diag(1/sqrt eta), for the dense symmetric solver;
 single-state minor spectra, for display only, are submatrices of S.
 lambda0' has one route (_minor_lambda0), for any chain: a birth-death
-minor's blocks go to tridiag, and every other minor gets the certified
-power steps on each strongly connected block, banded in the chain's own
-order without the removed state.  With several exits, full_spectrum runs
-those steps only on the exits that the secular equation on one
-eigendecomposition of S cannot rule out, and reports that
-decomposition's eigenvalues (_exit_candidates).
+minor's blocks go to tridiag, and every other minor gets _perron_pair on
+each strongly connected block, banded in the chain's own order without the
+removed state.  With several exits, full_spectrum runs those steps only
+on the exits that the secular equation on one eigendecomposition of S
+cannot rule out, and reports that decomposition's eigenvalues
+(_exit_candidates).
 """
 
 from __future__ import annotations
@@ -260,12 +260,11 @@ def _band(gen: AbsorbingGenerator, states: np.ndarray):
     return ab, kl, ku
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # f / g of a near-singular LU fails below
 def _perron_pair(band, trans: int = 0, start=None):
     """(lambda0, f, factor) of a = -K, K an irreducible killed generator
-    whose transpose is given as a band (_band), by power steps on
+    whose transpose is given as a band (_band), by tridiag.perron_steps on
     (a - s I)^-1 from the ones vector ((a - s I)^-T with trans=1, for the
-    left vector); f is in the band's order.
+    left vector); f is the last step scaled to max 1, in the band's order.
 
     (a - s I)^T gets LAPACK's banded LU (dgbtrf), and each step one banded
     solve (dgbtrs), at O(n b^2) and O(n b) for a band of width b where a
@@ -275,51 +274,42 @@ def _perron_pair(band, trans: int = 0, start=None):
     62.  On a complete graph the band is full, and the pair costs about
     twice what a dense LU would (1.5 against 0.8 ms at n = 200), plus the
     order, once per generator (1.3 ms there).
-    For a shift s below lambda0, (a - s I)^-1 is entrywise positive, so each
-    step f -> g gives the Collatz-Wielandt bracket
-    s + min f/g <= lambda0 <= s + max f/g.  The steps start at s = 0, or on
-    start, the factor = (LU, s) returned by an earlier call on the same a.  A
-    step that narrows the bracket slowly (tridiag.narrowing_slowly) moves s
-    to one bracket width below its lower end, where the steps narrow by
-    (lambda0 - s)/|lambda1 - s| however close lambda1 is; s is taken off the
-    band's diagonal row before the refactor.
-    Each shift's steps stop by tridiag.bracket_settled, all of them after
-    tridiag.MAX_POWER_STEPS, and the pair (the midpoint, the last step scaled
-    to max 1) is accepted on the bracket by tridiag._check_bracket, as
-    tridiag.ground_pair's pairs are.  These steps give the ground pair, the
-    QSD and lambda0' of every chain that is not birth-death, reversible or
-    not: the bracket vouches for each pair it accepts, where a symmetric
-    solver's lambda0 carries an error of order eps times the largest rate.
-    An exactly singular pivot, or a step that is not positive and finite,
-    as from a nearly singular LU, raises NoConvergence.
+    The steps start at s = 0, or on start, the factor = (LU, s) returned by
+    an earlier call on the same a.  A slow step moves s to one bracket width
+    below the bracket's lower end, 2 lo - hi, where the steps narrow by
+    (lambda0 - s)/|lambda1 - s| however close lambda1 is, and refactors;
+    s is taken off the band's diagonal row.  These steps give the ground
+    pair, the QSD and lambda0' of every chain that is not birth-death,
+    reversible or not: the bracket vouches for each pair it accepts, where
+    a symmetric solver's lambda0 carries an error of order eps times the
+    largest rate.  An exactly singular pivot raises NoConvergence.
     """
     ab, kl, ku = band
-    lu, shift = start or (None, 0.0)
-    f, width = np.ones(ab.shape[1]), math.inf
-    for _ in range(tridiag.MAX_POWER_STEPS):
-        if lu is None:
-            shifted = ab.copy(order="F")
-            shifted[kl + ku] -= shift
-            *lu, info = dgbtrf(shifted, kl, ku, overwrite_ab=1)
-            if info > 0:
-                raise NoConvergence(f"-K is numerically singular: pivot {info} of its LU is zero")
+
+    def factored(shift):
+        shifted = ab.copy(order="F")
+        shifted[kl + ku] -= shift
+        *lu, info = dgbtrf(shifted, kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise NoConvergence(f"-K is numerically singular: pivot {info} of its LU is zero")
+        return lu, shift
+
+    factor = start or factored(0.0)
+
+    def solve(f):
+        (lu, piv), _ = factor
         # the factor is of a^T: the right vector takes the transposed solve
-        g = dgbtrs(lu[0], kl, ku, f, lu[1], trans=1 - trans)[0]
-        ratio = f / g
-        lo, hi = float(ratio.min()), float(ratio.max())
-        if not 0 < lo <= hi < math.inf:
-            raise NoConvergence("power step not positive and finite: -K is numerically singular")
-        lo, hi = shift + lo, shift + hi
-        f = g / g.max()
-        step_width = (hi - lo) / lo
-        if tridiag.bracket_settled(step_width, width):
-            break
-        if tridiag.narrowing_slowly(step_width, width) and 2 * lo - hi > shift:
-            lu, shift, step_width = None, 2 * lo - hi, math.inf
-        width = step_width
-    lam0 = (lo + hi) / 2
-    tridiag._check_bracket(lo, hi, lam0)
-    return lam0, f, (lu, shift)
+        return dgbtrs(lu, kl, ku, f, piv, trans=1 - trans)[0]
+
+    def reshift(lo, hi, g):
+        nonlocal factor
+        if 2 * lo - hi <= factor[1]:
+            return None
+        factor = factored(2 * lo - hi)
+        return solve, factor[1], g
+
+    lam0, f, _ = tridiag.perron_steps(solve, np.ones(ab.shape[1]), reshift, factor[1])
+    return lam0, f / f.max(), factor
 
 
 def _ground_vector(gen: AbsorbingGenerator, trans: int = 0, start=None):

@@ -11,25 +11,22 @@ b_x + d_x (b_n absent at the reflecting top) and off-diagonal
 the symmetrized entries are local, so no product weight is ever formed in
 a way that can overflow.
 
-The lowest eigenpair comes from ground_pair: power steps on the Green
-operator G = (-K)^-1.  G has the closed form
+Every ground pair, of a birth-death chain here and of any other chain in
+spectral, comes from one loop, perron_steps, which holds the whole rule:
+the Collatz-Wielandt bracket on lambda0, the stop test, the response to a
+slow step, the step cap and the midpoint.  ground_pair runs it on the Green
+operator G = (-K)^-1, which has the closed form
 
-    G f(x) = sum_{z<=x} (pi_z d_z)^-1 sum_{y>=z} pi_y f(y),
+    G f(x) = sum_{z<=x} (pi_z d_z)^-1 sum_{y>=z} pi_y f(y)
 
-which factors into two bidiagonal sweeps with positive coefficients and no
+and factors into two bidiagonal sweeps with positive coefficients and no
 pi (the subtraction-free elimination of Grassmann, Taksar and Heyman,
 1985): y_z = f(z)/d_z + (b_z/d_z) y_{z+1} from the top down, then the
 running sum of y.  Every term is positive, so each component keeps relative
-accuracy however far lambda0 sits below the rates, and each step gives the
-Collatz-Wielandt bracket min f/Gf <= lambda0 <= max f/Gf as a certificate.
-The steps run on the rates scaled by a power of two into (0, 1), so they
-leave the double range only where phi or lambda0 itself does, and every
-rate scale gives the same bits.  They start from a vector that inverse
-iteration has settled on, shifted at each new Rayleigh quotient from G1
-(the expected absorption times) or from a given start, so one or two steps
-certify it, or from that starting vector itself when the iteration cannot
-vouch for one; a bisected eigenvalue (below) seeds the start only when
-those steps narrow slowly.
+accuracy however far lambda0 sits below the rates.  The steps run on the
+rates scaled by a power of two into (0, 1), so they leave the double range
+only where phi or lambda0 itself does, and every rate scale gives the same
+bits.
 higher_eigenvalues gives lambda_1..lambda_k (higher_eigenpairs with their
 vectors), each the Dirichlet-form Rayleigh quotient of an inverse-iterated
 vector, through the same re-shifted iteration from guesses and start
@@ -288,7 +285,10 @@ def higher_eigenpairs(b, d, k, guesses=None, starts=None):
     on the rates scaled by 2^-_rate_exponent, where no shifted solve over-
     or underflows at any rate scale, with the chain's pi_weights formed
     once; a rung's weights are their first m entries.
+    InvalidParameter for a k outside 0..n-1.
     """
+    if not 0 <= k < len(d):
+        raise InvalidParameter(f"eigenvalue count {k} outside 0..{len(d) - 1}")
     if k == 0:
         return np.zeros(0), []
     b, d, e = _unit_arrays(b, d)
@@ -409,6 +409,7 @@ def _shifted_solves(b, d, shift, start):
     return v
 
 
+#: steps of one perron_steps call, over every start and shift
 MAX_POWER_STEPS = 1000
 
 #: widest relative lambda0 bracket a pair is accepted on, which bounds the
@@ -424,55 +425,77 @@ def bracket_settled(width: float, previous: float) -> bool:
     return width <= 4 * np.finfo(float).eps or RESIDUAL_RTOL >= width >= previous
 
 
-def narrowing_slowly(width: float, previous: float) -> bool:
-    """A power step narrowed a bracket still wider than RESIDUAL_RTOL by
-    less than half: the cue for a better start or shift."""
-    return width > RESIDUAL_RTOL and 2 * width > previous
+@np.errstate(divide="ignore", invalid="ignore")  # f / g of a near-singular solve fails below
+def perron_steps(solve, f, reshift, shift=0.0):
+    """(lambda0, g, (lo, hi)): the ground pair of a = -K, K an irreducible
+    killed generator, by power steps on solve = (a - shift I)^-1 from f.
 
+    The one rule of every ground pair.  For a shift below lambda0 the solve
+    is entrywise positive, so each step, which scales f to max 1 and takes
+    g = solve(f), gives the Collatz-Wielandt bracket
 
-def _check_bracket(lo: float, hi: float, lam0: float) -> None:
-    """Accept a pair on its lambda0 bracket: at most RESIDUAL_RTOL wide,
-    relatively, or raise NoConvergence."""
-    if hi - lo > RESIDUAL_RTOL * lam0:
-        raise NoConvergence(
-            f"lambda0 bracket [{lo:.6e}, {hi:.6e}] wider than {RESIDUAL_RTOL:g} relative"
-        )
+        lo = shift + min f/g <= lambda0 <= shift + max f/g,
+
+    and the next step starts from g.  A step whose ratios f/g are not all
+    positive and finite raises NoConvergence.  The steps stop when
+    bracket_settled holds for the relative width (hi - lo)/lo and the width
+    of the step before, so an accepted bracket is at most RESIDUAL_RTOL
+    wide, relatively, which bounds the pair's componentwise residual.
+    lambda0 is the arithmetic midpoint (lo + hi)/2, which commutes exactly
+    with a power-of-two rate scale, and g the last iterate.  A step that
+    narrows a bracket still wider than RESIDUAL_RTOL by less than half is
+    slow: reshift(lo, hi, g) then returns a new (solve, shift, f) to step
+    on, from a fresh width, or None to keep stepping.  One cap of
+    MAX_POWER_STEPS covers every step of every shift, and reaching it
+    raises NoConvergence.
+    """
+    previous = math.inf
+    for _ in range(MAX_POWER_STEPS):
+        f = f / f.max()
+        g = solve(f)
+        ratio = f / g
+        lo, hi = float(ratio.min()), float(ratio.max())
+        if not 0 < lo <= hi < math.inf:
+            raise NoConvergence("power step not positive and finite: -K is numerically singular")
+        lo, hi = shift + lo, shift + hi
+        width, f = (hi - lo) / lo, g
+        if bracket_settled(width, previous):
+            return (lo + hi) / 2, g, (lo, hi)
+        if width > RESIDUAL_RTOL and 2 * width > previous:
+            new = reshift(lo, hi, g)
+            if new is not None:
+                (solve, shift, f), width = new, math.inf
+        previous = width
+    raise NoConvergence(f"power steps not settled after {MAX_POWER_STEPS} steps: "
+                        f"relative bracket width {width:.2e}")
 
 
 def ground_pair(b, d, start=None):
-    """Lowest eigenpair (lambda0, phi, (lo, hi)) of -K with phi(1) = 1.
+    """Lowest eigenpair (lambda0, phi, (lo, hi)) of -K with phi(1) = 1: the
+    pair and bracket of perron_steps on the Green operator G = (-K)^-1
+    (_green_solve), phi the last iterate Gf.
 
-    Power steps on the Green operator G = (-K)^-1, each of which gives the
-    Collatz-Wielandt bracket lo = min f/Gf <= lambda0 <= max f/Gf; the
-    steps stop by bracket_settled, and the pair is accepted on the final
-    bracket (_check_bracket).  lambda0 is the bracket's geometric
-    midpoint and phi the last iterate Gf; the bracket's relative width
-    bounds the componentwise backward error of phi.  A step is one
-    back-substitution and one running sum over positive terms
-    (_ratio_step).
-
-    The steps run from one of two starts, the second only when the first
-    one's steps narrow the bracket slowly (narrowing_slowly):
-      1. the vector that inverse iteration settles on when shifted at each
-         new Rayleigh quotient (_shifted_quotient), which usually leaves
-         one or two steps to take.  The iteration starts from start, a
-         positive vector of length n such as the ground vector of a smaller
-         truncation padded with its last entry, or else from the first
-         Green step G1 (the expected absorption times); when it cannot
-         vouch for a vector, as when lambda0 sits so far below lambda1
-         that shifted solves drown in rounding, the steps run from that
-         starting vector itself, and steps on G then converge fast;
-      2. the vector inverse-iterated from lambda0 bisected on the Sturm
-         count (bisected_eigenvalues), which runs to the end; also the
-         start when G1 leaves the double range.
+    The steps run from the vector that inverse iteration settles on when
+    shifted at each new Rayleigh quotient (_shifted_quotient), which usually
+    leaves one or two steps to take.  The iteration starts from start, a
+    positive vector of length n such as the ground vector of a smaller
+    truncation padded with its last entry, or else from the first Green
+    step G1 (the expected absorption times); when it cannot vouch for a
+    vector, as when lambda0 sits so far below lambda1 that shifted solves
+    drown in rounding, the steps run from that starting vector itself, and
+    steps on G then converge fast.  The first slow step, and only the first,
+    moves them to the vector inverse-iterated from lambda0 bisected on the
+    Sturm count (_bisected_start), which is also the start when G1 leaves
+    the double range.
     Everything runs on the rates scaled by 2^-_rate_exponent (_unit_arrays),
     and lambda0 and its bracket are scaled back exactly at the end, so every
     power-of-two rate scale gives the same bits: lambda0 times the scale
     and the same phi.
-    Raises NoConvergence when the bracket has not settled after the step
-    cap or is wider than RESIDUAL_RTOL, or when a step leaves the double
-    range, or when no shift gives the second start;
-    InvalidParameter for a start that is not n positive finite numbers.
+    Raises NoConvergence as perron_steps does, for a Green step that leaves
+    the double range, for a lambda0 below the smallest normal double, on
+    the unit rates or scaled back, and when no shift gives the bisected
+    start; InvalidParameter for a start that is not n positive finite
+    numbers.
     """
     b = np.asarray(b, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -485,39 +508,40 @@ def ground_pair(b, d, start=None):
             raise InvalidParameter(f"start must be {n} positive finite numbers")
     b, d, k = _unit_arrays(b, d)
     w = pi_weights(log_pi(b, d))
-    step = _ratio_step(b, d)
-    steps = None
+    solve = _green_solve(b, d)
     try:
-        f = step(np.ones(n))[3] if start is None else start
+        f = solve(np.ones(n)) if start is None else start
     except NoConvergence:
-        f = None
-    if f is not None:
+        f, later = _bisected_start(b, d), iter(())
+    else:
         found = _shifted_quotient(b, d, 0, rayleigh_quotient(b, d, f, w), w, start=f)
-        steps = _power_steps(step, f if found is None else found[1], restart=True)
-    if steps is None:
-        lam, scale = bisected_eigenvalues(b, d, 0, 0)[0], float((d + np.append(b, 0.0)).max())
-        # shifts below zero still isolate phi where lambda0 is far below the rates
-        for shift in (lam * (1 - 1e-8), lam - 1e-14 * scale, -1e-13 * scale, -1e-10 * scale):
-            try:
-                v = _shifted_solves(b, d, shift, None)
-            except np.linalg.LinAlgError:
-                continue
-            if np.all(v >= 0) or np.all(v <= 0):
-                break
-        else:
-            raise NoConvergence("no shifted solve gives a one-signed start vector")
-        steps = _power_steps(step, np.abs(v), restart=False)
-    lo, hi, f = steps
-    lam0 = math.sqrt(lo) * math.sqrt(hi)
-    _check_bracket(lo, hi, lam0)
-    if not math.ldexp(lo, k) >= _TINY:
+        f = f if found is None else found[1]
+        # the bisected start, formed at the first slow step and only then
+        later = ((solve, 0.0, _bisected_start(b, d)) for _ in range(1))
+    lam0, f, (lo, hi) = perron_steps(solve, f, lambda *_: next(later, None))
+    if not min(lo, math.ldexp(lo, k)) >= _TINY:
         raise NoConvergence(f"lambda0 {math.ldexp(lam0, k):.3e} is below the double range")
     return math.ldexp(lam0, k), f / f[0], (math.ldexp(lo, k), math.ldexp(hi, k))
 
 
-def _ratio_step(b, d):
-    """The Green step of the chain in ratio form: f -> (lo, hi, width, Gf),
-    with f scaled to max 1 first.
+def _bisected_start(b, d):
+    """|v| for the first one-signed v inverse-iterated from the unit rates'
+    lambda0 bisected on the Sturm count (bisected_eigenvalues), or from
+    shifts below it; raises NoConvergence when no shift gives one."""
+    lam, scale = bisected_eigenvalues(b, d, 0, 0)[0], float((d + np.append(b, 0.0)).max())
+    # shifts below zero still isolate phi where lambda0 is far below the rates
+    for shift in (lam * (1 - 1e-8), lam - 1e-14 * scale, -1e-13 * scale, -1e-10 * scale):
+        try:
+            v = _shifted_solves(b, d, shift, None)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(v >= 0) or np.all(v <= 0):
+            return np.abs(v)
+    raise NoConvergence("no shifted solve gives a one-signed start vector")
+
+
+def _green_solve(b, d):
+    """The Green operator of the chain, f -> Gf for f with max 1.
 
     With y_z = sum_{y>=z} pi_y f(y) / (pi_z d_z), the closed form reads
 
@@ -527,52 +551,25 @@ def _ratio_step(b, d):
     terms and no pi.  Each y_z is at most Gf(z), so no value exceeds
     max Gf, about 1/lambda0 once f is near phi.  On unit rates (the largest
     in [1/2, 1)) a step leaves the double range only when the chain itself
-    does: when phi spans past about 2^1022 (f(1)/d_1 or Gf(1)/max Gf below
-    the smallest normal double, with f scaled to max 1), or when lambda0
-    lies below about 2^-1022 of the largest rate (the bracket's lower end
-    below the smallest normal double, or Gf overflowing).  Such a step
-    raises NoConvergence.
+    does: when phi spans past about 2^1022 (an f(x)/d_x or Gf(1)/max Gf
+    below the smallest normal double), or when lambda0 lies so far below
+    the largest rate that Gf overflows.  Such a step raises NoConvergence.
     """
     with np.errstate(over="ignore"):
         inv_d = 1.0 / d
         band = np.zeros((2, len(d)), order="F")
         band[0, 1:] = -(b * inv_d[:-1])
 
-    def step(f):
-        f = f / f.max()
+    def solve(f):
         rhs = f * inv_d
         if rhs.min() >= _TINY:
             g = np.cumsum(dtbsv(1, band, rhs, diag=1, overwrite_x=1))
-            if g[-1] < np.inf:
-                ratio = f / g
-                lo, hi = float(ratio.min()), float(ratio.max())
-                if min(lo, g[0] / g[-1]) >= _TINY:
-                    return lo, hi, (hi - lo) / lo, g
+            if g[-1] < np.inf and g[0] / g[-1] >= _TINY:
+                return g
         raise NoConvergence("a Green step leaves the double range: phi spans past about "
                             "2^1022, or lambda0 lies below about 2^-1022 of the largest rate")
 
-    return step
-
-
-def _power_steps(step, f, restart):
-    """f -> step(f) until bracket_settled: (lo, hi, f) of the last step.
-
-    With restart, a step that is narrowing_slowly (a plateau wider than
-    RESIDUAL_RTOL among them) returns None instead; without it, the steps
-    run on to the cap.
-    """
-    width = np.inf
-    for _ in range(MAX_POWER_STEPS):
-        lo, hi, step_width, f = step(f)
-        if bracket_settled(step_width, width):
-            return lo, hi, f
-        if restart and narrowing_slowly(step_width, width):
-            return None
-        width = step_width
-    raise NoConvergence(
-        f"Green power steps not settled after {MAX_POWER_STEPS} steps: relative "
-        f"bracket width {step_width:.2e}"
-    )
+    return solve
 
 
 # -- multi-precision oracle --------------------------------------------------

@@ -637,6 +637,10 @@ LIMITS = {"lambda0": 1.0, "lambda0_prime": 2.0, "lambdas": [3.0]}
     (lambda: theorem_bound({"lambda0": 1.0}),
      "^limits must be a TruncationSeries or a mapping of real limits$"),
     (lambda: theorem_bound({**LIMITS, "lambdas": ["a"]}), "^lambdas must be finite numbers$"),
+    (lambda: theorem_bound({"lambda0": -1.0, "lambda0_prime": 2.0, "lambdas": []}),
+     r"^lambda0 -1\.0 is not finite and positive$"),
+    (lambda: theorem_bound({"lambda0": math.inf, "lambda0_prime": math.inf, "lambdas": []}),
+     "^lambda0 inf is not finite and positive$"),
     (lambda: parse_rate_family("no/such/rates.json"),
      r"^rate family file is unreadable or not valid JSON: \[Errno 2\]"),
     (lambda: parse_rate_family("rho:abc"), "^rate family 'rho:abc': rho is not a number$"),
@@ -651,8 +655,9 @@ LIMITS = {"lambda0": 1.0, "lambda0_prime": 2.0, "lambdas": [3.0]}
         "string-lyapunov-size", "string-lyapunov-phi", "nan-lyapunov-tol", "string-form-vector",
         "rho-string", "rho-nan", "string-schedule-entry", "float-schedule-entry", "no-schedule",
         "nan-tol", "string-tol", "string-tail-bound", "string-n-used", "no-limits",
-        "limits-without-lambda0-prime", "string-limit", "missing-rate-file", "rho-not-a-number",
-        "callbacks-not-callable", "callbacks-return-strings"])
+        "limits-without-lambda0-prime", "string-limit", "negative-lambda0", "infinite-lambda0",
+        "missing-rate-file", "rho-not-a-number", "callbacks-not-callable",
+        "callbacks-return-strings"])
 def test_public_input_checks(call, message):
     # the pytest ini turns RuntimeWarning into an error: none may escape
     with pytest.raises(InvalidParameter, match=message):

@@ -383,6 +383,21 @@ class TestSpectralBound:
         with pytest.raises(DegenerateGap):
             spectral_bound(broken)
 
+    def test_negative_lambda0_from_eigh_is_a_degenerate_gap(self):
+        # eigh puts lambda0 of this chain at -8.8e-16, where the certified
+        # value is 6.5e-19; its factors gave a bound of 0.0015 for an
+        # amplitude of 2
+        gen = rho_chain_with_a_chord()
+        assert full_spectrum(gen).lambda0 <= 0 < dirichlet_eigenpair(gen).lambda0
+        with pytest.raises(DegenerateGap, match="<= 0"):
+            spectral_bound(full_spectrum(gen))
+
+
+def rho_chain_with_a_chord():
+    """build_rho_chain(60, 2.0) with the reversible chord 20 <-> 22."""
+    base = build_rho_chain(60, 2.0)
+    return build_general(60, [*base.transitions, (20, 22, 1.0), (22, 20, 0.25)], base.absorption)
+
 
 @st.composite
 def wide_birth_death_rates(draw):
@@ -524,6 +539,8 @@ def test_spectral_bound_above_the_double_range_is_inf():
      "^lambda0' None is not a real number$"),
     (lambda: spectral_bound(_report([1.0, 3.0], np.ones(2), math.nan)), NotConverged,
      "^lambda0' is nan, not a converged eigenvalue$"),
+    (lambda: spectral_bound(_report([-1e-16, 3.0], np.ones(2))), DegenerateGap,
+     "^lambda0 = -1e-16 <= 0; eigensolver failure$"),
 ], ids=["unknown-paths", "no-reversible-measure", "higher-eigenvalue-at-lambda0",
         "spectral-bound-of-none", "path-bound-nan-lambda0", "geodesic-bound-inf-lambda0",
         "path-weight-nan-lambda0", "path-weight-string-lambda0", "oracle-dps-zero",
@@ -532,7 +549,7 @@ def test_spectral_bound_above_the_double_range_is_inf():
         "spectral-bound-string-eigenvalues", "path-weight-integer-path",
         "rough-weight-integer-path", "spectral-bound-no-eigenvalues",
         "spectral-bound-string-lambda0-prime", "spectral-bound-none-lambda0-prime",
-        "spectral-bound-nan-lambda0-prime"])
+        "spectral-bound-nan-lambda0-prime", "spectral-bound-negative-lambda0"])
 def test_public_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()

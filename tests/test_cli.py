@@ -149,6 +149,17 @@ class TestBounds:
         assert code == 0
         assert json.loads(out)["paths"]["1->2"] == [1, 2]
 
+    def test_spectral_bound_with_eigh_lambda0_below_zero_exits_2(self, capsys, tmp_path):
+        # eigh's lambda0 of this chain is -8.8e-16: the command printed a
+        # bound of 0.0015 for an amplitude of 2 and exited 0
+        base = qsamp.build_rho_chain(60, 2.0)
+        path = tmp_path / "chord.json"
+        save_generator(qsamp.build_general(60, [*base.transitions, (20, 22, 1.0), (22, 20, 0.25)],
+                                           base.absorption), path)
+        code, out, err = run(capsys, "bounds", "--input", str(path), "--method", "spectral")
+        assert code == 2 and out == ""
+        assert err.startswith("error: DegenerateGap:") and "Traceback" not in err
+
 
 class TestSimulate:
     def test_estimate(self, capsys, golden_file):

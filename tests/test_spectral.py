@@ -412,6 +412,21 @@ class TestQuasiStationary:
         assert calls == ["_perron_pair^T", "dgbtrf"]
 
 
+@pytest.mark.parametrize("route, steps", [("birth-death", 9), ("reversible", 13),
+                                          ("non-reversible", 16)])
+def test_one_step_cap_covers_every_start_and_shift(route, steps, monkeypatch):
+    # the birth-death pair takes 5 Green steps from its first start and 4
+    # from the bisected one, the banded pairs 13 and 16 from the ones
+    # vector; one step fewer raises, where each start used to get a cap of
+    # its own and a banded pair was accepted on an unsettled bracket
+    gen = _route_chain(route)
+    monkeypatch.setattr(tridiag, "MAX_POWER_STEPS", steps)
+    dirichlet_eigenpair(gen)
+    monkeypatch.setattr(tridiag, "MAX_POWER_STEPS", steps - 1)
+    with pytest.raises(NoConvergence, match=f"^power steps not settled after {steps - 1} steps"):
+        dirichlet_eigenpair(gen)
+
+
 def _route_chain(route):
     """A birth-death chain, a reversible grid walk or a non-reversible cycle
     with chords."""
@@ -1061,28 +1076,55 @@ def outcome(call, gen):
         return exc
 
 
-@pytest.mark.parametrize("family", SCALE_FAMILIES)
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-900, 900))
-def test_lambda0_prime_at_any_power_of_two_scale(family, seed, k):
-    # every lambda0' route scales by 2^k, or raises at both scales
-    gen = SCALE_FAMILIES[family](np.random.default_rng(seed))
+def scales_exactly(gen, k, calls):
+    """Each call of calls (name -> (call, e)) gives the same outcome on gen
+    with every rate times 2^k, scaled by exactly 2^(e k): a float or an
+    array, or an error at both scales."""
     rates = [r for *_, r in gen.transitions] + [a for _, a in gen.absorption]
     assume(all(is_normal(math.ldexp(r, k)) for r in rates))
     assume(is_normal(math.ldexp(dirichlet_eigenpair(gen).lambda0, k)))
-    calls = {f"lambda0_minor {x}": lambda g, x=x: lambda0_minor(g, x) for x in gen.absorbing_set}
-    calls.update({f"full_spectrum {c}": lambda g, c=c: full_spectrum(g, c).lambda0_prime
-                  for c in (False, True)})
-    base = {name: outcome(call, gen) for name, call in calls.items()}
-    assume(all(is_normal(math.ldexp(v, k)) for v in base.values() if isinstance(v, float)))
+    base = {name: outcome(call, gen) for name, (call, _) in calls.items()}
+    assume(all(v == 0 or is_normal(math.ldexp(v, e * k)) for name, (_, e) in calls.items()
+               if isinstance(v := base[name], float)))
     big = scaled_by_power_of_two(gen, k)
-    for name, call in calls.items():
+    for name, (call, e) in calls.items():
         scaled = outcome(call, big)
         if isinstance(base[name], QsampError):
             assert isinstance(scaled, QsampError), name
         else:
             assert not isinstance(scaled, QsampError), (name, scaled)
-            assert math.ldexp(scaled, -k) == pytest.approx(base[name], rel=1e-12, abs=0), name
+            np.testing.assert_array_equal(np.ldexp(scaled, -e * k), base[name], err_msg=name)
+
+
+@pytest.mark.parametrize("family", SCALE_FAMILIES)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-900, 900))
+def test_lambda0_prime_at_any_power_of_two_scale(family, seed, k):
+    # every lambda0' route scales by exactly 2^k, or raises at both scales
+    gen = SCALE_FAMILIES[family](np.random.default_rng(seed))
+    calls = {f"lambda0_minor {x}": (lambda g, x=x: lambda0_minor(g, x), 1)
+             for x in gen.absorbing_set}
+    calls.update({f"full_spectrum {c}": (lambda g, c=c: full_spectrum(g, c).lambda0_prime, 1)
+                  for c in (False, True)})
+    scales_exactly(gen, k, calls)
+
+
+@pytest.mark.parametrize("family", SCALE_FAMILIES)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-900, 900))
+def test_ground_pair_and_qsd_at_any_power_of_two_scale(family, seed, k):
+    # lambda0 and the residual scale by exactly 2^k, phi and the QSD not at
+    # all: the midpoint of the bracket commutes with the scale, where a
+    # geometric one did not on the banded route.  A birth-death QSD (two
+    # states of a cycle with chords are one too) is pi * phi, with pi summed
+    # from log b - log d, which rounds differently at each scale
+    gen = SCALE_FAMILIES[family](np.random.default_rng(seed))
+    calls = {"lambda0": (lambda g: dirichlet_eigenpair(g).lambda0, 1),
+             "phi": (lambda g: dirichlet_eigenpair(g).phi, 0),
+             "residual": (lambda g: dirichlet_eigenpair(g).residual, 1)}
+    if not gen.is_birth_death:
+        calls["qsd"] = (quasi_stationary_dist, 0)
+    scales_exactly(gen, k, calls)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])

@@ -726,6 +726,17 @@ def cancellation_lambda0(n, b, d, dps):
         return b + d - 2 * s * mp.cosh(k)
 
 
+@pytest.mark.parametrize("b, d, k", [([1.0], [1.0, 1.0], 5), ([1.0], [1.0, 1.0], 2),
+                                     ([1.0], [1.0, 1.0], -1)], ids=["5-of-2", "2-of-2", "negative"])
+def test_higher_eigenpairs_reject_a_count_outside_0_to_n_minus_1(b, d, k):
+    # a chain of n states has n - 1 higher eigenvalues: k = 5 of 2 states
+    # returned [2.618, 8, 8, 8, 8], and k = -1 raised a raw ValueError
+    with pytest.raises(InvalidParameter, match=rf"^eigenvalue count {k} outside 0\.\.1$"):
+        tridiag.higher_eigenpairs(b, d, k)
+    with pytest.raises(InvalidParameter):
+        tridiag.higher_eigenvalues(b, d, k)
+
+
 def test_mp_lambda_rejects_what_it_cannot_certify():
     b, d = build_rho_chain(10, 1.0).birth_death_rates()
     with pytest.raises(InvalidParameter):
