@@ -47,7 +47,12 @@ FLAT_DLOG = -1e-9
 
 @dataclass(frozen=True)
 class RateFamily:
-    """Callbacks x -> b_x, d_x for x >= 1; must be positive and deterministic."""
+    """Callbacks x -> b_x, d_x for x >= 1; must be positive and deterministic.
+
+    b_x and d_x depend on x alone, so the arrays of one truncation are exact
+    prefixes of a larger one's: eigen_convergence realizes a schedule once,
+    at its largest n, and slices every truncation from it.
+    """
 
     b: Callable
     d: Callable
@@ -230,13 +235,9 @@ class EntranceVerdict:
         return None
 
 
-def _log_prefix(a):
-    return np.logaddexp.accumulate(a)
-
-
 def _log_suffix_excl(a):
     """log of sum over strictly later indices; last entry is -inf."""
-    rev = np.logaddexp.accumulate(a[::-1])[::-1]
+    rev = tridiag.log_cumsum(a[::-1])[::-1]
     out = np.full_like(a, -np.inf)
     out[:-1] = rev[1:]
     return out
@@ -284,14 +285,15 @@ def entrance_check(rates: RateFamily, cutoff: int) -> EntranceVerdict:
     m = _integer(cutoff, "cutoff", 10)
     b, d = _realize(rates, m)
     lp = tridiag.log_pi(b, d)
-    log_z = _log_prefix(lp)
+    log_z = tridiag.log_cumsum(lp)
 
     log_r = -lp[:-1] - np.log(b) + log_z[:-1]
     log_s = -lp[:-1] - np.log(b) + _log_suffix_excl(lp)[:-1]
 
+    # the partial sums are reported in the linear domain, so they are summed there
     with np.errstate(over="ignore"):
-        r_partial = np.exp(_log_prefix(log_r))
-        s_partial = np.exp(_log_prefix(log_s))
+        r_partial = np.cumsum(np.exp(log_r))
+        s_partial = np.cumsum(np.exp(log_s))
         z_partial = float(np.exp(log_z[-1]))
 
     diagnostics = {}
@@ -369,7 +371,9 @@ MONOTONE_SLACK = 1e-12
 def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> TruncationSeries:
     """lambda_{N,n} for n <= n_max over an increasing truncation schedule.
 
-    The ground column, phi and lambda0' come from the Green-operator routine
+    The family is realized once, at the schedule's largest n, and each
+    truncation takes its rates as prefixes of those (RateFamily).  The
+    ground column, phi and lambda0' come from the Green-operator routine
     tridiag.ground_pair; the higher columns come from the Dirichlet-form
     Rayleigh quotients of inverse-iterated vectors (tridiag.higher_eigenpairs).
     Both keep full relative accuracy.  The first truncation's ground pairs
@@ -398,8 +402,9 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
     phi_list = []
     phi = phi_prime = guesses = None  # the truncation before, to start from
     vectors = []
+    b_all, d_all = _realize(rates, schedule[-1])
     for n in schedule:
-        b, d = _realize(rates, n)
+        b, d = b_all[: n - 1], d_all[:n]
         lam_row = np.full(n_max + 1, np.inf)
         lam_row[0], phi, _ = tridiag.ground_pair(b, d, tridiag.padded(phi, n))
         k = min(n_max, n - 1)
@@ -600,7 +605,8 @@ def gap_identity_check(rates: RateFamily, n: int) -> float:
     b, d = _realize(rates, _integer(n, "n", 2))
     lam0, phi, _ = tridiag.ground_pair(b, d)
     lam0p, phip, _ = tridiag.ground_pair(b[1:], d[1:])
-    pis = tridiag.scaled_pi(b, d)
+    lp = tridiag.log_pi(b, d)
+    pis = tridiag._exp_normal(lp - lp.max())
     phip_ext = np.concatenate([[0.0], phip])
     rhs = pis[0] * b[0] * phip_ext[1] * phi[0] / float(np.sum(pis * phip_ext * phi))
     gap = lam0p - lam0
@@ -611,15 +617,15 @@ def gap_identity_check(rates: RateFamily, n: int) -> float:
 
 def hitting_time_from(rates: RateFamily, x: int) -> float:
     """Expected time to reach state 1 from x:
-    sum_{y=1}^{x-1} (pi_y b_y)^-1 sum_{z=y+1}^{x} pi_z; zero for x = 1."""
+    sum_{y=1}^{x-1} (pi_y b_y)^-1 sum_{z=y+1}^{x} pi_z; zero for x = 1, and
+    inf when it leaves the double range."""
     x = _integer(x, "x", 1)
     if x == 1:
         return 0.0
     b, d = _realize(rates, x)
     lp = tridiag.log_pi(b, d)
     log_tail = _log_suffix_excl(lp)  # log sum_{z > y} pi_z, z <= x
-    log_terms = log_tail[:-1] - lp[:-1] - np.log(b)
-    return float(np.exp(np.logaddexp.reduce(log_terms)))
+    return tridiag._sum_exp(log_tail[:-1] - lp[:-1] - np.log(b))
 
 
 def lyapunov_check(rates: RateFamily, phi, lam: float, n: int, tol: float = 1e-12):

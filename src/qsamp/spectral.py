@@ -181,8 +181,10 @@ def _directed_path(rates: csr_matrix, src, dst):
 
 
 def _bd_eta(b, d) -> np.ndarray:
-    """Normalized product weights of a birth-death chain, log-space safe."""
-    eta = tridiag.scaled_pi(b, d)
+    """Normalized product weights of a birth-death chain, log-space safe,
+    formed on the unit rates (tridiag._unit_arrays), so the same at every
+    power-of-two rate scale."""
+    eta = tridiag.scaled_pi(*tridiag._unit_arrays(b, d)[:2])
     return eta / eta.sum()
 
 

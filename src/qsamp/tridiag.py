@@ -51,6 +51,11 @@ of every 1/lambda_k in O(n) and without subtraction:
 
     trace G = sum_x pi_x sum_{z<=x} (pi_z d_z)^-1.
 
+Its inner sums, and the running sums over pi of bd_infinite, are log_cumsum:
+np.logaddexp.accumulate to rounding, but summed linearly in blocks shifted
+by their own maxima, so that numpy's exp does not take its slow path for
+results that underflow at nearly every step, as it would where pi decays.
+
 -K is also similar to B B', B upper bidiagonal with sqrt(d) on its diagonal
 and sqrt(b) above it, so spectrum takes every eigenvalue from B's singular
 values by dqds, with relative accuracy (Demmel & Kahan 1990).  sturm_count
@@ -92,6 +97,8 @@ from .generators import _real_array
 
 _TINY = float(np.finfo(float).tiny)
 _LOG_TINY = math.log(_TINY)
+#: about 4 ulps: the narrowest relative width bracket_settled waits for
+_FOUR_EPS = 4 * float(np.finfo(float).eps)
 
 
 def unit_exponent(x) -> int:
@@ -194,17 +201,23 @@ def rayleigh_quotient(b, d, v, w=None) -> float:
     """
     if w is None:
         w = pi_weights(log_pi(b, d))
-    k = _rate_exponent(b, d)
+    b, d, k = _unit_arrays(b, d)
+    return math.ldexp(_unit_quotient(b, d, v / np.abs(v).max(), w), k)
+
+
+def _unit_quotient(b, d, u, w) -> float:
+    """rayleigh_quotient on unit rates (_unit_arrays) and a vector u with
+    max |u| = 1: the linear sums over the prefix that w weights, or the log
+    form where they underflow."""
     m = min(len(w), len(b))
-    u = v[: len(w) + 1] / np.abs(v).max()  # the part of v that meets a weight
-    mass = np.dot(w * u[: len(w)], u[: len(w)])
+    head = u[: len(w)]
+    mass = np.dot(w * head, head)
     jump = u[1 : m + 1] - u[:m]
     jump *= jump
-    energy = math.ldexp(d[0], -k) * w[0] * u[0] ** 2 + np.dot(np.ldexp(b[:m], -k) * w[:m], jump)
+    energy = d[0] * w[0] * u[0] ** 2 + np.dot(b[:m] * w[:m], jump)
     if not (mass >= _LINEAR_FLOOR and energy >= _LINEAR_FLOOR):
-        bu, du, _ = _unit_arrays(b, d)
-        return math.ldexp(_log_quotient(bu, du, v, log_pi(b, d)), k)
-    return math.ldexp(energy / mass, k)
+        return _log_quotient(b, d, u, log_pi(b, d))
+    return energy / mass
 
 
 def _log_quotient(b, d, v, lp) -> float:
@@ -237,13 +250,69 @@ def _exp_normal(x):
 def green_trace(b, d) -> float:
     """trace (-K)^-1 = sum_x pi_x sum_{z<=x} (pi_z d_z)^-1, the sum of 1/lambda_k.
 
-    The diagonal of the Green operator's closed form; one cumulative and one
-    full log-sum-exp over log pi, with every term positive, so the trace keeps
-    relative accuracy.  inf when it leaves the double range.
+    The diagonal of the Green operator's closed form; one running log-sum
+    (log_cumsum) and one full sum (_sum_exp) over log pi, with every term
+    positive, so the trace keeps relative accuracy.  inf when it leaves the
+    double range.
     """
     lp = log_pi(b, d)
+    return _sum_exp(lp + log_cumsum(-lp - np.log(d)))
+
+
+def _sum_exp(x) -> float:
+    """sum exp(x) over finite x, as exp(max x) times the sum of
+    _exp_normal(x - max x): that sum is at least 1, and each term it drops
+    is below 2^-1022.  inf when it leaves the double range."""
+    top = x.max()
     with np.errstate(over="ignore"):
-        return float(np.exp(np.logaddexp.reduce(lp + np.logaddexp.accumulate(-lp - np.log(d)))))
+        return float(np.exp(top) * _exp_normal(x - top).sum())
+
+
+#: entries per block of log_cumsum
+_LOG_BLOCK = 32
+
+#: log_cumsum takes a position from its block's linear sum when that is at
+#: least this: its log then lies above -512, so it rounds to within 2^-44
+_BLOCK_FLOOR = 2.0 ** -700
+
+
+def log_cumsum(a) -> np.ndarray:
+    """np.logaddexp.accumulate(a), to rounding, off numpy's slow path.
+
+    numpy's exp is about 15 times slower on results that underflow, and
+    logaddexp takes that path at every step whose two terms lie more than
+    about 745 apart: on an entrance chain, whose pi falls below the double
+    range after a few hundred states, nearly every step of a running sum
+    over log pi does.  Here each block of _LOG_BLOCK entries is shifted by
+    its own maximum and summed linearly (np.cumsum of _exp_normal), the
+    block totals are chained in log space, and each entry is its shift plus
+    the log of
+
+        exp(carry - shift) + the block's shifted terms up to it,
+
+    with carry the log-sum of every block before and shift the larger of
+    carry and the block's maximum, so that linear sum is at most
+    _LOG_BLOCK + 1.  Where it falls below _BLOCK_FLOOR, the terms that
+    _exp_normal dropped could matter and its log would lose digits: those
+    positions, and every one before them, are np.logaddexp.accumulate of
+    their prefix, and so are positions whose linear sum is not a number:
+    from a NaN or +inf entry on, and before the first entry above -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    n = len(a)
+    blocks = np.concatenate([a, np.full(-n % _LOG_BLOCK, -np.inf)]).reshape(-1, _LOG_BLOCK)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = np.maximum.reduceat(blocks.ravel(), np.arange(0, blocks.size, _LOG_BLOCK))[:, None]
+        partial = np.cumsum(_exp_normal(blocks - top), axis=1)
+        carry = np.logaddexp.accumulate(top[:, 0] + np.log(partial[:, -1]))
+        before = np.concatenate([[-np.inf], carry[:-1]])[:, None]
+        shift = np.maximum(before, top)
+        linear = _exp_normal(before - shift) + _exp_normal(top - shift) * partial
+        out = (shift + np.log(linear)).ravel()[:n]
+        low = np.flatnonzero(~(linear.ravel()[:n] >= _BLOCK_FLOOR))
+        if low.size:
+            out[: low[-1] + 1] = np.logaddexp.accumulate(a[: low[-1] + 1])
+    return out
 
 
 def higher_eigenvalues(b, d, k, guesses=None):
@@ -369,16 +438,19 @@ def _shifted_quotient(b, d, eig_index, guess, w, start=None):
     the eigenvector of index j of an irreducible Jacobi matrix has j nodes
     (Sturm oscillation), and the diagonal similarity to the symmetrized
     matrix keeps signs, so a guess nearer another eigenvalue is caught.
+    b and d are unit rates (_unit_arrays), and each quotient is that of the
+    unit-max solve (_unit_quotient), over the prefix that w weights.
     """
     lam, width, v = guess, np.inf, start
+    diag = d + np.append(b, 0.0)
     for _ in range(MAX_RESHIFTS):
         try:
-            v = _shifted_solves(b, d, lam * (1 - 1e-8), v)
+            v = _shifted_solves(b, d, diag, lam * (1 - 1e-8), v)
         except np.linalg.LinAlgError:
             return None
         if _sign_changes(v) != eig_index:
             return None
-        lam, previous = rayleigh_quotient(b, d, v, w), lam
+        lam, previous = _unit_quotient(b, d, v, w), lam
         step = abs(lam - previous) / lam
         if bracket_settled(step, width):
             return lam, np.abs(v) if eig_index == 0 else v
@@ -394,11 +466,12 @@ def _sign_changes(v) -> int:
     return int(np.count_nonzero(negative[1:] != negative[:-1]))
 
 
-def _shifted_solves(b, d, shift, start):
+def _shifted_solves(b, d, diag, shift, start):
     """(-K - shift)^-1 applied to start, or three times to the ones vector,
-    each result scaled to max |v| = 1 (LAPACK dgtsv).  Raises LinAlgError
-    for a singular shift or a result that is not finite."""
-    main = d + np.append(b, 0.0) - shift
+    each result scaled to max |v| = 1 (LAPACK dgtsv); diag is d + b, the
+    diagonal of -K.  Raises LinAlgError for a singular shift or a result
+    that is not finite."""
+    main = diag - shift
     v = np.ones(len(d)) if start is None else start
     for _ in range(3 if start is None else 1):
         *_, v, info = dgtsv(-d[1:], main, -b, v, overwrite_dl=1, overwrite_du=1)
@@ -422,7 +495,7 @@ def bracket_settled(width: float, previous: float) -> bool:
     relative width has closed to about 4 ulps, or no longer narrows and is
     at most RESIDUAL_RTOL.  A wider bracket that stops narrowing is a
     plateau, not an answer."""
-    return width <= 4 * np.finfo(float).eps or RESIDUAL_RTOL >= width >= previous
+    return width <= _FOUR_EPS or RESIDUAL_RTOL >= width >= previous
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # f / g of a near-singular solve fails below
@@ -514,7 +587,7 @@ def ground_pair(b, d, start=None):
     except NoConvergence:
         f, later = _bisected_start(b, d), iter(())
     else:
-        found = _shifted_quotient(b, d, 0, rayleigh_quotient(b, d, f, w), w, start=f)
+        found = _shifted_quotient(b, d, 0, _unit_quotient(b, d, f / f.max(), w), w, start=f)
         f = f if found is None else found[1]
         # the bisected start, formed at the first slow step and only then
         later = ((solve, 0.0, _bisected_start(b, d)) for _ in range(1))
@@ -528,11 +601,12 @@ def _bisected_start(b, d):
     """|v| for the first one-signed v inverse-iterated from the unit rates'
     lambda0 bisected on the Sturm count (bisected_eigenvalues), or from
     shifts below it; raises NoConvergence when no shift gives one."""
-    lam, scale = bisected_eigenvalues(b, d, 0, 0)[0], float((d + np.append(b, 0.0)).max())
+    diag = d + np.append(b, 0.0)
+    lam, scale = bisected_eigenvalues(b, d, 0, 0)[0], float(diag.max())
     # shifts below zero still isolate phi where lambda0 is far below the rates
     for shift in (lam * (1 - 1e-8), lam - 1e-14 * scale, -1e-13 * scale, -1e-10 * scale):
         try:
-            v = _shifted_solves(b, d, shift, None)
+            v = _shifted_solves(b, d, diag, shift, None)
         except np.linalg.LinAlgError:
             continue
         if np.all(v >= 0) or np.all(v <= 0):

@@ -67,9 +67,9 @@ def cold_higher_eigenvalues(b, d, k):
     carried vectors or half-size ladder."""
     if k == 0:
         return np.zeros(0)
-    w = tridiag.pi_weights(tridiag.log_pi(b, d))
+    w, diag = tridiag.pi_weights(tridiag.log_pi(b, d)), d + np.append(b, 0.0)
     return np.array([
-        tridiag.rayleigh_quotient(b, d, tridiag._shifted_solves(b, d, lam * (1 - 1e-8), None), w)
+        tridiag.rayleigh_quotient(b, d, tridiag._shifted_solves(b, d, diag, lam * (1 - 1e-8), None), w)
         for lam in lapack_eigenvalues(b, d, 1, k)
     ])
 

@@ -189,14 +189,41 @@ class TestEigenConvergence:
         cold = []
         solves = tridiag._shifted_solves
 
-        def spy(b, d, shift, start):
+        def spy(b, d, diag, shift, start):
             if start is None:
                 cold.append(len(d))
-            return solves(b, d, shift, start)
+            return solves(b, d, diag, shift, start)
 
         monkeypatch.setattr(tridiag, "_shifted_solves", spy)
         eigen_convergence(accelerated_poisson_family(), 6, [2 ** k for k in range(4, 13)], 1e-8)
         assert cold == [16] * 6
+
+    @pytest.mark.parametrize("spec", ["poisson", "poisson-accelerated", "rho:0.5"])
+    def test_each_truncation_sees_exactly_its_own_realization(self, spec, monkeypatch):
+        # the family is realized once, at the largest n; each truncation's
+        # rates, and its minor's, are the prefixes that realize(n) gives
+        rates = parse_rate_family(spec)
+        seen = []
+
+        def spy(route):
+            def call(b, d, *args):
+                seen.append((route.__name__, np.copy(b), np.copy(d)))
+                return route(b, d, *args)
+            return call
+
+        monkeypatch.setattr(tridiag, "ground_pair", spy(tridiag.ground_pair))
+        monkeypatch.setattr(tridiag, "higher_eigenpairs", spy(tridiag.higher_eigenpairs))
+        schedule = [20, 45, 100, 233]
+        eigen_convergence(rates, 3, schedule, 1e3)
+        expected = []
+        for n in schedule:
+            b, d = rates.realize(n)
+            expected += [("ground_pair", b, d), ("higher_eigenpairs", b, d),
+                         ("ground_pair", b[1:], d[1:])]
+        assert [call[0] for call in seen] == [call[0] for call in expected]
+        for (_, b, d), (_, want_b, want_d) in zip(seen, expected):
+            np.testing.assert_array_equal(b, want_b)
+            np.testing.assert_array_equal(d, want_d)
 
     def test_spread_beyond_double_range_raises(self):
         # at N = 2048 phi spans more than 1e308: the pair itself fails, not
@@ -425,6 +452,11 @@ class TestHittingTime:
         v = entrance_check(fam, 4000)
         late = hitting_time_from(fam, 4000)
         assert late == pytest.approx(float(v.s_partial_sums[-1]), rel=1e-6, abs=0)
+
+    def test_past_the_double_range_is_inf(self):
+        # the true value is about 2^5000; numpy's overflow warning, an error
+        # under the suite's warning policy, must not escape
+        assert hitting_time_from(rho_family(2.0), 5000) == math.inf
 
     def test_monte_carlo_cross_check(self):
         # the formula value is the reflected-truncation hitting time, so

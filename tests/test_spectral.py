@@ -1117,13 +1117,15 @@ def test_ground_pair_and_qsd_at_any_power_of_two_scale(family, seed, k):
     # all: the midpoint of the bracket commutes with the scale, where a
     # geometric one did not on the banded route.  A birth-death QSD (two
     # states of a cycle with chords are one too) is pi * phi, with pi summed
-    # from log b - log d, which rounds differently at each scale
+    # from log b - log d on the unit rates, the same at every scale, as is
+    # the reversible measure pi itself
     gen = SCALE_FAMILIES[family](np.random.default_rng(seed))
     calls = {"lambda0": (lambda g: dirichlet_eigenpair(g).lambda0, 1),
              "phi": (lambda g: dirichlet_eigenpair(g).phi, 0),
-             "residual": (lambda g: dirichlet_eigenpair(g).residual, 1)}
-    if not gen.is_birth_death:
-        calls["qsd"] = (quasi_stationary_dist, 0)
+             "residual": (lambda g: dirichlet_eigenpair(g).residual, 1),
+             "qsd": (quasi_stationary_dist, 0)}
+    if gen.is_birth_death:
+        calls["measure"] = (lambda g: reversible_measure(g)[0], 0)
     scales_exactly(gen, k, calls)
 
 

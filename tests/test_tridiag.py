@@ -11,7 +11,7 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from qsamp import (
@@ -31,11 +31,64 @@ from qsamp import (
     rho_family,
 )
 from qsamp import tridiag
-from qsamp.bd_infinite import RateFamily
+from qsamp.bd_infinite import RateFamily, _log_suffix_excl
 from conftest import (
     cold_higher_eigenvalues, count_bisections, lapack_eigenvalues, log_accelerated_family,
     pivot_digits_lost, random_birth_death, sym_tridiag,
 )
+
+
+@st.composite
+def log_terms(draw):
+    """Up to 300 log terms: a walk from anywhere in [-1000, 1000] with steps
+    of up to 30, a drawn share of them up to 800, so that a run inside one
+    block of log_cumsum can rise past 745 and underflow its linear sum, and
+    up to five entries -inf."""
+    n = draw(st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = rng.uniform(-30, 30, n)
+    big = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    steps[big] = rng.uniform(-800, 800, np.count_nonzero(big))
+    a = draw(st.floats(-1000, 1000)) + np.cumsum(steps)
+    a[sorted(draw(st.sets(st.integers(0, n - 1), max_size=5))) if n else []] = -np.inf
+    return a
+
+
+def suffix_reference(a):
+    """log of the sum over strictly later entries, by numpy alone."""
+    out = np.full_like(a, -np.inf)
+    out[:-1] = np.logaddexp.accumulate(a[::-1])[::-1][1:]
+    return out
+
+
+@pytest.mark.parametrize("form", ["prefix", "suffix"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(a=log_terms())
+@example(a=np.array([0.0, 800.0, -np.inf, 1.0]))
+@example(a=np.array([0.5714791305089757, -2.7597624786604484, 578.3570600169738]))
+def test_log_cumsum_matches_logaddexp_accumulate(form, a):
+    # log_cumsum, and its reversed use for the tails of pi, against numpy's
+    # running log-sum: the same non-finite entries, and finite ones within
+    # 1e-13 (relative, absolute below 1).  In the second example the first
+    # two sums lie near 0 and 578 below their block's maximum: the log of a
+    # linear sum that small rounds by up to 1.1e-13, so it is recomputed
+    if form == "prefix":
+        new, ref = tridiag.log_cumsum(a), np.logaddexp.accumulate(a)
+    else:
+        new, ref = _log_suffix_excl(a), suffix_reference(a)
+    finite = np.isfinite(ref)
+    np.testing.assert_array_equal(new[~finite], ref[~finite])
+    assert np.all(np.abs(new[finite] - ref[finite]) <= 1e-13 * np.maximum(1.0, np.abs(ref[finite])))
+
+
+def test_log_cumsum_recomputes_where_a_block_underflows():
+    # 0 lies 800 below its block's maximum, so its linear sum underflows and
+    # the position is numpy's own running sum; so is one after a NaN
+    a = np.array([0.0, 800.0, 1.0])
+    np.testing.assert_array_equal(tridiag.log_cumsum(a), np.logaddexp.accumulate(a))
+    a = np.array([1.0, np.nan, 2.0, 3.0])
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_array_equal(tridiag.log_cumsum(a), np.logaddexp.accumulate(a))
 
 
 def log_uniform_chain(rng, n, low, high):
@@ -102,7 +155,7 @@ def test_higher_eigenvalue_beyond_half_the_exponent_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lam = tridiag.higher_eigenvalues(b, d, 3)[2]
-        v = tridiag._shifted_solves(b, d, ref * (1 - 1e-8), None)
+        v = tridiag._shifted_solves(b, d, d + np.append(b, 0.0), ref * (1 - 1e-8), None)
     assert np.abs(v).min() < 1e-154
     assert abs(lam - ref) <= 1e-8 * ref
 
@@ -421,7 +474,7 @@ def test_quotient_takes_the_log_form_only_where_the_sums_underflow(monkeypatch):
     assert calls == []
     b, d = rho_family(0.5).realize(1100)
     ref = lapack_eigenvalues(b, d, 3, 3)[0]
-    v = tridiag._shifted_solves(b, d, ref * (1 - 1e-8), None)
+    v = tridiag._shifted_solves(b, d, d + np.append(b, 0.0), ref * (1 - 1e-8), None)
     assert abs(tridiag.rayleigh_quotient(b, d, v) - ref) <= 1e-8 * ref
     assert len(calls) == 1
 
