@@ -17,6 +17,13 @@ No finite computation decides series convergence in general; the entrance
 check runs comparison diagnostics (geometric ratio, then a Raabe/Bertrand
 exponent) on tail windows of the partial sums and reports `inconclusive`
 whenever the statistics are unstable or sit in the boundary zone.
+
+Each truncation's two Green pairs are solved once: a RateFamily keeps the
+TruncationSeries of the latest eigen_convergence call on it, and
+gap_identity_check reads the pairs of a truncation that series solved
+instead of solving them again.  Its residual then differs from a cold
+solve's only by rounding; at any other truncation, or on a family object
+that no eigen_convergence call has returned for, it solves them cold.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import ast
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -52,27 +59,45 @@ class RateFamily:
     b_x and d_x depend on x alone, so the arrays of one truncation are exact
     prefixes of a larger one's: eigen_convergence realizes a schedule once,
     at its largest n, and slices every truncation from it.
+
+    The object also keeps the TruncationSeries that the latest
+    eigen_convergence call on it returned, in a private field outside the
+    constructor, ==, hash and repr; gap_identity_check reads the pairs of
+    the truncations it solved.  A new object, equal
+    or not (dataclasses.replace included), starts with none.
     """
 
     b: Callable
     d: Callable
     name: str = "custom"
+    _solved: TruncationSeries | None = field(default=None, init=False, compare=False,
+                                              repr=False)
 
+    @np.errstate(all="ignore")  # a NaN, infinite or zero rate is named below
     def realize(self, n: int):
-        """Rate arrays (b_1..b_{n-1}, d_1..d_n) for the n-state truncation."""
+        """Rate arrays (b_1..b_{n-1}, d_1..d_n) for the n-state truncation.
+
+        InvalidParameter, naming the family, for rates that are not
+        positive finite numbers, and for callbacks that fail on their
+        arithmetic (ZeroDivisionError, OverflowError).
+        """
         if _integer(n, "n") < 1:
             raise InvalidParameter("need n >= 1")
         xs = np.arange(1, n + 1, dtype=float)
         try:
-            b = np.broadcast_to(np.asarray(self.b(xs[:-1]), dtype=float), (n - 1,)).copy()
-            d = np.broadcast_to(np.asarray(self.d(xs), dtype=float), (n,)).copy()
-        except (TypeError, ValueError):
-            try:  # callbacks of one int x at a time
-                b = np.array([float(self.b(int(x))) for x in xs[:-1]])
-                d = np.array([float(self.d(int(x))) for x in xs])
-            except (TypeError, ValueError) as exc:
-                raise InvalidParameter(
-                    f"family {self.name!r} did not produce real rates: {exc}") from None
+            try:
+                b = np.broadcast_to(np.asarray(self.b(xs[:-1]), dtype=float), (n - 1,)).copy()
+                d = np.broadcast_to(np.asarray(self.d(xs), dtype=float), (n,)).copy()
+            except (TypeError, ValueError):
+                try:  # callbacks of one int x at a time
+                    b = np.array([float(self.b(int(x))) for x in xs[:-1]])
+                    d = np.array([float(self.d(int(x))) for x in xs])
+                except (TypeError, ValueError) as exc:
+                    raise InvalidParameter(
+                        f"family {self.name!r} did not produce real rates: {exc}") from None
+        except ArithmeticError as exc:
+            raise InvalidParameter(
+                f"family {self.name!r} failed on its rate arithmetic: {exc}") from None
         if np.any(b <= 0) or np.any(d <= 0):
             raise InvalidParameter(f"family {self.name!r} produced a non-positive rate")
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(d))):
@@ -344,12 +369,20 @@ def truncate_neumann(rates: RateFamily, n: int) -> AbsorbingGenerator:
 
 @dataclass(frozen=True)
 class TruncationSeries:
-    """Eigenvalue tables over a truncation schedule, plus declared limits."""
+    """Eigenvalue tables over a truncation schedule, plus declared limits.
+
+    phi_list and phi_prime_list hold each truncation's ground vector and
+    its minor's (without state 1), both with first entry 1.  eigen_convergence
+    returns every array read-only, and the vector lists as tuples: the
+    family keeps the same series (RateFamily), so a change to it would
+    change what a later gap_identity_check reads.
+    """
 
     ns: tuple
     lambda_table: np.ndarray        # shape (len(ns), n_max+1), +inf where n >= N
     lambda0_prime_table: np.ndarray
-    phi_list: list
+    phi_list: tuple
+    phi_prime_list: tuple
     limits: np.ndarray              # NaN where undeclared
     lambda0_prime_limit: float
     lambda_monotone: bool
@@ -389,6 +422,11 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
     limit is declared once the relative change between consecutive
     truncations drops below tol.  Failure to resolve the ground column
     raises NotConverged.
+
+    The series returned is also kept on the family object, in place of the
+    one an earlier call kept there (RateFamily); a call that raises keeps
+    nothing.  gap_identity_check then reads the pairs of the schedule's
+    truncations from it rather than solve them again.
     """
     # entries of 2 or more, as truncate_neumann requires
     schedule = [_integer(n, "schedule entry", 2) for n in schedule] if np.iterable(schedule) else []
@@ -400,6 +438,7 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
     rows = []
     rows_prime = []
     phi_list = []
+    phi_prime_list = []
     phi = phi_prime = guesses = None  # the truncation before, to start from
     vectors = []
     b_all, d_all = _realize(rates, schedule[-1])
@@ -415,6 +454,7 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
         rows.append(lam_row)
         rows_prime.append(lam0p)
         phi_list.append(phi)
+        phi_prime_list.append(phi_prime)
         guesses = lam_row[1:]
     table = np.array(rows)
     prime = np.array(rows_prime)
@@ -446,11 +486,14 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
             f"ground eigenvalue not resolved at tol {tol}; last relative deltas "
             f"{deltas[-3:].tolist()}"
         )
-    return TruncationSeries(
+    for a in (table, prime, limits, *phi_list, *phi_prime_list):
+        a.flags.writeable = False
+    series = TruncationSeries(
         ns=tuple(schedule),
         lambda_table=table,
         lambda0_prime_table=prime,
-        phi_list=phi_list,
+        phi_list=tuple(phi_list),
+        phi_prime_list=tuple(phi_prime_list),
         limits=limits,
         lambda0_prime_limit=prime_limit,
         lambda_monotone=lambda_monotone,
@@ -458,6 +501,8 @@ def eigen_convergence(rates: RateFamily, n_max: int, schedule, tol: float) -> Tr
         phi_nondecreasing=phi_ok,
         tol=tol,
     )
+    object.__setattr__(rates, "_solved", series)  # the family is frozen to its callers
+    return series
 
 
 @dataclass(frozen=True)
@@ -567,7 +612,9 @@ def tail_sum_estimate(rates: RateFamily, n: int, n_used: int) -> float:
     tridiag.higher_eigenvalues, all relatively accurate; those start from
     the chain's own half-size truncation, down a ladder of halvings that
     bisects only on a prefix of fewer than 2 tridiag.LADDER_BASE states
-    (and on the chain itself where a rung's warm solves fail).  When the
+    (and on the chain itself where a rung's warm solves fail).  It solves
+    truncation n itself even where the family's latest eigen_convergence
+    solved it, so the value does not depend on what ran before.  When the
     subtraction would cancel more than TRACE_CANCELLATION_LIMIT allows, or
     the ground pair raises NoConvergence, the tail is summed over the
     full spectrum instead, which dqds gives with relative accuracy
@@ -600,11 +647,20 @@ def gap_identity_check(rates: RateFamily, n: int) -> float:
 
     The identity reads lambda0' - lambda0 = pi(1) b_1 phi'(2) phi(1) / pi[phi' phi]
     with phi' the minor eigenvector extended by phi'(1) = 0; it holds exactly
-    for the truncated operators.
+    for the truncated operators.  lambda0, phi, lambda0' and phi' come from
+    the latest eigen_convergence on this family object when it solved
+    truncation n, and from tridiag.ground_pair otherwise.
     """
-    b, d = _realize(rates, _integer(n, "n", 2))
-    lam0, phi, _ = tridiag.ground_pair(b, d)
-    lam0p, phip, _ = tridiag.ground_pair(b[1:], d[1:])
+    n = _integer(n, "n", 2)
+    b, d = _realize(rates, n)
+    series = rates._solved
+    if series is not None and n in series.ns:
+        row = series.ns.index(n)
+        lam0, phi = float(series.lambda_table[row, 0]), series.phi_list[row]
+        lam0p, phip = float(series.lambda0_prime_table[row]), series.phi_prime_list[row]
+    else:
+        lam0, phi, _ = tridiag.ground_pair(b, d)
+        lam0p, phip, _ = tridiag.ground_pair(b[1:], d[1:])
     lp = tridiag.log_pi(b, d)
     pis = tridiag._exp_normal(lp - lp.max())
     phip_ext = np.concatenate([[0.0], phip])

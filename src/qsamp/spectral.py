@@ -183,8 +183,10 @@ def _directed_path(rates: csr_matrix, src, dst):
 def _bd_eta(b, d) -> np.ndarray:
     """Normalized product weights of a birth-death chain, log-space safe,
     formed on the unit rates (tridiag._unit_arrays), so the same at every
-    power-of-two rate scale."""
-    eta = tridiag.scaled_pi(*tridiag._unit_arrays(b, d)[:2])
+    power-of-two rate scale, or on the rates themselves where one of the
+    unit rates underflows to 0 (its log pi would be +inf)."""
+    bu, du, _ = tridiag._unit_arrays(b, d)
+    eta = tridiag.scaled_pi(bu, du) if bu.all() and du.all() else tridiag.scaled_pi(b, d)
     return eta / eta.sum()
 
 
@@ -506,8 +508,10 @@ def full_spectrum(gen: AbsorbingGenerator, compute_minors: bool = False) -> Spec
     single-state minor spectra.
 
     A chain that is not reversible raises NotReversible before any matrix is
-    built.  Every eigenvalue is real and sorted ascending.  A birth-death
-    chain's come from dqds on the bidiagonal factor of its rates
+    built, and a birth-death chain whose rates span past the double range
+    (one underflows to 0 scaled by a power of two into (0, 1)) raises
+    NoConvergence.  Every eigenvalue is real and sorted ascending.  A
+    birth-death chain's come from dqds on the bidiagonal factor of its rates
     (tridiag.spectrum), each with relative accuracy however far below the
     rates it sits; any other reversible chain is symmetrized once and solved
     by one eigh, with vectors where it has several exits, whose error is of

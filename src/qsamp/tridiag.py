@@ -122,6 +122,18 @@ def _unit_arrays(b, d):
     return np.ldexp(b, -k), np.ldexp(d, -k), k
 
 
+def _resolvable_unit_arrays(b, d):
+    """_unit_arrays, or NoConvergence where a rate underflows to 0 there:
+    the rates then span past the double range, and no ground pair or
+    spectrum in doubles resolves the chain (mp_lambda's decimal steps do,
+    from a start that _unit_arrays gives as it is)."""
+    b, d, k = _unit_arrays(b, d)
+    if not (b.all() and d.all()):
+        raise NoConvergence(f"a rate underflows to 0 when the rates are scaled by 2^{-k}: "
+                            "they span past the double range")
+    return b, d, k
+
+
 def neg_sqrt_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """-sqrt(x y) elementwise for nonnegative arrays, formed on x and y scaled
     by 2^-unit_exponent, so no product overflows and every rate scale gives
@@ -151,8 +163,9 @@ def spectrum(b, d) -> np.ndarray:
     sqrt(b) above it, so the eigenvalues are the squared singular values of
     B (dqds, _lapack.singular_values).  B is formed from the rates scaled by
     2^-_rate_exponent, so every power-of-two rate scale gives the same bits,
-    scaled."""
-    b, d, k = _unit_arrays(b, d)
+    scaled; NoConvergence where a rate underflows to 0 there
+    (_resolvable_unit_arrays)."""
+    b, d, k = _resolvable_unit_arrays(b, d)
     return np.ldexp(_lapack.singular_values(np.sqrt(d), np.sqrt(b))[::-1] ** 2, k)
 
 
@@ -565,10 +578,10 @@ def ground_pair(b, d, start=None):
     power-of-two rate scale gives the same bits: lambda0 times the scale
     and the same phi.
     Raises NoConvergence as perron_steps does, for a Green step that leaves
-    the double range, for a lambda0 below the smallest normal double, on
-    the unit rates or scaled back, and when no shift gives the bisected
-    start; InvalidParameter for a start that is not n positive finite
-    numbers.
+    the double range, for rates that span past it (_resolvable_unit_arrays),
+    for a lambda0 below the smallest normal double, on the unit rates or
+    scaled back, and when no shift gives the bisected start;
+    InvalidParameter for a start that is not n positive finite numbers.
     """
     b = np.asarray(b, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -579,7 +592,7 @@ def ground_pair(b, d, start=None):
         start = _real_array(start, f"start must be {n} finite numbers", (n,))
         if np.any(start <= 0):
             raise InvalidParameter(f"start must be {n} positive finite numbers")
-    b, d, k = _unit_arrays(b, d)
+    b, d, k = _resolvable_unit_arrays(b, d)
     w = pi_weights(log_pi(b, d))
     solve = _green_solve(b, d)
     try:
@@ -714,6 +727,7 @@ def sturm_count(b, d, sigma: float) -> int:
     return _lapack.negcount(*_ldl(b, d))(math.ldexp(sigma, -k))
 
 
+@np.errstate(divide="ignore")  # a d_x of 0: unit rates that span past the double range
 def _ldl(b, d):
     """(D, L), reversed as dlarrc's L D L' takes them, with -K similar to
     U diag(D) U', U unit upper bidiagonal with L above its diagonal; no entry

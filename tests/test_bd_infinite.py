@@ -438,6 +438,76 @@ class TestGapIdentity:
         assert calls == []
 
 
+def refuse_solves(monkeypatch):
+    """Make every pair solve that gap_identity_check can reach raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solved truncation was solved again")
+
+    for name in ("ground_pair", "_shifted_solves"):
+        monkeypatch.setattr(tridiag, name, refuse)
+
+
+def cold_gap(n):
+    """gap_identity_check at n on a family object with no record."""
+    return gap_identity_check(accelerated_poisson_family(), n)
+
+
+class TestSolvedTruncations:
+    """A family keeps the series of its latest eigen_convergence, and the gap
+    check reads the pairs of the truncations that series solved."""
+
+    SCHEDULE = [2 ** k for k in range(6, 13)]
+
+    def test_solved_truncations_are_not_solved_again(self, monkeypatch):
+        fam = accelerated_poisson_family()
+        eigen_convergence(fam, 6, self.SCHEDULE, 1e-8)
+        refuse_solves(monkeypatch)
+        assert max(gap_identity_check(fam, n) for n in self.SCHEDULE) <= 1e-8
+
+    def test_fresh_family_solves_cold(self):
+        # the bits of the cold solves, as before families kept a record
+        assert cold_gap(512) == 1.5288649346536535e-16
+
+    def test_truncation_outside_the_latest_schedule_solves_cold(self):
+        # a later call replaces the record: 512 was solved, then left out
+        fam = accelerated_poisson_family()
+        eigen_convergence(fam, 6, [256, 512], 1e-8)
+        eigen_convergence(fam, 6, [1024, 2048], 1e-8)
+        assert gap_identity_check(fam, 512) == cold_gap(512)
+
+    def test_replaced_copy_solves_cold(self):
+        fam = accelerated_poisson_family()
+        eigen_convergence(fam, 6, [256, 512], 1e-8)
+        copy = replace(fam)
+        assert copy == fam and hash(copy) == hash(fam) and repr(copy) == repr(fam)
+        assert gap_identity_check(copy, 512) == cold_gap(512)
+
+    def test_failed_call_records_nothing(self, monkeypatch):
+        fam = accelerated_poisson_family()
+        with pytest.raises(NotConverged):
+            eigen_convergence(fam, 6, [8, 16], 1e-12)
+        assert gap_identity_check(fam, 8) == cold_gap(8)
+        # and leaves the record of a call before it in place
+        eigen_convergence(fam, 6, [256, 512], 1e-8)
+        with pytest.raises(NotConverged):
+            eigen_convergence(fam, 6, [8, 16], 1e-12)
+        refuse_solves(monkeypatch)
+        assert gap_identity_check(fam, 512) <= 1e-8
+
+    def test_series_is_read_only(self):
+        fam = accelerated_poisson_family()
+        series = eigen_convergence(fam, 2, [64, 128], 1e-8)
+        arrays = [series.lambda_table, series.lambda0_prime_table, series.limits,
+                  *series.phi_list, *series.phi_prime_list]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 2.0
+        with pytest.raises(TypeError):
+            series.phi_prime_list[0] = np.ones(63)
+        assert [len(p) for p in series.phi_prime_list] == [63, 127]
+        assert all(p[0] == 1.0 for p in series.phi_prime_list)
+
+
 class TestHittingTime:
     def test_from_one_is_zero(self):
         assert hitting_time_from(poisson_family(), 1) == 0.0
@@ -699,6 +769,17 @@ def test_public_input_checks(call, message):
 def test_rate_expression_unary_minus():
     rate = _rate_expression("-(1 - n) + -(-1)")
     np.testing.assert_array_equal(rate(np.arange(1.0, 4.0)), [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("b, d", [
+    (lambda x: 1.0 / (int(x) - 1), lambda x: float(x)),
+    (lambda x: 1.0 / (x - 1), lambda x: x),
+    (lambda x: math.exp(int(x) * 1000.0), lambda x: float(x)),
+], ids=["int-division-by-zero", "array-division-by-zero", "int-overflow"])
+def test_realize_names_the_family_when_a_callback_fails_on_arithmetic(b, d):
+    # a raw ZeroDivisionError, RuntimeWarning or OverflowError escaped
+    with pytest.raises(InvalidParameter, match="^family 'ratio' "):
+        RateFamily(b, d, name="ratio").realize(5)
 
 
 def test_realize_falls_back_to_integers_for_callbacks_that_reject_arrays():

@@ -22,11 +22,14 @@ from qsamp import (
     build_graph_walk,
     build_rho_chain,
     dirichlet_eigenpair,
+    exact_bd_amplitude,
     full_spectrum,
     lambda0_minor,
     minor,
+    path_bound,
     quasi_stationary_dist,
     reversible_measure,
+    sandwich_experiment,
     spectral_bound,
 )
 import qsamp
@@ -1141,6 +1144,55 @@ def test_birth_death_spectrum_at_any_rate_scale(scale):
     np.testing.assert_allclose(rep.eigenvalues / scale, ref.eigenvalues, rtol=1e-13)
     assert rep.lambda0_prime / scale == pytest.approx(ref.lambda0_prime, rel=1e-13, abs=0)
     assert spectral_bound(rep).bound == pytest.approx(spectral_bound(ref).bound, rel=1e-12, abs=0)
+
+
+#: chains whose unit rates (scaled by 2^-k, the largest in [1/2, 1)) hold a
+#: 0: the rate of 1e-300 or 1e-200 underflows there
+UNIT_SPAN_CHAINS = {"span-600": ([1e300, 1e300], [1e300, 1e-300, 1e300]),
+                    "span-400": ([1e200], [1e-200, 1e200])}
+
+
+@pytest.mark.parametrize("chain, call, expect", [
+    ("span-600", "dirichlet_eigenpair", NoConvergence),
+    ("span-600", "quasi_stationary_dist", NoConvergence),
+    ("span-600", "full_spectrum", NoConvergence),
+    ("span-600", "path_bound", NoConvergence),
+    ("span-600", "sandwich_experiment", NoConvergence),
+    # a 1200-digit mpmath eig of -K gives the amplitude 2 as well
+    ("span-600", "exact_bd_amplitude", 2.0),
+    ("span-400", "dirichlet_eigenpair", NoConvergence),
+    ("span-400", "quasi_stationary_dist", NoConvergence),
+    # dqds on the unit rates gave lambda0 = 0 (the true one is about 5e-201)
+    ("span-400", "full_spectrum", NoConvergence),
+    ("span-400", "path_bound", NoConvergence),
+    ("span-400", "sandwich_experiment", NoConvergence),
+    ("span-400", "exact_bd_amplitude", 1.0),
+])
+def test_rate_spans_past_the_unit_scale_give_no_warning(chain, call, expect):
+    # log pi, the Green step's 1/d and the Sturm factor's b/d met a unit
+    # rate of 0 and raised numpy's divide-by-zero RuntimeWarning; the
+    # pair and the spectra now refuse such rates, the oracle still runs
+    gen = build_birth_death(*UNIT_SPAN_CHAINS[chain])
+    calls = {"dirichlet_eigenpair": dirichlet_eigenpair,
+             "quasi_stationary_dist": quasi_stationary_dist,
+             "full_spectrum": full_spectrum,
+             "path_bound": path_bound,
+             "sandwich_experiment": lambda g: sandwich_experiment(
+                 g, np.full(g.n_states, 1.0 / g.n_states), [0.1, 1.0]),
+             "exact_bd_amplitude": exact_bd_amplitude}
+    if expect is NoConvergence:
+        with pytest.raises(NoConvergence):
+            calls[call](gen)
+    else:
+        assert calls[call](gen) == expect
+
+
+def test_measure_of_rates_spanning_past_the_unit_scale():
+    # pi = (1, 1e600, 1e600): on the unit rates log pi held +inf and the
+    # measure came out NaN
+    eta, witness = reversible_measure(build_birth_death(*UNIT_SPAN_CHAINS["span-600"]))
+    assert witness is None
+    np.testing.assert_array_equal(eta, [0.0, 0.5, 0.5])
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e160, 1e300])
