@@ -41,6 +41,7 @@ import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 
 import numpy as np
@@ -65,6 +66,11 @@ CYCLE_EPS = 1e-9
 #: digits of exact_bd_amplitude's last pass: a float amplitude has at most
 #: 309 digits, and the determinant ratio needs 60 more than the amplitude
 _MAX_ORACLE_DPS = 309 + 60
+#: digits of its first pass where the float answer needs no more: two
+#: 19-digit words of libmpdec
+_FIRST_DPS = 38
+#: the relative width it accepts, per unit of R: 2 omega / R <= 1e-20
+_RATIO_RTOL = Decimal("5e-21")
 
 
 @dataclass(frozen=True)
@@ -432,42 +438,54 @@ def exact_bd_amplitude(gen: AbsorbingGenerator, dps: int | None = None) -> float
 
     Uses the hitting-time factorization: the amplitude equals
     prod_l (1 - lambda0/lam~_l)^-1 over the spectrum lam~ of the minor that
-    removes state 1.  The product is evaluated as the determinant ratio
-    R = det(T~ - lambda0)/det(T~) in dps-digit decimal arithmetic (the
-    standard library's decimal module, with an exponent range no chain can
-    leave), so the result stays accurate even when the amplitude spans
-    hundreds of orders of magnitude: one pivot pass at lambda0 over
-    det(T~) = d_2 ... d_n (tridiag.mp_detratio_minor).  lambda0 comes from
-    tridiag.mp_lambda, certified there by two decimal Sturm counts just
-    below and above it.  The ratio's condition number is the amplitude
-    itself, so R is accepted only when R > 0 and log10(1/R) + 30 <= dps.
-    The default precision starts at 60 digits and otherwise repeats at
-    ceil(log10(1/R)) + 60 digits, or at 60 more when R <= 0; an explicit
-    dps runs one pass.  The rates become Decimals once for every pass, and
-    a repeated pass starts its Newton steps from the lambda0 of the pass
-    before, so the double-precision start runs once.  NoConvergence is
-    raised when an explicit dps fails the check, or when the amplitude
-    needs more digits than a float holds.  Nothing here uses the
-    double-precision eigenpair, so the result is an independent check of it.
+    removes state 1, which is 1/R for the determinant ratio
+    R = det(T~ - lambda0)/det(T~), here in dps-digit decimal arithmetic with
+    an exponent range no chain can leave.  One bottom-up pass
+    (tridiag._bracket_pass) counts the eigenvalues below lo = lambda (1 - omega)
+    and hi = lambda (1 + omega), which certifies lambda0 in [lo, hi], and
+    forms R(lo) from the same pivots; lambda comes from decimal Newton steps
+    from the double-precision start (tridiag._certified, the loop of
+    tridiag.mp_lambda).  The width follows the float answer: after a step of
+    relative size s, omega = max(10^4 s^2, n 10^(5 - dps)), and since
+    sum_l lambda0 / (lam~_l - lambda0) <= amplitude - 1, R(lo) is within
+    2 omega amplitude of R(lambda0), relatively; so a pass is accepted once
+    its counts bracket lambda0 and 2 omega / R <= 1e-20.  R's condition
+    number is the amplitude, so it is also accepted only when R > 0 and
+    log10(1/R) + 30 <= dps.  The first pass runs at 38 digits when that rule
+    holds there for the double-precision R at the start, else at 60; a pass
+    that fails repeats at ceil(log10(1/R)) + 60 digits (60 more when R <= 0
+    or when only the width failed), its Newton steps starting from the
+    lambda0 it has; an explicit dps runs one precision.  NoConvergence is
+    raised when an explicit dps fails, or when the amplitude needs more
+    digits than a float holds.  Nothing here uses the double-precision
+    eigenpair, so the result is an independent check of it.
     """
     _generator(gen, "exact_bd_amplitude")
     if not gen.is_birth_death:
         raise NotBirthDeath("exact amplitude needs birth-death absorbed from state 1")
-    digits = 60 if dps is None else _integer(dps, "dps", 1)
+    if dps is not None:
+        dps = tridiag._oracle_digits(dps)
     b, d = gen.birth_death_rates()
     if len(d) == 1:
         return 1.0
+    lam, estimate = tridiag._double_start(b, d, 0)
+    digits = dps or (_FIRST_DPS if _resolves(estimate, _FIRST_DPS) else 60)
     rates = tridiag._mp_rates(b, d)
-    lam = None
     while True:
-        lam = tridiag.mp_lambda(b, d, 0, dps=digits, rates=rates, start=lam)
-        ratio = tridiag.mp_detratio_minor(b, d, lam, dps=digits, rates=rates)
-        # -adjusted() is ceil(log10(1/R)) for R > 0
-        if ratio > 0 and 30 - ratio.adjusted() <= digits:
+        lam, omega, ratio = tridiag._certified(rates, lam, 0, digits, _RATIO_RTOL, estimate)
+        if _resolves(ratio, digits) and omega <= _RATIO_RTOL * ratio:
             return float(tridiag.oracle_context(digits).divide(1, ratio))
+        # -adjusted() is ceil(log10(1/R)) for R > 0
         more = 60 - ratio.adjusted() if ratio > 0 else digits + 60
+        if more <= digits:  # R resolved, but not at a width 2 omega / R <= 1e-20
+            more = digits + 60
         if dps is not None or more > _MAX_ORACLE_DPS:
             raise NoConvergence(
                 f"amplitude not resolved at {digits} digits: determinant ratio {ratio:.6g}"
             )
-        digits = more
+        digits, estimate = more, ratio
+
+
+def _resolves(ratio, digits) -> bool:
+    """exact_bd_amplitude's digits rule: R > 0 and log10(1/R) + 30 <= digits."""
+    return ratio > 0 and 30 - ratio.adjusted() <= digits

@@ -65,20 +65,23 @@ brackets any one eigenvalue by adjacent doubles.  Both run in C (_lapack),
 on the rates scaled exactly by a power of two.
 
 The oracle, bounds.exact_bd_amplitude's independent check of the amplitude
-identity, runs on one pivot recursion: the differential (stationary qd)
-form of the LDL' factorization of T - sigma, whose only subtraction is the
-shift, so its pivots are exact for rates perturbed by a few units in the
-last place (_pivots).  It is written over Decimals and serves the decimal
-Sturm certificate, the decimal Newton steps and the determinant ratio of
-the state-1 minor; each decimal pass walks the chain once, in the standard
-library's decimal module (libmpdec, C code) at dps digits, in a
-thread-local context with the widest exponent range (oracle_context), on
-rates converted to Decimal once per chain (_mp_rates).  mp_lambda starts
-from the lower end of the adjacent doubles around the eigenvalue that the
-double-precision count certifies, or from the value of an earlier pass at
-fewer digits, refines with a few decimal Newton steps on det(T - lam), and
-certifies the result by two decimal counts just below and just above it, as
-soon as a step is small enough for that to hold.
+identity, runs on the differential (stationary qd) recursions of the LDL'
+and UDU' factorizations of T - sigma, whose only subtraction is the shift,
+so their pivots are exact for rates perturbed by a few units in the last
+place (Parlett & Dhillon 2000).  The top-down one gives the decimal
+Newton steps (_newton_step) and the fallback count (_count); its
+bottom-up twin (_bracket_pass) gives, in one loop, the decimal Sturm counts
+at both ends of a certificate and the determinant ratio of the state-1
+minor, whose pivots are the trailing ones of the chain's.  Each decimal
+pass walks the chain once, in the standard library's decimal module
+(libmpdec, C code) at dps digits, in a thread-local context with the widest
+exponent range (oracle_context), on rates converted to Decimal once per
+chain (_mp_rates).  mp_lambda and exact_bd_amplitude share one loop
+(_certified): decimal Newton steps on det(T - lam) from the lower end of the
+adjacent doubles around the eigenvalue that the double-precision count
+certifies (_double_start), or from the value of an earlier pass at fewer
+digits, each followed by a certificate pass once its width is small enough
+for the caller.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ from scipy.linalg.lapack import dgtsv
 
 from . import _lapack
 from .errors import InvalidParameter, NoConvergence
-from .generators import _real_array
+from .generators import _integer, _real_array
 
 _TINY = float(np.finfo(float).tiny)
 _LOG_TINY = math.log(_TINY)
@@ -664,6 +667,9 @@ def _green_solve(b, d):
 #: Newton steps from a relatively accurate start take a handful; from 0 (an
 #: eigenvalue below the double range) they climb monotonically to it
 _NEWTON_STEPS = 100
+#: after a Newton step of relative size s the certificate is tried at the
+#: relative width _NEWTON_MARGIN s^2: quadratic convergence, with room
+_NEWTON_MARGIN = 10 ** 4
 
 
 def oracle_context(dps: int) -> decimal.Context:
@@ -683,34 +689,39 @@ def _mp_rates(b, d):
             [*map(Decimal, np.asarray(d, dtype=float).tolist())])
 
 
-def _pivots(b, d, sigma):
-    """Pivots q_x of the LDL' factorization of (symmetrized -K) - sigma.
+def _top(b, d):
+    """b_n, the last up-rate where it kills (len(b) = len(d)), else 0."""
+    return b[len(d) - 1] if len(b) == len(d) else 0
 
-    Differential (stationary qd) form on the rates, over plain Python
-    numbers (lists of floats, or of Decimals in an oracle context):
 
-        t_1 = d_1 - sigma,  q_x = b_x + t_x,
-        t_{x+1} = d_{x+1} t_x / q_x - sigma,  q_n = t_n.
-
-    The only subtraction is the shift, so the pivots are exact for rates
-    perturbed by a few units in the last place each (Parlett & Dhillon
-    2000).  A zero pivot before the last raises a ZeroDivisionError
-    (decimal's DivisionByZero and DivisionUndefined are subclasses of it).
-    """
-    pivots = []
-    t = d[0] - sigma
-    for bx, dx in zip(b, d[1:]):
-        q = bx + t
-        pivots.append(q)
-        t = dx * t / q - sigma
-    pivots.append(t)
-    return pivots
+def _oracle_digits(dps) -> int:
+    """dps as the oracle's digits: InvalidParameter unless an integer from 1
+    to decimal.MAX_PREC, the most a decimal context takes."""
+    dps = _integer(dps, "dps", 1)
+    if dps > decimal.MAX_PREC:
+        raise InvalidParameter(f"dps must be at most {decimal.MAX_PREC}, got {dps}")
+    return dps
 
 
 def _count(b, d, sigma):
-    """Number of negative pivots at sigma: the eigenvalues of -K below it."""
+    """Number of eigenvalues of -K below sigma: the negative pivots q_x of
+    the LDL' factorization of (symmetrized -K) - sigma, in the differential
+    (stationary qd) form on the rates, over Decimals in an oracle context:
+
+        t_1 = d_1 - sigma,  q_x = b_x + t_x,
+        t_{x+1} = d_{x+1} t_x / q_x - sigma,  q_n = t_n + b_n,
+
+    with b_n = _top(b, d).  The only subtraction is the shift, so the pivots
+    are exact for rates perturbed by a few units in the last place each
+    (Parlett & Dhillon 2000).
+    """
     try:
-        return len([q for q in _pivots(b, d, sigma) if q < 0])
+        t, count = d[0] - sigma, 0
+        for bx, dx in zip(b, d[1:]):
+            q = bx + t
+            count += q < 0
+            t = dx * t / q - sigma
+        return count + (t + _top(b, d) < 0)
     except ZeroDivisionError:
         # sigma is an eigenvalue of a leading block: count just above it
         return _count(b, d, sigma.next_plus())
@@ -785,135 +796,150 @@ def bisected_lambda0(b, d) -> float:
     return lam
 
 
-def _newton_step(b, d, lam):
+def _newton_step(b, bd, d, lam):
     """Newton step -p/p' for p(lam) = det(T - lam) = prod_x q_x, in one pass.
 
-    Differentiating the pivot recursion in lam gives t'_1 = -1 and
-    t'_{x+1} = b_x d_{x+1} t'_x / q_x^2 - 1, and p'/p = sum_x t'_x / q_x.
-    One loop over the Decimal rates of mp_lambda carries t, t' and the sum,
-    with no list of pivots.  Returns None at an exact zero pivot, which
-    makes lam an eigenvalue at working precision.
+    Differentiating the recursion of _count in lam gives t'_1 = -1 and
+    t'_{x+1} = b_x d_{x+1} t'_x / q_x^2 - 1, and p'/p = sum_x t'_x / q_x.  One
+    loop carries t, t' and the sum, with one division per state (1/q_x); bd
+    holds the products b_x d_{x+1}, formed once per precision.  Returns None
+    at an exact zero pivot, which makes lam an eigenvalue at working
+    precision.
     """
     try:
         t, dt, log_deriv = d[0] - lam, -1, 0
-        for bx, dx in zip(b, d[1:]):
-            q = bx + t
-            log_deriv += dt / q
-            dt = bx * dx * dt / (q * q) - 1
-            t = dx * t / q - lam
-        return -1 / (log_deriv + dt / t)
+        for bx, bdx, dx in zip(b, bd, d[1:]):
+            r = 1 / (bx + t)
+            u = dt * r
+            log_deriv += u
+            dt = bdx * u * r - 1
+            t = dx * t * r - lam
+        return -1 / (log_deriv + dt / (t + _top(b, d)))
     except ZeroDivisionError:
         return None
 
 
-def mp_lambda(b, d, eig_index=0, dps=60, *, rates=None, start=None):
-    """Certified eigenvalue of -K with the given index, at dps decimal digits.
+def _bracket_pass(b, d, lo, hi):
+    """(count at lo, count at hi, R(lo)), in one bottom-up pass.
 
-    Three steps, the last two on the pivot recursion _pivots in decimal
-    arithmetic, whose certificate shares nothing with ground_pair, which is
-    what lets bounds.exact_bd_amplitude check it:
-      1. the lower end of adjacent doubles around the eigenvalue, certified
-         by the double-precision Sturm count (bisected_eigenvalues, about 60
-         counts), on the rates scaled by a power of two (_unit_arrays) and
-         scaled back exactly;
-      2. Newton steps on det(T - lam) in dps-digit decimal arithmetic from
-         that lower end, one pass over the chain each (_newton_step), until
-         a step falls below the relative width w = n 10^(5 - dps), stops
-         shrinking, or lands on an exact zero pivot.  Convergence is
-         quadratic, so after a step whose square is below w lam^2 the next
-         one would be below w lam: each such step tries the certificate of
-         step 3 and returns on success;
-      3. a certificate: the decimal counts at lam (1 - w) and lam (1 + w),
-         taken in one pass (_bracket_counts), must put the eigenvalue
-         between them.
-    The decimal pivots are exact for rates perturbed by a few units in the
-    last digit each, and such a perturbation moves every eigenvalue of a
-    birth-death chain relatively by at most about 2n times as much (-K is
-    similar to B B' with B bidiagonal in the square roots of the rates), so
-    w covers the rounding however far the eigenvalue sits below the rates.
-    rates, if given, is _mp_rates(b, d), converted once by a caller that
-    runs several passes (the conversion is exact, so it serves every dps).
-    start, if given, replaces step 1: a value of the same eigenvalue from
-    an earlier pass at fewer digits, which the Newton steps refine; the
-    certificate is the same.
-    Returns the eigenvalue as a Decimal of dps digits, relatively accurate
-    to w.  Raises InvalidParameter for an index outside 0..n-1 or a dps too
-    small to give w < 1, and NoConvergence when the certificate fails.
+    The twin of _count's recursion, run from state n down to state 1:
+
+        s_n = b_n - sigma,  p_x = d_x + s_x,  s_{x-1} = b_{x-1} s_x / p_x - sigma,
+
+    again subtracting only the shift.  It runs at lo and hi side by side and
+    counts the negative pivots of each.  p_2..p_n are the pivots of the minor
+    T~ without state 1, and at sigma = 0 every s_x is 0, so at a reflecting
+    top R = prod_{x>=2} p_x(lo) / d_x is det(T~ - lo) / det(T~).  Runs over
+    Decimals in an oracle context or over floats; a zero pivot raises a
+    ZeroDivisionError.
     """
-    n = len(d)
-    if not 0 <= eig_index < n:
-        raise InvalidParameter(f"eigenvalue index {eig_index} outside 0..{n - 1}")
+    top = _top(b, d)
+    s_lo, s_hi = top - lo, top - hi
+    below = above = 0
+    ratio = 1
+    for bx, dx in zip(reversed(b[:len(d) - 1]), reversed(d[1:])):
+        p_lo, p_hi = dx + s_lo, dx + s_hi
+        below += p_lo < 0
+        above += p_hi < 0
+        ratio *= p_lo / dx
+        s_lo, s_hi = bx * s_lo / p_lo - lo, bx * s_hi / p_hi - hi
+    return below + (d[0] + s_lo < 0), above + (d[0] + s_hi < 0), ratio
+
+
+def _double_start(b, d, eig_index):
+    """(lam, R), Decimals: lam the lower end of the adjacent doubles around
+    the eigenvalue that the double-precision count certifies
+    (bisected_eigenvalues on the rates scaled by 2^-k, scaled back exactly),
+    and R of _bracket_pass at it in double precision on the scaled rates,
+    or 0 where that R is not finite or meets a zero pivot."""
+    bu, du, k = _unit_arrays(b, d)
+    lam = float(bisected_eigenvalues(bu, du, eig_index, eig_index)[0])
+    try:
+        ratio = _bracket_pass(bu.tolist(), du.tolist(), lam, lam)[2]
+    except ZeroDivisionError:
+        ratio = 0.0
+    with decimal.localcontext(oracle_context(2000)):  # exact: at most 1520 digits
+        return Decimal(lam) * Decimal(2) ** k, Decimal(ratio) if math.isfinite(ratio) else 0
+
+
+def _certified(rates, lam, eig_index, dps, rtol=0, ratio=0):
+    """(lam, omega, R): the eigenvalue at dps digits from lam, certified in
+    [lam (1 - omega), lam (1 + omega)], and R of that certificate pass.
+
+    Newton steps (_newton_step); after a step of relative size s the width
+    is omega = max(_NEWTON_MARGIN s^2, w), w = n 10^(5 - dps) being what
+    rounding allows.  Once omega <= max(w, rtol R), R from the pass before
+    (at first the ratio given), a certificate pass (_bracket_pass) runs and
+    returns when its counts bracket the eigenvalue and omega <= max(w, rtol R)
+    for its own R.  The steps stop at an exact zero pivot, at a step that
+    does not shrink, or at one below w, and the last certificate must hold
+    then.  A zero pivot of the certificate takes the counts from _count and
+    R = 0.  Raises InvalidParameter for a dps too small to give w < 1 and
+    NoConvergence when the certificate fails.
+    """
+    bm, dm = rates
     with decimal.localcontext(oracle_context(dps)):
-        w = n * Decimal(10) ** (5 - dps)
+        w = len(dm) * Decimal(10) ** (5 - dps)
         if w >= 1:
-            raise InvalidParameter(f"dps = {dps} cannot resolve a chain of {n} states")
-        lam = start
-        if lam is None:
-            bu, du, k = _unit_arrays(b, d)
-            with decimal.localcontext(oracle_context(2000)):  # exact: at most 1520 digits
-                lam = Decimal(bisected_eigenvalues(bu, du, eig_index, eig_index)[0])
-                lam *= Decimal(2) ** k
-        bm, dm = _mp_rates(b, d) if rates is None else rates
-        last = Decimal("Infinity")
+            raise InvalidParameter(f"dps = {dps} cannot resolve a chain of {len(dm)} states")
+
+        def certificate():
+            lo, hi = lam * (1 - omega), lam * (1 + omega)
+            try:
+                return _bracket_pass(bm, dm, lo, hi)
+            except ZeroDivisionError:
+                return _count(bm, dm, lo), _count(bm, dm, hi), 0
+
+        bd = [bx * dx for bx, dx in zip(bm, dm[1:])]
+        last, omega, counts = Decimal("Infinity"), w, None
         for _ in range(_NEWTON_STEPS):
-            step = _newton_step(bm, dm, lam)
+            step = _newton_step(bm, bd, dm, lam)
             if step is None or abs(step) >= last:
                 break
             lam += step
             last = abs(step)
+            omega, counts = max(_NEWTON_MARGIN * (last / lam) ** 2, w), None
+            if omega <= max(w, rtol * ratio):
+                counts = certificate()
+                ratio = counts[2]
+                if counts[0] <= eig_index < counts[1] and omega <= max(w, rtol * ratio):
+                    return lam, omega, ratio
             if last <= w * lam:
                 break
-            if last * last <= w * lam * lam:
-                below, above = _bracket_counts(bm, dm, lam, w)
-                if below <= eig_index < above:
-                    return lam
-        below, above = _bracket_counts(bm, dm, lam, w)
-        if below > eig_index or above <= eig_index:
+        below, above, ratio = counts or certificate()
+        if not below <= eig_index < above:
             raise NoConvergence(
                 f"eigenvalue {eig_index} not certified at {lam:.20g}: "
-                f"Sturm counts {below} and {above} at relative width {w:.3g}"
+                f"Sturm counts {below} and {above} at relative width {omega:.3g}"
             )
-        return lam
+        return lam, omega, ratio
 
 
-def _bracket_counts(b, d, lam, w):
-    """The decimal counts at lam (1 - w) and lam (1 + w), in one pass.
+def mp_lambda(b, d, eig_index=0, dps=60):
+    """Certified eigenvalue of -K with the given index, at dps decimal digits.
 
-    Runs the recursion of _pivots at both shifts side by side and counts the
-    negative pivots of each, as _count does; at a zero pivot of either it
-    falls back to _count for each shift.
+    Its certificate shares nothing with ground_pair, which is what lets
+    bounds.exact_bd_amplitude check it.  The start is the lower end of the
+    adjacent doubles around the eigenvalue, bisected on the double-precision
+    Sturm count (about 60 counts) on the rates scaled by a power of two
+    (_double_start).  From there the loop _certified takes decimal Newton
+    steps and certifies with two decimal Sturm counts, in one bottom-up pass,
+    at lam (1 - w) and lam (1 + w), w = n 10^(5 - dps): tried once 10^4 times
+    a step's square is at most w lam^2, and after the last step.  The
+    decimal pivots are exact for rates perturbed by a few units in the last
+    digit each, and such a perturbation moves every eigenvalue of a
+    birth-death chain relatively by at most about 2n times as much (-K is
+    similar to B B' with B bidiagonal in the square roots of the rates), so
+    w covers the rounding however far the eigenvalue sits below the rates.
+    len(b) = len(d) when the last up-rate kills as well, as for a block
+    below a removed state.
+    Returns the eigenvalue as a Decimal of dps digits, relatively accurate
+    to w.  Raises InvalidParameter for an index outside 0..n-1 or a dps
+    outside 1..decimal.MAX_PREC or too small to give w < 1, and
+    NoConvergence when the certificate fails.
     """
-    lo, hi = lam * (1 - w), lam * (1 + w)
-    try:
-        t_lo, t_hi = d[0] - lo, d[0] - hi
-        below = above = 0
-        for bx, dx in zip(b, d[1:]):
-            q_lo, q_hi = bx + t_lo, bx + t_hi
-            below += q_lo < 0
-            above += q_hi < 0
-            t_lo, t_hi = dx * t_lo / q_lo - lo, dx * t_hi / q_hi - hi
-        return below + (t_lo < 0), above + (t_hi < 0)
-    except ZeroDivisionError:
-        return _count(b, d, lo), _count(b, d, hi)
-
-
-def mp_detratio_minor(b, d, lam_mp, dps=60, *, rates=None):
-    """prod_l (1 - lam/lam~_l) over the minor that removes state 1.
-
-    Computed as det(T~ - lam) / det(T~) in dps-digit decimal arithmetic, in
-    one pass at lam; O(n) and needs no individual eigenvalues.  The minor is
-    a birth-death chain on states 2..n killed only at state 2, and its
-    pivots at 0 satisfy q_1 ... q_{x-1} t_x = d_2 ... d_{x+1} (t_1 = d_2,
-    and each t_{x+1} = d t_x / q_x adds one factor), so det(T~) is
-    d_2 ... d_n exactly and the ratio is prod_x q~_x(lam) / prod_x d_{x+1}.
-    lam_mp is a Decimal (as mp_lambda returns) or a float; rates, if given,
-    is _mp_rates(b, d) of the whole chain, as mp_lambda takes it.  Returns
-    a Decimal.
-    """
-    with decimal.localcontext(oracle_context(dps)):
-        bm, dm = _mp_rates(b, d) if rates is None else rates
-        num = den = Decimal(1)
-        for q, dx in zip(_pivots(bm[1:], dm[1:], Decimal(lam_mp)), dm[1:]):
-            num *= q
-            den *= dx
-        return num / den
+    n = len(d)
+    dps = _oracle_digits(dps)
+    if not 0 <= eig_index < n:
+        raise InvalidParameter(f"eigenvalue index {eig_index} outside 0..{n - 1}")
+    return _certified(_mp_rates(b, d), _double_start(b, d, eig_index)[0], eig_index, dps)[0]

@@ -1,3 +1,4 @@
+import decimal
 import math
 import time
 from collections import deque
@@ -461,7 +462,9 @@ class TestExactBirthDeath:
         except NoConvergence:
             # only an amplitude a float cannot hold may go unresolved
             lam = tridiag.mp_lambda(b, d, 0, dps=2000)
-            assert tridiag.mp_detratio_minor(b, d, lam, dps=2000) < Decimal("1e-308")
+            with decimal.localcontext(tridiag.oracle_context(2000)):
+                ratio = tridiag._bracket_pass(*tridiag._mp_rates(b, d), lam, lam)[2]
+            assert ratio < Decimal("1e-308")
             return
         # 100 digits beyond the 60 + log10(amplitude) that the answer asks for
         assert exact_bd_amplitude(gen, dps=160 + math.ceil(math.log10(value))) == value
@@ -487,6 +490,86 @@ class TestExactBirthDeath:
             gen = build_birth_death(b, d)
             amp = amplitude(dirichlet_eigenpair(gen))
             assert exact_bd_amplitude(gen) == pytest.approx(amp, rel=1e-8, abs=0)
+
+
+#: float.hex of exact_bd_amplitude on the 50 criterion-05 chains and on the
+#: 100 chains of default_rng(11) (n from integers(2, 201), then
+#: b = exp(uniform(-2, 2, n - 1)), d = exp(uniform(-2, 2, n))), as the oracle
+#: returned them when it ran at 60 digits or more and certified lambda0 at
+#: the width n 10^(5 - dps); digits and width set by the float answer must
+#: leave every bit
+PINNED_CRITERION05 = (
+    '0x1.88a1708cd328cp+10', '0x1.892f62895e9cep+37', '0x1.cd78893b34d63p+23',
+    '0x1.4903db4b7016ap+21', '0x1.c1bc6ab933088p+11', '0x1.4ba353a5c566bp+8',
+    '0x1.2f38385982357p+0', '0x1.e60f4ad423d59p+4', '0x1.3fe40819a81bcp+3',
+    '0x1.aa124f67b5daep+31', '0x1.18ff67f1b2121p+7', '0x1.f184b2e87987dp+1',
+    '0x1.709cc640bb604p+15', '0x1.8c8adcc53fe3ep+38', '0x1.3bcd8869a0fe4p+6',
+    '0x1.b67e6cd6b337ap+6', '0x1.9d8444eff7571p+2', '0x1.b9704aff53a6ap+40',
+    '0x1.03882afc39031p+5', '0x1.174ccd7c0f0aep+0', '0x1.d5625346df127p+0',
+    '0x1.f95c0b6dca79cp+6', '0x1.37f9505de489bp+62', '0x1.022fb5b48d6e0p+18',
+    '0x1.315f9782cf3e5p+0', '0x1.6d35396610487p+1', '0x1.3249de09e806bp+4',
+    '0x1.07a6ec4d6e12dp+123', '0x1.13c5ded68fa3ep+5', '0x1.2d9dfebd3b1acp+21',
+    '0x1.1ed439353c8b6p+22', '0x1.6269ba13b858fp+14', '0x1.86542fc469239p+3',
+    '0x1.2dfae50fe978fp+31', '0x1.f596d3ca1fc4dp+16', '0x1.74617eeed1a43p+68',
+    '0x1.ad3655318f99dp+7', '0x1.1b64b1af6e875p+10', '0x1.d782fdc7e6f5bp+0',
+    '0x1.c99bb95c6634ap+1', '0x1.fb4053589b7e7p+8', '0x1.ab2f28c50a312p+11',
+    '0x1.571a65675637bp+5', '0x1.7d8e71421dbfcp+6', '0x1.5946c6bc58685p+9',
+    '0x1.e40a843cce56cp+11', '0x1.d3297a14858e9p+19', '0x1.1cb1b7d4f3263p+9',
+    '0x1.e12c2f9d0ddbdp+17', '0x1.cac01401295d8p+7',
+)
+PINNED_RNG11 = (
+    '0x1.7bbba1b366b96p+5', '0x1.1fa6f807b202cp+11', '0x1.4d7c988f291d5p+17',
+    '0x1.17cec41021da8p+4', '0x1.19abc9c82919ap+14', '0x1.ec30b0e3f3a83p+29',
+    '0x1.2d1fee29fe51fp+2', '0x1.36e90af48158cp+2', '0x1.2009b7ee73a3fp+32',
+    '0x1.20a9054ebb411p+7', '0x1.a34ffe371c962p+12', '0x1.32b36e106ebfbp+6',
+    '0x1.c9ca086b02cfep+1', '0x1.a6a95260e2028p+7', '0x1.6b85f37c81b7dp+1',
+    '0x1.c5161fef94be5p+21', '0x1.b76afd4dba5dcp+10', '0x1.493dacc63daa4p+9',
+    '0x1.9cb6c59fa570cp+9', '0x1.f393a61f51adfp+22', '0x1.104d114d537b7p+24',
+    '0x1.3044b2e54c541p+44', '0x1.04e2897a7e64fp+30', '0x1.041f459f6d2eap+38',
+    '0x1.3cd875e9130ecp+24', '0x1.8b52472e7184ap+17', '0x1.6850fda70d5a4p+9',
+    '0x1.c8cc434fd41adp+3', '0x1.1dad83c3a5100p+16', '0x1.7ac1b30b3e388p+7',
+    '0x1.a3f17bea69bafp+18', '0x1.2917d1df3baefp+1', '0x1.17e1b3f836b69p+51',
+    '0x1.7fa8ff5c47a12p+78', '0x1.249311ed2835ep+9', '0x1.834b2dbf0687cp+1',
+    '0x1.e01fe3b14a36ep+16', '0x1.4382a823368aap+10', '0x1.366b4e87e790ep+30',
+    '0x1.4ce1957dc1d92p+4', '0x1.393d5d1a8637fp+5', '0x1.41d91dcb76b5ep+20',
+    '0x1.0adf886eb6a6cp+10', '0x1.76d939eec6764p+15', '0x1.2251c378aa25bp+4',
+    '0x1.50c58dae0480dp+49', '0x1.029c254b59226p+33', '0x1.1e4143f86cef4p+15',
+    '0x1.ffa7e8ec1993ap+25', '0x1.e7284af23b395p+6', '0x1.08d02db9c0623p+64',
+    '0x1.b57cf29551116p+1', '0x1.93eb32cdb9acbp+27', '0x1.d22fc22960688p+12',
+    '0x1.ab80a3f2edb82p+34', '0x1.b5e14d7f3bf57p+3', '0x1.72b1ed264bf70p+14',
+    '0x1.003d889105ef7p+17', '0x1.c3aaf18086a9ep+8', '0x1.06465a09a3d56p+21',
+    '0x1.04608bc08b6cfp+22', '0x1.5025376c454dfp+10', '0x1.a0a0fd0a72f93p+27',
+    '0x1.1af709431a46fp+1', '0x1.40866463589b8p+26', '0x1.944b8eddbc4d0p+39',
+    '0x1.9f7d28ea9cad0p+5', '0x1.4f7d4e4baa2e4p+11', '0x1.faefbd6b29822p+17',
+    '0x1.bb4703efe9709p+4', '0x1.5dc4c1d9e362bp+32', '0x1.35194fbcd8362p+20',
+    '0x1.8ac2bcd64d414p+16', '0x1.c51cfa6fc06d1p+0', '0x1.6eb76b31d94edp+13',
+    '0x1.0e88b4392afcbp+3', '0x1.a889c793c963ap+13', '0x1.18f519f429b99p+7',
+    '0x1.28b8f2262c5f1p+44', '0x1.0bfcd4371e3a6p+7', '0x1.08d105f84e3dbp+4',
+    '0x1.25b9657bf0999p+35', '0x1.120469f258922p+26', '0x1.6bd554b4a7fcbp+44',
+    '0x1.133500cb64815p+49', '0x1.0c6e438b0028fp+18', '0x1.0767a2ce39da8p+6',
+    '0x1.68dc5dd1abd1fp+10', '0x1.f0d59c64bd97cp+2', '0x1.29944cf48bd77p+30',
+    '0x1.487e524874effp+23', '0x1.799618c3a8684p+3', '0x1.3886c7fcae4f9p+2',
+    '0x1.d22a38a1c12c9p+3', '0x1.a9fbc1d671636p+15', '0x1.a647d3fdbfa79p+2',
+    '0x1.38f0ef0563a82p+0', '0x1.41c6eb921cdd1p+2', '0x1.b187238af8d21p+8',
+    '0x1.6a95135402780p+1',
+)
+
+
+def pinned_chains():
+    rng = np.random.default_rng(20240817)
+    for _ in range(50):
+        n = int(rng.integers(2, 201))
+        yield np.exp(rng.uniform(np.log(0.1), np.log(10), n - 1)), \
+            np.exp(rng.uniform(np.log(0.1), np.log(10), n))
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n = int(rng.integers(2, 201))
+        yield np.exp(rng.uniform(-2, 2, n - 1)), np.exp(rng.uniform(-2, 2, n))
+
+
+def test_pinned_amplitudes_keep_their_bits():
+    got = [float.hex(exact_bd_amplitude(build_birth_death(b, d))) for b, d in pinned_chains()]
+    assert got == [*PINNED_CRITERION05, *PINNED_RNG11]
 
 
 def _report(eigenvalues, measure, lambda0_prime=2.0):
@@ -521,6 +604,14 @@ def test_spectral_bound_above_the_double_range_is_inf():
      "^dps must be at least 1, got -5$"),
     (lambda: exact_bd_amplitude(build_rho_chain(3, 1.0), dps=1.5), InvalidParameter,
      r"^dps 1\.5 is not an integer$"),
+    # past decimal.MAX_PREC: a raw ValueError from the context, and at 10**19 an
+    # OverflowError
+    (lambda: exact_bd_amplitude(build_rho_chain(3, 1.0), dps=10**18), InvalidParameter,
+     "^dps must be at most 999999999999999999, got 1000000000000000000$"),
+    (lambda: exact_bd_amplitude(build_rho_chain(3, 1.0), dps=10**19), InvalidParameter,
+     "^dps must be at most 999999999999999999, got 10000000000000000000$"),
+    (lambda: tridiag.mp_lambda(np.ones(2), np.ones(3), dps=10**19), InvalidParameter,
+     "^dps must be at most 999999999999999999, got 10000000000000000000$"),
     (lambda: graph_bound(2, 1.5, 1.0, 1.0), InvalidParameter, r"^diameter 1\.5 is not an integer$"),
     (lambda: graph_bound(math.nan, 2, 1.0, 1.0), InvalidParameter, "^d nan is not a finite number$"),
     (lambda: graph_bound(2, 2, "1", 1.0), InvalidParameter, "^r '1' is not a finite number$"),
@@ -544,7 +635,8 @@ def test_spectral_bound_above_the_double_range_is_inf():
 ], ids=["unknown-paths", "no-reversible-measure", "higher-eigenvalue-at-lambda0",
         "spectral-bound-of-none", "path-bound-nan-lambda0", "geodesic-bound-inf-lambda0",
         "path-weight-nan-lambda0", "path-weight-string-lambda0", "oracle-dps-zero",
-        "oracle-dps-negative", "oracle-dps-float", "graph-bound-float-diameter",
+        "oracle-dps-negative", "oracle-dps-float", "oracle-dps-past-max-prec",
+        "oracle-dps-past-int64", "mp-lambda-dps-past-int64", "graph-bound-float-diameter",
         "graph-bound-nan-degree", "graph-bound-string-r", "graph-bound-inf-big-r",
         "spectral-bound-string-eigenvalues", "path-weight-integer-path",
         "rough-weight-integer-path", "spectral-bound-no-eigenvalues",

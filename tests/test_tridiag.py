@@ -32,6 +32,7 @@ from qsamp import (
 )
 from qsamp import tridiag
 from qsamp.bd_infinite import RateFamily, _log_suffix_excl
+from qsamp.spectral import _bd_minor_lambda0
 from conftest import (
     cold_higher_eigenvalues, count_bisections, lapack_eigenvalues, log_accelerated_family,
     pivot_digits_lost, random_birth_death, sym_tridiag,
@@ -759,8 +760,29 @@ def test_bisected_start_is_relatively_accurate(chains):
         assert abs(lo - ref) <= len(d) * np.finfo(float).eps * ref
 
 
+def test_a_killing_top_joins_the_last_pivot():
+    # b_3 kills as well; the oracle once read the top as reflecting and
+    # certified 0.14896567642740546
+    b, d = np.array([1.0, 2.0, 0.5]), np.array([1.0, 1.5, 0.7])
+    ref = eigvalsh_tridiagonal(d + b, -np.sqrt(b[:-1] * d[1:]))[0]
+    assert ref == pytest.approx(0.5, rel=1e-14)
+    assert float(tridiag.mp_lambda(b, d)) == pytest.approx(ref, rel=1e-12, abs=0)
+    assert tridiag.bisected_lambda0(b, d) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("x", [2, 3, 72, 142, 143])
+def test_minor_blocks_match_the_oracle(x):
+    # the block 1..x-1 below state x is killed at both ends, by d_1 and by
+    # b_{x-1}; the block above it only from its first state
+    b, d = criterion05_chain(0)
+    lower = float(tridiag.mp_lambda(b[:x - 1], d[:x - 1]))
+    assert tridiag.bisected_lambda0(b[:x - 1], d[:x - 1]) == pytest.approx(lower, rel=1e-12, abs=0)
+    upper = float(tridiag.mp_lambda(b[x:], d[x:])) if x < len(d) else math.inf
+    assert _bd_minor_lambda0(b, d, x) == pytest.approx(min(lower, upper), rel=1e-12, abs=0)
+
+
 def test_stalled_newton_is_not_certified(monkeypatch):
-    monkeypatch.setattr(tridiag, "_newton_step", lambda main, off2, lam: 0 * lam)
+    monkeypatch.setattr(tridiag, "_newton_step", lambda b, bd, d, lam: 0 * lam)
     b, d = criterion05_chain(0)
     with pytest.raises(NoConvergence):
         tridiag.mp_lambda(b, d, 0, dps=oracle_dps(b, d))
@@ -818,14 +840,27 @@ def mpmath_minor_pivots(b, d, shift):
 
 
 def mpmath_detratio_minor(b, d, lam, dps):
-    """mpmath reference for tridiag.mp_detratio_minor: the same LDL' pivot
-    recursion of the state-1 minor at lam and at 0, in binary arithmetic."""
+    """mpmath reference for the determinant ratio of tridiag._bracket_pass:
+    the standard LDL' pivot recursion of the state-1 minor at lam and at 0,
+    in binary arithmetic."""
     with mp.workdps(dps):
         ratio = mp.mpf(1)
         pivots = zip(mpmath_minor_pivots(b, d, mp.mpf(str(lam))), mpmath_minor_pivots(b, d, mp.mpf(0)))
         for qa, qb in pivots:
             ratio *= qa / qb
         return ratio
+
+
+def lambda0_pass(b, d, dps, hi_frac=0.0):
+    """(lo, hi, the bracket pass at dps digits): lo just below the oracle's
+    lambda0, hi a share hi_frac of the way from just above it to past the
+    spectrum."""
+    lam = tridiag.mp_lambda(b, d, 0, dps=dps)
+    with decimal.localcontext(tridiag.oracle_context(dps)):
+        bm, dm = tridiag._mp_rates(b, d)
+        lo, hi = lam * (1 - Decimal("1e-30")), lam * (1 + Decimal("1e-30"))
+        hi += Decimal(hi_frac) * 4 * max(dm + bm)
+        return lo, hi, tridiag._bracket_pass(bm, dm, lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -839,30 +874,36 @@ def test_decimal_detratio_matches_mpmath(rates):
     # 20 more digits put that well below the 1e-40 asked for
     b, d = rates
     dps = oracle_dps(b, d) + 20
-    lam = tridiag.mp_lambda(b, d, 0, dps=dps)
-    ours = tridiag.mp_detratio_minor(b, d, lam, dps=dps)
-    ref = mpmath_detratio_minor(b, d, lam, dps)
+    lo, _, (_, _, ours) = lambda0_pass(b, d, dps)
+    ref = mpmath_detratio_minor(b, d, lo, dps)
     with mp.workdps(dps):
         assert abs(mp.mpf(str(ours)) - ref) <= mp.mpf(10) ** -40 * abs(ref)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(birth_death_rates(n_max=200, spread=1e3))
-def test_one_pass_detratio_matches_the_two_pass_reference(rates):
-    # mp_detratio_minor takes det(T~) = d_2 ... d_n: the minor is killed only
-    # at its first state, so its pivots at 0 multiply to its death rates.
-    # The ratio's condition number is the amplitude, so the digits grow by
-    # the amplitude's as in exact_bd_amplitude
+@given(birth_death_rates(n_max=200, spread=1e3), st.floats(0, 1), st.booleans())
+def test_one_pass_detratio_matches_the_two_pass_reference(rates, hi_frac, killed_top):
+    # the bottom-up pass counts as the top-down _count does, at lo just below
+    # lambda0 and at hi anywhere above it, also where the last up-rate kills.
+    # Its ratio takes det(T~) = d_2 ... d_n: at a reflecting top the minor
+    # is killed only at its first state, so its pivots at 0 multiply to its
+    # death rates.  The ratio's condition number is the amplitude, so the
+    # digits grow by the amplitude's as in exact_bd_amplitude
     b, d = rates
-    assume(len(d) > 1)
-    dps = oracle_dps(b, d) + 20
-    lam = tridiag.mp_lambda(b, d, 0, dps=dps)
-    ours = tridiag.mp_detratio_minor(b, d, lam, dps=dps)
+    if killed_top:
+        b = np.append(b, d[-1])
+    dps = oracle_dps(b[:len(d) - 1], d) + 20
+    lo, hi, (below, above, ours) = lambda0_pass(b, d, dps, hi_frac)
+    with decimal.localcontext(tridiag.oracle_context(dps)):
+        bm, dm = tridiag._mp_rates(b, d)
+        assert (below, above) == (tridiag._count(bm, dm, lo), tridiag._count(bm, dm, hi))
+    assert below == 0 < above
+    if killed_top or len(d) == 1:
+        return
     if ours.adjusted() < 0:
         dps -= ours.adjusted()
-        lam = tridiag.mp_lambda(b, d, 0, dps=dps)
-        ours = tridiag.mp_detratio_minor(b, d, lam, dps=dps)
-    ref = mpmath_detratio_minor(b, d, lam, dps)
+        lo, _, (_, _, ours) = lambda0_pass(b, d, dps)
+    ref = mpmath_detratio_minor(b, d, lo, dps)
     with mp.workdps(dps):
         assert abs(mp.mpf(str(ours)) - ref) <= mp.mpf(10) ** -40 * abs(ref)
         at_zero = mp.fprod(mpmath_minor_pivots(b, d, mp.mpf(0)))
@@ -872,8 +913,9 @@ def test_one_pass_detratio_matches_the_two_pass_reference(rates):
 
 def oracle_passes(monkeypatch):
     """Spy on the oracle's passes: a list that gets ("_mp_rates",) and
-    ("bisected_eigenvalues",) for each call, and (name, digits) for each decimal
-    Newton step, certificate, pivot and count pass."""
+    ("bisected_eigenvalues",) for each call, (name, digits) for each decimal
+    Newton step, certificate and count pass, and (name, "float") for each
+    such pass in double precision."""
     calls = []
 
     def spy(name, shift_arg=None):
@@ -884,35 +926,40 @@ def oracle_passes(monkeypatch):
                 calls.append((name,))
             elif isinstance(args[shift_arg], Decimal):
                 calls.append((name, decimal.getcontext().prec))
+            else:
+                calls.append((name, "float"))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(tridiag, name, wrapper)
 
     spy("_mp_rates")
     spy("bisected_eigenvalues")
-    for name in ("_newton_step", "_bracket_counts", "_pivots", "_count"):
+    spy("_newton_step", 3)
+    for name in ("_bracket_pass", "_count"):
         spy(name, 2)
     return calls
 
 
 def test_oracle_runs_one_pass_per_step(monkeypatch):
-    # chain 0's amplitude needs no more than the first 60 digits: from the
-    # double start, two Newton steps reach the certificate, and the ratio is
-    # one pivot pass at lambda0
+    # chain 0's amplitude (1.6e3) needs no more than 38 digits, which the
+    # float ratio at the double start tells: from that start one Newton step
+    # makes the width small enough, and one bottom-up pass certifies lambda0
+    # and forms the ratio
     calls = oracle_passes(monkeypatch)
     exact_bd_amplitude(build_birth_death(*criterion05_chain(0)))
     assert Counter(calls) == {("_mp_rates",): 1, ("bisected_eigenvalues",): 1,
-                              ("_newton_step", 60): 2,
-                              ("_bracket_counts", 60): 1, ("_pivots", 60): 1}
+                              ("_bracket_pass", "float"): 1,
+                              ("_newton_step", 38): 1, ("_bracket_pass", 38): 1}
 
 
 def test_oracle_escalation_restarts_from_lambda(monkeypatch):
-    # chain 27 (amplitude 1.1e37) repeats at 98 digits: its Newton steps
-    # start from the 60-digit lambda0, so one step reaches the certificate
-    # and the double start and the rate conversion run once
+    # chain 27 (amplitude 1.1e37) starts at 60 digits and repeats at 98: its
+    # Newton steps there start from the 60-digit lambda0, so one step reaches
+    # the certificate, and the double start and the rate conversion run once
     calls = oracle_passes(monkeypatch)
     exact_bd_amplitude(build_birth_death(*criterion05_chain(27)))
     count = Counter(calls)
-    assert max(call[-1] for call in calls if len(call) == 2) == 98
+    assert sorted({call[-1] for call in calls if len(call) == 2} - {"float"}) == [60, 98]
     assert count[("_mp_rates",)] == count[("bisected_eigenvalues",)] == 1
-    assert count[("_newton_step", 98)] == count[("_bracket_counts", 98)] == count[("_pivots", 98)] == 1
+    assert count[("_newton_step", 98)] == count[("_bracket_pass", 98)] == 1
+    assert not any(call[0] == "_count" for call in calls)
