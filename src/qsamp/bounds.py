@@ -14,13 +14,14 @@ Four routes are provided:
 
 Path selection maximizes P per (y, x) pair, a shortest-path search on
 edge costs -log(factor).  Costs within 1e-14 (1 + max |cost|) of each other
-tie, and ties prefer fewer edges, then the smaller predecessor state.  At
-or below the Dirichlet eigenvalue, cycle products never exceed one (each
-factor is at most the corresponding eigenvector ratio), so a negative cycle
-means the caller's lambda0 is above it, and raises InvalidParameter.
-Costs can be negative, so the search follows Johnson (JACM 1977):
-Bellman-Ford distances from one exit state are a potential, and one
-Dijkstra call on the reduced costs searches from every exit state.
+tie, and ties prefer fewer edges, then the smaller predecessor state.
+Where a cost is negative, the search follows Johnson (JACM 1977) with
+log phi as its potential: at or below the Dirichlet eigenvalue,
+rate(u, v) phi(v) <= (exit-rate(u) - lambda0) phi(u), so the reduced costs
+c + log phi(u) - log phi(v) are nonnegative, and one Dijkstra call on them
+searches from every exit state.  phi is the pair the generator keeps
+(AbsorbingGenerator._ground); a lambda0 above its certified bracket raises
+InvalidParameter, and chains whose costs are all nonnegative never solve it.
 Fewest-edge (geodesic) paths come instead from a breadth-first search,
 whose predecessor of each state is the first in queue order to reach it.
 Either way the result is one predecessor array per exit state; each
@@ -62,7 +63,6 @@ from .generators import AbsorbingGenerator, Path, _finite_real, _generator, _int
 from .spectral import SpectrumReport, _sum_to_root, dirichlet_eigenpair
 
 SINGULAR_RTOL = 1e-14
-CYCLE_EPS = 1e-9
 #: digits of exact_bd_amplitude's last pass: a float amplitude has at most
 #: 309 digits, and the determinant ratio needs 60 more than the amplitude
 _MAX_ORACLE_DPS = 309 + 60
@@ -203,44 +203,15 @@ def rough_weight(gen: AbsorbingGenerator, path) -> float:
     return math.prod((exit_rates[u - 1] / gen.rate(u, v) for u, v in edges), start=1.0)
 
 
-def _bellman_ford(n, rows, cols, costs, src, scale):
-    """Shortest-walk distances from src over the edges (rows, cols) with
-    these costs, or None where a negative cycle is reachable.  A distance
-    falls only by more than 1e-14 scale; a round that lowers none ends the
-    search, and after n - 1 rounds one lowered by CYCLE_EPS scale marks a
-    negative cycle.
-
-    scipy's own routes fail on exactly these costs: csgraph.johnson did not
-    return on a two-state chain whose cycle product is 1 at lambda0, and
-    csgraph.bellman_ford, with no tolerance in its negative-cycle test,
-    raises at a chain's own lambda0.
-    """
-    dist = [math.inf] * n
-    dist[src] = 0.0
-    eps = 1e-14 * scale
-    edges = list(zip(rows.tolist(), cols.tolist(), costs.tolist()))
-    for _ in range(max(n - 1, 1)):
-        changed = False
-        for u, v, c in edges:
-            cand = dist[u] + c
-            if cand < dist[v] - eps:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            return np.array(dist)
-    if any(dist[u] + c < dist[v] - CYCLE_EPS * scale for u, v, c in edges):
-        return None
-    return np.array(dist)
-
-
 def _best_parents(gen: AbsorbingGenerator, denom, exits, lambda0) -> np.ndarray:
     """Predecessors of the paths maximizing P, flat over the (exit, state)
     pairs as in PathCertificates.
 
-    Costs are -log(factor).  Where one is negative, the Bellman-Ford
-    distances h from the first exit state are a potential, and the reduced
-    costs max(c + h(u) - h(v), 0) are nonnegative; one Dijkstra call then
-    searches from every exit state.  An edge is tight when
+    Costs are -log(factor).  Where one is negative, h = log phi of the
+    generator's ground pair is a potential, and the reduced costs
+    max(c + h(u) - h(v), 0) are nonnegative; one Dijkstra call then searches
+    from every exit state.  There a lambda0 more than 4 ulps above the
+    pair's bracket raises InvalidParameter.  An edge is tight when
     d(u) + c(u, v) <= d(v) + 1e-14 (1 + max |c|); a state's predecessor is
     the smallest tight u whose fewest-tight-edge depth is one less than its
     own.  Only where some state has two tight edges in are those depths
@@ -252,12 +223,11 @@ def _best_parents(gen: AbsorbingGenerator, denom, exits, lambda0) -> np.ndarray:
     costs = -(np.log(vals) - np.log(denom[rows]))
     scale = 1.0 + float(np.abs(costs).max()) if len(costs) else 1.0
     if len(costs) and costs.min() < 0:
-        h = _bellman_ford(n, rows, cols, costs, exits[0], scale)
-        if h is None:
-            raise InvalidParameter(
-                f"lambda0 = {float(lambda0)!r} is above the Dirichlet eigenvalue: "
-                "a cycle of path factors has product above one"
-            )
+        hi = gen._ground.bracket[1]
+        if lambda0 > hi * (1 + tridiag._FOUR_EPS):
+            raise InvalidParameter(f"lambda0 = {float(lambda0)!r} is above the Dirichlet "
+                                   f"eigenvalue, which is at most {hi!r}")
+        h = np.log(gen._ground.phi)
         costs = np.maximum(costs + h[rows] - h[cols], 0.0)
     csr = gen._csr
     dist = dijkstra(csr_matrix((costs, csr.indices, csr.indptr), shape=(n, n)), indices=exits)
@@ -284,8 +254,10 @@ def path_bound(gen: AbsorbingGenerator, lambda0: float | None = None,
     paths="best" maximizes P(gamma) per pair; paths="geodesic" uses
     fewest-edge paths instead, which reproduces the degree-diameter bound on
     unit-rate walks.  The report carries every chosen path, the bound
-    (min P)^-1 and the rough bound max Q over the same paths.  A lambda0
-    that the best-path search finds above the Dirichlet eigenvalue raises
+    (min P)^-1 and the rough bound max Q over the same paths.  Where some
+    edge cost of the best-path search is negative, the search reads the
+    generator's ground pair (which raises that pair's QsampError if it cannot
+    be solved), and a lambda0 above the pair's bracket raises
     InvalidParameter.  The bound is math.inf where min P underflows: it then
     exceeds the largest double, which it still bounds.
 

@@ -138,6 +138,14 @@ class AbsorbingGenerator:
         return reverse_cuthill_mckee(pattern, symmetric_mode=True)
 
     @cached_property
+    def _ground(self):
+        """The ground pair of -K (spectral.GroundPair), solved on first use
+        and kept for every reader of lambda0, phi or the QSD; ==, hash, repr
+        and JSON never read it."""
+        from .spectral import _solve_ground  # spectral imports this module
+        return _solve_ground(self)
+
+    @cached_property
     def absorbing_set(self) -> tuple:
         """States with a positive absorption rate (1-based, sorted)."""
         return tuple(state for state, _ in self.absorption)

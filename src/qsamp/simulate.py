@@ -341,7 +341,7 @@ def doob_stationary(gen: AbsorbingGenerator, eigenpair: DirichletEigenpair) -> n
     """Stationary law of the Doob transform: nu * phi normalized."""
     _check_pair(gen, eigenpair)
     phi = eigenpair.phi
-    out = _qsd(gen, phi) * phi
+    out = _qsd(gen) * phi
     return out / out.sum()
 
 
@@ -433,7 +433,7 @@ def sandwich_experiment(gen: AbsorbingGenerator, mu0, times,
     times = _real_array(times, "times must be a vector of finite numbers", (None,))
     phi = eigenpair.phi
     k = gen.k_matrix()
-    nu = _qsd(gen, phi)
+    nu = _qsd(gen)
     # doob_stationary's law, from the nu in hand
     eta_tilde = nu * phi
     eta_tilde /= eta_tilde.sum()

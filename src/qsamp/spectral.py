@@ -19,9 +19,10 @@ and the exit rates (_band); no Perron route forms a dense -K.  A shift is
 taken off the band's diagonal row.  The band is narrow on grid walks,
 conductance graphs and cycles with chords; on a complete graph it is
 full, where the pair costs about twice what a dense LU would, and the order
-as much again.  A birth-death chain's QSD is pi * phi; every other
-chain's, reversible or not, comes from the same steps on the transposed
-solve, on the pair's own factorization when one is in hand.
+as much again.  Each generator keeps its ground pair once solved
+(AbsorbingGenerator._ground, a GroundPair).  A birth-death chain's QSD is
+pi * phi; every other chain's, reversible or not, comes from the same steps
+on the transposed solve, on the kept pair's factor (_qsd, its one route).
 Only full_spectrum tests reversibility (reversible_measure).  Full spectra
 are for reversible chains only, as the paper's spectral route is: a
 birth-death chain's comes from its rates by dqds (tridiag.spectrum), with
@@ -98,19 +99,21 @@ def reversible_measure(gen: AbsorbingGenerator):
 
 def _csr_measure(rates: csr_matrix):
     """reversible_measure on positive off-diagonal rates in canonical CSR
-    form (sorted, summed) whose support is connected, as an irreducible
-    chain's is."""
+    form (sorted, summed) whose support is strongly connected, as an
+    irreducible chain's is."""
     n = rates.shape[0]
     rows, cols, keys, rev, two_way = _reverse_edges(rates)
 
-    # one-way edges break reversibility outright
+    # one-way edges break reversibility outright; the support is strongly
+    # connected, so a breadth-first path j -> i closes the cycle
     if not two_way.all():
         e = int(np.argmin(two_way))
         i, j = int(rows[e]), int(cols[e])
-        path = _directed_path(rates, j, i)
-        if path is None:
-            return None, [i + 1, j + 1]
-        return None, [i + 1, j + 1] + [v + 1 for v in path[1:]]
+        _, pred = breadth_first_order(rates, j, directed=True, return_predecessors=True)
+        back = [i]
+        while back[-1] != j:
+            back.append(int(pred[back[-1]]))
+        return None, [i + 1] + [v + 1 for v in back[::-1]]
 
     # log r_uv - log r_vu on every edge (u, v)
     log_rate = np.log(rates.data)
@@ -167,17 +170,6 @@ def _sum_to_root(parent: np.ndarray, step: np.ndarray) -> np.ndarray:
     if not root[anc].all():
         raise NoConvergence("predecessor pointers form a loop that reaches no root")
     return acc
-
-
-def _directed_path(rates: csr_matrix, src, dst):
-    """Directed positive-rate path src -> dst (0-based), or None."""
-    _, pred = breadth_first_order(rates, src, directed=True, return_predecessors=True)
-    if dst != src and pred[dst] < 0:
-        return None
-    path = [dst]
-    while path[-1] != src:
-        path.append(int(pred[path[-1]]))
-    return path[::-1]
 
 
 def _bd_eta(b, d) -> np.ndarray:
@@ -265,10 +257,11 @@ def _band(gen: AbsorbingGenerator, states: np.ndarray):
 
 
 def _perron_pair(band, trans: int = 0, start=None):
-    """(lambda0, f, factor) of a = -K, K an irreducible killed generator
-    whose transpose is given as a band (_band), by tridiag.perron_steps on
-    (a - s I)^-1 from the ones vector ((a - s I)^-T with trans=1, for the
-    left vector); f is the last step scaled to max 1, in the band's order.
+    """(lambda0, f, (lo, hi), factor) of a = -K, K an irreducible killed
+    generator whose transpose is given as a band (_band), by
+    tridiag.perron_steps on (a - s I)^-1 from the ones vector ((a - s I)^-T
+    with trans=1, for the left vector); f is the last step scaled to max 1,
+    in the band's order, and (lo, hi) the certified lambda0 bracket.
 
     (a - s I)^T gets LAPACK's banded LU (dgbtrf), and each step one banded
     solve (dgbtrs), at O(n b^2) and O(n b) for a band of width b where a
@@ -312,25 +305,50 @@ def _perron_pair(band, trans: int = 0, start=None):
         factor = factored(2 * lo - hi)
         return solve, factor[1], g
 
-    lam0, f, _ = tridiag.perron_steps(solve, np.ones(ab.shape[1]), reshift, factor[1])
-    return lam0, f / f.max(), factor
+    lam0, f, bracket = tridiag.perron_steps(solve, np.ones(ab.shape[1]), reshift, factor[1])
+    return lam0, f / f.max(), bracket, factor
 
 
 def _ground_vector(gen: AbsorbingGenerator, trans: int = 0, start=None):
-    """(lambda0, v, factor) of a chain that is not birth-death by
+    """(lambda0, v, (lo, hi), factor) of a chain that is not birth-death by
     _perron_pair on its band in gen._band_order: v is the right ground
     vector, or the left one with trans=1, in state order."""
     order = gen._band_order
-    lam0, f, factor = _perron_pair(_band(gen, order), trans, start)
+    lam0, f, bracket, factor = _perron_pair(_band(gen, order), trans, start)
     v = np.empty_like(f)
     v[order] = f
-    return lam0, v, factor
+    return lam0, v, bracket, factor
+
+
+@dataclass(frozen=True, eq=False)
+class GroundPair:
+    """The ground pair a generator keeps (AbsorbingGenerator._ground): the raw,
+    read-only phi (phi(1) = 1 for a birth-death chain, else max phi = 1), the
+    certified bracket (lo, hi) and, off birth-death, the last LU factor."""
+
+    lambda0: float
+    phi: np.ndarray
+    bracket: tuple
+    factor: tuple | None
+
+
+def _solve_ground(gen: AbsorbingGenerator) -> GroundPair:
+    """gen's ground pair, from tridiag.ground_pair for a birth-death chain
+    and from _ground_vector for any other."""
+    if gen.is_birth_death:
+        pair = GroundPair(*tridiag.ground_pair(*gen.birth_death_rates()), None)
+    else:
+        pair = GroundPair(*_ground_vector(gen))
+    pair.phi.setflags(write=False)
+    return pair
 
 
 def dirichlet_eigenpair(gen: AbsorbingGenerator, normalization: str = "first") -> DirichletEigenpair:
     """First Dirichlet eigenpair (lambda0, phi) of the killed generator.
 
-    phi is strictly positive and normalized per `normalization`:
+    The pair is the one gen keeps (AbsorbingGenerator._ground), solved on
+    the first call; phi is a copy of it, strictly positive and normalized
+    per `normalization`:
     "first" sets phi(1) = 1, "max" sets max phi = 1, and "qsd" scales so the
     quasi-stationary expectation of phi equals 1.  The residual is
     max |K phi + lambda0 phi| with phi(1) = 1, whatever the normalization,
@@ -341,12 +359,8 @@ def dirichlet_eigenpair(gen: AbsorbingGenerator, normalization: str = "first") -
     if normalization not in NORMALIZATIONS:
         raise InvalidParameter(f"normalization must be one of {NORMALIZATIONS}")
     _generator(gen, "dirichlet_eigenpair")
-    factor = None
-    if gen.is_birth_death:
-        lam0, phi, _ = tridiag.ground_pair(*gen.birth_death_rates())
-    else:
-        lam0, phi, factor = _ground_vector(gen)
-    phi = phi / phi[0]
+    pair = gen._ground
+    lam0, phi = pair.lambda0, pair.phi / pair.phi[0]
     # scaled by 2^-e, no term overflows, and the scaling back is exact
     e = tridiag.unit_exponent(phi) + tridiag.unit_exponent(gen.diagonal)
     unit = np.ldexp(phi, -e)
@@ -354,30 +368,31 @@ def dirichlet_eigenpair(gen: AbsorbingGenerator, normalization: str = "first") -
     if normalization == "max":
         phi = phi / phi.max()
     elif normalization == "qsd":
-        phi = phi / float(_qsd(gen, phi, factor) @ phi)
+        phi = phi / float(_qsd(gen) @ phi)
     return DirichletEigenpair(lam0, phi, normalization, res)
 
 
 def quasi_stationary_dist(gen: AbsorbingGenerator) -> np.ndarray:
     """Quasi-stationary distribution: the positive left eigenvector of K.
 
-    Normalized to sum 1.  A birth-death chain's is pi * phi; every other
-    chain's comes from the transposed solve, with no right pair.
+    Normalized to sum 1, from the ground pair gen keeps (solved here if it
+    is not yet): a birth-death chain's is pi * phi; every other chain's
+    comes from the transposed steps on the pair's last banded factor.
     """
     _generator(gen, "quasi_stationary_dist")
-    phi = tridiag.ground_pair(*gen.birth_death_rates())[1] if gen.is_birth_death else None
-    return _qsd(gen, phi)
+    return _qsd(gen)
 
 
-def _qsd(gen: AbsorbingGenerator, phi, factor=None) -> np.ndarray:
-    """Quasi-stationary distribution of gen: pi * phi normalized for a
-    birth-death chain; otherwise phi is unused and the power steps run on
-    the transposed solve, on the pair's last LU factor when one is passed."""
+def _qsd(gen: AbsorbingGenerator) -> np.ndarray:
+    """Quasi-stationary distribution of gen, the one route to it, on the
+    ground pair gen keeps: pi * phi normalized for a birth-death chain;
+    otherwise the power steps on the transposed solve, run on the pair's
+    last LU factor."""
+    pair = gen._ground
     if gen.is_birth_death:
-        # phi scaled as dirichlet_eigenpair reports it
-        nu = _bd_eta(*gen.birth_death_rates()) * (phi / phi[0])
+        nu = _bd_eta(*gen.birth_death_rates()) * pair.phi
     else:
-        nu = _ground_vector(gen, 1, factor)[1]
+        nu = _ground_vector(gen, 1, pair.factor)[1]
     return nu / nu.sum()
 
 

@@ -313,6 +313,10 @@ class TestTheoremBound:
         with pytest.raises(GapViolation):
             theorem_bound({"lambda0": 1.0, "lambda0_prime": 0.9, "lambdas": [2.0]})
 
+    def test_gap_violation_by_a_higher_limit(self):
+        with pytest.raises(GapViolation, match="^an eigenvalue limit at or below lambda0$"):
+            theorem_bound({"lambda0": 1.0, "lambda0_prime": 2.0, "lambdas": [0.5]})
+
     def test_tail_sum_decreases_in_n_used(self):
         fam = accelerated_poisson_family()
         sums = [tail_sum_estimate(fam, 256, j) for j in (0, 3, 8)]
@@ -718,6 +722,8 @@ LIMITS = {"lambda0": 1.0, "lambda0_prime": 2.0, "lambdas": [3.0]}
     (lambda: poisson_family().realize(2.5), r"^n 2\.5 is not an integer$"),
     (lambda: lyapunov_check(poisson_family(), np.ones(5), 0.1, "5"), "^n '5' is not an integer$"),
     (lambda: lyapunov_check(poisson_family(), ["a"] * 5, 0.1, 5), "^phi must be 5 finite numbers$"),
+    (lambda: lyapunov_check(poisson_family(), [1.0, 0.0, 1.0], 0.5, 3),
+     r"^phi must be positive and finite on 1\.\.n$"),
     (lambda: lyapunov_check(poisson_family(), np.ones(5), 0.1, 5, tol=math.nan),
      "^tol nan is not a finite number$"),
     (lambda: dirichlet_form(poisson_family(), ["a"] * 5, 5),
@@ -754,7 +760,7 @@ LIMITS = {"lambda0": 1.0, "lambda0_prime": 2.0, "lambdas": [3.0]}
         "tol-0", "inf-rate", "nan-rate", "overflowing-rate", "pi-overflow", "float-cutoff",
         "float-truncation", "float-gap-identity-size", "float-n-max", "float-n-used",
         "float-hitting-state", "string-lyapunov-lam", "realize-string", "realize-float",
-        "string-lyapunov-size", "string-lyapunov-phi", "nan-lyapunov-tol", "string-form-vector",
+        "string-lyapunov-size", "string-lyapunov-phi", "zero-lyapunov-phi", "nan-lyapunov-tol", "string-form-vector",
         "rho-string", "rho-nan", "string-schedule-entry", "float-schedule-entry", "no-schedule",
         "nan-tol", "string-tol", "string-tail-bound", "string-n-used", "no-limits",
         "limits-without-lambda0-prime", "string-limit", "negative-lambda0", "infinite-lambda0",

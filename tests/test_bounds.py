@@ -165,6 +165,33 @@ class TestPathBound:
         with pytest.raises(InvalidParameter, match="above the Dirichlet eigenvalue"):
             path_bound(gen, 1.5)
 
+    @pytest.mark.parametrize("n, multiple", [(4, 3), (10, 6)])
+    def test_lambda0_above_the_bracket_rejected_without_a_cycle_above_one(self, n, multiple):
+        # no cycle of factors exceeds one here, yet above lambda0 the factors
+        # need not stay below the eigenvector ratios, so the bounds they give
+        # (3.676 and 256.6) prove nothing.  The top state's factor
+        # 2 / (2 - lambda) is above one, so the search reads the ground pair,
+        # and lambda is above its bracket
+        gen = build_rho_chain(n, 1.0)
+        lam0 = dirichlet_eigenpair(gen).lambda0
+        with pytest.raises(InvalidParameter, match="above the Dirichlet eigenvalue"):
+            path_bound(gen, multiple * lam0)
+
+    def test_lambda0_of_the_pair_is_never_rejected(self):
+        # the pair's lambda0 is its bracket's midpoint; these chains all have
+        # a negative cost, so each search checks lambda0 against the bracket
+        rng = np.random.default_rng(20240817)
+        gens = [build_rho_chain(n, rho) for n in (2, 3, 10, 100, 400) for rho in (0.05, 0.5, 1, 2)]
+        for _ in range(50):
+            n = int(rng.integers(2, 201))
+            gens.append(build_birth_death(np.exp(rng.uniform(np.log(0.1), np.log(10), n - 1)),
+                                          np.exp(rng.uniform(np.log(0.1), np.log(10), n))))
+        rng = np.random.default_rng(0)
+        gens += [random_reversible_generator(rng, 40) for _ in range(25)]
+        gens += [random_cycle_with_chords(rng, 40) for _ in range(25)]
+        for gen in gens:
+            path_bound(gen, dirichlet_eigenpair(gen).lambda0)
+
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())

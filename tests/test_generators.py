@@ -492,6 +492,24 @@ def test_equal_rates_make_equal_generators():
     assert direct != direct.transitions
 
 
+@pytest.mark.parametrize("build", [lambda: build_rho_chain(6, 0.5),
+                                   lambda: build_graph_walk([(1, 2), (2, 3), (3, 1)], [2])],
+                         ids=["birth-death", "banded"])
+def test_a_kept_ground_pair_leaves_equality_hash_repr_and_json_alone(build):
+    solved, fresh = build(), build()
+    before = (hash(solved), repr(solved), solved.to_json_dict())
+    pair = qsamp.dirichlet_eigenpair(solved)
+    assert "_ground" in vars(solved) and "_ground" not in vars(fresh)
+    assert solved == fresh and hash(solved) == hash(fresh) == before[0]
+    assert repr(solved) == repr(fresh) == before[1]
+    assert solved.to_json_dict() == fresh.to_json_dict() == before[2]
+    # the kept phi is read-only, and each eigenpair normalizes a copy of it
+    with pytest.raises(ValueError):
+        solved._ground.phi[0] = 0
+    pair.phi[0] = 0
+    assert qsamp.dirichlet_eigenpair(solved).phi[0] == 1.0
+
+
 def test_triplet_tuples_are_derived_when_read():
     gen = grid_walk(24, 24)
     assert "transitions" not in vars(gen) and "absorption" not in vars(gen)

@@ -392,9 +392,10 @@ class TestQuasiStationary:
 
     @pytest.mark.parametrize("route", ["birth-death", "reversible", "non-reversible"])
     def test_qsd_normalization_solves_the_ground_problem_once(self, route, monkeypatch):
-        gen = _route_chain(route)
-        first = dirichlet_eigenpair(gen).phi
-        old_path = first / float(quasi_stationary_dist(gen) @ first)
+        first_gen = _route_chain(route)
+        first = dirichlet_eigenpair(first_gen).phi
+        old_path = first / float(quasi_stationary_dist(first_gen) @ first)
+        gen = _route_chain(route)  # an equal generator that has solved nothing
         calls, factors = _count_solves(monkeypatch)
         phi = dirichlet_eigenpair(gen, "qsd").phi
         assert calls.count("ground_pair") + calls.count("_perron_pair") == 1
@@ -406,13 +407,20 @@ class TestQuasiStationary:
         assert "reversible_measure" not in calls
         assert "eigh" not in calls
         np.testing.assert_allclose(phi, old_path, rtol=1e-15, atol=0)
+        # the generator keeps its pair: a repeated call solves and factors nothing
+        calls.clear()
+        assert np.array_equal(dirichlet_eigenpair(gen, "qsd").phi, phi)
+        assert calls == ["_perron_pair^T"] * (route != "birth-death")
 
     @pytest.mark.parametrize("route", ["reversible", "non-reversible"])
     def test_qsd_solves_only_the_transposed_problem(self, route, monkeypatch):
         gen = _route_chain(route)
-        calls, _ = _count_solves(monkeypatch)
+        calls, factors = _count_solves(monkeypatch)
         quasi_stationary_dist(gen)
-        assert calls == ["_perron_pair^T", "dgbtrf"]
+        # one right pair on one banded LU at shift 0, then the transposed
+        # steps on that factor, with no LU of their own
+        assert calls == ["_perron_pair", "dgbtrf", "_perron_pair^T"]
+        assert factors[1] is factors[0] and factors[0][1] == 0.0
 
 
 @pytest.mark.parametrize("route, steps", [("birth-death", 9), ("reversible", 13),
@@ -422,12 +430,12 @@ def test_one_step_cap_covers_every_start_and_shift(route, steps, monkeypatch):
     # from the bisected one, the banded pairs 13 and 16 from the ones
     # vector; one step fewer raises, where each start used to get a cap of
     # its own and a banded pair was accepted on an unsettled bracket
-    gen = _route_chain(route)
     monkeypatch.setattr(tridiag, "MAX_POWER_STEPS", steps)
-    dirichlet_eigenpair(gen)
+    dirichlet_eigenpair(_route_chain(route))
     monkeypatch.setattr(tridiag, "MAX_POWER_STEPS", steps - 1)
+    # a fresh generator: the first one keeps the pair it solved
     with pytest.raises(NoConvergence, match=f"^power steps not settled after {steps - 1} steps"):
-        dirichlet_eigenpair(gen)
+        dirichlet_eigenpair(_route_chain(route))
 
 
 def _route_chain(route):
@@ -458,7 +466,7 @@ def _count_solves(monkeypatch):
             calls.append(name + "^T" if transposed else name)
             out = real(*args, **kwargs)
             if name == "_perron_pair":
-                factors.append(args[2] if transposed else out[2])
+                factors.append(args[2] if transposed else out[3])
             return out
         return wrapper
 

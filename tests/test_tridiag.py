@@ -575,6 +575,16 @@ def test_differential_count_matches_lapack(rates):
                 assert tridiag.sturm_count(b, d, sigma) == in_decimal == np.count_nonzero(w < sigma)
 
 
+def test_differential_count_steps_past_a_zero_pivot():
+    # at sigma = 2 the first pivot q_1 = b_1 + d_1 - sigma is exactly 0, so
+    # the count is taken just above sigma; -K = [[2, -1], [-1, 1]] has one
+    # eigenvalue, (3 - sqrt 5) / 2, below 2
+    with decimal.localcontext(tridiag.oracle_context(30)):
+        bm, dm = tridiag._mp_rates([1.0], [1.0, 1.0])
+        assert tridiag._count(bm, dm, Decimal(2)) == 1
+    assert tridiag.sturm_count(np.array([1.0]), np.array([1.0, 1.0]), 2.0) == 1
+
+
 # -- the LAPACK kernels: dqds spectrum and dlarrc count -------------------------
 
 #: the rates of a fixed 5-state chain
